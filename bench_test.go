@@ -351,14 +351,17 @@ var (
 )
 
 // mediumAuditor builds (once) an auditor over the Medium hospital (~95k log
-// rows) with the non-group catalog and pre-warmed masks, so the streaming
-// and materializing benchmarks below time only the report path.
+// rows) with the catalog the CLI registers — every hand-crafted template,
+// collaborative groups included — and pre-warmed masks, so the streaming and
+// materializing benchmarks below time only the report path, at the
+// explanations-per-row the audit workloads of bench/ see.
 func mediumAuditor(b *testing.B) *core.Auditor {
 	b.Helper()
 	mediumOnce.Do(func() {
 		ds := ehr.Generate(ehr.Medium())
 		a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
-		a.AddTemplates(explain.Handcrafted(true, false).All()...)
+		a.BuildGroups(core.GroupsOptions{})
+		a.AddTemplates(explain.Handcrafted(true, true).All()...)
 		a.ExplainedFractionParallel(context.Background(), 8) // warm masks
 		mediumAud = a
 	})
@@ -539,13 +542,13 @@ func mediumFederation(b *testing.B) *federate.Federation {
 	b.Helper()
 	a := mediumAuditor(b)
 	fedOnce.Do(func() {
-		f, err := federate.Split(a.Database(), ehr.SchemaGraph(ehr.DefaultGraphOptions()), 4, nil,
-			federate.WithoutGroups())
+		// The auditor's database already holds the Groups table it trained.
+		f, err := federate.Split(a.Database(), ehr.SchemaGraph(ehr.DefaultGraphOptions()), 4, nil)
 		if err != nil {
 			fedErr = err.Error()
 			return
 		}
-		f.AddTemplates(explain.Handcrafted(true, false).All()...)
+		f.AddTemplates(explain.Handcrafted(true, true).All()...)
 		f.ExplainedFraction(context.Background(), 8) // warm masks
 		fedInst = f
 	})
@@ -690,6 +693,51 @@ func BenchmarkSupportLen4Groups(b *testing.B) {
 		if ev.Support(tpl.Path) == 0 {
 			b.Fatal("zero support")
 		}
+	}
+}
+
+// BenchmarkInstances times instance enumeration — the walk under every
+// rendered explanation — for one template of each path shape: one op
+// enumerates up to three instances for every log row the template explains,
+// on one cursor. nodes/binding is the walk's work per instance produced
+// (query.instances.nodes ÷ .bindings; the blind search it replaced spent 77
+// across the catalog).
+func BenchmarkInstances(b *testing.B) {
+	e := smallEnv(b)
+	for _, c := range []struct {
+		name string
+		tpl  *explain.PathTemplate
+	}{
+		{"direct2", explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")},
+		{"dept4", explain.DeptTemplate("appt-same-dept", "Appointments", "an appointment")},
+		{"group4", explain.GroupTemplate("appt-same-group", "Appointments", "an appointment")},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ev := query.NewEvaluator(e.DS.DB)
+			var rows []int
+			for row, explained := range ev.ExplainedRows(c.tpl.Path) {
+				if explained {
+					rows = append(rows, row)
+				}
+			}
+			if len(rows) == 0 {
+				b.Fatal("template explains nothing")
+			}
+			reg := ev.Metrics()
+			nodes, bindings := reg.Counter("query.instances.nodes").Value(), reg.Counter("query.instances.bindings").Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, row := range rows {
+					if len(ev.Instances(c.tpl.Path, row, 3)) == 0 {
+						b.Fatalf("explained row %d has no instance", row)
+					}
+				}
+			}
+			b.StopTimer()
+			nodes, bindings = reg.Counter("query.instances.nodes").Value()-nodes, reg.Counter("query.instances.bindings").Value()-bindings
+			b.ReportMetric(float64(nodes)/float64(bindings), "nodes/binding")
+		})
 	}
 }
 

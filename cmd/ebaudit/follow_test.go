@@ -55,7 +55,7 @@ func truncatedExport(t *testing.T, exportDir string, frac float64) (dir string, 
 // -follow over a -data directory whose Log grows from 90% to 100% of the
 // dataset must emit, across its initial batch plus appended batches, NDJSON
 // byte-identical to one audit -stream over the final log — across dataset
-// seeds and worker counts. The log rewrite is atomic (temp file + rename),
+// seeds and worker counts. Each log rewrite is atomic (temp file + rename),
 // as a real exporter would append.
 func TestFollowByteIdentical(t *testing.T) {
 	for _, seed := range []string{"1", "2", "3"} {
@@ -77,16 +77,24 @@ func TestFollowByteIdentical(t *testing.T) {
 		for _, j := range []string{"1", "4"} {
 			dir, fullLog, total := truncatedExport(t, exportDir, 0.9)
 
-			// Grow the log back to full size shortly after follow starts.
+			// Grow the log back to full size shortly after follow starts, in
+			// two steps: the second batch is rendered by the enumerators the
+			// auditor's cursor compiled for the first, over a log that grew
+			// in between.
+			lines := bytes.SplitAfter(fullLog, []byte("\n"))
+			partial := bytes.Join(lines[:1+total*95/100], nil)
 			go func() {
-				time.Sleep(30 * time.Millisecond)
-				tmp := filepath.Join(dir, ".Log.csv.tmp")
-				if err := os.WriteFile(tmp, fullLog, 0o644); err != nil {
-					t.Errorf("writing grown log: %v", err)
-					return
-				}
-				if err := os.Rename(tmp, filepath.Join(dir, "Log.csv")); err != nil {
-					t.Errorf("renaming grown log: %v", err)
+				for _, content := range [][]byte{partial, fullLog} {
+					time.Sleep(30 * time.Millisecond)
+					tmp := filepath.Join(dir, ".Log.csv.tmp")
+					if err := os.WriteFile(tmp, content, 0o644); err != nil {
+						t.Errorf("writing grown log: %v", err)
+						return
+					}
+					if err := os.Rename(tmp, filepath.Join(dir, "Log.csv")); err != nil {
+						t.Errorf("renaming grown log: %v", err)
+						return
+					}
 				}
 			}()
 

@@ -24,9 +24,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -425,6 +426,15 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.B
 		Patient: log.Get(row, pathmodel.LogPatientColumn),
 	}
 	rep.UserName = a.namer.UserName(rep.User)
+	explaining := 0
+	for i := range a.templates {
+		if maskOf(i).Get(row) {
+			explaining++
+		}
+	}
+	if explaining > 0 {
+		rep.Explanations = make([]Explanation, 0, explaining*maxPerTemplate)
+	}
 	for i, t := range a.templates {
 		if !maskOf(i).Get(row) {
 			continue
@@ -435,8 +445,8 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.B
 			})
 		}
 	}
-	sort.SliceStable(rep.Explanations, func(i, j int) bool {
-		return rep.Explanations[i].Length < rep.Explanations[j].Length
+	slices.SortStableFunc(rep.Explanations, func(x, y Explanation) int {
+		return cmp.Compare(x.Length, y.Length)
 	})
 	return rep
 }

@@ -1,0 +1,110 @@
+package core_test
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ehr"
+	"repro/internal/explain"
+	"repro/internal/pathmodel"
+	"repro/internal/relation"
+)
+
+// TestRenderAfterMutationMatchesRebuild pins the one risk compiled instance
+// enumeration adds: the auditor's long-lived cursor keeps enumerators that
+// snapshot table indexes, so a mutation must never be answered from a
+// snapshot taken before it. A live auditor renders every row, then the
+// database changes under it three ways — an event row is appended so a
+// branch that led nowhere becomes a witness, the Groups table is replaced
+// so whole dead sub-trees come alive, and the audited log itself grows
+// under a template that self-joins it — and after each change ExplainRow,
+// PatientReport and StreamReports (4 workers, twice) must equal an auditor
+// built from scratch over the changed database.
+func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
+	ctx := context.Background()
+	ds := ehr.Generate(ehr.Tiny())
+	n := ds.DB.MustTable(pathmodel.LogTable).NumRows()
+	cut := n * 9 / 10
+	db, full := truncatedDB(ds, cut)
+	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
+
+	a := core.NewAuditor(db, graph, core.WithNamer(ds))
+	a.BuildGroups(core.GroupsOptions{})
+	a.AddTemplates(explain.Handcrafted(true, true).All()...)
+	a.AddTemplates(explain.DecoratedRepeatAccess()) // its base path self-joins Log
+	log := db.MustTable(pathmodel.LogTable)
+
+	explanations := func() int {
+		total := 0
+		for r := 0; r < log.NumRows(); r++ {
+			total += len(a.ExplainRow(r, 0).Explanations)
+		}
+		return total
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := a.Refresh(ctx, 4); err != nil {
+			t.Fatalf("%s: Refresh: %v", step, err)
+		}
+		fresh := core.NewAuditor(db, graph, core.WithNamer(ds))
+		fresh.AddTemplates(a.Templates()...)
+		want := fresh.ExplainAll(ctx, 1)
+		if len(want) != log.NumRows() {
+			t.Fatalf("%s: rebuilt audit covers %d rows, want %d", step, len(want), log.NumRows())
+		}
+		for r := range want {
+			if got := a.ExplainRow(r, 0); !reflect.DeepEqual(got, want[r]) {
+				t.Fatalf("%s: ExplainRow(%d) differs from rebuild:\n got %+v\nwant %+v", step, r, got, want[r])
+			}
+		}
+		for _, p := range log.DistinctValues(pathmodel.LogPatientColumn) {
+			if got, want := a.PatientReport(p, 2), fresh.PatientReport(p, 2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: PatientReport(%v) differs from rebuild", step, p)
+			}
+		}
+		for pass := 1; pass <= 2; pass++ {
+			if got := a.ExplainAll(ctx, 4); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: StreamReports pass %d differs from rebuild", step, pass)
+			}
+		}
+	}
+
+	check("initial")
+	before := explanations()
+
+	// An unexplained access gains a lab order by its own user.
+	unexplained := a.UnexplainedAccesses()
+	if len(unexplained) == 0 {
+		t.Fatal("fixture has no unexplained access to turn into a witness")
+	}
+	row := log.Row(unexplained[0])
+	ui, _ := log.ColumnIndex(pathmodel.LogUserColumn)
+	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
+	db.MustTable(ehr.TableLabs).Append(row[pi], relation.Date(0), row[ui], row[ui])
+	a.ResetMaskCache() // event-table growth is not watermarked by the masks
+	check("event row appended")
+	if got := len(a.ExplainRow(unexplained[0], 0).Explanations); got == 0 {
+		t.Error("the appended lab order explains nothing")
+	}
+
+	// Every user joins one new collaborative group.
+	old := db.MustTable(core.DefaultGroupsTable)
+	grown := old.Clone(core.DefaultGroupsTable)
+	for _, u := range log.DistinctValues(pathmodel.LogUserColumn) {
+		grown.Append(relation.Int(1), relation.Int(1<<40), u)
+	}
+	a.AddTable(grown)
+	check("groups replaced")
+	afterGroups := explanations()
+	if afterGroups <= before {
+		t.Errorf("the all-users group added no explanations (%d before, %d after)", before, afterGroups)
+	}
+
+	// The audited log grows by the held-out suffix.
+	for r := cut; r < n; r++ {
+		log.Append(full.Row(r)...)
+	}
+	check("log grown")
+}

@@ -16,11 +16,13 @@ type DecoratedTemplate struct {
 	TemplateName string
 	Decorated    pathmodel.DecoratedPath
 	Desc         string
+
+	desc []descSeg // Desc parsed against Decorated.Base by NewDecoratedTemplate
 }
 
 // NewDecoratedTemplate wraps a decorated path as a template.
 func NewDecoratedTemplate(name string, dp pathmodel.DecoratedPath, desc string) *DecoratedTemplate {
-	return &DecoratedTemplate{TemplateName: name, Decorated: dp, Desc: desc}
+	return &DecoratedTemplate{TemplateName: name, Decorated: dp, Desc: desc, desc: parseDesc(desc, dp.Base)}
 }
 
 // Name implements Template.
@@ -46,16 +48,8 @@ func (t *DecoratedTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []boo
 
 // Render implements Template.
 func (t *DecoratedTemplate) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	bindings := ev.InstancesDecorated(t.Decorated, logRow, limit)
-	out := make([]string, 0, len(bindings))
-	for _, b := range bindings {
-		if t.Desc != "" {
-			out = append(out, renderDesc(t.Desc, t.Decorated.Base, ev, logRow, b, n))
-		} else {
-			out = append(out, renderGeneric(t.Decorated.Base, ev, logRow, b, n))
-		}
-	}
-	return out
+	return renderBindings(t.desc, t.Desc, t.Decorated.Base, ev, logRow,
+		ev.InstancesDecorated(t.Decorated, logRow, limit), n)
 }
 
 // DecoratedRepeatAccess builds the paper's decorated repeat-access template

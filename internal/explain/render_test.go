@@ -73,6 +73,18 @@ func TestRenderDescCustomTokens(t *testing.T) {
 	}
 }
 
+// TestRenderLiteralTemplate: a template assembled field by field, without
+// the constructor that pre-parses Desc, renders the same text.
+func TestRenderLiteralTemplate(t *testing.T) {
+	ev := renderFixture(t)
+	built := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
+	literal := &explain.PathTemplate{TemplateName: built.TemplateName, Path: built.Path, Desc: built.Desc}
+	want := built.Render(ev, 0, 1, explain.NullNamer{})
+	if got := literal.Render(ev, 0, 1, explain.NullNamer{}); len(got) != 1 || got[0] != want[0] {
+		t.Errorf("literal template rendered %v, constructor-built %v", got, want)
+	}
+}
+
 func TestRenderMultipleInstancesRanked(t *testing.T) {
 	ev := renderFixture(t)
 	// Add a second appointment; two instances should render (limit

@@ -63,13 +63,19 @@ type Namer interface {
 type NullNamer struct{}
 
 // PatientName implements Namer.
-func (NullNamer) PatientName(v relation.Value) string { return "patient " + v.String() }
+func (NullNamer) PatientName(v relation.Value) string { return labeled("patient ", v) }
 
 // UserName implements Namer.
-func (NullNamer) UserName(v relation.Value) string { return "user " + v.String() }
+func (NullNamer) UserName(v relation.Value) string { return labeled("user ", v) }
 
 // CaregiverName implements Namer.
-func (NullNamer) CaregiverName(v relation.Value) string { return "caregiver " + v.String() }
+func (NullNamer) CaregiverName(v relation.Value) string { return labeled("caregiver ", v) }
+
+// labeled renders label followed by v with one allocation, the result.
+func labeled(label string, v relation.Value) string {
+	var buf [48]byte
+	return string(v.AppendString(append(buf[:0], label...)))
+}
 
 // PathTemplate is a Template backed by a closed explanation path. Desc, when
 // non-empty, is a parameterized description string with [Alias.Column]
@@ -79,6 +85,8 @@ type PathTemplate struct {
 	TemplateName string
 	Path         pathmodel.Path
 	Desc         string
+
+	desc []descSeg // Desc parsed against Path by NewPathTemplate
 }
 
 // NewPathTemplate wraps a closed path as a template. Backward paths are
@@ -90,7 +98,7 @@ func NewPathTemplate(name string, p pathmodel.Path, desc string) *PathTemplate {
 	if !p.Forward() {
 		p = p.Reverse()
 	}
-	return &PathTemplate{TemplateName: name, Path: p, Desc: desc}
+	return &PathTemplate{TemplateName: name, Path: p, Desc: desc, desc: parseDesc(desc, p)}
 }
 
 // Name implements Template.
@@ -116,89 +124,115 @@ func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
 
 // Render implements Template.
 func (t *PathTemplate) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	bindings := ev.Instances(t.Path, logRow, limit)
-	out := make([]string, 0, len(bindings))
-	for _, b := range bindings {
-		if t.Desc != "" {
-			out = append(out, renderDesc(t.Desc, t.Path, ev, logRow, b, n))
-		} else {
-			out = append(out, renderGeneric(t.Path, ev, logRow, b, n))
+	return renderBindings(t.desc, t.Desc, t.Path, ev, logRow, ev.Instances(t.Path, logRow, limit), n)
+}
+
+// descSeg is one piece of a parsed description: literal text, or an
+// [Alias.Column|role] placeholder resolved to the path instance the alias
+// names (0 is the audited log row).
+type descSeg struct {
+	lit  string // literal text; empty for a placeholder
+	inst int
+	col  string
+	role string
+}
+
+// parseDesc splits desc into literal and placeholder segments against p's
+// instance aliases ("L" for the audited row, then each table name numbered
+// per occurrence: Appointments1, Groups2). A "|role" suffix selects name
+// resolution: [L.Patient|patient], [L.User|user],
+// [Appointments1.Doctor|caregiver]; without one the raw value is rendered.
+// Tokens that name nothing stay in the text: "[tok]" for one without a dot,
+// "[tok?]" for an unknown alias; an unterminated bracket passes through.
+func parseDesc(desc string, p pathmodel.Path) []descSeg {
+	alias := map[string]int{"L": 0}
+	seen := make(map[string]int)
+	for i, in := range p.Instances()[1:] {
+		seen[in.Table]++
+		alias[fmt.Sprintf("%s%d", in.Table, seen[in.Table])] = i + 1
+	}
+	var segs []descSeg
+	lit := func(s string) {
+		if s == "" {
+			return
 		}
+		if k := len(segs) - 1; k >= 0 && segs[k].lit != "" {
+			segs[k].lit += s
+			return
+		}
+		segs = append(segs, descSeg{lit: s})
+	}
+	for rest := desc; ; {
+		i := strings.IndexByte(rest, '[')
+		j := -1
+		if i >= 0 {
+			j = strings.IndexByte(rest[i:], ']')
+		}
+		if j < 0 {
+			lit(rest)
+			return segs
+		}
+		lit(rest[:i])
+		token, role, _ := strings.Cut(rest[i+1:i+j], "|")
+		rest = rest[i+j+1:]
+		name, col, dotted := strings.Cut(token, ".")
+		inst, known := alias[name]
+		switch {
+		case !dotted:
+			lit("[" + token + "]")
+		case !known:
+			lit("[" + token + "?]")
+		default:
+			segs = append(segs, descSeg{inst: inst, col: col, role: role})
+		}
+	}
+}
+
+// renderBindings renders one text per binding of the log row: through the
+// parsed description segs when the template has one (parsed here when the
+// template was not built by its constructor), generically otherwise. Texts
+// are assembled in one buffer reused across the row's bindings.
+func renderBindings(segs []descSeg, desc string, p pathmodel.Path, ev *query.Evaluator, logRow int, bindings []query.InstanceBinding, n Namer) []string {
+	out := make([]string, 0, len(bindings))
+	if desc == "" {
+		for _, b := range bindings {
+			out = append(out, renderGeneric(p, ev, logRow, b, n))
+		}
+		return out
+	}
+	if segs == nil {
+		segs = parseDesc(desc, p)
+	}
+	var buf [256]byte
+	text := buf[:0]
+	insts := p.Instances()
+	for _, b := range bindings {
+		text = text[:0]
+		for _, s := range segs {
+			if s.lit != "" {
+				text = append(text, s.lit...)
+				continue
+			}
+			var v relation.Value
+			if s.inst == 0 {
+				v = ev.Log().Get(logRow, s.col)
+			} else {
+				v = ev.Database().MustTable(insts[s.inst].Table).Get(b.Rows[s.inst-1], s.col)
+			}
+			switch s.role {
+			case "patient":
+				text = append(text, n.PatientName(v)...)
+			case "user":
+				text = append(text, n.UserName(v)...)
+			case "caregiver":
+				text = append(text, n.CaregiverName(v)...)
+			default:
+				text = v.AppendString(text)
+			}
+		}
+		out = append(out, string(text))
 	}
 	return out
-}
-
-// lookupValue resolves an [Alias.Column] placeholder against the log row and
-// the bound instance rows.
-func lookupValue(alias, column string, p pathmodel.Path, ev *query.Evaluator, logRow int, b query.InstanceBinding) (relation.Value, bool) {
-	if alias == "L" {
-		return ev.Log().Get(logRow, column), true
-	}
-	insts := p.Instances()
-	seen := make(map[string]int)
-	for i := 1; i < len(insts); i++ {
-		seen[insts[i].Table]++
-		label := fmt.Sprintf("%s%d", insts[i].Table, seen[insts[i].Table])
-		if label != alias {
-			continue
-		}
-		tbl := ev.Database().MustTable(insts[i].Table)
-		if i-1 >= len(b.Rows) {
-			return relation.Null(), false
-		}
-		return tbl.Get(b.Rows[i-1], column), true
-	}
-	return relation.Null(), false
-}
-
-// renderDesc substitutes [Alias.Column] placeholders. A "|role" suffix
-// selects name resolution: [L.Patient|patient], [L.User|user],
-// [Appointments1.Doctor|caregiver]. Without a suffix the raw value is
-// rendered.
-func renderDesc(desc string, p pathmodel.Path, ev *query.Evaluator, logRow int, b query.InstanceBinding, n Namer) string {
-	var out strings.Builder
-	rest := desc
-	for {
-		i := strings.IndexByte(rest, '[')
-		if i < 0 {
-			out.WriteString(rest)
-			return out.String()
-		}
-		j := strings.IndexByte(rest[i:], ']')
-		if j < 0 {
-			out.WriteString(rest)
-			return out.String()
-		}
-		out.WriteString(rest[:i])
-		token := rest[i+1 : i+j]
-		rest = rest[i+j+1:]
-
-		role := ""
-		if k := strings.IndexByte(token, '|'); k >= 0 {
-			role = token[k+1:]
-			token = token[:k]
-		}
-		dot := strings.IndexByte(token, '.')
-		if dot < 0 {
-			out.WriteString("[" + token + "]")
-			continue
-		}
-		v, ok := lookupValue(token[:dot], token[dot+1:], p, ev, logRow, b)
-		if !ok {
-			out.WriteString("[" + token + "?]")
-			continue
-		}
-		switch role {
-		case "patient":
-			out.WriteString(n.PatientName(v))
-		case "user":
-			out.WriteString(n.UserName(v))
-		case "caregiver":
-			out.WriteString(n.CaregiverName(v))
-		default:
-			out.WriteString(v.String())
-		}
-	}
 }
 
 // renderGeneric produces a readable fallback description by listing the

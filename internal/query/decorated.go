@@ -5,110 +5,68 @@ import (
 	"repro/internal/relation"
 )
 
-// decoratedSearch runs the bound-tuple DFS behind all decorated-path
-// evaluation. For the audited row logRow it enumerates instance bindings of
-// the base path that satisfy every decoration, invoking yield for each; a
-// false return from yield stops the search. Decorations are checked as soon
-// as all instances they reference are bound, pruning the search early.
-func (ev *Evaluator) decoratedSearch(dp pathmodel.DecoratedPath, logRow int, yield func(InstanceBinding) bool) {
-	base := dp.Base
-	insts := base.Instances()
-	conds := base.Conds()
-	logRowVals := ev.log.Row(logRow)
+// boundDecoration is one decoration with its column references resolved to
+// positions: in the audited row for instance 0, in the bound instance's
+// table otherwise.
+type boundDecoration struct {
+	left, right boundRef
+	op          pathmodel.CompareOp
+	konst       *relation.Value // when non-nil, right is ignored
+}
 
-	// value resolves a decoration reference against the audited row or the
-	// currently bound rows.
-	rows := make([]int, 0, len(insts)-1)
-	value := func(r pathmodel.Ref) relation.Value {
-		if r.Inst == 0 {
-			ci, ok := ev.log.ColumnIndex(r.Col)
-			if !ok {
-				panic("query: decoration references missing log column " + r.Col)
-			}
-			return logRowVals[ci]
+type boundRef struct{ inst, col int }
+
+// decorated returns the cursor's enumerator for dp's base path with dp's
+// decorations bound into the walk: each is checked as soon as every instance
+// it references is bound, pruning the search early.
+func (ev *Evaluator) decorated(dp pathmodel.DecoratedPath) *instEnum {
+	e := ev.enumerator(dp.Base)
+	e.ready = make([][]boundDecoration, len(e.hops)+1)
+	ref := func(r pathmodel.Ref) boundRef {
+		t := ev.log
+		if r.Inst > 0 {
+			t = e.hops[r.Inst-1].table
 		}
-		t := ev.db.MustTable(insts[r.Inst].Table)
-		return t.Get(rows[r.Inst-1], r.Col)
+		col, ok := t.ColumnIndex(r.Col)
+		if !ok {
+			panic("query: decoration references missing column " + t.Name() + "." + r.Col)
+		}
+		return boundRef{r.Inst, col}
 	}
-
-	// decorationsReadyAt[i] lists decorations checkable once instances
-	// 0..i are bound.
-	decorationsReadyAt := make([][]pathmodel.Decoration, len(insts))
 	for _, d := range dp.Decorations {
-		decorationsReadyAt[d.MaxInst()] = append(decorationsReadyAt[d.MaxInst()], d)
-	}
-	check := func(boundInst int) bool {
-		for _, d := range decorationsReadyAt[boundInst] {
-			l := value(d.Left)
-			var r relation.Value
-			if d.Const != nil {
-				r = *d.Const
-			} else {
-				r = value(d.Right)
-			}
-			if !d.Op.Eval(l.Compare(r)) {
-				return false
-			}
+		b := boundDecoration{left: ref(d.Left), op: d.Op, konst: d.Const}
+		if d.Const == nil {
+			b.right = ref(d.Right)
 		}
+		e.ready[d.MaxInst()] = append(e.ready[d.MaxInst()], b)
+	}
+	return e
+}
+
+// holds reports whether every decoration that became checkable when
+// instance inst was bound is satisfied; an undecorated walk has none.
+func (e *instEnum) holds(inst int) bool {
+	if e.ready == nil {
 		return true
 	}
-
-	pr := ev.projections()
-	patient := pr.patients[logRow]
-	user := pr.users[logRow]
-
-	stopped := false
-	var dfs func(ci int, current relation.Value)
-	dfs = func(ci int, current relation.Value) {
-		if stopped {
-			return
+	value := func(r boundRef) relation.Value {
+		if r.inst == 0 {
+			return e.logRow[r.col]
 		}
-		if ci == len(conds) {
-			if !yield(InstanceBinding{Rows: append([]int(nil), rows...)}) {
-				stopped = true
-			}
-			return
+		return e.hops[r.inst-1].table.Row(e.rows[r.inst-1])[r.col]
+	}
+	for _, d := range e.ready[inst] {
+		var r relation.Value
+		if d.konst != nil {
+			r = *d.konst
+		} else {
+			r = value(d.right)
 		}
-		c := conds[ci]
-		candidates := []relation.Value{current}
-		if c.Via != nil {
-			bt := ev.db.MustTable(c.Via.Table)
-			candidates = bt.DistinctPairs(c.Via.FromColumn, c.Via.ToColumn)[current]
-		}
-		if c.RightInst == 0 {
-			for _, v := range candidates {
-				if v == user {
-					dfs(ci+1, v)
-					return
-				}
-			}
-			return
-		}
-		in := insts[c.RightInst]
-		t := ev.db.MustTable(in.Table)
-		idx := t.Index(in.Entry)
-		for _, v := range candidates {
-			for _, r := range idx[v] {
-				rows = append(rows, r)
-				if check(c.RightInst) {
-					next := relation.Null()
-					if in.Exit != "" {
-						next = t.Get(r, in.Exit)
-					}
-					dfs(ci+1, next)
-				}
-				rows = rows[:len(rows)-1]
-				if stopped {
-					return
-				}
-			}
+		if !d.op.Eval(value(d.left).Compare(r)) {
+			return false
 		}
 	}
-	// Decorations involving only the audited log row are checked up front.
-	if !check(0) {
-		return
-	}
-	dfs(0, patient)
+	return true
 }
 
 // ExplainedRowsDecorated returns one boolean per audited row: whether some
@@ -128,12 +86,10 @@ func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo,
 		panic("query: decorated range out of bounds")
 	}
 	ev.queriesEvaluated++
+	e := ev.decorated(dp)
 	out := make([]bool, hi-lo)
 	for r := lo; r < hi; r++ {
-		ev.decoratedSearch(dp, r, func(InstanceBinding) bool {
-			out[r-lo] = true
-			return false // first witness suffices
-		})
+		out[r-lo] = len(e.run(ev, r, 1)) > 0 // first witness suffices
 	}
 	return out
 }
@@ -153,13 +109,5 @@ func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {
 // InstancesDecorated enumerates up to limit satisfying bindings for one
 // audited row, for natural-language rendering.
 func (ev *Evaluator) InstancesDecorated(dp pathmodel.DecoratedPath, logRow, limit int) []InstanceBinding {
-	if limit <= 0 {
-		limit = 1
-	}
-	var out []InstanceBinding
-	ev.decoratedSearch(dp, logRow, func(b InstanceBinding) bool {
-		out = append(out, b)
-		return len(out) < limit
-	})
-	return out
+	return ev.decorated(dp).run(ev, logRow, limit)
 }

@@ -160,6 +160,13 @@ type engine struct {
 	// down: an open plan shared by ConnectedRange and Support callers must
 	// run its backward pass once, not once per Support call.
 	backwardPasses *obs.Counter
+
+	// Instance enumeration totals (query.instances.calls / .nodes /
+	// .bindings), flushed once per call from cursor-local ints: nodes ÷
+	// bindings is the work the walk spends per explanation instance it
+	// produces (at best the path length + 1, less when one expansion yields
+	// several bindings).
+	instCalls, instNodes, instBindings *obs.Counter
 }
 
 // initMetrics creates the engine's registry and resolves every named metric
@@ -178,6 +185,9 @@ func (eng *engine) initMetrics() {
 	eng.planPairsPruned = reg.Counter("query.plan.pairs_pruned")
 	eng.planNanos = reg.Counter("query.plan.nanos")
 	eng.backwardPasses = reg.Counter("query.feas.backward_passes")
+	eng.instCalls = reg.Counter("query.instances.calls")
+	eng.instNodes = reg.Counter("query.instances.nodes")
+	eng.instBindings = reg.Counter("query.instances.bindings")
 }
 
 // backwardPass runs feasibleStarts and counts it on the engine.
@@ -203,6 +213,11 @@ type Evaluator struct {
 	// observable the early-termination tests pin: Instances(limit) and
 	// existence checks must stop consuming after the first witness.
 	postingsScanned int
+
+	// enums caches this cursor's compiled instance enumerators by path
+	// identity (see instances.go). Cursor-local — never shared between
+	// goroutines — and empty on every Clone.
+	enums map[*pathmodel.Cond]*instEnum
 }
 
 // NewEvaluator creates an evaluator over db, which must contain a table
@@ -659,108 +674,6 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// InstanceBinding is one concrete explanation instance for a specific log
-// row: the row chosen in each non-log table instance along the path, in
-// path order.
-type InstanceBinding struct {
-	Rows []int
-}
-
-// Instances enumerates up to limit explanation instances of a closed path
-// for the log row at index logRow. Each binding fixes one row per non-log
-// instance such that all join conditions (including bridge translations)
-// hold. The paper converts each instance to natural language and ranks
-// explanations in ascending order of path length; rendering lives in the
-// explain package.
-//
-// Enumeration is pull-based end to end: candidate values stream through
-// relation.Table.PairValues and matching rows through Table.Postings, and
-// the depth-first search unwinds as soon as limit bindings exist, so the
-// number of postings consumed is bounded by the work to the limit-th
-// witness, not by the hop fanout (PostingsScanned counts the consumption).
-func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBinding {
-	if !p.Closed() {
-		panic("query: Instances requires a closed path")
-	}
-	if !p.Forward() {
-		p = p.Reverse()
-	}
-	if limit <= 0 {
-		limit = 1
-	}
-	insts := p.Instances()
-	conds := p.Conds()
-	pr := ev.projections()
-	patient := pr.patients[logRow]
-	user := pr.users[logRow]
-
-	var out []InstanceBinding
-	rows := make([]int, 0, len(insts)-1)
-
-	var dfs func(ci int, current relation.Value) bool
-	dfs = func(ci int, current relation.Value) bool {
-		if ci == len(conds) {
-			out = append(out, InstanceBinding{Rows: append([]int(nil), rows...)})
-			return len(out) >= limit
-		}
-		c := conds[ci]
-		// Candidate values on the right-hand side after bridge translation,
-		// streamed lazily: the singleton current value, or the bridge's
-		// pair-value postings.
-		candidates := func(yield func(relation.Value) bool) { yield(current) }
-		if c.Via != nil {
-			bt := ev.db.MustTable(c.Via.Table)
-			bridged := bt.PairValues(c.Via.FromColumn, c.Via.ToColumn, current)
-			candidates = func(yield func(relation.Value) bool) {
-				for v := range bridged {
-					ev.postingsScanned++
-					if !yield(v) {
-						return
-					}
-				}
-			}
-		}
-		if c.RightInst == 0 {
-			// Closing condition: some candidate must equal this row's user.
-			matched := false
-			for v := range candidates {
-				if v == user {
-					matched = true
-					break
-				}
-			}
-			if matched {
-				return dfs(ci+1, user)
-			}
-			return false
-		}
-		in := insts[c.RightInst]
-		t := ev.db.MustTable(in.Table)
-		done := false
-		for v := range candidates {
-			for r := range t.Postings(in.Entry, v) {
-				ev.postingsScanned++
-				rows = append(rows, r)
-				next := relation.Null()
-				if in.Exit != "" {
-					next = t.Get(r, in.Exit)
-				}
-				done = dfs(ci+1, next)
-				rows = rows[:len(rows)-1]
-				if done {
-					break
-				}
-			}
-			if done {
-				break
-			}
-		}
-		return done
-	}
-	dfs(0, patient)
-	return out
 }
 
 // ConnectedRows returns, for an open path, a boolean per log row indicating

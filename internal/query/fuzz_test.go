@@ -109,7 +109,9 @@ func fuzzPath(f *fuzzBytes) (pathmodel.Path, bool) {
 //
 // All five counts must agree, and for closed (open) paths Support must equal
 // the popcount of ExplainedRows (ConnectedRows). This is the index-on ==
-// index-off oracle: SupportScan never touches the index caches at all.
+// index-off oracle: SupportScan never touches the index caches at all. On
+// closed paths the same random schemas also pin Instances to the blind
+// reference search (see assertInstancesMatchReference).
 func FuzzSupportAgreement(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 3, 4, 1, 2, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 1, 0})
@@ -159,6 +161,16 @@ func FuzzSupportAgreement(f *testing.F) {
 		}
 		if pop != s1 {
 			t.Fatalf("path %q: Support=%d but mask popcount=%d", p.String(), s1, pop)
+		}
+		if p.Closed() {
+			// The compiled instance enumerator against the blind search, and
+			// against the mask: a row is explained iff it has an instance.
+			assertInstancesMatchReference(t, ev1, p.String(), p)
+			for row, explained := range mask {
+				if got := len(ev2.Instances(p, row, 1)) > 0; got != explained {
+					t.Fatalf("path %q row %d: mask says %v, Instances says %v", p.String(), row, explained, got)
+				}
+			}
 		}
 	})
 }

@@ -1,0 +1,187 @@
+package query_test
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ehr"
+	"repro/internal/explain"
+	"repro/internal/pathmodel"
+	"repro/internal/query"
+	"repro/internal/relation"
+	"repro/internal/schemagraph"
+)
+
+// catalogEvaluator generates a dataset, installs its collaborative groups,
+// and returns an evaluator over it with the full hand-crafted catalog's
+// closed paths.
+func catalogEvaluator(t *testing.T, cfg ehr.Config) (*query.Evaluator, map[string]pathmodel.Path) {
+	t.Helper()
+	ds := ehr.Generate(cfg)
+	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()))
+	a.BuildGroups(core.GroupsOptions{})
+	paths := make(map[string]pathmodel.Path)
+	for _, tpl := range explain.Handcrafted(true, true).All() {
+		if p, ok := explain.TemplatePath(tpl); ok {
+			paths[tpl.Name()] = p
+		}
+	}
+	if len(paths) < 19 {
+		t.Fatalf("catalog has %d path templates, want the 19 of Handcrafted(true, true)", len(paths))
+	}
+	return query.NewEvaluator(ds.DB), paths
+}
+
+// backward rebuilds the closed forward path p from the Log.User end, the
+// way the two-way and bridged miners construct it.
+func backward(t *testing.T, p pathmodel.Path) pathmodel.Path {
+	t.Helper()
+	edges := p.Edges()
+	b, ok := pathmodel.StartAt(pathmodel.ReverseEdge(edges[len(edges)-1]), pathmodel.LogUserColumn)
+	for i := len(edges) - 2; ok && i >= 0; i-- {
+		b, ok = b.Append(pathmodel.ReverseEdge(edges[i]))
+	}
+	if !ok || !b.Closed() || b.Forward() {
+		t.Fatalf("could not rebuild %s backward", p)
+	}
+	return b
+}
+
+// assertInstancesMatchReference compares the compiled enumerator with the
+// blind reference search for one path over every log row at limits 1, 3 and
+// 1000: same bindings in the same order, and per call no more postings
+// consumed and no more nodes expanded than the reference. It returns the
+// nodes the two made and the bindings emitted, summed over the calls.
+func assertInstancesMatchReference(t *testing.T, ev *query.Evaluator, name string, p pathmodel.Path) (nodes, refNodes, bindings int64) {
+	t.Helper()
+	got, ref := ev.Clone(), ev.Clone()
+	nodeCounter := ev.Metrics().Counter("query.instances.nodes")
+	for row := 0; row < ev.Log().NumRows(); row++ {
+		for _, limit := range []int{1, 3, 1000} {
+			gotScanned, refScanned := got.PostingsScanned(), ref.PostingsScanned()
+			gotNodes := nodeCounter.Value()
+			have := got.Instances(p, row, limit)
+			want, wantNodes := ref.InstancesReference(p, row, limit)
+			if len(have) != len(want) || (len(want) > 0 && !reflect.DeepEqual(have, want)) {
+				t.Fatalf("%s row %d limit %d: bindings %v, reference %v", name, row, limit, have, want)
+			}
+			gotScanned, refScanned = got.PostingsScanned()-gotScanned, ref.PostingsScanned()-refScanned
+			if gotScanned > refScanned {
+				t.Fatalf("%s row %d limit %d: consumed %d postings, reference %d", name, row, limit, gotScanned, refScanned)
+			}
+			gotNodes = nodeCounter.Value() - gotNodes
+			if gotNodes > int64(wantNodes) {
+				t.Fatalf("%s row %d limit %d: expanded %d nodes, reference %d", name, row, limit, gotNodes, wantNodes)
+			}
+			nodes, refNodes, bindings = nodes+gotNodes, refNodes+int64(wantNodes), bindings+int64(len(have))
+		}
+	}
+	return nodes, refNodes, bindings
+}
+
+// TestInstancesMatchReference is the enumerator's differential oracle: on
+// three seeded datasets, every catalog template, forward and rebuilt
+// backward, enumerates exactly what the blind search does.
+func TestInstancesMatchReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := ehr.Tiny()
+		cfg.Seed = seed
+		ev, paths := catalogEvaluator(t, cfg)
+		var bindings int64
+		for name, p := range paths {
+			_, _, n := assertInstancesMatchReference(t, ev, name, p)
+			bindings += n
+			assertInstancesMatchReference(t, ev, name+" (backward)", backward(t, p))
+		}
+		if bindings == 0 {
+			t.Fatalf("seed %d: no template produced a binding", seed)
+		}
+	}
+}
+
+// TestInstancesNodesPerBinding pins the work the guided walk spends per
+// explanation instance on the Small seed-1 catalog, rendering each template
+// for the rows it explains the way an audit does: at most twice the blind
+// search's floor of path length + 1 nodes per binding, where the blind
+// search itself spent 77 across the catalog.
+func TestInstancesNodesPerBinding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the Small dataset")
+	}
+	ev, paths := catalogEvaluator(t, ehr.Small())
+	nodeCounter := ev.Metrics().Counter("query.instances.nodes")
+	bindingCounter := ev.Metrics().Counter("query.instances.bindings")
+	var allNodes, allBindings int64
+	for name, p := range paths {
+		mask := ev.ExplainedRows(p)
+		nodes, bindings := nodeCounter.Value(), bindingCounter.Value()
+		for row, explained := range mask {
+			if explained && len(ev.Instances(p, row, 3)) == 0 {
+				t.Fatalf("%s: row %d is explained but has no instance", name, row)
+			}
+		}
+		nodes, bindings = nodeCounter.Value()-nodes, bindingCounter.Value()-bindings
+		if bindings == 0 {
+			continue
+		}
+		if bound := int64(2 * (p.Length() + 1)); nodes > bound*bindings {
+			t.Errorf("%s: %d nodes for %d bindings (%.1f per binding), want at most %d per binding",
+				name, nodes, bindings, float64(nodes)/float64(bindings), bound)
+		}
+		allNodes, allBindings = allNodes+nodes, allBindings+bindings
+	}
+	if allBindings == 0 || allNodes > 8*allBindings {
+		t.Errorf("catalog: %d nodes for %d bindings, want at most 8 per binding", allNodes, allBindings)
+	}
+	t.Logf("catalog: %d nodes / %d bindings = %.2f", allNodes, allBindings, float64(allNodes)/float64(allBindings))
+}
+
+// TestInstancesProbesLongPostingList covers the end-bound probe directly: a
+// last instance whose posting list is far longer than the probe threshold,
+// with the user's rows scattered through it and a decoration on that
+// instance, must bind exactly the rows the blind search binds, in order,
+// while consuming only the matching postings.
+func TestInstancesProbesLongPostingList(t *testing.T) {
+	db := relation.NewDatabase()
+	log := relation.NewTable(pathmodel.LogTable, pathmodel.LogIDColumn, pathmodel.LogDateColumn,
+		pathmodel.LogUserColumn, pathmodel.LogPatientColumn)
+	log.Append(relation.Int(1), relation.Date(0), relation.Int(7), relation.Int(1))
+	log.Append(relation.Int(2), relation.Date(0), relation.Int(999), relation.Int(1)) // nobody's rows
+	db.AddTable(log)
+	ev := relation.NewTable("Ev", "P", "N", "U")
+	for i := 0; i < 500; i++ {
+		ev.Append(relation.Int(1), relation.Int(int64(i)), relation.Int(int64(i%10)))
+	}
+	db.AddTable(ev)
+	attr := func(c string) schemagraph.Attr { return schemagraph.Attr{Table: "Ev", Column: c} }
+	p := mustPath(t,
+		schemagraph.Edge{From: pathmodel.StartAttr(), To: attr("P"), Kind: schemagraph.KeyFK},
+		schemagraph.Edge{From: attr("U"), To: pathmodel.EndAttr(), Kind: schemagraph.KeyFK},
+	)
+	e := query.NewEvaluator(db)
+	assertInstancesMatchReference(t, e, "probe", p)
+
+	got := e.Clone()
+	if n := len(got.Instances(p, 0, 1000)); n != 50 {
+		t.Fatalf("user 7 has %d instances, want 50", n)
+	}
+	if scanned := got.PostingsScanned(); scanned != 50 {
+		t.Errorf("probing consumed %d postings for 50 matches in a 500-row list, want 50", scanned)
+	}
+
+	hundred := relation.Int(100)
+	dp := pathmodel.NewDecoratedPath(p, pathmodel.Decoration{
+		Left: pathmodel.Ref{Inst: 1, Col: "N"}, Op: pathmodel.OpLT, Const: &hundred,
+	})
+	var want []query.InstanceBinding
+	for i := 7; i < 100; i += 10 {
+		want = append(want, query.InstanceBinding{Rows: []int{i}})
+	}
+	if have := e.InstancesDecorated(dp, 0, 1000); !reflect.DeepEqual(have, want) {
+		t.Errorf("decorated probe bound %v, want %v", have, want)
+	}
+	if mask := e.ExplainedRowsDecorated(dp); !reflect.DeepEqual(mask, []bool{true, false}) {
+		t.Errorf("decorated mask = %v, want [true false]", mask)
+	}
+}

@@ -14,65 +14,7 @@ import (
 // of linear scans. It is the differential oracle for tests: Support and
 // SupportNaive must always agree. For the fully index-free baseline see
 // SupportScan.
-func (ev *Evaluator) SupportNaive(p pathmodel.Path) int {
-	insts := p.Instances()
-	conds := p.Conds()
-	starts, ends := ev.orient(p)
-
-	// exists reports whether a tuple chain satisfies the conditions from
-	// cond ci onward, starting with the value current, for audited row r.
-	var exists func(ci int, current relation.Value, r int) bool
-	exists = func(ci int, current relation.Value, r int) bool {
-		if ci == len(conds) {
-			return true
-		}
-		c := conds[ci]
-		candidates := []relation.Value{current}
-		if c.Via != nil {
-			candidates = candidates[:0]
-			bt := ev.db.MustTable(c.Via.Table)
-			ti, _ := bt.ColumnIndex(c.Via.ToColumn)
-			for _, br := range bt.Index(c.Via.FromColumn)[current] {
-				candidates = append(candidates, bt.Row(br)[ti])
-			}
-		}
-		if c.RightInst == 0 {
-			for _, v := range candidates {
-				if v == ends[r] {
-					return true
-				}
-			}
-			return false
-		}
-		in := insts[c.RightInst]
-		t := ev.db.MustTable(in.Table)
-		var xi = -1
-		if in.Exit != "" {
-			xi, _ = t.ColumnIndex(in.Exit)
-		}
-		idx := t.Index(in.Entry)
-		for _, v := range candidates {
-			for _, tr := range idx[v] {
-				next := relation.Null()
-				if xi >= 0 {
-					next = t.Row(tr)[xi]
-				}
-				if exists(ci+1, next, r) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-
-	n := 0
-	for r := range starts {
-		if exists(0, starts[r], r) {
-			n++
-		}
-	}
-	return n
-}
+func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return ev.supportNested(p, true) }
 
 // SupportScan is the fully unoptimized baseline: the same per-row nested
 // join as SupportNaive, but every hop is resolved with a full linear scan of
@@ -81,66 +23,70 @@ func (ev *Evaluator) SupportNaive(p pathmodel.Path) int {
 // as a second differential oracle (Support == SupportNaive == SupportScan);
 // it never touches the tables' lazy index caches, so it also validates
 // results independently of index construction.
-func (ev *Evaluator) SupportScan(p pathmodel.Path) int {
+func (ev *Evaluator) SupportScan(p pathmodel.Path) int { return ev.supportNested(p, false) }
+
+// supportNested is the nested join behind SupportNaive (indexed) and
+// SupportScan: it counts the audited rows from whose start value some tuple
+// chain satisfies every condition of p.
+func (ev *Evaluator) supportNested(p pathmodel.Path, indexed bool) int {
 	insts := p.Instances()
 	conds := p.Conds()
 	starts, ends := ev.orient(p)
 
-	var exists func(ci int, current relation.Value, r int) bool
-	exists = func(ci int, current relation.Value, r int) bool {
-		if ci == len(conds) {
-			return true
-		}
-		c := conds[ci]
-		candidates := []relation.Value{current}
-		if c.Via != nil {
-			candidates = candidates[:0]
-			bt := ev.db.MustTable(c.Via.Table)
-			fi, _ := bt.ColumnIndex(c.Via.FromColumn)
-			ti, _ := bt.ColumnIndex(c.Via.ToColumn)
-			for br := 0; br < bt.NumRows(); br++ {
-				row := bt.Row(br)
-				if row[fi] == current {
-					candidates = append(candidates, row[ti])
-				}
-			}
-		}
-		if c.RightInst == 0 {
-			for _, v := range candidates {
-				if v == ends[r] {
+	// match visits the rows of t whose column col holds v until visit
+	// accepts one, and reports whether one was accepted.
+	match := func(t *relation.Table, col string, v relation.Value, visit func(row []relation.Value) bool) bool {
+		if indexed {
+			for _, r := range t.Index(col)[v] {
+				if visit(t.Row(r)) {
 					return true
 				}
 			}
 			return false
 		}
-		in := insts[c.RightInst]
-		t := ev.db.MustTable(in.Table)
-		ei, _ := t.ColumnIndex(in.Entry)
-		var xi = -1
-		if in.Exit != "" {
-			xi, _ = t.ColumnIndex(in.Exit)
-		}
-		for _, v := range candidates {
-			for tr := 0; tr < t.NumRows(); tr++ {
-				row := t.Row(tr)
-				if row[ei] != v {
-					continue
-				}
-				next := relation.Null()
-				if xi >= 0 {
-					next = row[xi]
-				}
-				if exists(ci+1, next, r) {
-					return true
-				}
+		ci, _ := t.ColumnIndex(col)
+		for r := 0; r < t.NumRows(); r++ {
+			if row := t.Row(r); row[ci] == v && visit(row) {
+				return true
 			}
 		}
 		return false
 	}
 
+	// exists reports whether a tuple chain satisfies the conditions from
+	// cond ci onward, starting with the value current and closing at end.
+	var exists func(ci int, current, end relation.Value) bool
+	exists = func(ci int, current, end relation.Value) bool {
+		if ci == len(conds) {
+			return true
+		}
+		c := conds[ci]
+		// step continues the chain from one right-hand candidate value.
+		step := func(v relation.Value) bool {
+			if c.RightInst == 0 {
+				return v == end
+			}
+			in := insts[c.RightInst]
+			t := ev.db.MustTable(in.Table)
+			return match(t, in.Entry, v, func(row []relation.Value) bool {
+				next := relation.Null()
+				if xi, ok := t.ColumnIndex(in.Exit); ok {
+					next = row[xi]
+				}
+				return exists(ci+1, next, end)
+			})
+		}
+		if c.Via == nil {
+			return step(current)
+		}
+		bt := ev.db.MustTable(c.Via.Table)
+		ti, _ := bt.ColumnIndex(c.Via.ToColumn)
+		return match(bt, c.Via.FromColumn, current, func(row []relation.Value) bool { return step(row[ti]) })
+	}
+
 	n := 0
 	for r := range starts {
-		if exists(0, starts[r], r) {
+		if exists(0, starts[r], ends[r]) {
 			n++
 		}
 	}

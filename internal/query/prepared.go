@@ -384,8 +384,11 @@ type planDep struct {
 
 // fresh reports whether every table the plan snapshotted is unchanged. It
 // must only be called after compileOnce has completed.
-func (ent *cachedPlan) fresh() bool {
-	for _, d := range ent.deps {
+func (ent *cachedPlan) fresh() bool { return depsFresh(ent.deps) }
+
+// depsFresh reports whether every table in deps is at its recorded version.
+func depsFresh(deps []planDep) bool {
+	for _, d := range deps {
 		if d.table.Version() != d.version {
 			return false
 		}

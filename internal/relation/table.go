@@ -45,6 +45,10 @@ type Table struct {
 	// indexes; see DistinctPairs.
 	pairIndexes map[[2]int]map[Value][]Value
 
+	// pairRows caches two-column hash indexes keyed by the two column
+	// indexes; see PairIndex.
+	pairRows map[[2]int]map[[2]Value][]int
+
 	// version counts mutations (Appends). Derived caches built against the
 	// table — the lazy indexes above, but also compiled query plans held
 	// outside the table — use it to detect staleness: equal versions mean
@@ -86,6 +90,16 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 	return i, ok
 }
 
+// mustColumn returns the position of the named column and panics if the
+// table has none: naming a missing column is a programming error.
+func (t *Table) mustColumn(name string) int {
+	i, ok := t.colIdx[name]
+	if !ok {
+		panic(fmt.Sprintf("relation: table %q has no column %q", t.name, name))
+	}
+	return i
+}
+
 // HasColumn reports whether the table has a column with the given name.
 func (t *Table) HasColumn(name string) bool {
 	_, ok := t.colIdx[name]
@@ -105,6 +119,7 @@ func (t *Table) Append(row ...Value) {
 	t.mu.Lock()
 	t.indexes = nil
 	t.pairIndexes = nil
+	t.pairRows = nil
 	t.mu.Unlock()
 }
 
@@ -132,11 +147,7 @@ func (t *Table) Row(i int) []Value { return t.rows[i] }
 
 // Get returns the value of the named column in the i-th row.
 func (t *Table) Get(i int, column string) Value {
-	ci, ok := t.colIdx[column]
-	if !ok {
-		panic(fmt.Sprintf("relation: table %q has no column %q", t.name, column))
-	}
-	return t.rows[i][ci]
+	return t.rows[i][t.mustColumn(column)]
 }
 
 // Index returns a hash index from values of the named column to the row
@@ -144,10 +155,7 @@ func (t *Table) Get(i int, column string) Value {
 // concurrent callers are safe, and the returned map is immutable (callers
 // must treat it as read-only).
 func (t *Table) Index(column string) map[Value][]int {
-	ci, ok := t.colIdx[column]
-	if !ok {
-		panic(fmt.Sprintf("relation: table %q has no column %q", t.name, column))
-	}
+	ci := t.mustColumn(column)
 	t.mu.RLock()
 	idx, ok := t.indexes[ci]
 	t.mu.RUnlock()
@@ -178,14 +186,7 @@ func (t *Table) Index(column string) map[Value][]int {
 // Index, the projection is built on first use under the table lock and the
 // returned map is immutable, so concurrent callers are safe.
 func (t *Table) DistinctPairs(from, to string) map[Value][]Value {
-	fi, ok := t.colIdx[from]
-	if !ok {
-		panic(fmt.Sprintf("relation: table %q has no column %q", t.name, from))
-	}
-	ti, ok := t.colIdx[to]
-	if !ok {
-		panic(fmt.Sprintf("relation: table %q has no column %q", t.name, to))
-	}
+	fi, ti := t.mustColumn(from), t.mustColumn(to)
 	key := [2]int{fi, ti}
 	t.mu.RLock()
 	m, cached := t.pairIndexes[key]
@@ -217,6 +218,39 @@ func (t *Table) DistinctPairs(from, to string) map[Value][]Value {
 	}
 	t.pairIndexes[key] = m
 	return m
+}
+
+// PairIndex returns a hash index from each (a-value, b-value) combination to
+// the row numbers holding both, in ascending row order: the rows Index(a)[v]
+// lists, restricted to those whose b column equals w, without scanning the
+// rest. A join bound at both ends — the query engine's last hop, which knows
+// the value it arrives with and the user it must leave with — probes it
+// instead of filtering a posting list. Built on first use and cached like
+// Index; the returned map is immutable.
+func (t *Table) PairIndex(a, b string) map[[2]Value][]int {
+	ai, bi := t.mustColumn(a), t.mustColumn(b)
+	key := [2]int{ai, bi}
+	t.mu.RLock()
+	idx, cached := t.pairRows[key]
+	t.mu.RUnlock()
+	if cached {
+		return idx
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if idx, ok := t.pairRows[key]; ok {
+		return idx
+	}
+	if t.pairRows == nil {
+		t.pairRows = make(map[[2]int]map[[2]Value][]int)
+	}
+	idx = make(map[[2]Value][]int)
+	for r, row := range t.rows {
+		k := [2]Value{row[ai], row[bi]}
+		idx[k] = append(idx[k], r)
+	}
+	t.pairRows[key] = idx
+	return idx
 }
 
 // DistinctValues returns the sorted set of distinct values in the named

@@ -9,6 +9,7 @@ package relation
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -89,22 +90,54 @@ func (v Value) Compare(w Value) int {
 // String renders the value for display in explanation text and CLI output.
 func (v Value) String() string {
 	switch v.Kind {
-	case KindNull:
-		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
 	case KindString:
 		return v.Str
 	case KindDate:
-		return formatDay(int(v.Int))
+		return dayText(int(v.Int))
 	}
-	return fmt.Sprintf("Value(kind=%d)", v.Kind)
+	return string(v.AppendString(nil))
+}
+
+// AppendString appends the text String returns to dst, without the
+// intermediate string: the form renderers assembling a line in a reused
+// buffer call.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.Int, 10)
+	case KindString:
+		return append(dst, v.Str...)
+	case KindDate:
+		return append(dst, dayText(int(v.Int))...)
+	}
+	return fmt.Appendf(dst, "Value(kind=%d)", v.Kind)
 }
 
 // simulationEpoch anchors day indexes to a concrete calendar so that
 // rendered explanations read like the paper's examples ("Mon Jan 03 2010").
 var simulationEpoch = time.Date(2010, time.January, 3, 0, 0, 0, 0, time.UTC)
 
-func formatDay(day int) string {
-	return simulationEpoch.AddDate(0, 0, day).Format("Mon Jan 02 2006")
+// dayTexts memoizes dayText for the first few years of day indexes: a log
+// spans days, and every explanation of an access renders one, so the same
+// handful of dates would otherwise be re-formatted once per explanation.
+// Racing fills store equal strings, so no lock is needed.
+var dayTexts [2048]atomic.Pointer[string]
+
+// dayText renders a day index as its calendar date.
+func dayText(day int) string {
+	memoized := day >= 0 && day < len(dayTexts)
+	if memoized {
+		if s := dayTexts[day].Load(); s != nil {
+			return *s
+		}
+	}
+	s := simulationEpoch.AddDate(0, 0, day).Format("Mon Jan 02 2006")
+	if memoized {
+		dayTexts[day].Store(&s)
+	}
+	return s
 }

@@ -55,10 +55,20 @@ func TestValueString(t *testing.T) {
 		{String("alice"), "alice"},
 		{Date(0), "Sun Jan 03 2010"},
 		{Date(6), "Sat Jan 09 2010"},
+		// Outside the memoized range, on both sides.
+		{Date(-1), "Sat Jan 02 2010"},
+		{Date(4000), "Wed Dec 16 2020"},
+		{Value{Kind: 9}, "Value(kind=9)"},
 	}
 	for _, c := range cases {
-		if got := c.v.String(); got != c.want {
-			t.Errorf("%#v.String() = %q, want %q", c.v, got, c.want)
+		// Twice: the second date rendering is served from the memo.
+		for pass := 0; pass < 2; pass++ {
+			if got := c.v.String(); got != c.want {
+				t.Errorf("%#v.String() = %q, want %q", c.v, got, c.want)
+			}
+			if got := string(c.v.AppendString([]byte("on "))); got != "on "+c.want {
+				t.Errorf("%#v.AppendString = %q, want %q", c.v, got, "on "+c.want)
+			}
 		}
 	}
 }
