@@ -1002,6 +1002,9 @@ func (a *app) printEngineStats(w io.Writer, workers int) {
 	st := a.auditor.PlanCacheStats()
 	fmt.Fprintf(w, "plan cache: %d hits, %d misses (%d compiled plans reused across %d workers)\n",
 		st.Hits, st.Misses, st.Misses, workers)
+	reg := a.auditor.Evaluator().Metrics()
+	fmt.Fprintf(w, "dictionary: %d values interned; compiled plans hold %d resident bytes\n",
+		reg.Gauge("query.dict.values").Value(), reg.Gauge("query.plan.resident_bytes").Value())
 	fmt.Fprintf(w, "planner: %d plans planned, %d hop contractions, %d pairs pruned, %v planning\n",
 		st.PlansPlanned, st.PlanContractions, st.PlanPairsPruned,
 		time.Duration(st.PlanNanos).Round(time.Microsecond))

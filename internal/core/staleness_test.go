@@ -18,8 +18,9 @@ import (
 // snapshot taken before it. A live auditor renders every row, then the
 // database changes under it three ways — an event row is appended so a
 // branch that led nowhere becomes a witness, the Groups table is replaced
-// so whole dead sub-trees come alive, and the audited log itself grows
-// under a template that self-joins it — and after each change ExplainRow,
+// so whole dead sub-trees come alive, the audited log itself grows under a
+// template that self-joins it, and a row arrives whose user and patient the
+// compiled plans have never seen — and after each change ExplainRow,
 // PatientReport and StreamReports (4 workers, twice) must equal an auditor
 // built from scratch over the changed database.
 func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
@@ -107,4 +108,17 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 		log.Append(full.Row(r)...)
 	}
 	check("log grown")
+
+	// An access by a user, to a patient, that no event table mentions: the
+	// engine's dictionary meets both values only now, after every plan was
+	// compiled, so their IDs lie beyond everything the compiled plans index.
+	// They must read as "no postings", not as an out-of-range lookup.
+	stranger := append([]relation.Value(nil), log.Row(0)...)
+	li, _ := log.ColumnIndex(pathmodel.LogIDColumn)
+	stranger[li], stranger[ui], stranger[pi] = relation.Int(1<<41), relation.Int(1<<42), relation.Int(1<<43)
+	log.Append(stranger...)
+	check("stranger appended")
+	if got := a.ExplainRow(log.NumRows()-1, 0); got.Explained() {
+		t.Errorf("the stranger's access is explained: %+v", got)
+	}
 }

@@ -106,8 +106,10 @@ func (m *miner) extendAndBridge(f pathmodel.Path, mid int, byBridge map[string][
 }
 
 // bridgeWith fuses the open forward path p with every backward path whose
-// bridge edge equals p's final edge, replaying the backward path's remaining
-// edges in reverse so the path-construction rules vet the fused candidate.
+// bridge edge is p's final edge (byBridge is keyed by that edge, direction
+// ignored, so the lookup is the comparison), replaying the backward path's
+// remaining edges in reverse so the path-construction rules vet the fused
+// candidate.
 func (m *miner) bridgeWith(p pathmodel.Path, byBridge map[string][]pathmodel.Path, seen map[string]bool, cands *[]pathmodel.Path) {
 	edges := p.Edges()
 	if len(edges) == 0 {
@@ -116,11 +118,6 @@ func (m *miner) bridgeWith(p pathmodel.Path, byBridge map[string][]pathmodel.Pat
 	key := undirectedEdgeKey(edges[len(edges)-1])
 	for _, b := range byBridge[key] {
 		bEdges := b.Edges()
-		// The shared bridge edge must be identical (same attribute pair and
-		// bridge), not merely same-key-colliding.
-		if !sameUndirected(edges[len(edges)-1], bEdges[len(bEdges)-1]) {
-			continue
-		}
 		cand, ok := p, true
 		for i := len(bEdges) - 2; i >= 0 && ok; i-- {
 			cand, ok = m.appendEdge(cand, pathmodel.ReverseEdge(bEdges[i]))
@@ -131,11 +128,10 @@ func (m *miner) bridgeWith(p pathmodel.Path, byBridge map[string][]pathmodel.Pat
 		if cand.NumTables() > m.opt.MaxTables || cand.Length() > m.opt.MaxLength {
 			continue
 		}
-		if seen[cand.Key()] {
-			continue
+		if ck := cand.Key(); !seen[ck] {
+			seen[ck] = true
+			*cands = append(*cands, cand)
 		}
-		seen[cand.Key()] = true
-		*cands = append(*cands, cand)
 	}
 }
 
@@ -151,12 +147,6 @@ func undirectedEdgeKey(e schemagraph.Edge) string {
 		via = "~" + e.Via.Table
 	}
 	return a + via + "=" + b
-}
-
-// sameUndirected reports whether two edges denote the same undirected
-// relationship (same attribute pair and same bridge table).
-func sameUndirected(a, b schemagraph.Edge) bool {
-	return undirectedEdgeKey(a) == undirectedEdgeKey(b)
 }
 
 // Algorithm names used by the experiment harness and CLI.

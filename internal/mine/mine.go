@@ -61,9 +61,9 @@ type Options struct {
 	// prepared plans shared through the engine's plan cache. 0 means
 	// GOMAXPROCS; 1 evaluates inline on the miner's own cursor. The mined
 	// Result — templates and Stats — is identical at every setting; only
-	// wall-clock time changes. (When > 1, the per-cursor query counters of
-	// the evaluator handed to Run are distributed across transient worker
-	// clones; Stats.SupportQueries remains the exact count.)
+	// wall-clock time changes. (When > 1, the evaluator handed to Run counts
+	// only the queries its own worker ran; Stats.SupportQueries remains the
+	// exact count.)
 	Parallelism int
 }
 
@@ -121,25 +121,32 @@ type Oracle interface {
 }
 
 // evaluatorOracle adapts a single evaluator cursor to the Oracle interface.
+// cursors[0] is the wrapped cursor; the rest are the pool's clones, made
+// when first needed and kept for the oracle's life, so the evaluation
+// scratch each cursor pools is reused from one admitted batch to the next.
 type evaluatorOracle struct {
-	ev *query.Evaluator
+	cursors []*query.Evaluator
 }
 
 // EvaluatorOracle wraps a query evaluator as the single-log mining oracle.
-func EvaluatorOracle(ev *query.Evaluator) Oracle { return evaluatorOracle{ev} }
+func EvaluatorOracle(ev *query.Evaluator) Oracle {
+	return &evaluatorOracle{cursors: []*query.Evaluator{ev}}
+}
 
 // AuditedRows implements Oracle.
-func (o evaluatorOracle) AuditedRows() int { return o.ev.Log().NumRows() }
+func (o *evaluatorOracle) AuditedRows() int { return o.cursors[0].Log().NumRows() }
 
 // EstimateSupport implements Oracle.
-func (o evaluatorOracle) EstimateSupport(p pathmodel.Path) int { return o.ev.EstimateSupport(p) }
+func (o *evaluatorOracle) EstimateSupport(p pathmodel.Path) int {
+	return o.cursors[0].EstimateSupport(p)
+}
 
 // EvalSupports implements Oracle. Each path is prepared through the engine's
 // shared plan cache, so a condition set reached again at a later level (or by
-// a sibling worker) never recompiles. A single worker evaluates on the
-// wrapped cursor itself (keeping its query counters exact); a pool gets
-// per-worker clones.
-func (o evaluatorOracle) EvalSupports(paths []pathmodel.Path, workers int) []int {
+// a sibling worker) never recompiles. Worker w evaluates on cursors[w]: a
+// single worker on the wrapped cursor itself, keeping its query counters
+// exact.
+func (o *evaluatorOracle) EvalSupports(paths []pathmodel.Path, workers int) []int {
 	out := make([]int, len(paths))
 	if len(paths) == 0 {
 		return out
@@ -147,15 +154,11 @@ func (o evaluatorOracle) EvalSupports(paths []pathmodel.Path, workers int) []int
 	if workers > len(paths) {
 		workers = len(paths)
 	}
-	cursors := []*query.Evaluator{o.ev}
-	if workers > 1 {
-		cursors = make([]*query.Evaluator, workers)
-		for w := range cursors {
-			cursors[w] = o.ev.Clone()
-		}
+	for len(o.cursors) < workers {
+		o.cursors = append(o.cursors, o.cursors[0].Clone())
 	}
 	parallel.ForEach(workers, len(paths), nil, func(w, k int) {
-		out[k] = cursors[w].Prepare(paths[k]).Support()
+		out[k] = o.cursors[w].Prepare(paths[k]).Support()
 	})
 	return out
 }
@@ -401,11 +404,10 @@ func (m *miner) expandLevel(frontier []pathmodel.Path) []pathmodel.Path {
 			if !ok {
 				continue
 			}
-			if seen[cand.Key()] {
-				continue
+			if key := cand.Key(); !seen[key] {
+				seen[key] = true
+				cands = append(cands, cand)
 			}
-			seen[cand.Key()] = true
-			cands = append(cands, cand)
 		}
 	}
 	return m.admitBatch(cands)

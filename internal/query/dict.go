@@ -1,0 +1,231 @@
+package query
+
+import (
+	"math/bits"
+	"sync"
+
+	"repro/internal/relation"
+)
+
+// This file is the engine's dense-ID layer. Every join value a plan can meet
+// — the keys and members of a DISTINCT projection, an exists column, the
+// audited log's patients and users — is interned once into a uint32, and the
+// compiled ops (csr, idSet) and the per-row walk touch only those IDs. IDs
+// are handed out in encounter order and never change; an ID says nothing
+// about its value's rank, so every posting list is kept in Value order
+// explicitly (see planner.go) — which witness a first-witness walk finds,
+// and so how many postings it consumes, must not depend on the order maps
+// happened to be iterated in.
+
+// dict is the engine's value dictionary. vals is append-only, so a slice
+// header read under the lock stays a valid prefix afterwards.
+type dict struct {
+	mu   sync.RWMutex
+	ids  map[relation.Value]uint32
+	vals []relation.Value
+}
+
+// intern returns v's ID, assigning the next one on first sight. The caller
+// holds d.mu for writing.
+func (d *dict) intern(v relation.Value) uint32 {
+	id, ok := d.ids[v]
+	if !ok {
+		id = uint32(len(d.vals))
+		d.ids[v] = id
+		d.vals = append(d.vals, v)
+	}
+	return id
+}
+
+// values returns the reverse mapping (ID -> value) for every ID assigned so
+// far; its length is the dictionary size.
+func (d *dict) values() []relation.Value {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.vals
+}
+
+// csr is a pairs relation over IDs in compressed-sparse-row form: the
+// posting list of id is to[off[id]:off[id+1]], in Value order. An ID the
+// dictionary assigned after the relation was built lies beyond off and has
+// no postings.
+type csr struct {
+	off, to []uint32
+	keys    int // IDs with a non-empty list
+}
+
+func (c *csr) list(id uint32) []uint32 {
+	if int(id)+1 >= len(c.off) {
+		return nil
+	}
+	return c.to[c.off[id]:c.off[id+1]]
+}
+
+// keySet returns the IDs with a non-empty list.
+func (c *csr) keySet() idSet {
+	s := newIDSet(len(c.off))
+	for id := 0; id+1 < len(c.off); id++ {
+		if c.off[id] != c.off[id+1] {
+			s.add(uint32(id))
+		}
+	}
+	return s
+}
+
+// idSet is a bitset over IDs; IDs beyond its length are absent.
+type idSet []uint64
+
+func newIDSet(n int) idSet { return make(idSet, (n+63)/64) }
+
+func (s idSet) add(id uint32) { s[id>>6] |= 1 << (id & 63) }
+
+func (s idSet) has(id uint32) bool {
+	return int(id>>6) < len(s) && s[id>>6]&(1<<(id&63)) != 0
+}
+
+// each calls fn for every member in ascending ID order.
+func (s idSet) each(fn func(id uint32)) {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			fn(uint32(i<<6 + bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// baseKey names one lowered projection of a table: the DISTINCT (a, b)
+// pairs, or with b empty the distinct values of column a.
+type baseKey struct{ table, a, b string }
+
+// base is one lowered projection, valid while the table it was read from is
+// still t at the same version. Exactly one of pairs and set is non-nil.
+type base struct {
+	t       *relation.Table
+	version uint64
+	pairs   *csr
+	set     idSet
+}
+
+// lowered returns the ID form of the projection k of t, lowering it on first
+// use and again once t has grown or was replaced; every plan compiled in
+// between shares the one copy, the way DistinctPairs shares its map.
+func (eng *engine) lowered(t *relation.Table, k baseKey) *base {
+	eng.baseMu.Lock()
+	defer eng.baseMu.Unlock()
+	if b := eng.bases[k]; b != nil && b.t == t && b.version == t.Version() {
+		return b
+	}
+	b := &base{t: t, version: t.Version()}
+	d := &eng.dict
+	d.mu.Lock()
+	// The dictionary must hold every value before a set or off can be sized,
+	// so each branch interns in one pass over the table's map and fills in
+	// another.
+	if k.b == "" {
+		idx := t.Index(k.a)
+		for v := range idx {
+			d.intern(v)
+		}
+		b.set = newIDSet(len(d.vals))
+		for v := range idx {
+			b.set.add(d.ids[v])
+		}
+	} else {
+		m := t.DistinctPairs(k.a, k.b)
+		for v, ws := range m {
+			d.intern(v)
+			for _, w := range ws {
+				d.intern(w)
+			}
+		}
+		c := &csr{off: make([]uint32, len(d.vals)+1), keys: len(m)}
+		for v, ws := range m {
+			c.off[d.ids[v]+1] = uint32(len(ws))
+		}
+		for i := 1; i < len(c.off); i++ {
+			c.off[i] += c.off[i-1]
+		}
+		c.to = make([]uint32, c.off[len(c.off)-1])
+		for v, ws := range m {
+			list := c.to[c.off[d.ids[v]]:]
+			for i, w := range ws { // ws is in Value order and list keeps it
+				list[i] = d.ids[w]
+			}
+		}
+		b.pairs = c
+	}
+	eng.dictValues.Set(int64(len(d.vals)))
+	d.mu.Unlock()
+	eng.bases[k] = b
+	return b
+}
+
+// scratch is a cursor's reusable evaluation state, sized by the dictionary
+// and never by the log, so a call over a 64-row range does O(64) work. It is
+// not engine-lifetime state: it goes when the cursor does.
+type scratch struct {
+	// memo[bi][v] holds gen<<1|verdict for the sub-question "does v at op
+	// bi lead to the current target"; an entry of another generation is
+	// unanswered. Bumping gen forgets every verdict without clearing.
+	memo [][]uint32
+	gen  uint32
+
+	// Counting-sort state of groupByTarget; cnt is all zero between calls.
+	cnt, targets, order []uint32
+}
+
+// genLimit is the first generation that no longer fits beside the verdict
+// bit.
+const genLimit = 1 << 31
+
+// reset sizes the memo of every pairs op of ops for a dictionary of n values.
+func (s *scratch) reset(ops []op, n int) {
+	for len(s.memo) < len(ops) {
+		s.memo = append(s.memo, nil)
+	}
+	for bi := range ops {
+		if isPairsOp(ops[bi]) && len(s.memo[bi]) < n {
+			s.memo[bi] = make([]uint32, n)
+		}
+	}
+}
+
+// nextGen starts a new memo generation, wiping the memos for real when the
+// counter would overflow into the verdict encoding.
+func (s *scratch) nextGen() {
+	if s.gen++; s.gen == genLimit {
+		for _, m := range s.memo {
+			clear(m)
+		}
+		s.gen = 1
+	}
+}
+
+// groupByTarget counting-sorts the rows [lo, hi) by target ID in time
+// O(hi-lo): order lists the rows (as offsets from lo) with equal targets
+// adjacent, targets the distinct targets in first-appearance order, and
+// cnt[t] is left holding the end of t's run in order. The caller zeroes
+// cnt[t] as it consumes each run.
+func (s *scratch) groupByTarget(target []uint32, lo, hi, n int) {
+	if len(s.cnt) < n {
+		s.cnt = make([]uint32, n)
+	}
+	s.targets = s.targets[:0]
+	for _, t := range target[lo:hi] {
+		if s.cnt[t] == 0 {
+			s.targets = append(s.targets, t)
+		}
+		s.cnt[t]++
+	}
+	pos := uint32(0)
+	for _, t := range s.targets {
+		pos, s.cnt[t] = pos+s.cnt[t], pos
+	}
+	if cap(s.order) < hi-lo {
+		s.order = make([]uint32, hi-lo)
+	}
+	s.order = s.order[:hi-lo]
+	for k, t := range target[lo:hi] {
+		s.order[s.cnt[t]] = uint32(k)
+		s.cnt[t]++
+	}
+}

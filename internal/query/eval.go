@@ -69,6 +69,12 @@ type engine struct {
 	logPatientIdx int
 	logUserIdx    int
 
+	// dict interns every join value into a dense ID, and bases caches the
+	// ID form of each table projection plans are compiled from (see dict.go).
+	dict   dict
+	baseMu sync.Mutex
+	bases  map[baseKey]*base
+
 	// proj is the per-row start/end column snapshot (one entry per audited
 	// row), published atomically so it can be *extended* when the log grows:
 	// projections reads the log's AppendVersion and, on a mismatch, appends
@@ -106,6 +112,13 @@ type engine struct {
 
 	planHits   *obs.Counter // query.plan.hits
 	planMisses *obs.Counter // query.plan.misses
+
+	// dictValues is the dictionary size (query.dict.values); planBytes sums
+	// the CSR and bitset bytes of the plans resident in the cache
+	// (query.plan.resident_bytes), base projections shared by several plans
+	// counted once per plan.
+	dictValues *obs.Gauge
+	planBytes  *obs.Gauge
 
 	// compileNanos is the query.plan.compile_nanos histogram: wall time of
 	// each plan compilation including the planner stage, observed only when
@@ -176,6 +189,8 @@ func (eng *engine) initMetrics() {
 	eng.reg = reg
 	eng.planHits = reg.Counter("query.plan.hits")
 	eng.planMisses = reg.Counter("query.plan.misses")
+	eng.dictValues = reg.Gauge("query.dict.values")
+	eng.planBytes = reg.Gauge("query.plan.resident_bytes")
 	eng.compileNanos = reg.Histogram("query.plan.compile_nanos")
 	eng.reachCapGauge = reg.Gauge("query.reach.cap")
 	eng.reachEvictions = reg.Counter("query.reach.evictions")
@@ -218,6 +233,10 @@ type Evaluator struct {
 	// identity (see instances.go). Cursor-local — never shared between
 	// goroutines — and empty on every Clone.
 	enums map[*pathmodel.Cond]*instEnum
+
+	// scratch is the memo and row-grouping state lazy plan evaluation reuses
+	// from call to call (see dict.go). Cursor-local like enums.
+	scratch scratch
 }
 
 // NewEvaluator creates an evaluator over db, which must contain a table
@@ -236,7 +255,9 @@ func NewEvaluator(db *relation.Database) *Evaluator {
 // match itself in the test set.
 func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evaluator {
 	log := audited
-	eng := &engine{db: db, log: log, plans: make(map[string]*cachedPlan), planVersion: db.SchemaVersion()}
+	eng := &engine{db: db, log: log, plans: make(map[string]*cachedPlan), planVersion: db.SchemaVersion(),
+		bases: make(map[baseKey]*base)}
+	eng.dict.ids = make(map[relation.Value]uint32)
 	eng.initMetrics()
 	pi, ok := log.ColumnIndex(pathmodel.LogPatientColumn)
 	if !ok {
@@ -269,8 +290,12 @@ func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 // logProj is one immutable-prefix snapshot of the audited log's start/end
 // column projections: patients[r] and users[r] for every row the snapshot
 // covers. Snapshots are extended, never rewritten — see engine.proj.
+// patientID and userID are the same columns as dictionary IDs, the only form
+// plan evaluation reads; they cover a prefix of the rows (none until a plan
+// is first evaluated — see idProjections).
 type logProj struct {
-	patients, users []relation.Value
+	patients, users   []relation.Value
+	patientID, userID []uint32
 }
 
 // appendProjRows extends pr with log rows [len(pr.patients), n).
@@ -300,12 +325,35 @@ func (eng *engine) projections() *logProj {
 	if eng.projVersion.Load() == v {
 		return eng.proj.Load()
 	}
-	old := eng.proj.Load()
-	next := &logProj{patients: old.patients, users: old.users}
-	appendProjRows(eng, next, eng.log.NumRows())
-	eng.proj.Store(next)
+	next := *eng.proj.Load()
+	appendProjRows(eng, &next, eng.log.NumRows())
+	eng.proj.Store(&next)
 	eng.projVersion.Store(v)
-	return next
+	return &next
+}
+
+// idProjections returns a snapshot whose ID columns cover every row,
+// interning the rows they do not cover yet: the whole log on the first plan
+// evaluation, the appended suffix after that. A caller that never evaluates
+// a plan (a warm point render) never pays for the dictionary.
+func (eng *engine) idProjections() *logProj {
+	pr := eng.projections()
+	if len(pr.patientID) == len(pr.patients) {
+		return pr
+	}
+	eng.projMu.Lock()
+	defer eng.projMu.Unlock()
+	next := *eng.proj.Load()
+	d := &eng.dict
+	d.mu.Lock()
+	for r := len(next.patientID); r < len(next.patients); r++ {
+		next.patientID = append(next.patientID, d.intern(next.patients[r]))
+		next.userID = append(next.userID, d.intern(next.users[r]))
+	}
+	eng.dictValues.Set(int64(len(d.vals)))
+	d.mu.Unlock()
+	eng.proj.Store(&next)
+	return &next
 }
 
 // defaultReachMemoCap sizes the per-plan reach-memo bound off the audited
@@ -385,13 +433,13 @@ const (
 	opClose                // values are compared against Log.User per row
 )
 
-// op is one step of a compiled plan. Forward propagation feeds a value set
-// through the ops in order.
+// op is one step of a compiled plan, over dictionary IDs (see dict.go).
+// Forward propagation feeds a value set through the ops in order.
 type op struct {
 	kind  opKind
 	table string
-	pairs map[relation.Value][]relation.Value // opBridge, opMap
-	index map[relation.Value][]int            // opExists
+	pairs *csr  // opBridge, opMap
+	index idSet // opExists
 }
 
 type plan struct {
@@ -435,7 +483,7 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 			pl.ops = append(pl.ops, op{
 				kind:  opBridge,
 				table: c.Via.Table,
-				pairs: bt.DistinctPairs(c.Via.FromColumn, c.Via.ToColumn),
+				pairs: ev.lowered(bt, baseKey{c.Via.Table, c.Via.FromColumn, c.Via.ToColumn}).pairs,
 			})
 		}
 		if c.RightInst == 0 {
@@ -449,9 +497,9 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 		in := insts[c.RightInst]
 		t := ev.db.MustTable(in.Table)
 		if in.Exit == "" {
-			pl.ops = append(pl.ops, op{kind: opExists, table: in.Table, index: t.Index(in.Entry)})
+			pl.ops = append(pl.ops, op{kind: opExists, table: in.Table, index: ev.lowered(t, baseKey{in.Table, in.Entry, ""}).set})
 		} else {
-			pl.ops = append(pl.ops, op{kind: opMap, table: in.Table, pairs: t.DistinctPairs(in.Entry, in.Exit)})
+			pl.ops = append(pl.ops, op{kind: opMap, table: in.Table, pairs: ev.lowered(t, baseKey{in.Table, in.Entry, in.Exit}).pairs})
 		}
 	}
 	if pl.closed != p.Closed() {
@@ -460,77 +508,48 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 	return pl
 }
 
-// valueSet is a small set abstraction over relation.Value.
-type valueSet map[relation.Value]struct{}
+// valueSet is the materialized oracle's set of dictionary IDs.
+type valueSet map[uint32]struct{}
 
-func (s valueSet) has(v relation.Value) bool { _, ok := s[v]; return ok }
+func (s valueSet) has(v uint32) bool { _, ok := s[v]; return ok }
 
 // propagate feeds the singleton {start} forward through every op except a
-// trailing opClose, returning the reachable value set at the end.
-func propagate(pl plan, start relation.Value) valueSet {
-	cur := valueSet{start: {}}
-	for _, o := range pl.ops {
-		switch o.kind {
-		case opClose:
-			return cur
-		case opExists:
-			next := make(valueSet)
-			for v := range cur {
-				if _, ok := o.index[v]; ok {
-					next[v] = struct{}{}
-				}
-			}
-			cur = next
-		default: // opBridge, opMap
-			next := make(valueSet)
-			for v := range cur {
-				for _, w := range o.pairs[v] {
-					next[w] = struct{}{}
-				}
-			}
-			cur = next
-		}
-		if len(cur) == 0 {
-			return cur
-		}
-	}
-	return cur
-}
-
-// propagateExec is propagate with per-op execution counting into el; it
-// falls straight through to propagate when collection is off (el == nil).
-// Materialized execution always walks pl.ops start-side, so counters index
-// the declared chain.
-func propagateExec(pl plan, start relation.Value, el *execLocal) valueSet {
-	if el == nil {
-		return propagate(pl, start)
-	}
+// trailing opClose, returning the reachable value set at the end, and counts
+// per-op execution into el when collection is on (el != nil). Materialized
+// execution always walks pl.ops start-side, so counters index the declared
+// chain.
+func propagate(pl plan, start uint32, el *execLocal) valueSet {
 	cur := valueSet{start: {}}
 	for i, o := range pl.ops {
-		el.rowsIn[i] += int64(len(cur))
-		switch o.kind {
-		case opClose:
-			el.rowsOut[i] += int64(len(cur))
+		if el != nil {
+			el.rowsIn[i] += int64(len(cur))
+		}
+		if o.kind == opClose {
+			if el != nil {
+				el.rowsOut[i] += int64(len(cur))
+			}
 			return cur
-		case opExists:
-			next := make(valueSet)
-			for v := range cur {
-				if _, ok := o.index[v]; ok {
+		}
+		next := make(valueSet)
+		for v := range cur {
+			if o.kind == opExists {
+				if o.index.has(v) {
 					next[v] = struct{}{}
 				}
+				continue
 			}
-			cur = next
-		default: // opBridge, opMap
-			next := make(valueSet)
-			for v := range cur {
-				el.postings[i] += int64(len(o.pairs[v]))
-				for _, w := range o.pairs[v] {
-					next[w] = struct{}{}
-				}
+			ws := o.pairs.list(v)
+			if el != nil {
+				el.postings[i] += int64(len(ws))
 			}
-			cur = next
+			for _, w := range ws {
+				next[w] = struct{}{}
+			}
 		}
-		el.rowsOut[i] += int64(len(cur))
+		cur = next
+		if el != nil {
+			el.rowsOut[i] += int64(len(cur))
+		}
 		if len(cur) == 0 {
 			return cur
 		}
@@ -549,31 +568,23 @@ func feasibleStarts(pl plan) valueSet {
 	feasible := valueSet(nil) // nil means "unconstrained"
 	for i := len(pl.ops) - 1; i >= 0; i-- {
 		o := pl.ops[i]
+		next := make(valueSet)
 		switch o.kind {
 		case opExists:
-			next := make(valueSet, len(o.index))
-			for v := range o.index {
-				next[v] = struct{}{}
-			}
-			feasible = next
+			o.index.each(func(v uint32) { next[v] = struct{}{} })
 		case opMap, opBridge:
-			next := make(valueSet)
-			for v, ws := range o.pairs {
-				if feasible == nil {
-					next[v] = struct{}{}
-					continue
-				}
-				for _, w := range ws {
-					if feasible.has(w) {
+			o.pairs.keySet().each(func(v uint32) {
+				for _, w := range o.pairs.list(v) {
+					if feasible == nil || feasible.has(w) {
 						next[v] = struct{}{}
 						break
 					}
 				}
-			}
-			feasible = next
+			})
 		case opClose:
 			panic("query: feasibleStarts called on closed plan")
 		}
+		feasible = next
 	}
 	return feasible
 }

@@ -1,7 +1,5 @@
 package query
 
-import "repro/internal/relation"
-
 // This file is the lazy execution engine: pull-based, first-witness
 // evaluation of compiled plans, the default since the iterator refactor.
 // Where the materialized path (propagate / feasibleStarts) builds a full
@@ -9,20 +7,11 @@ import "repro/internal/relation"
 // reach memo, lazy execution answers each per-row question — "does this
 // row's end value lie in the start value's reach?" — with a depth-first
 // walk over the plan's pairs lists that stops at the first witness chain.
-// Nothing is retained on the engine: all memoization is call-local and
-// released when the evaluation returns, which is what drops peak retained
-// heap on deep paths by the measured multiple.
-//
-// Per-call memoization keeps lazy evaluation from degrading on dense plans:
-//
-//   - closed plans memoize (boundary, value, end) verdicts, so a start value
-//     shared by many rows — and every intermediate value reached under the
-//     same end — is walked once per call, not once per row;
-//   - open plans memoize (boundary, value) satisfiability, which bounds a
-//     whole-log ConnectedRange by the total pairs resident in the plan
-//     (each boundary value is expanded at most once), the same bound the
-//     backward feasibleStarts pass has — but demand-driven, touching only
-//     values the audited log actually contains.
+// Nothing is retained on the engine: verdicts are memoized per call in the
+// cursor's scratch (dict.go) — each (boundary, value) sub-question of an
+// open plan, each (boundary, value, end) of a closed one, is walked once per
+// call however many rows raise it — which keeps dense plans from degrading
+// and drops peak retained heap on deep paths by the measured multiple.
 //
 // The materialized path remains fully intact as a differential oracle:
 // SetLazyEval(false) routes Prepared.Support, ExplainedRange, and
@@ -47,57 +36,30 @@ func (ev *Evaluator) LazyEval() bool { return ev.engine.lazyEval() }
 
 func (eng *engine) lazyEval() bool { return !eng.lazyOff.Load() }
 
-// witnessKey memoizes one closed-plan sub-question: can value v at op
-// boundary bi reach exactly end at the close?
-type witnessKey struct {
-	bi     int
-	v, end relation.Value
-}
-
-// lazyWitness is the call-local state of one lazy closed-plan evaluation:
-// the op chain to walk (the planner's end-side chain when one was chosen),
-// the verdict memo, and the owning cursor's postings counter. It is created
-// per call and garbage once the call returns — nothing lands on the shared
-// plan entry.
-type lazyWitness struct {
+// lazyWalk is the state of one lazy evaluation: the op chain to walk, the
+// cursor's stamped verdict memo and postings counter. Nothing lands on the
+// shared plan entry, and nothing but the cursor's scratch outlives the call.
+type lazyWalk struct {
 	ops     []op
-	swap    bool
-	memo    map[witnessKey]bool
+	s       *scratch
 	scanned *int
 	exec    *execLocal // nil unless exec stats are enabled (see exec.go)
 }
 
-func newLazyWitness(pp *Prepared) *lazyWitness {
-	ops, swap := pp.ent.pl.execOps()
-	return &lazyWitness{
-		ops:     ops,
-		swap:    swap,
-		memo:    make(map[witnessKey]bool),
-		scanned: &pp.ev.postingsScanned,
-		exec:    newExecLocal(pp.ev.engine, pp.ent.exec),
-	}
-}
-
-// explains reports whether the plan connects start to end, walking the
-// execution chain depth-first and stopping at the first witness. When the
-// planner chose end-side propagation the chain is the inverted one and the
-// roles swap; the relation is symmetric, so the verdict is identical.
-func (lw *lazyWitness) explains(start, end relation.Value) bool {
-	if lw.swap {
-		start, end = end, start
-	}
-	return lw.reaches(0, start, end)
-}
-
-// reaches answers witnessKey{bi, v, end} with memoized depth-first search.
-// Filter ops (opExists, opClose) advance iteratively; only branching pairs
-// ops recurse and memoize.
-func (lw *lazyWitness) reaches(bi int, v, end relation.Value) bool {
+// reaches answers one sub-question with memoized depth-first search: can
+// value v at op boundary bi complete the rest of the chain — for a closed
+// plan, arriving at exactly end? It stops at the first witness. Filter ops
+// (opExists, opClose) advance iteratively; only branching pairs ops recurse
+// and memoize, under the scratch's current generation. A value that survives
+// every op of an open chain — including a trailing opExists, or a final
+// pairs op the planner pruned against an absorbed exists index — completes
+// the path; a closed chain always ends at its opClose.
+func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 	for {
 		if bi == len(lw.ops) {
-			return v == end
+			return true
 		}
-		o := lw.ops[bi]
+		o := &lw.ops[bi]
 		switch o.kind {
 		case opClose:
 			if lw.exec != nil {
@@ -111,7 +73,7 @@ func (lw *lazyWitness) reaches(bi int, v, end relation.Value) bool {
 			if lw.exec != nil {
 				lw.exec.rowsIn[bi]++
 			}
-			if _, ok := o.index[v]; !ok {
+			if !o.index.has(v) {
 				return false
 			}
 			if lw.exec != nil {
@@ -119,114 +81,81 @@ func (lw *lazyWitness) reaches(bi int, v, end relation.Value) bool {
 			}
 			bi++
 		default: // opBridge, opMap
-			key := witnessKey{bi: bi, v: v, end: end}
-			if res, ok := lw.memo[key]; ok {
+			memo, gen := lw.s.memo[bi], lw.s.gen
+			if m := memo[v]; m>>1 == gen {
 				if lw.exec != nil {
 					lw.exec.memoHits[bi]++
 				}
-				return res
+				return m&1 != 0
 			}
 			if lw.exec != nil {
 				lw.exec.rowsIn[bi]++
 			}
-			res := false
-			for _, w := range o.pairs[v] {
+			verdict := gen << 1
+			for _, w := range o.pairs.list(v) {
 				*lw.scanned++
 				if lw.exec != nil {
 					lw.exec.postings[bi]++
 				}
 				if lw.reaches(bi+1, w, end) {
-					res = true
+					verdict |= 1
 					break
 				}
 			}
-			if res && lw.exec != nil {
+			if verdict&1 != 0 && lw.exec != nil {
 				lw.exec.rowsOut[bi]++
 			}
-			lw.memo[key] = res
-			return res
+			memo[v] = verdict
+			return verdict&1 != 0
 		}
 	}
 }
 
-// feasKey memoizes one open-plan sub-question: can value v at op boundary
-// bi complete the rest of the chain?
-type feasKey struct {
-	bi int
-	v  relation.Value
-}
-
-// lazyFeas is the call-local state of one lazy open-plan evaluation — the
-// demand-driven counterpart of the backward feasibleStarts pass. Like
-// lazyWitness it retains nothing on the shared plan entry, and in
-// particular it neither consults nor fills the entry's feasible-start memo.
-type lazyFeas struct {
-	ops     []op
-	memo    map[feasKey]bool
-	scanned *int
-	exec    *execLocal // nil unless exec stats are enabled (see exec.go)
-}
-
-func newLazyFeas(pp *Prepared) *lazyFeas {
-	return &lazyFeas{
-		ops:     pp.ent.pl.ops,
-		memo:    make(map[feasKey]bool),
-		scanned: &pp.ev.postingsScanned,
-		exec:    newExecLocal(pp.ev.engine, pp.ent.exec),
+// evalLazy classifies the log rows [lo, hi) with the lazy walk, stores the
+// verdicts in out when it is non-nil (out[i] is row lo+i) and returns how
+// many rows qualified. An open plan asks one question per row under a
+// single memo generation. A closed plan's question also names the row's
+// target, so its rows are visited grouped by target with one generation per
+// group: the verdict of (op, value) under the current target then fits a
+// flat array instead of a hash map keyed by (op, value, target). Every
+// sub-question is still answered once per call and the sub-questions a row
+// raises do not depend on when it is visited, so verdicts, postings and
+// exec counters are those of a log-order walk.
+func (pp *Prepared) evalLazy(lo, hi int, out []bool) int {
+	from, target := pp.orient()
+	ops, swap := pp.ent.pl.execOps()
+	if swap { // the end-side chain walks from the row's end value
+		from, target = target, from
 	}
-}
-
-// completes reports whether v at boundary bi can satisfy the remaining
-// chain, short-circuiting at the first satisfiable branch. A value that
-// survives every op — including a trailing opExists, or a final pairs op
-// the planner pruned against an absorbed exists index — completes the path.
-func (lf *lazyFeas) completes(bi int, v relation.Value) bool {
-	for {
-		if bi == len(lf.ops) {
-			return true
-		}
-		o := lf.ops[bi]
-		switch o.kind {
-		case opClose:
-			panic("query: lazy open evaluation reached opClose")
-		case opExists:
-			if lf.exec != nil {
-				lf.exec.rowsIn[bi]++
+	n := len(pp.ev.engine.dict.values())
+	s := &pp.ev.scratch
+	s.reset(ops, n)
+	lw := &lazyWalk{ops: ops, s: s, scanned: &pp.ev.postingsScanned, exec: newExecLocal(pp.ev.engine, pp.ent.exec)}
+	defer lw.exec.flush()
+	count := 0
+	visit := func(k int) {
+		if lw.reaches(0, from[lo+k], target[lo+k]) {
+			count++
+			if out != nil {
+				out[k] = true
 			}
-			if _, ok := o.index[v]; !ok {
-				return false
-			}
-			if lf.exec != nil {
-				lf.exec.rowsOut[bi]++
-			}
-			bi++
-		default: // opBridge, opMap
-			key := feasKey{bi: bi, v: v}
-			if res, ok := lf.memo[key]; ok {
-				if lf.exec != nil {
-					lf.exec.memoHits[bi]++
-				}
-				return res
-			}
-			if lf.exec != nil {
-				lf.exec.rowsIn[bi]++
-			}
-			res := false
-			for _, w := range o.pairs[v] {
-				*lf.scanned++
-				if lf.exec != nil {
-					lf.exec.postings[bi]++
-				}
-				if lf.completes(bi+1, w) {
-					res = true
-					break
-				}
-			}
-			if res && lf.exec != nil {
-				lf.exec.rowsOut[bi]++
-			}
-			lf.memo[key] = res
-			return res
 		}
 	}
+	if !pp.ent.pl.closed {
+		s.nextGen()
+		for k := 0; k < hi-lo; k++ {
+			visit(k)
+		}
+		return count
+	}
+	s.groupByTarget(target, lo, hi, n)
+	k := uint32(0)
+	for _, t := range s.targets {
+		s.nextGen()
+		for ; k < s.cnt[t]; k++ {
+			visit(int(s.order[k]))
+		}
+		s.cnt[t] = 0
+	}
+	return count
 }

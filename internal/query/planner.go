@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/relation"
@@ -23,9 +23,9 @@ import (
 //
 //  1. Backward-feasible pruning. The boundary sets feasibleStarts walks at
 //     evaluation time are computed once at plan time, and every opMap /
-//     opBridge pairs map is replaced by a private copy restricted to values
-//     that can still complete the chain. This pushes the trailing opExists
-//     filter of an open plan backward through every expansion (the
+//     opBridge pairs relation is replaced by a private copy restricted to
+//     values that can still complete the chain. This pushes the trailing
+//     opExists filter of an open plan backward through every expansion (the
 //     "boundedness before expansion" rewrite) and eliminates dead-end
 //     branches of closed plans that no subsequent hop can extend.
 //  2. Exists absorption. Once the op preceding an open plan's trailing
@@ -38,12 +38,12 @@ import (
 //     (the classic independence estimate: |a| x avg fanout of b) while the
 //     estimate — and an exact size-only pre-scan of the intermediate work —
 //     stays under a budget that is a small multiple of the pairs being
-//     replaced. Short selective chains typically collapse to a single map,
+//     replaced. Short selective chains typically collapse to a single hop,
 //     making propagate one lookup instead of a walk; dense closures that
 //     would inflate manyfold are left alone.
 //
 // Soundness: pruning only ever consults the plan's dependency tables (the
-// pairs maps and the opExists index), never the audited log's User column.
+// pairs relations and the opExists set), never the audited log's User column.
 // cachedPlan.deps deliberately excludes the audited log so that plans
 // survive pure log appends (the basis of incremental auditing); a plan
 // pruned against log values would go stale on append without being
@@ -113,8 +113,8 @@ func (ev *Evaluator) SetPlannerEnabled(on bool) {
 func (ev *Evaluator) PlannerEnabled() bool { return !ev.engine.plannerOff.Load() }
 
 // planPlan runs the planner on a freshly compiled plan and charges the
-// decision counters to the engine. It never mutates pl's op maps — compile
-// shares them with the tables' immutable projection caches — and the
+// decision counters to the engine. It never mutates pl's op arrays — compile
+// shares them with every other plan over the same projection — and the
 // returned plan is behaviorally identical to pl under propagate and
 // feasibleStarts.
 func (ev *Evaluator) planPlan(pl plan) plan {
@@ -124,11 +124,13 @@ func (ev *Evaluator) planPlan(pl plan) plan {
 		HopsDeclared:  len(pl.ops),
 		PairsDeclared: totalPlanPairs(pl.ops),
 	}
+	// compile interned every value the ops mention, so vals covers their IDs.
+	vals := ev.engine.dict.values()
 	ops := prunePairs(pl.ops, &info)
-	ops = contractHops(ops, &info)
+	ops = contractHops(ops, vals, &info)
 	var rev []op
 	if pl.closed {
-		rev = chooseEndSide(ops, &info)
+		rev = chooseEndSide(ops, vals, &info)
 	}
 	info.HopsPlanned = len(ops)
 	info.PairsPlanned = totalPlanPairs(ops)
@@ -145,8 +147,8 @@ func (ev *Evaluator) planPlan(pl plan) plan {
 	return plan{ops: ops, rev: rev, closed: pl.closed, info: info}
 }
 
-// isPairsOp reports whether o carries a pairs map (opMap or opBridge) — the
-// op forms pruning rewrites and contraction composes.
+// isPairsOp reports whether o carries a pairs relation (opMap or opBridge) —
+// the op forms pruning rewrites and contraction composes.
 func isPairsOp(o op) bool { return o.kind == opMap || o.kind == opBridge }
 
 // totalPlanPairs totals the (from, to) pairs resident across ops.
@@ -154,65 +156,57 @@ func totalPlanPairs(ops []op) int {
 	n := 0
 	for _, o := range ops {
 		if isPairsOp(o) {
-			for _, ws := range o.pairs {
-				n += len(ws)
-			}
+			n += len(o.pairs.to)
 		}
 	}
 	return n
 }
 
+// sortByValue orders ids by the values they stand for — the order every
+// posting list is kept in (see dict.go for why raw ID order will not do).
+func sortByValue(ids []uint32, vals []relation.Value) {
+	slices.SortFunc(ids, func(a, b uint32) int { return vals[a].Compare(vals[b]) })
+}
+
 // prunePairs walks the chain backward computing, at each op boundary, the
 // set of values that can still complete the chain — exactly the sets
 // feasibleStarts recomputes on every backward pass — and restricts each
-// pairs map to them. A nil boundary means unconstrained; the boundary
+// pairs relation to them. A nil boundary means unconstrained; the boundary
 // before opClose is deliberately left unconstrained (see the file comment:
 // the audited log is not a plan dependency). Ops whose boundary is
-// unconstrained keep their original shared map; pruned ops get private
-// copies, so the tables' caches are never touched.
+// unconstrained keep their shared base relation; pruned ops get private
+// copies. Filtering keeps each list's order.
 func prunePairs(ops []op, info *PlanInfo) []op {
-	out := make([]op, len(ops))
-	copy(out, ops)
+	out := slices.Clone(ops)
 
-	var feasible valueSet // nil = unconstrained
+	var feasible idSet // nil = unconstrained
 	for i := len(out) - 1; i >= 0; i-- {
 		o := out[i]
 		switch o.kind {
 		case opClose:
 			feasible = nil
 		case opExists:
-			next := make(valueSet, len(o.index))
-			for v := range o.index {
-				next[v] = struct{}{}
-			}
-			feasible = next
+			feasible = o.index
 		case opMap, opBridge:
 			if feasible == nil {
-				next := make(valueSet, len(o.pairs))
-				for v := range o.pairs {
-					next[v] = struct{}{}
-				}
-				feasible = next
+				feasible = o.pairs.keySet()
 				continue
 			}
-			pruned := make(map[relation.Value][]relation.Value, len(o.pairs))
-			next := make(valueSet, len(o.pairs))
-			for v, ws := range o.pairs {
-				var kept []relation.Value
-				for _, w := range ws {
+			pruned := &csr{off: make([]uint32, len(o.pairs.off)), to: make([]uint32, 0, len(o.pairs.to))}
+			for id := 0; id+1 < len(pruned.off); id++ {
+				for _, w := range o.pairs.list(uint32(id)) {
 					if feasible.has(w) {
-						kept = append(kept, w)
+						pruned.to = append(pruned.to, w)
 					}
 				}
-				info.PairsPruned += len(ws) - len(kept)
-				if len(kept) == 0 {
-					continue
+				pruned.off[id+1] = uint32(len(pruned.to))
+				if pruned.off[id+1] != pruned.off[id] {
+					pruned.keys++
 				}
-				pruned[v] = kept
-				next[v] = struct{}{}
 			}
+			info.PairsPruned += len(o.pairs.to) - len(pruned.to)
 			out[i].pairs = pruned
-			feasible = next
+			feasible = pruned.keySet()
 		}
 	}
 
@@ -233,13 +227,13 @@ func prunePairs(ops []op, info *PlanInfo) []op {
 // A closed-plan evaluation asks one (start, end) question per log row, and
 // the work of a first-witness search is governed by the fanout on the side
 // it expands — so when the end boundary is clearly smaller (strictly less
-// than half the start boundary), the planner inverts each pairs map and
+// than half the start boundary), the planner inverts each pairs relation and
 // publishes the reversed chain for lazy execution to walk from the row's
 // end value. Inversion is exact — (v, w) holds iff (w, v) holds in the
 // inverse — so the explained row set is identical by symmetry, which the
 // lazy differential tests pin. Plans containing non-pairs interior ops are
 // left alone, and the materialized oracle always evaluates start-side.
-func chooseEndSide(ops []op, info *PlanInfo) []op {
+func chooseEndSide(ops []op, vals []relation.Value, info *PlanInfo) []op {
 	n := len(ops)
 	if n < 2 || ops[n-1].kind != opClose {
 		return nil
@@ -249,37 +243,54 @@ func chooseEndSide(ops []op, info *PlanInfo) []op {
 			return nil
 		}
 	}
-	ends := make(valueSet)
-	for _, ws := range ops[n-2].pairs {
-		for _, w := range ws {
-			ends[w] = struct{}{}
+	ends := newIDSet(len(vals))
+	info.BoundaryStart = ops[0].pairs.keys
+	for _, w := range ops[n-2].pairs.to {
+		if !ends.has(w) {
+			ends.add(w)
+			info.BoundaryEnd++
 		}
 	}
-	info.BoundaryStart, info.BoundaryEnd = len(ops[0].pairs), len(ends)
 	if info.BoundaryEnd == 0 || 2*info.BoundaryEnd > info.BoundaryStart {
 		return nil
 	}
 	info.EndSide = true
 	rev := make([]op, 0, n)
 	for i := n - 2; i >= 0; i-- {
-		rev = append(rev, op{kind: opMap, table: ops[i].table, pairs: invertPairs(ops[i].pairs)})
+		rev = append(rev, op{kind: opMap, table: ops[i].table, pairs: invertPairs(ops[i].pairs, vals)})
 	}
 	return append(rev, op{kind: opClose})
 }
 
-// invertPairs materializes the inverse of a pairs map with sorted value
-// lists. A DISTINCT projection has no duplicate (v, w) pairs, so the
-// inverse needs no de-duplication.
-func invertPairs(m map[relation.Value][]relation.Value) map[relation.Value][]relation.Value {
-	inv := make(map[relation.Value][]relation.Value, len(m))
-	for v, ws := range m {
-		for _, w := range ws {
-			inv[w] = append(inv[w], v)
+// invertPairs materializes the inverse of a pairs relation by counting
+// sort: one pass sizes each inverse list, a second — over the keys in Value
+// order — fills them, so every inverse list comes out in Value order
+// without being sorted. A DISTINCT projection has no duplicate (v, w) pairs,
+// so the inverse needs no de-duplication.
+func invertPairs(c *csr, vals []relation.Value) *csr {
+	inv := &csr{off: make([]uint32, len(vals)+1), to: make([]uint32, len(c.to))}
+	for _, w := range c.to {
+		inv.off[w+1]++
+	}
+	for i := 1; i < len(inv.off); i++ {
+		if inv.off[i] != 0 {
+			inv.keys++
+		}
+		inv.off[i] += inv.off[i-1]
+	}
+	keys := make([]uint32, 0, c.keys)
+	for id := 0; id+1 < len(c.off); id++ {
+		if c.off[id] != c.off[id+1] {
+			keys = append(keys, uint32(id))
 		}
 	}
-	for w := range inv {
-		vs := inv[w]
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Less(vs[j]) })
+	sortByValue(keys, vals)
+	next := slices.Clone(inv.off)
+	for _, v := range keys {
+		for _, w := range c.list(v) {
+			inv.to[next[w]] = v
+			next[w]++
+		}
 	}
 	return inv
 }
@@ -288,35 +299,22 @@ func invertPairs(m map[relation.Value][]relation.Value) map[relation.Value][]rel
 // multiple of the pairs resident in the two hops being replaced, floored so
 // tiny plans always contract. The budget is deliberately relative to the
 // hops themselves, not to the audited log — a contraction is profitable
-// when the composed map costs about what the hops it replaces cost, and a
-// composition that inflates its inputs manyfold (dense self-join closures
+// when the composed relation costs about what the hops it replaces cost, and
+// a composition that inflates its inputs manyfold (dense self-join closures
 // like collaborative groups) loses more in materialization and list-scan
 // width than it saves in hop count, no matter how large the log is.
-func contractionBudget(a, b map[relation.Value][]relation.Value) float64 {
-	m := totalMapPairs(a) + totalMapPairs(b)
-	if m < 512 {
-		m = 512
-	}
-	return float64(8 * m)
-}
-
-func totalMapPairs(m map[relation.Value][]relation.Value) int {
-	n := 0
-	for _, ws := range m {
-		n += len(ws)
-	}
-	return n
+func contractionBudget(a, b *csr) float64 {
+	return float64(8 * max(len(a.to)+len(b.to), 512))
 }
 
 // estComposed is the independence estimate of |a compose b|: every pair of
 // a fans out through b's average fanout. It uses only the projections'
 // own cardinalities — no statistics are kept.
-func estComposed(a, b map[relation.Value][]relation.Value) float64 {
-	if len(b) == 0 || len(a) == 0 {
+func estComposed(a, b *csr) float64 {
+	if b.keys == 0 || a.keys == 0 {
 		return 0
 	}
-	fanout := float64(totalMapPairs(b)) / float64(len(b))
-	return float64(totalMapPairs(a)) * fanout
+	return float64(len(a.to)) * float64(len(b.to)) / float64(b.keys)
 }
 
 // contractHops greedily composes adjacent pairs ops, smallest estimated
@@ -325,14 +323,14 @@ func estComposed(a, b map[relation.Value][]relation.Value) float64 {
 // start-to-end relation; terminal opExists / opClose ops are never touched.
 //
 // The independence estimate picks which pair to attempt, but it can
-// undershoot badly when the right map's lists overlap heavily (many left
-// values fanning into the same dense groups): the composition then touches
-// far more intermediate pairs than it keeps. So before materializing, the
-// chosen pair's exact intermediate work is computed with a size-only
-// pre-scan (composeWork) and checked against its budget — a doomed
-// composition is rejected for the cost of scanning the left map's lists,
-// and its position is blocked from further attempts.
-func contractHops(ops []op, info *PlanInfo) []op {
+// undershoot badly when the right relation's lists overlap heavily (many
+// left values fanning into the same dense groups): the composition then
+// touches far more intermediate pairs than it keeps. So before
+// materializing, the chosen pair's exact intermediate work is computed with
+// a size-only pre-scan (composeWork) and checked against its budget — a
+// doomed composition is rejected for the cost of scanning the left
+// relation's lists, and its position is blocked from further attempts.
+func contractHops(ops []op, vals []relation.Value, info *PlanInfo) []op {
 	blocked := make(map[int]bool) // positions whose composition blew their budget
 	for {
 		best, bestEst := -1, 0.0
@@ -356,7 +354,7 @@ func contractHops(ops []op, info *PlanInfo) []op {
 		ops[best] = op{
 			kind:  opMap,
 			table: ops[best].table + "*" + ops[best+1].table,
-			pairs: composePairs(ops[best].pairs, ops[best+1].pairs),
+			pairs: composePairs(ops[best].pairs, ops[best+1].pairs, vals),
 		}
 		ops = append(ops[:best+1], ops[best+2:]...)
 		info.Contractions++
@@ -369,38 +367,36 @@ func contractHops(ops []op, info *PlanInfo) []op {
 // only list-length lookups, never building anything, so it is cheap even
 // when the answer is enormous — the admission check that keeps a bad
 // independence estimate from turning into a planning-time blowup.
-func composeWork(a, b map[relation.Value][]relation.Value) int {
+func composeWork(a, b *csr) int {
 	work := 0
-	for _, ws := range a {
-		for _, w := range ws {
-			work += len(b[w])
-		}
+	for _, w := range a.to {
+		work += len(b.list(w))
 	}
 	return work
 }
 
-// composePairs materializes the relational composition a ; b as a fresh
-// pairs map with sorted, de-duplicated value lists — the same shape
-// relation.Table.DistinctPairs produces, so a contracted hop is
-// indistinguishable from a declared one downstream.
-func composePairs(a, b map[relation.Value][]relation.Value) map[relation.Value][]relation.Value {
-	out := make(map[relation.Value][]relation.Value, len(a))
-	for v, ws := range a {
-		set := make(map[relation.Value]struct{})
-		for _, w := range ws {
-			for _, x := range b[w] {
-				set[x] = struct{}{}
+// composePairs materializes the relational composition a ; b with
+// de-duplicated lists in Value order — the shape a lowered DISTINCT
+// projection has, so a contracted hop is indistinguishable from a declared
+// one downstream.
+func composePairs(a, b *csr, vals []relation.Value) *csr {
+	out := &csr{off: make([]uint32, len(a.off))}
+	seen := make([]uint32, len(vals)) // seen[x] == id+1: x is already in id's list
+	for id := 0; id+1 < len(a.off); id++ {
+		lo := len(out.to)
+		for _, w := range a.list(uint32(id)) {
+			for _, x := range b.list(w) {
+				if seen[x] != uint32(id)+1 {
+					seen[x] = uint32(id) + 1
+					out.to = append(out.to, x)
+				}
 			}
 		}
-		if len(set) == 0 {
-			continue
+		out.off[id+1] = uint32(len(out.to))
+		if len(out.to) > lo {
+			out.keys++
+			sortByValue(out.to[lo:], vals)
 		}
-		xs := make([]relation.Value, 0, len(set))
-		for x := range set {
-			xs = append(xs, x)
-		}
-		sort.Slice(xs, func(i, j int) bool { return xs[i].Less(xs[j]) })
-		out[v] = xs
 	}
 	return out
 }

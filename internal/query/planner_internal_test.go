@@ -43,6 +43,14 @@ func plannerDB() *relation.Database {
 	return db
 }
 
+// idOf interns v in ev's dictionary the way the log projections would.
+func idOf(ev *Evaluator, v relation.Value) uint32 {
+	d := &ev.engine.dict
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.intern(v)
+}
+
 func plannerAttr(t, c string) schemagraph.Attr { return schemagraph.Attr{Table: t, Column: c} }
 
 // plannerOpenPath is Start -> A.P, A.D -> B.U via M: compiled declared
@@ -114,7 +122,7 @@ func TestPlannerRewritesOpenPlan(t *testing.T) {
 	if got, want := feasibleStarts(planned), feasibleStarts(declared); !reflect.DeepEqual(got, want) {
 		t.Errorf("feasibleStarts differ: planned %v, declared %v", got, want)
 	}
-	if f := feasibleStarts(planned); len(f) != 1 || !f.has(relation.Int(1)) {
+	if f := feasibleStarts(planned); len(f) != 1 || !f.has(idOf(ev, relation.Int(1))) {
 		t.Errorf("feasible starts = %v, want {1}", f)
 	}
 }
@@ -146,8 +154,8 @@ func TestPlannerRewritesClosedPlan(t *testing.T) {
 		t.Errorf("pairs pruned = %d, want 0 on a fully-connected closed chain", info.PairsPruned)
 	}
 	for _, start := range []int64{1, 2, 3, 4, 100} {
-		sv := relation.Int(start)
-		got, want := propagate(planned, sv), propagate(declared, sv)
+		sv := idOf(ev, relation.Int(start))
+		got, want := propagate(planned, sv, nil), propagate(declared, sv, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("propagate(%d): planned %v, declared %v", start, got, want)
 		}
@@ -232,5 +240,35 @@ func TestSupportReusesFeasMemo(t *testing.T) {
 		if s != pop {
 			t.Errorf("Support call %d = %d, want mask popcount %d", i+1, s, pop)
 		}
+	}
+}
+
+// TestMemoGenerationWrap puts the cursor's memo generation one step from
+// its limit, so the next evaluation's first group wraps it. Every memo entry
+// is first forged to read "generation 1: no witness" — what a long-lived
+// cursor could hold from its very first group — so the wrap must really wipe
+// the memos: restarting the count over stale stamps would revive them as
+// current verdicts.
+func TestMemoGenerationWrap(t *testing.T) {
+	ev := NewEvaluator(plannerDB())
+	pp := ev.Prepare(plannerClosedPath(t))
+	want := pp.ExplainedRows()
+	if !reflect.DeepEqual(want, []bool{true, true, true, false, false}) {
+		t.Fatalf("ExplainedRows = %v before the wrap", want)
+	}
+	for _, m := range ev.scratch.memo {
+		for v := range m {
+			m[v] = 1 << 1
+		}
+	}
+	ev.scratch.gen = genLimit - 1
+	if got := pp.ExplainedRows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExplainedRows across the generation wrap = %v, want %v", got, want)
+	}
+	if g := ev.scratch.gen; g == 0 || g >= genLimit-1 {
+		t.Errorf("generation = %d after the wrap, want a small restart", g)
+	}
+	if got := pp.Support(); got != 3 {
+		t.Errorf("Support after the wrap = %d, want 3", got)
 	}
 }

@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +79,7 @@ func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
 			// table contract forbids concurrent appends, so these are the
 			// versions the snapshotted indexes and projections reflect.
 			ent.deps = ev.planDeps(p)
+			ev.engine.countResident(key, ent)
 			if timed {
 				ev.engine.compileNanos.Observe(time.Since(t0).Nanoseconds())
 			}
@@ -128,19 +129,19 @@ func (pp *Prepared) Closed() bool { return pp.ent.pl.closed }
 // the declared-order chain (planner disabled).
 func (pp *Prepared) PlanInfo() PlanInfo { return pp.ent.pl.info }
 
-// orient returns the per-row start and end columns for the orientation the
-// shared plan was compiled in. Two paths with equal canonical keys can
+// orient returns the per-row start and end ID columns for the orientation
+// the shared plan was compiled in. Two paths with equal canonical keys can
 // differ in orientation (a closed path and its reverse impose the same
 // condition set); the plan's own orientation is the one its ops expect, and
 // the explained/connected row set is orientation-invariant, so results are
 // identical either way. The snapshot covers every audited row, including
-// ones appended after the handle was prepared (see engine.projections).
-func (pp *Prepared) orient() (starts, ends []relation.Value) {
-	pr := pp.ev.projections()
+// ones appended after the handle was prepared (see engine.idProjections).
+func (pp *Prepared) orient() (starts, ends []uint32) {
+	pr := pp.ev.idProjections()
 	if pp.ent.forward {
-		return pr.patients, pr.users
+		return pr.patientID, pr.userID
 	}
-	return pr.users, pr.patients
+	return pr.userID, pr.patientID
 }
 
 // feasible returns the open plan's feasible-start set, computing it once per
@@ -171,23 +172,12 @@ func (pp *Prepared) checkRange(lo, hi int) {
 // see the cachedPlan comment for why.
 func (pp *Prepared) Support() int {
 	pp.ev.queriesEvaluated++
+	if pp.ev.engine.lazyEval() {
+		return pp.evalLazy(0, len(pp.ev.projections().patients), nil)
+	}
 	starts, ends := pp.orient()
-	lazy := pp.ev.engine.lazyEval()
+	n := 0
 	if !pp.ent.pl.closed {
-		if lazy {
-			// Demand-driven satisfiability with a call-local memo: each
-			// boundary value the log reaches is expanded at most once, and
-			// nothing is pinned on the shared entry.
-			lf := newLazyFeas(pp)
-			n := 0
-			for _, sv := range starts {
-				if lf.completes(0, sv) {
-					n++
-				}
-			}
-			lf.exec.flush()
-			return n
-		}
 		// Reuse the shared feasible-start memo when a ConnectedRange caller
 		// already populated it — the backward pass is the whole cost of an
 		// open-path support query. When the memo is cold, compute the set
@@ -200,7 +190,6 @@ func (pp *Prepared) Support() int {
 		} else {
 			f = pp.ev.engine.backwardPass(pp.ent.pl)
 		}
-		n := 0
 		for _, sv := range starts {
 			if f.has(sv) {
 				n++
@@ -208,23 +197,11 @@ func (pp *Prepared) Support() int {
 		}
 		return n
 	}
-	if lazy {
-		lw := newLazyWitness(pp)
-		n := 0
-		for r, sv := range starts {
-			if lw.explains(sv, ends[r]) {
-				n++
-			}
-		}
-		lw.exec.flush()
-		return n
-	}
-	reach := make(map[relation.Value]valueSet)
-	n := 0
+	reach := make(map[uint32]valueSet)
 	for r, sv := range starts {
 		set, ok := reach[sv]
 		if !ok {
-			set = propagate(pp.ent.pl, sv)
+			set = propagate(pp.ent.pl, sv, nil)
 			reach[sv] = set
 		}
 		if set.has(ends[r]) {
@@ -252,25 +229,21 @@ func (pp *Prepared) ExplainedRange(lo, hi int) []bool {
 	}
 	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
-	starts, ends := pp.orient()
 	out := make([]bool, hi-lo)
 	if pp.ev.engine.lazyEval() {
-		// First-witness search per row with a call-local memo; the shared
-		// reach memo is neither consulted nor filled, so a range evaluation
-		// retains nothing on the engine once it returns.
-		lw := newLazyWitness(pp)
-		for r := lo; r < hi; r++ {
-			out[r-lo] = lw.explains(starts[r], ends[r])
-		}
-		lw.exec.flush()
+		// First-witness search per row; the shared reach memo is neither
+		// consulted nor filled, so a range evaluation retains nothing on the
+		// engine once it returns.
+		pp.evalLazy(lo, hi, out)
 		return out
 	}
+	starts, ends := pp.orient()
 	el := newExecLocal(pp.ev.engine, pp.ent.exec)
 	for r := lo; r < hi; r++ {
 		sv := starts[r]
 		set, ok := pp.ent.reach.get(sv)
 		if !ok {
-			set = propagateExec(pp.ent.pl, sv, el)
+			set = propagate(pp.ent.pl, sv, el)
 			pp.ent.reach.put(sv, set)
 		} else if el != nil {
 			// A reach-memo hit skips the whole walk; charge it to the first
@@ -300,16 +273,12 @@ func (pp *Prepared) ConnectedRange(lo, hi int) []bool {
 	}
 	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
-	starts, _ := pp.orient()
 	out := make([]bool, hi-lo)
 	if pp.ev.engine.lazyEval() {
-		lf := newLazyFeas(pp)
-		for r := lo; r < hi; r++ {
-			out[r-lo] = lf.completes(0, starts[r])
-		}
-		lf.exec.flush()
+		pp.evalLazy(lo, hi, out)
 		return out
 	}
+	starts, _ := pp.orient()
 	f := pp.feasible()
 	for r := lo; r < hi; r++ {
 		out[r-lo] = f.has(starts[r])
@@ -337,6 +306,10 @@ type cachedPlan struct {
 	// inside compileOnce so every cursor evaluating the plan shares one
 	// array. It accumulates only while SetExecStats(true).
 	exec *execStats
+
+	// bytes is what the entry contributes to query.plan.resident_bytes while
+	// it is in the cache (guarded by the engine's planMu).
+	bytes int64
 
 	// deps records, per table the compilation read, the table's version at
 	// compile time (written inside compileOnce, so visible to every
@@ -404,8 +377,35 @@ func (eng *engine) dropPlan(key string, ent *cachedPlan) {
 	eng.planMu.Lock()
 	if eng.plans[key] == ent {
 		delete(eng.plans, key)
+		eng.planBytes.Add(-ent.bytes)
 	}
 	eng.planMu.Unlock()
+}
+
+// countResident records the freshly compiled ent's op arrays in
+// query.plan.resident_bytes, provided it is still the cached entry for key;
+// whatever removes a counted entry from the cache subtracts ent.bytes again.
+func (eng *engine) countResident(key string, ent *cachedPlan) {
+	n := 0
+	for _, o := range slices.Concat(ent.pl.ops, ent.pl.rev) {
+		if o.pairs != nil {
+			n += 4 * (len(o.pairs.off) + len(o.pairs.to))
+		}
+		n += 8 * len(o.index)
+	}
+	eng.planMu.Lock()
+	if eng.plans[key] == ent {
+		ent.bytes = int64(n)
+		eng.planBytes.Add(ent.bytes)
+	}
+	eng.planMu.Unlock()
+}
+
+// resetPlans empties the cache. The caller holds planMu for writing.
+func (eng *engine) resetPlans() {
+	eng.plans = make(map[string]*cachedPlan)
+	eng.planVersion = eng.db.SchemaVersion()
+	eng.planBytes.Set(0)
 }
 
 // planEntry returns the cache entry for key, creating it if absent. The
@@ -427,9 +427,8 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 
 	eng.planMu.Lock()
 	defer eng.planMu.Unlock()
-	if eng.planVersion != v || eng.plans == nil {
-		eng.plans = make(map[string]*cachedPlan)
-		eng.planVersion = v
+	if eng.planVersion != v {
+		eng.resetPlans()
 	}
 	if ent, ok := eng.plans[key]; ok {
 		eng.planHits.Add(1)
@@ -449,8 +448,7 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 func (ev *Evaluator) InvalidatePlans() {
 	eng := ev.engine
 	eng.planMu.Lock()
-	eng.plans = make(map[string]*cachedPlan)
-	eng.planVersion = eng.db.SchemaVersion()
+	eng.resetPlans()
 	eng.planMu.Unlock()
 }
 
@@ -468,7 +466,7 @@ func (ev *Evaluator) PlanCacheKeys() []string {
 		keys = append(keys, k)
 	}
 	eng.planMu.RUnlock()
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 

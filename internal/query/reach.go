@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/relation"
 )
 
 // reachShardCount is the number of independently locked shards of one plan's
@@ -14,7 +13,7 @@ import (
 const reachShardCount = 8
 
 // reachCache is a bounded concurrent memo of forward-propagation results
-// (start value -> reachable end-value set) for one compiled closed plan. It
+// (start ID -> reachable end-ID set) for one compiled closed plan. It
 // replaces the unbounded sync.Map the prepared-plan cache used to retain for
 // the life of a plan entry: entries are capped and evicted with a clock
 // (second-chance) sweep, so a plan that classifies a hospital-scale log pins
@@ -34,9 +33,9 @@ type reachShard struct {
 	// pre-bounding behavior, available via SetReachMemoCap(0)). It is
 	// guarded by mu because SetReachMemoCap re-caps live caches.
 	cap     int
-	entries map[relation.Value]*reachEntry
-	ring    []relation.Value // clock ring over resident keys
-	hand    int              // next ring position the clock sweep inspects
+	entries map[uint32]*reachEntry
+	ring    []uint32 // clock ring over resident keys
+	hand    int      // next ring position the clock sweep inspects
 }
 
 type reachEntry struct {
@@ -51,7 +50,7 @@ func newReachCache(bound int, evictions *obs.Counter) *reachCache {
 	c := &reachCache{evictions: evictions}
 	for i := range c.shards {
 		c.shards[i].cap = perShardCap(bound)
-		c.shards[i].entries = make(map[relation.Value]*reachEntry)
+		c.shards[i].entries = make(map[uint32]*reachEntry)
 	}
 	return c
 }
@@ -97,7 +96,7 @@ func (c *reachCache) setCap(bound int) {
 			}
 			// Compact the ring once: survivors keep their clock order and the
 			// hand keeps its position among them.
-			ring := make([]relation.Value, 0, len(s.entries))
+			ring := make([]uint32, 0, len(s.entries))
 			hand := 0
 			for j, k := range s.ring {
 				if _, ok := s.entries[k]; !ok {
@@ -117,29 +116,12 @@ func (c *reachCache) setCap(bound int) {
 	}
 }
 
-// shard picks the shard for a key with an FNV-1a hash over the value's
-// payload (values are small scalars; strings dominate only in name-typed
-// columns).
-func (c *reachCache) shard(v relation.Value) *reachShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(v.Kind)) * prime64
-	x := uint64(v.Int)
-	for i := 0; i < 8; i++ {
-		h = (h ^ (x & 0xff)) * prime64
-		x >>= 8
-	}
-	for i := 0; i < len(v.Str); i++ {
-		h = (h ^ uint64(v.Str[i])) * prime64
-	}
-	return &c.shards[h%reachShardCount]
-}
+// shard picks the shard for a key: dictionary IDs are dense, so the low
+// bits spread them evenly.
+func (c *reachCache) shard(v uint32) *reachShard { return &c.shards[v%reachShardCount] }
 
 // get returns the memoized set for v and marks it recently used.
-func (c *reachCache) get(v relation.Value) (valueSet, bool) {
+func (c *reachCache) get(v uint32) (valueSet, bool) {
 	s := c.shard(v)
 	s.mu.Lock()
 	e, ok := s.entries[v]
@@ -157,7 +139,7 @@ func (c *reachCache) get(v relation.Value) (valueSet, bool) {
 // the shard is at capacity. Racing workers may propagate the same start
 // value concurrently; the first put wins and later ones are dropped, which
 // is fine because propagate is deterministic.
-func (c *reachCache) put(v relation.Value, set valueSet) {
+func (c *reachCache) put(v uint32, set valueSet) {
 	s := c.shard(v)
 	s.mu.Lock()
 	defer s.mu.Unlock()
