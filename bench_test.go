@@ -238,13 +238,9 @@ func BenchmarkHeadline(b *testing.B) {
 
 // BenchmarkPreparedReuse measures what the engine-level plan cache buys on
 // the mask-evaluation hot path: repeated row classification through one
-// prepared handle (plan, backward feasible-start set, and forward reach
-// memo compiled/computed once, shared by every cursor) against a
-// compile-each-time baseline that drops the cache before every evaluation.
-// With a warm handle each evaluation allocates only the output mask, so
-// allocs/op collapse versus recompilation — the open case re-runs the
-// backward pass every time, the closed case re-propagates every distinct
-// patient.
+// prepared handle (compiled once, shared by every cursor) against a
+// compile-each-time baseline that drops the cache before every evaluation
+// and so re-lowers the plan's projections each time.
 func BenchmarkPreparedReuse(b *testing.B) {
 	e := smallEnv(b)
 	closed := explain.GroupTemplate("appt-same-group", "Appointments", "an appointment").Path
@@ -253,7 +249,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 	b.Run("open/prepared", func(b *testing.B) {
 		ev := query.NewEvaluator(e.DS.DB)
 		pp := ev.Prepare(open)
-		pp.ConnectedRows() // warm the shared feasible-start set
+		pp.ConnectedRows() // warm the cursor's scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -276,7 +272,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 	b.Run("closed/prepared", func(b *testing.B) {
 		ev := query.NewEvaluator(e.DS.DB)
 		pp := ev.Prepare(closed)
-		pp.ExplainedRows() // warm the shared reach memo
+		pp.ExplainedRows() // warm the cursor's scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -484,11 +480,9 @@ func BenchmarkExplainAllMedium(b *testing.B) {
 // the engine's dictionary, a cost of the engine and not of the plan), and
 // the output mask and the classifying cursor are dropped before measuring,
 // so the metric isolates what evaluating retains on top of the compiled
-// plan: the materialized path keeps one propagated value set per distinct
-// patient in the shared reach memo (unbounded here, to measure the whole
-// materialization), while the lazy path memoizes in the cursor's scratch
-// and keeps nothing.
-func benchmarkEval(b *testing.B, lazyOn bool) {
+// plan: the walk memoizes in the cursor's scratch and keeps nothing, so
+// live-B should be a small constant.
+func BenchmarkEvalLazy(b *testing.B) {
 	a := mediumAuditor(b)
 	tpl := explain.DeptTemplate("appt-same-dept", "Appointments", "an appointment")
 	b.ReportAllocs()
@@ -496,8 +490,6 @@ func benchmarkEval(b *testing.B, lazyOn bool) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
 		ev := query.NewEvaluator(a.Database())
-		ev.SetLazyEval(lazyOn)
-		ev.SetReachMemoCap(0)
 		b.StopTimer()
 		ev.Prepare(tpl.Path).Support() // interns the log, once per engine
 		before := liveHeap()
@@ -519,16 +511,7 @@ func benchmarkEval(b *testing.B, lazyOn bool) {
 	b.ReportMetric(worst, "live-B")
 }
 
-// BenchmarkEvalLazy is the lazy iterator execution side of the tentpole
-// comparison; its live-B should be a small constant.
-func BenchmarkEvalLazy(b *testing.B) { benchmarkEval(b, true) }
-
-// BenchmarkEvalMaterialized runs the same classification through the
-// materialized valueSet oracle; its live-B is the retained reach memo the
-// lazy path eliminates (the acceptance bar is >= 5x between the two).
-func BenchmarkEvalMaterialized(b *testing.B) { benchmarkEval(b, false) }
-
-// BenchmarkObsOverhead prices the observability layer on the hot lazy
+// BenchmarkObsOverhead prices the observability layer on the hot
 // evaluation of BenchmarkEvalLazy. The disabled sub-benchmark runs with
 // every obs surface off — its cost over the plain BenchmarkEvalLazy is the
 // layer's passive tax (one atomic gate load per entry point plus a nil
@@ -541,7 +524,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) { benchmarkEvalObs(b, true) })
 }
 
-// benchmarkEvalObs is benchmarkEval's lazy path with the observability
+// benchmarkEvalObs is BenchmarkEvalLazy's evaluation with the observability
 // surface toggled as one unit: obs.Enabled (timed metrics), an installed
 // tracer, and per-engine exec statistics.
 func benchmarkEvalObs(b *testing.B, enabled bool) {
@@ -559,8 +542,6 @@ func benchmarkEvalObs(b *testing.B, enabled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := query.NewEvaluator(a.Database())
-		ev.SetLazyEval(true)
-		ev.SetReachMemoCap(0)
 		ev.SetExecStats(enabled)
 		pp := ev.Prepare(tpl.Path)
 		if len(pp.ExplainedRows()) == 0 {
@@ -910,65 +891,6 @@ func BenchmarkAblationIndex(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPlanner compares support evaluation of the length-4
-// department and collaborative-group templates — the longest decorated
-// paths in the hand-crafted catalog — under the greedy hop-ordering planner
-// against the declared-order baseline. The plan is prepared once and the
-// timed loop re-runs full per-start propagation through it (Prepared.Support
-// keeps no result cache), so the measurement isolates what the planner's
-// restructured chain buys on the engine's plan-reuse hot path. The planned
-// side additionally reports its one-time planning overhead per Prepare as
-// plan-ns/prepare, read off PlanCacheStats; a plan is planned once per
-// cache entry, so this cost amortizes across every evaluation that reuses
-// it (masks, range shards, follow polls, mined-candidate probes).
-func BenchmarkAblationPlanner(b *testing.B) {
-	e := smallEnv(b)
-	paths := []struct {
-		name string
-		tpl  *explain.PathTemplate
-	}{
-		{"dept-len4", explain.DeptTemplate("appt-same-dept", "Appointments", "an appointment")},
-		{"group-len4", explain.GroupTemplate("appt-same-group", "Appointments", "an appointment")},
-	}
-	for _, tc := range paths {
-		want := query.NewEvaluator(e.DS.DB).Support(tc.tpl.Path)
-		if want == 0 {
-			b.Fatalf("%s: zero support", tc.name)
-		}
-		b.Run(tc.name+"/planner=on", func(b *testing.B) {
-			ev := query.NewEvaluator(e.DS.DB)
-			pp := ev.Prepare(tc.tpl.Path)
-			if !pp.PlanInfo().Planned {
-				b.Fatal("plan not planned")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if pp.Support() != want {
-					b.Fatal("support mismatch")
-				}
-			}
-			b.StopTimer()
-			if st := ev.PlanCacheStats(); st.PlansPlanned > 0 {
-				b.ReportMetric(float64(st.PlanNanos)/float64(st.PlansPlanned), "plan-ns/prepare")
-			}
-		})
-		b.Run(tc.name+"/planner=off(declared)", func(b *testing.B) {
-			ev := query.NewEvaluator(e.DS.DB)
-			ev.SetPlannerEnabled(false)
-			pp := ev.Prepare(tc.tpl.Path)
-			if pp.PlanInfo().Planned {
-				b.Fatal("oracle plan went through the planner")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if pp.Support() != want {
-					b.Fatal("support mismatch")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBridgeLength sweeps the bridged miner's half-length,
 // complementing Figure 13.
 func BenchmarkAblationBridgeLength(b *testing.B) {
@@ -999,8 +921,8 @@ var (
 // with the non-group catalog and pre-warmed masks, plus an append pattern:
 // the last ~1% of the generated log, re-stamped per batch with fresh
 // ascending Lids at the log's final date so every batch is a chronological
-// append of realistic rows (existing patients and users, so the warm reach
-// memo is representative).
+// append of realistic rows (existing patients and users, so the dictionary
+// and compiled plans are reused as in production).
 func incrementalAuditor(b *testing.B) (*core.Auditor, *relation.Table) {
 	b.Helper()
 	incrOnce.Do(func() {
@@ -1049,8 +971,8 @@ func appendIncrementalBatch(log *relation.Table) int {
 
 // BenchmarkIncrementalAppend measures the tentpole: append 1% of the Medium
 // log, then Refresh — cached template masks are extended over just the new
-// rows on surviving compiled plans and warm reach memos, so each iteration
-// costs O(new rows). Compare ns/op and allocs/op against
+// rows on surviving compiled plans, so each iteration costs O(new rows).
+// Compare ns/op and allocs/op against
 // BenchmarkIncrementalAppendColdBaseline (same append, masks and plans
 // dropped first — the pre-incremental behavior of recomputing the world);
 // the acceptance bar is >= 5x on both.

@@ -6,7 +6,7 @@
 //	ebabench [-scale tiny|small|medium] [-seed N] [-experiment name] [-json]
 //
 // Experiments: fig6 fig7 fig8 fig9 fig10-11 fig12 fig12-decorated fig13
-// fig14 table1 headline startup lazy obs, or "all" (default).
+// fig14 table1 headline startup obs, or "all" (default).
 //
 // With -json, a machine-readable BENCH_<n>.json snapshot of the run — the
 // dataset shape, per-experiment wall times, any experiment-reported metrics,
@@ -136,7 +136,6 @@ func main() {
 	run("table1", func() renderer { return experiments.Table1(env) })
 	run("headline", func() renderer { return experiments.Headline(env) })
 	run("startup", func() renderer { return experiments.Startup(env) })
-	run("lazy", func() renderer { return experiments.Lazy(env) })
 	run("obs", func() renderer { return experiments.Obs(env) })
 
 	if *which != "all" && !validExperiment(*which) {
@@ -184,7 +183,7 @@ func writeSnapshot(dir string, snap benchSnapshot) (string, error) {
 }
 
 func validExperiment(name string) bool {
-	for _, n := range strings.Split("fig6 fig7 fig8 fig9 fig10-11 fig12 fig12-decorated fig13 fig14 table1 headline startup lazy obs", " ") {
+	for _, n := range strings.Split("fig6 fig7 fig8 fig9 fig10-11 fig12 fig12-decorated fig13 fig14 table1 headline startup obs", " ") {
 		if n == name {
 			return true
 		}

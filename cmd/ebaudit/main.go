@@ -34,7 +34,7 @@
 // federated audit divides the budget across the shard engines but always
 // runs at least one worker per shard, so its effective parallelism is
 // max(-j, shard count). audit -v additionally reports the query engine's
-// plan-cache and reach-memo counters (per shard, when federated) and dumps
+// plan-cache and mask-cache counters (per shard, when federated) and dumps
 // the merged metrics registry on stderr.
 //
 // Observability: the top-level -metrics-addr flag serves the live registry
@@ -43,10 +43,9 @@
 // writes the run's spans — mask builds, batch scheduling — to FILE as
 // NDJSON, one span per line, through a bounded ring that drops (and counts)
 // rather than block. audit -explain enables per-op execution statistics and
-// prints, after the audit, each path template's planner decisions and
-// EXPLAIN ANALYZE-style per-op counters (rows in/out, postings consumed,
-// memo hits); stream and follow modes keep stdout pure NDJSON, so the
-// report lands on stderr there.
+// prints, after the audit, each path template's EXPLAIN ANALYZE-style per-op
+// counters (rows in/out, postings consumed, memo hits); stream and follow
+// modes keep stdout pure NDJSON, so the report lands on stderr there.
 //
 // The -data flag loads the database from a directory of typed CSVs (the
 // format `ebaudit export` writes) instead of generating one; malformed input
@@ -719,7 +718,7 @@ func (a *app) audit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	fs.SetOutput(a.stderr)
 	n := fs.Int("n", 10, "maximum unexplained rows to show")
-	verbose := fs.Bool("v", false, "also report engine internals (plan-cache, reach-memo, and mask-cache counters)")
+	verbose := fs.Bool("v", false, "also report engine internals (plan-cache and mask-cache counters)")
 	stream := fs.Bool("stream", false, "emit every report as NDJSON on stdout (log order, bounded memory)")
 	shards := fs.Int("shards", 0, "partition the log across K federated shard engines")
 	follow := fs.Bool("follow", false, "after auditing the current log, poll -data for appended rows and emit only their NDJSON reports (incremental mask refresh)")
@@ -937,18 +936,11 @@ func (a *app) auditStreamFederated(fed *federate.Federation, workers int, verbos
 // line per shard engine.
 func (a *app) printFederatedStats(w io.Writer, fed *federate.Federation) {
 	agg := fed.PlanCacheStats()
-	cap := fmt.Sprintf("per-plan cap %d", agg.ReachCapMax)
-	if agg.ReachCapMin != agg.ReachCapMax {
-		cap = fmt.Sprintf("per-plan cap min %d / max %d", agg.ReachCapMin, agg.ReachCapMax)
-	}
-	fmt.Fprintf(w, "plan cache (all shards): %d hits, %d misses; planner: %d planned, %d contractions, %d pairs pruned; reach memo: %d resident entries, %d evictions (%s); mask cache: %d hits, %d recomputes, %d extensions\n",
-		agg.Hits, agg.Misses, agg.PlansPlanned, agg.PlanContractions, agg.PlanPairsPruned,
-		agg.ReachEntries, agg.ReachEvictions, cap,
-		agg.MaskHits, agg.MaskRecomputes, agg.MaskExtensions)
+	fmt.Fprintf(w, "plan cache (all shards): %d hits, %d misses; mask cache: %d hits, %d recomputes, %d extensions\n",
+		agg.Hits, agg.Misses, agg.MaskHits, agg.MaskRecomputes, agg.MaskExtensions)
 	for _, si := range fed.ShardInfos() {
-		fmt.Fprintf(w, "  %s: %d rows, plan cache %d hits / %d misses, reach memo %d entries / %d evictions (cap %d), masks %d/%d/%d\n",
+		fmt.Fprintf(w, "  %s: %d rows, plan cache %d hits / %d misses, masks %d/%d/%d\n",
 			si.Name, si.Rows, si.Stats.Hits, si.Stats.Misses,
-			si.Stats.ReachEntries, si.Stats.ReachEvictions, si.Stats.ReachCap,
 			si.Stats.MaskHits, si.Stats.MaskRecomputes, si.Stats.MaskExtensions)
 	}
 }
@@ -995,9 +987,8 @@ func (a *app) auditStream(workers int, verbose bool) error {
 }
 
 // printEngineStats reports the shared query-engine internals: plan-cache
-// hit/miss counters, the planner's decision aggregates, the bounded reach
-// memo's residency and evictions, and the template-mask cache's
-// hit/recompute/extension outcomes.
+// hit/miss counters, the dictionary and plan footprint, and the
+// template-mask cache's hit/recompute/extension outcomes.
 func (a *app) printEngineStats(w io.Writer, workers int) {
 	st := a.auditor.PlanCacheStats()
 	fmt.Fprintf(w, "plan cache: %d hits, %d misses (%d compiled plans reused across %d workers)\n",
@@ -1005,11 +996,6 @@ func (a *app) printEngineStats(w io.Writer, workers int) {
 	reg := a.auditor.Evaluator().Metrics()
 	fmt.Fprintf(w, "dictionary: %d values interned; compiled plans hold %d resident bytes\n",
 		reg.Gauge("query.dict.values").Value(), reg.Gauge("query.plan.resident_bytes").Value())
-	fmt.Fprintf(w, "planner: %d plans planned, %d hop contractions, %d pairs pruned, %v planning\n",
-		st.PlansPlanned, st.PlanContractions, st.PlanPairsPruned,
-		time.Duration(st.PlanNanos).Round(time.Microsecond))
-	fmt.Fprintf(w, "reach memo: %d resident entries, %d evictions (per-plan cap %d)\n",
-		st.ReachEntries, st.ReachEvictions, st.ReachCap)
 	fmt.Fprintf(w, "mask cache: %d hits, %d recomputes, %d incremental extensions\n",
 		st.MaskHits, st.MaskRecomputes, st.MaskExtensions)
 }

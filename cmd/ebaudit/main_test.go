@@ -136,7 +136,7 @@ func TestRunDataRoundTrip(t *testing.T) {
 	if err := run([]string{"-data", dir, "audit", "-stream", "-v"}, &stdout, &stderr); err != nil {
 		t.Fatalf("audit -stream: %v\nstderr: %s", err, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "streamed") || !strings.Contains(stderr.String(), "reach memo:") {
+	if !strings.Contains(stderr.String(), "streamed") || !strings.Contains(stderr.String(), "mask cache:") {
 		t.Errorf("stream summary missing from stderr:\n%s", stderr.String())
 	}
 

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"time"
 
 	"repro/internal/explain"
 	"repro/internal/obs"
@@ -105,10 +104,10 @@ func startTrace(path string, stderr io.Writer) (finish func() error, err error) 
 
 // printExplainReport renders the EXPLAIN ANALYZE view of the audit just
 // run: for every registered template whose evaluation goes through the
-// compiled-plan cache, the planner's decisions (PlanInfo) followed by the
-// per-op execution counters the audit accumulated (ExecTrace). Templates
-// that evaluate outside the plan cache — decorated DFS templates,
-// log-only templates — get a note instead of a fabricated zero trace.
+// compiled-plan cache, the per-op execution counters the audit accumulated
+// (ExecTrace). Templates that evaluate outside the plan cache — decorated
+// DFS templates, log-only templates — get a note instead of a fabricated
+// zero trace.
 func (a *app) printExplainReport(w io.Writer) {
 	ev := a.auditor.Evaluator()
 	for _, t := range a.auditor.Templates() {
@@ -119,7 +118,7 @@ func (a *app) printExplainReport(w io.Writer) {
 			continue
 		}
 		pp := ev.Prepare(tpl.Path)
-		printPlanExec(w, t.Name(), pp.PlanInfo(), pp.ExecTrace())
+		printPlanExec(w, t.Name(), pp.ExecTrace())
 	}
 }
 
@@ -132,24 +131,13 @@ func templateKind(t explain.Template) string {
 	return "direct log scan"
 }
 
-// printPlanExec renders one template's plan decisions and per-op execution
-// counters. Counter semantics: rows-in is values entering the op, rows-out
-// values that qualified, postings the pair-list entries consumed (the same
-// events PostingsScanned counts, attributed per op), memo the evaluations a
-// memo answered without walking.
-func printPlanExec(w io.Writer, name string, info query.PlanInfo, tr query.ExecTrace) {
-	side := "start-side"
-	if info.EndSide {
-		side = "end-side"
-	}
-	if info.Planned {
-		fmt.Fprintf(w, "template %s: plan %d->%d ops (%d contractions), pairs %d->%d (%d pruned), %s, planned in %v\n",
-			name, info.HopsDeclared, info.HopsPlanned, info.Contractions,
-			info.PairsDeclared, info.PairsPlanned, info.PairsPruned,
-			side, time.Duration(info.PlanNanos).Round(time.Microsecond))
-	} else {
-		fmt.Fprintf(w, "template %s: declared-order plan (planner disabled)\n", name)
-	}
+// printPlanExec renders one template's per-op execution counters, in the
+// path's declared hop order. Counter semantics: rows-in is values entering
+// the op, rows-out values that qualified, postings the pair-list entries
+// consumed (the same events PostingsScanned counts, attributed per op),
+// memo the sub-questions the walk's memo answered without walking.
+func printPlanExec(w io.Writer, name string, tr query.ExecTrace) {
+	fmt.Fprintf(w, "template %s: plan of %d ops\n", name, len(tr.Ops))
 	if len(tr.Ops) == 0 {
 		fmt.Fprintln(w, "  (no execution recorded)")
 		return

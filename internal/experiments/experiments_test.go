@@ -173,32 +173,6 @@ func minCount(tab experiments.StabilityTable, l int) int {
 	return m
 }
 
-// TestLazyFigure asserts the lazy-execution experiment's invariants: the two
-// modes agree, and lazy evaluation retains at least 5x less heap than the
-// materialized oracle (the acceptance bar the root benchmarks also hit).
-func TestLazyFigure(t *testing.T) {
-	f := experiments.Lazy(env(t))
-	if f.Err != "" {
-		t.Fatalf("Lazy: %s", f.Err)
-	}
-	if !f.Match {
-		t.Fatal("lazy and materialized masks diverged")
-	}
-	if f.MatRetainedB == 0 {
-		t.Error("materialized oracle retained nothing — the comparison is vacuous")
-	}
-	if f.LazyRetainedB*5 > f.MatRetainedB {
-		t.Errorf("lazy retained %.0f B vs materialized %.0f B, want >= 5x lower",
-			f.LazyRetainedB, f.MatRetainedB)
-	}
-	for _, key := range []string{"lazy_millis", "materialized_millis", "lazy_retained_b", "mat_retained_b"} {
-		if _, ok := f.Metrics()[key]; !ok {
-			t.Errorf("Metrics() lacks %q", key)
-		}
-	}
-	t.Log("\n" + f.Render())
-}
-
 // TestFigure12DecoratedMatchesTableFiltered asserts the decorated-template
 // route produces exactly the per-depth rows of the table-filtered Figure 12.
 func TestFigure12DecoratedMatchesTableFiltered(t *testing.T) {

@@ -394,6 +394,17 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 	return f, nil
 }
 
+// ErrUnsupported marks an operation the federation's construction cannot
+// perform, such as Refresh on a Join federation. Callers test for it with
+// errors.Is.
+var ErrUnsupported = errors.New("federate: unsupported operation")
+
+// unsupportedError is an ErrUnsupported with an operation-specific message.
+type unsupportedError string
+
+func (e unsupportedError) Error() string { return string(e) }
+func (e unsupportedError) Unwrap() error { return ErrUnsupported }
+
 // Refresh folds rows appended to the merged log since construction (or the
 // previous Refresh) into the federation: each new row is routed to its
 // shard by the Split assignment, appended to that shard's audited slice
@@ -408,11 +419,12 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 // Only Split federations support Refresh: a Join's merged log is a
 // concatenation the federation itself built, so there is no external
 // append path to observe — rebuild the Join with the grown shard logs
-// instead.
+// instead. Refreshing a grown Join returns an error matching
+// ErrUnsupported.
 func (f *Federation) Refresh(ctx context.Context, parallelism int) (int, error) {
 	n := f.merged.NumRows()
 	if n > f.consumed && f.assign == nil {
-		return 0, errors.New("federate: Refresh requires a Split federation (Join merged logs have no append path)")
+		return 0, unsupportedError("federate: Refresh requires a Split federation (Join merged logs have no append path)")
 	}
 	k := len(f.shards)
 	// Validate every assignment before mutating any shard: a bad shard key
@@ -869,9 +881,7 @@ func (f *Federation) ShardInfos() []ShardInfo {
 
 // PlanCacheStats aggregates the plan-cache and template-mask counters of
 // every shard engine (the coordinator's estimate-only evaluator holds no
-// plans and is excluded). ReachCap is -1 if the shards are configured with
-// differing caps; ReachCapMin/ReachCapMax then bound the per-shard values.
-// See query.PlanCacheStats.Add.
+// plans and is excluded). See query.PlanCacheStats.Add.
 func (f *Federation) PlanCacheStats() query.PlanCacheStats {
 	agg := f.shards[0].auditor.PlanCacheStats()
 	for _, sh := range f.shards[1:] {
@@ -881,7 +891,7 @@ func (f *Federation) PlanCacheStats() query.PlanCacheStats {
 }
 
 // MetricsSnapshot returns the federation-wide metrics view: every shard
-// engine's registry (query-plan, reach-memo, and mask-cache metrics, kept
+// engine's registry (query-plan and mask-cache metrics, kept
 // per shard for attribution) merged with the process-wide obs.Default
 // registry (worker-pool, stream-merge, and store metrics, which have no
 // shard to belong to). Counters and histogram buckets sum across shards.

@@ -2,6 +2,7 @@ package federate_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -298,7 +299,11 @@ func TestJoinRefreshRefused(t *testing.T) {
 	}
 	merged := fed.MergedLog()
 	merged.Append(merged.Row(0)...)
-	if _, err := fed.Refresh(ctx, 2); err == nil || !strings.Contains(err.Error(), "Split") {
-		t.Fatalf("grown Join Refresh error = %v, want Split-only error", err)
+	_, err = fed.Refresh(ctx, 2)
+	if !errors.Is(err, federate.ErrUnsupported) {
+		t.Fatalf("grown Join Refresh error = %v, want errors.Is ErrUnsupported", err)
+	}
+	if !strings.Contains(err.Error(), "Split") {
+		t.Errorf("grown Join Refresh error = %q, want the Split-only message", err)
 	}
 }

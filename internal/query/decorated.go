@@ -97,13 +97,7 @@ func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo,
 // SupportDecorated returns COUNT(DISTINCT Log.Lid) of the decorated
 // template.
 func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {
-	n := 0
-	for _, ok := range ev.ExplainedRowsDecorated(dp) {
-		if ok {
-			n++
-		}
-	}
-	return n
+	return countTrue(ev.ExplainedRowsDecorated(dp))
 }
 
 // InstancesDecorated enumerates up to limit satisfying bindings for one

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math/bits"
 	"sync"
 
 	"repro/internal/relation"
@@ -13,7 +12,7 @@ import (
 // compiled ops (csr, idSet) and the per-row walk touch only those IDs. IDs
 // are handed out in encounter order and never change; an ID says nothing
 // about its value's rank, so every posting list is kept in Value order
-// explicitly (see planner.go) — which witness a first-witness walk finds,
+// explicitly (see lowered) — which witness a first-witness walk finds,
 // and so how many postings it consumes, must not depend on the order maps
 // happened to be iterated in.
 
@@ -51,7 +50,6 @@ func (d *dict) values() []relation.Value {
 // no postings.
 type csr struct {
 	off, to []uint32
-	keys    int // IDs with a non-empty list
 }
 
 func (c *csr) list(id uint32) []uint32 {
@@ -59,17 +57,6 @@ func (c *csr) list(id uint32) []uint32 {
 		return nil
 	}
 	return c.to[c.off[id]:c.off[id+1]]
-}
-
-// keySet returns the IDs with a non-empty list.
-func (c *csr) keySet() idSet {
-	s := newIDSet(len(c.off))
-	for id := 0; id+1 < len(c.off); id++ {
-		if c.off[id] != c.off[id+1] {
-			s.add(uint32(id))
-		}
-	}
-	return s
 }
 
 // idSet is a bitset over IDs; IDs beyond its length are absent.
@@ -81,15 +68,6 @@ func (s idSet) add(id uint32) { s[id>>6] |= 1 << (id & 63) }
 
 func (s idSet) has(id uint32) bool {
 	return int(id>>6) < len(s) && s[id>>6]&(1<<(id&63)) != 0
-}
-
-// each calls fn for every member in ascending ID order.
-func (s idSet) each(fn func(id uint32)) {
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			fn(uint32(i<<6 + bits.TrailingZeros64(w)))
-		}
-	}
 }
 
 // baseKey names one lowered projection of a table: the DISTINCT (a, b)
@@ -137,7 +115,7 @@ func (eng *engine) lowered(t *relation.Table, k baseKey) *base {
 				d.intern(w)
 			}
 		}
-		c := &csr{off: make([]uint32, len(d.vals)+1), keys: len(m)}
+		c := &csr{off: make([]uint32, len(d.vals)+1)}
 		for v, ws := range m {
 			c.off[d.ids[v]+1] = uint32(len(ws))
 		}
@@ -183,7 +161,7 @@ func (s *scratch) reset(ops []op, n int) {
 		s.memo = append(s.memo, nil)
 	}
 	for bi := range ops {
-		if isPairsOp(ops[bi]) && len(s.memo[bi]) < n {
+		if ops[bi].pairs != nil && len(s.memo[bi]) < n {
 			s.memo[bi] = make([]uint32, n)
 		}
 	}

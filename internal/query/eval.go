@@ -21,29 +21,36 @@
 // in one call — because compiled plans are cached, even they stop paying
 // compilation cost after the first evaluation of a condition set.
 //
+// There is one execution path. compile lowers a path into its hops in
+// declared order, over dictionary IDs (dict.go), and every evaluation walks
+// that chain depth-first to the first witness, memoizing sub-question
+// verdicts in the cursor's scratch (lazy.go). Nothing an evaluation computes
+// is retained on the engine.
+//
 // # Concurrency contract
 //
 // An Evaluator is split into two parts. The engine — the database binding,
-// the audited log, the start/end column projections, and the shared plan
-// cache — is created by NewEvaluatorWithLog and shared by every evaluator
-// cloned from it. The projections are immutable after construction; the plan
-// cache is guarded by an RWMutex (and per-entry sync.Once for compilation),
-// so any number of cursors may Prepare and evaluate concurrently, reusing
-// each other's compiled plans and backward feasibleStarts sets. The cache is
-// keyed by the path's canonical condition key and is dropped wholesale when
-// relation.Database.Version reports a mutation (AddTable, or Append on any
-// registered table).
+// the audited log, its start/end column projections, the value dictionary,
+// and the shared plan cache — is created by NewEvaluatorWithLog and shared
+// by every evaluator cloned from it. The plan cache is guarded by an RWMutex
+// (and per-entry sync.Once for compilation), so any number of cursors may
+// Prepare and evaluate concurrently, reusing each other's compiled plans.
+// The cache is keyed by the path's canonical condition key. A schema change
+// (relation.Database.SchemaVersion: AddTable) drops it wholesale; an append
+// drops only the plans that read the appended table; and an append to the
+// audited log drops none, because the log projections extend in place.
 //
-// The Evaluator itself is a cheap cursor over that engine: it carries only
-// the per-caller statistics counters, so Clone costs one small allocation. A
-// single cursor is NOT safe for concurrent use (its counters are plain
-// ints). The supported concurrent pattern is one cursor per goroutine: each
-// worker clones the evaluator, prepares (cheaply, through the shared cache)
-// the paths it needs, and evaluates — typically a disjoint log-row range via
-// ExplainedRange/ConnectedRange. The only additional requirement is the
-// table contract: no table reachable from the database may be Appended while
-// queries run (see relation.Table); mutations between query phases are
-// handled by the version-based cache invalidation.
+// The Evaluator itself is a cheap cursor over that engine: it carries the
+// per-caller statistics counters, the lazy walk's scratch memo and a cache
+// of compiled instance enumerators, the latter two built on first use, so
+// Clone costs one small allocation. A single cursor is NOT safe for
+// concurrent use. The supported concurrent pattern is one cursor per
+// goroutine: each worker clones the evaluator, prepares (cheaply, through
+// the shared cache) the paths it needs, and evaluates — typically a disjoint
+// log-row range via ExplainedRange/ConnectedRange. The only additional
+// requirement is the table contract: no table reachable from the database
+// may be Appended while queries run (see relation.Table); mutations between
+// query phases are handled by the cache invalidation above.
 package query
 
 import (
@@ -95,9 +102,8 @@ type engine struct {
 	// swapped any table wholesale. Pure appends do not touch the schema
 	// version; they are detected per entry through the compiled plan's table
 	// dependencies (cachedPlan.deps), so appending log rows leaves every
-	// plan that does not read the appended table — with its feasible-start
-	// set and reach memo — intact. Hit/miss counters are engine-wide atomics
-	// shared by all cursors.
+	// plan that does not read the appended table intact. Hit/miss counters
+	// are engine-wide atomics shared by all cursors.
 	planMu      sync.RWMutex
 	plans       map[string]*cachedPlan
 	planVersion uint64
@@ -120,59 +126,16 @@ type engine struct {
 	dictValues *obs.Gauge
 	planBytes  *obs.Gauge
 
-	// compileNanos is the query.plan.compile_nanos histogram: wall time of
-	// each plan compilation including the planner stage, observed only when
-	// obs.Enabled (the gate for anything that reads the clock).
+	// compileNanos is the query.plan.compile_nanos histogram: the wall time
+	// of every plan compilation, observed once per compiled plan. Its count
+	// and sum are PlanCacheStats.PlansPlanned and PlanNanos.
 	compileNanos *obs.Histogram
 
-	// reachCap is the per-plan bound on resident reach-memo entries (0 =
-	// unbounded); it is read when a plan entry is created, and
-	// SetReachMemoCap additionally pushes a new value into every
-	// already-cached plan. reachEvictions counts reach-memo evictions across
-	// every plan of the engine (query.reach.evictions).
-	reachCap       atomic.Int64
-	reachCapGauge  *obs.Gauge // query.reach.cap
-	reachEvictions *obs.Counter
-
-	// plannerOff disables the compile-time planner stage (see planner.go);
-	// the zero value — planner on — is the default. Stored inverted so the
-	// engine literal in NewEvaluatorWithLog needs no initialization.
-	plannerOff atomic.Bool
-
-	// lazyOff disables lazy (pull-based, first-witness) plan execution and
-	// routes evaluation through the materialized propagation oracle (see
-	// lazy.go). Stored inverted like plannerOff: the zero value — lazy on —
-	// is the default.
-	lazyOff atomic.Bool
-
-	// execOff disables per-op execution statistics (rows in/out, postings,
-	// memo hits — see exec.go). Stored inverted like plannerOff would be if
-	// it defaulted on, except exec stats default OFF: the zero value means
-	// disabled, and SetExecStats(true) turns collection on. Disabled cost is
-	// one atomic load per evaluation entry point plus a nil check per op
-	// visit.
+	// execOn enables per-op execution statistics (rows in/out, postings,
+	// memo hits — see exec.go); the zero value, disabled, is the default.
+	// Disabled cost is one atomic load per evaluation entry point plus a nil
+	// check per op visit.
 	execOn atomic.Bool
-
-	// planEndSide counts closed plans for which the planner chose end-side
-	// propagation (see planner.go); snapshotted by PlanCacheStats
-	// (query.plan.end_side).
-	planEndSide *obs.Counter
-
-	// Planner decision aggregates across every plan the engine compiled:
-	// plans run through the planner, greedy hop contractions applied, pairs
-	// dropped by backward-feasible pruning, and total planning wall time.
-	// Snapshotted by PlanCacheStats (query.plan.planned / .contractions /
-	// .pairs_pruned / .nanos).
-	plansPlanned     *obs.Counter
-	planContractions *obs.Counter
-	planPairsPruned  *obs.Counter
-	planNanos        *obs.Counter
-
-	// backwardPasses counts feasibleStarts evaluations engine-wide
-	// (query.feas.backward_passes) — the observable the feas-memo tests pin
-	// down: an open plan shared by ConnectedRange and Support callers must
-	// run its backward pass once, not once per Support call.
-	backwardPasses *obs.Counter
 
 	// Instance enumeration totals (query.instances.calls / .nodes /
 	// .bindings), flushed once per call from cursor-local ints: nodes ÷
@@ -192,23 +155,9 @@ func (eng *engine) initMetrics() {
 	eng.dictValues = reg.Gauge("query.dict.values")
 	eng.planBytes = reg.Gauge("query.plan.resident_bytes")
 	eng.compileNanos = reg.Histogram("query.plan.compile_nanos")
-	eng.reachCapGauge = reg.Gauge("query.reach.cap")
-	eng.reachEvictions = reg.Counter("query.reach.evictions")
-	eng.planEndSide = reg.Counter("query.plan.end_side")
-	eng.plansPlanned = reg.Counter("query.plan.planned")
-	eng.planContractions = reg.Counter("query.plan.contractions")
-	eng.planPairsPruned = reg.Counter("query.plan.pairs_pruned")
-	eng.planNanos = reg.Counter("query.plan.nanos")
-	eng.backwardPasses = reg.Counter("query.feas.backward_passes")
 	eng.instCalls = reg.Counter("query.instances.calls")
 	eng.instNodes = reg.Counter("query.instances.nodes")
 	eng.instBindings = reg.Counter("query.instances.bindings")
-}
-
-// backwardPass runs feasibleStarts and counts it on the engine.
-func (eng *engine) backwardPass(pl plan) valueSet {
-	eng.backwardPasses.Add(1)
-	return feasibleStarts(pl)
 }
 
 // Evaluator executes paths against one database. It is a cheap per-caller
@@ -276,8 +225,6 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 	appendProjRows(eng, pr, n)
 	eng.proj.Store(pr)
 	eng.projVersion.Store(log.AppendVersion())
-	eng.reachCap.Store(int64(defaultReachMemoCap(n)))
-	eng.reachCapGauge.Set(eng.reachCap.Load())
 	return &Evaluator{engine: eng}
 }
 
@@ -356,48 +303,6 @@ func (eng *engine) idProjections() *logProj {
 	return &next
 }
 
-// defaultReachMemoCap sizes the per-plan reach-memo bound off the audited
-// log's cardinality: a quarter of the log's rows, floored so small datasets
-// never evict. Distinct start values cannot exceed the row count, so the
-// memo stays a bounded fraction of the log while typical working sets (far
-// fewer distinct patients than rows) still fit without eviction.
-func defaultReachMemoCap(logRows int) int {
-	const floor = 1024
-	bound := logRows / 4
-	if bound < floor {
-		bound = floor
-	}
-	return bound
-}
-
-// SetReachMemoCap bounds how many forward-propagation results each compiled
-// plan may keep resident (the reach memo behind ExplainedRange); excess
-// entries are evicted clock-wise and transparently recomputed on the next
-// miss, so results never change — only memory and recomputation trade off.
-// A bound <= 0 removes the cap. The setting is engine-wide (shared by every
-// Clone) and applies to every plan: plans prepared later adopt it at
-// creation, and plans already in the cache are re-capped in place — a
-// lowered bound evicts their excess entries immediately (counted in
-// PlanCacheStats.ReachEvictions) instead of waiting for the next prepare.
-// The default is sized off the log's row count.
-func (ev *Evaluator) SetReachMemoCap(bound int) {
-	if bound < 0 {
-		bound = 0
-	}
-	eng := ev.engine
-	eng.reachCap.Store(int64(bound))
-	eng.reachCapGauge.Set(int64(bound))
-	eng.planMu.RLock()
-	defer eng.planMu.RUnlock()
-	for _, ent := range eng.plans {
-		ent.reach.setCap(bound)
-	}
-}
-
-// ReachMemoCap returns the configured per-plan reach-memo bound (0 =
-// unbounded).
-func (ev *Evaluator) ReachMemoCap() int { return int(ev.engine.reachCap.Load()) }
-
 // Clone returns a new cursor over the same immutable engine: same database,
 // log, and projections, but fresh statistics counters. The clone may be used
 // concurrently with the receiver and with other clones; this is the
@@ -434,7 +339,6 @@ const (
 )
 
 // op is one step of a compiled plan, over dictionary IDs (see dict.go).
-// Forward propagation feeds a value set through the ops in order.
 type op struct {
 	kind  opKind
 	table string
@@ -442,33 +346,11 @@ type op struct {
 	index idSet // opExists
 }
 
+// plan is a path's hops in declared order, walked from each row's start
+// value; a closed plan ends in opClose.
 type plan struct {
 	ops    []op
 	closed bool
-
-	// rev is the end-side execution chain — the ops inverted pair-by-pair
-	// and walked from the close boundary back to the start — built by the
-	// planner for closed plans whose end boundary is clearly smaller than
-	// their start boundary (see planner.go). It is nil when the start side
-	// was kept. Only lazy execution walks it; the materialized oracle
-	// (propagate, the reach memo) always evaluates ops start-side, so the
-	// oracle's observables are independent of the side choice.
-	rev []op
-
-	// info records the planner's decisions when the planner stage ran on
-	// this plan (see planner.go); it is the zero value for declared-order
-	// plans.
-	info PlanInfo
-}
-
-// execOps returns the op chain lazy execution walks and whether the (start,
-// end) roles must be swapped before walking it — true when the planner
-// chose the end-side chain.
-func (pl plan) execOps() ([]op, bool) {
-	if pl.rev != nil {
-		return pl.rev, true
-	}
-	return pl.ops, false
 }
 
 // compile lowers a path into a plan. It panics on malformed paths because
@@ -506,87 +388,6 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 		panic("query: plan/path closed-state mismatch")
 	}
 	return pl
-}
-
-// valueSet is the materialized oracle's set of dictionary IDs.
-type valueSet map[uint32]struct{}
-
-func (s valueSet) has(v uint32) bool { _, ok := s[v]; return ok }
-
-// propagate feeds the singleton {start} forward through every op except a
-// trailing opClose, returning the reachable value set at the end, and counts
-// per-op execution into el when collection is on (el != nil). Materialized
-// execution always walks pl.ops start-side, so counters index the declared
-// chain.
-func propagate(pl plan, start uint32, el *execLocal) valueSet {
-	cur := valueSet{start: {}}
-	for i, o := range pl.ops {
-		if el != nil {
-			el.rowsIn[i] += int64(len(cur))
-		}
-		if o.kind == opClose {
-			if el != nil {
-				el.rowsOut[i] += int64(len(cur))
-			}
-			return cur
-		}
-		next := make(valueSet)
-		for v := range cur {
-			if o.kind == opExists {
-				if o.index.has(v) {
-					next[v] = struct{}{}
-				}
-				continue
-			}
-			ws := o.pairs.list(v)
-			if el != nil {
-				el.postings[i] += int64(len(ws))
-			}
-			for _, w := range ws {
-				next[w] = struct{}{}
-			}
-		}
-		cur = next
-		if el != nil {
-			el.rowsOut[i] += int64(len(cur))
-		}
-		if len(cur) == 0 {
-			return cur
-		}
-	}
-	return cur
-}
-
-// feasibleStarts computes, via backward propagation over whole columns, the
-// set of start values from which the chain of a non-closed plan can be
-// satisfied. This evaluates an open path's support in time linear in the
-// total number of distinct pairs, independent of the log size.
-func feasibleStarts(pl plan) valueSet {
-	// Walk ops backward, maintaining the set of values at each boundary that
-	// can still reach the end. The final op of an open plan is opExists (or
-	// a bridge/map chain ending the path at its last instance's entry).
-	feasible := valueSet(nil) // nil means "unconstrained"
-	for i := len(pl.ops) - 1; i >= 0; i-- {
-		o := pl.ops[i]
-		next := make(valueSet)
-		switch o.kind {
-		case opExists:
-			o.index.each(func(v uint32) { next[v] = struct{}{} })
-		case opMap, opBridge:
-			o.pairs.keySet().each(func(v uint32) {
-				for _, w := range o.pairs.list(v) {
-					if feasible == nil || feasible.has(w) {
-						next[v] = struct{}{}
-						break
-					}
-				}
-			})
-		case opClose:
-			panic("query: feasibleStarts called on closed plan")
-		}
-		feasible = next
-	}
-	return feasible
 }
 
 // Support returns COUNT(DISTINCT Log.Lid) for the path's support query: for

@@ -11,12 +11,6 @@ import "sync/atomic"
 // plain-int increments and the shared state one atomic add per op per call.
 // When collection is disabled — the default — the cost is one atomic load
 // per evaluation entry point plus a nil check per op visit.
-//
-// The counters describe the chain the evaluation actually walked: the
-// planner's end-side (inverted) chain when one was chosen and lazy execution
-// is on, the declared start-side ops otherwise. The two chains have the same
-// length (chooseEndSide inverts pair-by-pair), so one array serves both;
-// ExecTrace labels the snapshot with the chain the current mode executes.
 
 // SetExecStats toggles per-op execution statistics for evaluations after
 // the call; the default is disabled. Counters accumulate on the shared plan
@@ -44,8 +38,7 @@ type execStats struct {
 type OpExec struct {
 	// Kind is the op's step type: "bridge", "map", "exists", or "close".
 	Kind string
-	// Table is the table (or contracted table chain) the op reads; empty for
-	// the closing comparison.
+	// Table is the table the op reads; empty for the closing comparison.
 	Table string
 	// RowsIn counts values entering the op; RowsOut counts values that
 	// qualified (passed the filter, found a witness downstream, or matched
@@ -54,21 +47,15 @@ type OpExec struct {
 	// Postings counts pair-list entries the op consumed — the same events
 	// Evaluator.PostingsScanned counts, attributed per op.
 	Postings int64
-	// MemoHits counts evaluations answered from a memo instead of walking:
-	// the lazy verdict memo at this op, or (materialized mode, eval off) the
-	// shared reach memo, charged to the first op because the whole walk was
-	// skipped.
+	// MemoHits counts sub-questions at this op answered from the walk's
+	// verdict memo instead of walking.
 	MemoHits int64
 }
 
 // ExecTrace is the EXPLAIN ANALYZE-style execution report of one prepared
 // plan: per-op counters in execution order.
 type ExecTrace struct {
-	// EndSide reports that the ops describe the planner's inverted end-side
-	// chain (see PlanInfo.EndSide); rows then flow from each log row's end
-	// value toward its start value.
-	EndSide bool
-	Ops     []OpExec
+	Ops []OpExec
 }
 
 // ExecTrace snapshots the accumulated per-op execution statistics of the
@@ -79,11 +66,8 @@ func (pp *Prepared) ExecTrace() ExecTrace {
 	if st == nil {
 		return ExecTrace{}
 	}
-	ops, swap := pp.ent.pl.ops, false
-	if pp.ev.engine.lazyEval() {
-		ops, swap = pp.ent.pl.execOps()
-	}
-	tr := ExecTrace{EndSide: swap, Ops: make([]OpExec, len(ops))}
+	ops := pp.ent.pl.ops
+	tr := ExecTrace{Ops: make([]OpExec, len(ops))}
 	for i := range ops {
 		c := &st.ops[i]
 		tr.Ops[i] = OpExec{

@@ -5,6 +5,11 @@ import (
 	"repro/internal/relation"
 )
 
+// ScanRows is the per-row form of SupportScan: the index-free nested join's
+// verdict for every audited row, the reference the engine's row masks are
+// pinned to.
+func (ev *Evaluator) ScanRows(p pathmodel.Path) []bool { return ev.nestedRows(p, false) }
+
 // InstancesReference is the blind depth-first search Instances ran before
 // the compiled enumerator replaced it, kept verbatim as the differential
 // oracle: it walks forward from Log.Patient resolving every table, index

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/pathmodel"
@@ -107,8 +108,9 @@ func fuzzPath(f *fuzzBytes) (pathmodel.Path, bool) {
 //   - db2 holds identical data but evaluates in the opposite order, so
 //     Support runs against caches populated (or not) differently.
 //
-// All five counts must agree, and for closed (open) paths Support must equal
-// the popcount of ExplainedRows (ConnectedRows). This is the index-on ==
+// All five counts must agree, the full ExplainedRows (ConnectedRows) mask of
+// a closed (open) path must equal the nested join's per-row verdicts
+// (ScanRows), and Support must equal its popcount. This is the index-on ==
 // index-off oracle: SupportScan never touches the index caches at all. On
 // closed paths the same random schemas also pin Instances to the blind
 // reference search (see assertInstancesMatchReference).
@@ -147,19 +149,11 @@ func FuzzSupportAgreement(f *testing.F) {
 				p.String(), s1, s2, n1, n2, x1, x2)
 		}
 
-		var mask []bool
-		if p.Closed() {
-			mask = ev1.ExplainedRows(p)
-		} else {
-			mask = ev1.ConnectedRows(p)
+		mask := engineRows(ev1, p)
+		if ref := ev2.ScanRows(p); !reflect.DeepEqual(mask, ref) {
+			t.Fatalf("path %q: mask %v, nested join %v", p.String(), mask, ref)
 		}
-		pop := 0
-		for _, b := range mask {
-			if b {
-				pop++
-			}
-		}
-		if pop != s1 {
+		if pop := popcount(mask); pop != s1 {
 			t.Fatalf("path %q: Support=%d but mask popcount=%d", p.String(), s1, pop)
 		}
 		if p.Closed() {

@@ -1,40 +1,15 @@
 package query
 
-// This file is the lazy execution engine: pull-based, first-witness
-// evaluation of compiled plans, the default since the iterator refactor.
-// Where the materialized path (propagate / feasibleStarts) builds a full
-// value set per hop boundary and retains propagation results in the shared
-// reach memo, lazy execution answers each per-row question — "does this
-// row's end value lie in the start value's reach?" — with a depth-first
-// walk over the plan's pairs lists that stops at the first witness chain.
-// Nothing is retained on the engine: verdicts are memoized per call in the
-// cursor's scratch (dict.go) — each (boundary, value) sub-question of an
-// open plan, each (boundary, value, end) of a closed one, is walked once per
-// call however many rows raise it — which keeps dense plans from degrading
-// and drops peak retained heap on deep paths by the measured multiple.
-//
-// The materialized path remains fully intact as a differential oracle:
-// SetLazyEval(false) routes Prepared.Support, ExplainedRange, and
-// ConnectedRange through propagate / feasibleStarts / the reach memo
-// exactly as before, and the lazy differential tests pin the two modes —
-// plus the index-free SupportScan and the declared-order planner oracle —
-// byte-identical on the full catalog and on fuzzed random paths.
-
-// SetLazyEval toggles lazy (pull-based, first-witness) plan execution for
-// evaluations after the call; the default is enabled. Disabling it routes
-// evaluation through the materialized propagation path — the differential
-// oracle — which also re-enables the shared reach memo and feasible-start
-// memo that lazy execution deliberately leaves untouched. Compiled plans
-// are mode-independent, so toggling does not invalidate the plan cache.
-// The setting is engine-wide: every Clone shares it.
-func (ev *Evaluator) SetLazyEval(on bool) {
-	ev.engine.lazyOff.Store(!on)
-}
-
-// LazyEval reports whether lazy plan execution is enabled.
-func (ev *Evaluator) LazyEval() bool { return ev.engine.lazyEval() }
-
-func (eng *engine) lazyEval() bool { return !eng.lazyOff.Load() }
+// This file is the execution engine: pull-based, first-witness evaluation of
+// compiled plans. Each per-row question — "does this row's end value lie in
+// the start value's reach?" — is answered by a depth-first walk over the
+// plan's pairs lists in declared hop order that stops at the first witness
+// chain. Nothing is retained on the engine: verdicts are memoized per call
+// in the cursor's scratch (dict.go) — each (boundary, value) sub-question of
+// an open plan, each (boundary, value, end) of a closed one, is walked once
+// per call however many rows raise it. The nested join behind SupportNaive
+// and SupportScan (naive.go) is the independent reference the differential
+// tests pin this walk to, row by row.
 
 // lazyWalk is the state of one lazy evaluation: the op chain to walk, the
 // cursor's stamped verdict memo and postings counter. Nothing lands on the
@@ -51,9 +26,8 @@ type lazyWalk struct {
 // plan, arriving at exactly end? It stops at the first witness. Filter ops
 // (opExists, opClose) advance iteratively; only branching pairs ops recurse
 // and memoize, under the scratch's current generation. A value that survives
-// every op of an open chain — including a trailing opExists, or a final
-// pairs op the planner pruned against an absorbed exists index — completes
-// the path; a closed chain always ends at its opClose.
+// every op of an open chain completes the path; a closed chain always ends
+// at its opClose.
 func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 	for {
 		if bi == len(lw.ops) {
@@ -111,7 +85,7 @@ func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 	}
 }
 
-// evalLazy classifies the log rows [lo, hi) with the lazy walk, stores the
+// eval classifies the log rows [lo, hi) with the lazy walk, stores the
 // verdicts in out when it is non-nil (out[i] is row lo+i) and returns how
 // many rows qualified. An open plan asks one question per row under a
 // single memo generation. A closed plan's question also names the row's
@@ -121,12 +95,9 @@ func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 // sub-question is still answered once per call and the sub-questions a row
 // raises do not depend on when it is visited, so verdicts, postings and
 // exec counters are those of a log-order walk.
-func (pp *Prepared) evalLazy(lo, hi int, out []bool) int {
+func (pp *Prepared) eval(lo, hi int, out []bool) int {
 	from, target := pp.orient()
-	ops, swap := pp.ent.pl.execOps()
-	if swap { // the end-side chain walks from the row's end value
-		from, target = target, from
-	}
+	ops := pp.ent.pl.ops
 	n := len(pp.ev.engine.dict.values())
 	s := &pp.ev.scratch
 	s.reset(ops, n)

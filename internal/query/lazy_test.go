@@ -3,6 +3,7 @@ package query_test
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/ehr"
@@ -14,23 +15,57 @@ import (
 	"repro/internal/schemagraph"
 )
 
-// lazyOraclePair returns two independent engines over the same database:
-// one with lazy iterator execution on (the default) and one running the
-// materialized valueSet propagation — the differential oracle lazy
-// evaluation is tested against.
-func lazyOraclePair(db *relation.Database) (lazy, mat *query.Evaluator) {
-	lazy = query.NewEvaluator(db)
-	mat = query.NewEvaluator(db)
-	mat.SetLazyEval(false)
-	return lazy, mat
+// popcount returns the number of true rows in a mask.
+func popcount(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
-// TestLazyDifferentialCatalog is the tentpole's acceptance differential: on
-// three differently seeded hospitals, every template of the full
-// hand-crafted catalog must evaluate byte-identically under lazy iterator
-// execution and under the materialized oracle — supports, full masks, and
-// masks sharded across j ∈ {1, 4} concurrent workers — with the index-free
-// SupportScan as a third, plan-free oracle. It also asserts the lazy
+// engineRows evaluates p's full row mask through the engine: ExplainedRows
+// for a closed path, ConnectedRows for an open one.
+func engineRows(ev *query.Evaluator, p pathmodel.Path) []bool {
+	if p.Closed() {
+		return ev.ExplainedRows(p)
+	}
+	return ev.ConnectedRows(p)
+}
+
+// shardedRows evaluates pp's full row mask as j disjoint ranges on
+// concurrently running cloned cursors and concatenates them.
+func shardedRows(t *testing.T, ev *query.Evaluator, pp *query.Prepared, j int) []bool {
+	t.Helper()
+	n := ev.Log().NumRows()
+	out := make([]bool, n)
+	var wg sync.WaitGroup
+	for w := 0; w < j; w++ {
+		lo, hi := n*w/j, n*(w+1)/j
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := ev.Clone().Prepare(pp.Path())
+			var part []bool
+			if cl.Closed() {
+				part = cl.ExplainedRange(lo, hi)
+			} else {
+				part = cl.ConnectedRange(lo, hi)
+			}
+			copy(out[lo:hi], part)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestLazyDifferentialCatalog pins the engine row by row against a second
+// algorithm: on three differently seeded hospitals, every template of the
+// full hand-crafted catalog must give the same verdict for every log row as
+// the index-free nested join (ScanRows) — whole-log masks, masks sharded
+// across j ∈ {1, 4} concurrent workers, and supports. It also asserts the
 // engine actually consumed postings, so the comparison is not vacuous.
 func TestLazyDifferentialCatalog(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -39,49 +74,34 @@ func TestLazyDifferentialCatalog(t *testing.T) {
 		ds := ehr.Generate(cfg)
 		h := groups.BuildHierarchy(groups.BuildUserGraph(ds.Log()), 8)
 		ds.DB.AddTable(h.Table("Groups"))
-		lazy, mat := lazyOraclePair(ds.DB)
+		ev := query.NewEvaluator(ds.DB)
 
 		for _, tpl := range explain.Handcrafted(true, true).All() {
 			pt, ok := tpl.(*explain.PathTemplate)
 			if !ok {
 				continue // the decorated repeat-access template has no simple path
 			}
-			pLazy, pMat := lazy.Prepare(pt.Path), mat.Prepare(pt.Path)
-
-			if got, want := pLazy.Support(), pMat.Support(); got != want {
-				t.Errorf("seed %d, %s: lazy Support = %d, materialized = %d", seed, pt.Name(), got, want)
-			}
-			if got, want := pLazy.Support(), lazy.SupportScan(pt.Path); got != want {
-				t.Errorf("seed %d, %s: lazy Support = %d, SupportScan = %d", seed, pt.Name(), got, want)
-			}
-
-			var want []bool
-			if pMat.Closed() {
-				want = pMat.ExplainedRows()
-			} else {
-				want = pMat.ConnectedRows()
+			want := ev.ScanRows(pt.Path)
+			pp := ev.Prepare(pt.Path)
+			if got := pp.Support(); got != popcount(want) {
+				t.Errorf("seed %d, %s: Support = %d, nested join = %d", seed, pt.Name(), got, popcount(want))
 			}
 			for _, j := range []int{1, 4} {
-				got := shardedRows(t, lazy, pLazy, j)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d, %s, j=%d: lazy mask differs from materialized oracle",
-						seed, pt.Name(), j)
+				if got := shardedRows(t, ev, pp, j); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d, %s, j=%d: mask differs from the nested join", seed, pt.Name(), j)
 				}
 			}
 		}
-		if lazy.PostingsScanned() == 0 {
-			t.Errorf("seed %d: lazy engine consumed no postings — differential is vacuous", seed)
-		}
-		if mat.PostingsScanned() != 0 {
-			t.Errorf("seed %d: materialized oracle consumed %d postings", seed, mat.PostingsScanned())
+		if ev.PostingsScanned() == 0 {
+			t.Errorf("seed %d: engine consumed no postings — differential is vacuous", seed)
 		}
 	}
 }
 
 // TestLazyDifferentialRandomPaths drives the property over random structure:
 // three seeds, each seeding a stream of random databases and random path
-// walks (the fuzz corpus machinery). Lazy and materialized evaluation must
-// agree on support and on the full row mask, with SupportScan agreeing too.
+// walks (the fuzz corpus machinery). The engine's full row mask must equal
+// the nested join's, and Support its popcount.
 func TestLazyDifferentialRandomPaths(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		r := rand.New(rand.NewSource(seed))
@@ -96,26 +116,15 @@ func TestLazyDifferentialRandomPaths(t *testing.T) {
 				continue
 			}
 			paths++
-			lazy, mat := lazyOraclePair(db)
-
-			sLazy, sMat := lazy.Support(p), mat.Support(p)
-			if sLazy != sMat {
-				t.Fatalf("seed %d trial %d path %q: lazy Support = %d, materialized = %d",
-					seed, trial, p.String(), sLazy, sMat)
+			ev := query.NewEvaluator(db)
+			want := ev.ScanRows(p)
+			if got := ev.Support(p); got != popcount(want) {
+				t.Fatalf("seed %d trial %d path %q: Support = %d, nested join = %d",
+					seed, trial, p.String(), got, popcount(want))
 			}
-			if scan := lazy.SupportScan(p); scan != sLazy {
-				t.Fatalf("seed %d trial %d path %q: Support = %d, SupportScan = %d",
-					seed, trial, p.String(), sLazy, scan)
-			}
-			var mLazy, mMat []bool
-			if p.Closed() {
-				mLazy, mMat = lazy.ExplainedRows(p), mat.ExplainedRows(p)
-			} else {
-				mLazy, mMat = lazy.ConnectedRows(p), mat.ConnectedRows(p)
-			}
-			if !reflect.DeepEqual(mLazy, mMat) {
-				t.Fatalf("seed %d trial %d path %q: lazy mask differs from materialized oracle",
-					seed, trial, p.String())
+			if got := engineRows(ev, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d trial %d path %q: mask %v, nested join %v",
+					seed, trial, p.String(), got, want)
 			}
 		}
 		if paths < 20 {
@@ -161,16 +170,13 @@ func fanoutPath(t *testing.T) pathmodel.Path {
 // TestInstancesLimitBoundsPostings pins the short-circuit contract: with the
 // single matching appointment sorting first among 4000 candidates,
 // Instances(limit=1) must stop after a handful of postings, while the
-// unlimited enumeration of the same row consumes the whole fanout. (The
-// planner is disabled so the hop fanout survives into the executed chain —
-// pruning would otherwise shrink the pair lists before enumeration.)
+// unlimited enumeration of the same row consumes the whole fanout.
 func TestInstancesLimitBoundsPostings(t *testing.T) {
 	const extra = 4000
 	db := fanoutDB(extra)
 	p := fanoutPath(t)
 
 	ev := query.NewEvaluator(db)
-	ev.SetPlannerEnabled(false)
 	got := ev.Instances(p, 0, 1)
 	if len(got) != 1 {
 		t.Fatalf("Instances(limit=1) returned %d bindings, want 1", len(got))
@@ -181,78 +187,11 @@ func TestInstancesLimitBoundsPostings(t *testing.T) {
 	}
 
 	all := query.NewEvaluator(db)
-	all.SetPlannerEnabled(false)
 	if n := len(all.Instances(p, 0, extra+10)); n != 1 {
 		t.Fatalf("exhaustive Instances returned %d bindings, want 1", n)
 	}
 	if scanned := all.PostingsScanned(); scanned <= extra {
 		t.Errorf("exhaustive Instances consumed only %d postings, want > %d — fixture lost its fanout",
 			scanned, extra)
-	}
-}
-
-// endSideDB builds a closed-path fixture with 300 distinct start values all
-// funneling into 3 doctors (and 3 audit ids): the shape whose end boundary
-// is far smaller than its start boundary, so the planner should choose
-// end-side propagation.
-func endSideDB() *relation.Database {
-	db := relation.NewDatabase()
-	log := relation.NewTable("Log", "Lid", "Date", "User", "Patient")
-	for i := 0; i < 40; i++ {
-		user := int64(100 + i%4) // ids 100..102 resolve, 103 never does
-		log.Append(relation.Int(int64(i)), relation.Int(1), relation.Int(user), relation.Int(int64(i%50)))
-	}
-	db.AddTable(log)
-
-	a := relation.NewTable("A", "P", "D")
-	for p := 0; p < 300; p++ {
-		a.Append(relation.Int(int64(p)), relation.Int(int64(10+p%3)))
-	}
-	db.AddTable(a)
-
-	m := relation.NewTable("M", "F", "T")
-	for d := 0; d < 3; d++ {
-		m.Append(relation.Int(int64(10+d)), relation.Int(int64(100+d)))
-	}
-	db.AddTable(m)
-	return db
-}
-
-// TestLazyEndSidePropagation pins the cost-based propagation choice: on the
-// many-starts/few-ends chain the planner reports the boundary sizes backward
-// pruning computed, chooses end-side execution, and the lazy walk over the
-// reversed chain still classifies every row exactly like the materialized
-// start-side oracle.
-func TestLazyEndSidePropagation(t *testing.T) {
-	db := endSideDB()
-	bridge := &schemagraph.Bridge{Table: "M", FromColumn: "F", ToColumn: "T"}
-	p := mustPath(t,
-		schemagraph.Edge{From: pathmodel.StartAttr(), To: attr("A", "P"), Kind: schemagraph.KeyFK},
-		schemagraph.Edge{From: attr("A", "D"), To: pathmodel.EndAttr(), Kind: schemagraph.KeyFK, Via: bridge},
-	)
-
-	lazy, mat := lazyOraclePair(db)
-	pLazy, pMat := lazy.Prepare(p), mat.Prepare(p)
-
-	info := pLazy.PlanInfo()
-	if !info.EndSide {
-		t.Fatalf("planner kept start-side propagation: %+v", info)
-	}
-	if info.BoundaryStart != 300 || info.BoundaryEnd != 3 {
-		t.Errorf("boundaries = %d -> %d, want 300 -> 3", info.BoundaryStart, info.BoundaryEnd)
-	}
-	if st := lazy.PlanCacheStats(); st.PlanEndSide != 1 {
-		t.Errorf("PlanEndSide = %d, want 1", st.PlanEndSide)
-	}
-
-	want := pMat.ExplainedRows()
-	if got := pLazy.ExplainedRows(); !reflect.DeepEqual(got, want) {
-		t.Error("end-side lazy mask differs from start-side materialized oracle")
-	}
-	if got, wantS := pLazy.Support(), pMat.Support(); got != wantS {
-		t.Errorf("end-side lazy Support = %d, materialized = %d", got, wantS)
-	}
-	if lazy.PostingsScanned() == 0 {
-		t.Error("end-side evaluation consumed no postings")
 	}
 }

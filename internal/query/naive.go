@@ -14,7 +14,7 @@ import (
 // of linear scans. It is the differential oracle for tests: Support and
 // SupportNaive must always agree. For the fully index-free baseline see
 // SupportScan.
-func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return ev.supportNested(p, true) }
+func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return countTrue(ev.nestedRows(p, true)) }
 
 // SupportScan is the fully unoptimized baseline: the same per-row nested
 // join as SupportNaive, but every hop is resolved with a full linear scan of
@@ -23,12 +23,24 @@ func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return ev.supportNeste
 // as a second differential oracle (Support == SupportNaive == SupportScan);
 // it never touches the tables' lazy index caches, so it also validates
 // results independently of index construction.
-func (ev *Evaluator) SupportScan(p pathmodel.Path) int { return ev.supportNested(p, false) }
+func (ev *Evaluator) SupportScan(p pathmodel.Path) int { return countTrue(ev.nestedRows(p, false)) }
 
-// supportNested is the nested join behind SupportNaive (indexed) and
-// SupportScan: it counts the audited rows from whose start value some tuple
-// chain satisfies every condition of p.
-func (ev *Evaluator) supportNested(p pathmodel.Path, indexed bool) int {
+// countTrue returns the number of true verdicts.
+func countTrue(rows []bool) int {
+	n := 0
+	for _, ok := range rows {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
+// nestedRows is the nested join behind SupportNaive (indexed) and
+// SupportScan: one verdict per audited row, true when some tuple chain from
+// the row's start value satisfies every condition of p (closing at the
+// row's end value).
+func (ev *Evaluator) nestedRows(p pathmodel.Path, indexed bool) []bool {
 	insts := p.Instances()
 	conds := p.Conds()
 	starts, ends := ev.orient(p)
@@ -84,11 +96,9 @@ func (ev *Evaluator) supportNested(p pathmodel.Path, indexed bool) int {
 		return match(bt, c.Via.FromColumn, current, func(row []relation.Value) bool { return step(row[ti]) })
 	}
 
-	n := 0
+	out := make([]bool, len(starts))
 	for r := range starts {
-		if exists(0, starts[r], ends[r]) {
-			n++
-		}
+		out[r] = exists(0, starts[r], ends[r])
 	}
-	return n
+	return out
 }

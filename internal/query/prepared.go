@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
@@ -16,9 +14,7 @@ import (
 // handle returned by Evaluator.Prepare. The compiled plan behind it lives in
 // the engine-level plan cache and is shared by every cursor cloned from the
 // same evaluator, so preparing the same path (or any path with the same
-// canonical condition set) on any cursor reuses one compilation, and the
-// backward feasibleStarts set of an open plan is likewise computed once and
-// shared.
+// canonical condition set) on any cursor reuses one compilation.
 //
 // A Prepared is as concurrency-safe as the cursor it came from: the shared
 // plan entry may be read from any number of goroutines, but the handle
@@ -44,45 +40,24 @@ type Prepared struct {
 // drops the whole cache, while row appends invalidate only the entries
 // whose compiled plans snapshotted the appended table (each entry records
 // the version of every table it read at compile time). Appending audited
-// log rows therefore costs nothing here: plans, feasible-start sets, and
-// reach memos all survive, and only the log-column projections extend.
-// Callers holding a *Prepared across a mutation should re-Prepare — the
-// handle pins its compile-time snapshot.
+// log rows therefore costs nothing here: plans survive, and only the
+// log-column projections extend. Callers holding a *Prepared across a
+// mutation should re-Prepare — the handle pins its compile-time snapshot.
 func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
 	key := p.CanonicalKey()
 	for {
 		ent := ev.engine.planEntry(key)
 		ent.compileOnce.Do(func() {
-			// Compile wall time feeds the query.plan.compile_nanos histogram,
-			// but only when observability is on — the disabled path never
-			// reads the clock.
-			var t0 time.Time
-			timed := obs.Enabled()
-			if timed {
-				t0 = time.Now()
-			}
-			pl := ev.compile(p)
-			if !ev.engine.plannerOff.Load() {
-				// Planner stage: prune and contract the declared-order chain
-				// using the compile-time projections (see planner.go). Runs
-				// inside the Once, so each cached plan is planned exactly
-				// once and every cursor shares the planned chain.
-				pl = ev.planPlan(pl)
-			}
-			ent.pl = pl
-			// The per-op execution tally is sized here, once: the planner's
-			// end-side chain (when chosen) inverts pair-by-pair, so one array
-			// of len(ops) counters serves whichever chain execution walks.
-			ent.exec = &execStats{ops: make([]opExecCounters, len(pl.ops))}
+			t0 := time.Now()
+			ent.pl = ev.compile(p)
+			ent.exec = &execStats{ops: make([]opExecCounters, len(ent.pl.ops))}
 			ent.forward = p.Forward()
 			// Record the version of every table the compilation read. The
 			// table contract forbids concurrent appends, so these are the
 			// versions the snapshotted indexes and projections reflect.
 			ent.deps = ev.planDeps(p)
 			ev.engine.countResident(key, ent)
-			if timed {
-				ev.engine.compileNanos.Observe(time.Since(t0).Nanoseconds())
-			}
+			ev.engine.compileNanos.Observe(time.Since(t0).Nanoseconds())
 		})
 		if ent.fresh() {
 			return &Prepared{ev: ev, path: p, ent: ent}
@@ -124,11 +99,6 @@ func (pp *Prepared) Path() pathmodel.Path { return pp.path }
 // Closed reports whether the prepared path is closed (reaches Log.User).
 func (pp *Prepared) Closed() bool { return pp.ent.pl.closed }
 
-// PlanInfo returns the planner's recorded decisions for the shared plan
-// behind this handle; the zero value (Planned == false) means the plan is
-// the declared-order chain (planner disabled).
-func (pp *Prepared) PlanInfo() PlanInfo { return pp.ent.pl.info }
-
 // orient returns the per-row start and end ID columns for the orientation
 // the shared plan was compiled in. Two paths with equal canonical keys can
 // differ in orientation (a closed path and its reverse impose the same
@@ -144,19 +114,6 @@ func (pp *Prepared) orient() (starts, ends []uint32) {
 	return pr.userID, pr.patientID
 }
 
-// feasible returns the open plan's feasible-start set, computing it once per
-// cache entry and sharing it across all cursors. feasDone is published after
-// the set so Support's opportunistic peek never observes a half-written
-// memo.
-func (pp *Prepared) feasible() valueSet {
-	ent := pp.ent
-	ent.feasOnce.Do(func() {
-		ent.feas = pp.ev.engine.backwardPass(ent.pl)
-		ent.feasDone.Store(true)
-	})
-	return ent.feas
-}
-
 // checkRange validates a half-open row range against the audited log.
 func (pp *Prepared) checkRange(lo, hi int) {
 	if n := len(pp.ev.projections().patients); lo < 0 || hi < lo || hi > n {
@@ -166,49 +123,10 @@ func (pp *Prepared) checkRange(lo, hi int) {
 }
 
 // Support returns COUNT(DISTINCT Log.Lid) of the prepared path's support
-// query, exactly as Evaluator.Support but without recompiling. Its
-// propagation state (the open path's feasible-start set, the closed path's
-// reach memo) is call-local rather than cached on the shared plan entry —
-// see the cachedPlan comment for why.
+// query, exactly as Evaluator.Support but without recompiling.
 func (pp *Prepared) Support() int {
 	pp.ev.queriesEvaluated++
-	if pp.ev.engine.lazyEval() {
-		return pp.evalLazy(0, len(pp.ev.projections().patients), nil)
-	}
-	starts, ends := pp.orient()
-	n := 0
-	if !pp.ent.pl.closed {
-		// Reuse the shared feasible-start memo when a ConnectedRange caller
-		// already populated it — the backward pass is the whole cost of an
-		// open-path support query. When the memo is cold, compute the set
-		// call-local instead of filling it: Support is the miner's hot path,
-		// and pinning a feasible-start set for every mined candidate in an
-		// engine-lifetime entry would grow memory without bound.
-		var f valueSet
-		if pp.ent.feasDone.Load() {
-			f = pp.ent.feas
-		} else {
-			f = pp.ev.engine.backwardPass(pp.ent.pl)
-		}
-		for _, sv := range starts {
-			if f.has(sv) {
-				n++
-			}
-		}
-		return n
-	}
-	reach := make(map[uint32]valueSet)
-	for r, sv := range starts {
-		set, ok := reach[sv]
-		if !ok {
-			set = propagate(pp.ent.pl, sv, nil)
-			reach[sv] = set
-		}
-		if set.has(ends[r]) {
-			n++
-		}
-	}
-	return n
+	return pp.eval(0, len(pp.ev.projections().patients), nil)
 }
 
 // ExplainedRows returns one boolean per log row: whether the closed path
@@ -227,32 +145,15 @@ func (pp *Prepared) ExplainedRange(lo, hi int) []bool {
 	if !pp.ent.pl.closed {
 		panic("query: ExplainedRange requires a closed path")
 	}
+	return pp.rangeRows(lo, hi)
+}
+
+// rangeRows classifies the rows [lo, hi) as one evaluated query.
+func (pp *Prepared) rangeRows(lo, hi int) []bool {
 	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
 	out := make([]bool, hi-lo)
-	if pp.ev.engine.lazyEval() {
-		// First-witness search per row; the shared reach memo is neither
-		// consulted nor filled, so a range evaluation retains nothing on the
-		// engine once it returns.
-		pp.evalLazy(lo, hi, out)
-		return out
-	}
-	starts, ends := pp.orient()
-	el := newExecLocal(pp.ev.engine, pp.ent.exec)
-	for r := lo; r < hi; r++ {
-		sv := starts[r]
-		set, ok := pp.ent.reach.get(sv)
-		if !ok {
-			set = propagate(pp.ent.pl, sv, el)
-			pp.ent.reach.put(sv, set)
-		} else if el != nil {
-			// A reach-memo hit skips the whole walk; charge it to the first
-			// op, where the walk would have started.
-			el.memoHits[0]++
-		}
-		out[r-lo] = set.has(ends[r])
-	}
-	el.flush()
+	pp.eval(lo, hi, out)
 	return out
 }
 
@@ -263,27 +164,13 @@ func (pp *Prepared) ConnectedRows() []bool {
 }
 
 // ConnectedRange is the range form of ConnectedRows over [lo, hi): element i
-// is ConnectedRows()[lo+i]. The feasible-start set is computed once per
-// shared plan entry, so sharding an indicator across workers costs one
-// backward propagation total, not one per shard. It panics on closed paths
-// and out-of-bounds ranges.
+// is ConnectedRows()[lo+i]. It panics on closed paths and out-of-bounds
+// ranges.
 func (pp *Prepared) ConnectedRange(lo, hi int) []bool {
 	if pp.ent.pl.closed {
 		panic("query: ConnectedRange requires an open path")
 	}
-	pp.checkRange(lo, hi)
-	pp.ev.queriesEvaluated++
-	out := make([]bool, hi-lo)
-	if pp.ev.engine.lazyEval() {
-		pp.evalLazy(lo, hi, out)
-		return out
-	}
-	starts, _ := pp.orient()
-	f := pp.feasible()
-	for r := lo; r < hi; r++ {
-		out[r-lo] = f.has(starts[r])
-	}
-	return out
+	return pp.rangeRows(lo, hi)
 }
 
 // Instances enumerates up to limit explanation instances of the prepared
@@ -292,11 +179,11 @@ func (pp *Prepared) Instances(logRow, limit int) []InstanceBinding {
 	return pp.ev.Instances(pp.path, logRow, limit)
 }
 
-// cachedPlan is one entry of the engine-level plan cache: the compiled plan,
-// the orientation it was compiled in, and (for open plans, lazily) the
-// backward feasibleStarts set. Entries are installed empty under the cache
-// lock and filled exactly once via compileOnce, so concurrent Prepare calls
-// for the same key block on one compilation instead of duplicating it.
+// cachedPlan is one entry of the engine-level plan cache: the compiled plan
+// and the orientation it was compiled in. Entries are installed empty under
+// the cache lock and filled exactly once via compileOnce, so concurrent
+// Prepare calls for the same key block on one compilation instead of
+// duplicating it.
 type cachedPlan struct {
 	compileOnce sync.Once
 	pl          plan
@@ -317,36 +204,9 @@ type cachedPlan struct {
 	// current version means the plan's snapshotted indexes and DISTINCT
 	// projections are stale; Prepare then drops this entry alone. Plans
 	// whose dependencies did not change — in particular every plan during a
-	// pure audited-log append — stay cached along with their feasible-start
-	// sets and reach memos, which is what makes incremental auditing O(new
-	// rows) rather than O(recompile + re-propagate).
+	// pure audited-log append — stay cached, which is what makes incremental
+	// auditing O(new rows) rather than O(recompile).
 	deps []planDep
-
-	// feas memoizes the open plan's backward feasible-start set; reach
-	// memoizes forward propagation for closed plans (start value ->
-	// reachable end-value set). Both are shared by every cursor and shard,
-	// so when a template's mask is sharded across workers, the backward
-	// pass runs once and a patient whose rows span several shards is
-	// propagated once, not once per shard — without this, row-range
-	// sharding would redo most of the propagation work in every shard and
-	// scale poorly. The reach memo is bounded (engine reachCap, clock
-	// eviction — see reachCache) so a plan entry retains a working set, not
-	// one propagation per distinct start value for its whole life. Only the
-	// row-classification paths (ExplainedRows / ExplainedRange /
-	// ConnectedRows / ConnectedRange) populate it; Support keeps its
-	// propagation call-local because the miner's canonical-key support
-	// cache already ensures each candidate condition set is evaluated once,
-	// and pinning propagation sets for every mined candidate in an
-	// engine-lifetime cache would grow memory without bound. Racing workers
-	// may duplicate a reach propagation; the first put wins, and propagate
-	// is deterministic, so results are identical.
-	feasOnce sync.Once
-	feas     valueSet
-	// feasDone is set (after feas, inside the Once) when the shared memo is
-	// populated; Support peeks it to reuse the memo without ever filling it,
-	// and the atomic orders the peek against the Once body's write.
-	feasDone atomic.Bool
-	reach    *reachCache
 }
 
 // planDep is one compile-time table dependency of a cached plan.
@@ -387,7 +247,7 @@ func (eng *engine) dropPlan(key string, ent *cachedPlan) {
 // whatever removes a counted entry from the cache subtracts ent.bytes again.
 func (eng *engine) countResident(key string, ent *cachedPlan) {
 	n := 0
-	for _, o := range slices.Concat(ent.pl.ops, ent.pl.rev) {
+	for _, o := range ent.pl.ops {
 		if o.pairs != nil {
 			n += 4 * (len(o.pairs.off) + len(o.pairs.to))
 		}
@@ -435,7 +295,7 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 		return ent
 	}
 	eng.planMisses.Add(1)
-	ent := &cachedPlan{reach: newReachCache(int(eng.reachCap.Load()), eng.reachEvictions)}
+	ent := &cachedPlan{}
 	eng.plans[key] = ent
 	return ent
 }
@@ -470,42 +330,17 @@ func (ev *Evaluator) PlanCacheKeys() []string {
 	return keys
 }
 
-// PlanCacheStats is a snapshot of the engine-wide plan-cache counters:
-// lookup hits/misses, plus the bounded reach memo's eviction count, resident
-// entry total, and configured per-plan cap.
+// PlanCacheStats is a snapshot of the engine-wide plan-cache counters.
 type PlanCacheStats struct {
 	// Hits and Misses count plan-cache lookups (Prepare calls) across every
 	// cursor sharing the engine.
 	Hits, Misses int64
-	// ReachEvictions counts reach-memo entries evicted under the cap, summed
-	// over all plans for the life of the engine (it survives cache
-	// invalidation).
-	ReachEvictions int64
-	// ReachEntries is the number of propagation results currently resident
-	// across all cached plans' reach memos.
-	ReachEntries int
-	// ReachCap is the configured per-plan bound (0 = unbounded); see
-	// SetReachMemoCap.
-	ReachCap int
 
-	// ReachCapMin and ReachCapMax bound the per-engine caps folded into an
-	// aggregate snapshot; a single engine reports its own cap in both. They
-	// recover the range the -1 "mixed" ReachCap sentinel discards, so a
-	// federated display can still say what the shards are configured with.
-	// Aggregate with Add starting from a real snapshot, not the zero value —
-	// a zero-valued term would fold a spurious 0 into the min.
-	ReachCapMin, ReachCapMax int
-
-	// Planner aggregates (see planner.go): plans run through the planner
-	// stage, greedy hop contractions applied, pairs dropped by
-	// backward-feasible pruning, closed plans for which end-side
-	// propagation was chosen, and total planning wall time in nanoseconds.
-	// All zero when the planner is disabled.
-	PlansPlanned     int64
-	PlanContractions int64
-	PlanPairsPruned  int64
-	PlanEndSide      int64
-	PlanNanos        int64
+	// PlansPlanned counts the plans the engine compiled, and PlanNanos their
+	// total compile wall time in nanoseconds (every compilation is timed,
+	// once per plan).
+	PlansPlanned int64
+	PlanNanos    int64
 
 	// MaskHits, MaskRecomputes, and MaskExtensions count the auditing
 	// layer's template-mask cache outcomes: masks served as-is, masks built
@@ -517,33 +352,19 @@ type PlanCacheStats struct {
 	MaskHits, MaskRecomputes, MaskExtensions int64
 }
 
-// Add returns the element-wise aggregate of two snapshots: counters sum,
-// which is how a federation folds the plan caches of its per-shard engines
-// into one logical view. ReachCap is a configuration, not a counter: it is
-// kept when both snapshots agree and becomes -1 ("mixed") when they differ,
-// so an aggregate never silently reports one shard's cap as everyone's.
+// Add returns the element-wise sum of two snapshots, which is how a
+// federation folds the plan caches of its per-shard engines into one
+// logical view.
 func (s PlanCacheStats) Add(o PlanCacheStats) PlanCacheStats {
-	out := PlanCacheStats{
-		Hits:             s.Hits + o.Hits,
-		Misses:           s.Misses + o.Misses,
-		ReachEvictions:   s.ReachEvictions + o.ReachEvictions,
-		ReachEntries:     s.ReachEntries + o.ReachEntries,
-		ReachCap:         s.ReachCap,
-		ReachCapMin:      min(s.ReachCapMin, o.ReachCapMin),
-		ReachCapMax:      max(s.ReachCapMax, o.ReachCapMax),
-		PlansPlanned:     s.PlansPlanned + o.PlansPlanned,
-		PlanContractions: s.PlanContractions + o.PlanContractions,
-		PlanPairsPruned:  s.PlanPairsPruned + o.PlanPairsPruned,
-		PlanEndSide:      s.PlanEndSide + o.PlanEndSide,
-		PlanNanos:        s.PlanNanos + o.PlanNanos,
-		MaskHits:         s.MaskHits + o.MaskHits,
-		MaskRecomputes:   s.MaskRecomputes + o.MaskRecomputes,
-		MaskExtensions:   s.MaskExtensions + o.MaskExtensions,
+	return PlanCacheStats{
+		Hits:           s.Hits + o.Hits,
+		Misses:         s.Misses + o.Misses,
+		PlansPlanned:   s.PlansPlanned + o.PlansPlanned,
+		PlanNanos:      s.PlanNanos + o.PlanNanos,
+		MaskHits:       s.MaskHits + o.MaskHits,
+		MaskRecomputes: s.MaskRecomputes + o.MaskRecomputes,
+		MaskExtensions: s.MaskExtensions + o.MaskExtensions,
 	}
-	if s.ReachCap != o.ReachCap {
-		out.ReachCap = -1
-	}
-	return out
 }
 
 // PlanCacheStats returns the engine-wide plan-cache counters. Unlike the
@@ -551,26 +372,10 @@ func (s PlanCacheStats) Add(o PlanCacheStats) PlanCacheStats {
 // cursor counts here.
 func (ev *Evaluator) PlanCacheStats() PlanCacheStats {
 	eng := ev.engine
-	cap := int(eng.reachCap.Load())
-	st := PlanCacheStats{
-		Hits:             eng.planHits.Value(),
-		Misses:           eng.planMisses.Value(),
-		ReachEvictions:   eng.reachEvictions.Value(),
-		ReachCap:         cap,
-		ReachCapMin:      cap,
-		ReachCapMax:      cap,
-		PlansPlanned:     eng.plansPlanned.Value(),
-		PlanContractions: eng.planContractions.Value(),
-		PlanPairsPruned:  eng.planPairsPruned.Value(),
-		PlanEndSide:      eng.planEndSide.Value(),
-		PlanNanos:        eng.planNanos.Value(),
+	return PlanCacheStats{
+		Hits:         eng.planHits.Value(),
+		Misses:       eng.planMisses.Value(),
+		PlansPlanned: eng.compileNanos.Count(),
+		PlanNanos:    eng.compileNanos.Sum(),
 	}
-	eng.planMu.RLock()
-	for _, ent := range eng.plans {
-		if ent.reach != nil {
-			st.ReachEntries += ent.reach.len()
-		}
-	}
-	eng.planMu.RUnlock()
-	return st
 }

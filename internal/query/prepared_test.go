@@ -208,8 +208,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 // TestPreparedConcurrentShards runs many goroutines, each with its own
 // cloned cursor, evaluating disjoint shards of the same prepared paths, and
 // checks the assembled masks against the sequential result. Run under -race
-// this exercises the plan cache's RWMutex, the per-entry compile/feasible
-// sync.Once, and the shared reach memo.
+// this exercises the plan cache's RWMutex, the per-entry compile sync.Once,
+// and the shared dictionary and log projections.
 func TestPreparedConcurrentShards(t *testing.T) {
 	db := figure3DB()
 	closed, open := preparedPaths(t)
@@ -267,5 +267,25 @@ func TestDecoratedRangeStitching(t *testing.T) {
 		if !reflect.DeepEqual(got, full) {
 			t.Errorf("stitched decorated range %v = %v, want %v", cuts, got, full)
 		}
+	}
+}
+
+// TestPlanCacheStatsAdd pins the federation-facing aggregate: every field
+// sums, and one engine's snapshot counts its compiled plans.
+func TestPlanCacheStatsAdd(t *testing.T) {
+	a := query.PlanCacheStats{Hits: 3, Misses: 2, PlansPlanned: 2, PlanNanos: 70, MaskHits: 1}
+	b := query.PlanCacheStats{Hits: 10, Misses: 1, PlansPlanned: 1, PlanNanos: 5, MaskExtensions: 4}
+	want := query.PlanCacheStats{Hits: 13, Misses: 3, PlansPlanned: 3, PlanNanos: 75, MaskHits: 1, MaskExtensions: 4}
+	if got := a.Add(b); got != want {
+		t.Errorf("Add = %+v, want %+v", got, want)
+	}
+
+	ev := query.NewEvaluator(figure3DB())
+	closed, open := preparedPaths(t)
+	ev.Prepare(closed)
+	ev.Prepare(open)
+	ev.Prepare(closed)
+	if st := ev.PlanCacheStats(); st.PlansPlanned != 2 || st.Misses != 2 || st.Hits != 1 || st.PlanNanos <= 0 {
+		t.Errorf("stats after 2 compiles and 1 reuse = %+v", st)
 	}
 }
