@@ -11,6 +11,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -63,8 +64,12 @@ func batchAuditor(b *testing.B) *core.Auditor {
 		a := core.NewAuditor(e.DS.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(e.DS))
 		// experiments.Prepare already installed the trained Groups table.
 		a.AddTemplates(explain.Handcrafted(true, true).All()...)
-		seq := a.ExplainAll(context.Background(), 1)
-		par := a.ExplainAll(context.Background(), 8)
+		seq, err1 := a.ExplainAll(context.Background(), 1)
+		par, err8 := a.ExplainAll(context.Background(), 8)
+		if err := errors.Join(err1, err8); err != nil {
+			auditorErr = err.Error()
+			return
+		}
 		if !reflect.DeepEqual(seq, par) {
 			auditorErr = "parallel ExplainAll reports differ from sequential"
 			return
@@ -84,8 +89,8 @@ func benchmarkExplainAll(b *testing.B, parallelism int) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reports := a.ExplainAll(ctx, parallelism); len(reports) == 0 {
-			b.Fatal("no reports")
+		if reports, err := a.ExplainAll(ctx, parallelism); err != nil || len(reports) == 0 {
+			b.Fatalf("no reports (err %v)", err)
 		}
 	}
 }
@@ -109,7 +114,9 @@ func BenchmarkUnexplainedParallel(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.UnexplainedAccessesParallel(ctx, 8)
+		if _, err := a.Unexplained(ctx, 8); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -306,8 +313,8 @@ func benchmarkMaskSharded(b *testing.B, parallelism int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.ResetMaskCache()
-		if f := a.ExplainedFractionParallel(ctx, parallelism); f == 0 {
-			b.Fatal("zero explained fraction")
+		if f, err := a.ExplainedFraction(ctx, parallelism); err != nil || f == 0 {
+			b.Fatalf("zero explained fraction (err %v)", err)
 		}
 	}
 }
@@ -372,8 +379,8 @@ func BenchmarkMaskBuildCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.ResetMaskCache()
-		if a.ExplainedFractionParallel(ctx, 0) == 0 {
-			b.Fatal("nothing explained")
+		if f, err := a.ExplainedFraction(ctx, 0); err != nil || f == 0 {
+			b.Fatalf("nothing explained (err %v)", err)
 		}
 	}
 }
@@ -397,7 +404,9 @@ func mediumAuditor(b *testing.B) *core.Auditor {
 		a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 		a.BuildGroups(core.GroupsOptions{})
 		a.AddTemplates(explain.Handcrafted(true, true).All()...)
-		a.ExplainedFractionParallel(context.Background(), 8) // warm masks
+		if err := a.Refresh(context.Background(), 8); err != nil { // warm masks
+			panic(err)
+		}
 		mediumAud = a
 	})
 	return mediumAud
@@ -457,9 +466,9 @@ func BenchmarkExplainAllMedium(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
 		before := liveHeap()
-		reports := a.ExplainAll(ctx, 8)
-		if len(reports) == 0 {
-			b.Fatal("no reports")
+		reports, err := a.ExplainAll(ctx, 8)
+		if err != nil || len(reports) == 0 {
+			b.Fatalf("no reports (err %v)", err)
 		}
 		if d := liveHeap() - before; d > worst {
 			worst = d
@@ -573,7 +582,10 @@ func mediumFederation(b *testing.B) *federate.Federation {
 			return
 		}
 		f.AddTemplates(explain.Handcrafted(true, true).All()...)
-		f.ExplainedFraction(context.Background(), 8) // warm masks
+		if _, err := f.Refresh(context.Background(), 8); err != nil { // warm masks
+			fedErr = err.Error()
+			return
+		}
 		fedInst = f
 	})
 	if fedErr != "" {
@@ -929,7 +941,9 @@ func incrementalAuditor(b *testing.B) (*core.Auditor, *relation.Table) {
 		ds := ehr.Generate(ehr.Medium())
 		a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 		a.AddTemplates(explain.Handcrafted(true, false).All()...)
-		a.ExplainedFractionParallel(context.Background(), 8) // warm masks
+		if err := a.Refresh(context.Background(), 8); err != nil { // warm masks
+			panic(err)
+		}
 		incrAud = a
 		incrLog = ds.DB.MustTable(pathmodel.LogTable)
 		n := incrLog.NumRows()
@@ -1109,8 +1123,8 @@ func startupStore(b *testing.B) string {
 		}
 		a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()))
 		a.AddTemplates(explain.Handcrafted(true, true).All()...)
-		if a.ExplainedFractionParallel(context.Background(), 8) == 0 {
-			startupErr = "warm-up audit explained nothing"
+		if f, err := a.ExplainedFraction(context.Background(), 8); err != nil || f == 0 {
+			startupErr = fmt.Sprintf("warm-up audit explained nothing (err %v)", err)
 			return
 		}
 		if err := s.SaveWarmState(db, a.CaptureWarmState()); err != nil {
@@ -1147,9 +1161,11 @@ func BenchmarkColdStart(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, a := startupAuditor(b, dir)
-		if rep := a.ExplainRow(0, 1); rep.Lid == 0 && !rep.Explained() {
-			runtime.KeepAlive(rep)
+		rep, err := a.ExplainRow(0, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
+		runtime.KeepAlive(rep)
 	}
 }
 
@@ -1171,8 +1187,10 @@ func BenchmarkWarmStart(b *testing.B) {
 		if masks == 0 {
 			b.Fatal("snapshot installed no masks")
 		}
-		if rep := a.ExplainRow(0, 1); rep.Lid == 0 && !rep.Explained() {
-			runtime.KeepAlive(rep)
+		rep, err := a.ExplainRow(0, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
+		runtime.KeepAlive(rep)
 	}
 }

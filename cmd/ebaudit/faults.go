@@ -105,7 +105,7 @@ func parseFaultRules(spec string) ([]fault.Rule, error) {
 // tell a partial stream from a complete one without parsing stderr. A
 // complete result (or strict mode) emits nothing.
 func (a *app) reportDegraded(fed *federate.Federation, stream bool) error {
-	if fed == nil || !fed.DegradedMode() {
+	if !fed.DegradedMode() {
 		return nil
 	}
 	d := fed.LastDegraded()

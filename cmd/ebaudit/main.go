@@ -277,14 +277,38 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  -metrics-addr serves /metrics (Prometheus), /debug/vars (JSON), /debug/pprof for the life of the process")
 }
 
-// app holds the prepared auditor — a single engine, or a federation of
-// shard engines when -data named several directories (fed non-nil; auditor
-// is then nil).
+// engine is the audit surface every subcommand is written against: one
+// core.Auditor, or a federate.Federation of shard auditors over the logical
+// merged log. Both answer identically for the same log, so only genuinely
+// topology-specific code asks which one it holds: resilience flags, the
+// degraded trailer and per-shard stats (federated only); -follow, -explain,
+// export and the warm-state save (single engine only).
+type engine interface {
+	Summary() string
+	Templates() []explain.Template
+	// Log is the audited log, whose row indexes Unexplained returns.
+	Log() *relation.Table
+	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
+	Unexplained(ctx context.Context, parallelism int) ([]int, error)
+	StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error
+	PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error)
+	MineTemplates(algo string, opt mine.Options) (mine.Result, error)
+	MetricsSnapshot() map[string]obs.Metric
+}
+
+var (
+	_ engine = (*core.Auditor)(nil)
+	_ engine = (*federate.Federation)(nil)
+)
+
+// app holds the prepared engine and what the CLI knows about its source.
 type app struct {
-	ds      *ehr.Dataset // nil when the database was loaded via -data
-	db      *relation.Database
+	eng engine
+	// auditor is eng when it is a single engine, and nil for a federation
+	// of -data/-store shards.
 	auditor *core.Auditor
-	fed     *federate.Federation
+	ds      *ehr.Dataset       // nil when the database was loaded via -data
+	db      *relation.Database // the single engine's database
 	hier    *groups.Hierarchy
 	// dataDir is the single -data directory the database was loaded from
 	// ("" for generated datasets and multi-directory federations); audit
@@ -299,13 +323,20 @@ type app struct {
 	stdout, stderr io.Writer
 }
 
+// singleApp wraps a configured single-engine auditor.
+func singleApp(auditor *core.Auditor, hier *groups.Hierarchy, parallelism int) *app {
+	return &app{eng: auditor, auditor: auditor, db: auditor.Database(), hier: hier, parallelism: parallelism}
+}
+
 func newApp(cfg ehr.Config, parallelism int) *app {
 	ds := ehr.Generate(cfg)
 	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 	a := core.NewAuditor(ds.DB, graph, core.WithNamer(ds))
 	hier := a.BuildGroups(core.GroupsOptions{})
 	a.AddTemplates(explain.Handcrafted(true, true).All()...)
-	return &app{ds: ds, db: ds.DB, auditor: a, hier: hier, parallelism: parallelism}
+	out := singleApp(a, hier, parallelism)
+	out.ds = ds
+	return out
 }
 
 // loadDatabase reads every *.csv table in dir (the `ebaudit export` format)
@@ -397,7 +428,9 @@ func buildAppFromDB(db *relation.Database, dataDir string, parallelism int, stde
 		}
 		a.AddTemplates(t)
 	}
-	return &app{db: db, auditor: a, hier: hier, dataDir: dataDir, parallelism: parallelism}
+	out := singleApp(a, hier, parallelism)
+	out.dataDir = dataDir
+	return out
 }
 
 // newAppFromStore opens a single-engine app over a segment store,
@@ -513,8 +546,8 @@ func newAppFromShardStores(storeDirs, dataDirs []string, parallelism int, stderr
 	}
 	// A non-nil hierarchy means the federation trained Groups this start —
 	// persist the table so the next Join warm-starts from the stores instead.
-	if hier := a.fed.Hierarchy(); hier != nil {
-		gt := hier.Table(core.DefaultGroupsTable)
+	if a.hier != nil {
+		gt := a.hier.Table(core.DefaultGroupsTable)
 		for i, st := range stores {
 			if err := st.SaveTable(gt); err != nil {
 				return nil, fmt.Errorf("persisting Groups table to %s: %w", storeDirs[i], err)
@@ -577,7 +610,7 @@ func federateApp(dbs []*relation.Database, names []string, parallelism int, stde
 		}
 		fed.AddTemplates(t)
 	}
-	return &app{fed: fed, hier: fed.Hierarchy(), parallelism: parallelism}, nil
+	return &app{eng: fed, hier: fed.Hierarchy(), parallelism: parallelism}, nil
 }
 
 // federation partitions the single-engine app's log across k shard engines
@@ -632,40 +665,41 @@ func missingTables(db *relation.Database, t explain.Template) []string {
 // saveWarmState persists the auditor's current derived state — cached
 // template masks and resident compiled-plan keys — into the app's store so
 // the next session over the same store resumes warm. It is a no-op without
-// a store or for a federated app (shard snapshots would be invalidated by
-// the federation's per-start Groups retraining anyway).
+// a store; only a single engine has one (shard stores of a federation keep
+// no snapshot).
 func (a *app) saveWarmState() error {
-	if a.store == nil || a.auditor == nil {
+	if a.store == nil {
 		return nil
 	}
 	return a.store.SaveWarmState(a.db, a.auditor.CaptureWarmState())
 }
 
-// patientName resolves a display name, falling back to raw ids for loaded
-// datasets that carry no ground-truth names.
-func (a *app) patientName(v relation.Value) string {
+// namer resolves display names: the generator's ground-truth names, or raw
+// ids for loaded datasets that carry none — the same namer the engine
+// renders reports with.
+func (a *app) namer() explain.Namer {
 	if a.ds != nil {
-		return a.ds.PatientName(v)
+		return a.ds
 	}
-	return explain.NullNamer{}.PatientName(v)
+	return explain.NullNamer{}
 }
 
 func (a *app) summary() error {
-	if a.fed != nil {
-		fmt.Fprintln(a.stdout, a.fed.Summary())
-		for _, si := range a.fed.ShardInfos() {
+	fmt.Fprintln(a.stdout, a.eng.Summary())
+	if fed, ok := a.eng.(*federate.Federation); ok {
+		for _, si := range fed.ShardInfos() {
 			fmt.Fprintf(a.stdout, "  %s: %d rows\n", si.Name, si.Rows)
 		}
-		fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n",
-			a.fed.ExplainedFraction(context.Background(), a.parallelism))
-		return nil
+	} else {
+		for _, line := range a.db.Summary() {
+			fmt.Fprintln(a.stdout, "  "+line)
+		}
 	}
-	fmt.Fprintln(a.stdout, a.auditor.Summary())
-	for _, line := range a.db.Summary() {
-		fmt.Fprintln(a.stdout, "  "+line)
+	frac, err := a.eng.ExplainedFraction(context.Background(), a.parallelism)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n",
-		a.auditor.ExplainedFractionParallel(context.Background(), a.parallelism))
+	fmt.Fprintf(a.stdout, "explained fraction with hand-crafted templates: %.3f\n", frac)
 	return nil
 }
 
@@ -706,14 +740,14 @@ func toNDJSON(rep core.AccessReport) ndjsonReport {
 }
 
 // audit runs the concurrent batch engine over the whole log. The default
-// mode materializes the reports and prints throughput, the explained
-// fraction, and a sample of the unexplained residue; -stream instead pipes
-// every report to stdout as NDJSON in log order through the bounded
-// streaming pipeline (memory stays flat no matter how large the log), with
-// the human-readable summary on stderr. -shards K auto-partitions the log
-// across K federated shard engines (time-range shard key); the reports —
-// streamed or materialized — are identical to the single-engine audit, only
-// the engine topology changes.
+// mode prints throughput, the explained fraction, and a sample of the
+// unexplained residue; -stream instead pipes every report to stdout as
+// NDJSON in log order through the bounded streaming pipeline (memory stays
+// flat no matter how large the log), with the human-readable summary on
+// stderr. -shards K auto-partitions the log across K federated shard
+// engines (time-range shard key); the reports — streamed or summarized —
+// are identical to the single-engine audit, only the engine topology
+// changes.
 func (a *app) audit(args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
 	fs.SetOutput(a.stderr)
@@ -745,7 +779,9 @@ func (a *app) audit(args []string) error {
 	// run() validates -j >= 1, so the worker count is always concrete here.
 	workers := a.parallelism
 
-	fed := a.fed
+	// fed is the federation the audit runs on, nil for a single engine.
+	eng := a.eng
+	fed, _ := eng.(*federate.Federation)
 	shardsSet, resilienceSet := false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -766,9 +802,7 @@ func (a *app) audit(args []string) error {
 		if fed, err = a.federation(*shards); err != nil {
 			return err
 		}
-	}
-	if resilienceSet && fed == nil {
-		return errors.New("audit -degraded/-retries/-call-timeout require a federated audit (-shards K, or a multi-directory -data/-store list)")
+		eng = fed
 	}
 	if fed != nil {
 		pol := fed.Policy()
@@ -776,6 +810,20 @@ func (a *app) audit(args []string) error {
 		pol.Retry.MaxAttempts = *retries + 1
 		fed.SetPolicy(pol)
 		fed.SetDegradedMode(*degraded)
+	} else if resilienceSet {
+		return errors.New("audit -degraded/-retries/-call-timeout require a federated audit (-shards K, or a multi-directory -data/-store list)")
+	}
+	if *follow {
+		switch {
+		case *stream:
+			return errors.New("audit -follow already streams NDJSON; drop -stream")
+		case fed != nil:
+			return errors.New("audit -follow requires a single engine (no -shards or multi-directory -data)")
+		case a.dataDir == "":
+			return errors.New("audit -follow requires -data DIR (a generated dataset has no append source to poll)")
+		case *poll <= 0:
+			return fmt.Errorf("audit -poll must be positive, got %v", *poll)
+		}
 	}
 
 	if *explainPlans {
@@ -795,7 +843,12 @@ func (a *app) audit(args []string) error {
 		}
 	}
 
-	err := a.runAudit(fed, workers, n, verbose, stream, follow, poll, followRows, *grace)
+	var err error
+	if *follow {
+		err = a.auditFollow(workers, *poll, *grace, *followRows, *verbose)
+	} else {
+		err = a.auditOnce(eng, fed, workers, *n, *verbose, *stream)
+	}
 
 	// Post-run observability surfacing, on every audit mode's exit path: the
 	// span drain (even after a failed run — partial traces are exactly what
@@ -808,188 +861,106 @@ func (a *app) audit(args []string) error {
 		}
 	}
 	if err == nil {
-		human := a.stdout
-		if *stream || *follow {
-			human = a.stderr
-		}
 		if *explainPlans {
+			human := a.stdout
+			if *stream || *follow {
+				human = a.stderr
+			}
 			a.printExplainReport(human)
 		}
 		if *verbose {
-			snap := a.metricsSnapshot()
-			if fed != nil {
-				snap = fed.MetricsSnapshot()
-			}
-			dumpMetrics(a.stderr, snap)
+			dumpMetrics(a.stderr, eng.MetricsSnapshot())
 		}
 	}
 	return err
 }
 
-// runAudit dispatches the parsed audit flags to the follow, stream, or
-// materialized mode; audit wraps it so post-run observability surfacing
-// happens on every path.
-func (a *app) runAudit(fed *federate.Federation, workers int, n *int, verbose, stream, follow *bool, poll *time.Duration, followRows *int, grace time.Duration) error {
-	if *follow {
-		if *stream {
-			return errors.New("audit -follow already streams NDJSON; drop -stream")
-		}
-		if fed != nil {
-			return errors.New("audit -follow requires a single engine (no -shards or multi-directory -data)")
-		}
-		if a.dataDir == "" {
-			return errors.New("audit -follow requires -data DIR (a generated dataset has no append source to poll)")
-		}
-		if *poll <= 0 {
-			return fmt.Errorf("audit -poll must be positive, got %v", *poll)
-		}
-		return a.auditFollow(workers, *poll, grace, *followRows, *verbose)
-	}
-
-	if *stream {
-		if fed != nil {
-			return a.auditStreamFederated(fed, workers, *verbose)
-		}
-		return a.auditStream(workers, *verbose)
-	}
-
-	start := time.Now()
-	var reports []core.AccessReport
-	if fed != nil {
-		// Materialize via the streaming surface rather than ExplainAll: the
-		// two emit identical reports, but this one returns the error, so a
-		// strict-mode shard failure is an exit-1 diagnosis instead of a
-		// silent zero-report audit.
-		if err := fed.StreamReports(context.Background(), workers, func(rep core.AccessReport) error {
-			reports = append(reports, rep)
-			return nil
-		}); err != nil {
-			return err
-		}
-	} else {
-		reports = a.auditor.ExplainAll(context.Background(), workers)
-	}
-	elapsed := time.Since(start)
-
-	explained := 0
+// auditOnce audits every access of eng's log once, through its report
+// stream. With stream, every report goes to stdout as buffered NDJSON and
+// the summary to stderr; otherwise only the unexplained reports are kept,
+// and the summary and a sample of up to n of them go to stdout. The same
+// code serves a single engine and a federation: K=1 and K>1 streams are
+// byte-identical, and only the topology-specific tail differs — a single
+// engine saves its warm state, a federation reports degraded results.
+func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, verbose, stream bool) error {
+	human := a.stdout
 	var unexplained []core.AccessReport
-	for _, r := range reports {
-		if r.Explained() {
-			explained++
-		} else {
-			unexplained = append(unexplained, r)
+	keep := func(rep core.AccessReport) error {
+		if !rep.Explained() {
+			unexplained = append(unexplained, rep)
 		}
+		return nil
 	}
-	total := len(reports)
-	if fed != nil {
-		fmt.Fprintf(a.stdout, "federated batch-audited %d accesses across %d shards in %v (%.0f accesses/sec, %d workers)\n",
-			total, fed.NumShards(), elapsed.Round(time.Millisecond),
-			float64(total)/elapsed.Seconds(), workers)
-	} else {
-		fmt.Fprintf(a.stdout, "batch-audited %d accesses in %v (%.0f accesses/sec, %d workers)\n",
-			total, elapsed.Round(time.Millisecond),
-			float64(total)/elapsed.Seconds(), workers)
+	var bw *bufio.Writer
+	if stream {
+		human = a.stderr
+		bw = bufio.NewWriter(a.stdout)
+		enc := json.NewEncoder(bw)
+		keep = func(rep core.AccessReport) error { return enc.Encode(toNDJSON(rep)) }
 	}
-	fmt.Fprintf(a.stdout, "explained: %d (%.2f%%), unexplained: %d\n",
-		explained, 100*float64(explained)/float64(max(total, 1)), len(unexplained))
-	if *verbose {
-		if fed != nil {
-			a.printFederatedStats(a.stdout, fed)
-		} else {
-			a.printEngineStats(a.stdout, workers)
-		}
-	}
-	for i, r := range unexplained {
-		if i >= *n {
-			fmt.Fprintf(a.stdout, "  ... and %d more\n", len(unexplained)-i)
-			break
-		}
-		fmt.Fprintf(a.stdout, "  L%-6d %s  %-22s -> %s\n", r.Lid, r.Date, r.UserName, a.patientName(r.Patient))
-	}
-	if fed == nil {
-		return a.saveWarmState()
-	}
-	return a.reportDegraded(fed, false)
-}
-
-// auditStreamFederated is the NDJSON mode of a federated audit: the shard
-// streams are merged into global log order and piped through the same
-// emission path as auditStream, so the emitted stream is byte-identical to
-// the single-engine -stream mode.
-func (a *app) auditStreamFederated(fed *federate.Federation, workers int, verbose bool) error {
-	total, explained, elapsed, err := a.streamNDJSON(func(fn func(core.AccessReport) error) error {
-		return fed.StreamReports(context.Background(), workers, fn)
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(a.stderr, "streamed %d reports across %d shards in %v (%.0f accesses/sec, %d workers); explained: %d (%.2f%%)\n",
-		total, fed.NumShards(), elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(),
-		workers, explained, 100*float64(explained)/float64(max(total, 1)))
-	if verbose {
-		a.printFederatedStats(a.stderr, fed)
-	}
-	return a.reportDegraded(fed, true)
-}
-
-// printFederatedStats reports the aggregated plan-cache counters plus one
-// line per shard engine.
-func (a *app) printFederatedStats(w io.Writer, fed *federate.Federation) {
-	agg := fed.PlanCacheStats()
-	fmt.Fprintf(w, "plan cache (all shards): %d hits, %d misses; mask cache: %d hits, %d recomputes, %d extensions\n",
-		agg.Hits, agg.Misses, agg.MaskHits, agg.MaskRecomputes, agg.MaskExtensions)
-	for _, si := range fed.ShardInfos() {
-		fmt.Fprintf(w, "  %s: %d rows, plan cache %d hits / %d misses, masks %d/%d/%d\n",
-			si.Name, si.Rows, si.Stats.Hits, si.Stats.Misses,
-			si.Stats.MaskHits, si.Stats.MaskRecomputes, si.Stats.MaskExtensions)
-	}
-}
-
-// streamNDJSON pipes any report stream to stdout as buffered NDJSON — the
-// one emission path shared by the single-engine and federated -stream
-// modes, so the two cannot drift apart — and returns the stream's totals
-// for the stderr summary.
-func (a *app) streamNDJSON(stream func(fn func(core.AccessReport) error) error) (total, explained int, elapsed time.Duration, err error) {
-	bw := bufio.NewWriter(a.stdout)
-	enc := json.NewEncoder(bw)
+	total, explained := 0, 0
 	start := time.Now()
-	if err = stream(func(rep core.AccessReport) error {
+	err := eng.StreamReports(context.Background(), workers, func(rep core.AccessReport) error {
 		total++
 		if rep.Explained() {
 			explained++
 		}
-		return enc.Encode(toNDJSON(rep))
-	}); err != nil {
-		return
-	}
-	err = bw.Flush()
-	elapsed = time.Since(start)
-	return
-}
-
-// auditStream is the NDJSON mode of the audit subcommand: reports flow
-// through core.Auditor.StreamReports straight to a buffered stdout encoder,
-// so the full-log report slice is never materialized.
-func (a *app) auditStream(workers int, verbose bool) error {
-	total, explained, elapsed, err := a.streamNDJSON(func(fn func(core.AccessReport) error) error {
-		return a.auditor.StreamReports(context.Background(), workers, fn)
+		return keep(rep)
 	})
+	if err == nil && bw != nil {
+		err = bw.Flush()
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(a.stderr, "streamed %d reports in %v (%.0f accesses/sec, %d workers); explained: %d (%.2f%%)\n",
-		total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds(),
-		workers, explained, 100*float64(explained)/float64(max(total, 1)))
+	elapsed := time.Since(start)
+
+	federated, across := "", ""
+	if fed != nil {
+		federated, across = "federated ", fmt.Sprintf(" across %d shards", fed.NumShards())
+	}
+	rate := float64(total) / elapsed.Seconds()
+	pct := 100 * float64(explained) / float64(max(total, 1))
+	if stream {
+		fmt.Fprintf(human, "streamed %d reports%s in %v (%.0f accesses/sec, %d workers); explained: %d (%.2f%%)\n",
+			total, across, elapsed.Round(time.Millisecond), rate, workers, explained, pct)
+	} else {
+		fmt.Fprintf(human, "%sbatch-audited %d accesses%s in %v (%.0f accesses/sec, %d workers)\n",
+			federated, total, across, elapsed.Round(time.Millisecond), rate, workers)
+		fmt.Fprintf(human, "explained: %d (%.2f%%), unexplained: %d\n", explained, pct, len(unexplained))
+	}
 	if verbose {
-		a.printEngineStats(a.stderr, workers)
+		a.printStats(human, fed, workers)
+	}
+	for i, r := range unexplained {
+		if i >= n {
+			fmt.Fprintf(human, "  ... and %d more\n", len(unexplained)-i)
+			break
+		}
+		fmt.Fprintf(human, "  L%-6d %s  %-22s -> %s\n", r.Lid, r.Date, r.UserName, a.namer().PatientName(r.Patient))
+	}
+	if fed != nil {
+		return a.reportDegraded(fed, stream)
 	}
 	return a.saveWarmState()
 }
 
-// printEngineStats reports the shared query-engine internals: plan-cache
-// hit/miss counters, the dictionary and plan footprint, and the
-// template-mask cache's hit/recompute/extension outcomes.
-func (a *app) printEngineStats(w io.Writer, workers int) {
+// printStats reports the query-engine internals: plan-cache hit/miss
+// counters and the template-mask cache's hit/recompute/extension outcomes —
+// aggregated plus one line per shard engine for a federation, with the
+// dictionary and plan footprint for a single engine.
+func (a *app) printStats(w io.Writer, fed *federate.Federation, workers int) {
+	if fed != nil {
+		agg := fed.PlanCacheStats()
+		fmt.Fprintf(w, "plan cache (all shards): %d hits, %d misses; mask cache: %d hits, %d recomputes, %d extensions\n",
+			agg.Hits, agg.Misses, agg.MaskHits, agg.MaskRecomputes, agg.MaskExtensions)
+		for _, si := range fed.ShardInfos() {
+			fmt.Fprintf(w, "  %s: %d rows, plan cache %d hits / %d misses, masks %d/%d/%d\n",
+				si.Name, si.Rows, si.Stats.Hits, si.Stats.Misses,
+				si.Stats.MaskHits, si.Stats.MaskRecomputes, si.Stats.MaskExtensions)
+		}
+		return
+	}
 	st := a.auditor.PlanCacheStats()
 	fmt.Fprintf(w, "plan cache: %d hits, %d misses (%d compiled plans reused across %d workers)\n",
 		st.Hits, st.Misses, st.Misses, workers)
@@ -1045,7 +1016,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		return err
 	}
 	if verbose {
-		a.printEngineStats(a.stderr, workers)
+		a.printStats(a.stderr, nil, workers)
 	}
 
 	var lastStat os.FileInfo
@@ -1094,7 +1065,11 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 			return err
 		}
 		for r := audited; r < audited+added; r++ {
-			if err := enc.Encode(toNDJSON(a.auditor.ExplainRow(r, 0))); err != nil {
+			rep, err := a.auditor.ExplainRow(r, 0)
+			if err != nil {
+				return err
+			}
+			if err := enc.Encode(toNDJSON(rep)); err != nil {
 				return err
 			}
 		}
@@ -1107,7 +1082,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		}
 		fmt.Fprintf(a.stderr, "appended %d rows (%d audited)\n", added, audited)
 		if verbose {
-			a.printEngineStats(a.stderr, workers)
+			a.printStats(a.stderr, nil, workers)
 		}
 	}
 	return nil
@@ -1176,16 +1151,14 @@ func (a *app) patient(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var reports []core.AccessReport
-	if a.fed != nil {
-		reports = a.fed.PatientReport(relation.Int(*id), 1)
-	} else {
-		reports = a.auditor.PatientReport(relation.Int(*id), 1)
+	reports, err := a.eng.PatientReport(relation.Int(*id), 1)
+	if err != nil {
+		return err
 	}
 	if len(reports) == 0 {
 		return fmt.Errorf("no accesses recorded for patient %d", *id)
 	}
-	fmt.Fprintf(a.stdout, "access report for %s (%d accesses)\n", a.patientName(relation.Int(*id)), len(reports))
+	fmt.Fprintf(a.stdout, "access report for %s (%d accesses)\n", a.namer().PatientName(relation.Int(*id)), len(reports))
 	for _, r := range reports {
 		fmt.Fprintf(a.stdout, "  L%d %s — %s\n", r.Lid, r.Date, r.UserName)
 		if !r.Explained() {
@@ -1216,13 +1189,7 @@ func (a *app) mine(args []string) error {
 	opt.MaxLength = *maxLen
 	opt.SupportFraction = *support
 	opt.Parallelism = a.parallelism
-	var res mine.Result
-	var err error
-	if a.fed != nil {
-		res, err = a.fed.MineTemplates(*algo, opt)
-	} else {
-		res, err = a.auditor.MineTemplates(*algo, opt)
-	}
+	res, err := a.eng.MineTemplates(*algo, opt)
 	if err != nil {
 		return err
 	}
@@ -1237,6 +1204,9 @@ func (a *app) mine(args []string) error {
 	return nil
 }
 
+// unexplained prints the misuse-detection shortlist: every access no
+// template explains, rendered from the audited log through the app's namer
+// (with the generator's ground-truth cause when there is one).
 func (a *app) unexplained(args []string) error {
 	fs := flag.NewFlagSet("unexplained", flag.ContinueOnError)
 	fs.SetOutput(a.stderr)
@@ -1244,48 +1214,30 @@ func (a *app) unexplained(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if a.fed != nil {
-		rows := a.fed.UnexplainedAccesses(context.Background(), a.parallelism)
-		log := a.fed.MergedLog()
-		namer := explain.NullNamer{}
-		a.printUnexplained(rows, log.NumRows(), *n, func(r int) string {
-			return unexplainedLine(
-				log.Get(r, pathmodel.LogIDColumn).AsInt(), log.Get(r, pathmodel.LogDateColumn),
-				namer.UserName(log.Get(r, pathmodel.LogUserColumn)),
-				a.patientName(log.Get(r, pathmodel.LogPatientColumn)))
-		})
-		return nil
+	rows, err := a.eng.Unexplained(context.Background(), a.parallelism)
+	if err != nil {
+		return err
 	}
-	rows := a.auditor.UnexplainedAccessesParallel(context.Background(), a.parallelism)
-	a.printUnexplained(rows, a.auditor.Evaluator().Log().NumRows(), *n, func(r int) string {
-		rep := a.auditor.ExplainRow(r, 1)
-		line := unexplainedLine(rep.Lid, rep.Date, rep.UserName, a.patientName(rep.Patient))
-		if a.ds != nil {
-			line += fmt.Sprintf(" (ground truth: %s)", a.ds.Causes[r])
-		}
-		return line
-	})
-	return nil
-}
-
-// unexplainedLine renders one shortlist row; single-engine and federated
-// unexplained output share it so the two modes cannot drift apart.
-func unexplainedLine(lid int64, date relation.Value, userName, patientName string) string {
-	return fmt.Sprintf("  L%-6d %s  %-22s -> %-18s", lid, date, userName, patientName)
-}
-
-// printUnexplained prints the shortlist header and up to limit rendered
-// rows with the shared truncation footer.
-func (a *app) printUnexplained(rows []int, total, limit int, render func(r int) string) {
+	log := a.eng.Log()
+	total := log.NumRows()
 	fmt.Fprintf(a.stdout, "%d of %d accesses unexplained (%.2f%%)\n",
 		len(rows), total, 100*float64(len(rows))/float64(max(total, 1)))
+	namer := a.namer()
 	for i, r := range rows {
-		if i >= limit {
+		if i >= *n {
 			fmt.Fprintf(a.stdout, "  ... and %d more\n", len(rows)-i)
 			break
 		}
-		fmt.Fprintln(a.stdout, render(r))
+		fmt.Fprintf(a.stdout, "  L%-6d %s  %-22s -> %-18s",
+			log.Get(r, pathmodel.LogIDColumn).AsInt(), log.Get(r, pathmodel.LogDateColumn),
+			namer.UserName(log.Get(r, pathmodel.LogUserColumn)),
+			namer.PatientName(log.Get(r, pathmodel.LogPatientColumn)))
+		if a.ds != nil {
+			fmt.Fprintf(a.stdout, " (ground truth: %s)", a.ds.Causes[r])
+		}
+		fmt.Fprintln(a.stdout)
 	}
+	return nil
 }
 
 func (a *app) groups(args []string) error {
@@ -1337,13 +1289,7 @@ func (a *app) groups(args []string) error {
 }
 
 func (a *app) templates() error {
-	ts := func() []explain.Template {
-		if a.fed != nil {
-			return a.fed.Templates()
-		}
-		return a.auditor.Templates()
-	}()
-	for _, t := range ts {
+	for _, t := range a.eng.Templates() {
 		fmt.Fprintf(a.stdout, "%s (length %d)\n%s\n\n", t.Name(), t.Length(), t.SQL())
 	}
 	return nil
@@ -1353,7 +1299,7 @@ func (a *app) templates() error {
 // synthetic hospital can be inspected with external tools or loaded back
 // with -data.
 func (a *app) export(args []string) error {
-	if a.fed != nil {
+	if a.auditor == nil {
 		return errors.New("export is not supported over a federated -data load; export each shard directory's source instead")
 	}
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)

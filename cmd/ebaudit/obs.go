@@ -18,17 +18,6 @@ import (
 	"repro/internal/query"
 )
 
-// metricsSnapshot merges every registry the app's engine topology writes:
-// each shard engine's registry (per-engine metrics carry shard attribution)
-// plus the process-wide obs.Default registry (parallel and store metrics,
-// which have no engine to hang on).
-func (a *app) metricsSnapshot() map[string]obs.Metric {
-	if a.fed != nil {
-		return a.fed.MetricsSnapshot()
-	}
-	return obs.Merge(a.auditor.Evaluator().Metrics().Snapshot(), obs.Default.Snapshot())
-}
-
 // serveMetrics binds addr and serves the live observability endpoints for
 // the rest of the process's life: /metrics (Prometheus text format),
 // /debug/vars (expvar-style JSON), and /debug/pprof/* (the standard
@@ -38,11 +27,11 @@ func (a *app) serveMetrics(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, a.metricsSnapshot())
+		_ = obs.WritePrometheus(w, a.eng.MetricsSnapshot())
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = obs.WriteJSON(w, a.metricsSnapshot())
+		_ = obs.WriteJSON(w, a.eng.MetricsSnapshot())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -304,3 +304,50 @@ func TestFollowGraceExpires(t *testing.T) {
 		t.Errorf("follow took %v to give up on a 75ms grace window", elapsed)
 	}
 }
+
+// TestFailedAuditNeverReadsClean is the exit-status contract: when every
+// mask computation fails (single engine, core.mask.ensure armed) or every
+// shard call fails (a two-directory federation, federate.* armed), each
+// subcommand that reports on the audit must fail — never print "0 of N
+// accesses unexplained", a 0.000 explained fraction or "batch-audited 0
+// accesses" and exit 0 as if the log were clean.
+func TestFailedAuditNeverReadsClean(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := run([]string{"export", "-dir", dir}, &buf, &buf); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	dirA, dirB := splitExportedLog(t, dir, 0.5)
+	setups := []struct {
+		name string
+		argv []string
+	}{
+		{"single engine", []string{"-faults", "core.mask.ensure:error"}},
+		{"federated", []string{"-data", dirA + "," + dirB, "-faults", "federate.*:error"}},
+	}
+	commands := [][]string{
+		{"summary"},
+		{"unexplained"},
+		{"audit"},
+		{"audit", "-stream"},
+		{"patient", "-id", "1"},
+	}
+	clean := []string{"0 of ", "explained fraction with hand-crafted templates: 0.000", "batch-audited 0 accesses"}
+	for _, setup := range setups {
+		for _, cmd := range commands {
+			argv := append(append([]string(nil), setup.argv...), cmd...)
+			var stdout, stderr bytes.Buffer
+			err := run(argv, &stdout, &stderr)
+			fault.Reset()
+			if err == nil {
+				t.Errorf("%s %v: run succeeded under an armed fault; stdout:\n%s", setup.name, cmd, stdout.String())
+			}
+			for _, s := range clean {
+				if strings.Contains(stdout.String(), s) {
+					t.Errorf("%s %v: stdout reads as a clean audit (%q):\n%s", setup.name, cmd, s, stdout.String())
+				}
+			}
+		}
+	}
+}

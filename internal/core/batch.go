@@ -32,8 +32,9 @@ func normalizeParallelism(p int) int {
 
 // minMaskShard is the smallest log-row range worth handing to a worker when
 // sharding one template's mask. Shards below this size would spend more time
-// on per-shard setup (RepeatAccess re-scans the history once per shard;
-// path templates re-memoize start-value propagation) than on classification.
+// on per-shard setup (RepeatAccess hashes the whole history once per shard;
+// a path template's walk starts each range with a fresh memo generation and
+// claims its scratch from the cursor) than on classification.
 const minMaskShard = 256
 
 // maskShardsPerWorker is how many mask shards each worker should see on a
@@ -92,23 +93,26 @@ type maskTask struct {
 }
 
 // ensureMasks brings every template mask up to date with the audited log
-// and returns the packed masks in template order. Three per-template
-// outcomes (counted in PlanCacheStats): a mask covering the whole log is
-// served as-is; a cached mask of an append-monotone template whose log has
-// grown is *extended* — cloned (a word-level copy), grown, and only the
-// appended row range [rows, n) evaluated, the O(new rows) incremental path;
-// anything else (no cached mask, or a template whose old rows appends can
-// reclassify, see explain.AppendMonotone) is built from row 0. Every stale
-// template is sharded *within* itself into word-aligned log-row ranges
-// (Template EvaluateRange), and all shards of all stale templates feed one
-// worker pool — so a workload of two expensive templates scales across
-// every core instead of two. Path-backed templates compile once through
-// the engine's shared plan cache; the shards only pay classification.
-// Workers poll ctx between claimed shards, so a cancelled call stops after
-// the in-flight shards rather than draining the claim loop; it then
-// returns ctx.Err() without publishing partial masks. Concurrent callers
-// may duplicate work for a mask both find stale, but they converge on
-// identical values, so the cache stays consistent.
+// and returns the packed masks in template order. It is the auditor's one
+// mask policy — every operation that reads a mask, batch or point, goes
+// through it — and its one fault seam. Three per-template outcomes (counted
+// in PlanCacheStats): a mask covering the whole log is served as-is; a
+// cached mask of an append-monotone template whose log has grown is
+// *extended* — cloned (a word-level copy), grown, and only the appended row
+// range [rows, n) evaluated, the O(new rows) incremental path; anything else
+// (no cached mask, or a template whose old rows appends can reclassify, see
+// explain.AppendMonotone) is built from row 0. Every stale template is
+// sharded *within* itself into word-aligned log-row ranges (Template
+// EvaluateRange), and all shards of all stale templates feed one worker
+// pool (parallelism workers; non-positive means GOMAXPROCS) — so a
+// workload of two expensive templates scales across every core instead of
+// two. Path-backed templates compile once through the engine's shared plan
+// cache; the shards only pay classification. A cancelled ctx returns
+// ctx.Err() even when every mask is cached; workers poll ctx between
+// claimed shards, so a call cancelled mid-build stops after the in-flight
+// shards and publishes no partial masks. Concurrent callers may duplicate
+// work for a mask both find stale, but they converge on identical values,
+// so the cache stays consistent.
 func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.Bits, error) {
 	// Chaos seam: lets the fault framework fail, stall, or hang mask
 	// computation as a whole, the way a sick shard's evaluator would.
@@ -117,11 +121,15 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 			return nil, err
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	n := a.ev.Log().NumRows()
 	hist := a.histVersion()
-	a.mu.Lock()
 	nt := len(a.templates)
+	out := make([]*bitset.Bits, nt)
 	var tasks []maskTask
+	a.mu.Lock()
 	for i := 0; i < nt; i++ {
 		e, ok := a.masks[i]
 		monotone := explain.AppendMonotone(a.templates[i])
@@ -134,6 +142,7 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		// growth by definition.
 		case ok && e.rows == n && (monotone || e.hist == hist):
 			a.maskHits.Add(1)
+			out[i] = e.bits
 		case ok && e.rows < n && monotone:
 			bits := e.bits.Clone()
 			bits.Grow(n)
@@ -145,64 +154,58 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		}
 	}
 	a.mu.Unlock()
-
-	if len(tasks) > 0 {
-		workers := normalizeParallelism(parallelism)
-
-		type shard struct{ task, lo, hi int }
-		var shards []shard
-		for ti, tk := range tasks {
-			for _, rg := range alignedRanges(tk.lo, n, workers) {
-				shards = append(shards, shard{task: ti, lo: rg[0], hi: rg[1]})
-			}
-		}
-
-		sp := obs.StartSpan("core.mask.ensure").
-			Annotate("templates", nt).
-			Annotate("stale", len(tasks)).
-			Annotate("shards", len(shards)).
-			Annotate("workers", workers)
-		timed := obs.Enabled()
-		cursors := make([]*query.Evaluator, workers)
-		for w := range cursors {
-			cursors[w] = a.ev.Clone()
-		}
-		parallel.ForEach(workers, len(shards), func() bool { return ctx.Err() != nil }, func(w, k int) {
-			s := shards[k]
-			tk := tasks[s.task]
-			ssp := sp.Child("core.mask.shard").
-				Annotate("template", a.templates[tk.tpl].Name()).
-				Annotate("lo", s.lo).
-				Annotate("hi", s.hi).
-				Annotate("worker", w)
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			// Shards of one task cover word-disjoint ranges of its private
-			// bitset (interior boundaries are 64-aligned), so no lock is
-			// needed until publication below.
-			tk.bits.SetBools(s.lo, a.templates[tk.tpl].EvaluateRange(cursors[w], s.lo, s.hi))
-			if timed {
-				a.maskEvalNanos.Observe(time.Since(t0).Nanoseconds())
-			}
-			ssp.End()
-		})
-		sp.End()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a.mu.Lock()
-		for _, tk := range tasks {
-			a.masks[tk.tpl] = &maskEntry{bits: tk.bits, rows: n, hist: hist}
-		}
-		a.mu.Unlock()
+	if len(tasks) == 0 {
+		return out, nil
 	}
 
-	out := make([]*bitset.Bits, nt)
+	workers := normalizeParallelism(parallelism)
+	type shard struct{ task, lo, hi int }
+	var shards []shard
+	for ti, tk := range tasks {
+		for _, rg := range alignedRanges(tk.lo, n, workers) {
+			shards = append(shards, shard{task: ti, lo: rg[0], hi: rg[1]})
+		}
+	}
+
+	sp := obs.StartSpan("core.mask.ensure").
+		Annotate("templates", nt).
+		Annotate("stale", len(tasks)).
+		Annotate("shards", len(shards)).
+		Annotate("workers", workers)
+	timed := obs.Enabled()
+	cursors := make([]*query.Evaluator, workers)
+	for w := range cursors {
+		cursors[w] = a.ev.Clone()
+	}
+	parallel.ForEach(workers, len(shards), func() bool { return ctx.Err() != nil }, func(w, k int) {
+		s := shards[k]
+		tk := tasks[s.task]
+		ssp := sp.Child("core.mask.shard").
+			Annotate("template", a.templates[tk.tpl].Name()).
+			Annotate("lo", s.lo).
+			Annotate("hi", s.hi).
+			Annotate("worker", w)
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		// Shards of one task cover word-disjoint ranges of its private
+		// bitset (interior boundaries are 64-aligned), so no lock is
+		// needed until publication below.
+		tk.bits.SetBools(s.lo, a.templates[tk.tpl].EvaluateRange(cursors[w], s.lo, s.hi))
+		if timed {
+			a.maskEvalNanos.Observe(time.Since(t0).Nanoseconds())
+		}
+		ssp.End()
+	})
+	sp.End()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	a.mu.Lock()
-	for i := 0; i < nt; i++ {
-		out[i] = a.masks[i].bits
+	for _, tk := range tasks {
+		a.masks[tk.tpl] = &maskEntry{bits: tk.bits, rows: n, hist: hist}
+		out[tk.tpl] = tk.bits
 	}
 	a.mu.Unlock()
 	return out, nil
@@ -211,30 +214,29 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 // ExplainAll builds the report for every log row using a pool of parallelism
 // workers (non-positive means GOMAXPROCS), each with its own evaluator
 // cursor. It materializes the StreamReports pipeline into one slice, so
-// reports are in log-row order and identical to what a sequential
-// ExplainRow(r, 0) loop produces — the differential tests pin this down —
-// and callers that do not need the whole slice at once should consume
-// StreamReports (or Reports) directly for bounded memory.
-//
-// ExplainAll returns nil if ctx is cancelled before the batch completes; it
-// never returns a partially filled slice.
-func (a *Auditor) ExplainAll(ctx context.Context, parallelism int) []AccessReport {
+// reports are in log-row order and identical to what an ExplainRow(r, 0)
+// loop produces — the differential tests pin this down — and callers that
+// do not need the whole slice at once should consume StreamReports
+// directly for bounded memory. On error (including a cancelled ctx) it
+// returns nil and the error, never a partially filled slice.
+func (a *Auditor) ExplainAll(ctx context.Context, parallelism int) ([]AccessReport, error) {
 	out := make([]AccessReport, 0, a.ev.Log().NumRows())
 	if err := a.StreamReports(ctx, parallelism, func(rep AccessReport) error {
 		out = append(out, rep)
 		return nil
 	}); err != nil {
-		return nil
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
-// UnexplainedRows is UnexplainedAccessesParallel with the failure
-// surfaced: resilience layers need to distinguish "no unexplained rows"
-// from "the masks could not be computed", which the nil-on-error
-// convenience wrapper below cannot express. The returned row indexes are
-// in ascending order, identical to the sequential result.
-func (a *Auditor) UnexplainedRows(ctx context.Context, parallelism int) ([]int, error) {
+// Unexplained returns the audited-log rows no registered template explains —
+// the paper's misuse-detection shortlist — in ascending order. The template
+// masks are computed (or extended) with a worker pool, ORed word-at-a-time
+// into one packed union, and the zero bits collected: a popcount-speed
+// scan, no per-row template loop. With no templates registered every row is
+// unexplained.
+func (a *Auditor) Unexplained(ctx context.Context, parallelism int) ([]int, error) {
 	masks, err := a.ensureMasks(ctx, parallelism)
 	if err != nil {
 		return nil, err
@@ -250,29 +252,16 @@ func (a *Auditor) UnexplainedRows(ctx context.Context, parallelism int) ([]int, 
 	return out, nil
 }
 
-// UnexplainedAccessesParallel is the concurrent counterpart of
-// UnexplainedAccesses: the template masks are computed (or extended) with a
-// worker pool, ORed word-at-a-time into one packed union, and the zero bits
-// collected — a popcount-speed scan, no per-row template loop. The returned
-// row indexes are in ascending order, identical to the sequential result.
-// It returns nil if ctx is cancelled first (see UnexplainedRows for the
-// error-carrying variant).
-func (a *Auditor) UnexplainedAccessesParallel(ctx context.Context, parallelism int) []int {
-	rows, err := a.UnexplainedRows(ctx, parallelism)
-	if err != nil {
-		return nil
-	}
-	return rows
-}
-
-// ExplainedFractionParallel is the concurrent counterpart of
-// ExplainedFraction, computing the template masks with a worker pool and
-// the fraction by popcount over their packed union. An empty log (or a
-// cancelled ctx, or an auditor with no templates) yields 0, never NaN.
-func (a *Auditor) ExplainedFractionParallel(ctx context.Context, parallelism int) float64 {
+// ExplainedFraction returns the fraction of audited-log rows explained by
+// the registered templates (the paper's headline ">94% of accesses"
+// number), by popcount over the packed union of masks computed with a
+// worker pool. An empty log or an auditor with no templates yields 0, never
+// NaN; a failure yields the error, never a 0 that reads as "nothing
+// explained".
+func (a *Auditor) ExplainedFraction(ctx context.Context, parallelism int) (float64, error) {
 	masks, err := a.ensureMasks(ctx, parallelism)
-	if err != nil || len(masks) == 0 {
-		return 0
+	if err != nil {
+		return 0, err
 	}
-	return metrics.FractionBits(metrics.UnionBits(masks...))
+	return metrics.FractionBits(metrics.UnionBits(masks...)), nil
 }

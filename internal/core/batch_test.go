@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,27 +28,26 @@ func buildSeededAuditor(t testing.TB, seed int64) *core.Auditor {
 
 // TestExplainAllMatchesSequential is the batch engine's differential oracle:
 // on three differently seeded datasets, ExplainAll at every parallelism
-// level must produce reports byte-for-byte identical to a sequential
-// ExplainRow loop, and the parallel unexplained/fraction variants must match
-// their sequential counterparts exactly.
+// level must produce reports byte-for-byte identical to an ExplainRow loop,
+// and Unexplained/ExplainedFraction at every parallelism level must match
+// their one-worker results exactly.
 func TestExplainAllMatchesSequential(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		a := buildSeededAuditor(t, seed)
-		n := a.Evaluator().Log().NumRows()
+		n := a.Log().NumRows()
 		if n == 0 {
 			t.Fatalf("seed %d: empty log", seed)
 		}
 
 		want := make([]core.AccessReport, n)
 		for r := 0; r < n; r++ {
-			want[r] = a.ExplainRow(r, 0)
+			want[r] = mustExplainRow(t, a, r, 0)
 		}
-		wantUnexplained := a.UnexplainedAccesses()
-		wantFraction := a.ExplainedFraction()
+		wantUnexplained := mustUnexplained(t, a, 1)
+		wantFraction := mustFraction(t, a, 1)
 
 		for _, par := range []int{1, 2, 4, 8} {
-			got := a.ExplainAll(ctx, par)
+			got := mustExplainAll(t, a, par)
 			if !reflect.DeepEqual(got, want) {
 				for r := range want {
 					if !reflect.DeepEqual(got[r], want[r]) {
@@ -57,12 +57,12 @@ func TestExplainAllMatchesSequential(t *testing.T) {
 				}
 				t.Fatalf("seed %d parallelism %d: reports differ", seed, par)
 			}
-			if gotU := a.UnexplainedAccessesParallel(ctx, par); !reflect.DeepEqual(gotU, wantUnexplained) {
-				t.Errorf("seed %d parallelism %d: UnexplainedAccessesParallel = %v, want %v",
+			if gotU := mustUnexplained(t, a, par); !reflect.DeepEqual(gotU, wantUnexplained) {
+				t.Errorf("seed %d parallelism %d: Unexplained = %v, want %v",
 					seed, par, gotU, wantUnexplained)
 			}
-			if gotF := a.ExplainedFractionParallel(ctx, par); gotF != wantFraction {
-				t.Errorf("seed %d parallelism %d: ExplainedFractionParallel = %v, want %v",
+			if gotF := mustFraction(t, a, par); gotF != wantFraction {
+				t.Errorf("seed %d parallelism %d: ExplainedFraction = %v, want %v",
 					seed, par, gotF, wantFraction)
 			}
 		}
@@ -75,37 +75,42 @@ func TestExplainAllMatchesSequential(t *testing.T) {
 // result against a second, identically seeded auditor evaluated
 // sequentially.
 func TestExplainAllColdMasks(t *testing.T) {
-	ctx := context.Background()
 	batch := buildSeededAuditor(t, 7)
 	seq := buildSeededAuditor(t, 7)
 
-	got := batch.ExplainAll(ctx, 4)
-	n := seq.Evaluator().Log().NumRows()
+	got := mustExplainAll(t, batch, 4)
+	n := seq.Log().NumRows()
 	if len(got) != n {
 		t.Fatalf("ExplainAll returned %d reports, want %d", len(got), n)
 	}
 	for r := 0; r < n; r++ {
-		want := seq.ExplainRow(r, 0)
+		want := mustExplainRow(t, seq, r, 0)
 		if !reflect.DeepEqual(got[r], want) {
 			t.Fatalf("row %d: batch report %+v != sequential %+v", r, got[r], want)
 		}
 	}
 }
 
-// TestExplainAllCancelled: a pre-cancelled context yields nil results, not a
-// partially filled slice.
+// TestExplainAllCancelled: a cancelled context is an error from every batch
+// method — never a nil or zero result that reads as "nothing unexplained" —
+// whether the masks still have to be built or are already cached.
 func TestExplainAllCancelled(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if got := a.ExplainAll(ctx, 4); got != nil {
-		t.Errorf("ExplainAll with cancelled ctx = %d reports, want nil", len(got))
-	}
-	if got := a.UnexplainedAccessesParallel(ctx, 4); got != nil {
-		t.Errorf("UnexplainedAccessesParallel with cancelled ctx = %v, want nil", got)
-	}
-	if got := a.ExplainedFractionParallel(ctx, 4); got != 0 {
-		t.Errorf("ExplainedFractionParallel with cancelled ctx = %v, want 0", got)
+	for _, state := range []string{"cold", "warm"} {
+		if got, err := a.ExplainAll(ctx, 4); !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("%s: ExplainAll with cancelled ctx = (%d reports, %v), want (nil, context.Canceled)", state, len(got), err)
+		}
+		if got, err := a.Unexplained(ctx, 4); !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("%s: Unexplained with cancelled ctx = (%v, %v), want (nil, context.Canceled)", state, got, err)
+		}
+		if got, err := a.ExplainedFraction(ctx, 4); !errors.Is(err, context.Canceled) || got != 0 {
+			t.Errorf("%s: ExplainedFraction with cancelled ctx = (%v, %v), want (0, context.Canceled)", state, got, err)
+		}
+		if err := a.Refresh(context.Background(), 4); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -118,13 +123,13 @@ func TestExplainAllCancelled(t *testing.T) {
 func TestExplainAllSharedAuditorRace(t *testing.T) {
 	a := buildSeededAuditor(t, 5)
 	baseline := buildSeededAuditor(t, 5)
-	n := baseline.Evaluator().Log().NumRows()
+	n := baseline.Log().NumRows()
 	want := make([]core.AccessReport, n)
 	for r := 0; r < n; r++ {
-		want[r] = baseline.ExplainRow(r, 0)
+		want[r] = mustExplainRow(t, baseline, r, 0)
 	}
-	wantUnexplained := baseline.UnexplainedAccesses()
-	wantFraction := baseline.ExplainedFraction()
+	wantUnexplained := mustUnexplained(t, baseline, 1)
+	wantFraction := mustFraction(t, baseline, 1)
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -132,22 +137,22 @@ func TestExplainAllSharedAuditorRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := a.ExplainAll(ctx, 8); !reflect.DeepEqual(got, want) {
-				t.Error("concurrent ExplainAll diverged from sequential baseline")
+			if got, err := a.ExplainAll(ctx, 8); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent ExplainAll diverged from sequential baseline (err %v)", err)
 			}
 		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := a.UnexplainedAccessesParallel(ctx, 8); !reflect.DeepEqual(got, wantUnexplained) {
-				t.Error("concurrent UnexplainedAccessesParallel diverged")
+			if got, err := a.Unexplained(ctx, 8); err != nil || !reflect.DeepEqual(got, wantUnexplained) {
+				t.Errorf("concurrent Unexplained diverged (err %v)", err)
 			}
 		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := a.ExplainedFractionParallel(ctx, 8); got != wantFraction {
-				t.Errorf("concurrent ExplainedFractionParallel = %v, want %v", got, wantFraction)
+			if got, err := a.ExplainedFraction(ctx, 8); err != nil || got != wantFraction {
+				t.Errorf("concurrent ExplainedFraction = (%v, %v), want %v", got, err, wantFraction)
 			}
 		}()
 	}

@@ -11,16 +11,18 @@
 //   - misuse detection: surface the accesses that no template explains, the
 //     shortlist a compliance office would investigate (§1).
 //
-// Auditing every access in a hospital-scale log is embarrassingly parallel
-// across log rows, so the package also provides a concurrent batch engine:
-// ExplainAll, UnexplainedAccessesParallel, and ExplainedFractionParallel
-// shard the log over a worker pool of cloned evaluator cursors and produce
-// results identical to their sequential counterparts (see the Auditor type
-// comment for the concurrency contract). Template masks are themselves
-// computed sharded: each template's log is split into ranges evaluated
-// concurrently via explain.Template.EvaluateRange over shared prepared
-// plans, so mask computation scales with cores even when few templates are
-// registered.
+// Every operation has one form: the ones that compute template masks take a
+// context and a worker count and return an error, so a cancelled or failed
+// audit can never read as "nothing unexplained". Auditing every access in a
+// hospital-scale log is embarrassingly parallel across log rows, so
+// StreamReports (and ExplainAll, Unexplained, ExplainedFraction over it or
+// its masks) shard the log over a worker pool of cloned evaluator cursors
+// and produce results identical to a row-at-a-time ExplainRow loop (see the
+// Auditor type comment for the concurrency contract). Template masks are
+// themselves computed sharded: each template's log is split into ranges
+// evaluated concurrently via explain.Template.EvaluateRange over shared
+// prepared plans, so mask computation scales with cores even when few
+// templates are registered.
 package core
 
 import (
@@ -29,13 +31,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/accesslog"
 	"repro/internal/bitset"
 	"repro/internal/explain"
 	"repro/internal/groups"
-	"repro/internal/metrics"
 	"repro/internal/mine"
 	"repro/internal/obs"
 	"repro/internal/pathmodel"
@@ -52,17 +52,17 @@ import (
 //
 // Configuration (NewAuditor, BuildGroups, AddTemplates, ResetMaskCache)
 // requires exclusive access. Once configured, the batch methods —
-// ExplainAll, UnexplainedAccessesParallel, ExplainedFractionParallel — are
+// StreamReports, ExplainAll, Unexplained, ExplainedFraction, Refresh — are
 // safe to call concurrently with each other: they fan work out to
 // per-worker evaluator cursors (query.Evaluator.Clone), shard each missing
 // template mask into log-row ranges over one worker pool (so even a
 // one-template workload uses every worker), and guard the shared
 // template-mask cache with a mutex. The per-worker cursors share the query
 // engine's compiled-plan cache, so a template's path is compiled once no
-// matter how many workers evaluate its shards. The single-row methods
-// (ExplainRow, PatientReport, UnexplainedAccesses, ExplainedFraction) share
-// one evaluator cursor and must not run concurrently with anything else on
-// the same Auditor.
+// matter how many workers evaluate its shards. The point methods
+// (ExplainRow, PatientReport, Support) bring masks up to date through the
+// same path but render on the auditor's own cursor, so they must not run
+// concurrently with anything else on the same Auditor.
 type Auditor struct {
 	db    *relation.Database
 	graph *schemagraph.Graph
@@ -190,6 +190,18 @@ func (a *Auditor) Graph() *schemagraph.Graph { return a.graph }
 // for callers running custom path queries.
 func (a *Auditor) Evaluator() *query.Evaluator { return a.ev }
 
+// Log returns the audited log: the table whose row indexes ExplainRow and
+// Unexplained speak of (the database's Log, unless WithAuditedLog chose
+// another).
+func (a *Auditor) Log() *relation.Table { return a.ev.Log() }
+
+// MetricsSnapshot returns the auditor's metrics view: the engine registry
+// (query-plan and mask-cache metrics) merged with the process-wide
+// obs.Default registry (worker-pool, stream and store metrics).
+func (a *Auditor) MetricsSnapshot() map[string]obs.Metric {
+	return obs.Merge(a.ev.Metrics().Snapshot(), obs.Default.Snapshot())
+}
+
 // DefaultGroupsTable is the table name BuildGroups installs when
 // GroupsOptions.TableName is empty. Layers that rebuild the Groups table
 // themselves (the federation trains one over a merged log) use the same
@@ -313,55 +325,6 @@ func (a *Auditor) MineTemplates(algo string, opt mine.Options) (mine.Result, err
 	return mine.Run(algo, a.ev, a.graph, opt)
 }
 
-// mask returns (computing, or extending over appended log rows, on demand)
-// the packed explained-rows mask of template i. Computation uses the
-// auditor's own cursor, so this is part of the single-threaded API; the
-// batch path precomputes masks via ensureMasks with the same
-// extend-or-rebuild policy.
-func (a *Auditor) mask(i int) *bitset.Bits {
-	n := a.ev.Log().NumRows()
-	hist := a.histVersion()
-	a.mu.Lock()
-	e, ok := a.masks[i]
-	a.mu.Unlock()
-	monotone := explain.AppendMonotone(a.templates[i])
-	if ok && e.rows == n && (monotone || e.hist == hist) {
-		a.maskHits.Add(1)
-		return e.bits
-	}
-	var bits *bitset.Bits
-	lo := 0
-	outcome := "recompute"
-	if ok && e.rows < n && monotone {
-		bits = e.bits.Clone()
-		bits.Grow(n)
-		lo = e.rows
-		outcome = "extend"
-		a.maskExtensions.Add(1)
-	} else {
-		bits = bitset.New(n)
-		a.maskRecomputes.Add(1)
-	}
-	sp := obs.StartSpan("core.mask.build").
-		Annotate("template", a.templates[i].Name()).
-		Annotate("outcome", outcome).
-		Annotate("rows", n-lo)
-	timed := obs.Enabled()
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	bits.SetBools(lo, a.templates[i].EvaluateRange(a.ev, lo, n))
-	if timed {
-		a.maskEvalNanos.Observe(time.Since(t0).Nanoseconds())
-	}
-	sp.End()
-	a.mu.Lock()
-	a.masks[i] = &maskEntry{bits: bits, rows: n, hist: hist}
-	a.mu.Unlock()
-	return bits
-}
-
 // Refresh brings every cached template mask (and, transitively, the query
 // engine's log projections) up to date with rows appended to the audited
 // log since the masks were computed, evaluating only the appended suffix of
@@ -403,18 +366,26 @@ type AccessReport struct {
 // Explained reports whether any template explains the access.
 func (r AccessReport) Explained() bool { return len(r.Explanations) > 0 }
 
-// ExplainRow builds the report for one log row index. It runs on the
-// auditor's own cursor and is part of the single-threaded API; ExplainAll is
-// the concurrent batch equivalent and produces identical reports.
-func (a *Auditor) ExplainRow(row int, maxPerTemplate int) AccessReport {
-	return a.explainRowWith(a.ev, a.mask, row, maxPerTemplate)
+// ExplainRow builds the report for one log row index, bringing the template
+// masks up to date first (see ensureMasks). It renders on the auditor's own
+// cursor; StreamReports is the concurrent batch equivalent and produces
+// identical reports.
+func (a *Auditor) ExplainRow(row int, maxPerTemplate int) (AccessReport, error) {
+	if n := a.ev.Log().NumRows(); row < 0 || row >= n {
+		return AccessReport{}, fmt.Errorf("core: row %d out of range [0, %d)", row, n)
+	}
+	masks, err := a.ensureMasks(context.TODO(), 0)
+	if err != nil {
+		return AccessReport{}, err
+	}
+	return a.explainRowWith(a.ev, masks, row, maxPerTemplate), nil
 }
 
 // explainRowWith builds the report for one log row using the given cursor
-// and mask source. It is the single code path behind both ExplainRow and the
-// batch workers of ExplainAll, which is what guarantees the two APIs return
-// byte-for-byte identical reports.
-func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.Bits, row, maxPerTemplate int) AccessReport {
+// and template masks. It is the single code path behind both ExplainRow and
+// the batch workers of StreamReports, which is what guarantees the two
+// return byte-for-byte identical reports.
+func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row, maxPerTemplate int) AccessReport {
 	log := ev.Log()
 	if maxPerTemplate <= 0 {
 		maxPerTemplate = 3
@@ -427,8 +398,8 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.B
 	}
 	rep.UserName = a.namer.UserName(rep.User)
 	explaining := 0
-	for i := range a.templates {
-		if maskOf(i).Get(row) {
+	for _, m := range masks {
+		if m.Get(row) {
 			explaining++
 		}
 	}
@@ -436,7 +407,7 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.B
 		rep.Explanations = make([]Explanation, 0, explaining*maxPerTemplate)
 	}
 	for i, t := range a.templates {
-		if !maskOf(i).Get(row) {
+		if !masks[i].Get(row) {
 			continue
 		}
 		for _, text := range t.Render(ev, row, maxPerTemplate, a.namer) {
@@ -455,50 +426,33 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, maskOf func(int) *bitset.B
 // patient's record, each with its explanations. The patient's rows are
 // resolved through the log's per-patient hash index rather than a linear
 // scan, so one report costs O(accesses to that patient) plus rendering —
-// the lookup pattern a patient-facing portal serves per request.
-func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) []AccessReport {
-	log := a.ev.Log()
-	rows := log.Index(pathmodel.LogPatientColumn)[patient]
+// the lookup pattern a patient-facing portal serves per request. Reports
+// are in ascending row order; a patient with no accesses gets an empty
+// slice without any mask work.
+func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) ([]AccessReport, error) {
+	rows := a.ev.Log().Index(pathmodel.LogPatientColumn)[patient]
 	out := make([]AccessReport, 0, len(rows))
-	// Index rows are recorded in ascending row order, preserving the
-	// chronological report order of the previous full scan.
+	if len(rows) == 0 {
+		return out, nil
+	}
+	masks, err := a.ensureMasks(context.TODO(), 0)
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range rows {
-		out = append(out, a.ExplainRow(r, maxPerTemplate))
+		out = append(out, a.explainRowWith(a.ev, masks, r, maxPerTemplate))
 	}
-	return out
+	return out, nil
 }
 
-// unionMask ORs every template mask into one packed "explained by anything"
-// mask (nil when no templates are registered), computing or extending the
-// per-template masks on the auditor's own cursor.
-func (a *Auditor) unionMask() *bitset.Bits {
-	masks := make([]*bitset.Bits, len(a.templates))
-	for i := range a.templates {
-		masks[i] = a.mask(i)
+// Support returns the number of audited log rows path p connects — its
+// support (§3.1) — through the engine's compiled-plan cache. Like the other
+// point methods it runs on the auditor's own cursor.
+func (a *Auditor) Support(ctx context.Context, p pathmodel.Path) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	return metrics.UnionBits(masks...)
-}
-
-// UnexplainedAccesses returns the log rows no registered template explains —
-// the paper's misuse-detection shortlist. The returned slice holds row
-// indexes into the auditor's log.
-func (a *Auditor) UnexplainedAccesses() []int {
-	union := a.unionMask()
-	var out []int
-	n := a.ev.Log().NumRows()
-	for r := 0; r < n; r++ {
-		if union == nil || !union.Get(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ExplainedFraction returns the fraction of log rows explained by the
-// registered templates (the paper's headline ">94% of accesses" number),
-// by popcount over the packed union mask.
-func (a *Auditor) ExplainedFraction() float64 {
-	return metrics.FractionBits(a.unionMask())
+	return a.ev.Prepare(p).Support(), nil
 }
 
 // PlanCacheStats returns the query engine's plan-cache counters with the

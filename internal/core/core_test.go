@@ -58,7 +58,7 @@ func TestExplainRowRanksByLength(t *testing.T) {
 	_ = ds
 	found := false
 	for r := 0; r < 200; r++ {
-		rep := a.ExplainRow(r, 2)
+		rep := mustExplainRow(t, a, r, 2)
 		if len(rep.Explanations) < 2 {
 			continue
 		}
@@ -77,7 +77,7 @@ func TestExplainRowRanksByLength(t *testing.T) {
 
 func TestExplainRowFields(t *testing.T) {
 	ds, a := buildAuditor(t)
-	rep := a.ExplainRow(0, 1)
+	rep := mustExplainRow(t, a, 0, 1)
 	log := ds.Log()
 	if rep.Lid != log.Get(0, pathmodel.LogIDColumn).AsInt() {
 		t.Errorf("Lid = %d", rep.Lid)
@@ -107,7 +107,7 @@ func TestPatientReportCoversAllAccesses(t *testing.T) {
 		if n < 3 {
 			continue
 		}
-		reports := a.PatientReport(pv, 1)
+		reports := mustPatientReport(t, a, pv, 1)
 		if len(reports) != n {
 			t.Errorf("PatientReport(%v) = %d reports, want %d", pv, len(reports), n)
 		}
@@ -118,8 +118,8 @@ func TestPatientReportCoversAllAccesses(t *testing.T) {
 
 func TestUnexplainedConsistentWithExplainedFraction(t *testing.T) {
 	ds, a := buildAuditor(t)
-	un := a.UnexplainedAccesses()
-	frac := a.ExplainedFraction()
+	un := mustUnexplained(t, a, 1)
+	frac := mustFraction(t, a, 1)
 	total := ds.Log().NumRows()
 	wantUnexplained := total - int(frac*float64(total)+0.5)
 	if len(un) != wantUnexplained {
@@ -127,7 +127,7 @@ func TestUnexplainedConsistentWithExplainedFraction(t *testing.T) {
 	}
 	// Every unexplained row really has no explanations.
 	for _, r := range un[:minInt(10, len(un))] {
-		if rep := a.ExplainRow(r, 1); rep.Explained() {
+		if rep := mustExplainRow(t, a, r, 1); rep.Explained() {
 			t.Errorf("row %d on unexplained list but has explanations", r)
 		}
 	}
@@ -135,14 +135,14 @@ func TestUnexplainedConsistentWithExplainedFraction(t *testing.T) {
 
 func TestUnexplainedContainsGroundTruthResidue(t *testing.T) {
 	ds, a := buildAuditor(t)
-	un := a.UnexplainedAccesses()
+	un := mustUnexplained(t, a, 0)
 	onList := map[int]bool{}
 	for _, r := range un {
 		onList[r] = true
 	}
 	// The explained fraction should be high and the residue dominated by
 	// none/snoop/floater causes.
-	if frac := a.ExplainedFraction(); frac < 0.9 {
+	if frac := mustFraction(t, a, 0); frac < 0.9 {
 		t.Errorf("ExplainedFraction = %.3f", frac)
 	}
 	for _, r := range un {
@@ -161,11 +161,11 @@ func TestUnexplainedContainsGroundTruthResidue(t *testing.T) {
 func TestEmptyTemplateSet(t *testing.T) {
 	ds := ehr.Generate(ehr.Tiny())
 	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()))
-	if got := a.ExplainedFraction(); got != 0 {
+	if got := mustFraction(t, a, 0); got != 0 {
 		t.Errorf("ExplainedFraction with no templates = %v", got)
 	}
-	if got := len(a.UnexplainedAccesses()); got != ds.Log().NumRows() {
-		t.Errorf("UnexplainedAccesses = %d, want all %d", got, ds.Log().NumRows())
+	if got := len(mustUnexplained(t, a, 0)); got != ds.Log().NumRows() {
+		t.Errorf("Unexplained = %d, want all %d", got, ds.Log().NumRows())
 	}
 }
 

@@ -22,7 +22,7 @@ func TestAuditorWithDecoratedTemplates(t *testing.T) {
 		explain.DecoratedRepeatAccess(),
 		explain.DepthRestrictedGroupTemplate("appt-group-d1", "Appointments", "an appointment", 1),
 	)
-	frac := a.ExplainedFraction()
+	frac := mustFraction(t, a, 0)
 	if frac <= 0 || frac >= 1 {
 		t.Errorf("ExplainedFraction = %.3f, want in (0,1)", frac)
 	}
@@ -30,7 +30,7 @@ func TestAuditorWithDecoratedTemplates(t *testing.T) {
 	// Explanations render through the decorated machinery.
 	found := false
 	for r := 0; r < 100 && !found; r++ {
-		rep := a.ExplainRow(r, 2)
+		rep := mustExplainRow(t, a, r, 2)
 		for _, e := range rep.Explanations {
 			if e.Template == "repeat-access-decorated" || e.Template == "appt-group-d1" {
 				if e.Text == "" {

@@ -53,7 +53,7 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 			a.BuildGroups(core.GroupsOptions{})
 			a.AddTemplates(explain.Handcrafted(true, true).All()...)
-			if got := a.ExplainAll(ctx, par); len(got) != cut {
+			if got := mustExplainAll(t, a, par); len(got) != cut {
 				t.Fatalf("seed %d: warm-up audited %d rows, want %d", seed, len(got), cut)
 			}
 			recomputes := a.PlanCacheStats().MaskRecomputes
@@ -76,16 +76,16 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 					seed, par, st.MaskExtensions, want)
 			}
 
-			got := a.ExplainAll(ctx, par)
-			gotFraction := a.ExplainedFractionParallel(ctx, par)
-			gotUnexplained := a.UnexplainedAccessesParallel(ctx, par)
+			got := mustExplainAll(t, a, par)
+			gotFraction := mustFraction(t, a, par)
+			gotUnexplained := mustUnexplained(t, a, par)
 
 			// The rebuild oracle: a fresh auditor over the same grown
 			// database (sharing the Groups table — Refresh does not retrain
 			// groups, so neither may the reference).
 			b := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 			b.AddTemplates(a.Templates()...)
-			want := b.ExplainAll(ctx, par)
+			want := mustExplainAll(t, b, par)
 			if len(got) != n {
 				t.Fatalf("seed %d: refreshed audit covers %d rows, want %d", seed, len(got), n)
 			}
@@ -97,20 +97,20 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 					}
 				}
 			}
-			if wantF := b.ExplainedFractionParallel(ctx, par); gotFraction != wantF {
+			if wantF := mustFraction(t, b, par); gotFraction != wantF {
 				t.Errorf("seed %d par %d: refreshed fraction = %v, want %v", seed, par, gotFraction, wantF)
 			}
-			if wantU := b.UnexplainedAccessesParallel(ctx, par); !reflect.DeepEqual(gotUnexplained, wantU) {
+			if wantU := mustUnexplained(t, b, par); !reflect.DeepEqual(gotUnexplained, wantU) {
 				t.Errorf("seed %d par %d: refreshed unexplained = %v, want %v", seed, par, gotUnexplained, wantU)
 			}
 		}
 	}
 }
 
-// TestRefreshSingleRowAPI exercises the single-threaded mask path across an
-// append: ExplainRow and ExplainedFraction after appends must match a
-// rebuilt auditor row for row without Refresh ever being called explicitly
-// (the lazy mask accessor extends on demand).
+// TestRefreshSingleRowAPI exercises the point methods across an append:
+// ExplainRow and ExplainedFraction after appends must match a rebuilt
+// auditor row for row without Refresh ever being called explicitly (every
+// mask read goes through the same extend-or-rebuild policy).
 func TestRefreshSingleRowAPI(t *testing.T) {
 	cfg := ehr.Tiny()
 	cfg.Seed = 2
@@ -122,7 +122,7 @@ func TestRefreshSingleRowAPI(t *testing.T) {
 	a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 	a.BuildGroups(core.GroupsOptions{})
 	a.AddTemplates(explain.Handcrafted(true, true).All()...)
-	_ = a.ExplainedFraction() // warm masks on the truncated log
+	mustFraction(t, a, 1) // warm masks on the truncated log
 
 	log := db.MustTable(pathmodel.LogTable)
 	for r := cut; r < n; r++ {
@@ -132,11 +132,11 @@ func TestRefreshSingleRowAPI(t *testing.T) {
 	b := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 	b.AddTemplates(a.Templates()...)
 	for r := 0; r < n; r++ {
-		if got, want := a.ExplainRow(r, 0), b.ExplainRow(r, 0); !reflect.DeepEqual(got, want) {
+		if got, want := mustExplainRow(t, a, r, 0), mustExplainRow(t, b, r, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("row %d differs after lazy extension:\n got %+v\nwant %+v", r, got, want)
 		}
 	}
-	if got, want := a.ExplainedFraction(), b.ExplainedFraction(); got != want {
+	if got, want := mustFraction(t, a, 1), mustFraction(t, b, 1); got != want {
 		t.Errorf("lazy-extended fraction = %v, want %v", got, want)
 	}
 	if st := a.PlanCacheStats(); st.MaskExtensions == 0 {
@@ -150,15 +150,14 @@ func TestRefreshSingleRowAPI(t *testing.T) {
 // drops only the group templates' masks — all while audit results stay
 // correct.
 func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
-	ctx := context.Background()
 	a := buildSeededAuditor(t, 1)
-	before := a.ExplainAll(ctx, 2)
+	before := mustExplainAll(t, a, 2)
 	base := a.PlanCacheStats().MaskRecomputes
 
 	// New templates get masks lazily; existing masks survive.
 	extra := explain.WithDrTemplate("appt-with-dr-again", "Appointments", "an appointment")
 	a.AddTemplates(extra)
-	withExtra := a.ExplainAll(ctx, 2)
+	withExtra := mustExplainAll(t, a, 2)
 	if len(withExtra) != len(before) {
 		t.Fatalf("audit after AddTemplates covers %d rows, want %d", len(withExtra), len(before))
 	}
@@ -169,7 +168,7 @@ func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
 
 	// An unrelated table add keeps every mask.
 	a.AddTable(relation.NewTable("SideFeed", "Patient", "Date"))
-	_ = a.ExplainAll(ctx, 2)
+	mustExplainAll(t, a, 2)
 	if got := a.PlanCacheStats().MaskRecomputes; got != base+1 {
 		t.Errorf("unrelated AddTable recomputed %d masks, want 0", got-base-1)
 	}
@@ -193,7 +192,7 @@ func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
 	}
 	grp := a.Database().MustTable(core.DefaultGroupsTable)
 	a.AddTable(grp.Clone(core.DefaultGroupsTable))
-	after := a.ExplainAll(ctx, 2)
+	after := mustExplainAll(t, a, 2)
 	if got := a.PlanCacheStats().MaskRecomputes; got != base+1+groupsReaders {
 		t.Errorf("Groups replacement recomputed %d masks, want %d (the group templates)",
 			got-base-1, groupsReaders)

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -16,19 +15,18 @@ import (
 // mask cache reset between runs so each parallelism level recomputes its
 // own masks from scratch.
 func TestMaskShardingDifferential(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		a := buildSeededAuditor(t, seed)
 		a.ResetMaskCache()
-		seqRows := a.UnexplainedAccessesParallel(ctx, 1)
-		seqFrac := a.ExplainedFractionParallel(ctx, 1)
+		seqRows := mustUnexplained(t, a, 1)
+		seqFrac := mustFraction(t, a, 1)
 		for _, par := range []int{2, 5, 8} {
 			a.ResetMaskCache()
-			rows := a.UnexplainedAccessesParallel(ctx, par)
+			rows := mustUnexplained(t, a, par)
 			if !reflect.DeepEqual(rows, seqRows) {
 				t.Errorf("seed %d: unexplained rows differ at parallelism %d", seed, par)
 			}
-			if frac := a.ExplainedFractionParallel(ctx, par); frac != seqFrac {
+			if frac := mustFraction(t, a, par); frac != seqFrac {
 				t.Errorf("seed %d: fraction %v != %v at parallelism %d", seed, frac, seqFrac, par)
 			}
 		}
@@ -39,10 +37,9 @@ func TestMaskShardingDifferential(t *testing.T) {
 // not change any result, only force recomputation.
 func TestResetMaskCacheRecomputes(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
-	ctx := context.Background()
-	before := a.UnexplainedAccessesParallel(ctx, 4)
+	before := mustUnexplained(t, a, 4)
 	a.ResetMaskCache()
-	after := a.UnexplainedAccessesParallel(ctx, 4)
+	after := mustUnexplained(t, a, 4)
 	if !reflect.DeepEqual(before, after) {
 		t.Error("results changed across ResetMaskCache")
 	}
@@ -53,17 +50,17 @@ func TestResetMaskCacheRecomputes(t *testing.T) {
 // log (including order of the reports).
 func TestPatientReportMatchesScan(t *testing.T) {
 	_, a := buildAuditor(t)
-	log := a.Evaluator().Log()
+	log := a.Log()
 	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
 
 	for _, pv := range log.DistinctValues(pathmodel.LogPatientColumn) {
-		got := a.PatientReport(pv, 1)
+		got := mustPatientReport(t, a, pv, 1)
 		k := 0
 		for r := 0; r < log.NumRows(); r++ {
 			if log.Row(r)[pi] != pv {
 				continue
 			}
-			want := a.ExplainRow(r, 1)
+			want := mustExplainRow(t, a, r, 1)
 			if k >= len(got) {
 				t.Fatalf("patient %v: report truncated at %d entries", pv, len(got))
 			}
@@ -76,7 +73,7 @@ func TestPatientReportMatchesScan(t *testing.T) {
 			t.Errorf("patient %v: %d reports, scan found %d", pv, len(got), k)
 		}
 	}
-	if got := a.PatientReport(relation.Int(-987654), 1); len(got) != 0 {
+	if got := mustPatientReport(t, a, relation.Int(-987654), 1); len(got) != 0 {
 		t.Errorf("unknown patient returned %d reports", len(got))
 	}
 }

@@ -40,7 +40,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 	explanations := func() int {
 		total := 0
 		for r := 0; r < log.NumRows(); r++ {
-			total += len(a.ExplainRow(r, 0).Explanations)
+			total += len(mustExplainRow(t, a, r, 0).Explanations)
 		}
 		return total
 	}
@@ -51,22 +51,22 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 		}
 		fresh := core.NewAuditor(db, graph, core.WithNamer(ds))
 		fresh.AddTemplates(a.Templates()...)
-		want := fresh.ExplainAll(ctx, 1)
+		want := mustExplainAll(t, fresh, 1)
 		if len(want) != log.NumRows() {
 			t.Fatalf("%s: rebuilt audit covers %d rows, want %d", step, len(want), log.NumRows())
 		}
 		for r := range want {
-			if got := a.ExplainRow(r, 0); !reflect.DeepEqual(got, want[r]) {
+			if got := mustExplainRow(t, a, r, 0); !reflect.DeepEqual(got, want[r]) {
 				t.Fatalf("%s: ExplainRow(%d) differs from rebuild:\n got %+v\nwant %+v", step, r, got, want[r])
 			}
 		}
 		for _, p := range log.DistinctValues(pathmodel.LogPatientColumn) {
-			if got, want := a.PatientReport(p, 2), fresh.PatientReport(p, 2); !reflect.DeepEqual(got, want) {
+			if got, want := mustPatientReport(t, a, p, 2), mustPatientReport(t, fresh, p, 2); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: PatientReport(%v) differs from rebuild", step, p)
 			}
 		}
 		for pass := 1; pass <= 2; pass++ {
-			if got := a.ExplainAll(ctx, 4); !reflect.DeepEqual(got, want) {
+			if got := mustExplainAll(t, a, 4); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: StreamReports pass %d differs from rebuild", step, pass)
 			}
 		}
@@ -76,7 +76,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 	before := explanations()
 
 	// An unexplained access gains a lab order by its own user.
-	unexplained := a.UnexplainedAccesses()
+	unexplained := mustUnexplained(t, a, 1)
 	if len(unexplained) == 0 {
 		t.Fatal("fixture has no unexplained access to turn into a witness")
 	}
@@ -86,7 +86,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 	db.MustTable(ehr.TableLabs).Append(row[pi], relation.Date(0), row[ui], row[ui])
 	a.ResetMaskCache() // event-table growth is not watermarked by the masks
 	check("event row appended")
-	if got := len(a.ExplainRow(unexplained[0], 0).Explanations); got == 0 {
+	if got := len(mustExplainRow(t, a, unexplained[0], 0).Explanations); got == 0 {
 		t.Error("the appended lab order explains nothing")
 	}
 
@@ -118,7 +118,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 	stranger[li], stranger[ui], stranger[pi] = relation.Int(1<<41), relation.Int(1<<42), relation.Int(1<<43)
 	log.Append(stranger...)
 	check("stranger appended")
-	if got := a.ExplainRow(log.NumRows()-1, 0); got.Explained() {
+	if got := mustExplainRow(t, a, log.NumRows()-1, 0); got.Explained() {
 		t.Errorf("the stranger's access is explained: %+v", got)
 	}
 }

@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
-	"iter"
 
-	"repro/internal/bitset"
 	"repro/internal/parallel"
 	"repro/internal/query"
 )
@@ -16,10 +13,6 @@ import (
 // reports — a few thousand rows at most — independent of the log size, which
 // is the whole point of streaming over materializing.
 const streamWindowPerWorker = 4
-
-// errStopStream is the internal sentinel a Reports iterator uses to unwind
-// StreamReports when the consumer breaks out of the range loop early.
-var errStopStream = errors.New("core: report stream stopped by consumer")
 
 // streamChunks fans produce out over batchChunk-row shards of the log and
 // hands each chunk's value to emit in log order with bounded buffering. It is
@@ -60,7 +53,6 @@ func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(Ac
 	if err != nil {
 		return err
 	}
-	maskOf := func(i int) *bitset.Bits { return masks[i] }
 
 	n := a.ev.Log().NumRows()
 	workers := normalizeParallelism(parallelism)
@@ -72,7 +64,7 @@ func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(Ac
 		func(w, lo, hi int) []AccessReport {
 			chunk := make([]AccessReport, 0, hi-lo)
 			for r := lo; r < hi; r++ {
-				chunk = append(chunk, a.explainRowWith(cursors[w], maskOf, r, 0))
+				chunk = append(chunk, a.explainRowWith(cursors[w], masks, r, 0))
 			}
 			return chunk
 		},
@@ -84,28 +76,4 @@ func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(Ac
 			}
 			return nil
 		})
-}
-
-// Reports is the iterator form of StreamReports: it ranges over every log
-// row's report in log order, with the same bounded buffering and worker
-// pool. A non-nil error (cancellation, or an internal failure) is yielded as
-// the final pair with a zero AccessReport. Breaking out of the loop early
-// tears the pipeline down cleanly.
-//
-//	for rep, err := range a.Reports(ctx, 8) {
-//	    if err != nil { ... }
-//	    consume(rep)
-//	}
-func (a *Auditor) Reports(ctx context.Context, parallelism int) iter.Seq2[AccessReport, error] {
-	return func(yield func(AccessReport, error) bool) {
-		err := a.StreamReports(ctx, parallelism, func(rep AccessReport) error {
-			if !yield(rep, nil) {
-				return errStopStream
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopStream) {
-			yield(AccessReport{}, err)
-		}
-	}
 }

@@ -22,10 +22,10 @@ func TestStreamReportsMatchesExplainAll(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		a := buildSeededAuditor(t, seed)
-		n := a.Evaluator().Log().NumRows()
+		n := a.Log().NumRows()
 		want := make([]core.AccessReport, n)
 		for r := 0; r < n; r++ {
-			want[r] = a.ExplainRow(r, 0)
+			want[r] = mustExplainRow(t, a, r, 0)
 		}
 		for _, par := range []int{1, 2, 4, 8} {
 			got := make([]core.AccessReport, 0, n)
@@ -44,44 +44,10 @@ func TestStreamReportsMatchesExplainAll(t *testing.T) {
 				}
 				t.Fatalf("seed %d parallelism %d: streamed reports differ", seed, par)
 			}
-			if mat := a.ExplainAll(ctx, par); !reflect.DeepEqual(mat, got) {
+			if mat := mustExplainAll(t, a, par); !reflect.DeepEqual(mat, got) {
 				t.Fatalf("seed %d parallelism %d: ExplainAll differs from its own stream", seed, par)
 			}
 		}
-	}
-}
-
-// TestReportsIterator checks the iter.Seq2 face: full iteration yields the
-// ExplainAll sequence with no error pair, and breaking out of the loop early
-// tears the pipeline down cleanly (no hang, no spurious error yield).
-func TestReportsIterator(t *testing.T) {
-	ctx := context.Background()
-	a := buildSeededAuditor(t, 2)
-	want := a.ExplainAll(ctx, 4)
-
-	var got []core.AccessReport
-	for rep, err := range a.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("unexpected iterator error: %v", err)
-		}
-		got = append(got, rep)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("iterated reports differ from ExplainAll")
-	}
-
-	seen := 0
-	for _, err := range a.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("unexpected iterator error on early break: %v", err)
-		}
-		seen++
-		if seen == 5 {
-			break
-		}
-	}
-	if seen != 5 {
-		t.Fatalf("early break saw %d reports, want 5", seen)
 	}
 }
 
@@ -89,7 +55,7 @@ func TestReportsIterator(t *testing.T) {
 // immediately and is returned verbatim; fn has seen a clean prefix.
 func TestStreamReportsConsumerError(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
-	want := a.ExplainAll(context.Background(), 4)
+	want := mustExplainAll(t, a, 4)
 	boom := errors.New("sink failed")
 	var got []core.AccessReport
 	err := a.StreamReports(context.Background(), 4, func(rep core.AccessReport) error {
@@ -114,7 +80,7 @@ func TestStreamReportsConsumerError(t *testing.T) {
 // the log, and StreamReports must return ctx.Err().
 func TestStreamReportsCancelPrompt(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
-	n := a.Evaluator().Log().NumRows()
+	n := a.Log().NumRows()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
@@ -150,25 +116,22 @@ func emptyLogAuditor() *core.Auditor {
 }
 
 // TestExplainedFractionEmptyLog is the regression test for the empty-log
-// division: both the sequential and the parallel fraction must return 0 —
-// never NaN — and the other batch methods must degrade cleanly.
+// division: the fraction must be 0 — never NaN — at every parallelism, and
+// the other batch methods must degrade cleanly.
 func TestExplainedFractionEmptyLog(t *testing.T) {
 	ctx := context.Background()
 	a := emptyLogAuditor()
 
-	if f := a.ExplainedFraction(); f != 0 || math.IsNaN(f) {
-		t.Errorf("ExplainedFraction on empty log = %v, want 0", f)
-	}
 	for _, par := range []int{1, 4} {
-		if f := a.ExplainedFractionParallel(ctx, par); f != 0 || math.IsNaN(f) {
-			t.Errorf("ExplainedFractionParallel(%d) on empty log = %v, want 0", par, f)
+		if f := mustFraction(t, a, par); f != 0 || math.IsNaN(f) {
+			t.Errorf("ExplainedFraction(%d) on empty log = %v, want 0", par, f)
 		}
 	}
-	if got := a.ExplainAll(ctx, 4); got == nil || len(got) != 0 {
+	if got := mustExplainAll(t, a, 4); got == nil || len(got) != 0 {
 		t.Errorf("ExplainAll on empty log = %v, want empty non-nil slice", got)
 	}
-	if got := a.UnexplainedAccessesParallel(ctx, 4); len(got) != 0 {
-		t.Errorf("UnexplainedAccessesParallel on empty log = %v, want none", got)
+	if got := mustUnexplained(t, a, 4); len(got) != 0 {
+		t.Errorf("Unexplained on empty log = %v, want none", got)
 	}
 	if err := a.StreamReports(ctx, 4, func(core.AccessReport) error {
 		t.Error("report emitted for empty log")

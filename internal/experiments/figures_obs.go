@@ -105,16 +105,20 @@ func Obs(env *Env) ObsFigure {
 	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 	workers := runtime.GOMAXPROCS(0)
 
-	audit := func(execStats bool) (*core.Auditor, []core.AccessReport, float64) {
+	audit := func(execStats bool) (*core.Auditor, []core.AccessReport, float64, error) {
 		a := core.NewAuditor(env.DS.DB, graph)
 		a.AddTemplates(explain.Handcrafted(true, true).All()...)
 		a.Evaluator().SetExecStats(execStats)
 		t0 := time.Now()
-		reports := a.ExplainAll(context.Background(), workers)
-		return a, reports, float64(time.Since(t0).Microseconds()) / 1000
+		reports, err := a.ExplainAll(context.Background(), workers)
+		return a, reports, float64(time.Since(t0).Microseconds()) / 1000, err
 	}
 
-	_, base, baseMillis := audit(false)
+	_, base, baseMillis, err := audit(false)
+	if err != nil {
+		f.Err = err.Error()
+		return f
+	}
 	f.DisabledMillis = baseMillis
 
 	obs.SetEnabled(true)
@@ -124,12 +128,15 @@ func Obs(env *Env) ObsFigure {
 		obs.SetTracer(prev)
 		obs.SetEnabled(false)
 	}()
-	a, traced, tracedMillis := audit(true)
+	a, traced, tracedMillis, err := audit(true)
+	if err != nil {
+		f.Err = err.Error()
+		return f
+	}
 	f.EnabledMillis = tracedMillis
 	f.Spans, _ = tracer.Drain(io.Discard)
 	f.SpansDropped = tracer.Dropped()
-	f.Registry = flattenSnapshot(obs.Merge(
-		a.Evaluator().Metrics().Snapshot(), obs.Default.Snapshot()))
+	f.Registry = flattenSnapshot(a.MetricsSnapshot())
 
 	if len(base) != len(traced) {
 		f.Err = fmt.Sprintf("report counts diverged: %d vs %d", len(base), len(traced))

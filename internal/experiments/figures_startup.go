@@ -77,7 +77,9 @@ func Startup(env *Env) StartupFigure {
 		return fail(err)
 	}
 	a := build(db)
-	a.ExplainedFractionParallel(context.Background(), runtime.GOMAXPROCS(0))
+	if err := a.Refresh(context.Background(), runtime.GOMAXPROCS(0)); err != nil {
+		return fail(err)
+	}
 	if err := s.SaveWarmState(db, a.CaptureWarmState()); err != nil {
 		return fail(err)
 	}
@@ -89,7 +91,9 @@ func Startup(env *Env) StartupFigure {
 		return fail(err)
 	}
 	aCold := build(dbCold)
-	aCold.ExplainRow(0, 1)
+	if _, err := aCold.ExplainRow(0, 1); err != nil {
+		return fail(err)
+	}
 	cold := time.Since(t0)
 
 	// Warm restart: the snapshot supplies the masks the cold start rebuilt.
@@ -104,7 +108,9 @@ func Startup(env *Env) StartupFigure {
 		return fail(err)
 	}
 	masks, plans := aWarm.InstallWarmState(ws)
-	aWarm.ExplainRow(0, 1)
+	if _, err := aWarm.ExplainRow(0, 1); err != nil {
+		return fail(err)
+	}
 	warm := time.Since(t0)
 
 	return StartupFigure{

@@ -54,12 +54,12 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := single.ExplainAll(ctx, 4)
+		want := mustExplainAll(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
-		wantUnexplained := single.UnexplainedAccessesParallel(ctx, 4)
-		wantFraction := single.ExplainedFractionParallel(ctx, 4)
+		wantUnexplained := mustUnexplained(t, single, 4)
+		wantFraction := mustFraction(t, single, 4)
 
 		for _, k := range []int{2, 4} {
 			f := splitFederation(t, ds, k, func(row int) int { return row % k })
@@ -89,22 +89,22 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 				)
 
 				label := fmt.Sprintf("seed %d k=%d j=%d", seed, k, j)
-				got := f.ExplainAll(ctx, j)
+				got := mustExplainAll(t, f, j)
 				assertReportsEqual(t, label+" reports", got, want)
 				if d := f.LastDegraded(); !d.IsZero() {
 					t.Fatalf("%s: transient faults left a degraded annotation: %+v", label, d)
 				}
 
-				gotUnexplained, err := f.UnexplainedAccessesErr(ctx, j)
+				gotUnexplained, err := f.Unexplained(ctx, j)
 				if err != nil {
-					t.Fatalf("%s: UnexplainedAccessesErr: %v", label, err)
+					t.Fatalf("%s: Unexplained: %v", label, err)
 				}
 				if !reflect.DeepEqual(gotUnexplained, wantUnexplained) {
 					t.Fatalf("%s: unexplained rows differ: got %v want %v", label, gotUnexplained, wantUnexplained)
 				}
-				gotFraction, err := f.ExplainedFractionErr(ctx, j)
+				gotFraction, err := f.ExplainedFraction(ctx, j)
 				if err != nil {
-					t.Fatalf("%s: ExplainedFractionErr: %v", label, err)
+					t.Fatalf("%s: ExplainedFraction: %v", label, err)
 				}
 				if gotFraction != wantFraction {
 					t.Fatalf("%s: fraction %v, want %v", label, gotFraction, wantFraction)
@@ -140,15 +140,15 @@ func TestChaosSupportTransient(t *testing.T) {
 		want := ev.Support(tpl.Path)
 		fault.Reset()
 		fault.Install(fault.Transient("federate.shard0.support", 1))
-		got, err := f.SupportCtx(ctx, tpl.Path)
+		got, err := f.Support(ctx, tpl.Path)
 		if err != nil {
-			t.Fatalf("SupportCtx(%s): %v", tpl.Name(), err)
+			t.Fatalf("Support(%s): %v", tpl.Name(), err)
 		}
 		if got != want {
-			t.Fatalf("SupportCtx(%s) = %d, want %d", tpl.Name(), got, want)
+			t.Fatalf("Support(%s) = %d, want %d", tpl.Name(), got, want)
 		}
 		if fault.Default.Injected() == 0 {
-			t.Fatalf("SupportCtx(%s): support seam never fired", tpl.Name())
+			t.Fatalf("Support(%s): support seam never fired", tpl.Name())
 		}
 	}
 }
@@ -158,9 +158,8 @@ func TestChaosSupportTransient(t *testing.T) {
 // retryable timeout, and the retry produces byte-identical output.
 func TestChaosHangTimeoutRetry(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	ctx := context.Background()
 	ds, single := singleEngine(t, 1)
-	want := single.ExplainAll(ctx, 4)
+	want := mustExplainAll(t, single, 4)
 
 	f := splitFederation(t, ds, 2, func(row int) int { return row % 2 })
 	pol := chaosPolicy(1)
@@ -173,7 +172,7 @@ func TestChaosHangTimeoutRetry(t *testing.T) {
 
 	fault.Install(fault.Rule{Site: "federate.shard1.stream", Kind: fault.KindHang, Count: 1})
 	start := time.Now()
-	got := f.ExplainAll(ctx, 4)
+	got := mustExplainAll(t, f, 4)
 	assertReportsEqual(t, "hang+timeout", got, want)
 	if el := time.Since(start); el < 2*time.Second {
 		t.Errorf("audit finished in %v — the hang never engaged the timeout", el)
@@ -184,9 +183,8 @@ func TestChaosHangTimeoutRetry(t *testing.T) {
 }
 
 // TestChaosPermanentStrictFailFast pins strict mode: a permanently failing
-// shard aborts the batch surface with an error matching ErrShardDown, the
-// materializing wrappers return their zero results, and the shard is
-// marked Down.
+// shard aborts the batch surface with an error matching ErrShardDown (and
+// no partial result), and the shard is marked Down.
 func TestChaosPermanentStrictFailFast(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
@@ -204,11 +202,11 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("shard-down error lost the injected cause: %v", err)
 	}
-	if got := f.ExplainAll(ctx, 4); got != nil {
-		t.Errorf("strict ExplainAll returned %d reports under a permanent fault, want nil", len(got))
+	if got, err := f.ExplainAll(ctx, 4); got != nil || !errors.Is(err, federate.ErrShardDown) {
+		t.Errorf("strict ExplainAll under a permanent fault = (%d reports, %v), want (nil, ErrShardDown)", len(got), err)
 	}
-	if _, err := f.UnexplainedAccessesErr(ctx, 4); !errors.Is(err, federate.ErrShardDown) {
-		t.Errorf("strict UnexplainedAccessesErr error = %v, want ErrShardDown", err)
+	if _, err := f.Unexplained(ctx, 4); !errors.Is(err, federate.ErrShardDown) {
+		t.Errorf("strict Unexplained error = %v, want ErrShardDown", err)
 	}
 	health := f.ShardHealth()
 	if health[1].State != federate.Down {
@@ -233,8 +231,8 @@ func TestChaosPermanentDegraded(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := single.ExplainAll(ctx, 4)
-		wantUnexplained := single.UnexplainedAccessesParallel(ctx, 4)
+		want := mustExplainAll(t, single, 4)
+		wantUnexplained := mustUnexplained(t, single, 4)
 		for _, k := range []int{2, 4} {
 			f := splitFederation(t, ds, k, func(row int) int { return row % k })
 			f.SetPolicy(chaosPolicy(seed))
@@ -261,7 +259,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 			fault.Reset()
 			fault.Install(fault.Permanent("federate.shard0.stream"))
 
-			got := f.ExplainAll(ctx, 4)
+			got := mustExplainAll(t, f, 4)
 			assertReportsEqual(t, "degraded reports", got, wantSurvive)
 			d := f.LastDegraded()
 			if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard0" {
@@ -273,16 +271,16 @@ func TestChaosPermanentDegraded(t *testing.T) {
 
 			fault.Reset()
 			fault.Install(fault.Permanent("federate.shard0.unexplained"))
-			gotUnexp, err := f.UnexplainedAccessesErr(ctx, 4)
+			gotUnexp, err := f.Unexplained(ctx, 4)
 			if err != nil {
-				t.Fatalf("seed %d k=%d: degraded UnexplainedAccessesErr: %v", seed, k, err)
+				t.Fatalf("seed %d k=%d: degraded Unexplained: %v", seed, k, err)
 			}
 			if !reflect.DeepEqual(gotUnexp, wantUnexpSurvive) {
 				t.Fatalf("seed %d k=%d: degraded unexplained = %v, want %v", seed, k, gotUnexp, wantUnexpSurvive)
 			}
-			frac, err := f.ExplainedFractionErr(ctx, 4)
+			frac, err := f.ExplainedFraction(ctx, 4)
 			if err != nil {
-				t.Fatalf("seed %d k=%d: degraded ExplainedFractionErr: %v", seed, k, err)
+				t.Fatalf("seed %d k=%d: degraded ExplainedFraction: %v", seed, k, err)
 			}
 			surviveTotal := len(wantSurvive)
 			wantFrac := 0.0
@@ -299,7 +297,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 			// Heal: the next call probes the down shard and full results
 			// return, with no annotation left behind.
 			fault.Reset()
-			got = f.ExplainAll(ctx, 4)
+			got = mustExplainAll(t, f, 4)
 			assertReportsEqual(t, "healed reports", got, want)
 			if d := f.LastDegraded(); !d.IsZero() {
 				t.Fatalf("seed %d k=%d: healed run still annotated: %+v", seed, k, d)
@@ -319,9 +317,8 @@ func TestChaosPermanentDegraded(t *testing.T) {
 // it never delivered.
 func TestChaosMidStreamDegraded(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	ctx := context.Background()
 	ds, single := singleEngine(t, 2)
-	want := single.ExplainAll(ctx, 4)
+	want := mustExplainAll(t, single, 4)
 
 	const k = 2
 	const prefix = 7 // shard0 row calls that succeed before the permanent fault
@@ -332,7 +329,7 @@ func TestChaosMidStreamDegraded(t *testing.T) {
 	fault.Install(fault.Rule{Site: "federate.shard0.stream.row", After: prefix,
 		Err: errors.New("injected permanent row fault")})
 
-	got := f.ExplainAll(ctx, 4)
+	got := mustExplainAll(t, f, 4)
 	// Expected: all shard1 rows, plus shard0's first `prefix` rows
 	// (round-robin: global row g is shard0's row g/k when g%k==0).
 	var wantPartial []core.AccessReport

@@ -7,15 +7,15 @@
 // core.Auditor with its own plan cache) and exposes the full audit surface
 // over the logical merged log:
 //
-//   - StreamReports / Reports fan out across the shards — each shard
-//     streaming its slice through the bounded core pipeline
-//     (parallel.OrderedChunks) — and re-interleave the shard streams into
+//   - StreamReports (and ExplainAll over it) fans out across the shards —
+//     each shard streaming its slice through the bounded core pipeline
+//     (parallel.OrderedChunks) — and re-interleaves the shard streams into
 //     global log order with a k-way merge (parallel.MergeStreams), so the
 //     federated stream is byte-identical to a single engine auditing the
 //     concatenated log;
-//   - Support, ExplainedFraction, and UnexplainedAccesses aggregate
-//     shard-local results (support and explained counts are row counts, and
-//     the shards partition the rows, so sums are exact);
+//   - Support, ExplainedFraction, Unexplained, PatientReport and ExplainRow
+//     combine shard-local results (support and explained counts are row
+//     counts, and the shards partition the rows, so sums are exact);
 //   - MineTemplates drives the miners through a cross-shard support oracle:
 //     candidate generation and admission run once, each candidate's exact
 //     support is evaluated per shard and summed, and estimates come from a
@@ -32,6 +32,10 @@
 // access, Log self-joins) and the collaborative-group hierarchy see the same
 // evidence a single merged engine would.
 //
+// The method set is core.Auditor's, one form per operation: everything that
+// computes masks takes a context and returns an error, so a cancelled audit
+// or a failed shard never reads as "nothing unexplained".
+//
 // Two constructors cover the two deployment shapes: Split partitions one
 // database's log by shard key (time ranges by default, or any explicit
 // assignment) into K shards sharing that database, and Join federates
@@ -43,8 +47,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,7 +56,6 @@ import (
 	"repro/internal/accesslog"
 	"repro/internal/core"
 	"repro/internal/explain"
-	"repro/internal/fault"
 	"repro/internal/groups"
 	"repro/internal/mine"
 	"repro/internal/obs"
@@ -80,19 +83,22 @@ type shard struct {
 	// health is the shard's HealthState (see policy.go), advisory
 	// bookkeeping maintained by callShard.
 	health atomic.Int32
-	// Precomputed fault-injection site names (initResilience), so the
-	// audit hot paths never concatenate strings.
-	siteStream, siteRow, siteAgg, siteSupport string
+	// sites holds the shard's fault-injection site names, one per seam,
+	// precomputed by initResilience so the audit hot paths never
+	// concatenate strings.
+	sites [numSeams]string
 }
+
+// rows is the number of merged-log rows the shard audits.
+func (sh *shard) rows() int { return len(sh.global) }
 
 // Federation audits N per-shard engines as one logical log. Construct it
 // with Split or Join, register templates with AddTemplates, then use the
 // audit surface. The concurrency contract matches core.Auditor:
 // configuration requires exclusive access, after which the batch surface
-// (StreamReports, Reports, ExplainAll, UnexplainedAccesses,
-// ExplainedFraction) may be used; the single-threaded members (Support,
-// PatientReport, MineTemplates) must not run concurrently with anything else
-// on the same Federation.
+// (StreamReports, ExplainAll, Unexplained, ExplainedFraction) may be used;
+// the point members (Support, PatientReport, ExplainRow, MineTemplates) must
+// not run concurrently with anything else on the same Federation.
 type Federation struct {
 	graph  *schemagraph.Graph
 	namer  explain.Namer
@@ -481,7 +487,11 @@ func (f *Federation) TailReports(ctx context.Context, fromGlobal int, fn func(co
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := fn(p.sh.auditor.ExplainRow(p.local, 0)); err != nil {
+		rep, err := p.sh.auditor.ExplainRow(p.local, 0)
+		if err != nil {
+			return err
+		}
+		if err := fn(rep); err != nil {
 			return err
 		}
 	}
@@ -494,8 +504,9 @@ func (f *Federation) NumShards() int { return len(f.shards) }
 // Rows returns the merged log's row count.
 func (f *Federation) Rows() int { return f.merged.NumRows() }
 
-// MergedLog returns the logical log in global order.
-func (f *Federation) MergedLog() *relation.Table { return f.merged }
+// Log returns the logical merged log in global order: the table whose row
+// indexes ExplainRow and Unexplained speak of.
+func (f *Federation) Log() *relation.Table { return f.merged }
 
 // Hierarchy returns the collaborative-group hierarchy trained on the merged
 // log, or nil when the federation reused an existing Groups table or was
@@ -586,19 +597,15 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 		sources[i] = func(push func(streamItem) error) error {
 			emitted := 0
 			err := f.callShard(ctx, sh, func(actx context.Context) error {
-				if fault.Enabled() {
-					if err := fault.InjectCtx(actx, sh.siteStream); err != nil {
-						return err
-					}
+				if err := sh.inject(actx, seamStream); err != nil {
+					return err
 				}
 				// A retry re-streams the shard from the top and skips what
 				// earlier attempts already pushed into the merge.
 				skip := emitted
 				return sh.auditor.StreamReports(actx, per[i], func(rep core.AccessReport) error {
-					if fault.Enabled() {
-						if err := fault.InjectCtx(actx, sh.siteRow); err != nil {
-							return err
-						}
+					if err := sh.inject(actx, seamRow); err != nil {
+						return err
 					}
 					if skip > 0 {
 						skip--
@@ -612,7 +619,7 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 				})
 			})
 			if err != nil && degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global)-emitted)
+				deg.add(i, sh.name, sh.rows()-emitted)
 				return nil
 			}
 			return err
@@ -630,208 +637,148 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 	return nil
 }
 
-// errStopStream unwinds StreamReports when a Reports consumer breaks early.
-var errStopStream = errors.New("federate: report stream stopped by consumer")
-
-// Reports is the iterator form of StreamReports: it ranges over every merged
-// log row's report in global order. A non-nil error (cancellation, or an
-// internal failure) is yielded as the final pair with a zero AccessReport;
-// breaking out of the loop tears the shard pipelines down cleanly.
-func (f *Federation) Reports(ctx context.Context, parallelism int) iter.Seq2[core.AccessReport, error] {
-	return func(yield func(core.AccessReport, error) bool) {
-		err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
-			if !yield(rep, nil) {
-				return errStopStream
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopStream) {
-			yield(core.AccessReport{}, err)
-		}
-	}
-}
-
 // ExplainAll materializes the federated stream into one slice in global log
-// order. It returns nil if ctx is cancelled before the audit completes; it
-// never returns a partially filled slice.
-func (f *Federation) ExplainAll(ctx context.Context, parallelism int) []core.AccessReport {
+// order. On error (including a cancelled ctx or a strict-mode shard
+// failure) it returns nil and the error, never a partially filled slice.
+func (f *Federation) ExplainAll(ctx context.Context, parallelism int) ([]core.AccessReport, error) {
 	out := make([]core.AccessReport, 0, f.merged.NumRows())
 	if err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
 		out = append(out, rep)
 		return nil
 	}); err != nil {
-		return nil
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // Support returns the path's support over the merged log: the sum of the
-// shard-local supports. Support counts audited rows and the shards partition
-// them, so the sum is exact, not an estimate. It is the unguarded fast
-// path; SupportCtx adds the resilience policy.
-func (f *Federation) Support(p pathmodel.Path) int {
+// shard-local supports, each shard call running under the resilience
+// policy (eachShard). Support counts audited rows and the shards partition
+// them, so the sum is exact, not an estimate. In degraded mode a down
+// shard contributes zero and is recorded in LastDegraded.
+func (f *Federation) Support(ctx context.Context, p pathmodel.Path) (int, error) {
 	total := 0
-	for _, sh := range f.shards {
-		total += sh.auditor.Evaluator().Prepare(p).Support()
-	}
-	return total
-}
-
-// SupportCtx is Support under the resilience policy: each shard's
-// evaluation runs through callShard (injection seam, panic containment,
-// retries). In degraded mode a down shard contributes zero and is recorded
-// in LastDegraded; in strict mode its failure aborts the call.
-func (f *Federation) SupportCtx(ctx context.Context, p pathmodel.Path) (int, error) {
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	total := 0
-	for i, sh := range f.shards {
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if fault.Enabled() {
-				if err := fault.InjectCtx(actx, sh.siteSupport); err != nil {
-					return err
-				}
-			}
-			total += sh.auditor.Evaluator().Prepare(p).Support()
-			return nil
-		})
+	err := f.eachShard(ctx, seamSupport, (*shard).rows, func(actx context.Context, sh *shard) error {
+		n, err := sh.auditor.Support(actx, p)
 		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global))
-				continue
-			}
-			f.setLastDegraded(Degraded{})
-			return 0, err
+			return err
 		}
+		total += n
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	f.setLastDegraded(deg.snapshot())
 	return total, nil
 }
 
-// UnexplainedAccessesErr returns the merged-log row indexes no registered
-// template explains, ascending — the shard-local shortlists mapped through
-// each shard's global row mapping — with shard calls running under the
-// resilience policy. In degraded mode a down shard's rows are absent from
-// the result (and recorded in LastDegraded); in strict mode any shard
-// failure aborts the call.
-func (f *Federation) UnexplainedAccessesErr(ctx context.Context, parallelism int) ([]int, error) {
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
+// Unexplained returns the merged-log row indexes no registered template
+// explains, ascending — the shard-local shortlists mapped through each
+// shard's global row mapping. In degraded mode a down shard's rows are
+// absent from the result (and recorded in LastDegraded); in strict mode any
+// shard failure aborts the call.
+func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, error) {
 	var out []int
-	for i, sh := range f.shards {
-		var rows []int
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if fault.Enabled() {
-				if err := fault.InjectCtx(actx, sh.siteAgg); err != nil {
-					return err
-				}
-			}
-			var e error
-			rows, e = sh.auditor.UnexplainedRows(actx, parallelism)
-			return e
-		})
+	err := f.eachShard(ctx, seamUnexplained, (*shard).rows, func(actx context.Context, sh *shard) error {
+		rows, err := sh.auditor.Unexplained(actx, parallelism)
 		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global))
-				continue
-			}
-			f.setLastDegraded(Degraded{})
-			return nil, err
+			return err
 		}
 		for _, r := range rows {
 			out = append(out, sh.global[r])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Ints(out)
-	f.setLastDegraded(deg.snapshot())
 	return out, nil
 }
 
-// UnexplainedAccesses is the error-swallowing convenience form of
-// UnexplainedAccessesErr, matching core.Auditor.UnexplainedAccessesParallel:
-// it returns nil if ctx is cancelled (or any shard fails in strict mode).
-func (f *Federation) UnexplainedAccesses(ctx context.Context, parallelism int) []int {
-	rows, err := f.UnexplainedAccessesErr(ctx, parallelism)
-	if err != nil {
-		return nil
-	}
-	return rows
-}
-
-// ExplainedFractionErr returns the fraction of merged-log rows explained by
-// the registered templates, aggregated from exact shard-local explained
-// counts — bit-identical to the single-engine fraction, because both divide
-// the same integers — with shard calls running under the resilience policy.
-// In degraded mode the fraction is over the surviving shards' rows only
-// (the denominator shrinks with the numerator, so a dead shard does not
-// masquerade as unexplained accesses); LastDegraded records the loss.
-func (f *Federation) ExplainedFractionErr(ctx context.Context, parallelism int) (float64, error) {
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	total := 0
-	unexplained := 0
-	for i, sh := range f.shards {
-		var rows []int
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if fault.Enabled() {
-				if err := fault.InjectCtx(actx, sh.siteAgg); err != nil {
-					return err
-				}
-			}
-			var e error
-			rows, e = sh.auditor.UnexplainedRows(actx, parallelism)
-			return e
-		})
+// ExplainedFraction returns the fraction of merged-log rows explained by the
+// registered templates, aggregated from exact shard-local explained counts
+// — bit-identical to the single-engine fraction, because both divide the
+// same integers. In degraded mode the fraction is over the surviving
+// shards' rows only (the denominator shrinks with the numerator, so a dead
+// shard does not masquerade as unexplained accesses); LastDegraded records
+// the loss. An empty federation yields 0, never NaN.
+func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (float64, error) {
+	total, unexplained := 0, 0
+	err := f.eachShard(ctx, seamUnexplained, (*shard).rows, func(actx context.Context, sh *shard) error {
+		rows, err := sh.auditor.Unexplained(actx, parallelism)
 		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, len(sh.global))
-				continue
-			}
-			f.setLastDegraded(Degraded{})
-			return 0, err
+			return err
 		}
-		total += len(sh.global)
+		total += sh.rows()
 		unexplained += len(rows)
-	}
-	f.setLastDegraded(deg.snapshot())
-	if total == 0 {
-		return 0, nil
+		return nil
+	})
+	if err != nil || total == 0 {
+		return 0, err
 	}
 	return float64(total-unexplained) / float64(total), nil
-}
-
-// ExplainedFraction is the error-swallowing convenience form of
-// ExplainedFractionErr: an empty federation, a cancelled ctx, or a strict-
-// mode shard failure yields 0, never NaN.
-func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) float64 {
-	frac, err := f.ExplainedFractionErr(ctx, parallelism)
-	if err != nil {
-		return 0
-	}
-	return frac
 }
 
 // PatientReport is the federated user-centric view: every access to one
 // patient's record across all shards, in global log order, each with its
 // explanations. Shard lookups go through each shard's per-patient hash
-// index, so the cost is O(accesses to that patient) plus rendering.
-func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) []core.AccessReport {
+// index, so the cost is O(accesses to that patient) plus rendering. Shard
+// calls run under the resilience policy; in degraded mode a down shard's
+// accesses to the patient are missing and recorded in LastDegraded.
+func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error) {
 	type entry struct {
 		global int
 		rep    core.AccessReport
 	}
 	var entries []entry
-	for _, sh := range f.shards {
-		for _, r := range sh.audited.Index(pathmodel.LogPatientColumn)[patient] {
-			entries = append(entries, entry{sh.global[r], sh.auditor.ExplainRow(r, maxPerTemplate)})
-		}
+	patientRows := func(sh *shard) []int { return sh.audited.Index(pathmodel.LogPatientColumn)[patient] }
+	err := f.eachShard(context.TODO(), seamReport,
+		func(sh *shard) int { return len(patientRows(sh)) },
+		func(_ context.Context, sh *shard) error {
+			reps, err := sh.auditor.PatientReport(patient, maxPerTemplate)
+			if err != nil {
+				return err
+			}
+			// The shard auditor reports the same index rows, in this order.
+			for k, r := range patientRows(sh) {
+				entries = append(entries, entry{sh.global[r], reps[k]})
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].global < entries[j].global })
 	out := make([]core.AccessReport, len(entries))
 	for i, e := range entries {
 		out[i] = e.rep
 	}
-	return out
+	return out, nil
+}
+
+// ExplainRow builds the report for one merged-log row on the shard that
+// audits it, under the resilience policy. A row that is not (yet)
+// distributed to any shard — beyond the log, or appended since the last
+// Refresh — is an error.
+func (f *Federation) ExplainRow(row, maxPerTemplate int) (core.AccessReport, error) {
+	for _, sh := range f.shards {
+		local, ok := slices.BinarySearch(sh.global, row)
+		if !ok {
+			continue
+		}
+		var rep core.AccessReport
+		err := f.callShard(context.TODO(), sh, func(actx context.Context) error {
+			if err := sh.inject(actx, seamReport); err != nil {
+				return err
+			}
+			var err error
+			rep, err = sh.auditor.ExplainRow(local, maxPerTemplate)
+			return err
+		})
+		return rep, err
+	}
+	return core.AccessReport{}, fmt.Errorf("federate: row %d is not audited by any shard (merged log has %d rows, %d distributed)", row, f.merged.NumRows(), f.consumed)
 }
 
 // MineTemplates runs the named mining algorithm over the federation as if

@@ -55,10 +55,9 @@ func splitFederation(t testing.TB, ds *ehr.Dataset, k int, assign func(row int) 
 // worker budgets. Both time-range and round-robin partitions are exercised,
 // because the audit surface must be assignment-invariant.
 func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
-	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := single.ExplainAll(ctx, 4)
+		want := mustExplainAll(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
@@ -73,7 +72,7 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Rows(), len(want))
 				}
 				for _, par := range []int{1, 4, 8} {
-					got := f.ExplainAll(ctx, par)
+					got := mustExplainAll(t, f, par)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d k=%d %s j=%d: %d reports, want %d", seed, k, name, par, len(got), len(want))
 					}
@@ -95,9 +94,8 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 // like a single engine over the whole log — including the repeat-access
 // history and collaborative groups spanning both shards.
 func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
-	ctx := context.Background()
 	ds, single := singleEngine(t, 2)
-	want := single.ExplainAll(ctx, 4)
+	want := mustExplainAll(t, single, 4)
 
 	log := ds.Log()
 	cut := log.NumRows() / 3
@@ -127,7 +125,7 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 		t.Error("Join retrained Groups despite identical shard copies")
 	}
 
-	got := f.ExplainAll(ctx, 4)
+	got := mustExplainAll(t, f, 4)
 	if !reflect.DeepEqual(got, want) {
 		for r := range want {
 			if r < len(got) && !reflect.DeepEqual(got[r], want[r]) {
@@ -152,7 +150,6 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 // the reused federation must audit exactly like the cold Join that trained
 // the table — while a diverged copy on any shard forces retraining.
 func TestJoinWarmStartMatchesRetrained(t *testing.T) {
-	ctx := context.Background()
 	cfg := ehr.Tiny()
 	cfg.Seed = 5
 	ds := ehr.Generate(cfg)
@@ -175,7 +172,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if cold.Hierarchy() == nil {
 		t.Fatal("cold Join over groupless shards did not train a hierarchy")
 	}
-	want := cold.ExplainAll(ctx, 4)
+	want := mustExplainAll(t, cold, 4)
 	trained := cold.Hierarchy().Table(core.DefaultGroupsTable)
 
 	// Persist the trained table into each shard's store and reopen — the
@@ -207,7 +204,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if warm.Hierarchy() != nil {
 		t.Error("warm Join retrained Groups despite identical persisted copies")
 	}
-	if got := warm.ExplainAll(ctx, 4); !reflect.DeepEqual(got, want) {
+	if got := mustExplainAll(t, warm, 4); !reflect.DeepEqual(got, want) {
 		t.Error("warm Join over persisted Groups audits differently from the cold Join that trained them")
 	}
 
@@ -225,27 +222,26 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if refed.Hierarchy() == nil {
 		t.Error("Join reused a diverged Groups copy instead of retraining")
 	}
-	if got := refed.ExplainAll(ctx, 4); !reflect.DeepEqual(got, want) {
+	if got := mustExplainAll(t, refed, 4); !reflect.DeepEqual(got, want) {
 		t.Error("retrained Join audits differently from the original cold Join")
 	}
 }
 
 // TestFederatedAggregates pins the aggregated surface — Support,
-// ExplainedFraction, UnexplainedAccesses, PatientReport — to the
+// ExplainedFraction, Unexplained, PatientReport, ExplainRow — to the
 // single-engine results, including exact float equality for the fraction
 // (both sides divide the same integers).
 func TestFederatedAggregates(t *testing.T) {
-	ctx := context.Background()
 	ds, single := singleEngine(t, 3)
 	f := splitFederation(t, ds, 4, nil)
 
-	wantUnexplained := single.UnexplainedAccessesParallel(ctx, 4)
-	gotUnexplained := f.UnexplainedAccesses(ctx, 4)
+	wantUnexplained := mustUnexplained(t, single, 4)
+	gotUnexplained := mustUnexplained(t, f, 4)
 	if !reflect.DeepEqual(gotUnexplained, wantUnexplained) {
 		t.Errorf("unexplained rows differ: %d federated vs %d single", len(gotUnexplained), len(wantUnexplained))
 	}
 
-	if got, want := f.ExplainedFraction(ctx, 4), single.ExplainedFractionParallel(ctx, 4); got != want {
+	if got, want := mustFraction(t, f, 4), mustFraction(t, single, 4); got != want {
 		t.Errorf("explained fraction %v, want %v", got, want)
 	}
 
@@ -254,7 +250,7 @@ func TestFederatedAggregates(t *testing.T) {
 		explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment"),
 		explain.GroupTemplate("appt-same-group", "Appointments", "an appointment"),
 	} {
-		if got, want := f.Support(tpl.Path), ev.Support(tpl.Path); got != want {
+		if got, want := mustSupport(t, f, tpl.Path), ev.Support(tpl.Path); got != want {
 			t.Errorf("%s: federated support %d, want %d", tpl.Name(), got, want)
 		}
 	}
@@ -262,11 +258,28 @@ func TestFederatedAggregates(t *testing.T) {
 	log := ds.Log()
 	patients := log.DistinctValues(pathmodel.LogPatientColumn)
 	for _, pv := range patients[:min(5, len(patients))] {
-		got := f.PatientReport(pv, 1)
-		want := single.PatientReport(pv, 1)
+		got := mustPatientReport(t, f, pv, 1)
+		want := mustPatientReport(t, single, pv, 1)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("patient %v: federated report differs", pv)
 		}
+	}
+
+	for _, row := range []int{0, log.NumRows() / 2, log.NumRows() - 1} {
+		got, err := f.ExplainRow(row, 2)
+		if err != nil {
+			t.Fatalf("ExplainRow(%d): %v", row, err)
+		}
+		want, err := single.ExplainRow(row, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d: federated ExplainRow differs", row)
+		}
+	}
+	if _, err := f.ExplainRow(log.NumRows(), 1); err == nil {
+		t.Error("ExplainRow past the merged log succeeded")
 	}
 
 	if stats := f.PlanCacheStats(); stats.Misses == 0 {
@@ -313,8 +326,9 @@ func TestFederatedMiningMatchesSingleLog(t *testing.T) {
 }
 
 // TestFederatedCancellation checks that a cancelled context stops the
-// federated stream promptly with ctx.Err() and nils the aggregate results,
-// mirroring the core engine's contract.
+// federated stream promptly with ctx.Err() and turns every aggregate into
+// that error, never a nil or zero result, mirroring the core engine's
+// contract.
 func TestFederatedCancellation(t *testing.T) {
 	ds, _ := singleEngine(t, 1)
 	f := splitFederation(t, ds, 2, nil)
@@ -337,49 +351,14 @@ func TestFederatedCancellation(t *testing.T) {
 
 	cancelled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if got := f.ExplainAll(cancelled, 4); got != nil {
-		t.Errorf("ExplainAll on cancelled ctx returned %d reports", len(got))
+	if got, err := f.ExplainAll(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("ExplainAll on cancelled ctx = (%d reports, %v), want (nil, context.Canceled)", len(got), err)
 	}
-	if got := f.UnexplainedAccesses(cancelled, 4); got != nil {
-		t.Error("UnexplainedAccesses on cancelled ctx returned rows")
+	if got, err := f.Unexplained(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("Unexplained on cancelled ctx = (%v, %v), want (nil, context.Canceled)", got, err)
 	}
-	if got := f.ExplainedFraction(cancelled, 4); got != 0 {
-		t.Errorf("ExplainedFraction on cancelled ctx = %v", got)
-	}
-}
-
-// TestFederatedReportsIterator checks the iterator form: full iteration
-// matches StreamReports, a consumer error surfaces, and an early break
-// tears down cleanly without yielding an error.
-func TestFederatedReportsIterator(t *testing.T) {
-	ctx := context.Background()
-	ds, _ := singleEngine(t, 1)
-	f := splitFederation(t, ds, 2, nil)
-	want := f.ExplainAll(ctx, 4)
-
-	var got []core.AccessReport
-	for rep, err := range f.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("iterator error: %v", err)
-		}
-		got = append(got, rep)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("iterator reports differ from materialized reports")
-	}
-
-	seen := 0
-	for _, err := range f.Reports(ctx, 4) {
-		if err != nil {
-			t.Fatalf("error during early break: %v", err)
-		}
-		seen++
-		if seen == 2 {
-			break
-		}
-	}
-	if seen != 2 {
-		t.Fatalf("early break saw %d reports", seen)
+	if got, err := f.ExplainedFraction(cancelled, 4); got != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("ExplainedFraction on cancelled ctx = (%v, %v), want (0, context.Canceled)", got, err)
 	}
 }
 

@@ -1,0 +1,70 @@
+package federate_test
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/pathmodel"
+	"repro/internal/relation"
+)
+
+// surface is the audit surface core.Auditor and federate.Federation share,
+// so one set of helpers (and one error table) serves both.
+type surface interface {
+	StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error
+	ExplainAll(ctx context.Context, parallelism int) ([]core.AccessReport, error)
+	Unexplained(ctx context.Context, parallelism int) ([]int, error)
+	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
+	PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error)
+	ExplainRow(row, maxPerTemplate int) (core.AccessReport, error)
+	Support(ctx context.Context, p pathmodel.Path) (int, error)
+}
+
+// The must* helpers unwrap the surface for tests that drive a healthy
+// engine: any error fails the test on the spot (test goroutine only).
+
+func mustExplainAll(t testing.TB, e surface, parallelism int) []core.AccessReport {
+	t.Helper()
+	reps, err := e.ExplainAll(context.Background(), parallelism)
+	if err != nil {
+		t.Fatalf("ExplainAll(j=%d): %v", parallelism, err)
+	}
+	return reps
+}
+
+func mustUnexplained(t testing.TB, e surface, parallelism int) []int {
+	t.Helper()
+	rows, err := e.Unexplained(context.Background(), parallelism)
+	if err != nil {
+		t.Fatalf("Unexplained(j=%d): %v", parallelism, err)
+	}
+	return rows
+}
+
+func mustFraction(t testing.TB, e surface, parallelism int) float64 {
+	t.Helper()
+	frac, err := e.ExplainedFraction(context.Background(), parallelism)
+	if err != nil {
+		t.Fatalf("ExplainedFraction(j=%d): %v", parallelism, err)
+	}
+	return frac
+}
+
+func mustPatientReport(t testing.TB, e surface, patient relation.Value, maxPerTemplate int) []core.AccessReport {
+	t.Helper()
+	reps, err := e.PatientReport(patient, maxPerTemplate)
+	if err != nil {
+		t.Fatalf("PatientReport(%v): %v", patient, err)
+	}
+	return reps
+}
+
+func mustSupport(t testing.TB, e surface, p pathmodel.Path) int {
+	t.Helper()
+	n, err := e.Support(context.Background(), p)
+	if err != nil {
+		t.Fatalf("Support(%s): %v", p, err)
+	}
+	return n
+}

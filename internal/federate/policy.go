@@ -143,10 +143,11 @@ type Degraded struct {
 func (d Degraded) IsZero() bool { return len(d.MissingShards) == 0 && d.RowsSkipped == 0 }
 
 // LastDegraded returns the Degraded annotation of the most recent
-// completed batch call (StreamReports, ExplainAll, UnexplainedAccessesErr,
-// ExplainedFractionErr). In strict mode, and after fully successful
-// degraded-mode calls, it is zero. Concurrent batch calls overwrite it
-// last-writer-wins; read it from the goroutine that made the call.
+// completed aggregate call (StreamReports, ExplainAll, Unexplained,
+// ExplainedFraction, Support, PatientReport). In strict mode, and after
+// fully successful degraded-mode calls, it is zero. Concurrent calls
+// overwrite it last-writer-wins; read it from the goroutine that made the
+// call.
 func (f *Federation) LastDegraded() Degraded {
 	f.degMu.Lock()
 	defer f.degMu.Unlock()
@@ -262,15 +263,68 @@ func (f *Federation) setHealth(sh *shard, state HealthState) {
 	}
 }
 
+// seam names one of a shard's fault-injection sites,
+// "federate.<shard><suffix>".
+type seam int
+
+const (
+	seamStream      seam = iota // a shard stream's start (each attempt)
+	seamRow                     // every report a shard stream emits
+	seamUnexplained             // Unexplained and ExplainedFraction
+	seamSupport                 // Support
+	seamReport                  // PatientReport and ExplainRow
+	numSeams
+)
+
+var seamSuffix = [numSeams]string{".stream", ".stream.row", ".unexplained", ".support", ".report"}
+
 // initResilience finishes construction: shards start Healthy and carry
 // precomputed injection-site names so the hot paths never build strings.
 func (f *Federation) initResilience() {
 	for _, sh := range f.shards {
-		sh.siteStream = "federate." + sh.name + ".stream"
-		sh.siteRow = "federate." + sh.name + ".stream.row"
-		sh.siteAgg = "federate." + sh.name + ".unexplained"
-		sh.siteSupport = "federate." + sh.name + ".support"
+		for s, suffix := range seamSuffix {
+			sh.sites[s] = "federate." + sh.name + suffix
+		}
 	}
+}
+
+// inject consults the fault registry at one of the shard's seams; disabled,
+// it costs one atomic load.
+func (sh *shard) inject(ctx context.Context, s seam) error {
+	if !fault.Enabled() {
+		return nil
+	}
+	return fault.InjectCtx(ctx, sh.sites[s])
+}
+
+// eachShard is the one aggregation loop of the federated surface: it runs
+// op on every shard in shard order, each call behind the shard's fault seam
+// s and under the resilience policy (callShard). In strict mode the first
+// failure aborts the loop and is returned; in degraded mode a shard that is
+// down is skipped, with missing(shard) merged-log rows recorded in
+// LastDegraded. op must commit its shard's contribution only when it
+// returns nil, since a failed attempt may be retried.
+func (f *Federation) eachShard(ctx context.Context, s seam, missing func(*shard) int, op func(ctx context.Context, sh *shard) error) error {
+	degradedOn := f.degraded.Load()
+	deg := &degradeAcc{}
+	for i, sh := range f.shards {
+		err := f.callShard(ctx, sh, func(actx context.Context) error {
+			if err := sh.inject(actx, s); err != nil {
+				return err
+			}
+			return op(actx, sh)
+		})
+		if err != nil {
+			if degradedOn && errors.Is(err, ErrShardDown) {
+				deg.add(i, sh.name, missing(sh))
+				continue
+			}
+			f.setLastDegraded(Degraded{})
+			return err
+		}
+	}
+	f.setLastDegraded(deg.snapshot())
+	return nil
 }
 
 // downstreamError marks an error that originated downstream of the shard

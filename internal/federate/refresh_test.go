@@ -80,7 +80,7 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-		warm := fed.ExplainAll(ctx, 4)
+		warm := mustExplainAll(t, fed, 4)
 		if len(warm) != cut {
 			t.Fatalf("k=%d: warm-up covered %d rows, want %d", k, len(warm), cut)
 		}
@@ -104,9 +104,9 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		// the Groups table the federation installed.
 		single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 		single.AddTemplates(explain.Handcrafted(true, true).All()...)
-		want := single.ExplainAll(ctx, 4)
+		want := mustExplainAll(t, single, 4)
 
-		got := fed.ExplainAll(ctx, 4)
+		got := mustExplainAll(t, fed, 4)
 		if !reflect.DeepEqual(got, want) {
 			for r := range want {
 				if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
@@ -115,10 +115,10 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			}
 			t.Fatalf("k=%d: refreshed federated reports differ", k)
 		}
-		if gf, wf := fed.ExplainedFraction(ctx, 4), single.ExplainedFractionParallel(ctx, 4); gf != wf {
+		if gf, wf := mustFraction(t, fed, 4), mustFraction(t, single, 4); gf != wf {
 			t.Errorf("k=%d: refreshed fraction = %v, want %v", k, gf, wf)
 		}
-		if gu, wu := fed.UnexplainedAccesses(ctx, 4), single.UnexplainedAccessesParallel(ctx, 4); !reflect.DeepEqual(gu, wu) {
+		if gu, wu := mustUnexplained(t, fed, 4), mustUnexplained(t, single, 4); !reflect.DeepEqual(gu, wu) {
 			t.Errorf("k=%d: refreshed unexplained differ: %v vs %v", k, gu, wu)
 		}
 
@@ -173,7 +173,7 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed.AddTemplates(historyCountTemplate{})
-	warmFraction := fed.ExplainedFraction(ctx, 2)
+	warmFraction := mustFraction(t, fed, 2)
 
 	log := db.MustTable(pathmodel.LogTable)
 	for r := cut; r < n; r++ {
@@ -185,8 +185,8 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 
 	single := core.NewAuditor(db, graph())
 	single.AddTemplates(historyCountTemplate{})
-	got := fed.ExplainAll(ctx, 2)
-	want := single.ExplainAll(ctx, 2)
+	got := mustExplainAll(t, fed, 2)
+	want := mustExplainAll(t, single, 2)
 	if !reflect.DeepEqual(got, want) {
 		for r := range want {
 			if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
@@ -195,7 +195,7 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 		}
 		t.Fatal("refreshed non-monotone reports differ")
 	}
-	gf, wf := fed.ExplainedFraction(ctx, 2), single.ExplainedFractionParallel(ctx, 2)
+	gf, wf := mustFraction(t, fed, 2), mustFraction(t, single, 2)
 	if gf != wf {
 		t.Errorf("refreshed non-monotone fraction = %v, want %v", gf, wf)
 	}
@@ -245,7 +245,7 @@ func TestRefreshBadAssignmentLeavesStateIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-	_ = fed.ExplainAll(ctx, 2)
+	_ = mustExplainAll(t, fed, 2)
 
 	log := db.MustTable(pathmodel.LogTable)
 	for r := cut; r < n; r++ {
@@ -277,7 +277,7 @@ func TestRefreshBadAssignmentLeavesStateIntact(t *testing.T) {
 	}
 	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 	single.AddTemplates(explain.Handcrafted(true, true).All()...)
-	if got, want := fed.ExplainAll(ctx, 2), single.ExplainAll(ctx, 2); !reflect.DeepEqual(got, want) {
+	if got, want := mustExplainAll(t, fed, 2), mustExplainAll(t, single, 2); !reflect.DeepEqual(got, want) {
 		t.Error("post-retry federated reports differ from single engine")
 	}
 }
@@ -297,7 +297,7 @@ func TestJoinRefreshRefused(t *testing.T) {
 	if appended, err := fed.Refresh(ctx, 2); err != nil || appended != 0 {
 		t.Fatalf("no-growth Join Refresh = (%d, %v), want (0, nil)", appended, err)
 	}
-	merged := fed.MergedLog()
+	merged := fed.Log()
 	merged.Append(merged.Row(0)...)
 	_, err = fed.Refresh(ctx, 2)
 	if !errors.Is(err, federate.ErrUnsupported) {
