@@ -86,10 +86,8 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -291,6 +289,7 @@ type engine interface {
 	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
 	Unexplained(ctx context.Context, parallelism int) ([]int, error)
 	StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error
+	StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error
 	PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error)
 	MineTemplates(algo string, opt mine.Options) (mine.Result, error)
 	MetricsSnapshot() map[string]obs.Metric
@@ -703,42 +702,6 @@ func (a *app) summary() error {
 	return nil
 }
 
-// ndjsonReport is the wire form of one streamed access report: scalar
-// columns rendered as strings, explanations inline. One JSON object per
-// line, in log-row order.
-type ndjsonReport struct {
-	Lid          int64               `json:"lid"`
-	Date         string              `json:"date"`
-	User         string              `json:"user"`
-	Patient      string              `json:"patient"`
-	UserName     string              `json:"userName"`
-	Explained    bool                `json:"explained"`
-	Explanations []ndjsonExplanation `json:"explanations,omitempty"`
-}
-
-type ndjsonExplanation struct {
-	Template string `json:"template"`
-	Length   int    `json:"length"`
-	Text     string `json:"text"`
-}
-
-func toNDJSON(rep core.AccessReport) ndjsonReport {
-	out := ndjsonReport{
-		Lid:       rep.Lid,
-		Date:      rep.Date.String(),
-		User:      rep.User.String(),
-		Patient:   rep.Patient.String(),
-		UserName:  rep.UserName,
-		Explained: rep.Explained(),
-	}
-	for _, e := range rep.Explanations {
-		out.Explanations = append(out.Explanations, ndjsonExplanation{
-			Template: e.Template, Length: e.Length, Text: e.Text,
-		})
-	}
-	return out
-}
-
 // audit runs the concurrent batch engine over the whole log. The default
 // mode prints throughput, the explained fraction, and a sample of the
 // unexplained residue; -stream instead pipes every report to stdout as
@@ -875,40 +838,41 @@ func (a *app) audit(args []string) error {
 	return err
 }
 
-// auditOnce audits every access of eng's log once, through its report
-// stream. With stream, every report goes to stdout as buffered NDJSON and
-// the summary to stderr; otherwise only the unexplained reports are kept,
-// and the summary and a sample of up to n of them go to stdout. The same
-// code serves a single engine and a federation: K=1 and K>1 streams are
+// auditOnce audits every access of eng's log once. With stream, every
+// report goes to stdout as NDJSON (core.AppendNDJSON lines, one write per
+// encoded chunk) and the summary to stderr; otherwise the reports stream
+// through StreamReports, only the unexplained ones are kept, and the
+// summary and a sample of up to n of them go to stdout. The same code
+// serves a single engine and a federation: K=1 and K>1 streams are
 // byte-identical, and only the topology-specific tail differs — a single
 // engine saves its warm state, a federation reports degraded results.
 func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, verbose, stream bool) error {
+	ctx := context.Background()
 	human := a.stdout
 	var unexplained []core.AccessReport
-	keep := func(rep core.AccessReport) error {
-		if !rep.Explained() {
-			unexplained = append(unexplained, rep)
-		}
-		return nil
-	}
-	var bw *bufio.Writer
-	if stream {
-		human = a.stderr
-		bw = bufio.NewWriter(a.stdout)
-		enc := json.NewEncoder(bw)
-		keep = func(rep core.AccessReport) error { return enc.Encode(toNDJSON(rep)) }
-	}
 	total, explained := 0, 0
 	start := time.Now()
-	err := eng.StreamReports(context.Background(), workers, func(rep core.AccessReport) error {
-		total++
-		if rep.Explained() {
-			explained++
-		}
-		return keep(rep)
-	})
-	if err == nil && bw != nil {
-		err = bw.Flush()
+	var err error
+	if stream {
+		// Chunks are whole lines written as they arrive, so a failed audit
+		// leaves stdout a clean prefix of the stream, never a torn line.
+		human = a.stderr
+		err = eng.StreamNDJSON(ctx, workers, func(buf []byte, rows, expl int) error {
+			total += rows
+			explained += expl
+			_, err := a.stdout.Write(buf)
+			return err
+		})
+	} else {
+		err = eng.StreamReports(ctx, workers, func(rep core.AccessReport) error {
+			total++
+			if rep.Explained() {
+				explained++
+			} else {
+				unexplained = append(unexplained, rep)
+			}
+			return nil
+		})
 	}
 	if err != nil {
 		return err
@@ -990,18 +954,14 @@ func (a *app) printStats(w io.Writer, fed *federate.Federation, workers int) {
 func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, verbose bool) error {
 	log := a.db.MustTable(pathmodel.LogTable)
 	ctx := context.Background()
-	bw := bufio.NewWriter(a.stdout)
-	enc := json.NewEncoder(bw)
 
 	// Initial catch-up: the whole current log through the worker-pool
 	// streaming pipeline (identical bytes to a one-shot audit -stream; the
 	// appended batches below are small and rendered row by row).
-	if err := a.auditor.StreamReports(ctx, workers, func(rep core.AccessReport) error {
-		return enc.Encode(toNDJSON(rep))
-	}); err != nil {
+	if err := a.auditor.StreamNDJSON(ctx, workers, func(buf []byte, _, _ int) error {
+		_, err := a.stdout.Write(buf)
 		return err
-	}
-	if err := bw.Flush(); err != nil {
+	}); err != nil {
 		return err
 	}
 	audited := log.NumRows()
@@ -1021,6 +981,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 
 	var lastStat os.FileInfo
 	var errSince time.Time
+	var lines []byte // each appended batch's NDJSON, one write per batch
 	// Failed polls retry on a backoff ramp starting at the poll interval;
 	// healthy polls keep the plain cadence.
 	retryBo := &fault.Backoff{Base: poll, Cap: 8 * poll}
@@ -1064,16 +1025,15 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		if err := a.auditor.Refresh(ctx, workers); err != nil {
 			return err
 		}
+		lines = lines[:0]
 		for r := audited; r < audited+added; r++ {
 			rep, err := a.auditor.ExplainRow(r, 0)
 			if err != nil {
 				return err
 			}
-			if err := enc.Encode(toNDJSON(rep)); err != nil {
-				return err
-			}
+			lines = core.AppendNDJSON(lines, rep)
 		}
-		if err := bw.Flush(); err != nil {
+		if _, err := a.stdout.Write(lines); err != nil {
 			return err
 		}
 		audited += added

@@ -145,12 +145,29 @@ func TestRunDataRoundTrip(t *testing.T) {
 	sc := bufio.NewScanner(bytes.NewReader(stdout.Bytes()))
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		var rep ndjsonReport
-		if err := json.Unmarshal(sc.Bytes(), &rep); err != nil {
+		var rep struct {
+			Lid          int64  `json:"lid"`
+			Date         string `json:"date"`
+			User         string `json:"user"`
+			Patient      string `json:"patient"`
+			UserName     string `json:"userName"`
+			Explained    bool   `json:"explained"`
+			Explanations []struct {
+				Template string `json:"template"`
+				Length   int    `json:"length"`
+				Text     string `json:"text"`
+			} `json:"explanations"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&rep); err != nil {
 			t.Fatalf("line %d is not valid NDJSON: %v\n%s", lines+1, err, sc.Text())
 		}
 		if rep.Lid <= prevLid {
 			t.Fatalf("NDJSON out of log order: lid %d after %d", rep.Lid, prevLid)
+		}
+		if rep.Explained != (len(rep.Explanations) > 0) {
+			t.Fatalf("lid %d: explained=%v with %d explanations", rep.Lid, rep.Explained, len(rep.Explanations))
 		}
 		prevLid = rep.Lid
 		lines++

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -134,6 +135,39 @@ func TestCLIDegradedStream(t *testing.T) {
 	}
 	if strings.Contains(matOut.String(), "\"degraded\"") {
 		t.Error("materialized mode must not emit the NDJSON trailer")
+	}
+}
+
+// TestFailedStreamLeavesWholeLines: a federated audit -stream whose shard
+// stream fails part-way must fail, and what it already wrote to stdout must
+// be whole NDJSON lines — a byte prefix of the unfaulted stream that a
+// line-oriented consumer can parse to the end, never a torn last object.
+func TestFailedStreamLeavesWholeLines(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	var want, wantErr bytes.Buffer
+	if err := run([]string{"audit", "-stream", "-shards", "2"}, &want, &wantErr); err != nil {
+		t.Fatalf("reference stream: %v\nstderr: %s", err, wantErr.String())
+	}
+	var got, gotErr bytes.Buffer
+	err := run([]string{"-faults", "federate.shard1.stream.row:error:1:100",
+		"audit", "-stream", "-shards", "2"}, &got, &gotErr)
+	if err == nil {
+		t.Fatal("audit -stream succeeded with a shard stream failing mid-way")
+	}
+	if fault.Default.Injected() == 0 {
+		t.Fatal("no faults fired; the test proved nothing")
+	}
+	out := got.Bytes()
+	if len(out) == 0 || out[len(out)-1] != '\n' {
+		t.Fatalf("stdout (%d bytes) does not end in a newline", len(out))
+	}
+	for i, line := range bytes.SplitAfter(out[:len(out)-1], []byte("\n")) {
+		if !json.Valid(line) {
+			t.Fatalf("stdout line %d is not valid JSON: %.80q", i+1, line)
+		}
+	}
+	if !bytes.HasPrefix(want.Bytes(), out) {
+		t.Errorf("stdout (%d bytes) is not a prefix of the unfaulted stream (%d bytes)", len(out), want.Len())
 	}
 }
 

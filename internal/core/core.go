@@ -52,8 +52,8 @@ import (
 //
 // Configuration (NewAuditor, BuildGroups, AddTemplates, ResetMaskCache)
 // requires exclusive access. Once configured, the batch methods —
-// StreamReports, ExplainAll, Unexplained, ExplainedFraction, Refresh — are
-// safe to call concurrently with each other: they fan work out to
+// StreamReports, StreamNDJSON, ExplainAll, Unexplained, ExplainedFraction,
+// Refresh — are safe to call concurrently with each other: they fan work out to
 // per-worker evaluator cursors (query.Evaluator.Clone), shard each missing
 // template mask into log-row ranges over one worker pool (so even a
 // one-template workload uses every worker), and guard the shared

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"sync"
 
+	"repro/internal/bitset"
 	"repro/internal/parallel"
 	"repro/internal/query"
 )
@@ -14,18 +16,28 @@ import (
 // is the whole point of streaming over materializing.
 const streamWindowPerWorker = 4
 
-// streamChunks fans produce out over batchChunk-row shards of the log and
-// hands each chunk's value to emit in log order with bounded buffering. It is
-// the shared scaffolding behind every streaming batch method; the caller's
-// produce sees disjoint [lo, hi) row ranges and a stable worker id for
-// per-worker state. Returns the emit error, or ctx.Err() if the run was
-// cancelled (workers and the emitter poll the context between chunks, so
-// cancellation takes effect promptly mid-log).
-func streamChunks[T any](ctx context.Context, n, parallelism int, produce func(worker, lo, hi int) T, emit func(T) error) error {
+// streamChunks is the scaffolding behind every streaming batch method: it
+// brings the template masks up to date, fans produce out over
+// batchChunk-row shards of the audited log — each call sees a disjoint
+// [lo, hi) row range and its worker's own evaluator cursor, to render rows
+// with explainRowWith — and hands each chunk's value to emit in log order
+// with bounded buffering. Returns the mask or emit error, or ctx.Err() if
+// the run was cancelled (workers and the emitter poll the context between
+// chunks, so cancellation takes effect promptly mid-log).
+func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produce func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) T, emit func(T) error) error {
+	masks, err := a.ensureMasks(ctx, parallelism)
+	if err != nil {
+		return err
+	}
 	workers := normalizeParallelism(parallelism)
-	window := workers * streamWindowPerWorker
-	err := parallel.OrderedChunks(workers, n, batchChunk, window,
-		func() bool { return ctx.Err() != nil }, produce, emit)
+	cursors := make([]*query.Evaluator, workers)
+	for w := range cursors {
+		cursors[w] = a.ev.Clone()
+	}
+	err = parallel.OrderedChunks(workers, a.ev.Log().NumRows(), batchChunk, workers*streamWindowPerWorker,
+		func() bool { return ctx.Err() != nil },
+		func(w, lo, hi int) T { return produce(cursors[w], masks, lo, hi) },
+		emit)
 	if err != nil {
 		return err
 	}
@@ -49,22 +61,11 @@ func streamChunks[T any](ctx context.Context, n, parallelism int, produce func(w
 // of the log's reports. Template masks are computed first (concurrently, for
 // the templates not already cached) and shared by every worker.
 func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(AccessReport) error) error {
-	masks, err := a.ensureMasks(ctx, parallelism)
-	if err != nil {
-		return err
-	}
-
-	n := a.ev.Log().NumRows()
-	workers := normalizeParallelism(parallelism)
-	cursors := make([]*query.Evaluator, workers)
-	for w := range cursors {
-		cursors[w] = a.ev.Clone()
-	}
-	return streamChunks(ctx, n, parallelism,
-		func(w, lo, hi int) []AccessReport {
+	return streamChunks(ctx, a, parallelism,
+		func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) []AccessReport {
 			chunk := make([]AccessReport, 0, hi-lo)
 			for r := lo; r < hi; r++ {
-				chunk = append(chunk, a.explainRowWith(cursors[w], masks, r, 0))
+				chunk = append(chunk, a.explainRowWith(ev, masks, r, 0))
 			}
 			return chunk
 		},
@@ -75,5 +76,57 @@ func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(Ac
 				}
 			}
 			return nil
+		})
+}
+
+// ndjsonChunkBytes is the initial capacity of a recycled chunk buffer:
+// room for a 64-row chunk of the catalog's reports (≈ 1.8 KB a row on the
+// generated hospital) without growing.
+const ndjsonChunkBytes = 128 << 10
+
+// ndjsonBufs recycles chunk buffers from StreamNDJSON's emitter back to its
+// workers, so a whole-log stream allocates about one buffer per reorder-
+// window slot instead of one per chunk.
+var ndjsonBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, ndjsonChunkBytes)
+	return &b
+}}
+
+// ndjsonChunk is one encoded chunk in flight from a worker to the emitter.
+type ndjsonChunk struct {
+	buf             *[]byte
+	rows, explained int
+}
+
+// StreamNDJSON is StreamReports encoded: the same reports, in the same
+// order, as AppendNDJSON lines. Each worker renders its chunk of rows and
+// encodes them into one recycled buffer, so encoding runs in parallel with
+// rendering, and emit receives whole chunks — buf holds rows complete
+// lines, explained of which are explained accesses. The concatenated bufs
+// are byte-identical to AppendNDJSON over the StreamReports sequence.
+//
+// emit runs on the calling goroutine, never concurrently with itself, and
+// must not retain buf after it returns: the buffer goes back to the workers.
+// Errors and cancellation follow StreamReports; emit has then seen a clean
+// prefix of whole chunks.
+func (a *Auditor) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
+	return streamChunks(ctx, a, parallelism,
+		func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) ndjsonChunk {
+			bp := ndjsonBufs.Get().(*[]byte)
+			buf, explained := (*bp)[:0], 0
+			for r := lo; r < hi; r++ {
+				rep := a.explainRowWith(ev, masks, r, 0)
+				if rep.Explained() {
+					explained++
+				}
+				buf = AppendNDJSON(buf, rep)
+			}
+			*bp = buf
+			return ndjsonChunk{buf: bp, rows: hi - lo, explained: explained}
+		},
+		func(c ndjsonChunk) error {
+			err := emit(*c.buf, c.rows, c.explained)
+			ndjsonBufs.Put(c.buf)
+			return err
 		})
 }

@@ -7,12 +7,12 @@
 // core.Auditor with its own plan cache) and exposes the full audit surface
 // over the logical merged log:
 //
-//   - StreamReports (and ExplainAll over it) fans out across the shards —
-//     each shard streaming its slice through the bounded core pipeline
-//     (parallel.OrderedChunks) — and re-interleaves the shard streams into
-//     global log order with a k-way merge (parallel.MergeStreams), so the
-//     federated stream is byte-identical to a single engine auditing the
-//     concatenated log;
+//   - StreamReports (and ExplainAll and StreamNDJSON over it) fans out
+//     across the shards — each shard streaming its slice through the bounded
+//     core pipeline (parallel.OrderedChunks) — and re-interleaves the shard
+//     streams into global log order with a k-way merge
+//     (parallel.MergeStreams), so the federated stream is byte-identical to
+//     a single engine auditing the concatenated log;
 //   - Support, ExplainedFraction, Unexplained, PatientReport and ExplainRow
 //     combine shard-local results (support and explained counts are row
 //     counts, and the shards partition the rows, so sums are exact);
@@ -96,9 +96,10 @@ func (sh *shard) rows() int { return len(sh.global) }
 // with Split or Join, register templates with AddTemplates, then use the
 // audit surface. The concurrency contract matches core.Auditor:
 // configuration requires exclusive access, after which the batch surface
-// (StreamReports, ExplainAll, Unexplained, ExplainedFraction) may be used;
-// the point members (Support, PatientReport, ExplainRow, MineTemplates) must
-// not run concurrently with anything else on the same Federation.
+// (StreamReports, StreamNDJSON, ExplainAll, Unexplained, ExplainedFraction)
+// may be used; the point members (Support, PatientReport, ExplainRow,
+// MineTemplates) must not run concurrently with anything else on the same
+// Federation.
 type Federation struct {
 	graph  *schemagraph.Graph
 	namer  explain.Namer
@@ -534,7 +535,10 @@ func (f *Federation) Templates() []explain.Template {
 // Every shard pipeline must run for the k-way merge to make progress, so a
 // federation of more shards than the budget runs one worker per shard —
 // effective parallelism is max(parallelism, NumShards), which StreamReports
-// documents for callers bounding CPU.
+// documents for callers bounding CPU. The split is static: under contiguous
+// time ranges the merge drains the shards in order, so the active shard
+// renders with only its parallelism/K share while the others wait on a full
+// merge buffer.
 func (f *Federation) perShardWorkers(parallelism int) []int {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -587,7 +591,13 @@ type streamItem struct {
 // The worker budget is divided across the shards, but every shard pipeline
 // must run concurrently for the merge to make progress, so the effective
 // worker count is max(parallelism, NumShards) — a federation cannot be
-// throttled below one worker per shard.
+// throttled below one worker per shard. Running concurrently is not
+// rendering concurrently: under contiguous time ranges (TimeRanges, the
+// CLI's shard key) the merge drains shard 0 before shard 1, and so on, so
+// the later shards stop once their merge buffers fill and the shard
+// pipelines effectively run one after another, parallelism/K workers on
+// the active shard. The merge emitter (fn) is then the only work that
+// overlaps rendering.
 func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
 	per := f.perShardWorkers(parallelism)
 	degradedOn := f.degraded.Load()
@@ -635,6 +645,51 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 	}
 	f.setLastDegraded(deg.snapshot())
 	return nil
+}
+
+// ndjsonChunkRows is how many merged rows StreamNDJSON encodes into one
+// buffer before handing it to emit: the core pipeline's chunk size, so a
+// federated stream reaches its sink in writes of the same shape.
+const ndjsonChunkRows = 64
+
+// StreamNDJSON is StreamReports encoded: the merged stream as
+// core.AppendNDJSON lines, handed to emit a chunk at a time (buf holds rows
+// complete lines, explained of which are explained accesses), byte-identical
+// to core.Auditor.StreamNDJSON over the merged log. Encoding runs on the
+// merge emitter, not in the shard pipelines: under contiguous time ranges
+// the merge drains the shards in order and the later shards stall on a full
+// merge buffer, so the merge goroutine is the one place encoding overlaps
+// the active shard's rendering (moving it into the shard streams measured
+// slower at K=4).
+//
+// emit runs on the calling goroutine and must not retain buf after it
+// returns. Errors, cancellation and degraded mode follow StreamReports; on
+// an error emit has seen a clean prefix of whole chunks.
+func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
+	var buf []byte
+	rows, explained := 0, 0
+	err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
+		buf = core.AppendNDJSON(buf, rep)
+		rows++
+		if rep.Explained() {
+			explained++
+		}
+		if rows < ndjsonChunkRows {
+			return nil
+		}
+		// The merge drains rows the shards already buffered before it sees a
+		// cancelled source; checking here stops at the next chunk instead.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		err := emit(buf, rows, explained)
+		buf, rows, explained = buf[:0], 0, 0
+		return err
+	})
+	if err == nil && rows > 0 {
+		err = emit(buf, rows, explained)
+	}
+	return err
 }
 
 // ExplainAll materializes the federated stream into one slice in global log
