@@ -32,9 +32,11 @@ func normalizeParallelism(p int) int {
 
 // minMaskShard is the smallest log-row range worth handing to a worker when
 // sharding one template's mask. Shards below this size would spend more time
-// on per-shard setup (RepeatAccess hashes the whole history once per shard;
-// a path template's walk starts each range with a fresh memo generation and
-// claims its scratch from the cursor) than on classification.
+// on per-shard setup (a path template's walk starts each range with a fresh
+// memo generation and claims its scratch from the cursor; every template
+// allocates its range's result) than on classification. No template pays a
+// per-shard pass over the history: RepeatAccess probes the history Log's
+// shared patient index.
 const minMaskShard = 256
 
 // maskShardsPerWorker is how many mask shards each worker should see on a

@@ -11,8 +11,8 @@ import (
 // RepeatAccess is the decorated repeat-access template of §2.1: the access
 // is explained because the same user previously accessed the same patient's
 // record. The temporal condition L1.Date > L2.Date cannot be expressed as a
-// simple path (Definition 3), so this template is evaluated directly rather
-// than through the path machinery.
+// simple path (Definition 3), so this template is evaluated by probing the
+// history Log's patient index rather than through the path machinery.
 type RepeatAccess struct{}
 
 // Name implements Template.
@@ -41,83 +41,74 @@ func (t RepeatAccess) Evaluate(ev *query.Evaluator) []bool {
 	return t.EvaluateRange(ev, 0, ev.Log().NumRows())
 }
 
-// EvaluateRange implements Template. Each call scans the full history once
-// to build the earliest-access map, then classifies only the audited rows in
-// [lo, hi) — so a template sharded into k ranges pays k history scans. The
-// batch engine therefore shards this template into a handful of worker-sized
-// ranges, not per-row chunks; the history scan is a hash-map pass over the
-// log and stays cheap relative to the path templates.
+// logColumns are the positions of the Log columns the repeat-access probe reads.
+type logColumns struct{ date, user, patient, lid int }
+
+func logCols(t *relation.Table) logColumns {
+	var c logColumns
+	c.date, _ = t.ColumnIndex(pathmodel.LogDateColumn)
+	c.user, _ = t.ColumnIndex(pathmodel.LogUserColumn)
+	c.patient, _ = t.ColumnIndex(pathmodel.LogPatientColumn)
+	c.lid, _ = t.ColumnIndex(pathmodel.LogIDColumn)
+	return c
+}
+
+// earlierAccess reports whether one of the history rows listed in postings
+// (the patient's rows) was made by user u strictly before (date, lid).
+func earlierAccess(history *relation.Table, hc logColumns, postings []int, u relation.Value, date, lid int64) bool {
+	for _, r := range postings {
+		row := history.Row(r)
+		if row[hc.user] != u {
+			continue
+		}
+		if hd := row[hc.date].AsInt(); hd < date || (hd == date && row[hc.lid].AsInt() < lid) {
+			return true
+		}
+	}
+	return false
+}
+
+// EvaluateRange implements Template. Each audited row in [lo, hi) probes the
+// history's per-patient posting list — Index(Patient), built once per Log
+// version and shared by every cursor, shard and PatientReport reading the
+// same table — so a call costs O(rows × accesses per patient) and builds
+// nothing of its own: a template sharded into k ranges pays no per-range
+// history scan.
 func (RepeatAccess) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
 	history := ev.Database().MustTable(pathmodel.LogTable)
 	audited := ev.Log()
 	if lo < 0 || hi < lo || hi > audited.NumRows() {
 		panic("explain: RepeatAccess range out of bounds")
 	}
-	type pair struct{ u, p relation.Value }
-	type stamp struct{ date, lid int64 }
-	earliest := make(map[pair]stamp)
-
-	readCols := func(t *relation.Table) (di, ui, pi, li int) {
-		di, _ = t.ColumnIndex(pathmodel.LogDateColumn)
-		ui, _ = t.ColumnIndex(pathmodel.LogUserColumn)
-		pi, _ = t.ColumnIndex(pathmodel.LogPatientColumn)
-		li, _ = t.ColumnIndex(pathmodel.LogIDColumn)
-		return
-	}
-
-	hdi, hui, hpi, hli := readCols(history)
-	for r := 0; r < history.NumRows(); r++ {
-		row := history.Row(r)
-		k := pair{row[hui], row[hpi]}
-		s := stamp{row[hdi].AsInt(), row[hli].AsInt()}
-		if cur, ok := earliest[k]; !ok || s.date < cur.date || (s.date == cur.date && s.lid < cur.lid) {
-			earliest[k] = s
-		}
-	}
-	adi, aui, api, ali := readCols(audited)
 	out := make([]bool, hi-lo)
+	byPatient := history.Index(pathmodel.LogPatientColumn)
+	hc, ac := logCols(history), logCols(audited)
 	for r := lo; r < hi; r++ {
 		row := audited.Row(r)
-		k := pair{row[aui], row[api]}
-		first, ok := earliest[k]
-		if !ok {
-			continue
-		}
-		s := stamp{row[adi].AsInt(), row[ali].AsInt()}
-		out[r-lo] = s.date > first.date || (s.date == first.date && s.lid > first.lid)
+		out[r-lo] = earlierAccess(history, hc, byPatient[row[ac.patient]], row[ac.user],
+			row[ac.date].AsInt(), row[ac.lid].AsInt())
 	}
 	return out
 }
 
-// Render implements Template. Unlike Evaluate, which classifies the whole
-// log in one pass, Render decides a single row: it resolves the user's
-// history rows through the log's hash index on Log.User and looks for a
-// strictly earlier access to the same patient, so rendering one access costs
-// O(accesses by that user) rather than a full log scan.
+// Render implements Template. It decides a single row with the same probe
+// as EvaluateRange — the patient's posting list in the history Log, searched
+// for a strictly earlier access by the same user — so rendering one access
+// costs O(accesses to that patient) rather than a full log scan, and the
+// text exists exactly when the mask bit is set.
 func (RepeatAccess) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
 	audited := ev.Log()
 	if logRow < 0 || logRow >= audited.NumRows() {
 		return nil
 	}
-	u := audited.Get(logRow, pathmodel.LogUserColumn)
-	p := audited.Get(logRow, pathmodel.LogPatientColumn)
-	date := audited.Get(logRow, pathmodel.LogDateColumn).AsInt()
-	lid := audited.Get(logRow, pathmodel.LogIDColumn).AsInt()
-
+	ac := logCols(audited)
+	row := audited.Row(logRow)
+	u, p := row[ac.user], row[ac.patient]
 	history := ev.Database().MustTable(pathmodel.LogTable)
-	hdi, _ := history.ColumnIndex(pathmodel.LogDateColumn)
-	hpi, _ := history.ColumnIndex(pathmodel.LogPatientColumn)
-	hli, _ := history.ColumnIndex(pathmodel.LogIDColumn)
-	for _, r := range history.Index(pathmodel.LogUserColumn)[u] {
-		row := history.Row(r)
-		if row[hpi] != p {
-			continue
-		}
-		hd, hl := row[hdi].AsInt(), row[hli].AsInt()
-		if hd < date || (hd == date && hl < lid) {
-			return []string{fmt.Sprintf("%s previously accessed %s's record.",
-				n.UserName(u), n.PatientName(p))}
-		}
+	postings := history.Index(pathmodel.LogPatientColumn)[p]
+	if !earlierAccess(history, logCols(history), postings, u, row[ac.date].AsInt(), row[ac.lid].AsInt()) {
+		return nil
 	}
-	return nil
+	return []string{fmt.Sprintf("%s previously accessed %s's record.",
+		n.UserName(u), n.PatientName(p))}
 }

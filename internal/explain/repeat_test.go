@@ -1,0 +1,168 @@
+package explain_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/accesslog"
+	"repro/internal/core"
+	"repro/internal/ehr"
+	"repro/internal/explain"
+	"repro/internal/pathmodel"
+	"repro/internal/query"
+	"repro/internal/relation"
+)
+
+// repeatCuts partitions [0, n) into ranges of three shapes mixed at random:
+// single rows, runs ending on a 64-row boundary (the batch engine's shard
+// alignment), and arbitrary spans.
+func repeatCuts(rng *rand.Rand, n int) []int {
+	cuts := []int{0}
+	for lo := 0; lo < n; {
+		var hi int
+		switch rng.Intn(3) {
+		case 0:
+			hi = lo + 1
+		case 1:
+			hi = (lo/64 + 1 + rng.Intn(4)) * 64
+		default:
+			hi = lo + 1 + rng.Intn(n/4+1)
+		}
+		lo = min(hi, n)
+		cuts = append(cuts, lo)
+	}
+	return cuts
+}
+
+// shuffledTiedLog copies log with its rows in random order and every Date
+// coarsened to a three-day bucket, so many (user, patient) pairs hold
+// several accesses on one Date and only Lid orders them.
+func shuffledTiedLog(rng *rand.Rand, log *relation.Table) *relation.Table {
+	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
+	out := accesslog.NewLogTable(pathmodel.LogTable)
+	for _, r := range rng.Perm(log.NumRows()) {
+		row := append([]relation.Value(nil), log.Row(r)...)
+		row[di] = relation.Date(int(row[di].AsInt()) / 3)
+		out.Append(row...)
+	}
+	return out
+}
+
+// lidDecided counts the rows of a self-audited log whose repeat-access
+// verdict rests on Lid: an access by the same (user, patient) pair exists on
+// the same Date, and none on an earlier one.
+func lidDecided(log *relation.Table) int {
+	type pair struct{ u, p relation.Value }
+	type pairDay struct {
+		pair
+		day int64
+	}
+	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
+	ui, _ := log.ColumnIndex(pathmodel.LogUserColumn)
+	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
+	firstDay := make(map[pair]int64)
+	onDay := make(map[pairDay]int)
+	for r := 0; r < log.NumRows(); r++ {
+		row := log.Row(r)
+		k, d := pair{row[ui], row[pi]}, row[di].AsInt()
+		if f, ok := firstDay[k]; !ok || d < f {
+			firstDay[k] = d
+		}
+		onDay[pairDay{k, d}]++
+	}
+	n := 0
+	for k, d := range firstDay {
+		n += onDay[pairDay{k, d}] - 1
+	}
+	return n
+}
+
+// historicalSplit audits the accesses on or after the log's middle day
+// against a history holding only the earlier ones, through the auditor's
+// WithAuditedLog option: no audited row is present in the history.
+func historicalSplit(ds *ehr.Dataset) *query.Evaluator {
+	log := ds.Log()
+	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
+	first, last := log.Row(0)[di].AsInt(), log.Row(0)[di].AsInt()
+	for r := 0; r < log.NumRows(); r++ {
+		d := log.Row(r)[di].AsInt()
+		first, last = min(first, d), max(last, d)
+	}
+	mid := int(first+last) / 2
+	history := accesslog.FilterDays(log, int(first), mid-1)
+	audited := accesslog.FilterDays(log, mid, int(last))
+	return core.NewAuditor(accesslog.WithLog(ds.DB, history), nil, core.WithAuditedLog(audited)).Evaluator()
+}
+
+// TestRepeatAccessMatchesReference pins the patient-index probe to the map
+// scan it replaced: over random range partitions of three Tiny seeds, the
+// stitched EvaluateRange masks equal the reference's, on the database Log,
+// on a shuffled history with same-Date ties, and on a historical audit.
+// Render must produce text exactly for the rows the mask sets.
+func TestRepeatAccessMatchesReference(t *testing.T) {
+	tpl := explain.RepeatAccess{}
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := ehr.Tiny()
+		cfg.Seed = seed
+		ds := ehr.Generate(cfg)
+		rng := rand.New(rand.NewSource(seed * 131))
+		tied := shuffledTiedLog(rng, ds.Log())
+		if lidDecided(tied) == 0 {
+			t.Fatalf("seed %d: shuffled history has no same-Date ties", seed)
+		}
+		histories := []struct {
+			name string
+			ev   *query.Evaluator
+		}{
+			{"log", query.NewEvaluator(ds.DB)},
+			{"shuffled-ties", query.NewEvaluator(accesslog.WithLog(ds.DB, tied))},
+			{"historical", historicalSplit(ds)},
+		}
+		for _, h := range histories {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, h.name), func(t *testing.T) {
+				ev := h.ev
+				n := ev.Log().NumRows()
+				want := explain.RepeatAccessReference(ev, 0, n)
+				explained := 0
+				for _, b := range want {
+					if b {
+						explained++
+					}
+				}
+				if explained == 0 || explained == n {
+					t.Fatalf("reference explains %d of %d rows: the fixture exercises nothing", explained, n)
+				}
+				for k := 0; k < 3; k++ {
+					cuts := repeatCuts(rng, n)
+					for i := 0; i+1 < len(cuts); i++ {
+						lo, hi := cuts[i], cuts[i+1]
+						got := tpl.EvaluateRange(ev, lo, hi)
+						for j, b := range got {
+							if b != want[lo+j] {
+								t.Fatalf("range [%d,%d): row %d = %v, reference %v", lo, hi, lo+j, b, want[lo+j])
+							}
+						}
+					}
+				}
+				for r := 0; r < n; r++ {
+					if texts := tpl.Render(ev, r, 1, explain.NullNamer{}); (texts != nil) != want[r] {
+						t.Fatalf("row %d: Render = %v, mask bit %v", r, texts, want[r])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRepeatAccessRangeAllocs pins "no per-call history structure": once
+// the history's patient index is built, classifying a 64-row range
+// allocates the result slice and nothing that grows with the history.
+func TestRepeatAccessRangeAllocs(t *testing.T) {
+	ev := query.NewEvaluator(ehr.Generate(ehr.Tiny()).DB)
+	tpl := explain.RepeatAccess{}
+	tpl.EvaluateRange(ev, 0, 64) // warm the index
+	if allocs := testing.AllocsPerRun(50, func() { tpl.EvaluateRange(ev, 64, 128) }); allocs > 2 {
+		t.Errorf("64-row EvaluateRange allocates %.0f objects, want <= 2", allocs)
+	}
+}

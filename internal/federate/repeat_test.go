@@ -1,0 +1,82 @@
+package federate_test
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ehr"
+	"repro/internal/explain"
+	"repro/internal/federate"
+	"repro/internal/pathmodel"
+	"repro/internal/relation"
+)
+
+// TestRepeatAccessSharedIndexRace drives the one structure every shard of a
+// Split shares: repeat-access probes the merged Log's lazily built patient
+// index, so on a fresh database every mask worker of every shard asks for
+// that index at once. A K=4 federation streams at 4 workers per shard — all
+// four shard pipelines build their masks concurrently — and must match a
+// single engine; after an append (which drops the index) and Refresh, it
+// must match a from-scratch auditor over the grown log. Run under -race.
+func TestRepeatAccessSharedIndexRace(t *testing.T) {
+	const k = 4
+	cfg := ehr.Tiny()
+	cfg.Seed = 2
+	ds := ehr.Generate(cfg)
+	full := ds.DB.MustTable(pathmodel.LogTable)
+	n := full.NumRows()
+	cut := n * 9 / 10
+	rows := make([]int, cut)
+	for r := range rows {
+		rows[r] = r
+	}
+	for _, layout := range []string{"time-ranges", "round-robin"} {
+		t.Run(layout, func(t *testing.T) {
+			db := relation.NewDatabase()
+			for _, name := range ds.DB.TableNames() {
+				if name == pathmodel.LogTable {
+					db.AddTable(full.Select(pathmodel.LogTable, rows))
+				} else {
+					db.AddTable(ds.DB.Table(name))
+				}
+			}
+			log := db.MustTable(pathmodel.LogTable)
+			assign := federate.TimeRanges(log, k)
+			if layout == "round-robin" {
+				assign = func(row int) int { return row % k }
+			}
+			fed, err := federate.Split(db, graph(), k, assign, federate.WithNamer(ds), federate.WithoutGroups())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed.AddTemplates(explain.RepeatAccess{})
+			check := func(stage string) {
+				t.Helper()
+				got := mustExplainAll(t, fed, 4*k)
+				single := core.NewAuditor(db, graph(), core.WithNamer(ds))
+				single.AddTemplates(explain.RepeatAccess{})
+				if want := mustExplainAll(t, single, 4); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: federated repeat-access reports differ from a single engine", stage)
+				}
+				gu, wu := mustUnexplained(t, fed, 4*k), mustUnexplained(t, single, 4)
+				if !reflect.DeepEqual(gu, wu) {
+					t.Fatalf("%s: federated repeat-access mask differs: %d vs %d unexplained", stage, len(gu), len(wu))
+				}
+				if len(wu) == 0 || len(wu) == log.NumRows() {
+					t.Fatalf("%s: %d of %d rows unexplained: the fixture exercises nothing", stage, len(wu), log.NumRows())
+				}
+			}
+			check("cold")
+
+			for r := cut; r < n; r++ {
+				log.Append(full.Row(r)...)
+			}
+			if appended, err := fed.Refresh(context.Background(), 4*k); err != nil || appended != n-cut {
+				t.Fatalf("Refresh = (%d, %v), want (%d, nil)", appended, err, n-cut)
+			}
+			check("refreshed")
+		})
+	}
+}

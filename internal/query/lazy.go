@@ -1,5 +1,7 @@
 package query
 
+import "slices"
+
 // This file is the execution engine: pull-based, first-witness evaluation of
 // compiled plans. Each per-row question — "does this row's end value lie in
 // the start value's reach?" — is answered by a depth-first walk over the
@@ -25,9 +27,10 @@ type lazyWalk struct {
 // value v at op boundary bi complete the rest of the chain — for a closed
 // plan, arriving at exactly end? It stops at the first witness. Filter ops
 // (opExists, opClose) advance iteratively; only branching pairs ops recurse
-// and memoize, under the scratch's current generation. A value that survives
-// every op of an open chain completes the path; a closed chain always ends
-// at its opClose.
+// and memoize, under the scratch's current generation, and a pairs op whose
+// next op is the opClose compares its postings with end in place. A value
+// that survives every op of an open chain completes the path; a closed chain
+// always ends at its opClose.
 func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 	for {
 		if bi == len(lw.ops) {
@@ -66,14 +69,35 @@ func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 				lw.exec.rowsIn[bi]++
 			}
 			verdict := gen << 1
-			for _, w := range o.pairs.list(v) {
-				*lw.scanned++
-				if lw.exec != nil {
-					lw.exec.postings[bi]++
+			list := o.pairs.list(v)
+			if bi+1 < len(lw.ops) && lw.ops[bi+1].kind == opClose {
+				// The closing hop is a comparison, not a branch: find the
+				// first posting equal to end in place of one recursion per
+				// posting. Postings up to and including the witness are
+				// consumed, and each of them enters the close op, exactly
+				// as the recursive walk counts them.
+				consumed := len(list)
+				if i := slices.Index(list, end); i >= 0 {
+					consumed, verdict = i+1, verdict|1
 				}
-				if lw.reaches(bi+1, w, end) {
-					verdict |= 1
-					break
+				*lw.scanned += consumed
+				if lw.exec != nil {
+					lw.exec.postings[bi] += int64(consumed)
+					lw.exec.rowsIn[bi+1] += int64(consumed)
+					if verdict&1 != 0 {
+						lw.exec.rowsOut[bi+1]++
+					}
+				}
+			} else {
+				for _, w := range list {
+					*lw.scanned++
+					if lw.exec != nil {
+						lw.exec.postings[bi]++
+					}
+					if lw.reaches(bi+1, w, end) {
+						verdict |= 1
+						break
+					}
 				}
 			}
 			if verdict&1 != 0 && lw.exec != nil {
