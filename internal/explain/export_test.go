@@ -52,3 +52,64 @@ func RepeatAccessReference(ev *query.Evaluator, lo, hi int) []bool {
 	}
 	return out
 }
+
+// renderBindingsReference is renderBindings as it was before placeholders
+// were resolved once per call, kept verbatim as the differential oracle:
+// every placeholder of every binding looks its table up by name and reads
+// its value by column name, and every role goes through the Namer.
+func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *query.Evaluator, logRow int, bindings []query.InstanceBinding, n Namer) []string {
+	out := make([]string, 0, len(bindings))
+	if desc == "" {
+		for _, b := range bindings {
+			out = append(out, renderGeneric(p, ev, logRow, b, n))
+		}
+		return out
+	}
+	if segs == nil {
+		segs = parseDesc(desc, p)
+	}
+	var buf [256]byte
+	text := buf[:0]
+	insts := p.Instances()
+	for _, b := range bindings {
+		text = text[:0]
+		for _, s := range segs {
+			if s.lit != "" {
+				text = append(text, s.lit...)
+				continue
+			}
+			var v relation.Value
+			if s.inst == 0 {
+				v = ev.Log().Get(logRow, s.col)
+			} else {
+				v = ev.Database().MustTable(insts[s.inst].Table).Get(b.Rows[s.inst-1], s.col)
+			}
+			switch s.role {
+			case "patient":
+				text = append(text, n.PatientName(v)...)
+			case "user":
+				text = append(text, n.UserName(v)...)
+			case "caregiver":
+				text = append(text, n.CaregiverName(v)...)
+			default:
+				text = v.AppendString(text)
+			}
+		}
+		out = append(out, string(text))
+	}
+	return out
+}
+
+// RenderReference renders t's explanation instances for logRow the way
+// renderBindingsReference did. ok is false for templates that do not render
+// through a description (RepeatAccess).
+func RenderReference(t Template, ev *query.Evaluator, logRow, limit int, n Namer) (texts []string, ok bool) {
+	switch tpl := t.(type) {
+	case *PathTemplate:
+		return renderBindingsReference(tpl.desc, tpl.Desc, tpl.Path, ev, logRow, ev.Instances(tpl.Path, logRow, limit), n), true
+	case *DecoratedTemplate:
+		return renderBindingsReference(tpl.desc, tpl.Desc, tpl.Decorated.Base, ev, logRow,
+			ev.InstancesDecorated(tpl.Decorated, logRow, limit), n), true
+	}
+	return nil, false
+}

@@ -62,14 +62,21 @@ type Namer interface {
 // NullNamer renders identifiers as-is.
 type NullNamer struct{}
 
+// NullNamer's labels, which precede the raw identifier.
+const (
+	patientLabel   = "patient "
+	userLabel      = "user "
+	caregiverLabel = "caregiver "
+)
+
 // PatientName implements Namer.
-func (NullNamer) PatientName(v relation.Value) string { return labeled("patient ", v) }
+func (NullNamer) PatientName(v relation.Value) string { return labeled(patientLabel, v) }
 
 // UserName implements Namer.
-func (NullNamer) UserName(v relation.Value) string { return labeled("user ", v) }
+func (NullNamer) UserName(v relation.Value) string { return labeled(userLabel, v) }
 
 // CaregiverName implements Namer.
-func (NullNamer) CaregiverName(v relation.Value) string { return labeled("caregiver ", v) }
+func (NullNamer) CaregiverName(v relation.Value) string { return labeled(caregiverLabel, v) }
 
 // labeled renders label followed by v with one allocation, the result.
 func labeled(label string, v relation.Value) string {
@@ -190,8 +197,10 @@ func parseDesc(desc string, p pathmodel.Path) []descSeg {
 
 // renderBindings renders one text per binding of the log row: through the
 // parsed description segs when the template has one (parsed here when the
-// template was not built by its constructor), generically otherwise. Texts
-// are assembled in one buffer reused across the row's bindings.
+// template was not built by its constructor), generically otherwise. Each
+// placeholder's table and column position are resolved once per call (see
+// resolveSlots), and the texts are assembled in one buffer reused across
+// the row's bindings.
 func renderBindings(segs []descSeg, desc string, p pathmodel.Path, ev *query.Evaluator, logRow int, bindings []query.InstanceBinding, n Namer) []string {
 	out := make([]string, 0, len(bindings))
 	if desc == "" {
@@ -200,39 +209,111 @@ func renderBindings(segs []descSeg, desc string, p pathmodel.Path, ev *query.Eva
 		}
 		return out
 	}
+	if len(bindings) == 0 {
+		return out
+	}
 	if segs == nil {
 		segs = parseDesc(desc, p)
 	}
+	var slotBuf [16]slot
+	slots := resolveSlots(slotBuf[:0], segs, p, ev, n)
+	audited := ev.Log().Row(logRow)
 	var buf [256]byte
 	text := buf[:0]
-	insts := p.Instances()
 	for _, b := range bindings {
 		text = text[:0]
-		for _, s := range segs {
+		for i := range slots {
+			s := &slots[i]
 			if s.lit != "" {
 				text = append(text, s.lit...)
 				continue
 			}
 			var v relation.Value
-			if s.inst == 0 {
-				v = ev.Log().Get(logRow, s.col)
+			if s.tbl == nil {
+				v = audited[s.col]
 			} else {
-				v = ev.Database().MustTable(insts[s.inst].Table).Get(b.Rows[s.inst-1], s.col)
+				v = s.tbl.Row(b.Rows[s.inst-1])[s.col]
 			}
 			switch s.role {
-			case "patient":
-				text = append(text, n.PatientName(v)...)
-			case "user":
-				text = append(text, n.UserName(v)...)
-			case "caregiver":
-				text = append(text, n.CaregiverName(v)...)
-			default:
+			case roleRaw:
 				text = v.AppendString(text)
+			case roleLabeled:
+				text = v.AppendString(append(text, s.label...))
+			case rolePatient:
+				text = append(text, n.PatientName(v)...)
+			case roleUser:
+				text = append(text, n.UserName(v)...)
+			case roleCaregiver:
+				text = append(text, n.CaregiverName(v)...)
 			}
 		}
 		out = append(out, string(text))
 	}
 	return out
+}
+
+// slotRole is how a resolved placeholder renders its value.
+type slotRole uint8
+
+const (
+	roleRaw       slotRole = iota // the value's display form
+	roleLabeled                   // NullNamer's label, then the display form
+	rolePatient                   // Namer.PatientName
+	roleUser                      // Namer.UserName
+	roleCaregiver                 // Namer.CaregiverName
+)
+
+// slot is one description segment resolved for a render call: literal
+// text, or a placeholder with its table (nil for the audited row, whose
+// value is the same for every binding) and column position looked up.
+type slot struct {
+	lit   string
+	inst  int
+	tbl   *relation.Table
+	col   int
+	role  slotRole
+	label string
+}
+
+// resolveSlots appends segs resolved against the path's instances to dst:
+// each placeholder's table and column position, and how its role renders
+// under n. A NullNamer role becomes its label, appended straight into the
+// text with no intermediate string; other Namers are called per value. A
+// placeholder naming a column its table lacks is a programming error and
+// panics, as reading it would.
+func resolveSlots(dst []slot, segs []descSeg, p pathmodel.Path, ev *query.Evaluator, n Namer) []slot {
+	_, null := n.(NullNamer)
+	insts := p.Instances()
+	for _, s := range segs {
+		if s.lit != "" {
+			dst = append(dst, slot{lit: s.lit})
+			continue
+		}
+		var tbl *relation.Table // nil: the audited row
+		src := ev.Log()
+		if s.inst > 0 {
+			tbl = ev.Database().MustTable(insts[s.inst].Table)
+			src = tbl
+		}
+		col, ok := src.ColumnIndex(s.col)
+		if !ok {
+			panic(fmt.Sprintf("explain: placeholder column %q is not in table %q", s.col, src.Name()))
+		}
+		sl := slot{inst: s.inst, tbl: tbl, col: col}
+		switch s.role {
+		case "patient":
+			sl.role, sl.label = rolePatient, patientLabel
+		case "user":
+			sl.role, sl.label = roleUser, userLabel
+		case "caregiver":
+			sl.role, sl.label = roleCaregiver, caregiverLabel
+		}
+		if null && sl.label != "" {
+			sl.role = roleLabeled
+		}
+		dst = append(dst, sl)
+	}
+	return dst
 }
 
 // renderGeneric produces a readable fallback description by listing the

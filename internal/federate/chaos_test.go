@@ -1,6 +1,7 @@
 package federate_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -367,5 +368,149 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	}
 	if got := fault.Default.Injected(); got != 3 {
 		t.Errorf("injector fired %d times, want exactly the 3-attempt budget", got)
+	}
+}
+
+// inOrderFederation is a 4-way TimeRanges Split of the Tiny hospital —
+// contiguous shards, so its streams take the in-order path — with the
+// chaos retry policy, plus the single engine's NDJSON stream as lines.
+func inOrderFederation(t *testing.T, seed int64) (*federate.Federation, [][]byte) {
+	t.Helper()
+	ds, single := singleEngine(t, seed)
+	want, _, _, err := collectNDJSON(t, single, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := splitFederation(t, ds, 4, nil)
+	f.SetPolicy(chaosPolicy(seed))
+	return f, bytes.SplitAfter(want, []byte("\n"))[:f.Rows()]
+}
+
+// shardStart returns the merged-log row at which the named shard's
+// contiguous run starts, and the run's length.
+func shardStart(t *testing.T, f *federate.Federation, name string) (start, rows int) {
+	t.Helper()
+	for _, in := range f.ShardInfos() {
+		if in.Name == name {
+			return start, in.Rows
+		}
+		start += in.Rows
+	}
+	t.Fatalf("no shard %s", name)
+	return 0, 0
+}
+
+// TestChaosInOrderNDJSONTransient arms a transient row fault in the middle
+// of shard2's in-order NDJSON stream, at a row that is not a chunk
+// boundary: the retry resumes past the whole chunks already delivered and
+// the output stays byte-identical to the single engine.
+func TestChaosInOrderNDJSONTransient(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	const after = 100 // not a multiple of the 64-row core chunk
+	for _, seed := range []int64{1, 2} {
+		f, want := inOrderFederation(t, seed)
+		if _, rows := shardStart(t, f, "shard2"); rows <= after {
+			t.Fatalf("seed %d: shard2 audits %d rows, the fault at row %d never fires", seed, rows, after+1)
+		}
+		for _, j := range []int{1, 4} {
+			fault.Reset()
+			fault.Install(fault.Rule{Site: "federate.shard2.stream.row", After: after, Count: 1,
+				Err: fault.Retryable(errors.New("injected row fault"))})
+			var got []byte
+			path, err := federate.StreamPath(func() (err error) {
+				got, _, _, err = collectNDJSON(t, f, j)
+				return err
+			})
+			label := fmt.Sprintf("seed %d j=%d", seed, j)
+			if err != nil || path != "in-order" {
+				t.Fatalf("%s: StreamNDJSON took the %s path and returned %v", label, path, err)
+			}
+			if !bytes.Equal(got, bytes.Join(want, nil)) {
+				t.Fatalf("%s: retried in-order stream (%d bytes) differs from the single engine (%d bytes)",
+					label, len(got), len(bytes.Join(want, nil)))
+			}
+			if fault.Default.Injected() != 1 {
+				t.Fatalf("%s: row fault fired %d times, want 1", label, fault.Default.Injected())
+			}
+			if d := f.LastDegraded(); !d.IsZero() {
+				t.Fatalf("%s: transient fault left a degraded annotation: %+v", label, d)
+			}
+		}
+	}
+}
+
+// TestChaosInOrderNDJSONMidStreamDegraded downs shard1 permanently in the
+// middle of its in-order NDJSON stream in degraded mode: the output is the
+// single engine's stream minus exactly RowsSkipped lines of shard1 — the
+// tail after the whole chunks it delivered before the fault — and the
+// later shards still stream.
+func TestChaosInOrderNDJSONMidStreamDegraded(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	const after = 100
+	f, want := inOrderFederation(t, 2)
+	f.SetDegradedMode(true)
+	start, rows := shardStart(t, f, "shard1")
+	if rows <= after {
+		t.Fatalf("shard1 audits %d rows, the fault at row %d never fires", rows, after+1)
+	}
+	fault.Install(fault.Rule{Site: "federate.shard1.stream.row", After: after,
+		Err: errors.New("injected permanent row fault")})
+
+	got, gotRows, _, err := collectNDJSON(t, f, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := f.LastDegraded()
+	if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard1" {
+		t.Fatalf("Degraded = %+v, want shard1 missing", d)
+	}
+	delivered := rows - d.RowsSkipped
+	if delivered < 0 || delivered > after || delivered%64 != 0 {
+		t.Fatalf("shard1 delivered %d of %d rows before the fault at row %d, want whole 64-row chunks", delivered, rows, after+1)
+	}
+	wantLines := append(append([][]byte{}, want[:start+delivered]...), want[start+rows:]...)
+	if !bytes.Equal(got, bytes.Join(wantLines, nil)) || gotRows != len(wantLines) {
+		t.Fatalf("degraded stream has %d lines (%d bytes), want the single engine minus %d shard1 lines: %d lines",
+			gotRows, len(got), d.RowsSkipped, len(wantLines))
+	}
+}
+
+// TestChaosInOrderNDJSONCancel cancels from inside emit on the in-order
+// path: the stream returns context.Canceled, no chunk reaches emit after
+// the cancelling one, and what emit saw is whole chunks forming a prefix
+// of the full stream. No shard is held responsible for the cancellation.
+func TestChaosInOrderNDJSONCancel(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	f, want := inOrderFederation(t, 1)
+	full := bytes.Join(want, nil)
+	for _, cancelAt := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var got []byte
+		chunks := 0
+		path, err := federate.StreamPath(func() error {
+			return f.StreamNDJSON(ctx, 4, func(buf []byte, rows, _ int) error {
+				if rows <= 0 || bytes.Count(buf, []byte("\n")) != rows {
+					t.Fatalf("chunk of %d bytes is not %d whole lines", len(buf), rows)
+				}
+				got = append(got, buf...)
+				if chunks++; chunks == cancelAt {
+					cancel()
+				}
+				return nil
+			})
+		})
+		cancel()
+		if path != "in-order" || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at chunk %d: %s path returned %v, want in-order and context.Canceled", cancelAt, path, err)
+		}
+		if chunks != cancelAt || !bytes.HasPrefix(full, got) || len(got) >= len(full) {
+			t.Fatalf("cancel at chunk %d: emit saw %d chunks, %d of %d bytes (prefix: %v)",
+				cancelAt, chunks, len(got), len(full), bytes.HasPrefix(full, got))
+		}
+		for _, h := range f.ShardHealth() {
+			if h.State != federate.Healthy {
+				t.Fatalf("cancel at chunk %d: shard %s ended %v; a cancellation is not the shard's failure", cancelAt, h.Name, h.State)
+			}
+		}
 	}
 }

@@ -7,12 +7,15 @@
 // core.Auditor with its own plan cache) and exposes the full audit surface
 // over the logical merged log:
 //
-//   - StreamReports (and ExplainAll and StreamNDJSON over it) fans out
-//     across the shards — each shard streaming its slice through the bounded
-//     core pipeline (parallel.OrderedChunks) — and re-interleaves the shard
-//     streams into global log order with a k-way merge
-//     (parallel.MergeStreams), so the federated stream is byte-identical to
-//     a single engine auditing the concatenated log;
+//   - StreamReports (and ExplainAll over it) and StreamNDJSON stream every
+//     shard's slice through the bounded core pipeline
+//     (parallel.OrderedChunks) and hand the reports on in global log order,
+//     so the federated stream is byte-identical to a single engine auditing
+//     the concatenated log. When the shards are contiguous runs of the log
+//     in shard order (time ranges over a chronological log, every Join) the
+//     shards stream one after another, each with the whole worker budget;
+//     any other assignment is re-interleaved by a k-way merge
+//     (parallel.MergeStreams) over concurrently running shard streams;
 //   - Support, ExplainedFraction, Unexplained, PatientReport and ExplainRow
 //     combine shard-local results (support and explained counts are row
 //     counts, and the shards partition the rows, so sums are exact);
@@ -528,17 +531,99 @@ func (f *Federation) Templates() []explain.Template {
 	return f.shards[0].auditor.Templates()
 }
 
-// perShardWorkers divides a total worker budget across the shards, at least
-// one each (non-positive means GOMAXPROCS, matching the core engine). The
-// remainder goes to the leading shards so an uneven division still uses the
-// whole budget; worker counts never affect the merged stream's content.
-// Every shard pipeline must run for the k-way merge to make progress, so a
-// federation of more shards than the budget runs one worker per shard —
-// effective parallelism is max(parallelism, NumShards), which StreamReports
-// documents for callers bounding CPU. The split is static: under contiguous
-// time ranges the merge drains the shards in order, so the active shard
-// renders with only its parallelism/K share while the others wait on a full
-// merge buffer.
+// Stream-path metrics live in the process-wide obs.Default registry, like
+// the resilience ones: one atomic add per stream call.
+var (
+	// federate.stream.in_order counts stream calls (StreamReports,
+	// StreamNDJSON) served shard after shard over contiguous shards.
+	streamInOrderRuns = obs.Default.Counter("federate.stream.in_order")
+
+	// federate.stream.merged counts stream calls served by the k-way merge
+	// over concurrently running shard streams.
+	streamMergedRuns = obs.Default.Counter("federate.stream.merged")
+)
+
+// contiguous reports whether the shards are runs of the merged log in shard
+// order: shard i audits consecutive rows, starting where shard i-1 ended
+// (shard 0 at row 0). Concatenating the shard streams is then the global
+// stream, with no merge. It is O(rows) and computed on every stream call,
+// never cached, so it cannot go stale across Refresh.
+func (f *Federation) contiguous() bool {
+	next := 0
+	for _, sh := range f.shards {
+		for _, g := range sh.global {
+			if g != next {
+				return false
+			}
+			next++
+		}
+	}
+	return true
+}
+
+// resume is one attempt of an in-order shard stream: skip counts the rows
+// earlier attempts already handed on, which this attempt passes over, and
+// handed the rows it hands on itself.
+type resume struct {
+	sh           *shard
+	skip, handed int
+}
+
+// handOn passes v, a unit of n consecutive rows of the shard's stream (one
+// report, or one encoded core chunk), to send. The shard's row seam fires
+// once per row first, so a fault strikes before any of the unit leaves.
+// Units an earlier attempt already handed on are skipped: a shard's stream
+// is deterministic, chunk boundaries included, so a resume point always
+// falls between units. A send failure is wrapped as a downstreamError.
+func handOn[T any](ctx context.Context, p *resume, n int, v T, send func(T) error) error {
+	for i := 0; i < n; i++ {
+		if err := p.sh.inject(ctx, seamRow); err != nil {
+			return err
+		}
+	}
+	if p.skip > 0 {
+		if p.skip < n {
+			return fmt.Errorf("federate: %s resume point splits a %d-row unit with %d rows left to skip", p.sh.name, n, p.skip)
+		}
+		p.skip -= n
+		return nil
+	}
+	if err := send(v); err != nil {
+		return &downstreamError{err: err}
+	}
+	p.handed += n
+	return nil
+}
+
+// streamInOrder runs stream over contiguous shards one after another in
+// shard order (eachShard, behind each shard's stream seam and resilience
+// policy), each attempt resuming past the rows its shard already handed
+// on. In degraded mode a shard that goes down mid-stream is recorded with
+// the rows it never handed on, and the next shard continues the stream.
+func (f *Federation) streamInOrder(ctx context.Context, stream func(ctx context.Context, p *resume) error) error {
+	streamInOrderRuns.Inc()
+	handed := make(map[*shard]int, len(f.shards))
+	return f.eachShard(ctx, seamStream,
+		func(sh *shard) int { return sh.rows() - handed[sh] },
+		func(actx context.Context, sh *shard) error {
+			p := &resume{sh: sh, skip: handed[sh]}
+			// Deferred so a contained panic still records the attempt's
+			// progress.
+			defer func() { handed[sh] += p.handed }()
+			return stream(actx, p)
+		})
+}
+
+// perShardWorkers divides a total worker budget across the shards for the
+// k-way merge, at least one each (non-positive means GOMAXPROCS, matching
+// the core engine). The remainder goes to the leading shards so an uneven
+// division still uses the whole budget; worker counts never affect the
+// merged stream's content. Every shard pipeline must run for the merge to
+// make progress, so a merge over more shards than the budget runs one
+// worker per shard — effective parallelism is max(parallelism, NumShards),
+// which StreamReports documents for callers bounding CPU. Contiguous shards
+// never come here: they stream one after another, each with the whole
+// budget.
 func (f *Federation) perShardWorkers(parallelism int) []int {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -567,10 +652,20 @@ type streamItem struct {
 // the reports to fn one at a time in global log order — exactly the stream a
 // single core.Auditor over the merged log produces (the federated
 // differential tests pin the two together byte for byte). Each shard runs
-// its own bounded streaming pipeline over its slice with a share of the
-// worker budget, and the shard streams are re-interleaved through a bounded
-// k-way merge, so peak buffering stays a few chunks per worker plus a few
-// hundred reports per shard regardless of log size.
+// its own bounded streaming pipeline over its slice, so peak buffering stays
+// a few chunks per worker regardless of log size.
+//
+// The topology follows the shard assignment, checked on every call. When
+// the shards are contiguous runs of the log in shard order — TimeRanges
+// over a chronological log (the CLI's -shards K), and every Join — their
+// streams concatenate to the global one: the shards stream one after
+// another, each with the whole worker budget, and nothing is merged. Any
+// other assignment (round-robin, or time ranges over a log not sorted by
+// date) runs every shard pipeline concurrently with a share of the budget
+// and re-interleaves the streams through a bounded k-way merge, a few
+// hundred reports per shard; every shard must then run for the merge to
+// make progress, so the effective worker count is max(parallelism,
+// NumShards).
 //
 // fn runs on the calling goroutine, never concurrently with itself. If fn
 // returns an error the stream aborts with it; if ctx is cancelled mid-run
@@ -581,24 +676,28 @@ type streamItem struct {
 // (callShard): per-attempt timeouts, retries with backoff on retryable
 // failures, and panic containment. A retried shard resumes exactly where
 // it left off — the attempt re-streams and skips the reports already
-// pushed, which the deterministic per-shard stream makes exact — so
+// handed on, which the deterministic per-shard stream makes exact — so
 // transient faults never duplicate or drop a report. In strict mode a
 // shard whose budget is exhausted aborts the stream with an error matching
 // ErrShardDown; in degraded mode (SetDegradedMode) its remaining rows are
-// skipped, the merge continues over the surviving shards, and the loss is
+// skipped, the stream continues over the surviving shards, and the loss is
 // recorded in LastDegraded.
-//
-// The worker budget is divided across the shards, but every shard pipeline
-// must run concurrently for the merge to make progress, so the effective
-// worker count is max(parallelism, NumShards) — a federation cannot be
-// throttled below one worker per shard. Running concurrently is not
-// rendering concurrently: under contiguous time ranges (TimeRanges, the
-// CLI's shard key) the merge drains shard 0 before shard 1, and so on, so
-// the later shards stop once their merge buffers fill and the shard
-// pipelines effectively run one after another, parallelism/K workers on
-// the active shard. The merge emitter (fn) is then the only work that
-// overlaps rendering.
 func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
+	if f.contiguous() {
+		return f.streamInOrder(ctx, func(actx context.Context, p *resume) error {
+			return p.sh.auditor.StreamReports(actx, parallelism, func(rep core.AccessReport) error {
+				return handOn(actx, p, 1, rep, fn)
+			})
+		})
+	}
+	return f.mergeReports(ctx, parallelism, fn)
+}
+
+// mergeReports is StreamReports over non-contiguous shards: every shard
+// pipeline runs concurrently on its perShardWorkers share, and
+// parallel.MergeStreams restores global order by merge key.
+func (f *Federation) mergeReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
+	streamMergedRuns.Inc()
 	per := f.perShardWorkers(parallelism)
 	degradedOn := f.degraded.Load()
 	deg := &degradeAcc{}
@@ -647,34 +746,55 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 	return nil
 }
 
-// ndjsonChunkRows is how many merged rows StreamNDJSON encodes into one
-// buffer before handing it to emit: the core pipeline's chunk size, so a
-// federated stream reaches its sink in writes of the same shape.
+// ndjsonChunkRows is how many merged rows the merge path of StreamNDJSON
+// encodes into one buffer before handing it to emit: the core pipeline's
+// chunk size, so a federated stream reaches its sink in writes of the same
+// shape.
 const ndjsonChunkRows = 64
+
+// ndjsonChunk is one encoded chunk of whole NDJSON lines on its way to
+// StreamNDJSON's emit.
+type ndjsonChunk struct {
+	buf             []byte
+	rows, explained int
+}
 
 // StreamNDJSON is StreamReports encoded: the merged stream as
 // core.AppendNDJSON lines, handed to emit a chunk at a time (buf holds rows
 // complete lines, explained of which are explained accesses), byte-identical
-// to core.Auditor.StreamNDJSON over the merged log. Encoding runs on the
-// merge emitter, not in the shard pipelines: under contiguous time ranges
-// the merge drains the shards in order and the later shards stall on a full
-// merge buffer, so the merge goroutine is the one place encoding overlaps
-// the active shard's rendering (moving it into the shard streams measured
-// slower at K=4).
+// to core.Auditor.StreamNDJSON over the merged log.
+//
+// Over contiguous shards each shard streams through its own
+// core.Auditor.StreamNDJSON, one shard after another with the whole worker
+// budget, so encoding runs in the shard's render workers and each encoded
+// core chunk goes to emit as it is: no merge goroutine, no re-encoding. The
+// shard's row seam fires once per row of a chunk before the chunk is handed
+// on, and a retried shard resumes in whole core chunks — its chunk
+// boundaries are deterministic, so an attempt skips exactly the chunks
+// earlier attempts delivered. Over any other assignment the reports come
+// through the k-way merge and are encoded on the merge emitter into
+// ndjsonChunkRows-row buffers.
 //
 // emit runs on the calling goroutine and must not retain buf after it
 // returns. Errors, cancellation and degraded mode follow StreamReports; on
 // an error emit has seen a clean prefix of whole chunks.
 func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	var buf []byte
-	rows, explained := 0, 0
-	err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
-		buf = core.AppendNDJSON(buf, rep)
-		rows++
+	if f.contiguous() {
+		send := func(c ndjsonChunk) error { return emit(c.buf, c.rows, c.explained) }
+		return f.streamInOrder(ctx, func(actx context.Context, p *resume) error {
+			return p.sh.auditor.StreamNDJSON(actx, parallelism, func(buf []byte, rows, explained int) error {
+				return handOn(actx, p, rows, ndjsonChunk{buf, rows, explained}, send)
+			})
+		})
+	}
+	var c ndjsonChunk
+	err := f.mergeReports(ctx, parallelism, func(rep core.AccessReport) error {
+		c.buf = core.AppendNDJSON(c.buf, rep)
+		c.rows++
 		if rep.Explained() {
-			explained++
+			c.explained++
 		}
-		if rows < ndjsonChunkRows {
+		if c.rows < ndjsonChunkRows {
 			return nil
 		}
 		// The merge drains rows the shards already buffered before it sees a
@@ -682,12 +802,12 @@ func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit fun
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := emit(buf, rows, explained)
-		buf, rows, explained = buf[:0], 0, 0
+		err := emit(c.buf, c.rows, c.explained)
+		c = ndjsonChunk{buf: c.buf[:0]}
 		return err
 	})
-	if err == nil && rows > 0 {
-		err = emit(buf, rows, explained)
+	if err == nil && c.rows > 0 {
+		err = emit(c.buf, c.rows, c.explained)
 	}
 	return err
 }

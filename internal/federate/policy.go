@@ -268,11 +268,15 @@ func (f *Federation) setHealth(sh *shard, state HealthState) {
 type seam int
 
 const (
-	seamStream      seam = iota // a shard stream's start (each attempt)
-	seamRow                     // every report a shard stream emits
-	seamUnexplained             // Unexplained and ExplainedFraction
-	seamSupport                 // Support
-	seamReport                  // PatientReport and ExplainRow
+	seamStream seam = iota // a shard stream's start (each attempt)
+	// seamRow fires once per row a shard stream emits, in row order: per
+	// report as it is handed on, except on the in-order path of
+	// StreamNDJSON, where it fires per row of an encoded chunk at chunk
+	// hand-off.
+	seamRow
+	seamUnexplained // Unexplained and ExplainedFraction
+	seamSupport     // Support
+	seamReport      // PatientReport and ExplainRow
 	numSeams
 )
 
@@ -302,8 +306,10 @@ func (sh *shard) inject(ctx context.Context, s seam) error {
 // s and under the resilience policy (callShard). In strict mode the first
 // failure aborts the loop and is returned; in degraded mode a shard that is
 // down is skipped, with missing(shard) merged-log rows recorded in
-// LastDegraded. op must commit its shard's contribution only when it
-// returns nil, since a failed attempt may be retried.
+// LastDegraded. A failed attempt may be retried, so op must commit its
+// shard's contribution only when it returns nil — or, for a stream that
+// hands rows on as it goes, track them and skip them on the next attempt
+// (streamInOrder).
 func (f *Federation) eachShard(ctx context.Context, s seam, missing func(*shard) int, op func(ctx context.Context, sh *shard) error) error {
 	degradedOn := f.degraded.Load()
 	deg := &degradeAcc{}

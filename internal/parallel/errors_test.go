@@ -3,7 +3,9 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestMergeSourceErrorWrapped pins the error taxonomy on the merge: a
@@ -103,6 +105,40 @@ func TestOrderedChunksPanicOnCaller(t *testing.T) {
 		if err, ok := recovered.(error); !ok || !errors.Is(err, cause) {
 			t.Errorf("workers=%d: re-raised value %v is not the original panic", workers, recovered)
 		}
+	}
+}
+
+// TestOrderedChunksEmitPanicDrains pins that an emit panic on the calling
+// goroutine stops and drains the pool before it is re-raised, so no worker
+// is left blocked on the full reorder window.
+func TestOrderedChunksEmitPanicDrains(t *testing.T) {
+	cause := errors.New("emit blew up")
+	before := runtime.NumGoroutine()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_ = OrderedChunks(4, 1000, 5, 4, nil,
+			func(w, lo, hi int) int { return lo },
+			func(lo int) error {
+				if lo == 50 {
+					// Let the workers fill the window and block on it.
+					time.Sleep(10 * time.Millisecond)
+					panic(cause)
+				}
+				return nil
+			},
+		)
+	}()
+	if err, ok := recovered.(error); !ok || !errors.Is(err, cause) {
+		t.Fatalf("re-raised value %v, want the original emit panic", recovered)
+	}
+	// Exited workers may linger in the count for a moment; blocked ones
+	// never leave it.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before: workers leaked", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -36,7 +36,9 @@ import (
 // recover the value, wake the emitter, drain the pool, and the panic is
 // re-raised on the calling goroutine with its original value — the same
 // place an inline produce would have panicked — so a resilience layer
-// wrapping the call can contain it into an error.
+// wrapping the call can contain it into an error. An emit panic likewise
+// stops and drains the pool before it is re-raised, so no worker is left
+// blocked on the reorder window.
 func OrderedChunks[T any](workers, n, chunkSize, window int, stop func() bool, produce func(worker, lo, hi int) T, emit func(T) error) error {
 	if n <= 0 {
 		return nil
@@ -200,15 +202,18 @@ func OrderedChunks[T any](workers, n, chunkSize, window int, stop func() bool, p
 		cond.Broadcast()
 		mu.Unlock()
 
-		if err := emit(v); err != nil {
-			emitErr = err
-		} else if stop != nil && stop() {
-			// fallthrough to the abort below with a nil error; the caller
-			// interprets the partial emission via its own context.
-		} else {
+		err, pv := contain(func() error { return emit(v) })
+		if err == nil && pv == nil && (stop == nil || !stop()) {
 			continue
 		}
+		// Abort: an emit error, an emit panic (re-raised below once the
+		// pool has drained), or a stop trip with a nil error — the caller
+		// interprets the partial emission via its own context.
+		emitErr = err
 		mu.Lock()
+		if pv != nil && panicVal == nil {
+			panicVal = pv
+		}
 		done = true
 		cond.Broadcast()
 		mu.Unlock()
