@@ -568,9 +568,9 @@ var (
 )
 
 // mediumFederation partitions the Medium auditor's database across 4 shard
-// engines (time-range shard key, same non-group catalog) with masks
-// pre-warmed, so BenchmarkFederatedStream times the shard-parallel
-// report path plus the k-way merge and nothing else.
+// engines (TimeRanges cut points, same non-group catalog) with masks
+// pre-warmed, so BenchmarkFederatedStream times the shard-after-shard
+// report path and nothing else.
 func mediumFederation(b *testing.B) *federate.Federation {
 	b.Helper()
 	a := mediumAuditor(b)
@@ -595,13 +595,12 @@ func mediumFederation(b *testing.B) *federate.Federation {
 }
 
 // BenchmarkFederatedStream drives the full federated audit of the Medium
-// log — 4 shard engines, each streaming its slice through the bounded core
-// pipeline, merged back into global log order — through a consuming sink.
-// Compare against BenchmarkStreamReports (one engine, same log, same
-// catalog): the work is identical, so the delta is the federation overhead
-// (per-shard pipelines plus the k-way merge), and the live-B metric shows
-// the merge's bounded buffering retains no more than the single-engine
-// stream does.
+// log — 4 shard engines, one after another, each streaming its run of the
+// log through the bounded core pipeline — through a consuming sink. Compare
+// against BenchmarkStreamReports (one engine, same log, same catalog): the
+// work is identical, so the delta is the federation overhead (per-shard
+// pipelines and resilience loop), and the live-B metric shows the shard
+// pipelines retain no more than the single-engine stream does.
 func BenchmarkFederatedStream(b *testing.B) {
 	f := mediumFederation(b)
 	ctx := context.Background()

@@ -31,11 +31,10 @@
 // The -j flag sets the worker count of the batch auditing engine and the
 // miner's candidate-evaluation stage (default GOMAXPROCS; values below 1 are
 // rejected); summary, audit, mine, and unexplained all run on it. A
-// federated audit divides the budget across the shard engines but always
-// runs at least one worker per shard, so its effective parallelism is
-// max(-j, shard count). audit -v additionally reports the query engine's
-// plan-cache and mask-cache counters (per shard, when federated) and dumps
-// the merged metrics registry on stderr.
+// federated audit streams its shards one after another, each with the whole
+// budget. audit -v additionally reports the query engine's plan-cache and
+// mask-cache counters (per shard, when federated) and dumps the merged
+// metrics registry on stderr.
 //
 // Observability: the top-level -metrics-addr flag serves the live registry
 // and profiling endpoints (/metrics in Prometheus text format, /debug/vars
@@ -707,8 +706,8 @@ func (a *app) summary() error {
 // unexplained residue; -stream instead pipes every report to stdout as
 // NDJSON in log order through the bounded streaming pipeline (memory stays
 // flat no matter how large the log), with the human-readable summary on
-// stderr. -shards K auto-partitions the log across K federated shard
-// engines (time-range shard key); the reports — streamed or summarized —
+// stderr. -shards K cuts the log into K row runs audited by federated shard
+// engines (federate.TimeRanges cuts); the reports — streamed or summarized —
 // are identical to the single-engine audit, only the engine topology
 // changes.
 func (a *app) audit(args []string) error {

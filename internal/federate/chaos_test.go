@@ -63,7 +63,7 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 		wantFraction := mustFraction(t, single, 4)
 
 		for _, k := range []int{2, 4} {
-			f := splitFederation(t, ds, k, func(row int) int { return row % k })
+			f := splitFederation(t, ds, k, nil)
 			f.SetPolicy(chaosPolicy(seed))
 			for _, j := range []int{1, 4} {
 				fault.Reset()
@@ -130,7 +130,7 @@ func TestChaosSupportTransient(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
 	ds, _ := singleEngine(t, 1)
-	f := splitFederation(t, ds, 2, func(row int) int { return row % 2 })
+	f := splitFederation(t, ds, 2, nil)
 	f.SetPolicy(chaosPolicy(1))
 
 	ev := query.NewEvaluator(ds.DB)
@@ -162,7 +162,7 @@ func TestChaosHangTimeoutRetry(t *testing.T) {
 	ds, single := singleEngine(t, 1)
 	want := mustExplainAll(t, single, 4)
 
-	f := splitFederation(t, ds, 2, func(row int) int { return row % 2 })
+	f := splitFederation(t, ds, 2, nil)
 	pol := chaosPolicy(1)
 	// The per-attempt deadline bounds the whole shard stream, so it must
 	// comfortably cover a genuine (healed) attempt — including under
@@ -190,7 +190,7 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
 	ds, _ := singleEngine(t, 1)
-	f := splitFederation(t, ds, 2, func(row int) int { return row % 2 })
+	f := splitFederation(t, ds, 2, nil)
 	f.SetPolicy(chaosPolicy(1))
 
 	// A prefix glob arms every shard1 seam: the stream, its rows, and the
@@ -235,24 +235,20 @@ func TestChaosPermanentDegraded(t *testing.T) {
 		want := mustExplainAll(t, single, 4)
 		wantUnexplained := mustUnexplained(t, single, 4)
 		for _, k := range []int{2, 4} {
-			f := splitFederation(t, ds, k, func(row int) int { return row % k })
+			f := splitFederation(t, ds, k, nil)
 			f.SetPolicy(chaosPolicy(seed))
 			f.SetDegradedMode(true)
 
-			// Restrict the oracle to rows outside shard0 (round-robin:
-			// global row g lives on shard g%k).
-			var wantSurvive []core.AccessReport
-			downRows := 0
-			for g, rep := range want {
-				if g%k == 0 {
-					downRows++
-					continue
-				}
-				wantSurvive = append(wantSurvive, rep)
+			// Restrict the oracle to rows outside shard0, the run of the
+			// merged log's first downRows rows.
+			_, downRows := shardStart(t, f, "shard0")
+			if downRows == 0 || downRows == len(want) {
+				t.Fatalf("seed %d k=%d: shard0 audits %d of %d rows: the fixture exercises nothing", seed, k, downRows, len(want))
 			}
+			wantSurvive := want[downRows:]
 			var wantUnexpSurvive []int
 			for _, g := range wantUnexplained {
-				if g%k != 0 {
+				if g >= downRows {
 					wantUnexpSurvive = append(wantUnexpSurvive, g)
 				}
 			}
@@ -323,7 +319,7 @@ func TestChaosMidStreamDegraded(t *testing.T) {
 
 	const k = 2
 	const prefix = 7 // shard0 row calls that succeed before the permanent fault
-	f := splitFederation(t, ds, k, func(row int) int { return row % k })
+	f := splitFederation(t, ds, k, nil)
 	f.SetPolicy(chaosPolicy(2))
 	f.SetDegradedMode(true)
 
@@ -331,17 +327,14 @@ func TestChaosMidStreamDegraded(t *testing.T) {
 		Err: errors.New("injected permanent row fault")})
 
 	got := mustExplainAll(t, f, 4)
-	// Expected: all shard1 rows, plus shard0's first `prefix` rows
-	// (round-robin: global row g is shard0's row g/k when g%k==0).
-	var wantPartial []core.AccessReport
-	skipped := 0
-	for g, rep := range want {
-		if g%k == 0 && g/k >= prefix {
-			skipped++
-			continue
-		}
-		wantPartial = append(wantPartial, rep)
+	// Expected: shard0's first `prefix` rows, then all shard1 rows (shard0
+	// is the run of the merged log's first rows0 rows).
+	_, rows0 := shardStart(t, f, "shard0")
+	if rows0 <= prefix {
+		t.Fatalf("shard0 audits %d rows, the fault after row %d never fires", rows0, prefix)
 	}
+	wantPartial := append(append([]core.AccessReport{}, want[:prefix]...), want[rows0:]...)
+	skipped := rows0 - prefix
 	assertReportsEqual(t, "mid-stream degraded", got, wantPartial)
 	d := f.LastDegraded()
 	if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard0" || d.RowsSkipped != skipped {
@@ -357,7 +350,7 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
 	ds, _ := singleEngine(t, 1)
-	f := splitFederation(t, ds, 2, func(row int) int { return row % 2 })
+	f := splitFederation(t, ds, 2, nil)
 	f.SetPolicy(federate.Policy{Retry: federate.RetryPolicy{
 		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}})
 
@@ -371,9 +364,9 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	}
 }
 
-// inOrderFederation is a 4-way TimeRanges Split of the Tiny hospital —
-// contiguous shards, so its streams take the in-order path — with the
-// chaos retry policy, plus the single engine's NDJSON stream as lines.
+// inOrderFederation is a 4-way TimeRanges Split of the Tiny hospital, whose
+// shards stream one after another, with the chaos retry policy, plus the
+// single engine's NDJSON stream as lines.
 func inOrderFederation(t *testing.T, seed int64) (*federate.Federation, [][]byte) {
 	t.Helper()
 	ds, single := singleEngine(t, seed)
@@ -386,8 +379,8 @@ func inOrderFederation(t *testing.T, seed int64) (*federate.Federation, [][]byte
 	return f, bytes.SplitAfter(want, []byte("\n"))[:f.Rows()]
 }
 
-// shardStart returns the merged-log row at which the named shard's
-// contiguous run starts, and the run's length.
+// shardStart returns the merged-log row at which the named shard's run
+// starts, and the run's length, from the shards' row counts.
 func shardStart(t *testing.T, f *federate.Federation, name string) (start, rows int) {
 	t.Helper()
 	for _, in := range f.ShardInfos() {
@@ -401,7 +394,7 @@ func shardStart(t *testing.T, f *federate.Federation, name string) (start, rows 
 }
 
 // TestChaosInOrderNDJSONTransient arms a transient row fault in the middle
-// of shard2's in-order NDJSON stream, at a row that is not a chunk
+// of shard2's NDJSON stream, at a row that is not a chunk
 // boundary: the retry resumes past the whole chunks already delivered and
 // the output stays byte-identical to the single engine.
 func TestChaosInOrderNDJSONTransient(t *testing.T) {
@@ -416,17 +409,13 @@ func TestChaosInOrderNDJSONTransient(t *testing.T) {
 			fault.Reset()
 			fault.Install(fault.Rule{Site: "federate.shard2.stream.row", After: after, Count: 1,
 				Err: fault.Retryable(errors.New("injected row fault"))})
-			var got []byte
-			path, err := federate.StreamPath(func() (err error) {
-				got, _, _, err = collectNDJSON(t, f, j)
-				return err
-			})
+			got, _, _, err := collectNDJSON(t, f, j)
 			label := fmt.Sprintf("seed %d j=%d", seed, j)
-			if err != nil || path != "in-order" {
-				t.Fatalf("%s: StreamNDJSON took the %s path and returned %v", label, path, err)
+			if err != nil {
+				t.Fatalf("%s: StreamNDJSON: %v", label, err)
 			}
 			if !bytes.Equal(got, bytes.Join(want, nil)) {
-				t.Fatalf("%s: retried in-order stream (%d bytes) differs from the single engine (%d bytes)",
+				t.Fatalf("%s: retried stream (%d bytes) differs from the single engine (%d bytes)",
 					label, len(got), len(bytes.Join(want, nil)))
 			}
 			if fault.Default.Injected() != 1 {
@@ -440,7 +429,7 @@ func TestChaosInOrderNDJSONTransient(t *testing.T) {
 }
 
 // TestChaosInOrderNDJSONMidStreamDegraded downs shard1 permanently in the
-// middle of its in-order NDJSON stream in degraded mode: the output is the
+// middle of its NDJSON stream in degraded mode: the output is the
 // single engine's stream minus exactly RowsSkipped lines of shard1 — the
 // tail after the whole chunks it delivered before the fault — and the
 // later shards still stream.
@@ -475,8 +464,8 @@ func TestChaosInOrderNDJSONMidStreamDegraded(t *testing.T) {
 	}
 }
 
-// TestChaosInOrderNDJSONCancel cancels from inside emit on the in-order
-// path: the stream returns context.Canceled, no chunk reaches emit after
+// TestChaosInOrderNDJSONCancel cancels from inside emit while the shards
+// stream one after another: the stream returns context.Canceled, no chunk reaches emit after
 // the cancelling one, and what emit saw is whole chunks forming a prefix
 // of the full stream. No shard is held responsible for the cancellation.
 func TestChaosInOrderNDJSONCancel(t *testing.T) {
@@ -487,21 +476,19 @@ func TestChaosInOrderNDJSONCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []byte
 		chunks := 0
-		path, err := federate.StreamPath(func() error {
-			return f.StreamNDJSON(ctx, 4, func(buf []byte, rows, _ int) error {
-				if rows <= 0 || bytes.Count(buf, []byte("\n")) != rows {
-					t.Fatalf("chunk of %d bytes is not %d whole lines", len(buf), rows)
-				}
-				got = append(got, buf...)
-				if chunks++; chunks == cancelAt {
-					cancel()
-				}
-				return nil
-			})
+		err := f.StreamNDJSON(ctx, 4, func(buf []byte, rows, _ int) error {
+			if rows <= 0 || bytes.Count(buf, []byte("\n")) != rows {
+				t.Fatalf("chunk of %d bytes is not %d whole lines", len(buf), rows)
+			}
+			got = append(got, buf...)
+			if chunks++; chunks == cancelAt {
+				cancel()
+			}
+			return nil
 		})
 		cancel()
-		if path != "in-order" || !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel at chunk %d: %s path returned %v, want in-order and context.Canceled", cancelAt, path, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at chunk %d: StreamNDJSON returned %v, want context.Canceled", cancelAt, err)
 		}
 		if chunks != cancelAt || !bytes.HasPrefix(full, got) || len(got) >= len(full) {
 			t.Fatalf("cancel at chunk %d: emit saw %d chunks, %d of %d bytes (prefix: %v)",

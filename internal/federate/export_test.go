@@ -1,20 +1,43 @@
 package federate
 
-import "fmt"
+import (
+	"repro/internal/pathmodel"
+	"repro/internal/relation"
+)
 
-// StreamPath runs stream and reports the path the federation's stream
-// calls inside it took: "in-order" (contiguous shards, one after another)
-// or "merge" (the k-way merge). It reads the process-wide path counters,
-// so callers must not stream on another goroutine meanwhile.
-func StreamPath(stream func() error) (string, error) {
-	inOrder, merged := streamInOrderRuns.Value(), streamMergedRuns.Value()
-	err := stream()
-	dIn, dMerged := streamInOrderRuns.Value()-inOrder, streamMergedRuns.Value()-merged
-	switch {
-	case dIn > 0 && dMerged == 0:
-		return "in-order", err
-	case dMerged > 0 && dIn == 0:
-		return "merge", err
+// TimeBucketReference exposes timeBucketReference to the external tests.
+var TimeBucketReference = timeBucketReference
+
+// timeBucketReference is the per-row date bucket TimeRanges counts: row r
+// falls into one of k equal-width buckets spanning the log's [min, max]
+// date range. It is the reference the TimeRanges cut points are pinned to:
+// over a chronological log cut i is the first row whose bucket is >= i, and
+// over any log the run sizes are the bucket populations.
+func timeBucketReference(log *relation.Table, k int) func(row int) int {
+	di, ok := log.ColumnIndex(pathmodel.LogDateColumn)
+	if !ok || log.NumRows() == 0 || k < 2 {
+		return func(int) int { return 0 }
 	}
-	return fmt.Sprintf("%d in-order and %d merge calls", dIn, dMerged), err
+	lo, hi := log.Row(0)[di].AsInt(), log.Row(0)[di].AsInt()
+	for r := 1; r < log.NumRows(); r++ {
+		if d := log.Row(r)[di].AsInt(); d < lo {
+			lo = d
+		} else if d > hi {
+			hi = d
+		}
+	}
+	// Float space, so spans as wide as the int64 domain cannot overflow;
+	// the uint64 subtraction is the true offset for any hi >= lo.
+	spanF := float64(uint64(hi)-uint64(lo)) + 1
+	return func(row int) int {
+		off := uint64(log.Row(row)[di].AsInt()) - uint64(lo)
+		b := int(float64(off) / spanF * float64(k))
+		if b < 0 {
+			b = 0
+		}
+		if b >= k {
+			b = k - 1
+		}
+		return b
+	}
 }

@@ -7,18 +7,16 @@
 // core.Auditor with its own plan cache) and exposes the full audit surface
 // over the logical merged log:
 //
-//   - StreamReports (and ExplainAll over it) and StreamNDJSON stream every
-//     shard's slice through the bounded core pipeline
-//     (parallel.OrderedChunks) and hand the reports on in global log order,
-//     so the federated stream is byte-identical to a single engine auditing
-//     the concatenated log. When the shards are contiguous runs of the log
-//     in shard order (time ranges over a chronological log, every Join) the
-//     shards stream one after another, each with the whole worker budget;
-//     any other assignment is re-interleaved by a k-way merge
-//     (parallel.MergeStreams) over concurrently running shard streams;
+//   - StreamReports (and ExplainAll over it) and StreamNDJSON stream the
+//     shards one after another, each through the bounded core pipeline with
+//     the whole worker budget. Every shard audits one run of consecutive
+//     rows of the merged log, and shard order is log order, so the
+//     concatenated shard streams are byte-identical to a single engine
+//     auditing the merged log;
 //   - Support, ExplainedFraction, Unexplained, PatientReport and ExplainRow
 //     combine shard-local results (support and explained counts are row
-//     counts, and the shards partition the rows, so sums are exact);
+//     counts, and the shards partition the rows, so sums are exact; a
+//     shard-local row is a merged-log row less the shard's offset);
 //   - MineTemplates drives the miners through a cross-shard support oracle:
 //     candidate generation and admission run once, each candidate's exact
 //     support is evaluated per shard and summed, and estimates come from a
@@ -39,20 +37,17 @@
 // computes masks takes a context and returns an error, so a cancelled audit
 // or a failed shard never reads as "nothing unexplained".
 //
-// Two constructors cover the two deployment shapes: Split partitions one
-// database's log by shard key (time ranges by default, or any explicit
-// assignment) into K shards sharing that database, and Join federates
-// separately loaded databases — each with its own metadata — under one
-// merged chronology.
+// Two constructors cover the two deployment shapes: Split cuts one
+// database's log into K row runs (date-bucket populations by default, or
+// explicit cut points) sharing that database, and Join federates separately
+// loaded databases — each with its own metadata — under one merged
+// chronology, each shard's log one run of it.
 package federate
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -62,17 +57,11 @@ import (
 	"repro/internal/groups"
 	"repro/internal/mine"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/schemagraph"
 )
-
-// mergeBuffer bounds each shard stream's in-flight reports inside the k-way
-// merge (on top of the bounded reorder window each shard's own pipeline
-// already maintains): a few chunks per shard, independent of log size.
-const mergeBuffer = 256
 
 // shard is one member engine of a federation.
 type shard struct {
@@ -80,9 +69,10 @@ type shard struct {
 	db      *relation.Database
 	audited *relation.Table
 	auditor *core.Auditor
-	// global maps each audited row index to its position in the merged log,
-	// strictly ascending — the merge key that restores global order.
-	global []int
+	// lo is the merged-log position of the shard's first audited row: the
+	// shard audits rows [lo, lo+rows()) of the merged log, and shards follow
+	// one another in log order.
+	lo int
 	// health is the shard's HealthState (see policy.go), advisory
 	// bookkeeping maintained by callShard.
 	health atomic.Int32
@@ -93,7 +83,7 @@ type shard struct {
 }
 
 // rows is the number of merged-log rows the shard audits.
-func (sh *shard) rows() int { return len(sh.global) }
+func (sh *shard) rows() int { return sh.audited.NumRows() }
 
 // Federation audits N per-shard engines as one logical log. Construct it
 // with Split or Join, register templates with AddTemplates, then use the
@@ -115,10 +105,10 @@ type Federation struct {
 	// estimates (and the support threshold), so federated skip decisions
 	// replay the single-engine ones exactly.
 	estimEv *query.Evaluator
-	// assign is the Split shard key, retained so Refresh can route rows
-	// appended to the merged log to their shards; nil for Join federations,
-	// whose merged log is a constructed concatenation with no append path.
-	assign func(row int) int
+	// split is set for Split federations, whose merged log is the caller's
+	// and may grow: Refresh appends new rows to the last shard. A Join's
+	// merged log is a constructed concatenation with no append path.
+	split bool
 	// consumed is the number of merged-log rows already distributed to the
 	// shards — Refresh's append watermark.
 	consumed int
@@ -193,54 +183,62 @@ func (c *config) shardName(i int) string {
 	return fmt.Sprintf("shard%d", i)
 }
 
-// TimeRanges returns the default shard key for Split: rows are assigned to k
-// contiguous, equal-width date buckets spanning the log's [min, max] date
-// range — the "one shard per period" layout a regional deployment rotates
-// through. Any assignment is equally correct (the audit surface is
-// assignment-invariant); this one keeps each shard a chronological run.
-func TimeRanges(log *relation.Table, k int) func(row int) int {
+// TimeRanges returns Split's default cut points: k row runs whose sizes are
+// the populations of k equal-width date buckets spanning the log's [min,
+// max] date range — the "one shard per period" layout a regional deployment
+// rotates through. Over a chronological log every run is exactly its
+// bucket's rows. A log not sorted by date keeps the run sizes, so its shards
+// stay balanced like the buckets; the audit surface is partition-invariant,
+// so any cuts audit identically.
+func TimeRanges(log *relation.Table, k int) []int {
+	if k < 2 {
+		return nil
+	}
+	n := log.NumRows()
+	counts := make([]int, k)
 	di, ok := log.ColumnIndex(pathmodel.LogDateColumn)
-	if !ok || log.NumRows() == 0 || k < 2 {
-		return func(int) int { return 0 }
-	}
-	min, max := log.Row(0)[di].AsInt(), log.Row(0)[di].AsInt()
-	for r := 1; r < log.NumRows(); r++ {
-		if d := log.Row(r)[di].AsInt(); d < min {
-			min = d
-		} else if d > max {
-			max = d
+	if !ok || n == 0 {
+		counts[0] = n
+	} else {
+		dmin, dmax := log.Row(0)[di].AsInt(), log.Row(0)[di].AsInt()
+		for r := 1; r < n; r++ {
+			if d := log.Row(r)[di].AsInt(); d < dmin {
+				dmin = d
+			} else if d > dmax {
+				dmax = d
+			}
+		}
+		// Bucket proportionally in float space: date ranges as wide as the
+		// whole int64 domain (epoch-nanosecond logs) would overflow an
+		// integer (d-dmin)*k product, and bucket boundaries only need to be
+		// deterministic, not exact. The uint64 subtraction yields the true
+		// offset for any int64 pair with dmax >= dmin.
+		spanF := float64(uint64(dmax)-uint64(dmin)) + 1
+		for r := 0; r < n; r++ {
+			off := uint64(log.Row(r)[di].AsInt()) - uint64(dmin)
+			counts[max(0, min(k-1, int(float64(off)/spanF*float64(k))))]++
 		}
 	}
-	// Bucket proportionally in float space: date ranges as wide as the whole
-	// int64 domain (epoch-nanosecond logs) would overflow an integer
-	// (d-min)*k product, and bucket boundaries only need to be
-	// deterministic, not exact. The uint64 subtraction yields the true
-	// offset for any int64 pair with max >= min.
-	spanF := float64(uint64(max)-uint64(min)) + 1
-	return func(row int) int {
-		off := uint64(log.Row(row)[di].AsInt()) - uint64(min)
-		b := int(float64(off) / spanF * float64(k))
-		if b < 0 {
-			b = 0
-		}
-		if b >= k {
-			b = k - 1
-		}
-		return b
+	cuts := make([]int, k-1)
+	for i, at := 0, 0; i < k-1; i++ {
+		at += counts[i]
+		cuts[i] = at
 	}
+	return cuts
 }
 
-// Split partitions db's access log into k shards by the given assignment
-// (row index -> shard in [0, k); nil means TimeRanges) and returns a
-// federation of k engines sharing db. Each shard audits only its assigned
-// rows, while every query — template paths, repeat-access history, group
-// membership — resolves against the shared database and therefore sees the
-// full log, which is what makes the federated audit identical to a
-// single-engine audit of db. Unless WithoutGroups is given, a Groups table
-// is trained on the full log and installed if db does not already have one
-// (an existing table, such as one a prior core.Auditor.BuildGroups
-// installed, is reused as-is).
-func Split(db *relation.Database, graph *schemagraph.Graph, k int, assign func(row int) int, opts ...Option) (*Federation, error) {
+// Split cuts db's access log into k runs of consecutive rows at the k-1
+// ascending cut points (shard i audits rows [cuts[i-1], cuts[i]), the first
+// from row 0 and the last to the end; nil means TimeRanges) and returns a
+// federation of k engines sharing db. Each shard audits only its run, while
+// every query — template paths, repeat-access history, group membership —
+// resolves against the shared database and therefore sees the full log,
+// which is what makes the federated audit identical to a single-engine
+// audit of db. Unless WithoutGroups is given, a Groups table is trained on
+// the full log and installed if db does not already have one (an existing
+// table, such as one a prior core.Auditor.BuildGroups installed, is reused
+// as-is).
+func Split(db *relation.Database, graph *schemagraph.Graph, k int, cuts []int, opts ...Option) (*Federation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("federate: Split needs at least 1 shard, got %d", k)
 	}
@@ -248,37 +246,42 @@ func Split(db *relation.Database, graph *schemagraph.Graph, k int, assign func(r
 	if err := checkLog(log, "database"); err != nil {
 		return nil, err
 	}
-	if assign == nil {
-		assign = TimeRanges(log, k)
+	n := log.NumRows()
+	if cuts == nil {
+		cuts = TimeRanges(log, k)
 	}
-	rowsByShard := make([][]int, k)
-	for r := 0; r < log.NumRows(); r++ {
-		s := assign(r)
-		if s < 0 || s >= k {
-			return nil, fmt.Errorf("federate: assignment sent row %d to shard %d, want [0, %d)", r, s, k)
+	if len(cuts) != k-1 {
+		return nil, fmt.Errorf("federate: Split into %d shards needs %d cut points, got %d", k, k-1, len(cuts))
+	}
+	bounds := append(append([]int{0}, cuts...), n)
+	for i, c := range cuts {
+		if c < bounds[i] || c > n {
+			return nil, fmt.Errorf("federate: cut point %d is %d, want ascending within [%d, %d]", i, c, bounds[i], n)
 		}
-		rowsByShard[s] = append(rowsByShard[s], r)
 	}
 
 	cfg := newConfig(opts)
-	f := &Federation{graph: graph, namer: cfg.namer, merged: log}
+	f := &Federation{graph: graph, namer: cfg.namer, merged: log, split: true, consumed: n}
 	if !cfg.noGroups && !db.HasTable(core.DefaultGroupsTable) {
 		f.hier = buildGroups(log)
 		db.AddTable(f.hier.Table(core.DefaultGroupsTable))
 	}
 	for s := 0; s < k; s++ {
-		audited := log.Select(pathmodel.LogTable, rowsByShard[s])
+		lo, hi := bounds[s], bounds[s+1]
+		rows := make([]int, hi-lo)
+		for i := range rows {
+			rows[i] = lo + i
+		}
+		audited := log.Select(pathmodel.LogTable, rows)
 		f.shards = append(f.shards, &shard{
 			name:    cfg.shardName(s),
 			db:      db,
 			audited: audited,
 			auditor: core.NewAuditor(db, graph, core.WithAuditedLog(audited), core.WithNamer(cfg.namer)),
-			global:  rowsByShard[s],
+			lo:      lo,
 		})
 	}
 	f.estimEv = query.NewEvaluator(db)
-	f.assign = assign
-	f.consumed = log.NumRows()
 	f.initResilience()
 	return f, nil
 }
@@ -372,7 +375,7 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 		return nil, err
 	}
 
-	f := &Federation{graph: graph, namer: cfg.namer, merged: merged}
+	f := &Federation{graph: graph, namer: cfg.namer, merged: merged, consumed: merged.NumRows()}
 	var groupsTable *relation.Table
 	if !cfg.noGroups && !sharedGroupsTable(dbs) {
 		f.hier = buildGroups(merged)
@@ -384,22 +387,16 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 		if groupsTable != nil {
 			shardDB.AddTable(groupsTable)
 		}
-		n := logs[i].NumRows()
-		global := make([]int, n)
-		for r := range global {
-			global[r] = offset + r
-		}
-		offset += n
 		f.shards = append(f.shards, &shard{
 			name:    cfg.shardName(i),
 			db:      shardDB,
 			audited: logs[i],
 			auditor: core.NewAuditor(shardDB, graph, core.WithAuditedLog(logs[i]), core.WithNamer(cfg.namer)),
-			global:  global,
+			lo:      offset,
 		})
+		offset += logs[i].NumRows()
 	}
 	f.estimEv = query.NewEvaluator(f.shards[0].db)
-	f.consumed = merged.NumRows()
 	f.initResilience()
 	return f, nil
 }
@@ -416,15 +413,16 @@ func (e unsupportedError) Error() string { return string(e) }
 func (e unsupportedError) Unwrap() error { return ErrUnsupported }
 
 // Refresh folds rows appended to the merged log since construction (or the
-// previous Refresh) into the federation: each new row is routed to its
-// shard by the Split assignment, appended to that shard's audited slice
-// with its global position recorded, and every shard auditor then refreshes
-// its cached template masks incrementally (core.Auditor.Refresh — shards
-// refresh independently, each evaluating only its own appended suffix).
-// It returns the number of rows folded in. Appended rows must follow the
-// chronological contract of core.Auditor.Refresh: strictly later (Date,
-// Lid) than every pre-existing row. Refresh requires the same exclusive
-// access as the other configuration methods (it mutates the shard slices).
+// previous Refresh) into the federation: the new rows are appended to the
+// last shard's run, and every shard auditor then refreshes its cached
+// template masks incrementally (core.Auditor.Refresh — shards refresh
+// independently, each evaluating only its own appended suffix, and the
+// others rebuilding only masks the grown history invalidates). It returns
+// the number of rows folded in. Appended rows must follow the chronological
+// contract of core.Auditor.Refresh: strictly later (Date, Lid) than every
+// pre-existing row, which is why they belong to the last run. Refresh
+// requires the same exclusive access as the other configuration methods (it
+// mutates the last shard's slice).
 //
 // Only Split federations support Refresh: a Join's merged log is a
 // concatenation the federation itself built, so there is no external
@@ -433,26 +431,12 @@ func (e unsupportedError) Unwrap() error { return ErrUnsupported }
 // ErrUnsupported.
 func (f *Federation) Refresh(ctx context.Context, parallelism int) (int, error) {
 	n := f.merged.NumRows()
-	if n > f.consumed && f.assign == nil {
+	if n > f.consumed && !f.split {
 		return 0, unsupportedError("federate: Refresh requires a Split federation (Join merged logs have no append path)")
 	}
-	k := len(f.shards)
-	// Validate every assignment before mutating any shard: a bad shard key
-	// must leave the federation exactly as it was, so a corrected retry
-	// cannot re-append rows a failed attempt already distributed.
-	targets := make([]int, 0, n-f.consumed)
+	last := f.shards[len(f.shards)-1]
 	for r := f.consumed; r < n; r++ {
-		s := f.assign(r)
-		if s < 0 || s >= k {
-			return 0, fmt.Errorf("federate: assignment sent appended row %d to shard %d, want [0, %d)", r, s, k)
-		}
-		targets = append(targets, s)
-	}
-	for i, s := range targets {
-		r := f.consumed + i
-		sh := f.shards[s]
-		sh.audited.Append(f.merged.Row(r)...)
-		sh.global = append(sh.global, r)
+		last.audited.Append(f.merged.Row(r)...)
 	}
 	appended := n - f.consumed
 	f.consumed = n
@@ -467,36 +451,22 @@ func (f *Federation) Refresh(ctx context.Context, parallelism int) (int, error) 
 // TailReports builds the report for every merged-log row at global position
 // >= fromGlobal, in global order, handing each to fn — the primitive behind
 // follow-mode auditing, where only the rows appended since the last emission
-// need reports. Shard-local rows are resolved through each shard's global
-// mapping (ascending, so the tail of each mapping suffices) and rendered
-// with the same code path as StreamReports, so a TailReports over rows
-// [g, end) emits exactly the suffix of the full stream.
+// need reports. Each shard renders the tail of its run with the same code
+// path as StreamReports, so a TailReports over rows [g, end) emits exactly
+// the suffix of the full stream.
 func (f *Federation) TailReports(ctx context.Context, fromGlobal int, fn func(core.AccessReport) error) error {
-	type pending struct {
-		sh    *shard
-		local int
-	}
-	var tail []pending
 	for _, sh := range f.shards {
-		// sh.global is ascending; find the first position >= fromGlobal.
-		lo := sort.Search(len(sh.global), func(i int) bool { return sh.global[i] >= fromGlobal })
-		for r := lo; r < len(sh.global); r++ {
-			tail = append(tail, pending{sh: sh, local: r})
-		}
-	}
-	sort.Slice(tail, func(i, j int) bool {
-		return tail[i].sh.global[tail[i].local] < tail[j].sh.global[tail[j].local]
-	})
-	for _, p := range tail {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rep, err := p.sh.auditor.ExplainRow(p.local, 0)
-		if err != nil {
-			return err
-		}
-		if err := fn(rep); err != nil {
-			return err
+		for r := max(fromGlobal-sh.lo, 0); r < sh.rows(); r++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			rep, err := sh.auditor.ExplainRow(r, 0)
+			if err != nil {
+				return err
+			}
+			if err := fn(rep); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -531,39 +501,9 @@ func (f *Federation) Templates() []explain.Template {
 	return f.shards[0].auditor.Templates()
 }
 
-// Stream-path metrics live in the process-wide obs.Default registry, like
-// the resilience ones: one atomic add per stream call.
-var (
-	// federate.stream.in_order counts stream calls (StreamReports,
-	// StreamNDJSON) served shard after shard over contiguous shards.
-	streamInOrderRuns = obs.Default.Counter("federate.stream.in_order")
-
-	// federate.stream.merged counts stream calls served by the k-way merge
-	// over concurrently running shard streams.
-	streamMergedRuns = obs.Default.Counter("federate.stream.merged")
-)
-
-// contiguous reports whether the shards are runs of the merged log in shard
-// order: shard i audits consecutive rows, starting where shard i-1 ended
-// (shard 0 at row 0). Concatenating the shard streams is then the global
-// stream, with no merge. It is O(rows) and computed on every stream call,
-// never cached, so it cannot go stale across Refresh.
-func (f *Federation) contiguous() bool {
-	next := 0
-	for _, sh := range f.shards {
-		for _, g := range sh.global {
-			if g != next {
-				return false
-			}
-			next++
-		}
-	}
-	return true
-}
-
-// resume is one attempt of an in-order shard stream: skip counts the rows
-// earlier attempts already handed on, which this attempt passes over, and
-// handed the rows it hands on itself.
+// resume is one attempt of a shard stream: skip counts the rows earlier
+// attempts already handed on, which this attempt passes over, and handed
+// the rows it hands on itself.
 type resume struct {
 	sh           *shard
 	skip, handed int
@@ -595,13 +535,12 @@ func handOn[T any](ctx context.Context, p *resume, n int, v T, send func(T) erro
 	return nil
 }
 
-// streamInOrder runs stream over contiguous shards one after another in
-// shard order (eachShard, behind each shard's stream seam and resilience
-// policy), each attempt resuming past the rows its shard already handed
-// on. In degraded mode a shard that goes down mid-stream is recorded with
-// the rows it never handed on, and the next shard continues the stream.
-func (f *Federation) streamInOrder(ctx context.Context, stream func(ctx context.Context, p *resume) error) error {
-	streamInOrderRuns.Inc()
+// streamShards runs stream over the shards one after another in shard order
+// (eachShard, behind each shard's stream seam and resilience policy), each
+// attempt resuming past the rows its shard already handed on. In degraded
+// mode a shard that goes down mid-stream is recorded with the rows it never
+// handed on, and the next shard continues the stream.
+func (f *Federation) streamShards(ctx context.Context, stream func(ctx context.Context, p *resume) error) error {
 	handed := make(map[*shard]int, len(f.shards))
 	return f.eachShard(ctx, seamStream,
 		func(sh *shard) int { return sh.rows() - handed[sh] },
@@ -614,62 +553,17 @@ func (f *Federation) streamInOrder(ctx context.Context, stream func(ctx context.
 		})
 }
 
-// perShardWorkers divides a total worker budget across the shards for the
-// k-way merge, at least one each (non-positive means GOMAXPROCS, matching
-// the core engine). The remainder goes to the leading shards so an uneven
-// division still uses the whole budget; worker counts never affect the
-// merged stream's content. Every shard pipeline must run for the merge to
-// make progress, so a merge over more shards than the budget runs one
-// worker per shard — effective parallelism is max(parallelism, NumShards),
-// which StreamReports documents for callers bounding CPU. Contiguous shards
-// never come here: they stream one after another, each with the whole
-// budget.
-func (f *Federation) perShardWorkers(parallelism int) []int {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	k := len(f.shards)
-	per := make([]int, k)
-	for i := range per {
-		per[i] = parallelism / k
-		if i < parallelism%k {
-			per[i]++
-		}
-		if per[i] < 1 {
-			per[i] = 1
-		}
-	}
-	return per
-}
-
-// streamItem carries one shard report together with its merge key.
-type streamItem struct {
-	global int
-	rep    core.AccessReport
-}
-
 // StreamReports builds the report for every row of the merged log and hands
 // the reports to fn one at a time in global log order — exactly the stream a
 // single core.Auditor over the merged log produces (the federated
-// differential tests pin the two together byte for byte). Each shard runs
-// its own bounded streaming pipeline over its slice, so peak buffering stays
-// a few chunks per worker regardless of log size.
-//
-// The topology follows the shard assignment, checked on every call. When
-// the shards are contiguous runs of the log in shard order — TimeRanges
-// over a chronological log (the CLI's -shards K), and every Join — their
-// streams concatenate to the global one: the shards stream one after
-// another, each with the whole worker budget, and nothing is merged. Any
-// other assignment (round-robin, or time ranges over a log not sorted by
-// date) runs every shard pipeline concurrently with a share of the budget
-// and re-interleaves the streams through a bounded k-way merge, a few
-// hundred reports per shard; every shard must then run for the merge to
-// make progress, so the effective worker count is max(parallelism,
-// NumShards).
+// differential tests pin the two together byte for byte). The shards stream
+// one after another, each through its own bounded core pipeline with the
+// whole worker budget, so peak buffering stays a few chunks per worker
+// regardless of log size.
 //
 // fn runs on the calling goroutine, never concurrently with itself. If fn
 // returns an error the stream aborts with it; if ctx is cancelled mid-run
-// the shard pipelines stop promptly and StreamReports returns ctx.Err(). In
+// the shard pipeline stops promptly and StreamReports returns ctx.Err(). In
 // both cases fn has seen a clean prefix of the merged stream.
 //
 // Each shard's pipeline runs under the federation's resilience policy
@@ -680,77 +574,15 @@ type streamItem struct {
 // transient faults never duplicate or drop a report. In strict mode a
 // shard whose budget is exhausted aborts the stream with an error matching
 // ErrShardDown; in degraded mode (SetDegradedMode) its remaining rows are
-// skipped, the stream continues over the surviving shards, and the loss is
+// skipped, the stream continues with the next shard, and the loss is
 // recorded in LastDegraded.
 func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
-	if f.contiguous() {
-		return f.streamInOrder(ctx, func(actx context.Context, p *resume) error {
-			return p.sh.auditor.StreamReports(actx, parallelism, func(rep core.AccessReport) error {
-				return handOn(actx, p, 1, rep, fn)
-			})
+	return f.streamShards(ctx, func(actx context.Context, p *resume) error {
+		return p.sh.auditor.StreamReports(actx, parallelism, func(rep core.AccessReport) error {
+			return handOn(actx, p, 1, rep, fn)
 		})
-	}
-	return f.mergeReports(ctx, parallelism, fn)
+	})
 }
-
-// mergeReports is StreamReports over non-contiguous shards: every shard
-// pipeline runs concurrently on its perShardWorkers share, and
-// parallel.MergeStreams restores global order by merge key.
-func (f *Federation) mergeReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
-	streamMergedRuns.Inc()
-	per := f.perShardWorkers(parallelism)
-	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	sources := make([]func(push func(streamItem) error) error, len(f.shards))
-	for i, sh := range f.shards {
-		sources[i] = func(push func(streamItem) error) error {
-			emitted := 0
-			err := f.callShard(ctx, sh, func(actx context.Context) error {
-				if err := sh.inject(actx, seamStream); err != nil {
-					return err
-				}
-				// A retry re-streams the shard from the top and skips what
-				// earlier attempts already pushed into the merge.
-				skip := emitted
-				return sh.auditor.StreamReports(actx, per[i], func(rep core.AccessReport) error {
-					if err := sh.inject(actx, seamRow); err != nil {
-						return err
-					}
-					if skip > 0 {
-						skip--
-						return nil
-					}
-					if err := push(streamItem{global: sh.global[emitted], rep: rep}); err != nil {
-						return &downstreamError{err: err}
-					}
-					emitted++
-					return nil
-				})
-			})
-			if err != nil && degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, sh.rows()-emitted)
-				return nil
-			}
-			return err
-		}
-	}
-	err := parallel.MergeStreams(mergeBuffer,
-		func(a, b streamItem) bool { return a.global < b.global },
-		func(it streamItem) error { return fn(it.rep) },
-		sources...)
-	if err != nil {
-		f.setLastDegraded(Degraded{})
-		return err
-	}
-	f.setLastDegraded(deg.snapshot())
-	return nil
-}
-
-// ndjsonChunkRows is how many merged rows the merge path of StreamNDJSON
-// encodes into one buffer before handing it to emit: the core pipeline's
-// chunk size, so a federated stream reaches its sink in writes of the same
-// shape.
-const ndjsonChunkRows = 64
 
 // ndjsonChunk is one encoded chunk of whole NDJSON lines on its way to
 // StreamNDJSON's emit.
@@ -764,52 +596,24 @@ type ndjsonChunk struct {
 // complete lines, explained of which are explained accesses), byte-identical
 // to core.Auditor.StreamNDJSON over the merged log.
 //
-// Over contiguous shards each shard streams through its own
-// core.Auditor.StreamNDJSON, one shard after another with the whole worker
-// budget, so encoding runs in the shard's render workers and each encoded
-// core chunk goes to emit as it is: no merge goroutine, no re-encoding. The
-// shard's row seam fires once per row of a chunk before the chunk is handed
-// on, and a retried shard resumes in whole core chunks — its chunk
+// Each shard streams through its own core.Auditor.StreamNDJSON, one shard
+// after another with the whole worker budget, so encoding runs in the
+// shard's render workers and each encoded core chunk goes to emit as it is.
+// The shard's row seam fires once per row of a chunk before the chunk is
+// handed on, and a retried shard resumes in whole core chunks — its chunk
 // boundaries are deterministic, so an attempt skips exactly the chunks
-// earlier attempts delivered. Over any other assignment the reports come
-// through the k-way merge and are encoded on the merge emitter into
-// ndjsonChunkRows-row buffers.
+// earlier attempts delivered.
 //
 // emit runs on the calling goroutine and must not retain buf after it
 // returns. Errors, cancellation and degraded mode follow StreamReports; on
 // an error emit has seen a clean prefix of whole chunks.
 func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	if f.contiguous() {
-		send := func(c ndjsonChunk) error { return emit(c.buf, c.rows, c.explained) }
-		return f.streamInOrder(ctx, func(actx context.Context, p *resume) error {
-			return p.sh.auditor.StreamNDJSON(actx, parallelism, func(buf []byte, rows, explained int) error {
-				return handOn(actx, p, rows, ndjsonChunk{buf, rows, explained}, send)
-			})
+	send := func(c ndjsonChunk) error { return emit(c.buf, c.rows, c.explained) }
+	return f.streamShards(ctx, func(actx context.Context, p *resume) error {
+		return p.sh.auditor.StreamNDJSON(actx, parallelism, func(buf []byte, rows, explained int) error {
+			return handOn(actx, p, rows, ndjsonChunk{buf, rows, explained}, send)
 		})
-	}
-	var c ndjsonChunk
-	err := f.mergeReports(ctx, parallelism, func(rep core.AccessReport) error {
-		c.buf = core.AppendNDJSON(c.buf, rep)
-		c.rows++
-		if rep.Explained() {
-			c.explained++
-		}
-		if c.rows < ndjsonChunkRows {
-			return nil
-		}
-		// The merge drains rows the shards already buffered before it sees a
-		// cancelled source; checking here stops at the next chunk instead.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := emit(c.buf, c.rows, c.explained)
-		c = ndjsonChunk{buf: c.buf[:0]}
-		return err
 	})
-	if err == nil && c.rows > 0 {
-		err = emit(c.buf, c.rows, c.explained)
-	}
-	return err
 }
 
 // ExplainAll materializes the federated stream into one slice in global log
@@ -848,8 +652,8 @@ func (f *Federation) Support(ctx context.Context, p pathmodel.Path) (int, error)
 }
 
 // Unexplained returns the merged-log row indexes no registered template
-// explains, ascending — the shard-local shortlists mapped through each
-// shard's global row mapping. In degraded mode a down shard's rows are
+// explains, ascending — the shard-local shortlists offset by each shard's
+// run start, concatenated in shard order. In degraded mode a down shard's rows are
 // absent from the result (and recorded in LastDegraded); in strict mode any
 // shard failure aborts the call.
 func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, error) {
@@ -860,14 +664,13 @@ func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, e
 			return err
 		}
 		for _, r := range rows {
-			out = append(out, sh.global[r])
+			out = append(out, sh.lo+r)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Ints(out)
 	return out, nil
 }
 
@@ -896,38 +699,25 @@ func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (fl
 }
 
 // PatientReport is the federated user-centric view: every access to one
-// patient's record across all shards, in global log order, each with its
-// explanations. Shard lookups go through each shard's per-patient hash
+// patient's record across all shards, in global log order (the shard reports
+// concatenated in shard order), each with its explanations. Shard lookups go through each shard's per-patient hash
 // index, so the cost is O(accesses to that patient) plus rendering. Shard
 // calls run under the resilience policy; in degraded mode a down shard's
 // accesses to the patient are missing and recorded in LastDegraded.
 func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error) {
-	type entry struct {
-		global int
-		rep    core.AccessReport
-	}
-	var entries []entry
-	patientRows := func(sh *shard) []int { return sh.audited.Index(pathmodel.LogPatientColumn)[patient] }
+	out := []core.AccessReport{}
 	err := f.eachShard(context.TODO(), seamReport,
-		func(sh *shard) int { return len(patientRows(sh)) },
+		func(sh *shard) int { return len(sh.audited.Index(pathmodel.LogPatientColumn)[patient]) },
 		func(_ context.Context, sh *shard) error {
 			reps, err := sh.auditor.PatientReport(patient, maxPerTemplate)
 			if err != nil {
 				return err
 			}
-			// The shard auditor reports the same index rows, in this order.
-			for k, r := range patientRows(sh) {
-				entries = append(entries, entry{sh.global[r], reps[k]})
-			}
+			out = append(out, reps...)
 			return nil
 		})
 	if err != nil {
 		return nil, err
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].global < entries[j].global })
-	out := make([]core.AccessReport, len(entries))
-	for i, e := range entries {
-		out[i] = e.rep
 	}
 	return out, nil
 }
@@ -938,8 +728,8 @@ func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) (
 // Refresh — is an error.
 func (f *Federation) ExplainRow(row, maxPerTemplate int) (core.AccessReport, error) {
 	for _, sh := range f.shards {
-		local, ok := slices.BinarySearch(sh.global, row)
-		if !ok {
+		local := row - sh.lo
+		if local < 0 || local >= sh.rows() {
 			continue
 		}
 		var rep core.AccessReport
@@ -1015,7 +805,7 @@ func (f *Federation) PlanCacheStats() query.PlanCacheStats {
 // MetricsSnapshot returns the federation-wide metrics view: every shard
 // engine's registry (query-plan and mask-cache metrics, kept
 // per shard for attribution) merged with the process-wide obs.Default
-// registry (worker-pool, stream-merge, and store metrics, which have no
+// registry (worker-pool, resilience, and store metrics, which have no
 // shard to belong to). Counters and histogram buckets sum across shards.
 func (f *Federation) MetricsSnapshot() map[string]obs.Metric {
 	snaps := make([]map[string]obs.Metric, 0, len(f.shards)+1)

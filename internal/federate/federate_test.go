@@ -3,7 +3,9 @@ package federate_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -36,11 +38,12 @@ func singleEngine(t testing.TB, seed int64) (*ehr.Dataset, *core.Auditor) {
 	return ds, a
 }
 
-// splitFederation federates the single engine's database into k shards with
-// the same namer and templates, reusing its Groups table.
-func splitFederation(t testing.TB, ds *ehr.Dataset, k int, assign func(row int) int) *federate.Federation {
+// splitFederation federates the single engine's database into k shards, cut
+// at the given row cut points (nil: TimeRanges), with the same namer and
+// templates, reusing its Groups table.
+func splitFederation(t testing.TB, ds *ehr.Dataset, k int, cuts []int) *federate.Federation {
 	t.Helper()
-	f, err := federate.Split(ds.DB, graph(), k, assign, federate.WithNamer(ds))
+	f, err := federate.Split(ds.DB, graph(), k, cuts, federate.WithNamer(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +55,9 @@ func splitFederation(t testing.TB, ds *ehr.Dataset, k int, assign func(row int) 
 // K in {1, 2, 4} shards of a partitioned log, across three dataset seeds,
 // the federated report stream must be identical — report for report, field
 // for field — to the single-engine stream over the whole log, at several
-// worker budgets. Both time-range and round-robin partitions are exercised,
-// because the audit surface must be assignment-invariant.
+// worker budgets. Besides the TimeRanges cuts, skewed cuts are exercised —
+// a cut off the 64-row core chunk boundary, an empty shard, a 1-row last
+// shard — because the audit surface must be partition-invariant.
 func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
@@ -61,13 +65,19 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
+		n := len(want)
 		for _, k := range []int{1, 2, 4} {
-			assigns := map[string]func(row int) int{
-				"time-range":  nil,
-				"round-robin": func(row int) int { return row % k },
+			layouts := map[string][]int{"time-range": nil}
+			switch k {
+			case 2:
+				layouts["off-chunk cut"] = []int{100}
+				layouts["empty first shard"] = []int{0}
+				layouts["1-row last shard"] = []int{n - 1}
+			case 4:
+				layouts["skewed"] = []int{100, 100, n - 1}
 			}
-			for name, assign := range assigns {
-				f := splitFederation(t, ds, k, assign)
+			for name, cuts := range layouts {
+				f := splitFederation(t, ds, k, cuts)
 				if f.Rows() != len(want) {
 					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Rows(), len(want))
 				}
@@ -362,15 +372,28 @@ func TestFederatedCancellation(t *testing.T) {
 	}
 }
 
-// TestSplitValidation pins the construction errors: a bad shard count, an
-// out-of-range assignment, a database without a log.
+// TestSplitValidation pins the construction errors: a bad shard count,
+// malformed cut points, a database without a log.
 func TestSplitValidation(t *testing.T) {
 	ds, _ := singleEngine(t, 1)
 	if _, err := federate.Split(ds.DB, graph(), 0, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := federate.Split(ds.DB, graph(), 2, func(int) int { return 7 }); err == nil {
-		t.Error("out-of-range assignment accepted")
+	n := ds.Log().NumRows()
+	for name, c := range map[string]struct {
+		k    int
+		cuts []int
+	}{
+		"too few cuts":       {3, []int{n / 2}},
+		"too many cuts":      {2, []int{n / 3, n / 2}},
+		"cuts for k=1":       {1, []int{n / 2}},
+		"descending":         {3, []int{n / 2, n / 3}},
+		"negative":           {2, []int{-1}},
+		"past the row count": {2, []int{n + 1}},
+	} {
+		if _, err := federate.Split(ds.DB, graph(), c.k, c.cuts); err == nil {
+			t.Errorf("%s: Split(k=%d, cuts=%v) over %d rows accepted", name, c.k, c.cuts, n)
+		}
 	}
 	if _, err := federate.Join(nil, graph()); err == nil {
 		t.Error("empty Join accepted")
@@ -391,10 +414,93 @@ func min(a, b int) int {
 	return b
 }
 
-// TestTimeRangesExtremeDates pins the default shard key against date ranges
-// as wide as the int64 domain (epoch-nanosecond logs): every row must land
-// in [0, k), with buckets non-decreasing in date — no integer overflow into
-// negative shard indexes.
+// shardOf returns the shard a Split at the given cut points gives row r.
+func shardOf(cuts []int, r int) int {
+	s := 0
+	for s < len(cuts) && cuts[s] <= r {
+		s++
+	}
+	return s
+}
+
+// checkCutsAgainstBuckets pins TimeRanges(log, k) to the per-row date
+// bucket reference: the run sizes are the bucket populations, and when the
+// buckets are non-decreasing in row order (a chronological log) cut i is the
+// first row whose bucket is >= i, so every shard is exactly its bucket.
+func checkCutsAgainstBuckets(t *testing.T, label string, log *relation.Table, k int) []int {
+	t.Helper()
+	cuts := federate.TimeRanges(log, k)
+	if len(cuts) != k-1 {
+		t.Fatalf("%s: %d cut points for k=%d", label, len(cuts), k)
+	}
+	bucket := federate.TimeBucketReference(log, k)
+	n := log.NumRows()
+	pop := make([]int, k)
+	chronological := true
+	for r := 0; r < n; r++ {
+		b := bucket(r)
+		if b < 0 || b >= k {
+			t.Fatalf("%s: row %d in bucket %d, want [0, %d)", label, r, b, k)
+		}
+		pop[b]++
+		if r > 0 && b < bucket(r-1) {
+			chronological = false
+		}
+	}
+	for s, prev := 0, 0; s < k; s++ {
+		end := n
+		if s < k-1 {
+			end = cuts[s]
+		}
+		if end-prev != pop[s] {
+			t.Fatalf("%s: shard %d has %d rows, bucket %d holds %d (cuts %v)", label, s, end-prev, s, pop[s], cuts)
+		}
+		prev = end
+	}
+	if chronological {
+		for i := 1; i < k; i++ {
+			first := n
+			for r := 0; r < n; r++ {
+				if bucket(r) >= i {
+					first = r
+					break
+				}
+			}
+			if cuts[i-1] != first {
+				t.Fatalf("%s: cut %d is row %d, want %d, the first row in bucket >= %d", label, i, cuts[i-1], first, i)
+			}
+		}
+	}
+	return cuts
+}
+
+// TestTimeRangesMatchesDateBuckets pins the default cut points on the Tiny
+// hospital: over its chronological log every shard is exactly one date
+// bucket, and over a shuffled copy the runs keep the bucket populations.
+func TestTimeRangesMatchesDateBuckets(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := ehr.Tiny()
+		cfg.Seed = seed
+		log := ehr.Generate(cfg).Log()
+		shuffled := log.Select(pathmodel.LogTable, rand.New(rand.NewPCG(uint64(seed), 7)).Perm(log.NumRows()))
+		for _, k := range []int{2, 3, 4, 7} {
+			bucket := federate.TimeBucketReference(log, k)
+			for r := 1; r < log.NumRows(); r++ {
+				if bucket(r) < bucket(r-1) {
+					t.Fatalf("seed %d k=%d: the Tiny log is not chronological at row %d", seed, k, r)
+				}
+			}
+			checkCutsAgainstBuckets(t, fmt.Sprintf("seed %d k=%d", seed, k), log, k)
+			checkCutsAgainstBuckets(t, fmt.Sprintf("seed %d k=%d shuffled", seed, k), shuffled, k)
+		}
+	}
+}
+
+// TestTimeRangesExtremeDates pins the default cut points against date
+// ranges as wide as the int64 domain (epoch-nanosecond logs): every bucket
+// stays in [0, k) and non-decreasing in date — no integer overflow into
+// negative buckets — the cuts match the buckets, and the extreme dates do
+// not collapse into one shard.
 func TestTimeRangesExtremeDates(t *testing.T) {
 	log := relation.NewTable(pathmodel.LogTable, "Lid", "Date", "User", "Patient")
 	dates := []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 / 2, -1, 0, 1,
@@ -403,20 +509,15 @@ func TestTimeRangesExtremeDates(t *testing.T) {
 		log.Append(relation.Int(int64(i)), relation.Date(int(d)), relation.Int(1), relation.Int(1))
 	}
 	for _, k := range []int{1, 2, 4, 7} {
-		assign := federate.TimeRanges(log, k)
-		prev := 0
-		for r := range dates {
-			b := assign(r)
-			if b < 0 || b >= k {
-				t.Fatalf("k=%d: date %d assigned to shard %d, want [0, %d)", k, dates[r], b, k)
+		bucket := federate.TimeBucketReference(log, k)
+		for r := 1; r < len(dates); r++ {
+			if bucket(r) < bucket(r-1) {
+				t.Errorf("k=%d: bucket decreased from %d to %d at date %d", k, bucket(r-1), bucket(r), dates[r])
 			}
-			if b < prev {
-				t.Errorf("k=%d: bucket decreased from %d to %d at date %d", k, prev, b, dates[r])
-			}
-			prev = b
 		}
-		if first, last := assign(0), assign(len(dates)-1); k > 1 && first == last {
-			t.Errorf("k=%d: extreme dates collapsed into one bucket %d", k, first)
+		cuts := checkCutsAgainstBuckets(t, fmt.Sprintf("k=%d", k), log, k)
+		if first, last := shardOf(cuts, 0), shardOf(cuts, len(dates)-1); k > 1 && first == last {
+			t.Errorf("k=%d: extreme dates collapsed into one shard %d (cuts %v)", k, first, cuts)
 		}
 	}
 }

@@ -16,27 +16,26 @@ import (
 	"repro/internal/relation"
 )
 
-// pathCase is one federation, the single engine over the same merged log,
-// and the stream path the federation's assignment must select.
-type pathCase struct {
+// layoutCase is one federation and the single engine over the same merged
+// log.
+type layoutCase struct {
 	name   string
 	single *core.Auditor
 	fed    *federate.Federation
-	path   string
 }
 
-// timeRangeCases are TimeRanges Splits of a chronological log: in-order.
-func timeRangeCases(t *testing.T) []pathCase {
+// timeRangeCases are TimeRanges Splits of a chronological log.
+func timeRangeCases(t *testing.T) []layoutCase {
 	ds, single := singleEngine(t, 1)
-	var out []pathCase
+	var out []layoutCase
 	for _, k := range []int{2, 4} {
-		out = append(out, pathCase{fmt.Sprintf("time-range k=%d", k), single, splitFederation(t, ds, k, nil), "in-order"})
+		out = append(out, layoutCase{fmt.Sprintf("time-range k=%d", k), single, splitFederation(t, ds, k, nil)})
 	}
 	return out
 }
 
-// joinCase is a two-way Join of contiguous slices of the log: in-order.
-func joinCase(t *testing.T) pathCase {
+// joinCase is a two-way Join of consecutive slices of the log.
+func joinCase(t *testing.T) layoutCase {
 	ds, single := singleEngine(t, 2)
 	log := ds.Log()
 	cut := log.NumRows() / 3
@@ -56,13 +55,12 @@ func joinCase(t *testing.T) pathCase {
 		t.Fatal(err)
 	}
 	f.AddTemplates(explain.Handcrafted(true, true).All()...)
-	return pathCase{"join", single, f, "in-order"}
+	return layoutCase{"join", single, f}
 }
 
 // refreshedCase is a 3-way TimeRanges Split that grew by Append + Refresh:
-// the appended rows are later than every bucket and land on the last
-// shard, so the shards stay contiguous.
-func refreshedCase(t *testing.T) pathCase {
+// the appended rows join the last shard's run.
+func refreshedCase(t *testing.T) layoutCase {
 	cfg := ehr.Tiny()
 	cfg.Seed = 3
 	ds := ehr.Generate(cfg)
@@ -92,18 +90,13 @@ func refreshedCase(t *testing.T) pathCase {
 	// The reference shares the Groups table the federation installed.
 	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 	single.AddTemplates(explain.Handcrafted(true, true).All()...)
-	return pathCase{"time-range k=3 refreshed", single, f, "in-order"}
-}
-
-// roundRobinCase is a round-robin Split: merge.
-func roundRobinCase(t *testing.T) pathCase {
-	ds, single := singleEngine(t, 1)
-	return pathCase{"round-robin k=3", single, splitFederation(t, ds, 3, func(row int) int { return row % 3 }), "merge"}
+	return layoutCase{"time-range k=3 refreshed", single, f}
 }
 
 // shuffledCase is a TimeRanges Split of a log whose rows are shuffled, so
-// the date buckets interleave in row order: merge.
-func shuffledCase(t *testing.T) pathCase {
+// the date buckets interleave in row order: the shards are runs of the
+// bucket populations' sizes, each holding rows of every period.
+func shuffledCase(t *testing.T) layoutCase {
 	cfg := ehr.Tiny()
 	cfg.Seed = 2
 	ds := ehr.Generate(cfg)
@@ -118,7 +111,7 @@ func shuffledCase(t *testing.T) pathCase {
 		t.Fatal(err)
 	}
 	f.AddTemplates(explain.Handcrafted(true, true).All()...)
-	return pathCase{"time-range k=4 shuffled", single, f, "merge"}
+	return layoutCase{"time-range k=4 shuffled", single, f}
 }
 
 // ndjsonStream is the encoded stream surface core.Auditor and
@@ -143,14 +136,14 @@ func collectNDJSON(t *testing.T, e ndjsonStream, j int) (out []byte, rows, expla
 	return out, rows, explained, err
 }
 
-// TestStreamPathSelection pins which path each shard assignment takes and
-// that both paths stay byte-identical to the single engine: contiguous
-// assignments (TimeRanges over a chronological log, a Join, a TimeRanges
-// Split grown by Refresh) stream in order, the others merge. A contiguity
-// check that wrongly says no fails here, not only in a benchmark.
-func TestStreamPathSelection(t *testing.T) {
+// TestStreamLayoutsMatchSingleEngine pins both stream surfaces byte for
+// byte to the single engine over every shard layout a product federation
+// has: TimeRanges cuts over a chronological log (the CLI's -shards K), a
+// Join, a TimeRanges Split grown by Refresh, and TimeRanges cuts over a
+// date-shuffled log, whose shards each hold rows from every period.
+func TestStreamLayoutsMatchSingleEngine(t *testing.T) {
 	ctx := context.Background()
-	cases := append(timeRangeCases(t), joinCase(t), refreshedCase(t), roundRobinCase(t), shuffledCase(t))
+	cases := append(timeRangeCases(t), joinCase(t), refreshedCase(t), shuffledCase(t))
 	for _, c := range cases {
 		want := mustExplainAll(t, c.single, 4)
 		wantNDJSON, wantRows, wantExplained, err := collectNDJSON(t, c.single, 4)
@@ -161,30 +154,15 @@ func TestStreamPathSelection(t *testing.T) {
 			t.Fatalf("%s: single engine covers %d/%d rows, federation %d", c.name, wantRows, len(want), c.fed.Rows())
 		}
 		for _, j := range []int{1, 2, 4} {
-			var got []core.AccessReport
-			path, err := federate.StreamPath(func() (err error) {
-				got, err = c.fed.ExplainAll(ctx, j)
-				return err
-			})
+			got, err := c.fed.ExplainAll(ctx, j)
 			if err != nil {
 				t.Fatalf("%s j=%d: StreamReports: %v", c.name, j, err)
 			}
-			if path != c.path {
-				t.Fatalf("%s j=%d: StreamReports took the %s path, want %s", c.name, j, path, c.path)
-			}
 			assertReportsEqual(t, fmt.Sprintf("%s j=%d", c.name, j), got, want)
 
-			var gotNDJSON []byte
-			var rows, explained int
-			path, err = federate.StreamPath(func() (err error) {
-				gotNDJSON, rows, explained, err = collectNDJSON(t, c.fed, j)
-				return err
-			})
+			gotNDJSON, rows, explained, err := collectNDJSON(t, c.fed, j)
 			if err != nil {
 				t.Fatalf("%s j=%d: StreamNDJSON: %v", c.name, j, err)
-			}
-			if path != c.path {
-				t.Fatalf("%s j=%d: StreamNDJSON took the %s path, want %s", c.name, j, path, c.path)
 			}
 			if !bytes.Equal(gotNDJSON, wantNDJSON) || rows != wantRows || explained != wantExplained {
 				t.Fatalf("%s j=%d: StreamNDJSON gave %d bytes (%d rows, %d explained), single engine %d bytes (%d rows, %d explained)",

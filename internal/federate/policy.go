@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -166,38 +164,6 @@ func (f *Federation) setLastDegraded(d Degraded) {
 	}
 }
 
-// degradeAcc accumulates per-shard degradation during one batch call
-// (sources run concurrently).
-type degradeAcc struct {
-	mu      sync.Mutex
-	entries []degradeEntry
-}
-
-type degradeEntry struct {
-	idx  int
-	name string
-	rows int
-}
-
-func (a *degradeAcc) add(idx int, name string, rows int) {
-	a.mu.Lock()
-	a.entries = append(a.entries, degradeEntry{idx: idx, name: name, rows: rows})
-	a.mu.Unlock()
-}
-
-// snapshot folds the entries into a Degraded, shards in federation order.
-func (a *degradeAcc) snapshot() Degraded {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	sort.Slice(a.entries, func(i, j int) bool { return a.entries[i].idx < a.entries[j].idx })
-	var d Degraded
-	for _, e := range a.entries {
-		d.MissingShards = append(d.MissingShards, e.name)
-		d.RowsSkipped += e.rows
-	}
-	return d
-}
-
 // HealthState is a shard's position in the health state machine:
 //
 //	Healthy --retryable failure--> Suspect --budget exhausted--> Down
@@ -270,9 +236,8 @@ type seam int
 const (
 	seamStream seam = iota // a shard stream's start (each attempt)
 	// seamRow fires once per row a shard stream emits, in row order: per
-	// report as it is handed on, except on the in-order path of
-	// StreamNDJSON, where it fires per row of an encoded chunk at chunk
-	// hand-off.
+	// report as StreamReports hands it on, and per row of an encoded chunk
+	// as StreamNDJSON hands the chunk on.
 	seamRow
 	seamUnexplained // Unexplained and ExplainedFraction
 	seamSupport     // Support
@@ -309,11 +274,11 @@ func (sh *shard) inject(ctx context.Context, s seam) error {
 // LastDegraded. A failed attempt may be retried, so op must commit its
 // shard's contribution only when it returns nil — or, for a stream that
 // hands rows on as it goes, track them and skip them on the next attempt
-// (streamInOrder).
+// (streamShards).
 func (f *Federation) eachShard(ctx context.Context, s seam, missing func(*shard) int, op func(ctx context.Context, sh *shard) error) error {
 	degradedOn := f.degraded.Load()
-	deg := &degradeAcc{}
-	for i, sh := range f.shards {
+	var deg Degraded
+	for _, sh := range f.shards {
 		err := f.callShard(ctx, sh, func(actx context.Context) error {
 			if err := sh.inject(actx, s); err != nil {
 				return err
@@ -322,19 +287,20 @@ func (f *Federation) eachShard(ctx context.Context, s seam, missing func(*shard)
 		})
 		if err != nil {
 			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.add(i, sh.name, missing(sh))
+				deg.MissingShards = append(deg.MissingShards, sh.name)
+				deg.RowsSkipped += missing(sh)
 				continue
 			}
 			f.setLastDegraded(Degraded{})
 			return err
 		}
 	}
-	f.setLastDegraded(deg.snapshot())
+	f.setLastDegraded(deg)
 	return nil
 }
 
 // downstreamError marks an error that originated downstream of the shard
-// (the merge tearing down, or the consumer's fn failing): the retry loop
+// (the consumer's fn or emit failing): the retry loop
 // must neither retry it nor hold it against the shard's health, and the
 // caller should see the original error, not a shard-down wrapper.
 type downstreamError struct{ err error }
@@ -384,7 +350,7 @@ func (f *Federation) callShard(ctx context.Context, sh *shard, op func(ctx conte
 		}
 		var de *downstreamError
 		if errors.As(err, &de) {
-			// Not the shard's fault: hand the consumer/merge error back
+			// Not the shard's fault: hand the consumer's error back
 			// untouched and leave health alone.
 			return de.err
 		}

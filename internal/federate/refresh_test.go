@@ -3,6 +3,7 @@ package federate_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,12 +49,20 @@ func (historyCountTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []boo
 func (historyCountTemplate) Render(*query.Evaluator, int, int, explain.Namer) []string { return nil }
 
 // TestFederationRefreshMatchesSingleEngine appends a chronological suffix
-// to a Split federation's merged log, Refreshes (each shard extends its
-// masks independently), and checks the federated stream, aggregates, and
-// tail reports against a from-scratch single engine over the grown log.
+// to a Split federation's merged log, Refreshes (the last shard's run grows,
+// and each shard refreshes its masks independently), and checks the
+// federated stream, aggregates, and tail reports against a from-scratch
+// single engine over the grown log. Besides the TimeRanges cuts, one
+// federation's last shard starts empty, so all of its rows arrive by
+// Refresh.
 func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 	ctx := context.Background()
-	for _, k := range []int{1, 2, 3} {
+	type layout struct {
+		k    int
+		cuts func(cut int) []int
+	}
+	for _, l := range []layout{{1, nil}, {2, nil}, {3, nil}, {2, func(cut int) []int { return []int{cut} }}} {
+		k := l.k
 		cfg := ehr.Tiny()
 		cfg.Seed = 1
 		ds := ehr.Generate(cfg)
@@ -61,8 +70,7 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		n := full.NumRows()
 		cut := n * 9 / 10
 
-		// Rebuild the dataset's database with a truncated log; round-robin
-		// assignment so every shard receives appended rows.
+		// Rebuild the dataset's database with a truncated log.
 		rows := make([]int, cut)
 		for r := range rows {
 			rows[r] = r
@@ -75,14 +83,19 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 				db.AddTable(ds.DB.Table(name))
 			}
 		}
-		fed, err := federate.Split(db, graph(), k, func(row int) int { return row % k }, federate.WithNamer(ds))
+		var cuts []int
+		if l.cuts != nil {
+			cuts = l.cuts(cut)
+		}
+		label := fmt.Sprintf("k=%d cuts=%v", k, cuts)
+		fed, err := federate.Split(db, graph(), k, cuts, federate.WithNamer(ds))
 		if err != nil {
 			t.Fatal(err)
 		}
 		fed.AddTemplates(explain.Handcrafted(true, true).All()...)
 		warm := mustExplainAll(t, fed, 4)
 		if len(warm) != cut {
-			t.Fatalf("k=%d: warm-up covered %d rows, want %d", k, len(warm), cut)
+			t.Fatalf("%s: warm-up covered %d rows, want %d", label, len(warm), cut)
 		}
 
 		log := db.MustTable(pathmodel.LogTable)
@@ -91,13 +104,13 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		}
 		appended, err := fed.Refresh(ctx, 4)
 		if err != nil {
-			t.Fatalf("k=%d: Refresh: %v", k, err)
+			t.Fatalf("%s: Refresh: %v", label, err)
 		}
 		if appended != n-cut {
-			t.Fatalf("k=%d: Refresh folded %d rows, want %d", k, appended, n-cut)
+			t.Fatalf("%s: Refresh folded %d rows, want %d", label, appended, n-cut)
 		}
 		if st := fed.PlanCacheStats(); st.MaskExtensions == 0 || st.MaskRecomputes > st.MaskHits+st.MaskExtensions+st.MaskRecomputes {
-			t.Errorf("k=%d: implausible mask counters after Refresh: %+v", k, st)
+			t.Errorf("%s: implausible mask counters after Refresh: %+v", label, st)
 		}
 
 		// Reference: a fresh single engine over the grown database, sharing
@@ -110,16 +123,16 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			for r := range want {
 				if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
-					t.Fatalf("k=%d: refreshed federated report %d differs", k, r)
+					t.Fatalf("%s: refreshed federated report %d differs", label, r)
 				}
 			}
-			t.Fatalf("k=%d: refreshed federated reports differ", k)
+			t.Fatalf("%s: refreshed federated reports differ", label)
 		}
 		if gf, wf := mustFraction(t, fed, 4), mustFraction(t, single, 4); gf != wf {
-			t.Errorf("k=%d: refreshed fraction = %v, want %v", k, gf, wf)
+			t.Errorf("%s: refreshed fraction = %v, want %v", label, gf, wf)
 		}
 		if gu, wu := mustUnexplained(t, fed, 4), mustUnexplained(t, single, 4); !reflect.DeepEqual(gu, wu) {
-			t.Errorf("k=%d: refreshed unexplained differ: %v vs %v", k, gu, wu)
+			t.Errorf("%s: refreshed unexplained differ: %v vs %v", label, gu, wu)
 		}
 
 		// TailReports over the appended range must equal the stream suffix.
@@ -128,16 +141,16 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			tail = append(tail, rep)
 			return nil
 		}); err != nil {
-			t.Fatalf("k=%d: TailReports: %v", k, err)
+			t.Fatalf("%s: TailReports: %v", label, err)
 		}
 		if !reflect.DeepEqual(tail, want[cut:]) {
-			t.Errorf("k=%d: TailReports differs from stream suffix", k)
+			t.Errorf("%s: TailReports differs from stream suffix", label)
 		}
 	}
 }
 
-// TestRefreshNonMonotoneHistoryGrowth pins the history watermark: when
-// every appended row routes to one shard, the other shard's audited slice
+// TestRefreshNonMonotoneHistoryGrowth pins the history watermark: every
+// appended row joins the last shard, so the first shard's audited slice
 // does not grow — but the shared history log did, and a non-append-monotone
 // template can retroactively explain that shard's old rows. Refresh must
 // rebuild such masks on every shard, matching a from-scratch single engine.
@@ -162,13 +175,8 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 			db.AddTable(ds.DB.Table(name))
 		}
 	}
-	// All appended rows route to shard 1; shard 0's slice never grows.
-	fed, err := federate.Split(db, graph(), 2, func(row int) int {
-		if row >= cut {
-			return 1
-		}
-		return row % 2
-	}, federate.WithoutGroups())
+	// All appended rows join shard 1; shard 0's slice never grows.
+	fed, err := federate.Split(db, graph(), 2, []int{cut / 2}, federate.WithoutGroups())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,78 +215,6 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 	}
 	if st := fed.PlanCacheStats(); st.MaskExtensions != 0 {
 		t.Errorf("non-monotone template was extended (%d extensions), want rebuilds only", st.MaskExtensions)
-	}
-}
-
-// TestRefreshBadAssignmentLeavesStateIntact pins Refresh's atomicity: an
-// assignment that routes an appended row out of range must fail before any
-// shard is mutated, so a corrected retry folds every row exactly once.
-func TestRefreshBadAssignmentLeavesStateIntact(t *testing.T) {
-	ctx := context.Background()
-	cfg := ehr.Tiny()
-	cfg.Seed = 1
-	ds := ehr.Generate(cfg)
-	full := ds.DB.MustTable(pathmodel.LogTable)
-	n := full.NumRows()
-	cut := n - 8
-
-	rows := make([]int, cut)
-	for r := range rows {
-		rows[r] = r
-	}
-	db := relation.NewDatabase()
-	for _, name := range ds.DB.TableNames() {
-		if name == pathmodel.LogTable {
-			db.AddTable(full.Select(pathmodel.LogTable, rows))
-		} else {
-			db.AddTable(ds.DB.Table(name))
-		}
-	}
-	misroute := false
-	fed, err := federate.Split(db, graph(), 2, func(row int) int {
-		if misroute && row >= cut+4 {
-			return 99
-		}
-		return row % 2
-	}, federate.WithNamer(ds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-	_ = mustExplainAll(t, fed, 2)
-
-	log := db.MustTable(pathmodel.LogTable)
-	for r := cut; r < n; r++ {
-		log.Append(full.Row(r)...)
-	}
-	shardRows := func() []int {
-		var out []int
-		for _, si := range fed.ShardInfos() {
-			out = append(out, si.Rows)
-		}
-		return out
-	}
-	before := shardRows()
-	misroute = true
-	if _, err := fed.Refresh(ctx, 2); err == nil {
-		t.Fatal("misrouted Refresh succeeded, want error")
-	}
-	if got := shardRows(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("failed Refresh mutated shards: %v -> %v", before, got)
-	}
-
-	misroute = false
-	appended, err := fed.Refresh(ctx, 2)
-	if err != nil {
-		t.Fatalf("retry Refresh: %v", err)
-	}
-	if appended != n-cut {
-		t.Fatalf("retry folded %d rows, want %d", appended, n-cut)
-	}
-	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
-	single.AddTemplates(explain.Handcrafted(true, true).All()...)
-	if got, want := mustExplainAll(t, fed, 2), mustExplainAll(t, single, 2); !reflect.DeepEqual(got, want) {
-		t.Error("post-retry federated reports differ from single engine")
 	}
 }
 

@@ -15,11 +15,13 @@ import (
 
 // TestRepeatAccessSharedIndexRace drives the one structure every shard of a
 // Split shares: repeat-access probes the merged Log's lazily built patient
-// index, so on a fresh database every mask worker of every shard asks for
-// that index at once. A K=4 federation streams at 4 workers per shard — all
-// four shard pipelines build their masks concurrently — and must match a
-// single engine; after an append (which drops the index) and Refresh, it
-// must match a from-scratch auditor over the grown log. Run under -race.
+// index, so on a fresh database every mask worker of a shard asks for that
+// index at once, and the next shard finds it built. A K=4 federation streams
+// with 4*K workers per shard and must match a single engine; after an
+// append (which drops the index) and Refresh, it must match a from-scratch
+// auditor over the grown log. The skewed layout has a run off the 64-row
+// chunk boundary, an empty shard and a 1-row last shard that Refresh grows.
+// Run under -race.
 func TestRepeatAccessSharedIndexRace(t *testing.T) {
 	const k = 4
 	cfg := ehr.Tiny()
@@ -32,7 +34,7 @@ func TestRepeatAccessSharedIndexRace(t *testing.T) {
 	for r := range rows {
 		rows[r] = r
 	}
-	for _, layout := range []string{"time-ranges", "round-robin"} {
+	for layout, cuts := range map[string][]int{"time-ranges": nil, "skewed-cuts": {37, 37, cut - 1}} {
 		t.Run(layout, func(t *testing.T) {
 			db := relation.NewDatabase()
 			for _, name := range ds.DB.TableNames() {
@@ -43,11 +45,7 @@ func TestRepeatAccessSharedIndexRace(t *testing.T) {
 				}
 			}
 			log := db.MustTable(pathmodel.LogTable)
-			assign := federate.TimeRanges(log, k)
-			if layout == "round-robin" {
-				assign = func(row int) int { return row % k }
-			}
-			fed, err := federate.Split(db, graph(), k, assign, federate.WithNamer(ds), federate.WithoutGroups())
+			fed, err := federate.Split(db, graph(), k, cuts, federate.WithNamer(ds), federate.WithoutGroups())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,10 +13,13 @@ var errMergeStopped = errors.New("parallel: merge stopped")
 // emit receives the globally smallest pending item (per less) on the calling
 // goroutine, never concurrently with itself. It is the fan-in counterpart of
 // OrderedChunks: where OrderedChunks re-sequences out-of-order chunks of one
-// log, MergeStreams interleaves the already-ordered streams of several logs
-// — the federated audit layers one on the other, each shard producing its
-// stream through OrderedChunks and the federation merging the shard streams
-// here.
+// log, MergeStreams interleaves the already-ordered streams of several logs.
+//
+// It has no product caller: federate.Federation shards are runs of the
+// merged log and stream one after another, so nothing is re-interleaved.
+// It stays because the benchmark ledger (bench/engine.go) probes it for
+// parallel.merge_streams_ns_per_item; deleting it waits on a benchmark
+// change that drops that probe.
 //
 // Each source's in-flight items are bounded by buffer (minimum 1), so peak
 // retention is O(k*buffer) items no matter how long the streams are. When
