@@ -1,12 +1,10 @@
-// Package repro's root benchmark suite regenerates every table and figure of
-// the paper's evaluation (one benchmark per artifact, named after it), plus
-// micro-benchmarks for the substrate operations and ablation benchmarks for
-// the design choices DESIGN.md calls out. Run with:
+// Package repro's root benchmarks are the in-process measurements the docs
+// cite: each one backs a named README, bench/README.md or ROADMAP sentence,
+// or a bound its comment states. The paper's tables and figures are
+// regenerated by cmd/ebabench, and end-to-end speed is measured by the perf
+// ledger under bench/. Run with:
 //
-//	go test -bench=. -benchmem
-//
-// The per-figure benchmarks operate on the Small dataset (~1/50 CareWeb) and
-// report the figure's rendered output once per run via b.Log at -v.
+//	go test -run='^$' -bench=. -benchmem .
 package repro
 
 import (
@@ -19,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/accesslog"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/ehr"
@@ -31,9 +28,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mine"
 	"repro/internal/obs"
-	"repro/internal/pathmodel"
 	"repro/internal/query"
-	"repro/internal/relation"
 	"repro/internal/store"
 )
 
@@ -52,8 +47,8 @@ func smallEnv(b *testing.B) *experiments.Env {
 	return benchEnv
 }
 
-// batchAuditor builds (once) a fully configured auditor over the Figure-6
-// scale dataset — the Small hospital's whole week of accesses with the
+// batchAuditor builds (once) a fully configured auditor over the Small
+// hospital's whole week of accesses with the
 // complete hand-crafted catalog — with template masks pre-warmed, and
 // differentially verifies that the parallel batch engine reproduces the
 // sequential reports before any timing starts.
@@ -82,267 +77,16 @@ func batchAuditor(b *testing.B) *core.Auditor {
 	return auditorInst
 }
 
-// benchmarkExplainAll times one full batch audit of the log at the given
-// worker count.
-func benchmarkExplainAll(b *testing.B, parallelism int) {
+// BenchmarkExplainAllSequential times one full batch audit of the Small log
+// at one worker with every mask warm, so it prices rendering on its own.
+func BenchmarkExplainAllSequential(b *testing.B) {
 	a := batchAuditor(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reports, err := a.ExplainAll(ctx, parallelism); err != nil || len(reports) == 0 {
+		if reports, err := a.ExplainAll(ctx, 1); err != nil || len(reports) == 0 {
 			b.Fatalf("no reports (err %v)", err)
 		}
-	}
-}
-
-// BenchmarkExplainAllSequential is the single-worker baseline the parallel
-// variants are judged against.
-func BenchmarkExplainAllSequential(b *testing.B) { benchmarkExplainAll(b, 1) }
-
-// BenchmarkExplainAllParallel4 runs the batch auditing engine with 4
-// workers; the acceptance bar is ≥ 2x over the sequential baseline.
-func BenchmarkExplainAllParallel4(b *testing.B) { benchmarkExplainAll(b, 4) }
-
-// BenchmarkExplainAllParallel8 runs the batch auditing engine with 8
-// workers.
-func BenchmarkExplainAllParallel8(b *testing.B) { benchmarkExplainAll(b, 8) }
-
-// BenchmarkUnexplainedParallel times the parallel misuse-detection shortlist
-// (masks pre-warmed, so this isolates the sharded union scan).
-func BenchmarkUnexplainedParallel(b *testing.B) {
-	a := batchAuditor(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Unexplained(ctx, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (event frequency, all accesses).
-func BenchmarkFigure6(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := experiments.Figure6(e)
-		if len(f.Bars) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates Figure 7 (hand-crafted recall, all accesses).
-func BenchmarkFigure7(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure7(e)
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8 (event frequency, first accesses).
-func BenchmarkFigure8(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure8(e)
-	}
-}
-
-// BenchmarkFigure9 regenerates Figure 9 (hand-crafted recall, first
-// accesses).
-func BenchmarkFigure9(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure9(e)
-	}
-}
-
-// BenchmarkFigure10_11 regenerates the collaborative-group composition
-// analysis of Figures 10 and 11.
-func BenchmarkFigure10_11(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := experiments.Figure10_11(e, 2)
-		if len(f.Groups) == 0 {
-			b.Fatal("no groups")
-		}
-	}
-}
-
-// BenchmarkFigure12 regenerates Figure 12 (group predictive power by
-// hierarchy depth).
-func BenchmarkFigure12(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure12(e)
-	}
-}
-
-// BenchmarkFigure12Decorated regenerates the decorated-template variant of
-// Figure 12 (§5.3.4 future work).
-func BenchmarkFigure12Decorated(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure12Decorated(e)
-	}
-}
-
-// BenchmarkFigure13 regenerates Figure 13 (mining performance, all five
-// algorithms). This is the heaviest benchmark; each iteration runs five
-// complete mining passes.
-func BenchmarkFigure13(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure13(e)
-	}
-}
-
-// BenchmarkFigure13OneWay times only the one-way miner, for quick
-// comparisons.
-func BenchmarkFigure13OneWay(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure13(e, mine.AlgoOneWay)
-	}
-}
-
-// BenchmarkFigure14 regenerates Figure 14 (mined template predictive power).
-func BenchmarkFigure14(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Figure14(e)
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1 (template stability across periods).
-func BenchmarkTable1(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Table1(e)
-	}
-}
-
-// BenchmarkHeadline regenerates the headline ">94% explained" numbers.
-func BenchmarkHeadline(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.Headline(e)
-	}
-}
-
-// --- prepared-plan benchmarks ----------------------------------------------
-
-// BenchmarkPreparedReuse measures what the engine-level plan cache buys on
-// the mask-evaluation hot path: repeated row classification through one
-// prepared handle (compiled once, shared by every cursor) against a
-// compile-each-time baseline that drops the cache before every evaluation
-// and so re-lowers the plan's projections each time.
-func BenchmarkPreparedReuse(b *testing.B) {
-	e := smallEnv(b)
-	closed := explain.GroupTemplate("appt-same-group", "Appointments", "an appointment").Path
-	open := explain.NewIndicator("appt", "Appointments").Path
-
-	b.Run("open/prepared", func(b *testing.B) {
-		ev := query.NewEvaluator(e.DS.DB)
-		pp := ev.Prepare(open)
-		pp.ConnectedRows() // warm the cursor's scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(pp.ConnectedRows()) == 0 {
-				b.Fatal("empty mask")
-			}
-		}
-	})
-	b.Run("open/recompile", func(b *testing.B) {
-		ev := query.NewEvaluator(e.DS.DB)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.InvalidatePlans()
-			if len(ev.ConnectedRows(open)) == 0 {
-				b.Fatal("empty mask")
-			}
-		}
-	})
-	b.Run("closed/prepared", func(b *testing.B) {
-		ev := query.NewEvaluator(e.DS.DB)
-		pp := ev.Prepare(closed)
-		pp.ExplainedRows() // warm the cursor's scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(pp.ExplainedRows()) == 0 {
-				b.Fatal("empty mask")
-			}
-		}
-	})
-	b.Run("closed/recompile", func(b *testing.B) {
-		ev := query.NewEvaluator(e.DS.DB)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.InvalidatePlans()
-			if len(ev.ExplainedRows(closed)) == 0 {
-				b.Fatal("empty mask")
-			}
-		}
-	})
-}
-
-// benchmarkMaskSharded times computing every template mask from scratch at
-// the given worker count: ensureMasks shards each template's log-row range
-// across the pool (explain.Template.EvaluateRange over shared prepared
-// plans), so unlike BenchmarkExplainAll — whose masks are cached after the
-// first iteration — this isolates the intra-template mask sharding the
-// prepared-plan API enables.
-func benchmarkMaskSharded(b *testing.B, parallelism int) {
-	a := batchAuditor(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ResetMaskCache()
-		if f, err := a.ExplainedFraction(ctx, parallelism); err != nil || f == 0 {
-			b.Fatalf("zero explained fraction (err %v)", err)
-		}
-	}
-}
-
-// BenchmarkMaskShardedSequential is the single-worker mask-computation
-// baseline.
-func BenchmarkMaskShardedSequential(b *testing.B) { benchmarkMaskSharded(b, 1) }
-
-// BenchmarkMaskSharded4 computes masks with 4 workers; with intra-template
-// sharding even a catalog of few expensive templates scales past
-// one-worker-per-template.
-func BenchmarkMaskSharded4(b *testing.B) { benchmarkMaskSharded(b, 4) }
-
-// BenchmarkMaskSharded8 computes masks with 8 workers.
-func BenchmarkMaskSharded8(b *testing.B) { benchmarkMaskSharded(b, 8) }
-
-// BenchmarkMineParallel compares the one-way miner's candidate-evaluation
-// stage at 1 and 8 workers; results are identical, only wall-clock differs.
-func BenchmarkMineParallel(b *testing.B) {
-	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	for _, par := range []int{1, 8} {
-		b.Run(fmt.Sprintf("j=%d", par), func(b *testing.B) {
-			ev, opt := miningSetup(b)
-			opt.Parallelism = par
-			for i := 0; i < b.N; i++ {
-				mine.OneWay(ev, graph, opt)
-			}
-		})
 	}
 }
 
@@ -394,9 +138,9 @@ var (
 
 // mediumAuditor builds (once) an auditor over the Medium hospital (~95k log
 // rows) with the catalog the CLI registers — every hand-crafted template,
-// collaborative groups included — and pre-warmed masks, so the streaming and
-// materializing benchmarks below time only the report path, at the
-// explanations-per-row the audit workloads of bench/ see.
+// collaborative groups included — and pre-warmed masks, so the benchmarks
+// below time only what they name, at the explanations-per-row the audit
+// workloads of bench/ see.
 func mediumAuditor(b *testing.B) *core.Auditor {
 	b.Helper()
 	mediumOnce.Do(func() {
@@ -424,9 +168,7 @@ func liveHeap() float64 {
 // BenchmarkStreamReports drives the full streaming audit of the Medium log
 // through a consuming sink. The reported live-B metric is the heap still
 // reachable after the run: the stream retains nothing, so it stays near
-// zero, while BenchmarkExplainAllMedium — the same work materialized —
-// retains the whole report slice. Comparing the two shows what bounded
-// buffering buys at hospital scale.
+// zero.
 func BenchmarkStreamReports(b *testing.B) {
 	a := mediumAuditor(b)
 	ctx := context.Background()
@@ -448,32 +190,6 @@ func BenchmarkStreamReports(b *testing.B) {
 		if d := liveHeap() - before; d > worst {
 			worst = d
 		}
-	}
-	if worst < 0 {
-		worst = 0
-	}
-	b.ReportMetric(worst, "live-B")
-}
-
-// BenchmarkExplainAllMedium materializes the same Medium audit that
-// BenchmarkStreamReports streams; its live-B metric is the retained
-// full-log report slice the streaming pipeline avoids.
-func BenchmarkExplainAllMedium(b *testing.B) {
-	a := mediumAuditor(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		before := liveHeap()
-		reports, err := a.ExplainAll(ctx, 8)
-		if err != nil || len(reports) == 0 {
-			b.Fatalf("no reports (err %v)", err)
-		}
-		if d := liveHeap() - before; d > worst {
-			worst = d
-		}
-		runtime.KeepAlive(reports)
 	}
 	if worst < 0 {
 		worst = 0
@@ -569,8 +285,8 @@ var (
 
 // mediumFederation partitions the Medium auditor's database across 4 shard
 // engines (TimeRanges cut points, same non-group catalog) with masks
-// pre-warmed, so BenchmarkFederatedStream times the shard-after-shard
-// report path and nothing else.
+// pre-warmed, so BenchmarkFaultOverhead's federated runs time the
+// shard-after-shard report path and nothing else.
 func mediumFederation(b *testing.B) *federate.Federation {
 	b.Helper()
 	a := mediumAuditor(b)
@@ -594,49 +310,13 @@ func mediumFederation(b *testing.B) *federate.Federation {
 	return fedInst
 }
 
-// BenchmarkFederatedStream drives the full federated audit of the Medium
-// log — 4 shard engines, one after another, each streaming its run of the
-// log through the bounded core pipeline — through a consuming sink. Compare
-// against BenchmarkStreamReports (one engine, same log, same catalog): the
-// work is identical, so the delta is the federation overhead (per-shard
-// pipelines and resilience loop), and the live-B metric shows the shard
-// pipelines retain no more than the single-engine stream does.
-func BenchmarkFederatedStream(b *testing.B) {
-	f := mediumFederation(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		before := liveHeap()
-		texts := 0
-		if err := f.StreamReports(ctx, 8, func(rep core.AccessReport) error {
-			texts += len(rep.Explanations)
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if texts == 0 {
-			b.Fatal("no explanations streamed")
-		}
-		if d := liveHeap() - before; d > worst {
-			worst = d
-		}
-	}
-	if worst < 0 {
-		worst = 0
-	}
-	b.ReportMetric(worst, "live-B")
-}
-
 // BenchmarkFaultOverhead pins the cost of carrying fault-injection seams in
-// the hot paths. single-disabled mirrors BenchmarkStreamReports and
-// federated-disabled mirrors BenchmarkFederatedStream with the registry in
-// its default disabled state, so comparing each against its twin measures
-// the seams' overhead — one atomic load per guard, which must stay within
-// noise (~2%). federated-armed keeps the registry enabled with a rule that
-// matches no engine site, timing the rule-scan path the per-row seam takes
-// once any injector is installed.
+// the hot paths. single-disabled mirrors BenchmarkStreamReports with the
+// registry in its default disabled state, so comparing the two measures the
+// seams' overhead — one atomic load per guard, which must stay within noise
+// (~2%). federated-armed keeps the registry enabled with a rule that matches
+// no engine site, timing the rule-scan path the per-row seam takes once any
+// injector is installed; compare it against federated-disabled.
 func BenchmarkFaultOverhead(b *testing.B) {
 	ctx := context.Background()
 	drive := func(b *testing.B, stream func(fn func(core.AccessReport) error) error) {
@@ -675,353 +355,6 @@ func BenchmarkFaultOverhead(b *testing.B) {
 			return f.StreamReports(ctx, 8, fn)
 		})
 	})
-}
-
-// --- micro-benchmarks -----------------------------------------------------
-
-// BenchmarkGenerateSmall times dataset generation.
-func BenchmarkGenerateSmall(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ds := ehr.Generate(ehr.Small())
-		if ds.Log().NumRows() == 0 {
-			b.Fatal("empty log")
-		}
-	}
-}
-
-// BenchmarkClustering times user-graph construction plus hierarchical
-// modularity clustering.
-func BenchmarkClustering(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := groups.BuildUserGraph(e.TrainLog)
-		h := groups.BuildHierarchy(g, 8)
-		if h.MaxDepth() < 1 {
-			b.Fatal("degenerate hierarchy")
-		}
-	}
-}
-
-// BenchmarkSupportLen2 times exact support evaluation of a length-2
-// template over the full log.
-func BenchmarkSupportLen2(b *testing.B) {
-	e := smallEnv(b)
-	ev := query.NewEvaluator(e.DS.DB)
-	tpl := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ev.Support(tpl.Path) == 0 {
-			b.Fatal("zero support")
-		}
-	}
-}
-
-// BenchmarkSupportLen4Groups times support evaluation of the length-4
-// collaborative-group template, the most expensive hand-crafted query.
-func BenchmarkSupportLen4Groups(b *testing.B) {
-	e := smallEnv(b)
-	ev := query.NewEvaluator(e.DS.DB)
-	tpl := explain.GroupTemplate("appt-same-group", "Appointments", "an appointment")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ev.Support(tpl.Path) == 0 {
-			b.Fatal("zero support")
-		}
-	}
-}
-
-// BenchmarkInstances times instance enumeration — the walk under every
-// rendered explanation — for one template of each path shape: one op
-// enumerates up to three instances for every log row the template explains,
-// on one cursor. nodes/binding is the walk's work per instance produced
-// (query.instances.nodes ÷ .bindings; the blind search it replaced spent 77
-// across the catalog).
-func BenchmarkInstances(b *testing.B) {
-	e := smallEnv(b)
-	for _, c := range []struct {
-		name string
-		tpl  *explain.PathTemplate
-	}{
-		{"direct2", explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")},
-		{"dept4", explain.DeptTemplate("appt-same-dept", "Appointments", "an appointment")},
-		{"group4", explain.GroupTemplate("appt-same-group", "Appointments", "an appointment")},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			ev := query.NewEvaluator(e.DS.DB)
-			var rows []int
-			for row, explained := range ev.ExplainedRows(c.tpl.Path) {
-				if explained {
-					rows = append(rows, row)
-				}
-			}
-			if len(rows) == 0 {
-				b.Fatal("template explains nothing")
-			}
-			reg := ev.Metrics()
-			nodes, bindings := reg.Counter("query.instances.nodes").Value(), reg.Counter("query.instances.bindings").Value()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, row := range rows {
-					if len(ev.Instances(c.tpl.Path, row, 3)) == 0 {
-						b.Fatalf("explained row %d has no instance", row)
-					}
-				}
-			}
-			b.StopTimer()
-			nodes, bindings = reg.Counter("query.instances.nodes").Value()-nodes, reg.Counter("query.instances.bindings").Value()-bindings
-			b.ReportMetric(float64(nodes)/float64(bindings), "nodes/binding")
-		})
-	}
-}
-
-// BenchmarkEstimate times the optimizer-style cardinality estimate that the
-// skip-non-selective optimization relies on being much cheaper than exact
-// evaluation.
-func BenchmarkEstimate(b *testing.B) {
-	e := smallEnv(b)
-	ev := query.NewEvaluator(e.DS.DB)
-	tpl := explain.GroupTemplate("appt-same-group", "Appointments", "an appointment")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EstimateSupport(tpl.Path)
-	}
-}
-
-// BenchmarkFirstAccesses times first-access extraction over the full log.
-func BenchmarkFirstAccesses(b *testing.B) {
-	e := smallEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if accesslog.FirstAccesses(e.FullLog).NumRows() == 0 {
-			b.Fatal("no first accesses")
-		}
-	}
-}
-
-// --- ablation benchmarks ---------------------------------------------------
-
-func miningSetup(b *testing.B) (*query.Evaluator, mine.Options) {
-	e := smallEnv(b)
-	db, audited := e.MiningDB()
-	opt := e.Cfg.Mining
-	opt.MaxLength = 4 // keep ablations comparable and fast
-	return query.NewEvaluatorWithLog(db, audited), opt
-}
-
-// BenchmarkAblationSupportCache compares mining with and without the
-// canonical-condition support cache (§3.2.1 optimization 1).
-func BenchmarkAblationSupportCache(b *testing.B) {
-	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	b.Run("cache=on", func(b *testing.B) {
-		ev, opt := miningSetup(b)
-		opt.CacheSupport = true
-		for i := 0; i < b.N; i++ {
-			mine.OneWay(ev, graph, opt)
-		}
-	})
-	b.Run("cache=off", func(b *testing.B) {
-		ev, opt := miningSetup(b)
-		opt.CacheSupport = false
-		for i := 0; i < b.N; i++ {
-			mine.OneWay(ev, graph, opt)
-		}
-	})
-}
-
-// BenchmarkAblationSkip compares mining with and without the
-// skip-non-selective-paths optimization (§3.2.1 optimization 3).
-func BenchmarkAblationSkip(b *testing.B) {
-	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	b.Run("skip=on", func(b *testing.B) {
-		ev, opt := miningSetup(b)
-		opt.SkipNonSelective = true
-		for i := 0; i < b.N; i++ {
-			mine.OneWay(ev, graph, opt)
-		}
-	})
-	b.Run("skip=off", func(b *testing.B) {
-		ev, opt := miningSetup(b)
-		opt.SkipNonSelective = false
-		for i := 0; i < b.N; i++ {
-			mine.OneWay(ev, graph, opt)
-		}
-	})
-}
-
-// BenchmarkAblationDistinct compares the DISTINCT-projection support
-// evaluator against the naive nested-loop evaluator (§3.2.1 optimization 2)
-// on the length-2 appointment template.
-func BenchmarkAblationDistinct(b *testing.B) {
-	e := smallEnv(b)
-	tpl := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
-	// Evaluate over first accesses to keep the naive variant tractable.
-	db, audited := e.MiningDB()
-	ev := query.NewEvaluatorWithLog(db, audited)
-	want := ev.Support(tpl.Path)
-	b.Run("distinct=on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ev.Support(tpl.Path) != want {
-				b.Fatal("support mismatch")
-			}
-		}
-	})
-	b.Run("distinct=off(naive)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ev.SupportNaive(tpl.Path) != want {
-				b.Fatal("support mismatch")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationIndex compares the indexed nested-join evaluator
-// (SupportNaive) against the fully index-free linear-scan baseline
-// (SupportScan) on the length-2 appointment template, isolating what the
-// per-column hash indexes buy on top of nothing.
-func BenchmarkAblationIndex(b *testing.B) {
-	e := smallEnv(b)
-	tpl := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
-	db, audited := e.MiningDB()
-	ev := query.NewEvaluatorWithLog(db, audited)
-	want := ev.Support(tpl.Path)
-	b.Run("index=on(naive)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ev.SupportNaive(tpl.Path) != want {
-				b.Fatal("support mismatch")
-			}
-		}
-	})
-	b.Run("index=off(scan)", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ev.SupportScan(tpl.Path) != want {
-				b.Fatal("support mismatch")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationBridgeLength sweeps the bridged miner's half-length,
-// complementing Figure 13.
-func BenchmarkAblationBridgeLength(b *testing.B) {
-	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	for _, l := range []int{2, 3, 4} {
-		b.Run(mine.AlgoBridge(l), func(b *testing.B) {
-			ev, opt := miningSetup(b)
-			for i := 0; i < b.N; i++ {
-				mine.Bridged(ev, graph, opt, l)
-			}
-		})
-	}
-}
-
-// --- incremental append benchmarks -----------------------------------------
-
-var (
-	incrOnce    sync.Once
-	incrAud     *core.Auditor
-	incrLog     *relation.Table
-	incrPattern [][]relation.Value
-	incrNextLid int64
-	incrMaxDate int64
-)
-
-// incrementalAuditor builds (once) a mutable Medium auditor — separate from
-// the shared read-only one, because these benchmarks append to its log —
-// with the non-group catalog and pre-warmed masks, plus an append pattern:
-// the last ~1% of the generated log, re-stamped per batch with fresh
-// ascending Lids at the log's final date so every batch is a chronological
-// append of realistic rows (existing patients and users, so the dictionary
-// and compiled plans are reused as in production).
-func incrementalAuditor(b *testing.B) (*core.Auditor, *relation.Table) {
-	b.Helper()
-	incrOnce.Do(func() {
-		ds := ehr.Generate(ehr.Medium())
-		a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
-		a.AddTemplates(explain.Handcrafted(true, false).All()...)
-		if err := a.Refresh(context.Background(), 8); err != nil { // warm masks
-			panic(err)
-		}
-		incrAud = a
-		incrLog = ds.DB.MustTable(pathmodel.LogTable)
-		n := incrLog.NumRows()
-		li, _ := incrLog.ColumnIndex(pathmodel.LogIDColumn)
-		di, _ := incrLog.ColumnIndex(pathmodel.LogDateColumn)
-		for r := 0; r < n; r++ {
-			if lid := incrLog.Row(r)[li].AsInt(); lid >= incrNextLid {
-				incrNextLid = lid + 1
-			}
-			if d := incrLog.Row(r)[di].AsInt(); d > incrMaxDate {
-				incrMaxDate = d
-			}
-		}
-		batch := n / 100
-		if batch < 1 {
-			batch = 1
-		}
-		for r := n - batch; r < n; r++ {
-			incrPattern = append(incrPattern, incrLog.Row(r))
-		}
-	})
-	return incrAud, incrLog
-}
-
-// appendIncrementalBatch appends one pattern batch (~1% of Medium) of
-// strictly later (Date, Lid) rows and returns the batch size.
-func appendIncrementalBatch(log *relation.Table) int {
-	li, _ := log.ColumnIndex(pathmodel.LogIDColumn)
-	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
-	for _, src := range incrPattern {
-		row := append([]relation.Value(nil), src...)
-		row[li] = relation.Int(incrNextLid)
-		row[di] = relation.Date(int(incrMaxDate))
-		incrNextLid++
-		log.Append(row...)
-	}
-	return len(incrPattern)
-}
-
-// BenchmarkIncrementalAppend measures the tentpole: append 1% of the Medium
-// log, then Refresh — cached template masks are extended over just the new
-// rows on surviving compiled plans, so each iteration costs O(new rows).
-// Compare ns/op and allocs/op against
-// BenchmarkIncrementalAppendColdBaseline (same append, masks and plans
-// dropped first — the pre-incremental behavior of recomputing the world);
-// the acceptance bar is >= 5x on both.
-func BenchmarkIncrementalAppend(b *testing.B) {
-	a, log := incrementalAuditor(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		appendIncrementalBatch(log)
-		if err := a.Refresh(ctx, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if st := a.PlanCacheStats(); st.MaskExtensions == 0 {
-		b.Fatal("incremental benchmark never extended a mask")
-	}
-}
-
-// BenchmarkIncrementalAppendColdBaseline performs the same append but drops
-// every cached mask and compiled plan first, so Refresh rebuilds masks from
-// row 0 — what every mutation cost before append-aware invalidation.
-func BenchmarkIncrementalAppendColdBaseline(b *testing.B) {
-	a, log := incrementalAuditor(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		appendIncrementalBatch(log)
-		a.ResetMaskCache()
-		a.Evaluator().InvalidatePlans()
-		if err := a.Refresh(ctx, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- packed-mask benchmarks ------------------------------------------------
@@ -1087,6 +420,15 @@ var (
 	startupDir  string
 	startupErr  string
 )
+
+// TestMain removes the startup store once every benchmark has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if startupDir != "" {
+		os.RemoveAll(startupDir)
+	}
+	os.Exit(code)
+}
 
 // startupStore builds (once) a segment store of the Medium hospital with a
 // saved warm-start snapshot: the dataset is persisted, a fully configured
@@ -1170,8 +512,8 @@ func BenchmarkColdStart(b *testing.B) {
 
 // BenchmarkWarmStart measures the same time-to-first-report when the store's
 // warm snapshot is installed first: every mask arrives cached and the first
-// report touches no history. The ratio to BenchmarkColdStart is the repo's
-// durable-warm-start headline (target: at least 5x).
+// report touches no history. The ratio to BenchmarkColdStart is the
+// README's durable-warm-start figure.
 func BenchmarkWarmStart(b *testing.B) {
 	dir := startupStore(b)
 	b.ReportAllocs()

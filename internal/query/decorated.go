@@ -105,3 +105,14 @@ func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {
 func (ev *Evaluator) InstancesDecorated(dp pathmodel.DecoratedPath, logRow, limit int) []InstanceBinding {
 	return ev.decorated(dp).run(ev, logRow, limit)
 }
+
+// countTrue returns the number of true verdicts.
+func countTrue(rows []bool) int {
+	n := 0
+	for _, ok := range rows {
+		if ok {
+			n++
+		}
+	}
+	return n
+}

@@ -401,17 +401,6 @@ func (ev *Evaluator) Support(p pathmodel.Path) int {
 	return ev.Prepare(p).Support()
 }
 
-// orient returns the per-row start and end value columns for the path's
-// direction: (patients, users) for forward paths, (users, patients) for
-// backward paths.
-func (ev *Evaluator) orient(p pathmodel.Path) (starts, ends []relation.Value) {
-	pr := ev.projections()
-	if p.Forward() {
-		return pr.patients, pr.users
-	}
-	return pr.users, pr.patients
-}
-
 // ExplainedRows returns, for a closed path, a boolean per log row indicating
 // whether that access is explained by the path. It panics on open paths. It
 // is the one-shot convenience for Prepare(p).ExplainedRows(); use the

@@ -9,9 +9,9 @@ import "slices"
 // chain. Nothing is retained on the engine: verdicts are memoized per call
 // in the cursor's scratch (dict.go) — each (boundary, value) sub-question of
 // an open plan, each (boundary, value, end) of a closed one, is walked once
-// per call however many rows raise it. The nested join behind SupportNaive
-// and SupportScan (naive.go) is the independent reference the differential
-// tests pin this walk to, row by row.
+// per call however many rows raise it. The nested join behind the
+// test-only SupportNaive and SupportScan (export_test.go) is the independent
+// reference the differential tests pin this walk to, row by row.
 
 // lazyWalk is the state of one lazy evaluation: the op chain to walk, the
 // cursor's stamped verdict memo and postings counter. Nothing lands on the
