@@ -909,14 +909,16 @@ func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, ve
 }
 
 // printStats reports the query-engine internals: plan-cache hit/miss
-// counters and the template-mask cache's hit/recompute/extension outcomes —
-// aggregated plus one line per shard engine for a federation, with the
-// dictionary and plan footprint for a single engine.
+// counters, the template-mask cache's hit/recompute/extension outcomes and
+// the stream's instance-memo outcomes — aggregated plus one line per shard
+// engine for a federation, with the dictionary and plan footprint for a
+// single engine.
 func (a *app) printStats(w io.Writer, fed *federate.Federation, workers int) {
 	if fed != nil {
 		agg := fed.PlanCacheStats()
 		fmt.Fprintf(w, "plan cache (all shards): %d hits, %d misses; mask cache: %d hits, %d recomputes, %d extensions\n",
 			agg.Hits, agg.Misses, agg.MaskHits, agg.MaskRecomputes, agg.MaskExtensions)
+		printMemoStats(w, fed.MetricsSnapshot())
 		for _, si := range fed.ShardInfos() {
 			fmt.Fprintf(w, "  %s: %d rows, plan cache %d hits / %d misses, masks %d/%d/%d\n",
 				si.Name, si.Rows, si.Stats.Hits, si.Stats.Misses,
@@ -932,6 +934,19 @@ func (a *app) printStats(w io.Writer, fed *federate.Federation, workers int) {
 		reg.Gauge("query.dict.values").Value(), reg.Gauge("query.plan.resident_bytes").Value())
 	fmt.Fprintf(w, "mask cache: %d hits, %d recomputes, %d incremental extensions\n",
 		st.MaskHits, st.MaskRecomputes, st.MaskExtensions)
+	printMemoStats(w, a.auditor.MetricsSnapshot())
+}
+
+// printMemoStats reports how many path-template renders the stream served
+// from its instance memo instead of walking (query.instances.memo_hits /
+// .memo_misses); nothing when no stream ran.
+func printMemoStats(w io.Writer, snap map[string]obs.Metric) {
+	hits, misses := snap["query.instances.memo_hits"].Value, snap["query.instances.memo_misses"].Value
+	if hits+misses == 0 {
+		return
+	}
+	fmt.Fprintf(w, "instance memo: %d hits, %d misses (%.1f%% of path-template renders reused a walk)\n",
+		hits, misses, 100*float64(hits)/float64(hits+misses))
 }
 
 // auditFollow is the incremental mode of the audit subcommand: it audits

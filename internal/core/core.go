@@ -74,6 +74,9 @@ type Auditor struct {
 	auditedLog *relation.Table
 
 	templates []explain.Template
+	// byLength lists template indexes in ascending Length, registration
+	// order among equals: the order a row's explanations are reported in.
+	byLength []int
 
 	// mu guards masks. A published maskEntry (and the packed bitset inside
 	// it) is never mutated — refreshes copy-on-extend and swap the entry —
@@ -311,6 +314,13 @@ func (a *Auditor) invalidateMasksReading(table string) {
 // cached — the new templates' masks are computed lazily on first use.
 func (a *Auditor) AddTemplates(ts ...explain.Template) {
 	a.templates = append(a.templates, ts...)
+	a.byLength = a.byLength[:0]
+	for i := range a.templates {
+		a.byLength = append(a.byLength, i)
+	}
+	slices.SortStableFunc(a.byLength, func(i, j int) int {
+		return cmp.Compare(a.templates[i].Length(), a.templates[j].Length())
+	})
 }
 
 // Templates returns the registered templates.
@@ -384,7 +394,8 @@ func (a *Auditor) ExplainRow(row int, maxPerTemplate int) (AccessReport, error) 
 // explainRowWith builds the report for one log row using the given cursor
 // and template masks. It is the single code path behind both ExplainRow and
 // the batch workers of StreamReports, which is what guarantees the two
-// return byte-for-byte identical reports.
+// return byte-for-byte identical reports. Templates render in byLength
+// order, so the explanations come out ranked without a per-row sort.
 func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row, maxPerTemplate int) AccessReport {
 	log := ev.Log()
 	if maxPerTemplate <= 0 {
@@ -406,19 +417,17 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row,
 	if explaining > 0 {
 		rep.Explanations = make([]Explanation, 0, explaining*maxPerTemplate)
 	}
-	for i, t := range a.templates {
+	for _, i := range a.byLength {
 		if !masks[i].Get(row) {
 			continue
 		}
+		t := a.templates[i]
 		for _, text := range t.Render(ev, row, maxPerTemplate, a.namer) {
 			rep.Explanations = append(rep.Explanations, Explanation{
 				Template: t.Name(), Length: t.Length(), Text: text,
 			})
 		}
 	}
-	slices.SortStableFunc(rep.Explanations, func(x, y Explanation) int {
-		return cmp.Compare(x.Length, y.Length)
-	})
 	return rep
 }
 

@@ -21,7 +21,10 @@ const streamWindowPerWorker = 4
 // batchChunk-row shards of the audited log — each call sees a disjoint
 // [lo, hi) row range and its worker's own evaluator cursor, to render rows
 // with explainRowWith — and hands each chunk's value to emit in log order
-// with bounded buffering. Returns the mask or emit error, or ctx.Err() if
+// with bounded buffering. The cursors share one query.InstanceMemo made for
+// this call, so a path template walks each (patient, user) pair once per
+// call however many rows repeat it; the texts are still rendered per row,
+// from that row's own values. Returns the mask or emit error, or ctx.Err() if
 // the run was cancelled (workers and the emitter poll the context between
 // chunks, so cancellation takes effect promptly mid-log).
 func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produce func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) T, emit func(T) error) error {
@@ -30,9 +33,10 @@ func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produ
 		return err
 	}
 	workers := normalizeParallelism(parallelism)
+	memo := a.ev.NewInstanceMemo()
 	cursors := make([]*query.Evaluator, workers)
 	for w := range cursors {
-		cursors[w] = a.ev.Clone()
+		cursors[w] = a.ev.CloneWithMemo(memo)
 	}
 	err = parallel.OrderedChunks(workers, a.ev.Log().NumRows(), batchChunk, workers*streamWindowPerWorker,
 		func() bool { return ctx.Err() != nil },

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,39 +15,100 @@ import (
 	"repro/internal/relation"
 )
 
+// widenedAuditor builds a Tiny hospital of the given seed, with its Log
+// rows shuffled when shuffle is set (a pair then recurs far apart in the
+// stream), and an auditor over it with the full catalog plus templates
+// whose text is not a function of (template, patient, user) alone: the
+// decorated repeat-access and depth-restricted group templates, a path
+// template whose description reads the audited row's Date and Lid, and one
+// with no description (the generic rendering).
+func widenedAuditor(t *testing.T, seed int64, shuffle bool) *core.Auditor {
+	t.Helper()
+	cfg := ehr.Tiny()
+	cfg.Seed = seed
+	ds := ehr.Generate(cfg)
+	if shuffle {
+		log := ds.DB.MustTable("Log")
+		perm := rand.New(rand.NewSource(seed)).Perm(log.NumRows())
+		shuffled := relation.NewTable(log.Name(), log.Columns()...)
+		for _, r := range perm {
+			shuffled.Append(log.Row(r)...)
+		}
+		ds.DB.AddTable(shuffled)
+	}
+	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
+	a.BuildGroups(core.GroupsOptions{})
+	a.AddTemplates(explain.Handcrafted(true, true).All()...)
+	a.AddTemplates(
+		explain.DecoratedRepeatAccess(),
+		explain.DepthRestrictedGroupTemplate("appt-group-depth1", "Appointments", "an appointment", 1),
+		explain.NewPathTemplate("appt-row-date-lid",
+			explain.WithDrTemplate("appt", "Appointments", "an appointment").Path,
+			"access [L.Lid] on [L.Date] by [L.User|user] to [L.Patient|patient] follows the appointment of [Appointments1.Date]"),
+		explain.NewPathTemplate("appt-group-generic",
+			explain.GroupTemplate("appt-group", "Appointments", "an appointment").Path, ""),
+	)
+	return a
+}
+
 // TestStreamReportsMatchesExplainAll is the streaming pipeline's
-// differential oracle: on three differently seeded datasets and at every
-// parallelism level, the streamed report sequence must be byte-for-byte
-// identical — order and content — to the materialized ExplainAll slice and
-// to a sequential ExplainRow loop.
+// differential oracle: on Tiny seeds 1-3 and a row-shuffled log, over the
+// widened catalog, at every parallelism level, the streamed report sequence
+// must be byte-for-byte identical — order and content — to the
+// materialized ExplainAll slice and to a sequential ExplainRow loop, and
+// StreamNDJSON to the loop's encoding. A stream's cursors share an
+// instance-binding memo keyed by (path, patient, user); the templates that
+// read more of the row than that pair must still render each row from its
+// own values.
 func TestStreamReportsMatchesExplainAll(t *testing.T) {
 	ctx := context.Background()
-	for _, seed := range []int64{1, 2, 3} {
-		a := buildSeededAuditor(t, seed)
+	cases := []struct {
+		seed    int64
+		shuffle bool
+	}{{1, false}, {2, false}, {3, false}, {1, true}}
+	for _, c := range cases {
+		a := widenedAuditor(t, c.seed, c.shuffle)
 		n := a.Log().NumRows()
 		want := make([]core.AccessReport, n)
+		var wantNDJSON []byte
 		for r := 0; r < n; r++ {
 			want[r] = mustExplainRow(t, a, r, 0)
+			wantNDJSON = core.AppendNDJSON(wantNDJSON, want[r])
 		}
+		hits := a.Evaluator().Metrics().Counter("query.instances.memo_hits")
 		for _, par := range []int{1, 2, 4, 8} {
+			before := hits.Value()
 			got := make([]core.AccessReport, 0, n)
 			if err := a.StreamReports(ctx, par, func(rep core.AccessReport) error {
 				got = append(got, rep)
 				return nil
 			}); err != nil {
-				t.Fatalf("seed %d parallelism %d: StreamReports err = %v", seed, par, err)
+				t.Fatalf("seed %d shuffle %v parallelism %d: StreamReports err = %v", c.seed, c.shuffle, par, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				for r := range want {
 					if !reflect.DeepEqual(got[r], want[r]) {
-						t.Fatalf("seed %d parallelism %d: streamed report %d differs:\n got %+v\nwant %+v",
-							seed, par, r, got[r], want[r])
+						t.Fatalf("seed %d shuffle %v parallelism %d: streamed report %d differs:\n got %+v\nwant %+v",
+							c.seed, c.shuffle, par, r, got[r], want[r])
 					}
 				}
-				t.Fatalf("seed %d parallelism %d: streamed reports differ", seed, par)
+				t.Fatalf("seed %d shuffle %v parallelism %d: streamed reports differ", c.seed, c.shuffle, par)
+			}
+			if hits.Value() == before {
+				t.Fatalf("seed %d shuffle %v parallelism %d: the stream never hit its instance memo", c.seed, c.shuffle, par)
 			}
 			if mat := mustExplainAll(t, a, par); !reflect.DeepEqual(mat, got) {
-				t.Fatalf("seed %d parallelism %d: ExplainAll differs from its own stream", seed, par)
+				t.Fatalf("seed %d shuffle %v parallelism %d: ExplainAll differs from its own stream", c.seed, c.shuffle, par)
+			}
+			var enc []byte
+			if err := a.StreamNDJSON(ctx, par, func(buf []byte, _, _ int) error {
+				enc = append(enc, buf...)
+				return nil
+			}); err != nil {
+				t.Fatalf("seed %d shuffle %v parallelism %d: StreamNDJSON: %v", c.seed, c.shuffle, par, err)
+			}
+			if !bytes.Equal(enc, wantNDJSON) {
+				t.Fatalf("seed %d shuffle %v parallelism %d: StreamNDJSON differs from the encoded ExplainRow loop", c.seed, c.shuffle, par)
 			}
 		}
 	}

@@ -89,7 +89,8 @@ func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo,
 	e := ev.decorated(dp)
 	out := make([]bool, hi-lo)
 	for r := lo; r < hi; r++ {
-		out[r-lo] = len(e.run(ev, r, 1)) > 0 // first witness suffices
+		n, _ := e.run(ev, r, 1) // first witness suffices
+		out[r-lo] = n > 0
 	}
 	return out
 }
@@ -103,7 +104,9 @@ func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {
 // InstancesDecorated enumerates up to limit satisfying bindings for one
 // audited row, for natural-language rendering.
 func (ev *Evaluator) InstancesDecorated(dp pathmodel.DecoratedPath, logRow, limit int) []InstanceBinding {
-	return ev.decorated(dp).run(ev, logRow, limit)
+	e := ev.decorated(dp)
+	n, flat := e.run(ev, logRow, limit)
+	return fresh(n, len(e.hops), flat)
 }
 
 // countTrue returns the number of true verdicts.

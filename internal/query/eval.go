@@ -47,7 +47,9 @@
 // concurrent use. The supported concurrent pattern is one cursor per
 // goroutine: each worker clones the evaluator, prepares (cheaply, through
 // the shared cache) the paths it needs, and evaluates — typically a disjoint
-// log-row range via ExplainedRange/ConnectedRange. The only additional
+// log-row range via ExplainedRange/ConnectedRange. Cursors cloned with one
+// InstanceMemo (CloneWithMemo) also share instance bindings, lock-free,
+// for the life of one call over an unchanging log. The only additional
 // requirement is the table contract: no table reachable from the database
 // may be Appended while queries run (see relation.Table); mutations between
 // query phases are handled by the cache invalidation above.
@@ -143,6 +145,11 @@ type engine struct {
 	// produces (at best the path length + 1, less when one expansion yields
 	// several bindings).
 	instCalls, instNodes, instBindings *obs.Counter
+
+	// Instance-memo outcomes (query.instances.memo_hits / .memo_misses):
+	// Instances calls on a memo-backed cursor served from the memo, and
+	// those that walked and published (see InstanceMemo).
+	instMemoHits, instMemoMisses *obs.Counter
 }
 
 // initMetrics creates the engine's registry and resolves every named metric
@@ -158,6 +165,8 @@ func (eng *engine) initMetrics() {
 	eng.instCalls = reg.Counter("query.instances.calls")
 	eng.instNodes = reg.Counter("query.instances.nodes")
 	eng.instBindings = reg.Counter("query.instances.bindings")
+	eng.instMemoHits = reg.Counter("query.instances.memo_hits")
+	eng.instMemoMisses = reg.Counter("query.instances.memo_misses")
 }
 
 // Evaluator executes paths against one database. It is a cheap per-caller
@@ -186,6 +195,10 @@ type Evaluator struct {
 	// scratch is the memo and row-grouping state lazy plan evaluation reuses
 	// from call to call (see dict.go). Cursor-local like enums.
 	scratch scratch
+
+	// memo is the shared instance-binding memo this cursor was cloned with,
+	// if any, and its cursor-local state (see InstanceMemo).
+	memo memoCursor
 }
 
 // NewEvaluator creates an evaluator over db, which must contain a table

@@ -1,7 +1,9 @@
 package query_test
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -96,6 +98,98 @@ func TestInstancesMatchReference(t *testing.T) {
 		}
 		if bindings == 0 {
 			t.Fatalf("seed %d: no template produced a binding", seed)
+		}
+	}
+}
+
+// TestInstancesMemoMatchesPlain is the instance memo's law: four cursors
+// sharing one InstanceMemo, each walking every catalog path (forward and
+// rebuilt backward) at limits 1 and 3 over every row, concurrently and
+// from staggered starting rows so they race on the same entries, return
+// exactly what a plain cursor and the blind reference return. A second
+// pass is served from the memo alone, and the instance counters count a
+// hit as the walk it stands for: calls and bindings match the plain
+// cursor's, nodes do not grow.
+func TestInstancesMemoMatchesPlain(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		cfg := ehr.Tiny()
+		cfg.Seed = seed
+		ev, catalog := catalogEvaluator(t, cfg)
+		var paths []pathmodel.Path
+		for _, p := range catalog {
+			paths = append(paths, p, backward(t, p))
+		}
+		limits := []int{1, 3}
+		n := ev.Log().NumRows()
+		reg := ev.Metrics()
+		counter := func(name string) int64 { return reg.Counter("query.instances." + name).Value() }
+
+		// want[(path*len(limits)+limit)*n+row] is the plain cursor's answer,
+		// itself checked against the reference.
+		want := make([][]query.InstanceBinding, len(paths)*len(limits)*n)
+		plain, ref := ev.Clone(), ev.Clone()
+		calls, bindings := counter("calls"), counter("bindings")
+		for pi, p := range paths {
+			for li, limit := range limits {
+				for row := 0; row < n; row++ {
+					have := plain.Instances(p, row, limit)
+					if r, _ := ref.InstancesReference(p, row, limit); !reflect.DeepEqual(have, r) {
+						t.Fatalf("seed %d %s row %d limit %d: plain cursor %v, reference %v", seed, p, row, limit, have, r)
+					}
+					want[(pi*len(limits)+li)*n+row] = have
+				}
+			}
+		}
+		calls, bindings = counter("calls")-calls, counter("bindings")-bindings
+
+		memo := ev.NewInstanceMemo()
+		const workers = 4
+		pass := func(name string) {
+			c, b, nodes := counter("calls"), counter("bindings"), counter("nodes")
+			var wg sync.WaitGroup
+			errs := make([]error, workers)
+			for w := 0; w < workers; w++ {
+				cur := ev.CloneWithMemo(memo)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k := 0; k < n; k++ {
+						row := (k + w*n/workers) % n
+						for pi, p := range paths {
+							for li, limit := range limits {
+								have := cur.Instances(p, row, limit)
+								if exp := want[(pi*len(limits)+li)*n+row]; !reflect.DeepEqual(have, exp) {
+									errs[w] = fmt.Errorf("%s row %d limit %d: memo cursor %d returned %v, plain %v", p, row, limit, w, have, exp)
+									return
+								}
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatalf("seed %d %s pass: %v", seed, name, err)
+				}
+			}
+			if c, b := counter("calls")-c, counter("bindings")-b; c != workers*calls || b != workers*bindings {
+				t.Errorf("seed %d %s pass: %d calls / %d bindings, want %d / %d (the plain cursor's, %d times)",
+					seed, name, c, b, workers*calls, workers*bindings, workers)
+			}
+			if name == "warm" && counter("nodes") != nodes {
+				t.Errorf("seed %d warm pass: expanded %d nodes, want none", seed, counter("nodes")-nodes)
+			}
+		}
+		hits, misses := counter("memo_hits"), counter("memo_misses")
+		pass("cold")
+		coldMisses := counter("memo_misses") - misses
+		pass("warm")
+		if counter("memo_misses")-misses != coldMisses {
+			t.Errorf("seed %d: the warm pass missed %d times, want 0", seed, counter("memo_misses")-misses-coldMisses)
+		}
+		if h, m := counter("memo_hits")-hits, counter("memo_misses")-misses; h+m != 2*workers*calls || h == 0 {
+			t.Errorf("seed %d: %d memo hits + %d misses, want %d calls with some hits", seed, h, m, 2*workers*calls)
 		}
 	}
 }
