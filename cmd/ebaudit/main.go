@@ -1112,10 +1112,12 @@ func (a *app) appendNewLogRows(log *relation.Table, lastStat os.FileInfo) (int, 
 		return 0, lastStat, fmt.Errorf("reloaded %s table shrank from %d to %d rows; follow mode is append-only",
 			pathmodel.LogTable, cur, t.NumRows())
 	}
+	rows := make([][]relation.Value, 0, t.NumRows()-cur)
 	for r := cur; r < t.NumRows(); r++ {
-		log.Append(t.Row(r)...)
+		rows = append(rows, t.Row(r))
 	}
-	return t.NumRows() - cur, stat, nil
+	log.AppendRows(rows)
+	return len(rows), stat, nil
 }
 
 func (a *app) patient(args []string) error {

@@ -41,8 +41,10 @@ func (a *Auditor) CaptureWarmState() *store.WarmState {
 // InstallWarmState seeds a freshly configured auditor from a snapshot the
 // store has already validated (Store.LoadWarmState): cached masks are
 // installed where their watermarks prove them still correct, and the
-// compiled plans the snapshot's keys name are re-prepared via WarmPlans. It
-// returns how many masks and plans were warmed. The install rules are
+// plans the snapshot's keys name are registered via WarmPlans. It returns
+// how many masks and plans were warmed. Nothing here reads a table's rows:
+// a registered plan is lowered on its first evaluation, so a warm command
+// that only renders (a patient report) never lowers one. The install rules are
 // exactly the mask cache's own staleness policy, applied across a restart:
 //
 //   - an append-monotone template's mask is a valid prefix as long as its
@@ -89,10 +91,12 @@ func (a *Auditor) InstallWarmState(ws *store.WarmState) (masks, plans int) {
 }
 
 // WarmPlans re-prepares every registered template path whose canonical
-// condition key appears in keys, compiling those plans now — at a chosen
-// startup moment — instead of lazily inside the first audit. Keys that
-// match no template path are ignored (the workload that compiled them is
-// not running anymore). It returns the number of plans prepared.
+// condition key appears in keys, registering those plans in the engine's
+// plan cache so later Prepares hit. Preparing compiles a plan's structure
+// only — each plan is lowered onto the rows on its first evaluation — so
+// registering costs almost nothing. Keys that match no template path are
+// ignored (the workload that compiled them is not running anymore). It
+// returns the number of plans prepared.
 func (a *Auditor) WarmPlans(keys []string) int {
 	want := make(map[string]bool, len(keys))
 	for _, k := range keys {

@@ -21,20 +21,21 @@
 // in one call — because compiled plans are cached, even they stop paying
 // compilation cost after the first evaluation of a condition set.
 //
-// There is one execution path. compile lowers a path into its hops in
-// declared order, over dictionary IDs (dict.go), and every evaluation walks
-// that chain depth-first to the first witness, memoizing sub-question
-// verdicts in the cursor's scratch (lazy.go). Nothing an evaluation computes
-// is retained on the engine.
+// There is one execution path. compile turns a path into its hops in
+// declared order, a plan's first evaluation lowers them onto dictionary IDs
+// (dict.go), and every evaluation walks that chain depth-first to the first
+// witness, memoizing sub-question verdicts in the cursor's scratch
+// (lazy.go). Nothing an evaluation computes is retained on the engine.
 //
 // # Concurrency contract
 //
 // An Evaluator is split into two parts. The engine — the database binding,
 // the audited log, its start/end column projections, the value dictionary,
 // and the shared plan cache — is created by NewEvaluatorWithLog and shared
-// by every evaluator cloned from it. The plan cache is guarded by an RWMutex
-// (and per-entry sync.Once for compilation), so any number of cursors may
-// Prepare and evaluate concurrently, reusing each other's compiled plans.
+// by every evaluator cloned from it. The plan cache is guarded by an
+// RWMutex (and per-entry sync.Once for compilation and for lowering), so
+// any number of cursors may Prepare and evaluate concurrently, reusing each
+// other's compiled plans.
 // The cache is keyed by the path's canonical condition key. A schema change
 // (relation.Database.SchemaVersion: AddTable) drops it wholesale; an append
 // drops only the plans that read the appended table; and an append to the
@@ -128,9 +129,11 @@ type engine struct {
 	dictValues *obs.Gauge
 	planBytes  *obs.Gauge
 
-	// compileNanos is the query.plan.compile_nanos histogram: the wall time
-	// of every plan compilation, observed once per compiled plan. Its count
-	// and sum are PlanCacheStats.PlansPlanned and PlanNanos.
+	// compileNanos is the query.plan.compile_nanos histogram, observed once
+	// per plan when the plan is lowered on its first evaluation: the wall
+	// time of compiling its structure plus lowering it. A prepared plan
+	// that is never evaluated is never observed. Its count and sum are
+	// PlanCacheStats.PlansPlanned and PlanNanos.
 	compileNanos *obs.Histogram
 
 	// execOn enables per-op execution statistics (rows in/out, postings,
@@ -351,12 +354,17 @@ const (
 	opClose                // values are compared against Log.User per row
 )
 
-// op is one step of a compiled plan, over dictionary IDs (see dict.go).
+// op is one step of a compiled plan. compile fixes its structure — the
+// kind, the table and the projection of it the op reads — and the plan's
+// first evaluation fills in the ID form of that projection (pairs or
+// index, see dict.go and cachedPlan.lower).
 type op struct {
 	kind  opKind
 	table string
-	pairs *csr  // opBridge, opMap
-	index idSet // opExists
+	t     *relation.Table // nil for opClose
+	key   baseKey
+	pairs *csr  // opBridge, opMap; nil until lowered
+	index idSet // opExists; nil until lowered
 }
 
 // plan is a path's hops in declared order, walked from each row's start
@@ -366,20 +374,18 @@ type plan struct {
 	closed bool
 }
 
-// compile lowers a path into a plan. It panics on malformed paths because
-// those indicate a bug in path construction, which tests cover directly.
+// compile turns a path into a plan's structure, reading no rows; lower
+// does the row work on first evaluation. It panics on malformed paths
+// because those indicate a bug in path construction, which tests cover
+// directly.
 func (ev *Evaluator) compile(p pathmodel.Path) plan {
 	insts := p.Instances()
 	conds := p.Conds()
 	var pl plan
 	for i, c := range conds {
 		if c.Via != nil {
-			bt := ev.db.MustTable(c.Via.Table)
-			pl.ops = append(pl.ops, op{
-				kind:  opBridge,
-				table: c.Via.Table,
-				pairs: ev.lowered(bt, baseKey{c.Via.Table, c.Via.FromColumn, c.Via.ToColumn}).pairs,
-			})
+			pl.ops = append(pl.ops, op{kind: opBridge, table: c.Via.Table, t: ev.db.MustTable(c.Via.Table),
+				key: baseKey{c.Via.Table, c.Via.FromColumn, c.Via.ToColumn}})
 		}
 		if c.RightInst == 0 {
 			if i != len(conds)-1 {
@@ -390,12 +396,11 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 			continue
 		}
 		in := insts[c.RightInst]
-		t := ev.db.MustTable(in.Table)
+		o := op{kind: opMap, table: in.Table, t: ev.db.MustTable(in.Table), key: baseKey{in.Table, in.Entry, in.Exit}}
 		if in.Exit == "" {
-			pl.ops = append(pl.ops, op{kind: opExists, table: in.Table, index: ev.lowered(t, baseKey{in.Table, in.Entry, ""}).set})
-		} else {
-			pl.ops = append(pl.ops, op{kind: opMap, table: in.Table, pairs: ev.lowered(t, baseKey{in.Table, in.Entry, in.Exit}).pairs})
+			o.kind = opExists
 		}
+		pl.ops = append(pl.ops, o)
 	}
 	if pl.closed != p.Closed() {
 		panic("query: plan/path closed-state mismatch")

@@ -120,6 +120,7 @@ func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
 // raises do not depend on when it is visited, so verdicts, postings and
 // exec counters are those of a log-order walk.
 func (pp *Prepared) eval(lo, hi int, out []bool) int {
+	pp.ent.lower(pp.ev.engine)
 	from, target := pp.orient()
 	ops := pp.ent.pl.ops
 	n := len(pp.ev.engine.dict.values())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/pathmodel"
@@ -35,14 +36,20 @@ type Prepared struct {
 // this cursor or any clone — do not recompile, and two paths imposing the
 // same condition set share one plan.
 //
+// Compiling a plan reads no rows: the plan's first evaluation lowers its
+// ops onto dictionary IDs (see cachedPlan.lower), so a caller that prepares
+// a plan and never evaluates it — a warm start registering its snapshot's
+// plans — pays almost nothing.
+//
 // Invalidation is append-aware and two-tier: a schema mutation
 // (relation.Database.SchemaVersion — AddTable, including replacement)
 // drops the whole cache, while row appends invalidate only the entries
-// whose compiled plans snapshotted the appended table (each entry records
-// the version of every table it read at compile time). Appending audited
-// log rows therefore costs nothing here: plans survive, and only the
-// log-column projections extend. Callers holding a *Prepared across a
-// mutation should re-Prepare — the handle pins its compile-time snapshot.
+// whose lowered plans snapshotted the appended table (each entry records
+// the version of every table it read when it was lowered). Appending
+// audited log rows therefore costs nothing here: plans survive, and only
+// the log-column projections extend. Callers holding a *Prepared across a
+// mutation should re-Prepare — the handle pins the snapshot of its first
+// evaluation.
 func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
 	key := p.CanonicalKey()
 	for {
@@ -52,26 +59,22 @@ func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
 			ent.pl = ev.compile(p)
 			ent.exec = &execStats{ops: make([]opExecCounters, len(ent.pl.ops))}
 			ent.forward = p.Forward()
-			// Record the version of every table the compilation read. The
-			// table contract forbids concurrent appends, so these are the
-			// versions the snapshotted indexes and projections reflect.
-			ent.deps = ev.planDeps(p)
-			ev.engine.countResident(key, ent)
-			ev.engine.compileNanos.Observe(time.Since(t0).Nanoseconds())
+			ent.compileNanos = time.Since(t0).Nanoseconds()
 		})
 		if ent.fresh() {
 			return &Prepared{ev: ev, path: p, ent: ent}
 		}
-		// A dependency grew since this entry was compiled: its snapshotted
-		// indexes are stale. Drop it and recompile against current rows.
-		ev.engine.dropPlan(key, ent)
+		// A dependency grew since this entry was lowered: its snapshotted
+		// projections are stale. Drop it and recompile against current rows.
+		ev.engine.dropPlan(ent)
 	}
 }
 
-// planDeps snapshots the current version of every table the compiled plan
-// for p reads (bridge tables and right-hand instances; instance 0 is the
-// audited log, which plans never snapshot — per-row log values flow in
-// through the engine's extendable projections instead).
+// planDeps snapshots the current version of every table an evaluation of
+// p reads (bridge tables and right-hand instances; instance 0 is the
+// audited log, which is never snapshotted — per-row log values flow in
+// through the engine's extendable projections instead). Instance
+// enumerators record it when they are compiled.
 func (ev *Evaluator) planDeps(p pathmodel.Path) []planDep {
 	insts := p.Instances()
 	seen := make(map[*relation.Table]bool)
@@ -183,8 +186,10 @@ func (pp *Prepared) Instances(logRow, limit int) []InstanceBinding {
 // and the orientation it was compiled in. Entries are installed empty under
 // the cache lock and filled exactly once via compileOnce, so concurrent
 // Prepare calls for the same key block on one compilation instead of
-// duplicating it.
+// duplicating it; lowerOnce likewise lowers the plan once, on the first
+// evaluation through any cursor.
 type cachedPlan struct {
+	key         string
 	compileOnce sync.Once
 	pl          plan
 	forward     bool
@@ -194,30 +199,41 @@ type cachedPlan struct {
 	// array. It accumulates only while SetExecStats(true).
 	exec *execStats
 
+	// compileNanos is the wall time compileOnce took; lower adds its own
+	// time and observes the sum into query.plan.compile_nanos.
+	compileNanos int64
+
+	lowerOnce sync.Once
+
+	// lowered is set once lowerOnce has filled in the ops and deps; it is
+	// what publishes deps to fresh, which may run on a cursor that has not
+	// passed lowerOnce.
+	lowered atomic.Bool
+
 	// bytes is what the entry contributes to query.plan.resident_bytes while
 	// it is in the cache (guarded by the engine's planMu).
 	bytes int64
 
-	// deps records, per table the compilation read, the table's version at
-	// compile time (written inside compileOnce, so visible to every
-	// goroutine that has passed the Once). A mismatch with the table's
-	// current version means the plan's snapshotted indexes and DISTINCT
-	// projections are stale; Prepare then drops this entry alone. Plans
-	// whose dependencies did not change — in particular every plan during a
-	// pure audited-log append — stay cached, which is what makes incremental
+	// deps records, per table the plan reads, the table's version when the
+	// plan was lowered — the versions its projections were built from. A
+	// mismatch with the table's current version means those projections
+	// are stale; Prepare then drops this entry alone. Plans whose
+	// dependencies did not change — in particular every plan during a pure
+	// audited-log append — stay cached, which is what makes incremental
 	// auditing O(new rows) rather than O(recompile).
 	deps []planDep
 }
 
-// planDep is one compile-time table dependency of a cached plan.
+// planDep is one table dependency of a lowered plan.
 type planDep struct {
 	table   *relation.Table
 	version uint64
 }
 
-// fresh reports whether every table the plan snapshotted is unchanged. It
-// must only be called after compileOnce has completed.
-func (ent *cachedPlan) fresh() bool { return depsFresh(ent.deps) }
+// fresh reports whether every table the plan snapshotted is unchanged; a
+// plan not lowered yet snapshotted nothing. It must only be called after
+// compileOnce has completed.
+func (ent *cachedPlan) fresh() bool { return !ent.lowered.Load() || depsFresh(ent.deps) }
 
 // depsFresh reports whether every table in deps is at its recorded version.
 func depsFresh(deps []planDep) bool {
@@ -229,23 +245,52 @@ func depsFresh(deps []planDep) bool {
 	return true
 }
 
+// lower fills in the ID form of every op of the plan, once, from the
+// current rows of the tables it reads, and records their versions as the
+// plan's deps. It then counts the entry's bytes and observes the plan's
+// compile and lowering time, so query.plan.compile_nanos counts the plans
+// that were evaluated, once each. The table contract forbids appends while
+// queries run, so each base's version is the version of the rows lowered.
+func (ent *cachedPlan) lower(eng *engine) {
+	ent.lowerOnce.Do(func() {
+		t0 := time.Now()
+		var deps []planDep
+		for i := range ent.pl.ops {
+			o := &ent.pl.ops[i]
+			if o.t == nil {
+				continue
+			}
+			b := eng.lowered(o.t, o.key)
+			o.pairs, o.index = b.pairs, b.set
+			if !slices.ContainsFunc(deps, func(d planDep) bool { return d.table == o.t }) {
+				deps = append(deps, planDep{table: o.t, version: b.version})
+			}
+		}
+		ent.deps = deps
+		eng.countResident(ent)
+		eng.compileNanos.Observe(ent.compileNanos + time.Since(t0).Nanoseconds())
+		ent.lowered.Store(true)
+	})
+}
+
 // dropPlan removes ent from the cache if it is still the resident entry for
-// key, so the next lookup installs a fresh entry and recompiles. Concurrent
-// droppers are idempotent; a racing Prepare that re-installed a newer entry
-// under the same key is left alone.
-func (eng *engine) dropPlan(key string, ent *cachedPlan) {
+// its key, so the next lookup installs a fresh entry and recompiles.
+// Concurrent droppers are idempotent; a racing Prepare that re-installed a
+// newer entry under the same key is left alone.
+func (eng *engine) dropPlan(ent *cachedPlan) {
 	eng.planMu.Lock()
-	if eng.plans[key] == ent {
-		delete(eng.plans, key)
+	if eng.plans[ent.key] == ent {
+		delete(eng.plans, ent.key)
 		eng.planBytes.Add(-ent.bytes)
 	}
 	eng.planMu.Unlock()
 }
 
-// countResident records the freshly compiled ent's op arrays in
-// query.plan.resident_bytes, provided it is still the cached entry for key;
-// whatever removes a counted entry from the cache subtracts ent.bytes again.
-func (eng *engine) countResident(key string, ent *cachedPlan) {
+// countResident records the freshly lowered ent's op arrays in
+// query.plan.resident_bytes, provided it is still the cached entry for its
+// key; whatever removes a counted entry from the cache subtracts ent.bytes
+// again.
+func (eng *engine) countResident(ent *cachedPlan) {
 	n := 0
 	for _, o := range ent.pl.ops {
 		if o.pairs != nil {
@@ -254,7 +299,7 @@ func (eng *engine) countResident(key string, ent *cachedPlan) {
 		n += 8 * len(o.index)
 	}
 	eng.planMu.Lock()
-	if eng.plans[key] == ent {
+	if eng.plans[ent.key] == ent {
 		ent.bytes = int64(n)
 		eng.planBytes.Add(ent.bytes)
 	}
@@ -295,7 +340,7 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 		return ent
 	}
 	eng.planMisses.Add(1)
-	ent := &cachedPlan{}
+	ent := &cachedPlan{key: key}
 	eng.plans[key] = ent
 	return ent
 }
@@ -336,9 +381,10 @@ type PlanCacheStats struct {
 	// cursor sharing the engine.
 	Hits, Misses int64
 
-	// PlansPlanned counts the plans the engine compiled, and PlanNanos their
-	// total compile wall time in nanoseconds (every compilation is timed,
-	// once per plan).
+	// PlansPlanned counts the plans the engine compiled and lowered, and
+	// PlanNanos their total compile-plus-lowering wall time in nanoseconds
+	// (each plan is timed once, when its first evaluation lowers it; a
+	// plan prepared but never evaluated is not counted).
 	PlansPlanned int64
 	PlanNanos    int64
 

@@ -271,7 +271,8 @@ func TestDecoratedRangeStitching(t *testing.T) {
 }
 
 // TestPlanCacheStatsAdd pins the federation-facing aggregate: every field
-// sums, and one engine's snapshot counts its compiled plans.
+// sums, and one engine's snapshot counts its compiled plans — each once,
+// when its first evaluation lowers it, so preparing alone counts nothing.
 func TestPlanCacheStatsAdd(t *testing.T) {
 	a := query.PlanCacheStats{Hits: 3, Misses: 2, PlansPlanned: 2, PlanNanos: 70, MaskHits: 1}
 	b := query.PlanCacheStats{Hits: 10, Misses: 1, PlansPlanned: 1, PlanNanos: 5, MaskExtensions: 4}
@@ -282,9 +283,13 @@ func TestPlanCacheStatsAdd(t *testing.T) {
 
 	ev := query.NewEvaluator(figure3DB())
 	closed, open := preparedPaths(t)
-	ev.Prepare(closed)
-	ev.Prepare(open)
-	ev.Prepare(closed)
+	handles := []*query.Prepared{ev.Prepare(closed), ev.Prepare(open), ev.Prepare(closed)}
+	if st := ev.PlanCacheStats(); st.PlansPlanned != 0 || st.PlanNanos != 0 {
+		t.Errorf("stats before any evaluation = %+v, want no plan counted", st)
+	}
+	for _, pp := range handles {
+		pp.Support()
+	}
 	if st := ev.PlanCacheStats(); st.PlansPlanned != 2 || st.Misses != 2 || st.Hits != 1 || st.PlanNanos <= 0 {
 		t.Errorf("stats after 2 compiles and 1 reuse = %+v", st)
 	}

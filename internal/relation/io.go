@@ -106,9 +106,11 @@ func Load(name string, r io.Reader) (*Table, error) {
 	// editor or `sed -n` shows for the offending row (the export format
 	// never quotes, so records never span lines).
 	line := 2
+	var rows [][]Value
 	for {
 		record, err := cr.Read()
 		if err == io.EOF {
+			t.AppendRows(rows)
 			return t, nil
 		}
 		if err != nil {
@@ -144,7 +146,7 @@ func Load(name string, r io.Reader) (*Table, error) {
 				row[i] = Date(int(n))
 			}
 		}
-		t.Append(row...)
+		rows = append(rows, row)
 		line++
 	}
 }

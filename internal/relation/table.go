@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,16 +14,17 @@ import (
 //
 // # Concurrency and index invalidation
 //
-// A Table supports two phases. During the load phase, Append requires
-// exclusive access (no concurrent readers or writers) and invalidates every
-// cached index, because row positions referenced by an index built earlier
-// would otherwise go stale. During the query phase, any number of goroutines
-// may call the read-side methods (Row, Get, Index, DistinctPairs,
-// DistinctValues, NumDistinct, ...) concurrently: lazy index construction is
-// serialized by an internal mutex, and a map returned by Index or
-// DistinctPairs is immutable once published, so callers may read it without
-// further locking. The contract is therefore "single-writer load, then
-// many-reader query"; interleaving Append with concurrent reads is a data
+// A Table supports two phases. During the load phase, Append and
+// AppendRows require exclusive access (no concurrent readers or writers);
+// each call invalidates every cached index once, because row positions
+// referenced by an index built earlier would otherwise go stale, so a bulk
+// loader hands its rows over in batches with AppendRows. During the query
+// phase, any number of goroutines may call the read-side methods (Row, Get,
+// Index, DistinctPairs, DistinctValues, NumDistinct, ...) concurrently: lazy
+// index construction is serialized by an internal mutex, and a map returned
+// by Index or DistinctPairs is immutable once published, so callers may read
+// it without further locking. The contract is therefore "single-writer load, then
+// many-reader query"; interleaving an append with concurrent reads is a data
 // race on the row slice itself and is not supported.
 type Table struct {
 	name    string
@@ -49,10 +51,10 @@ type Table struct {
 	// indexes; see PairIndex.
 	pairRows map[[2]int]map[[2]Value][]int
 
-	// version counts mutations (Appends). Derived caches built against the
-	// table — the lazy indexes above, but also compiled query plans held
-	// outside the table — use it to detect staleness: equal versions mean
-	// the rows have not changed since the cache was built.
+	// version counts appended rows (the only mutation). Derived caches
+	// built against the table — the lazy indexes above, but also compiled
+	// query plans held outside the table — use it to detect staleness: equal
+	// versions mean the rows have not changed since the cache was built.
 	version atomic.Uint64
 }
 
@@ -106,16 +108,31 @@ func (t *Table) HasColumn(name string) bool {
 	return ok
 }
 
-// Append adds a row and invalidates all cached indexes (their row numbers
-// and projections would be stale). The row length must match the number of
-// columns. Append requires exclusive access to the table; see the type
-// comment for the concurrency contract.
+// Append adds a copy of row; it is AppendRows for one row, so the same
+// width check, cache invalidation and concurrency contract apply.
 func (t *Table) Append(row ...Value) {
-	if len(row) != len(t.columns) {
-		panic(fmt.Sprintf("relation: table %q expects %d values, got %d", t.name, len(t.columns), len(row)))
+	t.AppendRows([][]Value{slices.Clone(row)})
+}
+
+// AppendRows adds rows in order and invalidates all cached indexes (their
+// row numbers and projections would be stale). The table takes ownership
+// of the row slices without copying them, so the caller must not modify
+// them afterwards. Every row's length must match the number of columns; a
+// mismatch panics before any row is added. The version advances by
+// len(rows), one step per row, so AppendVersion stays equal to the row
+// count of a table built only by appends. AppendRows requires exclusive
+// access to the table; see the type comment for the concurrency contract.
+func (t *Table) AppendRows(rows [][]Value) {
+	for _, row := range rows {
+		if len(row) != len(t.columns) {
+			panic(fmt.Sprintf("relation: table %q expects %d values, got %d", t.name, len(t.columns), len(row)))
+		}
 	}
-	t.rows = append(t.rows, append([]Value(nil), row...))
-	t.version.Add(1)
+	if len(rows) == 0 {
+		return
+	}
+	t.rows = append(t.rows, rows...)
+	t.version.Add(uint64(len(rows)))
 	t.mu.Lock()
 	t.indexes = nil
 	t.pairIndexes = nil
@@ -123,23 +140,23 @@ func (t *Table) Append(row ...Value) {
 	t.mu.Unlock()
 }
 
-// Version returns the table's mutation counter: it increases on every Append
-// and never otherwise changes. External caches derived from the rows (such
-// as the query engine's compiled-plan cache) compare versions to detect
-// staleness.
+// Version returns the table's mutation counter: it advances by one per
+// appended row and never otherwise changes. External caches derived from
+// the rows (such as the query engine's compiled-plan cache) compare
+// versions to detect staleness.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // AppendVersion returns the table's append watermark. A Table's only
-// mutation is Append, so today this equals Version; the two names separate
-// the *delta classes* external caches care about: an equal AppendVersion
-// means no rows were added (projections built over the rows cover them
-// all), while Version is the conservative any-change token. Derivations
-// that can be extended in place — the query engine's audited-log column
-// projections, the auditor's per-template masks — watermark themselves with
-// AppendVersion and, on a mismatch, re-derive only the suffix of rows
-// appended since, rather than starting over. Destructive changes happen at
-// the database level (AddTable replacement swaps the whole *Table), so a
-// live Table's history is purely append-only.
+// mutation is appending rows, so today this equals Version; the two names
+// separate the *delta classes* external caches care about: an equal
+// AppendVersion means no rows were added (projections built over the rows
+// cover them all), while Version is the conservative any-change token.
+// Derivations that can be extended in place — the query engine's
+// audited-log column projections, the auditor's per-template masks —
+// watermark themselves with AppendVersion and, on a mismatch, re-derive
+// only the suffix of rows appended since, rather than starting over.
+// Destructive changes happen at the database level (AddTable replacement
+// swaps the whole *Table), so a live Table's history is purely append-only.
 func (t *Table) AppendVersion() uint64 { return t.version.Load() }
 
 // Row returns the i-th row. The returned slice must not be modified.

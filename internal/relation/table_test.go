@@ -289,3 +289,58 @@ func TestConcurrentIndexBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRows pins the bulk append: the version advances one step per
+// row, the caches built before the call are rebuilt over every row after
+// it, and the table keeps the caller's row slices rather than copies.
+func TestAppendRows(t *testing.T) {
+	tb := sampleTable()
+	v0, n0 := tb.Version(), tb.NumRows()
+	_ = tb.Index("Patient")
+	_ = tb.DistinctPairs("Patient", "Doctor")
+	_ = tb.PairIndex("Patient", "Doctor")
+
+	rows := [][]Value{{Int(4), Date(4), Int(13)}, {Int(1), Date(5), Int(13)}, {Int(4), Date(6), Int(13)}}
+	tb.AppendRows(rows)
+	if got := tb.Version(); got != v0+uint64(len(rows)) {
+		t.Errorf("Version = %d after appending %d rows at %d", got, len(rows), v0)
+	}
+	if got := tb.AppendVersion(); got != uint64(tb.NumRows()) {
+		t.Errorf("AppendVersion = %d, want the row count %d", got, tb.NumRows())
+	}
+	if &tb.Row(n0)[0] != &rows[0][0] {
+		t.Error("AppendRows copied a row it was handed")
+	}
+	if got := tb.Index("Patient")[Int(4)]; !reflect.DeepEqual(got, []int{n0, n0 + 2}) {
+		t.Errorf("Index(Patient)[4] = %v, want rows %d and %d", got, n0, n0+2)
+	}
+	if got := tb.DistinctPairs("Patient", "Doctor")[Int(1)]; !reflect.DeepEqual(got, []Value{Int(10), Int(11), Int(13)}) {
+		t.Errorf("DistinctPairs(Patient, Doctor)[1] = %v", got)
+	}
+	if got := tb.PairIndex("Patient", "Doctor")[[2]Value{Int(4), Int(13)}]; !reflect.DeepEqual(got, []int{n0, n0 + 2}) {
+		t.Errorf("PairIndex(Patient, Doctor)[(4, 13)] = %v", got)
+	}
+
+	tb.AppendRows(nil)
+	if got := tb.Version(); got != v0+uint64(len(rows)) {
+		t.Errorf("appending no rows moved the version to %d", got)
+	}
+}
+
+// TestAppendRowsWrongWidth pins the all-or-nothing check: a wrong-width row
+// anywhere in the batch panics before any row is added or the version or
+// caches move.
+func TestAppendRowsWrongWidth(t *testing.T) {
+	tb := sampleTable()
+	v0, n0 := tb.Version(), tb.NumRows()
+	idx := tb.Index("Patient")
+	assertPanics(t, "wrong-width row", func() {
+		tb.AppendRows([][]Value{{Int(4), Date(4), Int(13)}, {Int(5), Date(5)}})
+	})
+	if tb.NumRows() != n0 || tb.Version() != v0 {
+		t.Errorf("after the panic: %d rows at version %d, want %d at %d", tb.NumRows(), tb.Version(), n0, v0)
+	}
+	if reflect.ValueOf(tb.Index("Patient")).Pointer() != reflect.ValueOf(idx).Pointer() {
+		t.Error("a rejected append dropped the cached Index")
+	}
+}

@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
@@ -68,6 +72,55 @@ func FuzzSegmentDecode(f *testing.F) {
 					t.Fatalf("row %d col %d differs after recovery", r, c)
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeRowBatch drives the batch decoder directly: FuzzSegmentDecode
+// rarely gets a payload past the record checksum. Under fuzz the decoder
+// never panics, never allocates more values than the payload has bytes —
+// the declared row count is checked against the payload before it sizes
+// the allocation — and a batch it accepts re-encodes to exactly its bytes.
+// Seeds: a valid batch, an overstated row count, zero columns, a huge
+// column count, and a value truncated mid-varint.
+func FuzzDecodeRowBatch(f *testing.F) {
+	rows := [][]relation.Value{
+		{relation.Int(1), relation.String("x"), relation.Date(3)},
+		{relation.Null(), relation.String(`\N`), relation.Int(-300)},
+	}
+	valid := encodeRows(rows)
+	f.Add(valid, 3)
+	overstated := append(binary.AppendUvarint(nil, 1<<40), valid[1:]...)
+	f.Add(overstated, 3)
+	f.Add(binary.AppendUvarint(nil, 5), 0)
+	f.Add(valid, math.MaxInt)
+	f.Add(valid[:len(valid)-1], 3) // -300 is a two-byte varint; cut after its first byte
+	f.Add([]byte{0x80, 0x00}, 1)   // an overlong zero row count
+
+	f.Fuzz(func(t *testing.T, payload []byte, ncols int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := decodeRowBatch(payload, ncols)
+		runtime.ReadMemStats(&after)
+		// Values are 32 bytes, row headers 24, and string bytes at most the
+		// payload: a decode bounded by the payload stays under 64 bytes per
+		// payload byte, plus slack for the runtime's own allocations.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(payload))+1<<16 {
+			t.Fatalf("decoding %d payload bytes allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		if n := len(got) * max(ncols, 0); n > len(payload) {
+			t.Fatalf("accepted %d rows of %d columns from %d bytes", len(got), ncols, len(payload))
+		}
+		for _, row := range got {
+			if len(row) != ncols || cap(row) != ncols {
+				t.Fatalf("row len %d cap %d, want %d", len(row), cap(row), ncols)
+			}
+		}
+		if again := encodeRows(got); !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", again, payload)
 		}
 	})
 }

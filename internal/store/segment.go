@@ -41,6 +41,11 @@ const (
 	maxColumns   = 1 << 16
 )
 
+// errZeroWidthRows refuses rows of a table without columns: such a row
+// encodes to no bytes, so a record could not bound its declared row count
+// by its length (see decodeRowBatch).
+var errZeroWidthRows = errors.New("store: rows of a table with no columns cannot be stored")
+
 // segBatchRows is the row count Create packs into one record. Batching
 // amortizes the 8-byte frame and one checksum across many rows while
 // keeping each record small enough to decode incrementally.
@@ -85,6 +90,13 @@ func appendValue(buf []byte, v relation.Value) []byte {
 	return buf
 }
 
+// minimalVarint reports whether the w-byte varint at b is the encoding
+// binary.AppendUvarint / AppendVarint would write: only a one-byte varint
+// may end in a zero byte. The writers only emit minimal varints, so
+// rejecting the rest makes decoding a bijection: an accepted record
+// re-encodes to its own bytes.
+func minimalVarint(b []byte, w int) bool { return w == 1 || b[w-1] != 0 }
+
 // decodeValue decodes one value at data[pos:], returning the value and the
 // next position.
 func decodeValue(data []byte, pos int) (relation.Value, int, error) {
@@ -98,13 +110,13 @@ func decodeValue(data []byte, pos int) (relation.Value, int, error) {
 		return relation.Null(), pos, nil
 	case relation.KindInt, relation.KindDate:
 		n, w := binary.Varint(data[pos:])
-		if w <= 0 {
+		if w <= 0 || !minimalVarint(data[pos:], w) {
 			return relation.Value{}, 0, errors.New("store: malformed varint")
 		}
 		return relation.Value{Kind: kind, Int: n}, pos + w, nil
 	case relation.KindString:
 		sz, w := binary.Uvarint(data[pos:])
-		if w <= 0 {
+		if w <= 0 || !minimalVarint(data[pos:], w) {
 			return relation.Value{}, 0, errors.New("store: malformed string length")
 		}
 		pos += w
@@ -189,6 +201,9 @@ func inferKinds(t *relation.Table) []string {
 // writeSegment writes a complete segment file for t at path: magic, header
 // record, then the rows in batch records.
 func writeSegment(path string, t *relation.Table) error {
+	if len(t.Columns()) == 0 && t.NumRows() > 0 {
+		return errZeroWidthRows
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -246,37 +261,38 @@ func encodeRows(rows [][]relation.Value) []byte {
 }
 
 // decodeRowBatch decodes one data record's rows. Every row must have
-// exactly ncols values and consume the payload completely. The returned
-// rows are freshly allocated — they never alias the payload — so the
-// caller may retain them after the payload buffer is reused.
+// exactly ncols values and consume the payload completely. The rows are
+// full-capacity subslices of one backing array allocated per record — never
+// aliasing the payload — so the caller may keep them after the payload
+// buffer is reused, and an append to one row cannot spill into the next.
 func decodeRowBatch(payload []byte, ncols int) ([][]relation.Value, error) {
 	nrows, w := binary.Uvarint(payload)
-	if w <= 0 {
+	if w <= 0 || !minimalVarint(payload, w) {
 		return nil, errors.New("store: malformed record row count")
 	}
 	pos := w
-	// Pre-size from the declared count, clamped by the payload length (every
-	// value costs at least its kind byte), so a corrupt count that slipped
-	// past the checksum cannot force an absurd allocation.
-	capRows := nrows
-	if capRows > uint64(len(payload)) {
-		capRows = uint64(len(payload))
+	// Every value costs at least its kind byte, so a declared count the
+	// rest of the payload cannot hold is corrupt: reject it before it sizes
+	// an allocation. A zero-width row has no bytes to check the count
+	// against, which is why the writers refuse zero-column rows.
+	if rem := uint64(len(payload) - pos); nrows > 0 && (ncols <= 0 || nrows > rem/uint64(ncols)) {
+		return nil, errors.New("store: record row count exceeds payload")
 	}
-	rows := make([][]relation.Value, 0, capRows)
-	for r := uint64(0); r < nrows; r++ {
-		row := make([]relation.Value, ncols)
-		for c := 0; c < ncols; c++ {
-			v, next, err := decodeValue(payload, pos)
-			if err != nil {
-				return nil, err
-			}
-			row[c] = v
-			pos = next
+	vals := make([]relation.Value, int(nrows)*ncols)
+	for i := range vals {
+		v, next, err := decodeValue(payload, pos)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		vals[i] = v
+		pos = next
 	}
 	if pos != len(payload) {
 		return nil, errors.New("store: record has trailing bytes")
+	}
+	rows := make([][]relation.Value, nrows)
+	for r := range rows {
+		rows[r] = vals[r*ncols : (r+1)*ncols : (r+1)*ncols]
 	}
 	return rows, nil
 }
@@ -337,7 +353,9 @@ func openSegScanner(path string) (sc *segScanner, err error) {
 	}
 	sc.fileSize = st.Size()
 
-	sc.br = bufio.NewReaderSize(f, 1<<20)
+	// A segment smaller than the 1 MiB cap gets a reader that fits it, so a
+	// small table does not pay to zero a buffer it never fills.
+	sc.br = bufio.NewReaderSize(f, int(min(sc.fileSize+16, 1<<20)))
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(sc.br, magic); err != nil || string(magic) != segMagic {
 		return sc, fmt.Errorf("store: %s is not a segment file", path)
@@ -422,9 +440,10 @@ func (sc *segScanner) readRecord() (payload []byte, consumed int64, ok bool) {
 // readSegment streams the segment at path into a fresh table named name,
 // stopping — without error — at the first torn or corrupt data record.
 // Each record is verified against its checksum before a single value is
-// decoded, so a torn tail can never contribute rows. Decoded batches feed
-// Table.Append directly; the file is never materialized whole, and peak
-// transient memory is one batch plus the scanner's reused payload buffer.
+// decoded, so a torn tail can never contribute rows. Each decoded batch is
+// handed to Table.AppendRows, which keeps its rows without copying them;
+// the file is never materialized whole, and peak transient memory is the
+// scanner's reused payload buffer.
 func readSegment(path, name string) (scanResult, error) {
 	sc, err := openSegScanner(path)
 	if err != nil {
@@ -441,8 +460,6 @@ func readSegment(path, name string) (scanResult, error) {
 		if !ok {
 			return scanResult{table: t, validEnd: sc.validEnd, fileSize: sc.fileSize}, nil
 		}
-		for _, row := range rows {
-			t.Append(row...)
-		}
+		t.AppendRows(rows)
 	}
 }

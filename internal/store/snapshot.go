@@ -47,7 +47,7 @@ type MaskState struct {
 }
 
 // WarmState is everything a restarted auditor needs to resume warm: the
-// mask cache, the compiled-plan cache keys to re-prepare, and the
+// mask cache, the compiled-plan cache keys to register again, and the
 // watermarks and schema fingerprint that gate whether any of it is still
 // trustworthy. SchemaVersion and the fingerprint are stamped by
 // SaveWarmState and validated by LoadWarmState; LogRows records how much

@@ -219,6 +219,9 @@ func (s *Store) AppendRows(table string, rows [][]relation.Value) error {
 	if mt == nil {
 		return fmt.Errorf("store: no table %q to append to", table)
 	}
+	if len(mt.Columns) == 0 {
+		return fmt.Errorf("store: append to %s: %w", table, errZeroWidthRows)
+	}
 	for _, row := range rows {
 		if len(row) != len(mt.Columns) {
 			return fmt.Errorf("store: append to %s: row has %d values, want %d", table, len(row), len(mt.Columns))
