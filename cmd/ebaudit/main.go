@@ -838,7 +838,7 @@ func (a *app) audit(args []string) error {
 }
 
 // auditOnce audits every access of eng's log once. With stream, every
-// report goes to stdout as NDJSON (core.AppendNDJSON lines, one write per
+// report goes to stdout as NDJSON (StreamNDJSON's lines, one write per
 // encoded chunk) and the summary to stderr; otherwise the reports stream
 // through StreamReports, only the unexplained ones are kept, and the
 // summary and a sample of up to n of them go to stdout. The same code
@@ -971,7 +971,8 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 
 	// Initial catch-up: the whole current log through the worker-pool
 	// streaming pipeline (identical bytes to a one-shot audit -stream; the
-	// appended batches below are small and rendered row by row).
+	// appended batches below are small and encoded on the auditor's own
+	// cursor, one AppendNDJSONRows call per batch).
 	if err := a.auditor.StreamNDJSON(ctx, workers, func(buf []byte, _, _ int) error {
 		_, err := a.stdout.Write(buf)
 		return err
@@ -1039,13 +1040,8 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		if err := a.auditor.Refresh(ctx, workers); err != nil {
 			return err
 		}
-		lines = lines[:0]
-		for r := audited; r < audited+added; r++ {
-			rep, err := a.auditor.ExplainRow(r, 0)
-			if err != nil {
-				return err
-			}
-			lines = core.AppendNDJSON(lines, rep)
+		if lines, err = a.auditor.AppendNDJSONRows(lines[:0], audited, audited+added); err != nil {
+			return err
 		}
 		if _, err := a.stdout.Write(lines); err != nil {
 			return err

@@ -384,22 +384,67 @@ func (a *Auditor) ExplainRow(row int, maxPerTemplate int) (AccessReport, error) 
 	if n := a.ev.Log().NumRows(); row < 0 || row >= n {
 		return AccessReport{}, fmt.Errorf("core: row %d out of range [0, %d)", row, n)
 	}
-	masks, err := a.ensureMasks(context.TODO(), 0)
+	ps, err := a.prepare(context.TODO(), 0)
 	if err != nil {
 		return AccessReport{}, err
 	}
-	return a.explainRowWith(a.ev, masks, row, maxPerTemplate), nil
+	return a.explainRowWith(a.ev, ps, row, maxPerTemplate), nil
+}
+
+// AppendNDJSONRows appends the NDJSON lines of audited rows [lo, hi) to dst
+// — the bytes StreamNDJSON writes for those rows — with the templates
+// compiled once for the call. Like ExplainRow it brings the masks up to
+// date and renders on the auditor's own cursor; follow mode encodes each
+// appended batch with it.
+func (a *Auditor) AppendNDJSONRows(dst []byte, lo, hi int) ([]byte, error) {
+	if n := a.ev.Log().NumRows(); lo < 0 || hi < lo || hi > n {
+		return dst, fmt.Errorf("core: rows [%d, %d) out of range [0, %d)", lo, hi, n)
+	}
+	ps, err := a.prepare(context.TODO(), 0)
+	if err != nil {
+		return dst, err
+	}
+	for r := lo; r < hi; r++ {
+		dst, _ = a.appendRowNDJSON(dst, a.ev, ps, r)
+	}
+	return dst, nil
+}
+
+// defaultPerTemplate is the number of explanation instances a template
+// renders per access when the caller asks for none in particular.
+const defaultPerTemplate = 3
+
+// pass is what one rendering call works from, shared read-only by its
+// workers: the template masks brought up to date, and the templates
+// compiled for this call (explain.Compile), in registration order. It lives
+// no longer than the call, so a table AddTable replaces between two calls
+// is never rendered from.
+type pass struct {
+	masks []*bitset.Bits
+	progs []explain.Program
+}
+
+// prepare brings the masks up to date with parallelism workers and
+// compiles the templates for one call.
+func (a *Auditor) prepare(ctx context.Context, parallelism int) (*pass, error) {
+	masks, err := a.ensureMasks(ctx, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return &pass{masks: masks, progs: explain.Compile(a.ev, a.namer, a.templates)}, nil
 }
 
 // explainRowWith builds the report for one log row using the given cursor
-// and template masks. It is the single code path behind both ExplainRow and
-// the batch workers of StreamReports, which is what guarantees the two
-// return byte-for-byte identical reports. Templates render in byLength
-// order, so the explanations come out ranked without a per-row sort.
-func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row, maxPerTemplate int) AccessReport {
+// and the call's pass. It is the single code path behind ExplainRow,
+// PatientReport and the batch workers of StreamReports, which is what
+// guarantees they return byte-for-byte identical reports, and the string
+// sink the NDJSON sink (appendRowNDJSON) is pinned to. Templates render in
+// byLength order, so the explanations come out ranked without a per-row
+// sort.
+func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *pass, row, maxPerTemplate int) AccessReport {
 	log := ev.Log()
 	if maxPerTemplate <= 0 {
-		maxPerTemplate = 3
+		maxPerTemplate = defaultPerTemplate
 	}
 	rep := AccessReport{
 		Lid:     log.Get(row, pathmodel.LogIDColumn).AsInt(),
@@ -409,7 +454,7 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row,
 	}
 	rep.UserName = a.namer.UserName(rep.User)
 	explaining := 0
-	for _, m := range masks {
+	for _, m := range ps.masks {
 		if m.Get(row) {
 			explaining++
 		}
@@ -418,11 +463,11 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, masks []*bitset.Bits, row,
 		rep.Explanations = make([]Explanation, 0, explaining*maxPerTemplate)
 	}
 	for _, i := range a.byLength {
-		if !masks[i].Get(row) {
+		if !ps.masks[i].Get(row) {
 			continue
 		}
 		t := a.templates[i]
-		for _, text := range t.Render(ev, row, maxPerTemplate, a.namer) {
+		for _, text := range ps.progs[i].Render(ev, row, maxPerTemplate) {
 			rep.Explanations = append(rep.Explanations, Explanation{
 				Template: t.Name(), Length: t.Length(), Text: text,
 			})
@@ -444,12 +489,12 @@ func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) ([]A
 	if len(rows) == 0 {
 		return out, nil
 	}
-	masks, err := a.ensureMasks(context.TODO(), 0)
+	ps, err := a.prepare(context.TODO(), 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range rows {
-		out = append(out, a.explainRowWith(a.ev, masks, r, maxPerTemplate))
+		out = append(out, a.explainRowWith(a.ev, ps, r, maxPerTemplate))
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -249,4 +250,257 @@ func TestStreamNDJSONCancelWholeChunks(t *testing.T) {
 				name, chunks, len(got), len(full), bytes.HasPrefix(full, got))
 		}
 	}
+}
+
+// renderAuditor builds an auditor over a Tiny hospital of the given seed,
+// naming through the dataset when named and through NullNamer otherwise,
+// with the catalog plus description templates beyond it: audited-row
+// placeholders with no role, an unknown alias, a token without a dot,
+// every role on both the audited row and a bound instance, an unknown
+// role, a template assembled without its constructor, the decorated
+// repeat-access template, one with no description (the generic rendering)
+// and a template type the explain package does not know (opaqueTemplate).
+func renderAuditor(t *testing.T, seed int64, named bool) *core.Auditor {
+	t.Helper()
+	cfg := ehr.Tiny()
+	cfg.Seed = seed
+	ds := ehr.Generate(cfg)
+	var opts []core.Option
+	if named {
+		opts = append(opts, core.WithNamer(ds))
+	}
+	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), opts...)
+	a.BuildGroups(core.GroupsOptions{})
+	a.AddTemplates(explain.Handcrafted(true, true).All()...)
+	appt := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
+	desc := "On [L.Date] (access [L.Lid]) [L.User|user] saw [L.Patient|patient]; " +
+		"[Appointments1.Doctor|caregiver] booked [Appointments1.Patient|patient] " +
+		"as [Appointments1.Doctor|user] on [Appointments1.Date], [Nope1.X] [tok] " +
+		"[L.User|nobody] [L.Patient|caregiver]."
+	a.AddTemplates(
+		explain.NewPathTemplate("fixture", appt.Path, desc),
+		&explain.PathTemplate{TemplateName: "fixture-literal", Path: appt.Path, Desc: desc},
+		explain.DecoratedRepeatAccess(),
+		explain.NewPathTemplate("fixture-generic", explain.GroupTemplate("g", "Appointments", "an appointment").Path, ""),
+		opaqueTemplate{explain.DeptTemplate("fixture-opaque", "Visits", "a visit")},
+	)
+	return a
+}
+
+// opaqueTemplate hides a template's type from explain.Compile, whose
+// programs then render through Template.Render.
+type opaqueTemplate struct{ explain.Template }
+
+// collectNDJSON concatenates a StreamNDJSON run's chunks, checking each is
+// whole lines, and returns the bytes and the explained count.
+func collectNDJSON(t *testing.T, a *core.Auditor, j int) ([]byte, int) {
+	t.Helper()
+	var out []byte
+	explained := 0
+	if err := a.StreamNDJSON(context.Background(), j, func(buf []byte, rows, x int) error {
+		checkChunk(t, buf, rows)
+		out = append(out, buf...)
+		explained += x
+		return nil
+	}); err != nil {
+		t.Fatalf("StreamNDJSON(j=%d): %v", j, err)
+	}
+	return out, explained
+}
+
+// encodeReports encodes a StreamReports run with the oracle encoder and
+// returns the bytes and the explained count.
+func encodeReports(t *testing.T, a *core.Auditor, j int) ([]byte, int) {
+	t.Helper()
+	var out []byte
+	explained := 0
+	if err := a.StreamReports(context.Background(), j, func(rep core.AccessReport) error {
+		out = core.AppendNDJSON(out, rep)
+		if rep.Explained() {
+			explained++
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("StreamReports(j=%d): %v", j, err)
+	}
+	return out, explained
+}
+
+// TestStreamNDJSONSinkMatchesStringSink pins the NDJSON sink to the string
+// sink: on Tiny seeds 1-3, under NullNamer and the dataset namer, over the
+// catalog and the fixture templates, StreamNDJSON at j=1 and j=4 and
+// AppendNDJSONRows over the whole log must equal the oracle encoding of
+// StreamReports byte for byte, with equal explained counts.
+func TestStreamNDJSONSinkMatchesStringSink(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, named := range []bool{false, true} {
+			a := renderAuditor(t, seed, named)
+			want, wantExplained := encodeReports(t, a, 1)
+			if wantExplained == 0 || wantExplained == a.Log().NumRows() {
+				t.Fatalf("seed %d named %v: %d of %d rows explained; the fixture exercises nothing", seed, named, wantExplained, a.Log().NumRows())
+			}
+			for _, j := range []int{1, 4} {
+				got, explained := collectNDJSON(t, a, j)
+				if !bytes.Equal(got, want) || explained != wantExplained {
+					t.Fatalf("seed %d named %v j=%d: StreamNDJSON (%d bytes, %d explained) differs from the encoded StreamReports (%d bytes, %d explained)",
+						seed, named, j, len(got), explained, len(want), wantExplained)
+				}
+			}
+			rows, err := a.AppendNDJSONRows([]byte("prefix"), 0, a.Log().NumRows())
+			if err != nil || !bytes.Equal(rows, append([]byte("prefix"), want...)) {
+				t.Fatalf("seed %d named %v: AppendNDJSONRows differs from the encoded StreamReports (err %v)", seed, named, err)
+			}
+		}
+	}
+	a := renderAuditor(t, 1, false)
+	n := a.Log().NumRows()
+	for _, r := range [][2]int{{-1, 1}, {2, 1}, {0, n + 1}} {
+		if _, err := a.AppendNDJSONRows(nil, r[0], r[1]); err == nil {
+			t.Errorf("AppendNDJSONRows(%d, %d) over %d rows succeeded", r[0], r[1], n)
+		}
+	}
+}
+
+// TestStreamNDJSONRendersReplacedTable: programs are compiled per call, so
+// an event table replaced with AddTable between two StreamNDJSON calls is
+// rendered from the new table — the second stream equals both the encoded
+// StreamReports and a fresh auditor's stream over the changed database, and
+// differs from the first.
+func TestStreamNDJSONRendersReplacedTable(t *testing.T) {
+	a := renderAuditor(t, 1, false)
+	before, _ := collectNDJSON(t, a, 2)
+	old := a.Database().MustTable("Appointments")
+	date := slices.Index(old.Columns(), "Date")
+	moved := relation.NewTable(old.Name(), old.Columns()...)
+	for r := range old.NumRows() {
+		row := slices.Clone(old.Row(r))
+		row[date] = relation.Date(int(row[date].Int) + 1)
+		moved.Append(row...)
+	}
+	a.AddTable(moved)
+	after, _ := collectNDJSON(t, a, 2)
+	if bytes.Equal(after, before) {
+		t.Fatal("moving every appointment a day changed no explanation; the test is vacuous")
+	}
+	if want, _ := encodeReports(t, a, 1); !bytes.Equal(after, want) {
+		t.Fatal("after AddTable, StreamNDJSON differs from the encoded StreamReports")
+	}
+	fresh := core.NewAuditor(a.Database(), a.Graph())
+	fresh.AddTemplates(a.Templates()...)
+	if want, _ := collectNDJSON(t, fresh, 2); !bytes.Equal(after, want) {
+		t.Fatal("after AddTable, StreamNDJSON differs from a fresh auditor's stream")
+	}
+}
+
+// TestStreamNDJSONAllocBudget pins the NDJSON sink's allocation budget
+// without a timing assertion: with warm masks and NullNamer, a whole-log
+// StreamNDJSON over Tiny seed 1 averages at most 4 allocations per row —
+// no report, explanation or text string is built per row, so what remains
+// is the call's fixed cost (programs, cursors, instance memo) and the
+// memo's misses.
+func TestStreamNDJSONAllocBudget(t *testing.T) {
+	ds := ehr.Generate(ehr.Tiny())
+	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()))
+	a.BuildGroups(core.GroupsOptions{})
+	a.AddTemplates(explain.Handcrafted(true, true).All()...)
+	ctx := context.Background()
+	if err := a.Refresh(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	rows := float64(a.Log().NumRows())
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := a.StreamNDJSON(ctx, 2, func([]byte, int, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := allocs / rows; perRow > 4 {
+		t.Errorf("StreamNDJSON allocates %.2f objects per row (%.0f per call over %.0f rows), want <= 4", perRow, allocs, rows)
+	}
+}
+
+// fuzzNamer names every identifier with a fuzzed string.
+type fuzzNamer struct{ name string }
+
+func (n fuzzNamer) PatientName(relation.Value) string     { return n.name }
+func (n fuzzNamer) UserName(v relation.Value) string      { return "Dr. " + n.name + v.String() }
+func (n fuzzNamer) CaregiverName(v relation.Value) string { return v.String() + n.name }
+
+// FuzzRenderNDJSON pins the NDJSON sink to encoding/json where escaping
+// meets rendering: a namer's outputs, a string column value (the accessing
+// user's id, which also lands in the report header, and an appointment's
+// note) and a description literal all carry arbitrary bytes. Under
+// NullNamer and the fuzzed namer, StreamNDJSON and AppendNDJSONRows must
+// equal json.Encoder over the string sink's reports. The seeds include a
+// literal ending in the first byte of U+2028 before a value holding the
+// rest: escaped piece by piece that is three replacement characters,
+// escaped whole it is the escaped U+2028.
+func FuzzRenderNDJSON(f *testing.F) {
+	var controls strings.Builder
+	for b := 0; b < 0x20; b++ {
+		controls.WriteByte(byte(b))
+	}
+	controls.WriteByte(0x7f)
+	for _, s := range []string{
+		"", "plain", "<", "&", `"`, `\`, "<b>&amp;\"q\"\\", "\u2028", "\u2029", "a\u2028b\u2029c",
+		controls.String(), "\xff", "a\xc3", "\xed\xa0\x80", "\xe2\x80", "caf\xc3\xa9 \xe6\x97\xa5",
+	} {
+		f.Add(s, "v", "lit ")
+		f.Add("n", s, "lit ")
+		f.Add("n", "v", s)
+		f.Add(s, s, s)
+	}
+	f.Add("n", "\x80\xa8b", "a\xe2")   // U+2028 split across a placeholder boundary
+	f.Add("\xe2", "\x80\xa9", "x\xe2") // ... and across namer outputs and values
+	f.Add("\x80\xa8", "\xe2", "\xe2\x80")
+	f.Add("\xe2", "\x80\xa8", "ok") // a valid literal; the namer's output and the next value join
+
+	f.Fuzz(func(t *testing.T, name, value, literal string) {
+		literal = strings.Map(func(r rune) rune {
+			if r == '[' || r == ']' {
+				return -1 // a literal, not a placeholder
+			}
+			return r
+		}, literal)
+		log := relation.NewTable("Log", "Lid", "Date", "User", "Patient")
+		log.Append(relation.Int(1), relation.Date(0), relation.String(value), relation.Int(1))
+		log.Append(relation.Int(2), relation.Date(1), relation.String(value), relation.Int(1))
+		log.Append(relation.Int(3), relation.Date(2), relation.Int(7), relation.Int(2))
+		appt := relation.NewTable("Appointments", "Patient", "Date", "Doctor", "Note")
+		appt.Append(relation.Int(1), relation.Date(0), relation.String(value), relation.String(value))
+		appt.Append(relation.Int(1), relation.Date(3), relation.String(value), relation.String(literal+value))
+		db := relation.NewDatabase()
+		db.AddTable(log)
+		db.AddTable(appt)
+		path := explain.SetBTemplate("base", "Appointments", "Doctor", "booked").Path
+		desc := literal + "[Appointments1.Note]" + literal + "[L.User|user]" + literal + "[L.Patient|patient]" +
+			"[Appointments1.Doctor|caregiver]" + literal + "[L.User]" + literal
+		for _, namer := range []explain.Namer{explain.NullNamer{}, fuzzNamer{name}} {
+			a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(namer))
+			a.AddTemplates(
+				explain.NewPathTemplate("t"+literal, path, desc),
+				explain.RepeatAccess{},
+				explain.NewPathTemplate("generic", path, ""),
+			)
+			var want []byte
+			explained := 0
+			if err := a.StreamReports(context.Background(), 1, func(rep core.AccessReport) error {
+				want = append(want, refNDJSON(t, rep)...)
+				if rep.Explained() {
+					explained++
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if explained != 2 {
+				t.Fatalf("%T: %d rows explained, want 2", namer, explained)
+			}
+			if got, _ := collectNDJSON(t, a, 2); !bytes.Equal(got, want) {
+				t.Fatalf("%T: StreamNDJSON differs from encoding/json over the reports\n got %q\nwant %q", namer, got, want)
+			}
+			if got, err := a.AppendNDJSONRows(nil, 0, log.NumRows()); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%T: AppendNDJSONRows differs from encoding/json over the reports (err %v)\n got %q\nwant %q", namer, err, got, want)
+			}
+		}
+	})
 }

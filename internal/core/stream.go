@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/parallel"
 	"repro/internal/query"
 )
@@ -17,18 +16,19 @@ import (
 const streamWindowPerWorker = 4
 
 // streamChunks is the scaffolding behind every streaming batch method: it
-// brings the template masks up to date, fans produce out over
-// batchChunk-row shards of the audited log — each call sees a disjoint
-// [lo, hi) row range and its worker's own evaluator cursor, to render rows
-// with explainRowWith — and hands each chunk's value to emit in log order
-// with bounded buffering. The cursors share one query.InstanceMemo made for
-// this call, so a path template walks each (patient, user) pair once per
-// call however many rows repeat it; the texts are still rendered per row,
-// from that row's own values. Returns the mask or emit error, or ctx.Err() if
+// brings the template masks up to date and compiles the templates for this
+// call (see pass), fans produce out over batchChunk-row shards of the
+// audited log — each call sees a disjoint [lo, hi) row range and its
+// worker's own evaluator cursor, to render rows with explainRowWith or
+// appendRowNDJSON — and hands each chunk's value to emit in log order with
+// bounded buffering. The cursors share one query.InstanceMemo made for this
+// call, so a path template walks each (patient, user) pair once per call
+// however many rows repeat it; the texts are still rendered per row, from
+// that row's own values. Returns the mask or emit error, or ctx.Err() if
 // the run was cancelled (workers and the emitter poll the context between
 // chunks, so cancellation takes effect promptly mid-log).
-func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produce func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) T, emit func(T) error) error {
-	masks, err := a.ensureMasks(ctx, parallelism)
+func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produce func(ev *query.Evaluator, ps *pass, lo, hi int) T, emit func(T) error) error {
+	ps, err := a.prepare(ctx, parallelism)
 	if err != nil {
 		return err
 	}
@@ -40,7 +40,7 @@ func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produ
 	}
 	err = parallel.OrderedChunks(workers, a.ev.Log().NumRows(), batchChunk, workers*streamWindowPerWorker,
 		func() bool { return ctx.Err() != nil },
-		func(w, lo, hi int) T { return produce(cursors[w], masks, lo, hi) },
+		func(w, lo, hi int) T { return produce(cursors[w], ps, lo, hi) },
 		emit)
 	if err != nil {
 		return err
@@ -66,10 +66,10 @@ func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produ
 // the templates not already cached) and shared by every worker.
 func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(AccessReport) error) error {
 	return streamChunks(ctx, a, parallelism,
-		func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) []AccessReport {
+		func(ev *query.Evaluator, ps *pass, lo, hi int) []AccessReport {
 			chunk := make([]AccessReport, 0, hi-lo)
 			for r := lo; r < hi; r++ {
-				chunk = append(chunk, a.explainRowWith(ev, masks, r, 0))
+				chunk = append(chunk, a.explainRowWith(ev, ps, r, 0))
 			}
 			return chunk
 		},
@@ -103,11 +103,13 @@ type ndjsonChunk struct {
 }
 
 // StreamNDJSON is StreamReports encoded: the same reports, in the same
-// order, as AppendNDJSON lines. Each worker renders its chunk of rows and
-// encodes them into one recycled buffer, so encoding runs in parallel with
-// rendering, and emit receives whole chunks — buf holds rows complete
-// lines, explained of which are explained accesses. The concatenated bufs
-// are byte-identical to AppendNDJSON over the StreamReports sequence.
+// order, as NDJSON lines. Each worker appends its chunk of rows straight
+// into one recycled buffer through the templates' NDJSON sink
+// (appendRowNDJSON) — no report, explanation or text string is built — so
+// encoding runs in parallel with rendering, and emit receives whole chunks:
+// buf holds rows complete lines, explained of which are explained accesses.
+// The concatenated bufs are byte-identical to encoding the StreamReports
+// sequence with encoding/json.
 //
 // emit runs on the calling goroutine, never concurrently with itself, and
 // must not retain buf after it returns: the buffer goes back to the workers.
@@ -115,15 +117,14 @@ type ndjsonChunk struct {
 // prefix of whole chunks.
 func (a *Auditor) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
 	return streamChunks(ctx, a, parallelism,
-		func(ev *query.Evaluator, masks []*bitset.Bits, lo, hi int) ndjsonChunk {
+		func(ev *query.Evaluator, ps *pass, lo, hi int) ndjsonChunk {
 			bp := ndjsonBufs.Get().(*[]byte)
 			buf, explained := (*bp)[:0], 0
 			for r := lo; r < hi; r++ {
-				rep := a.explainRowWith(ev, masks, r, 0)
-				if rep.Explained() {
+				var ok bool
+				if buf, ok = a.appendRowNDJSON(buf, ev, ps, r); ok {
 					explained++
 				}
-				buf = AppendNDJSON(buf, rep)
 			}
 			*bp = buf
 			return ndjsonChunk{buf: bp, rows: hi - lo, explained: explained}

@@ -17,12 +17,13 @@ type DecoratedTemplate struct {
 	Decorated    pathmodel.DecoratedPath
 	Desc         string
 
-	desc []descSeg // Desc parsed against Decorated.Base by NewDecoratedTemplate
+	form *textForm // Desc prepared against Decorated.Base by NewDecoratedTemplate
 }
 
 // NewDecoratedTemplate wraps a decorated path as a template.
 func NewDecoratedTemplate(name string, dp pathmodel.DecoratedPath, desc string) *DecoratedTemplate {
-	return &DecoratedTemplate{TemplateName: name, Decorated: dp, Desc: desc, desc: parseDesc(desc, dp.Base)}
+	return &DecoratedTemplate{TemplateName: name, Decorated: dp, Desc: desc,
+		form: newTextForm(name, dp.Length(), desc, dp.Base.Instances())}
 }
 
 // Name implements Template.
@@ -48,8 +49,7 @@ func (t *DecoratedTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []boo
 
 // Render implements Template.
 func (t *DecoratedTemplate) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	return renderBindings(t.desc, t.Desc, t.Decorated.Base, ev, logRow,
-		ev.InstancesDecorated(t.Decorated, logRow, limit), n)
+	return renderOnce(t, ev, logRow, limit, n)
 }
 
 // DecoratedRepeatAccess builds the paper's decorated repeat-access template

@@ -1,6 +1,8 @@
 package explain
 
 import (
+	"fmt"
+
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -53,10 +55,11 @@ func RepeatAccessReference(ev *query.Evaluator, lo, hi int) []bool {
 	return out
 }
 
-// renderBindingsReference is renderBindings as it was before placeholders
-// were resolved once per call, kept verbatim as the differential oracle:
-// every placeholder of every binding looks its table up by name and reads
-// its value by column name, and every role goes through the Namer.
+// renderBindingsReference is the per-row renderer as it was before
+// placeholders were resolved once per call, kept verbatim as the
+// differential oracle of a Program's two sinks: every placeholder of every
+// binding looks its table up by name and reads its value by column name,
+// and every role goes through the Namer.
 func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *query.Evaluator, logRow int, bindings []query.InstanceBinding, n Namer) []string {
 	out := make([]string, 0, len(bindings))
 	if desc == "" {
@@ -66,7 +69,7 @@ func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *
 		return out
 	}
 	if segs == nil {
-		segs = parseDesc(desc, p)
+		segs = parseDesc(desc, p.Instances())
 	}
 	var buf [256]byte
 	text := buf[:0]
@@ -100,16 +103,48 @@ func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *
 	return out
 }
 
+// repeatAccessRenderReference is RepeatAccess.Render as it was before the
+// template compiled to a program, kept verbatim as the differential oracle:
+// every call looks the history, its columns and its patient index up by
+// name, and fmt.Sprintf builds the text.
+func repeatAccessRenderReference(ev *query.Evaluator, logRow int, n Namer) []string {
+	audited := ev.Log()
+	if logRow < 0 || logRow >= audited.NumRows() {
+		return nil
+	}
+	ac := logCols(audited)
+	row := audited.Row(logRow)
+	u, p := row[ac.user], row[ac.patient]
+	history := ev.Database().MustTable(pathmodel.LogTable)
+	postings := history.Index(pathmodel.LogPatientColumn)[p]
+	if !earlierAccess(history, logCols(history), postings, u, row[ac.date].AsInt(), row[ac.lid].AsInt()) {
+		return nil
+	}
+	return []string{fmt.Sprintf("%s previously accessed %s's record.",
+		n.UserName(u), n.PatientName(p))}
+}
+
+// formSegs returns a prepared form's segments, nil for a template assembled
+// without its constructor.
+func formSegs(f *textForm) []descSeg {
+	if f == nil {
+		return nil
+	}
+	return f.segs
+}
+
 // RenderReference renders t's explanation instances for logRow the way
-// renderBindingsReference did. ok is false for templates that do not render
-// through a description (RepeatAccess).
+// renderBindingsReference and repeatAccessRenderReference did. ok is false
+// for template types with no reference renderer.
 func RenderReference(t Template, ev *query.Evaluator, logRow, limit int, n Namer) (texts []string, ok bool) {
 	switch tpl := t.(type) {
 	case *PathTemplate:
-		return renderBindingsReference(tpl.desc, tpl.Desc, tpl.Path, ev, logRow, ev.Instances(tpl.Path, logRow, limit), n), true
+		return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Path, ev, logRow, ev.Instances(tpl.Path, logRow, limit), n), true
 	case *DecoratedTemplate:
-		return renderBindingsReference(tpl.desc, tpl.Desc, tpl.Decorated.Base, ev, logRow,
+		return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Decorated.Base, ev, logRow,
 			ev.InstancesDecorated(tpl.Decorated, logRow, limit), n), true
+	case RepeatAccess:
+		return repeatAccessRenderReference(ev, logRow, n), true
 	}
 	return nil, false
 }

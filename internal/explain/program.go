@@ -1,0 +1,298 @@
+package explain
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/pathmodel"
+	"repro/internal/query"
+	"repro/internal/relation"
+)
+
+// Program is one template compiled for one call: its description's
+// placeholders resolved to table pointers, column positions and name roles,
+// and its binding source (path walk, decorated walk or repeat-access probe)
+// bound to the call's evaluator. It renders through two sinks: Render, the
+// string sink behind Template.Render and the report API, and AppendNDJSON,
+// which escapes a text into the NDJSON wire form piece by piece as it is
+// assembled, with the literals escaped once when the template was built.
+//
+// Programs are call-local. They hold the tables the database had when
+// Compile ran, so a call compiles its own set and drops it on return; the
+// call's workers share the set read-only, each rendering on its own cursor
+// over the same database and audited log.
+type Program struct {
+	t    Template
+	src  bindingSource
+	form *textForm
+	n    Namer
+
+	slots  []slot
+	path   pathmodel.Path           // srcPath, and a generic text's hops
+	dec    *pathmodel.DecoratedPath // srcDecorated
+	repeat repeatProbe              // srcRepeat
+}
+
+// bindingSource is where a program's instance bindings come from.
+type bindingSource uint8
+
+const (
+	srcOpaque    bindingSource = iota // a template type this package does not know: Template.Render
+	srcPath                           // Evaluator.Instances
+	srcDecorated                      // Evaluator.InstancesDecorated
+	srcRepeat                         // the repeat-access probe: one binding of no rows
+)
+
+// slotRole is how a resolved placeholder renders its value.
+type slotRole uint8
+
+const (
+	roleRaw       slotRole = iota // the value's display form
+	roleLabeled                   // NullNamer's label, then the display form
+	rolePatient                   // Namer.PatientName
+	roleUser                      // Namer.UserName
+	roleCaregiver                 // Namer.CaregiverName
+)
+
+// slot is one description segment resolved for a call: a literal, or a
+// placeholder with its table (nil for the audited row) and column position
+// looked up.
+type slot struct {
+	seg   *descSeg
+	tbl   *relation.Table
+	col   int
+	role  slotRole
+	label string
+}
+
+// Compile compiles ts for one call over ev's database and audited log,
+// naming identifiers through n; progs[i] renders ts[i]. A placeholder
+// naming a column its table lacks is a programming error and panics.
+func Compile(ev *query.Evaluator, n Namer, ts []Template) []Program {
+	progs := make([]Program, len(ts))
+	slots := make([]slot, 0, 8*len(ts)) // a catalog description has 7-8 segments
+	for i, t := range ts {
+		slots = progs[i].compile(t, ev, n, slots)
+	}
+	return progs
+}
+
+// renderOnce is Template.Render for the template types this package knows:
+// the string sink of a program compiled for the one call.
+func renderOnce(t Template, ev *query.Evaluator, logRow, limit int, n Namer) []string {
+	var p Program
+	p.compile(t, ev, n, nil)
+	return p.Render(ev, logRow, limit)
+}
+
+// compile fills p for template t, appending its resolved slots to slots
+// (which several programs may share as one backing array) and returning
+// the extended slice.
+func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot) []slot {
+	*p = Program{t: t, n: n}
+	var insts []pathmodel.Instance
+	switch tpl := t.(type) {
+	case *PathTemplate:
+		p.src, p.path, p.form = srcPath, tpl.Path, tpl.form
+		insts = tpl.Path.Instances()
+		if p.form == nil { // assembled without NewPathTemplate
+			p.form = newTextForm(tpl.TemplateName, tpl.Length(), tpl.Desc, insts)
+		}
+	case *DecoratedTemplate:
+		p.src, p.dec, p.path, p.form = srcDecorated, &tpl.Decorated, tpl.Decorated.Base, tpl.form
+		insts = tpl.Decorated.Base.Instances()
+		if p.form == nil {
+			p.form = newTextForm(tpl.TemplateName, tpl.Length(), tpl.Desc, insts)
+		}
+	case RepeatAccess:
+		p.src, p.form, p.repeat = srcRepeat, repeatForm, newRepeatProbe(ev)
+	default:
+		p.form = newTextForm(t.Name(), t.Length(), "", nil)
+		return slots
+	}
+	_, null := n.(NullNamer)
+	start := len(slots)
+	slots = slices.Grow(slots, len(p.form.segs))
+	for i := range p.form.segs {
+		s := &p.form.segs[i]
+		if s.lit != "" {
+			slots = append(slots, slot{seg: s})
+			continue
+		}
+		var tbl *relation.Table // nil: the audited row
+		src := ev.Log()
+		if s.inst > 0 {
+			tbl = ev.Database().MustTable(insts[s.inst].Table)
+			src = tbl
+		}
+		col, ok := src.ColumnIndex(s.col)
+		if !ok {
+			panic(fmt.Sprintf("explain: placeholder column %q is not in table %q", s.col, src.Name()))
+		}
+		sl := slot{seg: s, tbl: tbl, col: col}
+		switch s.role {
+		case "patient":
+			sl.role, sl.label = rolePatient, patientLabel
+		case "user":
+			sl.role, sl.label = roleUser, userLabel
+		case "caregiver":
+			sl.role, sl.label = roleCaregiver, caregiverLabel
+		}
+		if null && sl.label != "" {
+			sl.role = roleLabeled
+		}
+		slots = append(slots, sl)
+	}
+	p.slots = slots[start:len(slots):len(slots)]
+	return slots
+}
+
+// repeatHit is the repeat-access probe's one binding: the text reads only
+// the audited row.
+var repeatHit = []query.InstanceBinding{{}}
+
+// bindings returns up to limit instance bindings of logRow.
+func (p *Program) bindings(ev *query.Evaluator, logRow, limit int) []query.InstanceBinding {
+	switch p.src {
+	case srcPath:
+		return ev.Instances(p.path, logRow, limit)
+	case srcDecorated:
+		return ev.InstancesDecorated(*p.dec, logRow, limit)
+	case srcRepeat:
+		if logRow >= 0 && logRow < p.repeat.audited.NumRows() && p.repeat.explains(logRow) {
+			return repeatHit
+		}
+	}
+	return nil
+}
+
+// Render is the string sink: up to limit texts for logRow, exactly what
+// Template.Render returns — nil when a repeat-access program does not
+// explain the row, an empty slice when a path program finds no binding.
+func (p *Program) Render(ev *query.Evaluator, logRow, limit int) []string {
+	if p.src == srcOpaque {
+		return p.t.Render(ev, logRow, limit, p.n)
+	}
+	bs := p.bindings(ev, logRow, limit)
+	if bs == nil && p.src == srcRepeat {
+		return nil
+	}
+	out := make([]string, 0, len(bs))
+	var buf [256]byte
+	for _, b := range bs {
+		if p.form.generic {
+			out = append(out, renderGeneric(p.path, ev, logRow, b, p.n))
+			continue
+		}
+		text, _ := p.appendText(buf[:0], ev, logRow, b, false)
+		out = append(out, string(text))
+	}
+	return out
+}
+
+// AppendNDJSON is the NDJSON sink: it appends logRow's explanation objects
+// — {"template":…,"length":…,"text":…}, comma-separated, with a leading
+// comma when sep — to dst and returns the extended slice and how many it
+// wrote. The bytes are those of encoding the string sink's texts with
+// AppendJSONString. A description text is escaped into dst piece by piece:
+// pre-escaped literals are copied, integer, date and NULL values and
+// NullNamer labels are appended with no scan, and only string values and
+// Namer outputs are escaped. If a piece is not valid UTF-8 the text is
+// rendered through the string sink and escaped whole instead, since an
+// invalid tail byte can combine with the next piece into a different
+// character. Generic and unknown templates always take that path.
+func (p *Program) AppendNDJSON(dst []byte, ev *query.Evaluator, logRow, limit int, sep bool) ([]byte, int) {
+	if p.src == srcOpaque || p.form.generic {
+		texts := p.Render(ev, logRow, limit)
+		for _, text := range texts {
+			dst = p.openObject(dst, sep)
+			dst, _ = appendEscaped(dst, text)
+			dst = append(dst, `"}`...)
+			sep = true
+		}
+		return dst, len(texts)
+	}
+	bs := p.bindings(ev, logRow, limit)
+	for _, b := range bs {
+		dst = p.openObject(dst, sep)
+		mark, exact := len(dst), false
+		if p.form.valid {
+			dst, exact = p.appendText(dst, ev, logRow, b, true)
+		}
+		if !exact {
+			text, _ := p.appendText(nil, ev, logRow, b, false)
+			dst, _ = appendEscaped(dst[:mark], string(text))
+		}
+		dst = append(dst, `"}`...)
+		sep = true
+	}
+	return dst, len(bs)
+}
+
+// openObject appends a separating comma when sep and the object prefix up
+// to the opening quote of the text.
+func (p *Program) openObject(dst []byte, sep bool) []byte {
+	if sep {
+		dst = append(dst, ',')
+	}
+	return append(dst, p.form.prefix...)
+}
+
+// appendText appends binding b's description text: raw, or escaped as the
+// body of a JSON string when esc. exact is false when esc met a piece that
+// is not valid UTF-8, after which dst holds a partial text.
+func (p *Program) appendText(dst []byte, ev *query.Evaluator, logRow int, b query.InstanceBinding, esc bool) (out []byte, exact bool) {
+	audited := ev.Log().Row(logRow)
+	exact = true
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.seg.lit != "" {
+			if esc {
+				dst = append(dst, s.seg.esc...)
+			} else {
+				dst = append(dst, s.seg.lit...)
+			}
+			continue
+		}
+		var v relation.Value
+		if s.tbl == nil {
+			v = audited[s.col]
+		} else {
+			v = s.tbl.Row(b.Rows[s.seg.inst-1])[s.col]
+		}
+		switch s.role {
+		case roleRaw:
+			dst, exact = appendValue(dst, v, esc)
+		case roleLabeled:
+			dst, exact = appendValue(append(dst, s.label...), v, esc)
+		case rolePatient:
+			dst, exact = appendPiece(dst, p.n.PatientName(v), esc)
+		case roleUser:
+			dst, exact = appendPiece(dst, p.n.UserName(v), esc)
+		case roleCaregiver:
+			dst, exact = appendPiece(dst, p.n.CaregiverName(v), esc)
+		}
+		if !exact {
+			return dst, false
+		}
+	}
+	return dst, true
+}
+
+// appendPiece appends s raw, or escaped when esc; ok is false when esc met
+// invalid UTF-8.
+func appendPiece(dst []byte, s string, esc bool) (out []byte, ok bool) {
+	if esc {
+		return appendEscaped(dst, s)
+	}
+	return append(dst, s...), true
+}
+
+// appendValue appends v's display form raw, or escaped when esc. Only
+// string values can need escaping.
+func appendValue(dst []byte, v relation.Value, esc bool) (out []byte, ok bool) {
+	if esc {
+		return appendValueEscaped(dst, v)
+	}
+	return v.AppendString(dst), true
+}

@@ -1,8 +1,6 @@
 package explain
 
 import (
-	"fmt"
-
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -68,47 +66,58 @@ func earlierAccess(history *relation.Table, hc logColumns, postings []int, u rel
 	return false
 }
 
-// EvaluateRange implements Template. Each audited row in [lo, hi) probes the
-// history's per-patient posting list — Index(Patient), built once per Log
-// version and shared by every cursor, shard and PatientReport reading the
-// same table — so a call costs O(rows × accesses per patient) and builds
-// nothing of its own: a template sharded into k ranges pays no per-range
-// history scan.
-func (RepeatAccess) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
+// repeatProbe is the repeat-access question resolved against one
+// evaluator: the audited log and the history Log, their column positions,
+// and the history's per-patient posting list — Index(Patient), built once
+// per Log version and shared by every cursor, shard and PatientReport
+// reading the same table. Mask evaluation and rendering ask it the same
+// question, so a text exists exactly when the mask bit is set.
+type repeatProbe struct {
+	audited, history *relation.Table
+	ac, hc           logColumns
+	byPatient        map[relation.Value][]int
+}
+
+func newRepeatProbe(ev *query.Evaluator) repeatProbe {
 	history := ev.Database().MustTable(pathmodel.LogTable)
-	audited := ev.Log()
-	if lo < 0 || hi < lo || hi > audited.NumRows() {
+	return repeatProbe{
+		audited: ev.Log(), history: history,
+		ac: logCols(ev.Log()), hc: logCols(history),
+		byPatient: history.Index(pathmodel.LogPatientColumn),
+	}
+}
+
+// explains reports whether the history holds a strictly earlier access by
+// the audited row's (user, patient) pair: one probe of the patient's
+// posting list, O(accesses to that patient).
+func (rp *repeatProbe) explains(r int) bool {
+	row := rp.audited.Row(r)
+	return earlierAccess(rp.history, rp.hc, rp.byPatient[row[rp.ac.patient]], row[rp.ac.user],
+		row[rp.ac.date].AsInt(), row[rp.ac.lid].AsInt())
+}
+
+// EvaluateRange implements Template. Each audited row in [lo, hi) probes
+// the history's per-patient posting list (see repeatProbe), so a call costs
+// O(rows × accesses per patient) and builds nothing of its own: a template
+// sharded into k ranges pays no per-range history scan.
+func (RepeatAccess) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
+	if lo < 0 || hi < lo || hi > ev.Log().NumRows() {
 		panic("explain: RepeatAccess range out of bounds")
 	}
 	out := make([]bool, hi-lo)
-	byPatient := history.Index(pathmodel.LogPatientColumn)
-	hc, ac := logCols(history), logCols(audited)
+	rp := newRepeatProbe(ev)
 	for r := lo; r < hi; r++ {
-		row := audited.Row(r)
-		out[r-lo] = earlierAccess(history, hc, byPatient[row[ac.patient]], row[ac.user],
-			row[ac.date].AsInt(), row[ac.lid].AsInt())
+		out[r-lo] = rp.explains(r)
 	}
 	return out
 }
 
-// Render implements Template. It decides a single row with the same probe
-// as EvaluateRange — the patient's posting list in the history Log, searched
-// for a strictly earlier access by the same user — so rendering one access
-// costs O(accesses to that patient) rather than a full log scan, and the
-// text exists exactly when the mask bit is set.
-func (RepeatAccess) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	audited := ev.Log()
-	if logRow < 0 || logRow >= audited.NumRows() {
-		return nil
-	}
-	ac := logCols(audited)
-	row := audited.Row(logRow)
-	u, p := row[ac.user], row[ac.patient]
-	history := ev.Database().MustTable(pathmodel.LogTable)
-	postings := history.Index(pathmodel.LogPatientColumn)[p]
-	if !earlierAccess(history, logCols(history), postings, u, row[ac.date].AsInt(), row[ac.lid].AsInt()) {
-		return nil
-	}
-	return []string{fmt.Sprintf("%s previously accessed %s's record.",
-		n.UserName(u), n.PatientName(p))}
+// repeatForm is RepeatAccess's description over the audited row.
+var repeatForm = newTextForm(RepeatAccess{}.Name(), RepeatAccess{}.Length(),
+	"[L.User|user] previously accessed [L.Patient|patient]'s record.", nil)
+
+// Render implements Template: one text when the repeat probe explains the
+// row, nil otherwise.
+func (t RepeatAccess) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
+	return renderOnce(t, ev, logRow, limit, n)
 }

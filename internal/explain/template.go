@@ -9,6 +9,7 @@ package explain
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/pathmodel"
@@ -93,7 +94,7 @@ type PathTemplate struct {
 	Path         pathmodel.Path
 	Desc         string
 
-	desc []descSeg // Desc parsed against Path by NewPathTemplate
+	form *textForm // Desc prepared against Path by NewPathTemplate
 }
 
 // NewPathTemplate wraps a closed path as a template. Backward paths are
@@ -105,7 +106,7 @@ func NewPathTemplate(name string, p pathmodel.Path, desc string) *PathTemplate {
 	if !p.Forward() {
 		p = p.Reverse()
 	}
-	return &PathTemplate{TemplateName: name, Path: p, Desc: desc, desc: parseDesc(desc, p)}
+	return &PathTemplate{TemplateName: name, Path: p, Desc: desc, form: newTextForm(name, p.Length(), desc, p.Instances())}
 }
 
 // Name implements Template.
@@ -131,32 +132,65 @@ func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
 
 // Render implements Template.
 func (t *PathTemplate) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	return renderBindings(t.desc, t.Desc, t.Path, ev, logRow, ev.Instances(t.Path, logRow, limit), n)
+	return renderOnce(t, ev, logRow, limit, n)
 }
 
-// descSeg is one piece of a parsed description: literal text, or an
-// [Alias.Column|role] placeholder resolved to the path instance the alias
-// names (0 is the audited log row).
+// descSeg is one piece of a parsed description: literal text, raw and
+// escaped as the body of a JSON string, or an [Alias.Column|role]
+// placeholder resolved to the path instance the alias names (0 is the
+// audited log row).
 type descSeg struct {
-	lit  string // literal text; empty for a placeholder
-	inst int
-	col  string
-	role string
+	lit, esc string // literal text; empty for a placeholder
+	inst     int
+	col      string
+	role     string
 }
 
-// parseDesc splits desc into literal and placeholder segments against p's
-// instance aliases ("L" for the audited row, then each table name numbered
-// per occurrence: Appointments1, Groups2). A "|role" suffix selects name
-// resolution: [L.Patient|patient], [L.User|user],
+// textForm is a template's description prepared once, when the template is
+// built: the parsed segments with every literal kept raw for the string
+// sink and pre-escaped for the NDJSON sink, and the NDJSON object prefix
+// {"template":<name>,"length":L,"text":" that opens each explanation.
+type textForm struct {
+	segs    []descSeg
+	generic bool // no description: texts list the bound tuples (renderGeneric)
+	// valid reports that every literal is valid UTF-8, so a text's pieces
+	// may be escaped one by one (see appendEscaped).
+	valid  bool
+	prefix string
+}
+
+// newTextForm prepares desc for a template of the given name and length
+// whose path has instances insts.
+func newTextForm(name string, length int, desc string, insts []pathmodel.Instance) *textForm {
+	prefix := AppendJSONString([]byte(`{"template":`), name)
+	prefix = append(strconv.AppendInt(append(prefix, `,"length":`...), int64(length), 10), `,"text":"`...)
+	f := &textForm{generic: desc == "", valid: true, prefix: string(prefix)}
+	if f.generic {
+		return f
+	}
+	f.segs = parseDesc(desc, insts)
+	for i := range f.segs {
+		if s := &f.segs[i]; s.lit != "" {
+			esc, ok := appendEscaped(nil, s.lit)
+			s.esc, f.valid = string(esc), f.valid && ok
+		}
+	}
+	return f
+}
+
+// parseDesc splits desc into literal and placeholder segments against the
+// path instances' aliases ("L" for the audited row insts[0], then each
+// table name numbered per occurrence: Appointments1, Groups2). A "|role"
+// suffix selects name resolution: [L.Patient|patient], [L.User|user],
 // [Appointments1.Doctor|caregiver]; without one the raw value is rendered.
 // Tokens that name nothing stay in the text: "[tok]" for one without a dot,
 // "[tok?]" for an unknown alias; an unterminated bracket passes through.
-func parseDesc(desc string, p pathmodel.Path) []descSeg {
+func parseDesc(desc string, insts []pathmodel.Instance) []descSeg {
 	alias := map[string]int{"L": 0}
 	seen := make(map[string]int)
-	for i, in := range p.Instances()[1:] {
-		seen[in.Table]++
-		alias[fmt.Sprintf("%s%d", in.Table, seen[in.Table])] = i + 1
+	for i := 1; i < len(insts); i++ {
+		seen[insts[i].Table]++
+		alias[fmt.Sprintf("%s%d", insts[i].Table, seen[insts[i].Table])] = i
 	}
 	var segs []descSeg
 	lit := func(s string) {
@@ -193,127 +227,6 @@ func parseDesc(desc string, p pathmodel.Path) []descSeg {
 			segs = append(segs, descSeg{inst: inst, col: col, role: role})
 		}
 	}
-}
-
-// renderBindings renders one text per binding of the log row: through the
-// parsed description segs when the template has one (parsed here when the
-// template was not built by its constructor), generically otherwise. Each
-// placeholder's table and column position are resolved once per call (see
-// resolveSlots), and the texts are assembled in one buffer reused across
-// the row's bindings.
-func renderBindings(segs []descSeg, desc string, p pathmodel.Path, ev *query.Evaluator, logRow int, bindings []query.InstanceBinding, n Namer) []string {
-	out := make([]string, 0, len(bindings))
-	if desc == "" {
-		for _, b := range bindings {
-			out = append(out, renderGeneric(p, ev, logRow, b, n))
-		}
-		return out
-	}
-	if len(bindings) == 0 {
-		return out
-	}
-	if segs == nil {
-		segs = parseDesc(desc, p)
-	}
-	var slotBuf [16]slot
-	slots := resolveSlots(slotBuf[:0], segs, p, ev, n)
-	audited := ev.Log().Row(logRow)
-	var buf [256]byte
-	text := buf[:0]
-	for _, b := range bindings {
-		text = text[:0]
-		for i := range slots {
-			s := &slots[i]
-			if s.lit != "" {
-				text = append(text, s.lit...)
-				continue
-			}
-			var v relation.Value
-			if s.tbl == nil {
-				v = audited[s.col]
-			} else {
-				v = s.tbl.Row(b.Rows[s.inst-1])[s.col]
-			}
-			switch s.role {
-			case roleRaw:
-				text = v.AppendString(text)
-			case roleLabeled:
-				text = v.AppendString(append(text, s.label...))
-			case rolePatient:
-				text = append(text, n.PatientName(v)...)
-			case roleUser:
-				text = append(text, n.UserName(v)...)
-			case roleCaregiver:
-				text = append(text, n.CaregiverName(v)...)
-			}
-		}
-		out = append(out, string(text))
-	}
-	return out
-}
-
-// slotRole is how a resolved placeholder renders its value.
-type slotRole uint8
-
-const (
-	roleRaw       slotRole = iota // the value's display form
-	roleLabeled                   // NullNamer's label, then the display form
-	rolePatient                   // Namer.PatientName
-	roleUser                      // Namer.UserName
-	roleCaregiver                 // Namer.CaregiverName
-)
-
-// slot is one description segment resolved for a render call: literal
-// text, or a placeholder with its table (nil for the audited row, whose
-// value is the same for every binding) and column position looked up.
-type slot struct {
-	lit   string
-	inst  int
-	tbl   *relation.Table
-	col   int
-	role  slotRole
-	label string
-}
-
-// resolveSlots appends segs resolved against the path's instances to dst:
-// each placeholder's table and column position, and how its role renders
-// under n. A NullNamer role becomes its label, appended straight into the
-// text with no intermediate string; other Namers are called per value. A
-// placeholder naming a column its table lacks is a programming error and
-// panics, as reading it would.
-func resolveSlots(dst []slot, segs []descSeg, p pathmodel.Path, ev *query.Evaluator, n Namer) []slot {
-	_, null := n.(NullNamer)
-	insts := p.Instances()
-	for _, s := range segs {
-		if s.lit != "" {
-			dst = append(dst, slot{lit: s.lit})
-			continue
-		}
-		var tbl *relation.Table // nil: the audited row
-		src := ev.Log()
-		if s.inst > 0 {
-			tbl = ev.Database().MustTable(insts[s.inst].Table)
-			src = tbl
-		}
-		col, ok := src.ColumnIndex(s.col)
-		if !ok {
-			panic(fmt.Sprintf("explain: placeholder column %q is not in table %q", s.col, src.Name()))
-		}
-		sl := slot{inst: s.inst, tbl: tbl, col: col}
-		switch s.role {
-		case "patient":
-			sl.role, sl.label = rolePatient, patientLabel
-		case "user":
-			sl.role, sl.label = roleUser, userLabel
-		case "caregiver":
-			sl.role, sl.label = roleCaregiver, caregiverLabel
-		}
-		if null && sl.label != "" {
-			sl.role = roleLabeled
-		}
-		dst = append(dst, sl)
-	}
-	return dst
 }
 
 // renderGeneric produces a readable fallback description by listing the

@@ -591,8 +591,8 @@ type ndjsonChunk struct {
 	rows, explained int
 }
 
-// StreamNDJSON is StreamReports encoded: the merged stream as
-// core.AppendNDJSON lines, handed to emit a chunk at a time (buf holds rows
+// StreamNDJSON is StreamReports encoded: the merged stream as NDJSON
+// lines, handed to emit a chunk at a time (buf holds rows
 // complete lines, explained of which are explained accesses), byte-identical
 // to core.Auditor.StreamNDJSON over the merged log.
 //
