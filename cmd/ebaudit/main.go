@@ -611,8 +611,8 @@ func federateApp(dbs []*relation.Database, names []string, parallelism int, stde
 	return &app{eng: fed, hier: fed.Hierarchy(), parallelism: parallelism}, nil
 }
 
-// federation partitions the single-engine app's log across k shard engines
-// for `audit -shards K`, reusing the app's Groups table, namer, and
+// federation partitions the single-engine app's log into k row ranges of
+// one federated engine for `audit -shards K`, reusing the app's Groups table, namer, and
 // registered templates so the federated output is identical to the single
 // engine's.
 func (a *app) federation(k int) (*federate.Federation, error) {
@@ -716,7 +716,7 @@ func (a *app) audit(args []string) error {
 	n := fs.Int("n", 10, "maximum unexplained rows to show")
 	verbose := fs.Bool("v", false, "also report engine internals (plan-cache and mask-cache counters)")
 	stream := fs.Bool("stream", false, "emit every report as NDJSON on stdout (log order, bounded memory)")
-	shards := fs.Int("shards", 0, "partition the log across K federated shard engines")
+	shards := fs.Int("shards", 0, "partition the log into K fault-isolated row ranges of one federated engine")
 	follow := fs.Bool("follow", false, "after auditing the current log, poll -data for appended rows and emit only their NDJSON reports (incremental mask refresh)")
 	poll := fs.Duration("poll", 2*time.Second, "follow mode: interval between -data polls")
 	followRows := fs.Int("follow-rows", 0, "follow mode: exit once this many rows have been audited (0 = run until interrupted)")
@@ -910,9 +910,10 @@ func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, ve
 
 // printStats reports the query-engine internals: plan-cache hit/miss
 // counters, the template-mask cache's hit/recompute/extension outcomes and
-// the stream's instance-memo outcomes — aggregated plus one line per shard
-// engine for a federation, with the dictionary and plan footprint for a
-// single engine.
+// the stream's instance-memo outcomes — for a federation aggregated over its
+// engines, each counted once, plus one line per shard (its rows, and its own
+// engine's counters for a Join shard), with the dictionary and plan
+// footprint for a single engine.
 func (a *app) printStats(w io.Writer, fed *federate.Federation, workers int) {
 	if fed != nil {
 		agg := fed.PlanCacheStats()
@@ -920,6 +921,10 @@ func (a *app) printStats(w io.Writer, fed *federate.Federation, workers int) {
 			agg.Hits, agg.Misses, agg.MaskHits, agg.MaskRecomputes, agg.MaskExtensions)
 		printMemoStats(w, fed.MetricsSnapshot())
 		for _, si := range fed.ShardInfos() {
+			if si.Stats == nil { // a Split range of the one engine above
+				fmt.Fprintf(w, "  %s: %d rows\n", si.Name, si.Rows)
+				continue
+			}
 			fmt.Fprintf(w, "  %s: %d rows, plan cache %d hits / %d misses, masks %d/%d/%d\n",
 				si.Name, si.Rows, si.Stats.Hits, si.Stats.Misses,
 				si.Stats.MaskHits, si.Stats.MaskRecomputes, si.Stats.MaskExtensions)

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -363,5 +365,39 @@ func TestFederatedSubcommands(t *testing.T) {
 	err := run([]string{"-data", data, "export", "-dir", t.TempDir()}, &exBuf, &exBuf)
 	if err == nil || !strings.Contains(err.Error(), "not supported") {
 		t.Errorf("federated export: %v", err)
+	}
+}
+
+// TestSplitStatsCountOneEngine pins that a Split federation is one engine
+// counted once: at -j 1, the plan-cache, mask-cache and instance-memo
+// numbers of `audit -stream -shards 4 -v` equal the single engine's, not
+// four copies of them.
+func TestSplitStatsCountOneEngine(t *testing.T) {
+	stats := func(shards bool) [][]string {
+		t.Helper()
+		args := []string{"-j", "1", "audit", "-stream", "-v"}
+		planRe := regexp.MustCompile(`plan cache: (\d+) hits, (\d+) misses`)
+		maskRe := regexp.MustCompile(`mask cache: (\d+) hits, (\d+) recomputes, (\d+) incremental extensions`)
+		if shards {
+			args = append(args, "-shards", "4")
+			planRe = regexp.MustCompile(`plan cache \(all shards\): (\d+) hits, (\d+) misses`)
+			maskRe = regexp.MustCompile(`mask cache: (\d+) hits, (\d+) recomputes, (\d+) extensions`)
+		}
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v\nstderr: %s", args, err, stderr.String())
+		}
+		var out [][]string
+		for _, re := range []*regexp.Regexp{planRe, maskRe, regexp.MustCompile(`instance memo: (\d+) hits, (\d+) misses`)} {
+			m := re.FindStringSubmatch(stderr.String())
+			if m == nil {
+				t.Fatalf("%v: no %q line in stderr:\n%s", args, re, stderr.String())
+			}
+			out = append(out, m[1:])
+		}
+		return out
+	}
+	if single, split := stats(false), stats(true); !reflect.DeepEqual(split, single) {
+		t.Errorf("plan/mask/memo counters at -shards 4 = %v, want the single engine's %v", split, single)
 	}
 }

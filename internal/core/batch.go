@@ -137,8 +137,8 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		monotone := explain.AppendMonotone(a.templates[i])
 		switch {
 		// A non-monotone template's mask is also stale when the *history*
-		// log grew without the audited slice growing (a federation shard
-		// whose appends all routed elsewhere): new history rows can
+		// log grew without the audited table growing (WithAuditedLog, whose
+		// history is another table): new history rows can
 		// retroactively explain its old rows, so hist must match for the
 		// hit; monotone templates are immune to chronological history
 		// growth by definition.
@@ -239,14 +239,22 @@ func (a *Auditor) ExplainAll(ctx context.Context, parallelism int) ([]AccessRepo
 // scan, no per-row template loop. With no templates registered every row is
 // unexplained.
 func (a *Auditor) Unexplained(ctx context.Context, parallelism int) ([]int, error) {
+	return a.UnexplainedRange(ctx, parallelism, 0, a.ev.Log().NumRows())
+}
+
+// UnexplainedRange is Unexplained over the audited rows [lo, hi): the rows
+// of the range the union mask leaves unset, ascending.
+func (a *Auditor) UnexplainedRange(ctx context.Context, parallelism, lo, hi int) ([]int, error) {
+	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
+		return nil, err
+	}
 	masks, err := a.ensureMasks(ctx, parallelism)
 	if err != nil {
 		return nil, err
 	}
 	union := metrics.UnionBits(masks...)
-	n := a.ev.Log().NumRows()
 	var out []int
-	for r := 0; r < n; r++ {
+	for r := lo; r < hi; r++ {
 		if union == nil || !union.Get(r) {
 			out = append(out, r)
 		}

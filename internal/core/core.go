@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/accesslog"
@@ -53,16 +54,17 @@ import (
 // Configuration (NewAuditor, BuildGroups, AddTemplates, ResetMaskCache)
 // requires exclusive access. Once configured, the batch methods —
 // StreamReports, StreamNDJSON, ExplainAll, Unexplained, ExplainedFraction,
-// Refresh — are safe to call concurrently with each other: they fan work out to
+// Refresh, NewPass and the Range forms of the streams and Unexplained — are
+// safe to call concurrently with each other: they fan work out to
 // per-worker evaluator cursors (query.Evaluator.Clone), shard each missing
 // template mask into log-row ranges over one worker pool (so even a
 // one-template workload uses every worker), and guard the shared
 // template-mask cache with a mutex. The per-worker cursors share the query
 // engine's compiled-plan cache, so a template's path is compiled once no
 // matter how many workers evaluate its shards. The point methods
-// (ExplainRow, PatientReport, Support) bring masks up to date through the
-// same path but render on the auditor's own cursor, so they must not run
-// concurrently with anything else on the same Auditor.
+// (ExplainRow, PatientReport, Support and their Range forms) bring masks up
+// to date through the same path but render on the auditor's own cursor, so
+// they must not run concurrently with anything else on the same Auditor.
 type Auditor struct {
 	db    *relation.Database
 	graph *schemagraph.Graph
@@ -112,9 +114,10 @@ type Auditor struct {
 // The two watermarks guard different staleness: rows tracks the *audited*
 // table (the rows being classified), hist the database's Log table (the
 // evidence history templates join against). For an ordinary auditor the two
-// are the same table, but a federation shard audits a slice while history
-// is the shared merged log — so a non-append-monotone template's mask must
-// be rebuilt when the history grew even if the shard received no new rows
+// are the same table, but an auditor made WithAuditedLog (a Join shard's)
+// audits one table while history is another — so a non-append-monotone
+// template's mask must be rebuilt when the history grew even if the audited
+// table did not
 // (append-monotone templates are, by definition, immune to chronological
 // history growth and only ever need the rows extension).
 type maskEntry struct {
@@ -146,11 +149,12 @@ func WithNamer(n explain.Namer) Option {
 // of the database's Log table, while path queries, the repeat-access history,
 // and self-joins still resolve against db's Log. This is the primitive behind
 // both the predictive-power protocol (audit test accesses against a
-// historical log) and shard-federated auditing: a federation shard audits its
-// slice of the partitioned log while every template sees the full merged log
-// as history, which is what makes per-shard reports identical to the
-// single-engine reports over the whole log. t must carry the Lid, Date, User,
-// and Patient columns.
+// historical log) and a federate.Join shard: each deployment's engine audits
+// its own log while every template sees the merged log as history, which is
+// what makes its reports identical to a single engine's over the merged log.
+// (A federate.Split needs no audited log of its own: its shards are row
+// ranges of one engine, see NewPass.) t must carry the Lid, Date, User, and
+// Patient columns.
 func WithAuditedLog(t *relation.Table) Option {
 	return func(a *Auditor) { a.auditedLog = t }
 }
@@ -174,7 +178,7 @@ func NewAuditor(db *relation.Database, graph *schemagraph.Graph, opts ...Option)
 		a.ev = query.NewEvaluator(db)
 	}
 	// The auditing layer registers its metrics in the engine's registry, so
-	// one snapshot (per federation shard) describes the whole stack.
+	// one snapshot describes the whole stack.
 	reg := a.ev.Metrics()
 	a.maskHits = reg.Counter("core.mask.hits")
 	a.maskRecomputes = reg.Counter("core.mask.recomputes")
@@ -397,8 +401,8 @@ func (a *Auditor) ExplainRow(row int, maxPerTemplate int) (AccessReport, error) 
 // date and renders on the auditor's own cursor; follow mode encodes each
 // appended batch with it.
 func (a *Auditor) AppendNDJSONRows(dst []byte, lo, hi int) ([]byte, error) {
-	if n := a.ev.Log().NumRows(); lo < 0 || hi < lo || hi > n {
-		return dst, fmt.Errorf("core: rows [%d, %d) out of range [0, %d)", lo, hi, n)
+	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
+		return dst, err
 	}
 	ps, err := a.prepare(context.TODO(), 0)
 	if err != nil {
@@ -414,24 +418,57 @@ func (a *Auditor) AppendNDJSONRows(dst []byte, lo, hi int) ([]byte, error) {
 // renders per access when the caller asks for none in particular.
 const defaultPerTemplate = 3
 
-// pass is what one rendering call works from, shared read-only by its
-// workers: the template masks brought up to date, and the templates
-// compiled for this call (explain.Compile), in registration order. It lives
-// no longer than the call, so a table AddTable replaces between two calls
-// is never rendered from.
-type pass struct {
+// Pass is what one rendering call works from, shared read-only by its
+// workers: the template masks brought up to date, the templates compiled
+// for this call (explain.Compile) in registration order, and — for a
+// streaming call — the instance memo its cursors share. It lives no longer
+// than the call, so a table AddTable replaces between two calls is never
+// rendered from. NewPass makes one for the range streams.
+type Pass struct {
+	a     *Auditor
 	masks []*bitset.Bits
 	progs []explain.Program
+	// rows is the number of audited rows the masks cover.
+	rows int
+	// memo is nil for a point call, which renders on the auditor's own
+	// cursor.
+	memo *query.InstanceMemo
 }
 
 // prepare brings the masks up to date with parallelism workers and
 // compiles the templates for one call.
-func (a *Auditor) prepare(ctx context.Context, parallelism int) (*pass, error) {
+func (a *Auditor) prepare(ctx context.Context, parallelism int) (*Pass, error) {
+	n := a.ev.Log().NumRows()
 	masks, err := a.ensureMasks(ctx, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	return &pass{masks: masks, progs: explain.Compile(a.ev, a.namer, a.templates)}, nil
+	return &Pass{a: a, masks: masks, progs: explain.Compile(a.ev, a.namer, a.templates), rows: n}, nil
+}
+
+// NewPass brings the masks up to date with parallelism workers, compiles
+// the templates and makes an instance memo over the audited rows as they
+// are now: the state one streaming call renders from. StreamReportsRange
+// and StreamNDJSONRange calls handed the same pass stream their ranges as
+// parts of one call, sharing the masks, the programs and the memo, so a
+// (patient, user) pair is walked once per pass however the rows are cut.
+// Make a pass per call and drop it after: rows appended since do not
+// belong to it.
+func (a *Auditor) NewPass(ctx context.Context, parallelism int) (*Pass, error) {
+	ps, err := a.prepare(ctx, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	ps.memo = a.ev.NewInstanceMemo()
+	return ps, nil
+}
+
+// checkRange validates the audited-row range [lo, hi) against n rows.
+func checkRange(lo, hi, n int) error {
+	if lo < 0 || hi < lo || hi > n {
+		return fmt.Errorf("core: rows [%d, %d) out of range [0, %d)", lo, hi, n)
+	}
+	return nil
 }
 
 // explainRowWith builds the report for one log row using the given cursor
@@ -441,7 +478,7 @@ func (a *Auditor) prepare(ctx context.Context, parallelism int) (*pass, error) {
 // sink the NDJSON sink (appendRowNDJSON) is pinned to. Templates render in
 // byLength order, so the explanations come out ranked without a per-row
 // sort.
-func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *pass, row, maxPerTemplate int) AccessReport {
+func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *Pass, row, maxPerTemplate int) AccessReport {
 	log := ev.Log()
 	if maxPerTemplate <= 0 {
 		maxPerTemplate = defaultPerTemplate
@@ -484,7 +521,15 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *pass, row, maxPerTempl
 // are in ascending row order; a patient with no accesses gets an empty
 // slice without any mask work.
 func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) ([]AccessReport, error) {
-	rows := a.ev.Log().Index(pathmodel.LogPatientColumn)[patient]
+	return a.PatientReportRange(patient, maxPerTemplate, 0, a.ev.Log().NumRows())
+}
+
+// PatientReportRange is PatientReport over the audited rows [lo, hi).
+func (a *Auditor) PatientReportRange(patient relation.Value, maxPerTemplate, lo, hi int) ([]AccessReport, error) {
+	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
+		return nil, err
+	}
+	rows := PatientRows(a.ev.Log(), patient, lo, hi)
 	out := make([]AccessReport, 0, len(rows))
 	if len(rows) == 0 {
 		return out, nil
@@ -499,14 +544,29 @@ func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) ([]A
 	return out, nil
 }
 
+// PatientRows returns the rows of log in [lo, hi) that access patient,
+// ascending, as a subslice of the log's per-patient index.
+func PatientRows(log *relation.Table, patient relation.Value, lo, hi int) []int {
+	rows := log.Index(pathmodel.LogPatientColumn)[patient]
+	return rows[sort.SearchInts(rows, lo):sort.SearchInts(rows, hi)]
+}
+
 // Support returns the number of audited log rows path p connects — its
 // support (§3.1) — through the engine's compiled-plan cache. Like the other
 // point methods it runs on the auditor's own cursor.
 func (a *Auditor) Support(ctx context.Context, p pathmodel.Path) (int, error) {
+	return a.SupportRange(ctx, p, 0, a.ev.Log().NumRows())
+}
+
+// SupportRange is Support counted over the audited rows [lo, hi).
+func (a *Auditor) SupportRange(ctx context.Context, p pathmodel.Path, lo, hi int) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return a.ev.Prepare(p).Support(), nil
+	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
+		return 0, err
+	}
+	return a.ev.Prepare(p).SupportRange(lo, hi), nil
 }
 
 // PlanCacheStats returns the query engine's plan-cache counters with the

@@ -21,7 +21,7 @@ import (
 // program appends its explanation objects in byLength order. A row no
 // program produced a text for is rewound to its header and closed as not
 // explained.
-func (a *Auditor) appendRowNDJSON(dst []byte, ev *query.Evaluator, ps *pass, row int) ([]byte, bool) {
+func (a *Auditor) appendRowNDJSON(dst []byte, ev *query.Evaluator, ps *Pass, row int) ([]byte, bool) {
 	log := ev.Log()
 	user := log.Get(row, pathmodel.LogUserColumn)
 	dst = append(dst, `{"lid":`...)

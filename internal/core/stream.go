@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/parallel"
@@ -16,31 +17,31 @@ import (
 const streamWindowPerWorker = 4
 
 // streamChunks is the scaffolding behind every streaming batch method: it
-// brings the template masks up to date and compiles the templates for this
-// call (see pass), fans produce out over batchChunk-row shards of the
-// audited log — each call sees a disjoint [lo, hi) row range and its
-// worker's own evaluator cursor, to render rows with explainRowWith or
-// appendRowNDJSON — and hands each chunk's value to emit in log order with
-// bounded buffering. The cursors share one query.InstanceMemo made for this
-// call, so a path template walks each (patient, user) pair once per call
-// however many rows repeat it; the texts are still rendered per row, from
-// that row's own values. Returns the mask or emit error, or ctx.Err() if
-// the run was cancelled (workers and the emitter poll the context between
-// chunks, so cancellation takes effect promptly mid-log).
-func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produce func(ev *query.Evaluator, ps *pass, lo, hi int) T, emit func(T) error) error {
-	ps, err := a.prepare(ctx, parallelism)
-	if err != nil {
+// fans produce out over batchChunk-row shards of the audited rows [lo, hi)
+// — each call sees a disjoint row range and its worker's own evaluator
+// cursor, to render rows with explainRowWith or appendRowNDJSON from the
+// pass — and hands each chunk's value to emit in log order with bounded
+// buffering. The cursors share the pass's instance memo, so a path template
+// walks each (patient, user) pair once per pass however many rows repeat
+// it; the texts are still rendered per row, from that row's own values.
+// Returns the emit error, or ctx.Err() if the run was cancelled (workers
+// and the emitter poll the context between chunks, so cancellation takes
+// effect promptly mid-log).
+func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, ps *Pass, lo, hi int, produce func(ev *query.Evaluator, ps *Pass, lo, hi int) T, emit func(T) error) error {
+	if ps.a != a || ps.memo == nil {
+		return errors.New("core: a range stream needs a pass made by this auditor's NewPass")
+	}
+	if err := checkRange(lo, hi, ps.rows); err != nil {
 		return err
 	}
 	workers := normalizeParallelism(parallelism)
-	memo := a.ev.NewInstanceMemo()
 	cursors := make([]*query.Evaluator, workers)
 	for w := range cursors {
-		cursors[w] = a.ev.CloneWithMemo(memo)
+		cursors[w] = a.ev.CloneWithMemo(ps.memo)
 	}
-	err = parallel.OrderedChunks(workers, a.ev.Log().NumRows(), batchChunk, workers*streamWindowPerWorker,
+	err := parallel.OrderedChunks(workers, hi-lo, batchChunk, workers*streamWindowPerWorker,
 		func() bool { return ctx.Err() != nil },
-		func(w, lo, hi int) T { return produce(cursors[w], ps, lo, hi) },
+		func(w, clo, chi int) T { return produce(cursors[w], ps, lo+clo, lo+chi) },
 		emit)
 	if err != nil {
 		return err
@@ -65,8 +66,19 @@ func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, produ
 // of the log's reports. Template masks are computed first (concurrently, for
 // the templates not already cached) and shared by every worker.
 func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(AccessReport) error) error {
-	return streamChunks(ctx, a, parallelism,
-		func(ev *query.Evaluator, ps *pass, lo, hi int) []AccessReport {
+	ps, err := a.NewPass(ctx, parallelism)
+	if err != nil {
+		return err
+	}
+	return a.StreamReportsRange(ctx, parallelism, ps, 0, ps.rows, fn)
+}
+
+// StreamReportsRange is StreamReports over the audited rows [lo, hi),
+// rendered from ps (see NewPass): consecutive ranges streamed with one pass
+// hand fn exactly the reports one StreamReports over their union would.
+func (a *Auditor) StreamReportsRange(ctx context.Context, parallelism int, ps *Pass, lo, hi int, fn func(AccessReport) error) error {
+	return streamChunks(ctx, a, parallelism, ps, lo, hi,
+		func(ev *query.Evaluator, ps *Pass, lo, hi int) []AccessReport {
 			chunk := make([]AccessReport, 0, hi-lo)
 			for r := lo; r < hi; r++ {
 				chunk = append(chunk, a.explainRowWith(ev, ps, r, 0))
@@ -116,8 +128,20 @@ type ndjsonChunk struct {
 // Errors and cancellation follow StreamReports; emit has then seen a clean
 // prefix of whole chunks.
 func (a *Auditor) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	return streamChunks(ctx, a, parallelism,
-		func(ev *query.Evaluator, ps *pass, lo, hi int) ndjsonChunk {
+	ps, err := a.NewPass(ctx, parallelism)
+	if err != nil {
+		return err
+	}
+	return a.StreamNDJSONRange(ctx, parallelism, ps, 0, ps.rows, emit)
+}
+
+// StreamNDJSONRange is StreamNDJSON over the audited rows [lo, hi),
+// rendered from ps (see NewPass): consecutive ranges streamed with one pass
+// concatenate to exactly the bytes one StreamNDJSON over their union
+// writes. Chunks start at lo.
+func (a *Auditor) StreamNDJSONRange(ctx context.Context, parallelism int, ps *Pass, lo, hi int, emit func(buf []byte, rows, explained int) error) error {
+	return streamChunks(ctx, a, parallelism, ps, lo, hi,
+		func(ev *query.Evaluator, ps *Pass, lo, hi int) ndjsonChunk {
 			bp := ndjsonBufs.Get().(*[]byte)
 			buf, explained := (*bp)[:0], 0
 			for r := lo; r < hi; r++ {

@@ -1,53 +1,35 @@
 // Package federate audits many access logs as one. A real hospital system
-// is not a single EHR deployment but a set of departmental or regional
-// installations, each with its own access log and metadata tables; the
-// compliance office still needs one answer — every access to a patient's
-// record, explained, in one chronology. A Federation owns one auditing
-// engine per shard (each a relation.Database + query.Evaluator +
-// core.Auditor with its own plan cache) and exposes the full audit surface
-// over the logical merged log:
+// is a set of departmental or regional installations, each with its own
+// access log and metadata tables; the compliance office still needs one
+// answer — every access to a patient's record, explained, in one
+// chronology. A Federation is a sequence of shards, each a run [lo, hi) of
+// one core.Auditor's audited rows in log order, with core.Auditor's audit
+// surface over the logical merged log: the streams run the shards one after
+// another as range streams (byte-identical to one engine over the merged
+// log), the aggregates sum exact per-shard row counts, and MineTemplates
+// mines the merged log. Every shard call runs behind the shard's fault
+// seams and the resilience policy (policy.go): retries resume a stream
+// exactly where it stopped, and degraded mode answers over the surviving
+// shards. Everything that computes masks takes a context and returns an
+// error, so a cancelled audit or a failed shard never reads as "nothing
+// unexplained".
 //
-//   - StreamReports (and ExplainAll over it) and StreamNDJSON stream the
-//     shards one after another, each through the bounded core pipeline with
-//     the whole worker budget. Every shard audits one run of consecutive
-//     rows of the merged log, and shard order is log order, so the
-//     concatenated shard streams are byte-identical to a single engine
-//     auditing the merged log;
-//   - Support, ExplainedFraction, Unexplained, PatientReport and ExplainRow
-//     combine shard-local results (support and explained counts are row
-//     counts, and the shards partition the rows, so sums are exact; a
-//     shard-local row is a merged-log row less the shard's offset);
-//   - MineTemplates drives the miners through a cross-shard support oracle:
-//     candidate generation and admission run once, each candidate's exact
-//     support is evaluated per shard and summed, and estimates come from a
-//     coordinator view (the merged log over shard 0's metadata) — for a
-//     Split federation, and for a Join whose shards carry the same metadata
-//     tables, templates and statistics are identical to mining the merged
-//     log directly. Mining a Join of genuinely divergent metadata has no
-//     single-log equivalent to be identical to; see MineTemplates.
-//
-// What makes per-shard evaluation exact rather than approximate is the
-// audited-log split the core layer provides (core.WithAuditedLog): every
-// shard engine classifies only its own slice of the log, but its database
-// carries the full merged log, so history-sensitive templates (repeat
-// access, Log self-joins) and the collaborative-group hierarchy see the same
-// evidence a single merged engine would.
-//
-// The method set is core.Auditor's, one form per operation: everything that
-// computes masks takes a context and returns an error, so a cancelled audit
-// or a failed shard never reads as "nothing unexplained".
-//
-// Two constructors cover the two deployment shapes: Split cuts one
-// database's log into K row runs (date-bucket populations by default, or
-// explicit cut points) sharing that database, and Join federates separately
-// loaded databases — each with its own metadata — under one merged
-// chronology, each shard's log one run of it.
+// Two constructors cover the two deployment shapes. Split cuts one
+// database's log into K row runs of ONE engine: a fault-isolated partition
+// of that engine's stream, whose shards share its masks, compiled plans and
+// per-call instance memo. Join is the federation proper: separately loaded
+// databases, each with its own metadata and its own engine, under one merged
+// chronology. Each Join engine audits its own deployment's log
+// (core.WithAuditedLog) while its database carries the merged log as
+// history, so repeat-access templates, Log self-joins and the collaborative
+// groups see the same evidence a single merged engine would.
 package federate
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,16 +45,15 @@ import (
 	"repro/internal/schemagraph"
 )
 
-// shard is one member engine of a federation.
+// shard is one member of a federation: the audited rows [lo, hi) of its
+// engine, in that engine's own row numbering. Row r of the run is merged-log
+// row off+r, and shards follow one another in log order. Every Split shard
+// points at the one engine over the shared database (off 0); a Join shard's
+// engine audits its own deployment's log (lo 0, hi its length).
 type shard struct {
-	name    string
-	db      *relation.Database
-	audited *relation.Table
-	auditor *core.Auditor
-	// lo is the merged-log position of the shard's first audited row: the
-	// shard audits rows [lo, lo+rows()) of the merged log, and shards follow
-	// one another in log order.
-	lo int
+	name        string
+	auditor     *core.Auditor
+	lo, hi, off int
 	// health is the shard's HealthState (see policy.go), advisory
 	// bookkeeping maintained by callShard.
 	health atomic.Int32
@@ -83,9 +64,9 @@ type shard struct {
 }
 
 // rows is the number of merged-log rows the shard audits.
-func (sh *shard) rows() int { return sh.audited.NumRows() }
+func (sh *shard) rows() int { return sh.hi - sh.lo }
 
-// Federation audits N per-shard engines as one logical log. Construct it
+// Federation audits a sequence of shards as one logical log. Construct it
 // with Split or Join, register templates with AddTemplates, then use the
 // audit surface. The concurrency contract matches core.Auditor:
 // configuration requires exclusive access, after which the batch surface
@@ -95,23 +76,18 @@ func (sh *shard) rows() int { return sh.audited.NumRows() }
 // Federation.
 type Federation struct {
 	graph  *schemagraph.Graph
-	namer  explain.Namer
 	shards []*shard
+	// engines lists the distinct auditors behind the shards in shard order:
+	// the one engine of a Split, or one per shard for a Join.
+	engines []*core.Auditor
 	// merged is the logical log in global order: Split's source log, or the
-	// concatenation Join builds. Every shard database carries it as its Log
+	// concatenation Join builds and every Join database carries as its Log
 	// table so history-sensitive templates see the full chronology.
 	merged *relation.Table
-	// estimEv is the coordinator's merged-log view used for mining
-	// estimates (and the support threshold), so federated skip decisions
-	// replay the single-engine ones exactly.
-	estimEv *query.Evaluator
 	// split is set for Split federations, whose merged log is the caller's
 	// and may grow: Refresh appends new rows to the last shard. A Join's
 	// merged log is a constructed concatenation with no append path.
 	split bool
-	// consumed is the number of merged-log rows already distributed to the
-	// shards — Refresh's append watermark.
-	consumed int
 	// hier is the collaborative-group hierarchy trained on the merged log,
 	// or nil when the federation reused an existing Groups table (Split over
 	// an already-configured database, or a Join whose shards all carry an
@@ -137,7 +113,7 @@ type config struct {
 type Option func(*config)
 
 // WithNamer installs the display-name resolver handed to every shard
-// auditor. For the federated stream to be byte-identical to a single
+// engine. For the federated stream to be byte-identical to a single
 // engine's, both must use the same namer.
 func WithNamer(n explain.Namer) Option {
 	return func(c *config) { c.namer = n }
@@ -229,15 +205,15 @@ func TimeRanges(log *relation.Table, k int) []int {
 
 // Split cuts db's access log into k runs of consecutive rows at the k-1
 // ascending cut points (shard i audits rows [cuts[i-1], cuts[i]), the first
-// from row 0 and the last to the end; nil means TimeRanges) and returns a
-// federation of k engines sharing db. Each shard audits only its run, while
-// every query — template paths, repeat-access history, group membership —
-// resolves against the shared database and therefore sees the full log,
-// which is what makes the federated audit identical to a single-engine
-// audit of db. Unless WithoutGroups is given, a Groups table is trained on
-// the full log and installed if db does not already have one (an existing
-// table, such as one a prior core.Auditor.BuildGroups installed, is reused
-// as-is).
+// from row 0 and the last to the end; nil means TimeRanges) of one engine
+// over db. The shards are fault-isolated ranges of that engine's audit —
+// each with its own seams, retries and degraded-mode accounting — while
+// masks, compiled plans and a stream's instance memo are built once, and
+// every query resolves against db's full log, so the federated audit is
+// identical to a single-engine audit of db. Unless WithoutGroups is given,
+// a Groups table is trained on the full log and installed if db does not
+// already have one (an existing table, such as one a prior
+// core.Auditor.BuildGroups installed, is reused as-is).
 func Split(db *relation.Database, graph *schemagraph.Graph, k int, cuts []int, opts ...Option) (*Federation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("federate: Split needs at least 1 shard, got %d", k)
@@ -261,27 +237,16 @@ func Split(db *relation.Database, graph *schemagraph.Graph, k int, cuts []int, o
 	}
 
 	cfg := newConfig(opts)
-	f := &Federation{graph: graph, namer: cfg.namer, merged: log, split: true, consumed: n}
+	f := &Federation{graph: graph, merged: log, split: true}
 	if !cfg.noGroups && !db.HasTable(core.DefaultGroupsTable) {
 		f.hier = buildGroups(log)
 		db.AddTable(f.hier.Table(core.DefaultGroupsTable))
 	}
+	engine := core.NewAuditor(db, graph, core.WithNamer(cfg.namer))
+	f.engines = []*core.Auditor{engine}
 	for s := 0; s < k; s++ {
-		lo, hi := bounds[s], bounds[s+1]
-		rows := make([]int, hi-lo)
-		for i := range rows {
-			rows[i] = lo + i
-		}
-		audited := log.Select(pathmodel.LogTable, rows)
-		f.shards = append(f.shards, &shard{
-			name:    cfg.shardName(s),
-			db:      db,
-			audited: audited,
-			auditor: core.NewAuditor(db, graph, core.WithAuditedLog(audited), core.WithNamer(cfg.namer)),
-			lo:      lo,
-		})
+		f.shards = append(f.shards, &shard{name: cfg.shardName(s), auditor: engine, lo: bounds[s], hi: bounds[s+1]})
 	}
-	f.estimEv = query.NewEvaluator(db)
 	f.initResilience()
 	return f, nil
 }
@@ -314,27 +279,11 @@ func sharedGroupsTable(dbs []*relation.Database) bool {
 
 // sameTable reports whether two tables have identical columns and rows.
 func sameTable(a, b *relation.Table) bool {
-	if b == nil || a.NumRows() != b.NumRows() || !equalColumns(a.Columns(), b.Columns()) {
+	if b == nil || a.NumRows() != b.NumRows() || !slices.Equal(a.Columns(), b.Columns()) {
 		return false
 	}
 	for r := 0; r < a.NumRows(); r++ {
-		ra, rb := a.Row(r), b.Row(r)
-		for c := range ra {
-			if ra[c] != rb[c] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// equalColumns reports element-wise equality of two column lists.
-func equalColumns(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		if !slices.Equal(a.Row(r), b.Row(r)) {
 			return false
 		}
 	}
@@ -375,7 +324,7 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 		return nil, err
 	}
 
-	f := &Federation{graph: graph, namer: cfg.namer, merged: merged, consumed: merged.NumRows()}
+	f := &Federation{graph: graph, merged: merged}
 	var groupsTable *relation.Table
 	if !cfg.noGroups && !sharedGroupsTable(dbs) {
 		f.hier = buildGroups(merged)
@@ -387,16 +336,11 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 		if groupsTable != nil {
 			shardDB.AddTable(groupsTable)
 		}
-		f.shards = append(f.shards, &shard{
-			name:    cfg.shardName(i),
-			db:      shardDB,
-			audited: logs[i],
-			auditor: core.NewAuditor(shardDB, graph, core.WithAuditedLog(logs[i]), core.WithNamer(cfg.namer)),
-			lo:      offset,
-		})
+		engine := core.NewAuditor(shardDB, graph, core.WithAuditedLog(logs[i]), core.WithNamer(cfg.namer))
+		f.engines = append(f.engines, engine)
+		f.shards = append(f.shards, &shard{name: cfg.shardName(i), auditor: engine, hi: logs[i].NumRows(), off: offset})
 		offset += logs[i].NumRows()
 	}
-	f.estimEv = query.NewEvaluator(f.shards[0].db)
 	f.initResilience()
 	return f, nil
 }
@@ -413,16 +357,15 @@ func (e unsupportedError) Error() string { return string(e) }
 func (e unsupportedError) Unwrap() error { return ErrUnsupported }
 
 // Refresh folds rows appended to the merged log since construction (or the
-// previous Refresh) into the federation: the new rows are appended to the
-// last shard's run, and every shard auditor then refreshes its cached
-// template masks incrementally (core.Auditor.Refresh — shards refresh
-// independently, each evaluating only its own appended suffix, and the
-// others rebuilding only masks the grown history invalidates). It returns
-// the number of rows folded in. Appended rows must follow the chronological
-// contract of core.Auditor.Refresh: strictly later (Date, Lid) than every
+// previous Refresh) into the federation: the new rows join the last shard's
+// run, and every engine then refreshes its cached template masks
+// incrementally (core.Auditor.Refresh: append-monotone masks evaluate only
+// the appended suffix, and the others are rebuilt). It returns the number
+// of rows folded in. Appended rows must follow the chronological contract
+// of core.Auditor.Refresh: strictly later (Date, Lid) than every
 // pre-existing row, which is why they belong to the last run. Refresh
 // requires the same exclusive access as the other configuration methods (it
-// mutates the last shard's slice).
+// grows the last shard's run).
 //
 // Only Split federations support Refresh: a Join's merged log is a
 // concatenation the federation itself built, so there is no external
@@ -430,49 +373,37 @@ func (e unsupportedError) Unwrap() error { return ErrUnsupported }
 // instead. Refreshing a grown Join returns an error matching
 // ErrUnsupported.
 func (f *Federation) Refresh(ctx context.Context, parallelism int) (int, error) {
-	n := f.merged.NumRows()
-	if n > f.consumed && !f.split {
+	appended := f.merged.NumRows() - f.distributed()
+	if appended > 0 && !f.split {
 		return 0, unsupportedError("federate: Refresh requires a Split federation (Join merged logs have no append path)")
 	}
-	last := f.shards[len(f.shards)-1]
-	for r := f.consumed; r < n; r++ {
-		last.audited.Append(f.merged.Row(r)...)
-	}
-	appended := n - f.consumed
-	f.consumed = n
-	for _, sh := range f.shards {
-		if err := sh.auditor.Refresh(ctx, parallelism); err != nil {
+	f.shards[len(f.shards)-1].hi += appended
+	for _, a := range f.engines {
+		if err := a.Refresh(ctx, parallelism); err != nil {
 			return appended, err
 		}
 	}
 	return appended, nil
 }
 
+// distributed is the number of merged-log rows the shards audit: Refresh's
+// append watermark.
+func (f *Federation) distributed() int {
+	last := f.shards[len(f.shards)-1]
+	return last.off + last.hi
+}
+
 // TailReports builds the report for every merged-log row at global position
 // >= fromGlobal, in global order, handing each to fn — the primitive behind
 // follow-mode auditing, where only the rows appended since the last emission
-// need reports. Each shard renders the tail of its run with the same code
-// path as StreamReports, so a TailReports over rows [g, end) emits exactly
-// the suffix of the full stream.
+// need reports. It is StreamReports cut to the tail: the same range streams
+// under the same seams, retries and degraded mode, so a TailReports over
+// rows [g, end) emits exactly the suffix of the full stream.
 func (f *Federation) TailReports(ctx context.Context, fromGlobal int, fn func(core.AccessReport) error) error {
-	for _, sh := range f.shards {
-		for r := max(fromGlobal-sh.lo, 0); r < sh.rows(); r++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rep, err := sh.auditor.ExplainRow(r, 0)
-			if err != nil {
-				return err
-			}
-			if err := fn(rep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return f.streamReports(ctx, fromGlobal, 0, fn)
 }
 
-// NumShards returns the number of member engines.
+// NumShards returns the number of shards.
 func (f *Federation) NumShards() int { return len(f.shards) }
 
 // Rows returns the merged log's row count.
@@ -487,69 +418,78 @@ func (f *Federation) Log() *relation.Table { return f.merged }
 // built WithoutGroups.
 func (f *Federation) Hierarchy() *groups.Hierarchy { return f.hier }
 
-// AddTemplates registers explanation templates on every shard engine.
-// Registration order is preserved shard-to-shard, which the report
+// AddTemplates registers explanation templates on every engine.
+// Registration order is preserved engine-to-engine, which the report
 // differential depends on.
 func (f *Federation) AddTemplates(ts ...explain.Template) {
-	for _, sh := range f.shards {
-		sh.auditor.AddTemplates(ts...)
+	for _, a := range f.engines {
+		a.AddTemplates(ts...)
 	}
 }
 
-// Templates returns the registered templates (identical on every shard).
+// Templates returns the registered templates (identical on every engine).
 func (f *Federation) Templates() []explain.Template {
-	return f.shards[0].auditor.Templates()
+	return f.engines[0].Templates()
 }
 
-// resume is one attempt of a shard stream: skip counts the rows earlier
-// attempts already handed on, which this attempt passes over, and handed
-// the rows it hands on itself.
+// resume is one attempt of a shard stream: next is the first row of the
+// shard's run not yet handed on, where the attempt starts and a retry
+// resumes.
 type resume struct {
-	sh           *shard
-	skip, handed int
+	sh   *shard
+	next int
 }
 
-// handOn passes v, a unit of n consecutive rows of the shard's stream (one
-// report, or one encoded core chunk), to send. The shard's row seam fires
-// once per row first, so a fault strikes before any of the unit leaves.
-// Units an earlier attempt already handed on are skipped: a shard's stream
-// is deterministic, chunk boundaries included, so a resume point always
-// falls between units. A send failure is wrapped as a downstreamError.
-func handOn[T any](ctx context.Context, p *resume, n int, v T, send func(T) error) error {
+// handOn passes n consecutive rows of the shard's stream (one report, or
+// one encoded core chunk) on through send. The shard's row seam fires once
+// per row first, so a fault strikes before any of them leave. A send
+// failure is wrapped as a downstreamError.
+func handOn(ctx context.Context, p *resume, n int, send func() error) error {
 	for i := 0; i < n; i++ {
 		if err := p.sh.inject(ctx, seamRow); err != nil {
 			return err
 		}
 	}
-	if p.skip > 0 {
-		if p.skip < n {
-			return fmt.Errorf("federate: %s resume point splits a %d-row unit with %d rows left to skip", p.sh.name, n, p.skip)
-		}
-		p.skip -= n
-		return nil
-	}
-	if err := send(v); err != nil {
+	if err := send(); err != nil {
 		return &downstreamError{err: err}
 	}
-	p.handed += n
+	p.next += n
 	return nil
 }
 
-// streamShards runs stream over the shards one after another in shard order
-// (eachShard, behind each shard's stream seam and resilience policy), each
-// attempt resuming past the rows its shard already handed on. In degraded
-// mode a shard that goes down mid-stream is recorded with the rows it never
-// handed on, and the next shard continues the stream.
-func (f *Federation) streamShards(ctx context.Context, stream func(ctx context.Context, p *resume) error) error {
-	handed := make(map[*shard]int, len(f.shards))
+// streamShards runs stream over each shard's rows at merged-log position
+// from or later, one shard after another in shard order (eachShard, behind
+// each shard's stream seam and resilience policy). stream hands on the rows
+// [p.next, sh.hi) through handOn in order, rendering from ps, the call's
+// pass over the shard's engine: made by the first attempt that needs it
+// (so a mask fault strikes that shard's seam and retries), then shared by
+// every later shard of the same engine, so a Split call builds masks,
+// compiles templates and walks each instance once. A retried attempt
+// resumes at the first row its shard has not handed on. In degraded mode a
+// shard that goes down mid-stream is recorded with the rows it never handed
+// on, and the next shard continues the stream.
+func (f *Federation) streamShards(ctx context.Context, from, parallelism int, stream func(ctx context.Context, ps *core.Pass, p *resume) error) error {
+	passes := make(map[*core.Auditor]*core.Pass, len(f.engines))
+	next := make(map[*shard]int, len(f.shards))
+	for _, sh := range f.shards {
+		next[sh] = min(max(sh.lo, from-sh.off), sh.hi)
+	}
 	return f.eachShard(ctx, seamStream,
-		func(sh *shard) int { return sh.rows() - handed[sh] },
+		func(sh *shard) int { return sh.hi - next[sh] },
 		func(actx context.Context, sh *shard) error {
-			p := &resume{sh: sh, skip: handed[sh]}
+			ps := passes[sh.auditor]
+			if ps == nil {
+				var err error
+				if ps, err = sh.auditor.NewPass(actx, parallelism); err != nil {
+					return err
+				}
+				passes[sh.auditor] = ps
+			}
+			p := &resume{sh: sh, next: next[sh]}
 			// Deferred so a contained panic still records the attempt's
 			// progress.
-			defer func() { handed[sh] += p.handed }()
-			return stream(actx, p)
+			defer func() { next[sh] = p.next }()
+			return stream(actx, ps, p)
 		})
 }
 
@@ -557,38 +497,36 @@ func (f *Federation) streamShards(ctx context.Context, stream func(ctx context.C
 // the reports to fn one at a time in global log order — exactly the stream a
 // single core.Auditor over the merged log produces (the federated
 // differential tests pin the two together byte for byte). The shards stream
-// one after another, each through its own bounded core pipeline with the
-// whole worker budget, so peak buffering stays a few chunks per worker
-// regardless of log size.
+// one after another, each a bounded core range stream with the whole worker
+// budget, so peak buffering stays a few chunks per worker regardless of log
+// size.
 //
 // fn runs on the calling goroutine, never concurrently with itself. If fn
 // returns an error the stream aborts with it; if ctx is cancelled mid-run
 // the shard pipeline stops promptly and StreamReports returns ctx.Err(). In
 // both cases fn has seen a clean prefix of the merged stream.
 //
-// Each shard's pipeline runs under the federation's resilience policy
+// Each shard's stream runs under the federation's resilience policy
 // (callShard): per-attempt timeouts, retries with backoff on retryable
 // failures, and panic containment. A retried shard resumes exactly where
-// it left off — the attempt re-streams and skips the reports already
-// handed on, which the deterministic per-shard stream makes exact — so
-// transient faults never duplicate or drop a report. In strict mode a
-// shard whose budget is exhausted aborts the stream with an error matching
-// ErrShardDown; in degraded mode (SetDegradedMode) its remaining rows are
-// skipped, the stream continues with the next shard, and the loss is
-// recorded in LastDegraded.
+// it left off, at the first row it has not handed on, so transient faults
+// never duplicate or drop a report. In strict mode a shard whose budget is
+// exhausted aborts the stream with an error matching ErrShardDown; in
+// degraded mode (SetDegradedMode) its remaining rows are skipped, the
+// stream continues with the next shard, and the loss is recorded in
+// LastDegraded.
 func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
-	return f.streamShards(ctx, func(actx context.Context, p *resume) error {
-		return p.sh.auditor.StreamReports(actx, parallelism, func(rep core.AccessReport) error {
-			return handOn(actx, p, 1, rep, fn)
-		})
-	})
+	return f.streamReports(ctx, 0, parallelism, fn)
 }
 
-// ndjsonChunk is one encoded chunk of whole NDJSON lines on its way to
-// StreamNDJSON's emit.
-type ndjsonChunk struct {
-	buf             []byte
-	rows, explained int
+// streamReports is StreamReports over the merged-log rows at position from
+// or later.
+func (f *Federation) streamReports(ctx context.Context, from, parallelism int, fn func(core.AccessReport) error) error {
+	return f.streamShards(ctx, from, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
+		return p.sh.auditor.StreamReportsRange(actx, parallelism, ps, p.next, p.sh.hi, func(rep core.AccessReport) error {
+			return handOn(actx, p, 1, func() error { return fn(rep) })
+		})
+	})
 }
 
 // StreamNDJSON is StreamReports encoded: the merged stream as NDJSON
@@ -596,22 +534,20 @@ type ndjsonChunk struct {
 // complete lines, explained of which are explained accesses), byte-identical
 // to core.Auditor.StreamNDJSON over the merged log.
 //
-// Each shard streams through its own core.Auditor.StreamNDJSON, one shard
-// after another with the whole worker budget, so encoding runs in the
-// shard's render workers and each encoded core chunk goes to emit as it is.
-// The shard's row seam fires once per row of a chunk before the chunk is
-// handed on, and a retried shard resumes in whole core chunks — its chunk
-// boundaries are deterministic, so an attempt skips exactly the chunks
-// earlier attempts delivered.
+// Each shard streams its run through core.Auditor.StreamNDJSONRange, one
+// shard after another with the whole worker budget, so encoding runs in the
+// engine's render workers and each encoded core chunk goes to emit as it
+// is. The shard's row seam fires once per row of a chunk before the chunk
+// is handed on, and a retried shard resumes at its first row not handed on
+// — always a chunk boundary, since only whole chunks are.
 //
 // emit runs on the calling goroutine and must not retain buf after it
 // returns. Errors, cancellation and degraded mode follow StreamReports; on
 // an error emit has seen a clean prefix of whole chunks.
 func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	send := func(c ndjsonChunk) error { return emit(c.buf, c.rows, c.explained) }
-	return f.streamShards(ctx, func(actx context.Context, p *resume) error {
-		return p.sh.auditor.StreamNDJSON(actx, parallelism, func(buf []byte, rows, explained int) error {
-			return handOn(actx, p, rows, ndjsonChunk{buf, rows, explained}, send)
+	return f.streamShards(ctx, 0, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
+		return p.sh.auditor.StreamNDJSONRange(actx, parallelism, ps, p.next, p.sh.hi, func(buf []byte, rows, explained int) error {
+			return handOn(actx, p, rows, func() error { return emit(buf, rows, explained) })
 		})
 	})
 }
@@ -631,14 +567,14 @@ func (f *Federation) ExplainAll(ctx context.Context, parallelism int) ([]core.Ac
 }
 
 // Support returns the path's support over the merged log: the sum of the
-// shard-local supports, each shard call running under the resilience
+// shards' range supports, each shard call running under the resilience
 // policy (eachShard). Support counts audited rows and the shards partition
 // them, so the sum is exact, not an estimate. In degraded mode a down
 // shard contributes zero and is recorded in LastDegraded.
 func (f *Federation) Support(ctx context.Context, p pathmodel.Path) (int, error) {
 	total := 0
 	err := f.eachShard(ctx, seamSupport, (*shard).rows, func(actx context.Context, sh *shard) error {
-		n, err := sh.auditor.Support(actx, p)
+		n, err := sh.auditor.SupportRange(actx, p, sh.lo, sh.hi)
 		if err != nil {
 			return err
 		}
@@ -652,21 +588,16 @@ func (f *Federation) Support(ctx context.Context, p pathmodel.Path) (int, error)
 }
 
 // Unexplained returns the merged-log row indexes no registered template
-// explains, ascending — the shard-local shortlists offset by each shard's
-// run start, concatenated in shard order. In degraded mode a down shard's rows are
-// absent from the result (and recorded in LastDegraded); in strict mode any
-// shard failure aborts the call.
+// explains, ascending — each shard's unexplained rows, concatenated in
+// shard order. In degraded mode a down shard's rows are absent from the
+// result (and recorded in LastDegraded); in strict mode any shard failure
+// aborts the call.
 func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, error) {
 	var out []int
-	err := f.eachShard(ctx, seamUnexplained, (*shard).rows, func(actx context.Context, sh *shard) error {
-		rows, err := sh.auditor.Unexplained(actx, parallelism)
-		if err != nil {
-			return err
-		}
+	err := f.eachUnexplained(ctx, parallelism, func(sh *shard, rows []int) {
 		for _, r := range rows {
-			out = append(out, sh.lo+r)
+			out = append(out, sh.off+r)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -675,7 +606,7 @@ func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, e
 }
 
 // ExplainedFraction returns the fraction of merged-log rows explained by the
-// registered templates, aggregated from exact shard-local explained counts
+// registered templates, aggregated from exact per-shard explained counts
 // — bit-identical to the single-engine fraction, because both divide the
 // same integers. In degraded mode the fraction is over the surviving
 // shards' rows only (the denominator shrinks with the numerator, so a dead
@@ -683,14 +614,9 @@ func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, e
 // the loss. An empty federation yields 0, never NaN.
 func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (float64, error) {
 	total, unexplained := 0, 0
-	err := f.eachShard(ctx, seamUnexplained, (*shard).rows, func(actx context.Context, sh *shard) error {
-		rows, err := sh.auditor.Unexplained(actx, parallelism)
-		if err != nil {
-			return err
-		}
+	err := f.eachUnexplained(ctx, parallelism, func(sh *shard, rows []int) {
 		total += sh.rows()
 		unexplained += len(rows)
-		return nil
 	})
 	if err != nil || total == 0 {
 		return 0, err
@@ -698,18 +624,31 @@ func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (fl
 	return float64(total-unexplained) / float64(total), nil
 }
 
+// eachUnexplained hands add each shard's unexplained rows, in its engine's
+// numbering, shard by shard under the unexplained seam (eachShard).
+func (f *Federation) eachUnexplained(ctx context.Context, parallelism int, add func(sh *shard, rows []int)) error {
+	return f.eachShard(ctx, seamUnexplained, (*shard).rows, func(actx context.Context, sh *shard) error {
+		rows, err := sh.auditor.UnexplainedRange(actx, parallelism, sh.lo, sh.hi)
+		if err == nil {
+			add(sh, rows)
+		}
+		return err
+	})
+}
+
 // PatientReport is the federated user-centric view: every access to one
 // patient's record across all shards, in global log order (the shard reports
-// concatenated in shard order), each with its explanations. Shard lookups go through each shard's per-patient hash
-// index, so the cost is O(accesses to that patient) plus rendering. Shard
-// calls run under the resilience policy; in degraded mode a down shard's
-// accesses to the patient are missing and recorded in LastDegraded.
+// concatenated in shard order), each with its explanations. Each shard looks
+// the patient up in its engine's per-patient index, so the cost is
+// O(accesses to that patient) plus rendering. Shard calls run under the
+// resilience policy; in degraded mode a down shard's accesses to the
+// patient are missing and recorded in LastDegraded.
 func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error) {
 	out := []core.AccessReport{}
 	err := f.eachShard(context.TODO(), seamReport,
-		func(sh *shard) int { return len(sh.audited.Index(pathmodel.LogPatientColumn)[patient]) },
+		func(sh *shard) int { return len(core.PatientRows(sh.auditor.Log(), patient, sh.lo, sh.hi)) },
 		func(_ context.Context, sh *shard) error {
-			reps, err := sh.auditor.PatientReport(patient, maxPerTemplate)
+			reps, err := sh.auditor.PatientReportRange(patient, maxPerTemplate, sh.lo, sh.hi)
 			if err != nil {
 				return err
 			}
@@ -728,8 +667,8 @@ func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) (
 // Refresh — is an error.
 func (f *Federation) ExplainRow(row, maxPerTemplate int) (core.AccessReport, error) {
 	for _, sh := range f.shards {
-		local := row - sh.lo
-		if local < 0 || local >= sh.rows() {
+		local := row - sh.off
+		if local < sh.lo || local >= sh.hi {
 			continue
 		}
 		var rep core.AccessReport
@@ -743,25 +682,29 @@ func (f *Federation) ExplainRow(row, maxPerTemplate int) (core.AccessReport, err
 		})
 		return rep, err
 	}
-	return core.AccessReport{}, fmt.Errorf("federate: row %d is not audited by any shard (merged log has %d rows, %d distributed)", row, f.merged.NumRows(), f.consumed)
+	return core.AccessReport{}, fmt.Errorf("federate: row %d is not audited by any shard (merged log has %d rows, %d distributed)", row, f.merged.NumRows(), f.distributed())
 }
 
 // MineTemplates runs the named mining algorithm over the federation as if
-// the shards were one merged log: candidate generation and admission run
-// once on the coordinator, every candidate's exact support is evaluated
-// per shard and summed (see Oracle), and optimizer estimates come from the
-// coordinator's view — the merged log over shard 0's metadata — so the skip
-// decisions, and therefore the mined templates and every statistics
-// counter, replay a single-engine run exactly whenever the shards agree on
-// metadata: always for Split (one shared database), and for Join when every
-// deployment carries the schema-graph tables with the same content.
-// Mining requires every shard to provide the tables the schema graph
-// references, the same requirement a single engine has; a Join of genuinely
-// divergent metadata still mines (supports are exact per shard), but its
-// estimates are only as representative as shard 0's tables, and there is no
-// single merged database for the result to be compared against.
+// the shards were one merged log. A Split is one engine, so this is that
+// engine's own miner, and the mined templates and every statistics counter
+// are a single-engine run's. A Join mines through a cross-shard support
+// oracle (see joinOracle): candidate generation and admission run once,
+// every candidate's exact support is evaluated per shard and summed, and
+// optimizer estimates come from the merged log over shard 0's metadata — so
+// the skip decisions, and therefore the result, replay a single-engine run
+// exactly when every deployment carries the schema-graph tables with the
+// same content. Mining requires every shard to provide the tables the
+// schema graph references, the same requirement a single engine has; a
+// Join of genuinely divergent metadata still mines (supports are exact per
+// shard), but its estimates are only as representative as shard 0's
+// tables, and there is no single merged database for the result to be
+// compared against.
 func (f *Federation) MineTemplates(algo string, opt mine.Options) (mine.Result, error) {
-	return mine.RunWith(algo, f.Oracle(), f.graph, opt)
+	if f.split {
+		return f.engines[0].MineTemplates(algo, opt)
+	}
+	return mine.RunWith(algo, f.joinOracle(), f.graph, opt)
 }
 
 // Summary returns a one-paragraph description of the federation for CLI
@@ -775,42 +718,47 @@ func (f *Federation) Summary() string {
 }
 
 // ShardInfo is one shard's display state: its name, audited row count, and
-// engine-level plan-cache plus mask-cache counters.
+// — for a shard with an engine of its own (a Join) — that engine's
+// plan-cache plus mask-cache counters. A Split shard's Stats is nil: its
+// engine is every shard's, and PlanCacheStats reports it once.
 type ShardInfo struct {
 	Name  string
 	Rows  int
-	Stats query.PlanCacheStats
+	Stats *query.PlanCacheStats
 }
 
 // ShardInfos returns per-shard display state in shard order.
 func (f *Federation) ShardInfos() []ShardInfo {
 	out := make([]ShardInfo, len(f.shards))
 	for i, sh := range f.shards {
-		out[i] = ShardInfo{Name: sh.name, Rows: sh.audited.NumRows(), Stats: sh.auditor.PlanCacheStats()}
+		out[i] = ShardInfo{Name: sh.name, Rows: sh.rows()}
+		if !f.split {
+			st := sh.auditor.PlanCacheStats()
+			out[i].Stats = &st
+		}
 	}
 	return out
 }
 
 // PlanCacheStats aggregates the plan-cache and template-mask counters of
-// every shard engine (the coordinator's estimate-only evaluator holds no
-// plans and is excluded). See query.PlanCacheStats.Add.
+// every engine, each counted once. See query.PlanCacheStats.Add.
 func (f *Federation) PlanCacheStats() query.PlanCacheStats {
-	agg := f.shards[0].auditor.PlanCacheStats()
-	for _, sh := range f.shards[1:] {
-		agg = agg.Add(sh.auditor.PlanCacheStats())
+	agg := f.engines[0].PlanCacheStats()
+	for _, a := range f.engines[1:] {
+		agg = agg.Add(a.PlanCacheStats())
 	}
 	return agg
 }
 
-// MetricsSnapshot returns the federation-wide metrics view: every shard
-// engine's registry (query-plan and mask-cache metrics, kept
-// per shard for attribution) merged with the process-wide obs.Default
-// registry (worker-pool, resilience, and store metrics, which have no
-// shard to belong to). Counters and histogram buckets sum across shards.
+// MetricsSnapshot returns the federation-wide metrics view: every engine's
+// registry (query-plan and mask-cache metrics), each counted once, merged
+// with the process-wide obs.Default registry (worker-pool, resilience, and
+// store metrics, which have no engine to belong to). Counters and histogram
+// buckets sum across engines.
 func (f *Federation) MetricsSnapshot() map[string]obs.Metric {
-	snaps := make([]map[string]obs.Metric, 0, len(f.shards)+1)
-	for _, sh := range f.shards {
-		snaps = append(snaps, sh.auditor.Evaluator().Metrics().Snapshot())
+	snaps := make([]map[string]obs.Metric, 0, len(f.engines)+1)
+	for _, a := range f.engines {
+		snaps = append(snaps, a.Evaluator().Metrics().Snapshot())
 	}
 	snaps = append(snaps, obs.Default.Snapshot())
 	return obs.Merge(snaps...)

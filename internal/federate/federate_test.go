@@ -521,3 +521,53 @@ func TestTimeRangesExtremeDates(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinMiningMatchesSingleLog is the mining differential for a Join:
+// two deployments holding contiguous slices of one log over the same
+// metadata mine the templates, and count the statistics, of a single
+// engine over the whole log — exact supports summed over the shard
+// engines, estimates from the merged log over shard 0's tables.
+func TestJoinMiningMatchesSingleLog(t *testing.T) {
+	ds, _ := singleEngine(t, 1)
+	log := ds.Log()
+	var rowsA, rowsB []int
+	for r := 0; r < log.NumRows(); r++ {
+		if r < log.NumRows()/3 {
+			rowsA = append(rowsA, r)
+		} else {
+			rowsB = append(rowsB, r)
+		}
+	}
+	f, err := federate.Join([]*relation.Database{
+		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsA)),
+		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsB)),
+	}, graph(), federate.WithNamer(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := mine.DefaultOptions()
+	opt.MaxLength = 3
+	for _, algo := range []string{mine.AlgoOneWay, mine.AlgoBridge(2)} {
+		want, err := mine.Run(algo, query.NewEvaluator(ds.DB), graph(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			fopt := opt
+			fopt.Parallelism = par
+			got, err := f.MineTemplates(algo, fopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Templates, want.Templates) {
+				t.Errorf("%s j=%d: mined %d templates, want %d", algo, par, len(got.Templates), len(want.Templates))
+			}
+			if got.Stats.CandidatesGenerated != want.Stats.CandidatesGenerated ||
+				got.Stats.SupportQueries != want.Stats.SupportQueries ||
+				got.Stats.CacheHits != want.Stats.CacheHits ||
+				got.Stats.Skipped != want.Stats.Skipped {
+				t.Errorf("%s j=%d: stats differ:\n got %+v\nwant %+v", algo, par, got.Stats, want.Stats)
+			}
+		}
+	}
+}

@@ -2,70 +2,55 @@ package federate
 
 import (
 	"repro/internal/mine"
-	"repro/internal/parallel"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 )
 
-// fedOracle implements mine.Oracle over the federation: the audited-row
-// denominator and the optimizer estimates come from the coordinator's
-// merged-log view, and exact supports are evaluated per shard and summed.
-type fedOracle struct {
-	f *Federation
+// joinOracle implements mine.Oracle over a Join: the audited-row
+// denominator and the optimizer estimates come from a coordinator view of
+// the merged log, and exact supports are evaluated per shard and summed.
+type joinOracle struct {
+	rows int
+	// estim is the merged log bound to shard 0's database (whose Log table
+	// a Join sets to the merged log).
+	estim *query.Evaluator
+	// shards holds one single-log oracle per shard engine: a Join shard's
+	// run is its engine's whole audited log.
+	shards []mine.Oracle
 }
 
-// Oracle returns the federation's cross-shard mining oracle, suitable for
-// mine.RunWith (MineTemplates is the packaged form). It must not be used
-// concurrently with other operations on the federation.
-func (f *Federation) Oracle() mine.Oracle { return fedOracle{f} }
+// joinOracle returns the Join's cross-shard mining oracle. It must not be
+// used concurrently with other operations on the federation.
+func (f *Federation) joinOracle() mine.Oracle {
+	o := &joinOracle{rows: f.merged.NumRows(), estim: query.NewEvaluator(f.shards[0].auditor.Database())}
+	for _, a := range f.engines {
+		o.shards = append(o.shards, mine.EvaluatorOracle(a.Evaluator()))
+	}
+	return o
+}
 
 // AuditedRows implements mine.Oracle: the merged log's cardinality, the
 // denominator of the support threshold.
-func (o fedOracle) AuditedRows() int { return o.f.merged.NumRows() }
+func (o *joinOracle) AuditedRows() int { return o.rows }
 
-// EstimateSupport implements mine.Oracle on the coordinator's evaluator:
-// the merged log bound to shard 0's database. Estimates drive only the
-// skip-non-selective decision; when the shards agree on metadata (always
-// for Split, which shares one database) the coordinator view makes the
-// federated decisions identical to a single-engine run. Supports, by
-// contrast, are always evaluated exactly, per shard.
-func (o fedOracle) EstimateSupport(p pathmodel.Path) int {
-	return o.f.estimEv.EstimateSupport(p)
+// EstimateSupport implements mine.Oracle on the coordinator view.
+// Estimates drive only the skip-non-selective decision; when the shards
+// agree on metadata the coordinator view makes the federated decisions
+// identical to a single-engine run. Supports, by contrast, are always
+// evaluated exactly, per shard.
+func (o *joinOracle) EstimateSupport(p pathmodel.Path) int {
+	return o.estim.EstimateSupport(p)
 }
 
-// EvalSupports implements mine.Oracle: each (path, shard) pair is one unit
-// of work for the pool, evaluated on a per-worker clone of the shard's
-// engine cursor (compiled plans are shared through each shard engine's plan
-// cache), and a path's shard-local supports are summed. Shards partition
-// the audited rows, so the sum equals the merged-log support exactly.
-func (o fedOracle) EvalSupports(paths []pathmodel.Path, workers int) []int {
+// EvalSupports implements mine.Oracle: every shard engine evaluates the
+// batch over its own rows with the whole worker budget, and a path's shard
+// supports are summed. Shards partition the audited rows, so the sum
+// equals the merged-log support exactly.
+func (o *joinOracle) EvalSupports(paths []pathmodel.Path, workers int) []int {
 	out := make([]int, len(paths))
-	if len(paths) == 0 {
-		return out
-	}
-	k := len(o.f.shards)
-	tasks := len(paths) * k
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	cursors := make([][]*query.Evaluator, workers)
-	for w := range cursors {
-		cursors[w] = make([]*query.Evaluator, k)
-		for s, sh := range o.f.shards {
-			cursors[w][s] = sh.auditor.Evaluator().Clone()
-		}
-	}
-	partial := make([]int, tasks)
-	parallel.ForEach(workers, tasks, nil, func(w, t int) {
-		pi, si := t/k, t%k
-		partial[t] = cursors[w][si].Prepare(paths[pi]).Support()
-	})
-	for i := range paths {
-		for s := 0; s < k; s++ {
-			out[i] += partial[i*k+s]
+	for _, so := range o.shards {
+		for i, n := range so.EvalSupports(paths, workers) {
+			out[i] += n
 		}
 	}
 	return out

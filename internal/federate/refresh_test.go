@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ehr"
 	"repro/internal/explain"
+	"repro/internal/fault"
 	"repro/internal/federate"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
@@ -241,5 +242,74 @@ func TestJoinRefreshRefused(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Split") {
 		t.Errorf("grown Join Refresh error = %q, want the Split-only message", err)
+	}
+}
+
+// TestTailReportsRetriesIntoSuffix drives TailReports through the
+// resilience loop: after a Refresh folds a chronological suffix into the
+// last shard, transient faults at every shard's stream start and mid-way
+// through the tail's rows are retried, and the tail still equals exactly
+// the suffix of a single engine's stream over the grown log.
+func TestTailReportsRetriesIntoSuffix(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	ctx := context.Background()
+	cfg := ehr.Tiny()
+	cfg.Seed = 2
+	ds := ehr.Generate(cfg)
+	full := ds.DB.MustTable(pathmodel.LogTable)
+	n := full.NumRows()
+	cut := n * 9 / 10
+	rows := make([]int, cut)
+	for r := range rows {
+		rows[r] = r
+	}
+	db := relation.NewDatabase()
+	for _, name := range ds.DB.TableNames() {
+		if name == pathmodel.LogTable {
+			db.AddTable(full.Select(pathmodel.LogTable, rows))
+		} else {
+			db.AddTable(ds.DB.Table(name))
+		}
+	}
+	fed, err := federate.Split(db, graph(), 3, nil, federate.WithNamer(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.AddTemplates(explain.Handcrafted(true, true).All()...)
+	fed.SetPolicy(chaosPolicy(2))
+	log := db.MustTable(pathmodel.LogTable)
+	for r := cut; r < n; r++ {
+		log.Append(full.Row(r)...)
+	}
+	if _, err := fed.Refresh(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
+	single.AddTemplates(explain.Handcrafted(true, true).All()...)
+	want := mustExplainAll(t, single, 2)[cut-5:]
+
+	fault.Reset()
+	fault.Install(
+		fault.Transient("federate.shard0.stream", 1),
+		fault.Transient("federate.shard1.stream", 1),
+		fault.Transient("federate.shard2.stream", 1),
+		fault.Rule{Site: "federate.shard2.stream.row", After: 3, Count: 1,
+			Err: fault.Retryable(errors.New("injected row fault"))},
+	)
+	var tail []core.AccessReport
+	if err := fed.TailReports(ctx, cut-5, func(rep core.AccessReport) error {
+		tail = append(tail, rep)
+		return nil
+	}); err != nil {
+		t.Fatalf("TailReports under transient faults: %v", err)
+	}
+	if injected := fault.Default.Injected(); injected != 4 {
+		t.Errorf("%d faults fired, want 4 (three stream starts and one row)", injected)
+	}
+	if !reflect.DeepEqual(tail, want) {
+		t.Fatalf("TailReports under retries emitted %d reports, want the %d-report stream suffix", len(tail), len(want))
+	}
+	if d := fed.LastDegraded(); !d.IsZero() {
+		t.Errorf("transient faults left a degraded annotation: %+v", d)
 	}
 }

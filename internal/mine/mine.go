@@ -437,7 +437,7 @@ func OneWay(ev *query.Evaluator, g *schemagraph.Graph, opt Options) Result {
 }
 
 // OneWayWith runs Algorithm 1 against an arbitrary support oracle (a single
-// evaluator, or a federation of shard engines).
+// evaluator, or a Join federation's shard engines).
 func OneWayWith(o Oracle, g *schemagraph.Graph, opt Options) Result {
 	m := newMiner(o, g, opt)
 	frontier := m.initialPaths(pathmodel.LogPatientColumn)

@@ -233,7 +233,7 @@ func bucketBound(i int) int64 {
 
 // Merge sums snapshots name-wise: counters and gauges add their values,
 // histograms add counts, sums, and per-bound bucket counts. This is how a
-// federation folds per-shard engine registries and the process-wide Default
+// federation folds its engines' registries and the process-wide Default
 // registry into one logical view. Gauges are summed too — a merged
 // "resident entries" gauge is the federation total, which is the reading a
 // display wants.

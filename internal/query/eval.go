@@ -114,9 +114,9 @@ type engine struct {
 	// reg is the engine's metrics registry. Every counter below is a named
 	// metric in it, resolved once at construction so the hot paths pay one
 	// atomic add, never a registry lookup. The registry is per-engine — each
-	// federation shard engine carries its own, keeping per-shard snapshots
-	// attributable — and PlanCacheStats remains the compatibility view over
-	// it.
+	// engine of a Join federation carries its own, keeping per-shard
+	// snapshots attributable — and PlanCacheStats remains the compatibility
+	// view over it.
 	reg *obs.Registry
 
 	planHits   *obs.Counter // query.plan.hits

@@ -128,8 +128,15 @@ func (pp *Prepared) checkRange(lo, hi int) {
 // Support returns COUNT(DISTINCT Log.Lid) of the prepared path's support
 // query, exactly as Evaluator.Support but without recompiling.
 func (pp *Prepared) Support() int {
+	return pp.SupportRange(0, len(pp.ev.projections().patients))
+}
+
+// SupportRange is Support counted over the log rows [lo, hi): disjoint
+// ranges sum to the full-log support. It panics on out-of-bounds ranges.
+func (pp *Prepared) SupportRange(lo, hi int) int {
+	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
-	return pp.eval(0, len(pp.ev.projections().patients), nil)
+	return pp.eval(lo, hi, nil)
 }
 
 // ExplainedRows returns one boolean per log row: whether the closed path
@@ -399,8 +406,7 @@ type PlanCacheStats struct {
 }
 
 // Add returns the element-wise sum of two snapshots, which is how a
-// federation folds the plan caches of its per-shard engines into one
-// logical view.
+// federation folds the plan caches of its engines into one logical view.
 func (s PlanCacheStats) Add(o PlanCacheStats) PlanCacheStats {
 	return PlanCacheStats{
 		Hits:           s.Hits + o.Hits,
