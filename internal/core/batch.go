@@ -138,10 +138,10 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		switch {
 		// A non-monotone template's mask is also stale when the *history*
 		// log grew without the audited table growing (WithAuditedLog, whose
-		// history is another table): new history rows can
-		// retroactively explain its old rows, so hist must match for the
-		// hit; monotone templates are immune to chronological history
-		// growth by definition.
+		// history is another table): new history rows can retroactively
+		// explain its old rows, so hist must match for the hit; monotone
+		// templates are immune to chronological history growth by
+		// definition.
 		case ok && e.rows == n && (monotone || e.hist == hist):
 			a.maskHits.Add(1)
 			out[i] = e.bits

@@ -117,9 +117,8 @@ type Auditor struct {
 // are the same table, but an auditor made WithAuditedLog (a Join shard's)
 // audits one table while history is another — so a non-append-monotone
 // template's mask must be rebuilt when the history grew even if the audited
-// table did not
-// (append-monotone templates are, by definition, immune to chronological
-// history growth and only ever need the rows extension).
+// table did not (append-monotone templates are, by definition, immune to
+// chronological history growth and only ever need the rows extension).
 type maskEntry struct {
 	bits *bitset.Bits
 	rows int

@@ -28,7 +28,7 @@ const streamWindowPerWorker = 4
 // and the emitter poll the context between chunks, so cancellation takes
 // effect promptly mid-log).
 func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, ps *Pass, lo, hi int, produce func(ev *query.Evaluator, ps *Pass, lo, hi int) T, emit func(T) error) error {
-	if ps.a != a || ps.memo == nil {
+	if ps.a != a {
 		return errors.New("core: a range stream needs a pass made by this auditor's NewPass")
 	}
 	if err := checkRange(lo, hi, ps.rows); err != nil {
