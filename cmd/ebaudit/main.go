@@ -14,8 +14,8 @@
 //	                                     # batch-audit every access in parallel;
 //	                                     # -stream emits NDJSON reports in log
 //	                                     # order with bounded memory; -shards K
-//	                                     # partitions the log across K federated
-//	                                     # engines (identical output); -follow
+//	                                     # cuts the log into K row ranges of one
+//	                                     # engine (identical output); -follow
 //	                                     # polls -data for appended log rows and
 //	                                     # emits only the new reports, extending
 //	                                     # cached template masks incrementally
@@ -86,6 +86,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -94,6 +95,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -185,26 +187,24 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	srcs, err := resolveSources(dataDirs, storeDirs)
+	if err != nil {
+		return err
+	}
 
-	// gen builds the generated-dataset app, validating -scale lazily so the
-	// flag is only checked when generation actually happens.
-	gen := func() (*app, error) {
-		cfg := ehr.Tiny()
-		switch *scale {
-		case "tiny":
-		case "small":
-			cfg = ehr.Small()
-		case "medium":
-			cfg = ehr.Medium()
-		default:
+	// gen generates the dataset, validating -scale lazily so the flag is
+	// only checked when generation actually happens.
+	gen := func() (*ehr.Dataset, error) {
+		config, ok := map[string]func() ehr.Config{"tiny": ehr.Tiny, "small": ehr.Small, "medium": ehr.Medium}[*scale]
+		if !ok {
 			fmt.Fprintf(stderr, "ebaudit: unknown scale %q\n", *scale)
 			return nil, errUsage
 		}
+		cfg := config()
 		cfg.Seed = *seed
-		return newApp(cfg, *parallelism), nil
+		return ehr.Generate(cfg), nil
 	}
 
-	var a *app
 	if len(dataDirs) > 0 || len(storeDirs) > 0 {
 		// Malformed loaded datasets can trip invariants deep inside the
 		// relation/query layers (they panic on schema bugs, which hand-built
@@ -217,18 +217,7 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 			}
 		}()
 	}
-	switch {
-	case len(storeDirs) > 1:
-		a, err = newAppFromShardStores(storeDirs, dataDirs, *parallelism, stderr)
-	case len(storeDirs) == 1:
-		a, err = newAppFromStore(storeDirs[0], dataDirs, gen, *parallelism, stderr)
-	case len(dataDirs) > 1:
-		a, err = newAppFromShards(dataDirs, *parallelism, stderr)
-	case len(dataDirs) == 1:
-		a, err = newAppFromData(dataDirs[0], *parallelism, stderr)
-	default:
-		a, err = gen()
-	}
+	a, err := openApp(srcs, gen, *parallelism, stderr)
 	if err != nil {
 		return err
 	}
@@ -275,8 +264,9 @@ func usage(w io.Writer) {
 }
 
 // engine is the audit surface every subcommand is written against: one
-// core.Auditor, or a federate.Federation of shard auditors over the logical
-// merged log. Both answer identically for the same log, so only genuinely
+// core.Auditor, or a federate.Federation — K row ranges of one engine
+// (-shards K), or one engine per -data/-store shard, over the logical merged
+// log. Both answer identically for the same log, so only genuinely
 // topology-specific code asks which one it holds: resilience flags, the
 // degraded trailer and per-shard stats (federated only); -follow, -explain,
 // export and the warm-state save (single engine only).
@@ -305,9 +295,11 @@ type app struct {
 	// auditor is eng when it is a single engine, and nil for a federation
 	// of -data/-store shards.
 	auditor *core.Auditor
-	ds      *ehr.Dataset       // nil when the database was loaded via -data
-	db      *relation.Database // the single engine's database
-	hier    *groups.Hierarchy
+	// ds is the generated dataset: nil for a loaded database and for any
+	// store, which holds no ground truth, so -store always renders raw ids.
+	ds   *ehr.Dataset
+	db   *relation.Database // the single engine's database
+	hier *groups.Hierarchy
 	// dataDir is the single -data directory the database was loaded from
 	// ("" for generated datasets and multi-directory federations); audit
 	// -follow polls it for appended log rows.
@@ -321,19 +313,161 @@ type app struct {
 	stdout, stderr io.Writer
 }
 
-// singleApp wraps a configured single-engine auditor.
-func singleApp(auditor *core.Auditor, hier *groups.Hierarchy, parallelism int) *app {
-	return &app{eng: auditor, auditor: auditor, db: auditor.Database(), hier: hier, parallelism: parallelism}
+// source is one shard's input: a -data directory, a -store directory, or
+// both, when a store that does not exist yet is migrated from the
+// directory. A source with neither is the generated dataset.
+type source struct{ data, store string }
+
+// resolveSources pairs the -data and -store lists by position into one
+// source per shard, refusing the combinations no migration covers.
+func resolveSources(dataDirs, storeDirs []string) ([]source, error) {
+	switch {
+	case len(storeDirs) == 1 && len(dataDirs) > 1 && store.IsStore(storeDirs[0]):
+		return nil, errors.New("a single -store cannot be combined with a multi-directory -data federation")
+	case len(storeDirs) == 1 && len(dataDirs) > 1:
+		return nil, fmt.Errorf("a single -store cannot be migrated from %d -data shards; give one -store per shard", len(dataDirs))
+	case len(storeDirs) > 0 && len(dataDirs) > 0 && len(dataDirs) != len(storeDirs):
+		return nil, fmt.Errorf("-store lists %d shards but -data lists %d; the lists pair up by position", len(storeDirs), len(dataDirs))
+	}
+	srcs := make([]source, max(len(dataDirs), len(storeDirs), 1))
+	for i := range srcs {
+		if i < len(dataDirs) {
+			srcs[i].data = dataDirs[i]
+		}
+		if i < len(storeDirs) {
+			srcs[i].store = storeDirs[i]
+		}
+		if len(srcs) > 1 && srcs[i].data == "" && !store.IsStore(srcs[i].store) {
+			return nil, fmt.Errorf("store shard %s does not exist and there is no -data shard to migrate it from", srcs[i].store)
+		}
+	}
+	return srcs, nil
 }
 
-func newApp(cfg ehr.Config, parallelism int) *app {
-	ds := ehr.Generate(cfg)
+// openApp builds the app over its sources in three steps. Each shard's
+// database is its store's when the store exists, else its -data load, else
+// the generated dataset. One source becomes a core.Auditor and several a
+// federate.Join, both registering the one filtered catalog. A loaded Groups
+// table is reused as-is rather than retrained: a reloaded export then
+// audits identically to the session that wrote it, and follow mode never
+// retrains groups mid-stream. Only then are new stores written, so a single
+// store holds the engine's trained Groups table and shard stores get the
+// Join's merged-log one through SaveTable — which lets the next Join reuse
+// it instead of retraining. Reopening an existing single store also tries
+// its warm-start snapshot: masks and compiled plans resume when it still
+// matches the database, and are discarded (never partially trusted) when
+// it does not.
+func openApp(srcs []source, gen func() (*ehr.Dataset, error), parallelism int, stderr io.Writer) (*app, error) {
+	a := &app{parallelism: parallelism}
+	dbs := make([]*relation.Database, len(srcs))
+	stores := make([]*store.Store, len(srcs)) // existing stores until the engine is built
+	var err error
+	for i, src := range srcs {
+		switch {
+		case src.store != "" && store.IsStore(src.store):
+			if stores[i], dbs[i], err = store.Open(src.store); err == nil {
+				if err = validateLogSchema(dbs[i]); err != nil {
+					err = fmt.Errorf("store %s: %w", src.store, err)
+				}
+			}
+		case src.data != "":
+			if dbs[i], err = loadDatabase(src.data); err != nil && len(srcs) > 1 {
+				err = fmt.Errorf("shard %s: %w", src.data, err)
+			}
+		default:
+			if a.ds, err = gen(); err == nil {
+				dbs[i] = a.ds.DB
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if srcs[0].store != "" {
+		a.ds = nil // a store holds no ground truth to render
+	}
+
 	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	a := core.NewAuditor(ds.DB, graph, core.WithNamer(ds))
-	hier := a.BuildGroups(core.GroupsOptions{})
-	a.AddTemplates(explain.Handcrafted(true, true).All()...)
-	out := singleApp(a, hier, parallelism)
-	out.ds = ds
+	templates := catalog(dbs, stderr)
+	if len(srcs) == 1 {
+		aud := core.NewAuditor(dbs[0], graph, core.WithNamer(a.namer()))
+		if !dbs[0].HasTable(core.DefaultGroupsTable) {
+			a.hier = aud.BuildGroups(core.GroupsOptions{})
+		}
+		aud.AddTemplates(templates...)
+		a.eng, a.auditor, a.db, a.dataDir = aud, aud, dbs[0], srcs[0].data
+		if st := stores[0]; st != nil {
+			ws, err := st.LoadWarmState(a.db)
+			switch {
+			case err == nil:
+				masks, plans := aud.InstallWarmState(ws)
+				fmt.Fprintf(stderr, "ebaudit: warm start from %s: %d masks, %d plans restored\n",
+					st.Dir(), masks, plans)
+			case errors.Is(err, store.ErrStaleSnapshot):
+				fmt.Fprintf(stderr, "ebaudit: %v (starting cold)\n", err)
+			case errors.Is(err, store.ErrNoSnapshot):
+				// Nothing to resume; a cold start is the ordinary first run.
+			default:
+				return nil, err
+			}
+		}
+	} else {
+		names := make([]string, len(srcs))
+		for i, src := range srcs {
+			names[i] = filepath.Base(filepath.Clean(cmp.Or(src.store, src.data)))
+		}
+		fed, err := federate.Join(dbs, graph, federate.WithShardNames(names...))
+		if err != nil {
+			return nil, err
+		}
+		fed.AddTemplates(templates...)
+		a.eng, a.hier = fed, fed.Hierarchy()
+	}
+
+	for i, src := range srcs {
+		if src.store == "" || stores[i] != nil {
+			continue
+		}
+		if stores[i], err = store.Create(src.store, dbs[i]); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(stderr, "ebaudit: created store %s (%d tables)\n", src.store, len(dbs[i].TableNames()))
+	}
+	if a.auditor != nil {
+		a.store = stores[0]
+	} else if a.hier != nil && srcs[0].store != "" {
+		// The Join trained Groups this start: persist the table so the next
+		// Join over these stores reuses it instead.
+		gt := a.hier.Table(core.DefaultGroupsTable)
+		for i, st := range stores {
+			if err := st.SaveTable(gt); err != nil {
+				return nil, fmt.Errorf("persisting Groups table to %s: %w", srcs[i].store, err)
+			}
+		}
+		fmt.Fprintf(stderr, "ebaudit: persisted merged-log Groups table to %d shard store(s)\n", len(stores))
+	}
+	return a, nil
+}
+
+// catalog returns the hand-crafted templates every shard database has the
+// event tables for, noting each one it skips instead of letting it panic at
+// evaluation time. Groups never counts as missing: the engine trains and
+// installs one when the database carries none.
+func catalog(dbs []*relation.Database, stderr io.Writer) []explain.Template {
+	var out []explain.Template
+	for _, t := range explain.Handcrafted(true, true).All() {
+		tables, _ := explain.TemplateTables(t)
+		missing := slices.DeleteFunc(tables, func(name string) bool {
+			return name == core.DefaultGroupsTable || !slices.ContainsFunc(dbs, func(db *relation.Database) bool { return !db.HasTable(name) })
+		})
+		if len(missing) > 0 {
+			sort.Strings(missing)
+			fmt.Fprintf(stderr, "ebaudit: skipping template %s (missing tables: %s)\n",
+				t.Name(), strings.Join(missing, ", "))
+			continue
+		}
+		out = append(out, t)
+	}
 	return out
 }
 
@@ -391,273 +525,18 @@ func validateLogSchema(db *relation.Database) error {
 	return nil
 }
 
-// newAppFromData builds the auditor over a loaded database. Catalog
-// templates whose event tables are absent from the load are skipped with a
-// note instead of panicking at evaluation time. A loaded Groups table is
-// reused as-is rather than retrained (matching federate.Split): a reloaded
-// export then audits identically to the session that wrote it, and follow
-// mode never retrains groups mid-stream — group membership stays a stable
-// training artifact while the log grows.
-func newAppFromData(dir string, parallelism int, stderr io.Writer) (*app, error) {
-	db, err := loadDatabase(dir)
-	if err != nil {
-		return nil, err
-	}
-	return buildAppFromDB(db, dir, parallelism, stderr), nil
-}
-
-// buildAppFromDB wires the single-engine auditor over an externally
-// constructed database — a -data CSV load or a store open — with the
-// shared policy: reuse a present Groups table as-is (train one only when
-// absent), and register every catalog template whose event tables the
-// database actually has.
-func buildAppFromDB(db *relation.Database, dataDir string, parallelism int, stderr io.Writer) *app {
-	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	a := core.NewAuditor(db, graph)
-	var hier *groups.Hierarchy
-	if !db.HasTable(core.DefaultGroupsTable) {
-		hier = a.BuildGroups(core.GroupsOptions{})
-	}
-	for _, t := range explain.Handcrafted(true, true).All() {
-		if missing := missingTables(db, t); len(missing) > 0 {
-			fmt.Fprintf(stderr, "ebaudit: skipping template %s (missing tables: %s)\n",
-				t.Name(), strings.Join(missing, ", "))
-			continue
-		}
-		a.AddTemplates(t)
-	}
-	out := singleApp(a, hier, parallelism)
-	out.dataDir = dataDir
-	return out
-}
-
-// newAppFromStore opens a single-engine app over a segment store,
-// migrating into a new store first when dir does not hold one: from the
-// single -data CSV directory if given, otherwise from the generated
-// dataset. Opening an existing store also tries the store's warm-start
-// snapshot — masks and compiled plans resume where the previous session
-// left off when the snapshot still matches the database, and are discarded
-// (never partially trusted) when it does not.
-func newAppFromStore(dir string, dataDirs []string, gen func() (*app, error), parallelism int, stderr io.Writer) (*app, error) {
-	if !store.IsStore(dir) {
-		var a *app
-		var err error
-		switch len(dataDirs) {
-		case 0:
-			a, err = gen()
-		case 1:
-			a, err = newAppFromData(dataDirs[0], parallelism, stderr)
-		default:
-			return nil, fmt.Errorf("a single -store cannot be migrated from %d -data shards; give one -store per shard", len(dataDirs))
-		}
-		if err != nil {
-			return nil, err
-		}
-		s, err := store.Create(dir, a.db)
-		if err != nil {
-			return nil, err
-		}
-		a.store = s
-		fmt.Fprintf(stderr, "ebaudit: created store %s (%d tables)\n", dir, len(a.db.TableNames()))
-		return a, nil
-	}
-
-	if len(dataDirs) > 1 {
-		return nil, errors.New("a single -store cannot be combined with a multi-directory -data federation")
-	}
-	s, db, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateLogSchema(db); err != nil {
-		return nil, fmt.Errorf("store %s: %w", dir, err)
-	}
-	dataDir := ""
-	if len(dataDirs) == 1 {
-		dataDir = dataDirs[0]
-	}
-	a := buildAppFromDB(db, dataDir, parallelism, stderr)
-	a.store = s
-	ws, err := s.LoadWarmState(db)
-	switch {
-	case err == nil:
-		masks, plans := a.auditor.InstallWarmState(ws)
-		fmt.Fprintf(stderr, "ebaudit: warm start from %s: %d masks, %d plans restored\n",
-			dir, masks, plans)
-	case errors.Is(err, store.ErrStaleSnapshot):
-		fmt.Fprintf(stderr, "ebaudit: %v (starting cold)\n", err)
-	case errors.Is(err, store.ErrNoSnapshot):
-		// Nothing to resume; a cold start is the ordinary first run.
-	default:
-		return nil, err
-	}
-	return a, nil
-}
-
-// newAppFromShardStores builds a federated app with one segment store per
-// shard. Each shard store is opened if present, else migrated from the
-// -data directory at the same list position. On the first start the
-// federation trains the merged-log Groups table and this loader persists it
-// into every shard store (store.SaveTable); subsequent starts reopen shards
-// that all carry the identical copy, which federate.Join reuses without
-// retraining — the federated warm start. Shard warm-start snapshots are
-// still not consulted here (InstallWarmState is a single-engine surface),
-// but the persisted Groups table removes the start-time schema mutation
-// that used to make them unconditionally stale.
-func newAppFromShardStores(storeDirs, dataDirs []string, parallelism int, stderr io.Writer) (*app, error) {
-	if len(dataDirs) > 0 && len(dataDirs) != len(storeDirs) {
-		return nil, fmt.Errorf("-store lists %d shards but -data lists %d; the lists pair up by position", len(storeDirs), len(dataDirs))
-	}
-	dbs := make([]*relation.Database, len(storeDirs))
-	stores := make([]*store.Store, len(storeDirs))
-	names := make([]string, len(storeDirs))
-	for i, dir := range storeDirs {
-		if store.IsStore(dir) {
-			st, db, err := store.Open(dir)
-			if err != nil {
-				return nil, err
-			}
-			if err := validateLogSchema(db); err != nil {
-				return nil, fmt.Errorf("store %s: %w", dir, err)
-			}
-			dbs[i], stores[i] = db, st
-		} else {
-			if len(dataDirs) == 0 {
-				return nil, fmt.Errorf("store shard %s does not exist and there is no -data shard to migrate it from", dir)
-			}
-			db, err := loadDatabase(dataDirs[i])
-			if err != nil {
-				return nil, fmt.Errorf("shard %s: %w", dataDirs[i], err)
-			}
-			st, err := store.Create(dir, db)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(stderr, "ebaudit: created store %s (%d tables)\n", dir, len(db.TableNames()))
-			dbs[i], stores[i] = db, st
-		}
-		names[i] = filepath.Base(filepath.Clean(dir))
-	}
-	a, err := federateApp(dbs, names, parallelism, stderr)
-	if err != nil {
-		return nil, err
-	}
-	// A non-nil hierarchy means the federation trained Groups this start —
-	// persist the table so the next Join warm-starts from the stores instead.
-	if a.hier != nil {
-		gt := a.hier.Table(core.DefaultGroupsTable)
-		for i, st := range stores {
-			if err := st.SaveTable(gt); err != nil {
-				return nil, fmt.Errorf("persisting Groups table to %s: %w", storeDirs[i], err)
-			}
-		}
-		fmt.Fprintf(stderr, "ebaudit: persisted merged-log Groups table to %d shard store(s)\n", len(stores))
-	}
-	return a, nil
-}
-
-// newAppFromShards builds a federated app over several loaded directories,
-// one shard per directory: the shard logs are merged into one chronology and
-// each shard's accesses are explained against its own metadata (see
-// federate.Join). Catalog templates whose event tables are absent from any
-// shard are skipped with a note; the Groups table does not count as missing
-// because the federation trains and installs one over the merged log.
-func newAppFromShards(dirs []string, parallelism int, stderr io.Writer) (*app, error) {
-	dbs := make([]*relation.Database, len(dirs))
-	names := make([]string, len(dirs))
-	for i, dir := range dirs {
-		db, err := loadDatabase(dir)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", dir, err)
-		}
-		dbs[i] = db
-		names[i] = filepath.Base(filepath.Clean(dir))
-	}
-	return federateApp(dbs, names, parallelism, stderr)
-}
-
-// federateApp joins per-shard databases into the federated app, skipping
-// catalog templates any shard is missing tables for — shared by the CSV
-// and store shard loaders so the two cannot drift apart.
-func federateApp(dbs []*relation.Database, names []string, parallelism int, stderr io.Writer) (*app, error) {
-	fed, err := federate.Join(dbs, ehr.SchemaGraph(ehr.DefaultGraphOptions()),
-		federate.WithShardNames(names...))
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range explain.Handcrafted(true, true).All() {
-		missing := map[string]bool{}
-		for _, db := range dbs {
-			for _, m := range missingTables(db, t) {
-				// The federation trains and installs a merged-log Groups
-				// table into every shard, so it never counts as missing.
-				if m != core.DefaultGroupsTable {
-					missing[m] = true
-				}
-			}
-		}
-		if len(missing) > 0 {
-			var list []string
-			for m := range missing {
-				list = append(list, m)
-			}
-			sort.Strings(list)
-			fmt.Fprintf(stderr, "ebaudit: skipping template %s (missing tables: %s)\n",
-				t.Name(), strings.Join(list, ", "))
-			continue
-		}
-		fed.AddTemplates(t)
-	}
-	return &app{eng: fed, hier: fed.Hierarchy(), parallelism: parallelism}, nil
-}
-
 // federation partitions the single-engine app's log into k row ranges of
-// one federated engine for `audit -shards K`, reusing the app's Groups table, namer, and
-// registered templates so the federated output is identical to the single
-// engine's.
+// one federated engine for `audit -shards K`, reusing the app's Groups
+// table, namer, and registered templates so the federated output is
+// identical to the single engine's.
 func (a *app) federation(k int) (*federate.Federation, error) {
-	var opts []federate.Option
-	if a.ds != nil {
-		opts = append(opts, federate.WithNamer(a.ds))
-	}
-	fed, err := federate.Split(a.db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), k, nil, opts...)
+	fed, err := federate.Split(a.db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), k, nil,
+		federate.WithNamer(a.namer()))
 	if err != nil {
 		return nil, err
 	}
 	fed.AddTemplates(a.auditor.Templates()...)
 	return fed, nil
-}
-
-// missingTables lists the tables a template's path references that db does
-// not contain. Template types without an introspectable path (RepeatAccess
-// joins only the log) require nothing extra.
-func missingTables(db *relation.Database, t explain.Template) []string {
-	var p pathmodel.Path
-	switch tpl := t.(type) {
-	case *explain.PathTemplate:
-		p = tpl.Path
-	case *explain.DecoratedTemplate:
-		p = tpl.Decorated.Base
-	default:
-		return nil
-	}
-	need := make(map[string]bool)
-	for _, in := range p.Instances()[1:] {
-		need[in.Table] = true
-	}
-	for _, c := range p.Conds() {
-		if c.Via != nil {
-			need[c.Via.Table] = true
-		}
-	}
-	var missing []string
-	for name := range need {
-		if !db.HasTable(name) {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(missing)
-	return missing
 }
 
 // saveWarmState persists the auditor's current derived state — cached
@@ -1253,7 +1132,7 @@ func (a *app) groups(args []string) error {
 		for c := range counts {
 			codes = append(codes, c)
 		}
-		sort.Slice(codes, func(i, j int) bool { return counts[codes[i]] > counts[codes[j]] })
+		slices.SortFunc(codes, func(x, y string) int { return cmp.Or(counts[y]-counts[x], strings.Compare(x, y)) })
 		for i, c := range codes {
 			if i >= 3 {
 				break

@@ -401,3 +401,20 @@ func TestSplitStatsCountOneEngine(t *testing.T) {
 		t.Errorf("plan/mask/memo counters at -shards 4 = %v, want the single engine's %v", split, single)
 	}
 }
+
+// TestGroupsDeterministic pins the groups listing's order: departments tied
+// on member count print by code, so reruns over one seed byte-match.
+func TestGroupsDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 5; i++ {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"groups", "-depth", "3"}, &stdout, &stderr); err != nil {
+			t.Fatalf("groups: %v\nstderr: %s", err, stderr.String())
+		}
+		if i == 0 {
+			first = stdout.String()
+		} else if stdout.String() != first {
+			t.Fatalf("groups run %d printed different output:\n%s\nvs\n%s", i, stdout.String(), first)
+		}
+	}
+}

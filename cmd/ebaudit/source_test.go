@@ -1,0 +1,135 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/store"
+)
+
+// runOK runs the CLI and fails the test on error, returning stdout and
+// stderr.
+func runOK(t *testing.T, argv ...string) (string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if err := run(argv, &stdout, &stderr); err != nil {
+		t.Fatalf("run(%v): %v\nstderr: %s", argv, err, stderr.String())
+	}
+	return stdout.String(), stderr.String()
+}
+
+// TestStoreGeneratedRunsAgree pins the store namer rule: a store holds no
+// ground truth, so the run that creates a store from the generated dataset
+// renders exactly what every later run over that store renders.
+func TestStoreGeneratedRunsAgree(t *testing.T) {
+	for _, cmd := range [][]string{{"audit", "-stream"}, {"unexplained"}} {
+		dir := filepath.Join(t.TempDir(), "store")
+		first, firstErr := runOK(t, append([]string{"-store", dir}, cmd...)...)
+		if !strings.Contains(firstErr, "created store") {
+			t.Fatalf("%v: first run did not create the store:\n%s", cmd, firstErr)
+		}
+		second, _ := runOK(t, append([]string{"-store", dir}, cmd...)...)
+		if first == "" || first != second {
+			t.Errorf("%v: the creating run and the reopening run print different output (%d vs %d bytes)",
+				cmd, len(first), len(second))
+		}
+	}
+}
+
+// TestSkipNoteMissingTable drops one event table from a -data load, as a
+// single engine and as one shard of a two-directory Join: every template
+// over that table is skipped with exactly one note, templates omits them,
+// and the audit still streams.
+func TestSkipNoteMissingTable(t *testing.T) {
+	exportDir := t.TempDir()
+	runOK(t, "export", "-dir", exportDir)
+	// The hand-crafted catalog's templates over Appointments.
+	affected := []string{"appt-with-dr", "appt-same-dept", "appt-same-group"}
+	full, _ := runOK(t, "-data", exportDir, "templates")
+	for _, name := range affected {
+		if !strings.Contains(full, name+" (length") {
+			t.Fatalf("full catalog lacks %s:\n%s", name, full)
+		}
+	}
+
+	single := t.TempDir()
+	entries, err := os.ReadDir(exportDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(exportDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(single, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirA, dirB := splitExportedLog(t, exportDir, 0.5)
+	for _, dir := range []string{single, dirA} {
+		if err := os.Remove(filepath.Join(dir, "Appointments.csv")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, data := range []string{single, dirA + "," + dirB} {
+		templates, errOut := runOK(t, "-data", data, "templates")
+		if got := strings.Count(errOut, "ebaudit: skipping template"); got != len(affected) {
+			t.Errorf("-data %s: %d skip notes, want %d:\n%s", data, got, len(affected), errOut)
+		}
+		for _, name := range affected {
+			note := "ebaudit: skipping template " + name + " (missing tables: Appointments)\n"
+			if n := strings.Count(errOut, note); n != 1 {
+				t.Errorf("-data %s: note %q printed %d times:\n%s", data, note, n, errOut)
+			}
+			if strings.Contains(templates, name+" (length") {
+				t.Errorf("-data %s: templates lists skipped template %s", data, name)
+			}
+		}
+		if stream, _ := runOK(t, "-data", data, "audit", "-stream"); stream == "" {
+			t.Errorf("-data %s: audit -stream emitted nothing", data)
+		}
+	}
+}
+
+// TestStoreStaleSnapshotReopen makes an existing store's warm-start
+// snapshot stale by adding a table behind it: the next reopen must say it
+// starts cold and stream exactly what a cold -data load streams.
+func TestStoreStaleSnapshotReopen(t *testing.T) {
+	exportDir := t.TempDir()
+	runOK(t, "export", "-dir", exportDir)
+	want, _ := runOK(t, "-data", exportDir, "audit", "-stream")
+
+	dir := filepath.Join(t.TempDir(), "store")
+	runOK(t, "-data", exportDir, "-store", dir, "audit", "-stream")
+	if _, warmErr := runOK(t, "-store", dir, "audit", "-stream"); !strings.Contains(warmErr, "warm start from") {
+		t.Fatalf("reopen before the schema change was not warm:\n%s", warmErr)
+	}
+
+	st, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := relation.NewTable("Extra", "Id")
+	extra.Append(relation.Int(1))
+	if err := st.SaveTable(extra); err != nil {
+		t.Fatal(err)
+	}
+
+	got, gotErr := runOK(t, "-store", dir, "audit", "-stream")
+	if !strings.Contains(gotErr, "(starting cold)") {
+		t.Errorf("stale snapshot not reported:\n%s", gotErr)
+	}
+	if strings.Contains(gotErr, "warm start from") {
+		t.Errorf("stale snapshot was installed:\n%s", gotErr)
+	}
+	if got != want {
+		t.Errorf("stale-snapshot reopen streams differently from a cold -data load (%d vs %d bytes)",
+			len(got), len(want))
+	}
+}
