@@ -1041,6 +1041,9 @@ func (a *app) mine(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxLen < 1 {
+		return fmt.Errorf("mine -M must be at least 1, got %d", *maxLen)
+	}
 	opt := mine.DefaultOptions()
 	opt.MaxLength = *maxLen
 	opt.SupportFraction = *support

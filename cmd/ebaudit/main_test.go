@@ -184,8 +184,8 @@ func TestRunDataRoundTrip(t *testing.T) {
 
 // TestRunFlagValidation pins the flag-misuse cases that must exit 1 with a
 // descriptive error (not a usage error, not a panic, not a silent default):
-// a worker count below 1, an empty entry in the -data list, and a federated
-// shard count below 1.
+// a worker count below 1, an empty entry in the -data list, a federated
+// shard count below 1 and a mining length below 1.
 func TestRunFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
@@ -202,6 +202,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"empty data entry", []string{"-data", dir + ",,", "summary"}, "empty entry"},
 		{"shards zero", []string{"audit", "-shards", "0"}, "-shards must be at least 1"},
 		{"shards negative", []string{"audit", "-shards", "-1"}, "-shards must be at least 1"},
+		{"mine M zero", []string{"mine", "-algo", "bridge-2", "-M", "0"}, "-M must be at least 1"},
+		{"mine M zero over a store", []string{"-data", dir, "-store", filepath.Join(dir, "store"), "mine", "-algo", "bridge-2", "-M", "0"}, "-M must be at least 1"},
 		{"shards with federated data", []string{"-data", dir + "," + dir, "audit", "-shards", "2"}, "cannot be combined"},
 	}
 	for _, tc := range cases {

@@ -167,8 +167,11 @@ func Run(algo string, ev *query.Evaluator, g *schemagraph.Graph, opt Options) (R
 
 // RunWith dispatches a mining run by algorithm name against an arbitrary
 // support oracle; the federated auditing layer passes its cross-shard
-// summing oracle here.
+// summing oracle here. A MaxLength below 1 is an error.
 func RunWith(algo string, o Oracle, g *schemagraph.Graph, opt Options) (Result, error) {
+	if opt.MaxLength < 1 {
+		return Result{}, fmt.Errorf("mine: MaxLength must be at least 1, got %d", opt.MaxLength)
+	}
 	switch algo {
 	case AlgoOneWay:
 		return OneWayWith(o, g, opt), nil

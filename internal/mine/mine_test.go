@@ -184,6 +184,22 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
+// TestRunRejectsShortMaxLength pins that a MaxLength below 1 is an error
+// for every algorithm, not an index out of range in the bridged assembly.
+func TestRunRejectsShortMaxLength(t *testing.T) {
+	ev := buildTinyEvaluator(t)
+	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())
+	for _, m := range []int{0, -1} {
+		opt := mine.DefaultOptions()
+		opt.MaxLength = m
+		for _, algo := range []string{"one-way", "two-way", "bridge-2", "bridge-3"} {
+			if _, err := mine.Run(algo, ev, g, opt); err == nil {
+				t.Errorf("Run(%q) with MaxLength %d succeeded, want error", algo, m)
+			}
+		}
+	}
+}
+
 func TestBridgedPanicsOnShortBridge(t *testing.T) {
 	ev := buildTinyEvaluator(t)
 	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())

@@ -12,19 +12,51 @@ import (
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
+	"repro/internal/pathmodel"
 	"repro/internal/query"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exec_golden.txt from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exec_golden.txt and exec_open_golden.txt from this build")
 
-// TestShardInvarianceAndGoldenTallies pins what the row-grouped walk must not
+// TestShardInvarianceAndGoldenTallies pins what the set-valued walk must not
 // change. For every catalog path template on three Tiny hospitals, the mask
 // sharded over 1, 3 and 17 ranges concatenates to the same rows, and the
 // support, the postings one Support call scans and the per-op exec tallies
 // accumulated over all of it equal the values testdata/exec_golden.txt
-// holds — captured from the commit before rows were visited grouped by
-// target, when the walk ran in log order over a hash-map memo.
+// holds. Its support= fields date from the walk in log order over a
+// hash-map memo; its tallies count the set memo's sub-questions.
 func TestShardInvarianceAndGoldenTallies(t *testing.T) {
+	goldenTallies(t, "testdata/exec_golden.txt", func(p pathmodel.Path) []pathmodel.Path {
+		return []pathmodel.Path{p}
+	})
+}
+
+// TestOpenPrefixGoldenTallies is the same harness over every open proper
+// prefix of each catalog path: an open plan's set memo holds one bit, so
+// its supports, postings and exec tallies must equal those
+// testdata/exec_open_golden.txt captured from the one-verdict-per-value
+// walk the set memo replaced.
+func TestOpenPrefixGoldenTallies(t *testing.T) {
+	goldenTallies(t, "testdata/exec_open_golden.txt", openPrefixes)
+}
+
+// openPrefixes returns the open paths made of p's first 1..len-1 edges.
+func openPrefixes(p pathmodel.Path) []pathmodel.Path {
+	edges := p.Edges()
+	var out []pathmodel.Path
+	q, ok := pathmodel.StartAt(edges[0], p.StartColumn())
+	for k := 1; ok && k < len(edges); k++ {
+		out = append(out, q)
+		q, ok = q.Append(edges[k])
+	}
+	return out
+}
+
+// goldenTallies runs the golden harness over the paths expand derives from
+// each catalog path template, one line per distinct plan, and compares the
+// lines with golden (or rewrites it under -update-golden).
+func goldenTallies(t *testing.T, golden string, expand func(pathmodel.Path) []pathmodel.Path) {
+	t.Helper()
 	var got bytes.Buffer
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ehr.Tiny()
@@ -35,48 +67,57 @@ func TestShardInvarianceAndGoldenTallies(t *testing.T) {
 		ev := query.NewEvaluator(ds.DB)
 		ev.SetExecStats(true)
 		n := ev.Log().NumRows()
+		seen := make(map[string]bool)
 
 		for _, tpl := range explain.Handcrafted(true, true).All() {
 			pt, ok := tpl.(*explain.PathTemplate)
 			if !ok {
 				continue
 			}
-			pp := ev.Prepare(pt.Path)
-			before := ev.PostingsScanned()
-			support := pp.Support()
-			scanned := ev.PostingsScanned() - before
+			for _, p := range expand(pt.Path) {
+				if seen[p.CanonicalKey()] {
+					continue
+				}
+				seen[p.CanonicalKey()] = true
+				name := pt.Name()
+				if !p.Closed() {
+					name = fmt.Sprintf("%s/%d", name, p.Length())
+				}
+				pp := ev.Prepare(p)
+				before := ev.PostingsScanned()
+				support := pp.Support()
+				scanned := ev.PostingsScanned() - before
 
-			var full []bool
-			for _, shards := range []int{1, 3, 17} {
-				var rows []bool
-				for w := 0; w < shards; w++ {
-					rows = append(rows, pp.ExplainedRange(n*w/shards, n*(w+1)/shards)...)
+				var full []bool
+				for _, shards := range []int{1, 3, 17} {
+					var rows []bool
+					for w := 0; w < shards; w++ {
+						lo, hi := n*w/shards, n*(w+1)/shards
+						if p.Closed() {
+							rows = append(rows, pp.ExplainedRange(lo, hi)...)
+						} else {
+							rows = append(rows, pp.ConnectedRange(lo, hi)...)
+						}
+					}
+					if full == nil {
+						full = rows
+					} else if !reflect.DeepEqual(rows, full) {
+						t.Errorf("seed %d, %s: %d shards do not concatenate to the full mask", seed, name, shards)
+					}
 				}
-				if full == nil {
-					full = rows
-				} else if !reflect.DeepEqual(rows, full) {
-					t.Errorf("seed %d, %s: %d shards do not concatenate to the full mask", seed, pt.Name(), shards)
+				if pop := popcount(full); pop != support {
+					t.Errorf("seed %d, %s: Support = %d, mask popcount = %d", seed, name, support, pop)
 				}
-			}
-			pop := 0
-			for _, b := range full {
-				if b {
-					pop++
-				}
-			}
-			if pop != support {
-				t.Errorf("seed %d, %s: Support = %d, mask popcount = %d", seed, pt.Name(), support, pop)
-			}
 
-			fmt.Fprintf(&got, "seed=%d %s support=%d scanned=%d", seed, pt.Name(), support, scanned)
-			for i, o := range pp.ExecTrace().Ops {
-				fmt.Fprintf(&got, " op%d=%d/%d/%d/%d", i, o.RowsIn, o.RowsOut, o.Postings, o.MemoHits)
+				fmt.Fprintf(&got, "seed=%d %s support=%d scanned=%d", seed, name, support, scanned)
+				for i, o := range pp.ExecTrace().Ops {
+					fmt.Fprintf(&got, " op%d=%d/%d/%d/%d", i, o.RowsIn, o.RowsOut, o.Postings, o.MemoHits)
+				}
+				got.WriteByte('\n')
 			}
-			got.WriteByte('\n')
 		}
 	}
 
-	const golden = "testdata/exec_golden.txt"
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

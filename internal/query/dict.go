@@ -12,9 +12,9 @@ import (
 // compiled ops (csr, idSet) and the per-row walk touch only those IDs. IDs
 // are handed out in encounter order and never change; an ID says nothing
 // about its value's rank, so every posting list is kept in Value order
-// explicitly (see lowered) — which witness a first-witness walk finds,
-// and so how many postings it consumes, must not depend on the order maps
-// happened to be iterated in.
+// explicitly (see lowered) — where a walk stops (its first witness, or the
+// posting that fills its set), and so how many postings it consumes, must
+// not depend on the order maps happened to be iterated in.
 
 // dict is the engine's value dictionary. vals is append-only, so a slice
 // header read under the lock stays a valid prefix afterwards.
@@ -141,69 +141,126 @@ func (eng *engine) lowered(t *relation.Table, k baseKey) *base {
 // and never by the log, so a call over a 64-row range does O(64) work. It is
 // not engine-lifetime state: it goes when the cursor does.
 type scratch struct {
-	// memo[bi][v] holds gen<<1|verdict for the sub-question "does v at op
-	// bi lead to the current target"; an entry of another generation is
-	// unanswered. Bumping gen forgets every verdict without clearing.
-	memo [][]uint32
+	// memo[bi] holds the sets pairs op bi has answered under generation
+	// gen; the entries of other boundaries hold none of this generation.
+	// Bumping gen forgets every set without clearing.
+	memo []setMemo
 	gen  uint32
 
-	// Counting-sort state of groupByTarget; cnt is all zero between calls.
-	cnt, targets, order []uint32
+	// The current block is the call's targets numbered [base, base+size):
+	// a set is words words and full holds each of its targets.
+	base, size uint32
+	words      int
+	full       [blockWords]uint64
+
+	// slot[t] is 1 + target t's number in this call, 0 for a value that is
+	// not a target; it is all zero between calls. targets lists the call's
+	// targets by number.
+	slot, targets []uint32
+
+	// Counting-sort state of groupByBlock.
+	cnt, order []uint32
 }
 
-// genLimit is the first generation that no longer fits beside the verdict
-// bit.
-const genLimit = 1 << 31
+// setMemo is one pairs op's memo: value v's set is
+// sets[v*words : (v+1)*words], current iff stamp[v] is the generation.
+type setMemo struct {
+	stamp []uint32
+	sets  []uint64
+}
 
-// reset sizes the memo of every pairs op of ops for a dictionary of n values.
-func (s *scratch) reset(ops []op, n int) {
-	for len(s.memo) < len(ops) {
-		s.memo = append(s.memo, nil)
+// genLimit is the first generation a stamp cannot hold.
+const genLimit = 1<<32 - 1
+
+// startBlock begins a memo generation for the size targets numbered from
+// base, sizing the memo of every pairs op of ops for a dictionary of n
+// values and sets of the block's width.
+func (s *scratch) startBlock(ops []op, n int, base, size uint32) {
+	s.base, s.size = base, size
+	s.words = int(size+63) / 64
+	clear(s.full[:])
+	for i := 0; i < s.words; i++ {
+		s.full[i] = ^uint64(0)
+	}
+	if r := size % 64; r != 0 {
+		s.full[s.words-1] = 1<<r - 1
+	}
+	for len(s.memo) <= len(ops) {
+		s.memo = append(s.memo, setMemo{})
 	}
 	for bi := range ops {
-		if ops[bi].pairs != nil && len(s.memo[bi]) < n {
-			s.memo[bi] = make([]uint32, n)
+		m := &s.memo[bi]
+		if ops[bi].pairs == nil {
+			continue
+		}
+		if len(m.stamp) < n {
+			m.stamp = make([]uint32, n)
+		}
+		if len(m.sets) < n*s.words {
+			m.sets = make([]uint64, n*s.words)
 		}
 	}
-}
-
-// nextGen starts a new memo generation, wiping the memos for real when the
-// counter would overflow into the verdict encoding.
-func (s *scratch) nextGen() {
 	if s.gen++; s.gen == genLimit {
 		for _, m := range s.memo {
-			clear(m)
+			clear(m.stamp)
 		}
 		s.gen = 1
 	}
 }
 
-// groupByTarget counting-sorts the rows [lo, hi) by target ID in time
-// O(hi-lo): order lists the rows (as offsets from lo) with equal targets
-// adjacent, targets the distinct targets in first-appearance order, and
-// cnt[t] is left holding the end of t's run in order. The caller zeroes
-// cnt[t] as it consumes each run.
-func (s *scratch) groupByTarget(target []uint32, lo, hi, n int) {
-	if len(s.cnt) < n {
-		s.cnt = make([]uint32, n)
+// bit returns target t's bit in the current block's sets, and false for a
+// value that is no target of the block.
+func (s *scratch) bit(t uint32) (uint32, bool) {
+	b := s.slot[t] - 1 - s.base
+	return b, b < s.size
+}
+
+// numberTargets numbers the distinct targets of the rows [lo, hi) densely
+// in first-appearance order and returns how many there are.
+func (s *scratch) numberTargets(target []uint32, lo, hi, n int) int {
+	if len(s.slot) < n {
+		s.slot = make([]uint32, n)
 	}
 	s.targets = s.targets[:0]
 	for _, t := range target[lo:hi] {
-		if s.cnt[t] == 0 {
+		if s.slot[t] == 0 {
 			s.targets = append(s.targets, t)
+			s.slot[t] = uint32(len(s.targets))
 		}
-		s.cnt[t]++
+	}
+	return len(s.targets)
+}
+
+// groupByBlock counting-sorts the numbered rows [lo, hi) by block of
+// blockSize target numbers in time O(hi-lo): order lists the rows (as
+// offsets from lo) block by block, in log order within a block, and
+// cnt[blk] is the end of block blk's run in order.
+func (s *scratch) groupByBlock(target []uint32, lo, hi int) {
+	s.cnt = s.cnt[:0]
+	for range (len(s.targets) + blockSize - 1) / blockSize {
+		s.cnt = append(s.cnt, 0)
+	}
+	for _, t := range target[lo:hi] {
+		s.cnt[(s.slot[t]-1)/blockSize]++
 	}
 	pos := uint32(0)
-	for _, t := range s.targets {
-		pos, s.cnt[t] = pos+s.cnt[t], pos
+	for blk, c := range s.cnt {
+		pos, s.cnt[blk] = pos+c, pos
 	}
 	if cap(s.order) < hi-lo {
 		s.order = make([]uint32, hi-lo)
 	}
 	s.order = s.order[:hi-lo]
 	for k, t := range target[lo:hi] {
-		s.order[s.cnt[t]] = uint32(k)
-		s.cnt[t]++
+		blk := (s.slot[t] - 1) / blockSize
+		s.order[s.cnt[blk]] = uint32(k)
+		s.cnt[blk]++
+	}
+}
+
+// clearTargets forgets the call's target numbering.
+func (s *scratch) clearTargets() {
+	for _, t := range s.targets {
+		s.slot[t] = 0
 	}
 }

@@ -23,9 +23,11 @@
 //
 // There is one execution path. compile turns a path into its hops in
 // declared order, a plan's first evaluation lowers them onto dictionary IDs
-// (dict.go), and every evaluation walks that chain depth-first to the first
-// witness, memoizing sub-question verdicts in the cursor's scratch
-// (lazy.go). Nothing an evaluation computes is retained on the engine.
+// (dict.go), and every evaluation walks that chain depth-first, memoizing
+// for each (op, value) the set of the call's targets it reaches — a bitset
+// over the call's distinct end IDs, one bit for an open plan — in the
+// cursor's scratch (lazy.go), so each sub-question is walked once per call.
+// Nothing an evaluation computes is retained on the engine.
 //
 // # Concurrency contract
 //
@@ -187,7 +189,8 @@ type Evaluator struct {
 	// postingsScanned counts index postings and pair-list entries consumed
 	// by lazy evaluation and instance enumeration on this cursor — the
 	// observable the early-termination tests pin: Instances(limit) and
-	// existence checks must stop consuming after the first witness.
+	// existence checks must stop consuming once their set is full (after
+	// the first witness, for an open plan).
 	postingsScanned int
 
 	// enums caches this cursor's compiled instance enumerators by path

@@ -41,14 +41,15 @@ type OpExec struct {
 	// Table is the table the op reads; empty for the closing comparison.
 	Table string
 	// RowsIn counts values entering the op; RowsOut counts values that
-	// qualified (passed the filter, found a witness downstream, or matched
-	// the close comparison).
+	// qualified (passed the filter, reached a non-empty set of targets
+	// downstream, or were a target at the close comparison). A pairs op's
+	// values are its walked (op, value) sub-questions, each once per call.
 	RowsIn, RowsOut int64
 	// Postings counts pair-list entries the op consumed — the same events
 	// Evaluator.PostingsScanned counts, attributed per op.
 	Postings int64
 	// MemoHits counts sub-questions at this op answered from the walk's
-	// verdict memo instead of walking.
+	// set memo instead of walking.
 	MemoHits int64
 }
 

@@ -1,20 +1,32 @@
 package query
 
-import "slices"
-
-// This file is the execution engine: pull-based, first-witness evaluation of
-// compiled plans. Each per-row question — "does this row's end value lie in
-// the start value's reach?" — is answered by a depth-first walk over the
-// plan's pairs lists in declared hop order that stops at the first witness
-// chain. Nothing is retained on the engine: verdicts are memoized per call
-// in the cursor's scratch (dict.go) — each (boundary, value) sub-question of
-// an open plan, each (boundary, value, end) of a closed one, is walked once
-// per call however many rows raise it. The nested join behind the
-// test-only SupportNaive and SupportScan (export_test.go) is the independent
+// This file is the execution engine: pull-based, set-valued evaluation of
+// compiled plans. A call's rows ask "does this row's start value reach its
+// target?"; the walk answers the coarser sub-question "which of this call's
+// targets can value v at op boundary bi reach?" as a bitset over the call's
+// distinct targets, by a depth-first walk over the plan's pairs lists in
+// declared hop order that stops as soon as the set is full. Each (boundary,
+// value) sub-question is walked once per call however many rows and
+// targets raise it, and its set is memoized in the cursor's scratch
+// (dict.go). An open plan has no targets: its set is one bit, set by any
+// chain that survives every op, so a full set is the first witness. Nothing
+// is retained on the engine. The nested join behind the test-only
+// SupportNaive and SupportScan (export_test.go) is the independent
 // reference the differential tests pin this walk to, row by row.
 
+// blockSize is the most targets one memo generation numbers: a closed
+// call's rows are walked in blocks of at most this many distinct targets,
+// so a memoized set is at most blockWords words.
+const (
+	blockSize  = 1024
+	blockWords = blockSize / 64
+)
+
+// noTargets is the empty set of any block; it is only ever read.
+var noTargets [blockWords]uint64
+
 // lazyWalk is the state of one lazy evaluation: the op chain to walk, the
-// cursor's stamped verdict memo and postings counter. Nothing lands on the
+// cursor's stamped set memo and postings counter. Nothing lands on the
 // shared plan entry, and nothing but the cursor's scratch outlives the call.
 type lazyWalk struct {
 	ops     []op
@@ -23,114 +35,136 @@ type lazyWalk struct {
 	exec    *execLocal // nil unless exec stats are enabled (see exec.go)
 }
 
-// reaches answers one sub-question with memoized depth-first search: can
-// value v at op boundary bi complete the rest of the chain — for a closed
-// plan, arriving at exactly end? It stops at the first witness. Filter ops
-// (opExists, opClose) advance iteratively; only branching pairs ops recurse
-// and memoize, under the scratch's current generation, and a pairs op whose
-// next op is the opClose compares its postings with end in place. A value
-// that survives every op of an open chain completes the path; a closed chain
-// always ends at its opClose.
-func (lw *lazyWalk) reaches(bi int, v, end uint32) bool {
-	for {
-		if bi == len(lw.ops) {
-			return true
+// reaches answers one sub-question with memoized depth-first search: the
+// set of the current block's targets that value v at op boundary bi
+// reaches, where a value that survives every op of an open chain reaches
+// the one target there is. It serves a set the pairs op at bi has memoized
+// under the scratch's current generation, and walks otherwise. The
+// returned slice is a memo entry or a shared constant set and must not be
+// written.
+func (lw *lazyWalk) reaches(bi int, v uint32) []uint64 {
+	if m := &lw.s.memo[bi]; int(v) < len(m.stamp) && m.stamp[v] == lw.s.gen {
+		if lw.exec != nil {
+			lw.exec.memoHits[bi]++
 		}
-		o := &lw.ops[bi]
-		switch o.kind {
-		case opClose:
-			if lw.exec != nil {
-				lw.exec.rowsIn[bi]++
-				if v == end {
-					lw.exec.rowsOut[bi]++
+		w := lw.s.words
+		return m.sets[int(v)*w : int(v)*w+w]
+	}
+	return lw.walk(bi, v)
+}
+
+// walk is reaches for a sub-question the memo does not hold. An opExists
+// filters v and passes it on; a pairs op recurses and memoizes, and stops
+// consuming postings once its set is full. A path closes from a table
+// instance, so compile puts a pairs op before every opClose: that op sets
+// the bits of its target postings in place and the walk never visits an
+// opClose on its own.
+func (lw *lazyWalk) walk(bi int, v uint32) []uint64 {
+	s := lw.s
+	if bi == len(lw.ops) {
+		return s.full[:s.words]
+	}
+	o := &lw.ops[bi]
+	if o.kind == opExists {
+		if lw.exec != nil {
+			lw.exec.rowsIn[bi]++
+		}
+		if !o.index.has(v) {
+			return noTargets[:s.words]
+		}
+		if lw.exec != nil {
+			lw.exec.rowsOut[bi]++
+		}
+		return lw.reaches(bi+1, v)
+	}
+	m, w := &s.memo[bi], s.words
+	if lw.exec != nil {
+		lw.exec.rowsIn[bi]++
+	}
+	m.stamp[v] = s.gen
+	set := m.sets[int(v)*w : int(v)*w+w]
+	clear(set)
+	full := s.full[:w]
+	list := o.pairs.list(v)
+	consumed := 0
+	if bi+1 < len(lw.ops) && lw.ops[bi+1].kind == opClose {
+		// The closing hop is a comparison, not a branch: set the bits of
+		// the postings that are targets in place of one recursion per
+		// posting. Every consumed posting enters the close op; those that
+		// are targets leave it.
+		matched := 0
+		for _, t := range list {
+			consumed++
+			if b, ok := s.bit(t); ok {
+				set[b>>6] |= 1 << (b & 63)
+				matched++
+				if equalSets(set, full) {
+					break
 				}
 			}
-			return v == end
-		case opExists:
-			if lw.exec != nil {
-				lw.exec.rowsIn[bi]++
+		}
+		if lw.exec != nil {
+			lw.exec.rowsIn[bi+1] += int64(consumed)
+			lw.exec.rowsOut[bi+1] += int64(matched)
+		}
+	} else {
+		for _, t := range list {
+			consumed++
+			if unionInto(set, lw.reaches(bi+1, t)) && equalSets(set, full) {
+				break
 			}
-			if !o.index.has(v) {
-				return false
-			}
-			if lw.exec != nil {
-				lw.exec.rowsOut[bi]++
-			}
-			bi++
-		default: // opBridge, opMap
-			memo, gen := lw.s.memo[bi], lw.s.gen
-			if m := memo[v]; m>>1 == gen {
-				if lw.exec != nil {
-					lw.exec.memoHits[bi]++
-				}
-				return m&1 != 0
-			}
-			if lw.exec != nil {
-				lw.exec.rowsIn[bi]++
-			}
-			verdict := gen << 1
-			list := o.pairs.list(v)
-			if bi+1 < len(lw.ops) && lw.ops[bi+1].kind == opClose {
-				// The closing hop is a comparison, not a branch: find the
-				// first posting equal to end in place of one recursion per
-				// posting. Postings up to and including the witness are
-				// consumed, and each of them enters the close op, exactly
-				// as the recursive walk counts them.
-				consumed := len(list)
-				if i := slices.Index(list, end); i >= 0 {
-					consumed, verdict = i+1, verdict|1
-				}
-				*lw.scanned += consumed
-				if lw.exec != nil {
-					lw.exec.postings[bi] += int64(consumed)
-					lw.exec.rowsIn[bi+1] += int64(consumed)
-					if verdict&1 != 0 {
-						lw.exec.rowsOut[bi+1]++
-					}
-				}
-			} else {
-				for _, w := range list {
-					*lw.scanned++
-					if lw.exec != nil {
-						lw.exec.postings[bi]++
-					}
-					if lw.reaches(bi+1, w, end) {
-						verdict |= 1
-						break
-					}
-				}
-			}
-			if verdict&1 != 0 && lw.exec != nil {
-				lw.exec.rowsOut[bi]++
-			}
-			memo[v] = verdict
-			return verdict&1 != 0
 		}
 	}
+	*lw.scanned += consumed
+	if lw.exec != nil {
+		lw.exec.postings[bi] += int64(consumed)
+		if !equalSets(set, noTargets[:w]) {
+			lw.exec.rowsOut[bi]++
+		}
+	}
+	return set
+}
+
+// unionInto ors src into dst and reports whether that added a bit.
+func unionInto(dst, src []uint64) bool {
+	grew := false
+	for i, x := range src {
+		if x&^dst[i] != 0 {
+			dst[i] |= x
+			grew = true
+		}
+	}
+	return grew
+}
+
+func equalSets(a, b []uint64) bool {
+	for i, x := range a {
+		if x != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // eval classifies the log rows [lo, hi) with the lazy walk, stores the
 // verdicts in out when it is non-nil (out[i] is row lo+i) and returns how
-// many rows qualified. An open plan asks one question per row under a
-// single memo generation. A closed plan's question also names the row's
-// target, so its rows are visited grouped by target with one generation per
-// group: the verdict of (op, value) under the current target then fits a
-// flat array instead of a hash map keyed by (op, value, target). Every
-// sub-question is still answered once per call and the sub-questions a row
-// raises do not depend on when it is visited, so verdicts, postings and
-// exec counters are those of a log-order walk.
+// many rows qualified. A row qualifies iff its target's bit is set in the
+// set its start value reaches from boundary 0. An open plan's rows share
+// one one-bit target under a single memo generation. A closed plan's
+// distinct targets are numbered in first-appearance order; a call with
+// more than blockSize of them visits its rows grouped by block, with one
+// generation per block, and any other call visits them in log order.
 func (pp *Prepared) eval(lo, hi int, out []bool) int {
 	pp.ent.lower(pp.ev.engine)
 	from, target := pp.orient()
 	ops := pp.ent.pl.ops
 	n := len(pp.ev.engine.dict.values())
 	s := &pp.ev.scratch
-	s.reset(ops, n)
 	lw := &lazyWalk{ops: ops, s: s, scanned: &pp.ev.postingsScanned, exec: newExecLocal(pp.ev.engine, pp.ent.exec)}
 	defer lw.exec.flush()
 	count := 0
-	visit := func(k int) {
-		if lw.reaches(0, from[lo+k], target[lo+k]) {
+	visit := func(k int, b uint32) {
+		if lw.reaches(0, from[lo+k])[b>>6]&(1<<(b&63)) != 0 {
 			count++
 			if out != nil {
 				out[k] = true
@@ -138,20 +172,30 @@ func (pp *Prepared) eval(lo, hi int, out []bool) int {
 		}
 	}
 	if !pp.ent.pl.closed {
-		s.nextGen()
+		s.startBlock(ops, n, 0, 1)
 		for k := 0; k < hi-lo; k++ {
-			visit(k)
+			visit(k, 0)
 		}
 		return count
 	}
-	s.groupByTarget(target, lo, hi, n)
-	k := uint32(0)
-	for _, t := range s.targets {
-		s.nextGen()
-		for ; k < s.cnt[t]; k++ {
-			visit(int(s.order[k]))
+	defer s.clearTargets()
+	if s.numberTargets(target, lo, hi, n) <= blockSize {
+		s.startBlock(ops, n, 0, uint32(len(s.targets)))
+		for k := 0; k < hi-lo; k++ {
+			visit(k, s.slot[target[lo+k]]-1)
 		}
-		s.cnt[t] = 0
+		return count
+	}
+	s.groupByBlock(target, lo, hi)
+	k := uint32(0)
+	for blk, end := range s.cnt {
+		base := uint32(blk * blockSize)
+		s.startBlock(ops, n, base, min(uint32(len(s.targets))-base, blockSize))
+		for ; k < end; k++ {
+			r := int(s.order[k])
+			b, _ := s.bit(target[lo+r])
+			visit(r, b)
+		}
 	}
 	return count
 }
