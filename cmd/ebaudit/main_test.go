@@ -223,6 +223,39 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
+// TestMineRejectsNonsenseParameters pins that mine exits 1, before it
+// mines, on a support fraction that is NaN or outside [0, 1] and on an
+// algorithm name with trailing input after "bridge-N".
+func TestMineRejectsNonsenseParameters(t *testing.T) {
+	cases := []struct {
+		argv    []string
+		wantSub string
+	}{
+		{[]string{"-scale", "tiny", "mine", "-s", "-1"}, "SupportFraction must be in [0, 1]"},
+		{[]string{"-scale", "tiny", "mine", "-s", "NaN"}, "SupportFraction must be in [0, 1]"},
+		{[]string{"-scale", "tiny", "mine", "-s", "5"}, "SupportFraction must be in [0, 1]"},
+		{[]string{"-scale", "tiny", "mine", "-algo", "bridge-2abc"}, "unknown algorithm"},
+		{[]string{"-scale", "tiny", "mine", "-algo", "bridge-2x"}, "unknown algorithm"},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		err := run(tc.argv, &stdout, &stderr)
+		if err == nil {
+			t.Errorf("run(%v) succeeded:\n%s", tc.argv, stdout.String())
+			continue
+		}
+		if errors.Is(err, errUsage) {
+			t.Errorf("run(%v) reported a usage error (exit 2), want a validation error (exit 1)", tc.argv)
+		}
+		if !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("run(%v): error %q does not mention %q", tc.argv, err, tc.wantSub)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) printed %q before failing", tc.argv, stdout.String())
+		}
+	}
+}
+
 // splitExportedLog rewrites an exported dataset as two shard directories:
 // every table is copied to both, except the Log, whose rows are split at
 // the given fraction — the multi-deployment layout -data dirA,dirB loads.

@@ -2,7 +2,10 @@ package mine
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/pathmodel"
 	"repro/internal/query"
@@ -167,10 +170,15 @@ func Run(algo string, ev *query.Evaluator, g *schemagraph.Graph, opt Options) (R
 
 // RunWith dispatches a mining run by algorithm name against an arbitrary
 // support oracle; the federated auditing layer passes its cross-shard
-// summing oracle here. A MaxLength below 1 is an error.
+// summing oracle here. A MaxLength below 1, a SupportFraction that is NaN
+// or outside [0, 1], and a name that is not exactly "one-way", "two-way" or
+// AlgoBridge(N) with N >= 2 are errors.
 func RunWith(algo string, o Oracle, g *schemagraph.Graph, opt Options) (Result, error) {
 	if opt.MaxLength < 1 {
 		return Result{}, fmt.Errorf("mine: MaxLength must be at least 1, got %d", opt.MaxLength)
+	}
+	if s := opt.SupportFraction; math.IsNaN(s) || s < 0 || s > 1 {
+		return Result{}, fmt.Errorf("mine: SupportFraction must be in [0, 1], got %v", s)
 	}
 	switch algo {
 	case AlgoOneWay:
@@ -178,9 +186,10 @@ func RunWith(algo string, o Oracle, g *schemagraph.Graph, opt Options) (Result, 
 	case AlgoTwoWay:
 		return TwoWayWith(o, g, opt), nil
 	}
-	var l int
-	if _, err := fmt.Sscanf(algo, "bridge-%d", &l); err == nil && l >= 2 {
-		return BridgedWith(o, g, opt, l), nil
+	if n, ok := strings.CutPrefix(algo, "bridge-"); ok {
+		if l, err := strconv.Atoi(n); err == nil && l >= 2 && AlgoBridge(l) == algo {
+			return BridgedWith(o, g, opt, l), nil
+		}
 	}
 	return Result{}, fmt.Errorf("mine: unknown algorithm %q", algo)
 }

@@ -1,6 +1,7 @@
 package mine_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ehr"
@@ -196,6 +197,36 @@ func TestRunRejectsShortMaxLength(t *testing.T) {
 			if _, err := mine.Run(algo, ev, g, opt); err == nil {
 				t.Errorf("Run(%q) with MaxLength %d succeeded, want error", algo, m)
 			}
+		}
+	}
+}
+
+// TestRunRejectsNonsenseParameters pins that a support fraction that is
+// NaN or outside [0, 1], and an algorithm name with anything around
+// "bridge-N", are errors rather than a run with a nonsense threshold or a
+// silently truncated name.
+func TestRunRejectsNonsenseParameters(t *testing.T) {
+	ev := buildTinyEvaluator(t)
+	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())
+	for _, s := range []float64{-1, -0.01, 1.01, 5, math.NaN(), math.Inf(1)} {
+		opt := mine.DefaultOptions()
+		opt.MaxLength = 2
+		opt.SupportFraction = s
+		if _, err := mine.Run("bridge-2", ev, g, opt); err == nil {
+			t.Errorf("Run with SupportFraction %v succeeded, want error", s)
+		}
+	}
+	opt := mine.DefaultOptions()
+	opt.MaxLength = 2
+	for _, bad := range []string{"bridge-2abc", "bridge-2x", "bridge-2 ", "bridge-02", "bridge-+2", " bridge-2"} {
+		if _, err := mine.Run(bad, ev, g, opt); err == nil {
+			t.Errorf("Run(%q) succeeded, want error", bad)
+		}
+	}
+	for _, s := range []float64{0, 1} {
+		opt.SupportFraction = s
+		if _, err := mine.Run("bridge-2", ev, g, opt); err != nil {
+			t.Errorf("Run with SupportFraction %v: %v", s, err)
 		}
 	}
 }

@@ -142,24 +142,33 @@ func goldenTallies(t *testing.T, golden string, expand func(pathmodel.Path) []pa
 	}
 }
 
-// TestConcurrentCursorsInternOnce starts many cursors on a fresh engine at
-// once, so the first evaluations race to lower the projections and intern
-// the log; every one must see the answer a lone cursor computes. Run it
-// under -race.
+// TestConcurrentCursorsInternOnce starts eight cursors on a fresh engine
+// at once, each beginning at a different plan of one plan set — the
+// catalog's closed paths, their reverses and their open prefixes — so the
+// first evaluations race to intern the log and the tables' columns and to
+// lower projections, several at a time. Each plan is counted over the whole
+// log (its pairs), over half of it (its rows) and estimated; every cursor
+// must get a lone cursor's numbers. Run it under -race.
 func TestConcurrentCursorsInternOnce(t *testing.T) {
 	ds := ehr.Generate(ehr.Tiny())
 	h := groups.BuildHierarchy(groups.BuildUserGraph(ds.Log()), 8)
 	ds.DB.AddTable(h.Table("Groups"))
-	var paths []*explain.PathTemplate
+	var paths []pathmodel.Path
 	for _, tpl := range explain.Handcrafted(true, true).All() {
 		if pt, ok := tpl.(*explain.PathTemplate); ok {
-			paths = append(paths, pt)
+			paths = append(paths, pt.Path, backward(t, pt.Path))
+			paths = append(paths, openPrefixes(pt.Path)...)
 		}
 	}
-	want := make([]int, len(paths))
+	type result struct{ whole, half, estimate int }
+	eval := func(ev *query.Evaluator, p pathmodel.Path) result {
+		pp := ev.Prepare(p)
+		return result{pp.Support(), pp.SupportRange(0, ev.Log().NumRows()/2), ev.EstimateSupport(p)}
+	}
+	want := make([]result, len(paths))
 	lone := query.NewEvaluator(ds.DB)
-	for i, pt := range paths {
-		want[i] = lone.Support(pt.Path)
+	for i, p := range paths {
+		want[i] = eval(lone, p)
 	}
 
 	ev := query.NewEvaluator(ds.DB)
@@ -171,8 +180,8 @@ func TestConcurrentCursorsInternOnce(t *testing.T) {
 			cur := ev.Clone()
 			for k := range paths {
 				i := (k + w) % len(paths) // start each cursor on a different plan
-				if got := cur.Support(paths[i].Path); got != want[i] {
-					t.Errorf("cursor %d, %s: Support = %d, want %d", w, paths[i].Name(), got, want[i])
+				if got := eval(cur, paths[i]); got != want[i] {
+					t.Errorf("cursor %d, %s: %+v, lone cursor %+v", w, paths[i], got, want[i])
 				}
 			}
 		}()

@@ -1,20 +1,23 @@
 package query
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/relation"
 )
 
-// This file is the engine's dense-ID layer. Every join value a plan can meet
-// — the keys and members of a DISTINCT projection, an exists column, the
-// audited log's patients and users — is interned once into a uint32, and the
-// compiled ops (csr, idSet) and the per-row walk touch only those IDs. IDs
-// are handed out in encounter order and never change; an ID says nothing
-// about its value's rank, so every posting list is kept in Value order
-// explicitly (see lowered) — where a walk stops (its first witness, or the
-// posting that fills its set), and so how many postings it consumes, must
-// not depend on the order maps happened to be iterated in.
+// This file is the engine's dense-ID layer. Every column a plan or an
+// estimate reads — the two columns of a DISTINCT projection, an exists
+// column, the audited log's patients and users — is interned once per table
+// version into a column of uint32 IDs (column). The compiled ops (csr,
+// idSet) are built from those columns by counting, with no hashing
+// (lowered, buildCSR), and the walk touches only IDs. IDs are handed out in
+// encounter order and never change; an ID says nothing about its value's
+// rank, so every posting list is sorted into Value order explicitly — where
+// a walk stops (its first witness, or the posting that fills its set), and
+// so how many postings it consumes, must not depend on the order values
+// happened to be interned in.
 
 // dict is the engine's value dictionary. vals is append-only, so a slice
 // header read under the lock stays a valid prefix afterwards.
@@ -70,6 +73,71 @@ func (s idSet) has(id uint32) bool {
 	return int(id>>6) < len(s) && s[id>>6]&(1<<(id&63)) != 0
 }
 
+// colKey names one column of a table as the engine interns it. The audited
+// log has its own key space, because it need not be the database's Log
+// table (see NewEvaluatorWithLog) and the two must not evict each other.
+type colKey struct {
+	audited    bool
+	table, col string
+}
+
+// idCol is one column of a table as dictionary IDs, ids[r] for row r,
+// valid while the table is still t at the same version. set holds the
+// column's distinct IDs and ndv counts them.
+type idCol struct {
+	once    sync.Once
+	t       *relation.Table
+	version uint64
+	ids     []uint32
+	set     idSet
+	ndv     int
+}
+
+// column returns the ID form of column name of t, interning it on first
+// use and again once t has grown or was replaced. baseMu guards only the
+// lookup; the interning runs under the entry's own once, so two workers
+// intern different columns in parallel. The audited log's Patient and User
+// columns are the engine's ID projections and are not interned again.
+func (eng *engine) column(t *relation.Table, name string) *idCol {
+	k := colKey{t == eng.log, t.Name(), name}
+	eng.baseMu.Lock()
+	c := eng.cols[k]
+	if c == nil || c.t != t || c.version != t.Version() {
+		c = &idCol{t: t, version: t.Version()}
+		eng.cols[k] = c
+	}
+	eng.baseMu.Unlock()
+	c.once.Do(func() {
+		ci, ok := t.ColumnIndex(name)
+		if !ok {
+			panic("query: table " + t.Name() + " has no column " + name)
+		}
+		switch {
+		case t == eng.log && ci == eng.logPatientIdx:
+			c.ids = eng.idProjections().patientID[:t.NumRows()]
+		case t == eng.log && ci == eng.logUserIdx:
+			c.ids = eng.idProjections().userID[:t.NumRows()]
+		default:
+			c.ids = make([]uint32, t.NumRows())
+			d := &eng.dict
+			d.mu.Lock()
+			for r := range c.ids {
+				c.ids[r] = d.intern(t.Row(r)[ci])
+			}
+			eng.dictValues.Set(int64(len(d.vals)))
+			d.mu.Unlock()
+		}
+		c.set = newIDSet(len(eng.dict.values()))
+		for _, id := range c.ids {
+			if !c.set.has(id) {
+				c.set.add(id)
+				c.ndv++
+			}
+		}
+	})
+	return c
+}
+
 // baseKey names one lowered projection of a table: the DISTINCT (a, b)
 // pairs, or with b empty the distinct values of column a.
 type baseKey struct{ table, a, b string }
@@ -77,6 +145,7 @@ type baseKey struct{ table, a, b string }
 // base is one lowered projection, valid while the table it was read from is
 // still t at the same version. Exactly one of pairs and set is non-nil.
 type base struct {
+	once    sync.Once
 	t       *relation.Table
 	version uint64
 	pairs   *csr
@@ -85,56 +154,70 @@ type base struct {
 
 // lowered returns the ID form of the projection k of t, lowering it on first
 // use and again once t has grown or was replaced; every plan compiled in
-// between shares the one copy, the way DistinctPairs shares its map.
+// between shares the one copy. Like column, it holds baseMu only for the
+// lookup and builds under the entry's once.
 func (eng *engine) lowered(t *relation.Table, k baseKey) *base {
 	eng.baseMu.Lock()
-	defer eng.baseMu.Unlock()
-	if b := eng.bases[k]; b != nil && b.t == t && b.version == t.Version() {
-		return b
+	b := eng.bases[k]
+	if b == nil || b.t != t || b.version != t.Version() {
+		b = &base{t: t, version: t.Version()}
+		eng.bases[k] = b
 	}
-	b := &base{t: t, version: t.Version()}
-	d := &eng.dict
-	d.mu.Lock()
-	// The dictionary must hold every value before a set or off can be sized,
-	// so each branch interns in one pass over the table's map and fills in
-	// another.
-	if k.b == "" {
-		idx := t.Index(k.a)
-		for v := range idx {
-			d.intern(v)
+	eng.baseMu.Unlock()
+	b.once.Do(func() {
+		if k.b == "" {
+			b.set = eng.column(t, k.a).set
+			return
 		}
-		b.set = newIDSet(len(d.vals))
-		for v := range idx {
-			b.set.add(d.ids[v])
-		}
-	} else {
-		m := t.DistinctPairs(k.a, k.b)
-		for v, ws := range m {
-			d.intern(v)
-			for _, w := range ws {
-				d.intern(w)
-			}
-		}
-		c := &csr{off: make([]uint32, len(d.vals)+1)}
-		for v, ws := range m {
-			c.off[d.ids[v]+1] = uint32(len(ws))
-		}
-		for i := 1; i < len(c.off); i++ {
-			c.off[i] += c.off[i-1]
-		}
-		c.to = make([]uint32, c.off[len(c.off)-1])
-		for v, ws := range m {
-			list := c.to[c.off[d.ids[v]]:]
-			for i, w := range ws { // ws is in Value order and list keeps it
-				list[i] = d.ids[w]
-			}
-		}
-		b.pairs = c
-	}
-	eng.dictValues.Set(int64(len(d.vals)))
-	d.mu.Unlock()
-	eng.bases[k] = b
+		from, to := eng.column(t, k.a).ids, eng.column(t, k.b).ids
+		b.pairs = buildCSR(from, to, eng.dict.values())
+	})
 	return b
+}
+
+// buildCSR builds the DISTINCT projection of the row-aligned ID columns
+// (from, to) by counting sort: a count of each from-ID's rows, a fill of
+// their to-IDs in row order, and a dedupe of each list against a stamp
+// array. Each list is then sorted in the Value order of vals, which must
+// cover every ID of both columns.
+func buildCSR(from, to []uint32, vals []relation.Value) *csr {
+	n := len(vals)
+	off := make([]uint32, n+1)
+	for _, v := range from {
+		off[v+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	fill := slices.Clone(off[:n])
+	all := make([]uint32, len(from))
+	for r, v := range from {
+		all[fill[v]] = to[r]
+		fill[v]++
+	}
+	// Compact in place: list v moves down to start at w, dropping every
+	// to-ID already stamped with v+1. off[v] is rewritten only after list
+	// v's old bounds were read, and off[v+1] is still list v+1's old start.
+	stamp := fill[:n]
+	clear(stamp)
+	w := uint32(0)
+	byValue := func(x, y uint32) int { return vals[x].Compare(vals[y]) }
+	for v := range n {
+		lo, hi := off[v], off[v+1]
+		off[v] = w
+		for _, t := range all[lo:hi] {
+			if stamp[t] != uint32(v)+1 {
+				stamp[t] = uint32(v) + 1
+				all[w] = t
+				w++
+			}
+		}
+		if w-off[v] > 1 {
+			slices.SortFunc(all[off[v]:w], byValue)
+		}
+	}
+	off[n] = w
+	return &csr{off: off, to: slices.Clone(all[:w])}
 }
 
 // scratch is a cursor's reusable evaluation state, sized by the dictionary
@@ -215,14 +298,14 @@ func (s *scratch) bit(t uint32) (uint32, bool) {
 	return b, b < s.size
 }
 
-// numberTargets numbers the distinct targets of the rows [lo, hi) densely
-// in first-appearance order and returns how many there are.
-func (s *scratch) numberTargets(target []uint32, lo, hi, n int) int {
+// numberTargets numbers the distinct targets of a call's units densely in
+// first-appearance order and returns how many there are.
+func (s *scratch) numberTargets(target []uint32, n int) int {
 	if len(s.slot) < n {
 		s.slot = make([]uint32, n)
 	}
 	s.targets = s.targets[:0]
-	for _, t := range target[lo:hi] {
+	for _, t := range target {
 		if s.slot[t] == 0 {
 			s.targets = append(s.targets, t)
 			s.slot[t] = uint32(len(s.targets))
@@ -231,27 +314,27 @@ func (s *scratch) numberTargets(target []uint32, lo, hi, n int) int {
 	return len(s.targets)
 }
 
-// groupByBlock counting-sorts the numbered rows [lo, hi) by block of
-// blockSize target numbers in time O(hi-lo): order lists the rows (as
-// offsets from lo) block by block, in log order within a block, and
-// cnt[blk] is the end of block blk's run in order.
-func (s *scratch) groupByBlock(target []uint32, lo, hi int) {
+// groupByBlock counting-sorts a call's numbered units by block of
+// blockSize target numbers in time O(len(target)): order lists the units
+// block by block, in unit order within a block, and cnt[blk] is the end of
+// block blk's run in order.
+func (s *scratch) groupByBlock(target []uint32) {
 	s.cnt = s.cnt[:0]
 	for range (len(s.targets) + blockSize - 1) / blockSize {
 		s.cnt = append(s.cnt, 0)
 	}
-	for _, t := range target[lo:hi] {
+	for _, t := range target {
 		s.cnt[(s.slot[t]-1)/blockSize]++
 	}
 	pos := uint32(0)
 	for blk, c := range s.cnt {
 		pos, s.cnt[blk] = pos+c, pos
 	}
-	if cap(s.order) < hi-lo {
-		s.order = make([]uint32, hi-lo)
+	if cap(s.order) < len(target) {
+		s.order = make([]uint32, len(target))
 	}
-	s.order = s.order[:hi-lo]
-	for k, t := range target[lo:hi] {
+	s.order = s.order[:len(target)]
+	for k, t := range target {
 		blk := (s.slot[t] - 1) / blockSize
 		s.order[s.cnt[blk]] = uint32(k)
 		s.cnt[blk]++

@@ -4,11 +4,13 @@
 //
 //   - Support: the exact COUNT(DISTINCT Log.Lid) of the path's
 //     support-counting query (§3.2), evaluated with per-table DISTINCT
-//     projections (the "Reducing Result Multiplicity" optimization) and
-//     semi-join style value propagation instead of full joins;
+//     projections (the "Reducing Result Multiplicity" optimization), over
+//     the log's distinct (patient, user) pairs with their multiplicities,
+//     and with semi-join style value propagation instead of full joins;
 //   - EstimateSupport: a cheap System-R style cardinality estimate standing
 //     in for "asking the database optimizer for the number of log ids it
-//     expects" (the "Skipping Non-Selective Paths" optimization).
+//     expects" (the "Skipping Non-Selective Paths" optimization), read off
+//     the distinct counts of the interned ID columns.
 //
 // It also enumerates explanation instances (the bound tuple chains behind an
 // individual access) so that templates can be rendered in natural language.
@@ -21,23 +23,27 @@
 // in one call — because compiled plans are cached, even they stop paying
 // compilation cost after the first evaluation of a condition set.
 //
-// There is one execution path. compile turns a path into its hops in
-// declared order, a plan's first evaluation lowers them onto dictionary IDs
-// (dict.go), and every evaluation walks that chain depth-first, memoizing
-// for each (op, value) the set of the call's targets it reaches — a bitset
-// over the call's distinct end IDs, one bit for an open plan — in the
-// cursor's scratch (lazy.go), so each sub-question is walked once per call.
-// Nothing an evaluation computes is retained on the engine.
+// There is one execution path, and it reads dictionary IDs only. compile
+// turns a path into its hops in declared order; a plan's first evaluation
+// lowers them by counting over the tables' interned ID columns (dict.go);
+// and every evaluation walks that chain depth-first from each unit — a row,
+// or for whole-log support a distinct (patient, user) pair of the engine's
+// pair column weighted by its rows — memoizing for each (op, value) the set
+// of the call's targets it reaches, a bitset over the call's distinct end
+// IDs (one bit for an open plan), in the cursor's scratch (lazy.go), so each
+// sub-question is walked once per call. Nothing an evaluation computes is
+// retained on the engine.
 //
 // # Concurrency contract
 //
 // An Evaluator is split into two parts. The engine — the database binding,
-// the audited log, its start/end column projections, the value dictionary,
-// and the shared plan cache — is created by NewEvaluatorWithLog and shared
-// by every evaluator cloned from it. The plan cache is guarded by an
-// RWMutex (and per-entry sync.Once for compilation and for lowering), so
-// any number of cursors may Prepare and evaluate concurrently, reusing each
-// other's compiled plans.
+// the audited log, its start/end and pair column projections, the value
+// dictionary, the interned columns and lowered projections, and the shared
+// plan cache — is created by NewEvaluatorWithLog and shared by every
+// evaluator cloned from it. The plan cache is guarded by an RWMutex (and
+// per-entry sync.Once for compilation and for lowering, as are the columns
+// and projections), so any number of cursors may Prepare and evaluate
+// concurrently, reusing each other's compiled plans.
 // The cache is keyed by the path's canonical condition key. A schema change
 // (relation.Database.SchemaVersion: AddTable) drops it wholesale; an append
 // drops only the plans that read the appended table; and an append to the
@@ -59,6 +65,7 @@
 package query
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -68,10 +75,10 @@ import (
 )
 
 // engine is the shareable part of an Evaluator: the database, the audited
-// log, the log column projections, and the compiled-plan cache. The
-// projections are written only during NewEvaluatorWithLog; the plan cache is
-// internally synchronized, so any number of cursors may use the engine
-// concurrently.
+// log, the log column projections, the dense-ID layer, and the
+// compiled-plan cache. The projections are extended under projMu and
+// published atomically; the rest is internally synchronized, so any number
+// of cursors may use the engine concurrently.
 type engine struct {
 	db  *relation.Database
 	log *relation.Table
@@ -81,11 +88,19 @@ type engine struct {
 	logPatientIdx int
 	logUserIdx    int
 
-	// dict interns every join value into a dense ID, and bases caches the
-	// ID form of each table projection plans are compiled from (see dict.go).
+	// dict interns every join value into a dense ID; cols caches the ID form
+	// of each table column plans and estimates read, and bases the ID form
+	// of each table projection plans are compiled from (see dict.go).
+	// baseMu guards the two maps, never the building of an entry.
 	dict   dict
 	baseMu sync.Mutex
+	cols   map[colKey]*idCol
 	bases  map[baseKey]*base
+
+	// pairs numbers the audited log's distinct (patient ID, user ID) pairs,
+	// keyed patient<<32 | user, for idProjections' pair column. Guarded by
+	// projMu.
+	pairs map[uint64]uint32
 
 	// proj is the per-row start/end column snapshot (one entry per audited
 	// row), published atomically so it can be *extended* when the log grows:
@@ -224,7 +239,7 @@ func NewEvaluator(db *relation.Database) *Evaluator {
 func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evaluator {
 	log := audited
 	eng := &engine{db: db, log: log, plans: make(map[string]*cachedPlan), planVersion: db.SchemaVersion(),
-		bases: make(map[baseKey]*base)}
+		cols: make(map[colKey]*idCol), bases: make(map[baseKey]*base), pairs: make(map[uint64]uint32)}
 	eng.dict.ids = make(map[relation.Value]uint32)
 	eng.initMetrics()
 	pi, ok := log.ColumnIndex(pathmodel.LogPatientColumn)
@@ -259,9 +274,19 @@ func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 // patientID and userID are the same columns as dictionary IDs, the only form
 // plan evaluation reads; they cover a prefix of the rows (none until a plan
 // is first evaluated — see idProjections).
+//
+// The pair column factorises the log by (patient, user), the pair a path
+// explains: pairID[r] numbers row r's pair densely in first-appearance
+// order, and pair p is (pairPatient[p], pairUser[p]) and holds pairRows[p]
+// of the rows the ID columns cover. An undecorated template's verdict is a
+// function of the pair, so whole-log support walks the pairs weighted by
+// their rows (Prepared.SupportRange).
 type logProj struct {
 	patients, users   []relation.Value
 	patientID, userID []uint32
+
+	pairID                          []uint32
+	pairPatient, pairUser, pairRows []uint32
 }
 
 // appendProjRows extends pr with log rows [len(pr.patients), n).
@@ -298,10 +323,12 @@ func (eng *engine) projections() *logProj {
 	return &next
 }
 
-// idProjections returns a snapshot whose ID columns cover every row,
-// interning the rows they do not cover yet: the whole log on the first plan
-// evaluation, the appended suffix after that. A caller that never evaluates
-// a plan (a warm point render) never pays for the dictionary.
+// idProjections returns a snapshot whose ID and pair columns cover every
+// row, interning and numbering the rows they do not cover yet: the whole log
+// on the first plan evaluation, the appended suffix after that. An appended
+// row whose pair is known joins it; pairRows is copied first, so an older
+// snapshot keeps its counts. A caller that never evaluates a plan (a warm
+// point render) never pays for the dictionary.
 func (eng *engine) idProjections() *logProj {
 	pr := eng.projections()
 	if len(pr.patientID) == len(pr.patients) {
@@ -310,14 +337,29 @@ func (eng *engine) idProjections() *logProj {
 	eng.projMu.Lock()
 	defer eng.projMu.Unlock()
 	next := *eng.proj.Load()
+	lo := len(next.patientID)
 	d := &eng.dict
 	d.mu.Lock()
-	for r := len(next.patientID); r < len(next.patients); r++ {
+	for r := lo; r < len(next.patients); r++ {
 		next.patientID = append(next.patientID, d.intern(next.patients[r]))
 		next.userID = append(next.userID, d.intern(next.users[r]))
 	}
 	eng.dictValues.Set(int64(len(d.vals)))
 	d.mu.Unlock()
+	next.pairRows = slices.Clone(next.pairRows)
+	for r := lo; r < len(next.patientID); r++ {
+		pt, u := next.patientID[r], next.userID[r]
+		p, ok := eng.pairs[uint64(pt)<<32|uint64(u)]
+		if !ok {
+			p = uint32(len(next.pairRows))
+			eng.pairs[uint64(pt)<<32|uint64(u)] = p
+			next.pairPatient = append(next.pairPatient, pt)
+			next.pairUser = append(next.pairUser, u)
+			next.pairRows = append(next.pairRows, 0)
+		}
+		next.pairID = append(next.pairID, p)
+		next.pairRows[p]++
+	}
 	eng.proj.Store(&next)
 	return &next
 }
@@ -443,19 +485,22 @@ func (ev *Evaluator) EstimateSupport(p pathmodel.Path) int {
 	insts := p.Instances()
 	conds := p.Conds()
 
+	// ndv reads a column's distinct count off its ID form (see
+	// engine.column), which lowering shares.
+	ndv := func(t *relation.Table, col string) float64 { return float64(ev.column(t, col).ndv) }
 	rows := float64(ev.log.NumRows())
-	ndvPrev := float64(ev.log.NumDistinct(p.StartColumn()))
+	ndvPrev := ndv(ev.log, p.StartColumn())
 
 	join := func(tbl *relation.Table, entry, exit string) {
 		tRows := float64(tbl.NumRows())
-		ndvEntry := float64(tbl.NumDistinct(entry))
+		ndvEntry := ndv(tbl, entry)
 		if ndvEntry == 0 || tRows == 0 {
 			rows = 0
 			return
 		}
 		rows = rows * tRows / maxf(ndvPrev, ndvEntry)
 		if exit != "" {
-			ndvPrev = float64(tbl.NumDistinct(exit))
+			ndvPrev = ndv(tbl, exit)
 		} else {
 			ndvPrev = ndvEntry
 		}
@@ -466,7 +511,7 @@ func (ev *Evaluator) EstimateSupport(p pathmodel.Path) int {
 			join(ev.db.MustTable(c.Via.Table), c.Via.FromColumn, c.Via.ToColumn)
 		}
 		if c.RightInst == 0 {
-			ndvEnd := float64(ev.log.NumDistinct(c.RightCol))
+			ndvEnd := ndv(ev.log, c.RightCol)
 			rows = rows / maxf(ndvPrev, maxf(ndvEnd, 1))
 			continue
 		}

@@ -195,3 +195,66 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 	dfs(0, patient)
 	return out, nodes
 }
+
+// LoweredProjection is one projection the engine has lowered, decoded back
+// to values: Pairs maps each from-value to its posting list in CSR order,
+// or, for an exists set (B empty), Set holds its members.
+type LoweredProjection struct {
+	Table *relation.Table
+	A, B  string
+	Pairs map[relation.Value][]relation.Value
+	Set   map[relation.Value]bool
+}
+
+// LoweredProjections decodes every projection the engine has lowered.
+func (ev *Evaluator) LoweredProjections() []LoweredProjection {
+	vals := ev.dict.values()
+	ev.baseMu.Lock()
+	defer ev.baseMu.Unlock()
+	var out []LoweredProjection
+	for k, b := range ev.bases {
+		lp := LoweredProjection{Table: b.t, A: k.a, B: k.b}
+		if b.pairs != nil {
+			lp.Pairs = make(map[relation.Value][]relation.Value)
+			for v := range len(b.pairs.off) - 1 {
+				for _, w := range b.pairs.list(uint32(v)) {
+					lp.Pairs[vals[v]] = append(lp.Pairs[vals[v]], vals[w])
+				}
+			}
+		} else {
+			lp.Set = make(map[relation.Value]bool)
+			for v := range vals {
+				if b.set.has(uint32(v)) {
+					lp.Set[vals[v]] = true
+				}
+			}
+		}
+		out = append(out, lp)
+	}
+	return out
+}
+
+// InternedColumn is one column the engine has interned, decoded back to
+// values, with its distinct count.
+type InternedColumn struct {
+	Table  *relation.Table
+	Column string
+	Values []relation.Value
+	NDV    int
+}
+
+// InternedColumns decodes every column the engine has interned.
+func (ev *Evaluator) InternedColumns() []InternedColumn {
+	vals := ev.dict.values()
+	ev.baseMu.Lock()
+	defer ev.baseMu.Unlock()
+	var out []InternedColumn
+	for k, c := range ev.cols {
+		ic := InternedColumn{Table: c.t, Column: k.col, NDV: c.ndv}
+		for _, id := range c.ids {
+			ic.Values = append(ic.Values, vals[id])
+		}
+		out = append(out, ic)
+	}
+	return out
+}

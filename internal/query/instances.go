@@ -260,8 +260,9 @@ func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBi
 // InstanceMemo holds the instance bindings of undecorated walks keyed by
 // (path, limit, patient, user), for the cursors of one call that renders
 // many rows of an audited log that does not change meanwhile (a whole-log
-// stream). The rows' (patient, user) pairs are numbered once, when the memo
-// is made, so a path's entries are one dense array indexed by pair. Cursors
+// stream). The rows' (patient, user) pairs are numbered by the engine's pair
+// column (see logProj), so a path's entries are one dense array indexed by
+// pair. Cursors
 // read it without locks: an entry is 0 until a walk publishes the offset of
 // its record (atomically, after writing the record), and two cursors racing
 // on one entry compute the same bindings, so either record serves. Records
@@ -270,11 +271,11 @@ func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBi
 // row per hop. A full arena stops memoizing, never evicts.
 type InstanceMemo struct {
 	eng  *engine
-	slot []int32 // audited row -> dense (patient, user) pair number
-	nps  int     // number of distinct pairs
+	slot []uint32 // audited row -> its pair in the engine's pair column
+	nps  int      // number of distinct pairs
 
 	mu     sync.Mutex
-	tables map[memoKey][]atomic.Uint32
+	tables map[memoKey][]atomic.Uint32 // made on first use
 
 	blocks []atomic.Pointer[memoBlock]
 	next   atomic.Int64 // next unclaimed block
@@ -309,29 +310,16 @@ type memoCursor struct {
 }
 
 // NewInstanceMemo returns an empty memo over the audited log's rows as they
-// are now; later rows bypass it. Numbering the rows' (patient, user) pairs
-// costs one map probe per row.
+// are now; later rows bypass it. It numbers the rows by the engine's pair
+// column (see logProj), which it reads without copying.
 func (ev *Evaluator) NewInstanceMemo() *InstanceMemo {
 	pr := ev.idProjections()
-	n := len(pr.patientID)
-	m := &InstanceMemo{
+	return &InstanceMemo{
 		eng:    ev.engine,
-		slot:   make([]int32, n),
-		tables: make(map[memoKey][]atomic.Uint32),
+		slot:   pr.pairID,
+		nps:    len(pr.pairRows),
 		blocks: make([]atomic.Pointer[memoBlock], memoMaxBlocks),
 	}
-	ids := make(map[uint64]int32)
-	for r := range n {
-		k := uint64(pr.patientID[r])<<32 | uint64(pr.userID[r])
-		s, ok := ids[k]
-		if !ok {
-			s = int32(len(ids))
-			ids[k] = s
-		}
-		m.slot[r] = s
-	}
-	m.nps = len(ids)
-	return m
 }
 
 // CloneWithMemo is Clone for a cursor whose Instances calls read and fill
@@ -350,6 +338,9 @@ func (m *InstanceMemo) table(id *pathmodel.Cond, limit int) []atomic.Uint32 {
 	k := memoKey{id, limit}
 	t := m.tables[k]
 	if t == nil {
+		if m.tables == nil {
+			m.tables = make(map[memoKey][]atomic.Uint32)
+		}
 		t = make([]atomic.Uint32, m.nps)
 		m.tables[k] = t
 	}

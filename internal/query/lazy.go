@@ -1,18 +1,20 @@
 package query
 
 // This file is the execution engine: pull-based, set-valued evaluation of
-// compiled plans. A call's rows ask "does this row's start value reach its
-// target?"; the walk answers the coarser sub-question "which of this call's
-// targets can value v at op boundary bi reach?" as a bitset over the call's
-// distinct targets, by a depth-first walk over the plan's pairs lists in
-// declared hop order that stops as soon as the set is full. Each (boundary,
-// value) sub-question is walked once per call however many rows and
-// targets raise it, and its set is memoized in the cursor's scratch
-// (dict.go). An open plan has no targets: its set is one bit, set by any
-// chain that survives every op, so a full set is the first witness. Nothing
-// is retained on the engine. The nested join behind the test-only
-// SupportNaive and SupportScan (export_test.go) is the independent
-// reference the differential tests pin this walk to, row by row.
+// compiled plans. A call's units — the rows of a range, or for whole-log
+// support the log's distinct (patient, user) pairs weighted by their rows —
+// ask "does this unit's start value reach its target?"; the walk answers
+// the coarser sub-question "which of this call's targets can value v at op
+// boundary bi reach?" as a bitset over the call's distinct targets, by a
+// depth-first walk over the plan's pairs lists in declared hop order that
+// stops as soon as the set is full. Each (boundary, value) sub-question is
+// walked once per call however many units and targets raise it, and its set
+// is memoized in the cursor's scratch (dict.go). An open plan has no
+// targets: its set is one bit, set by any chain that survives every op, so
+// a full set is the first witness. Nothing is retained on the engine. The
+// nested join behind the test-only SupportNaive and SupportScan
+// (export_test.go) is the independent reference the differential tests pin
+// this walk to, row by row.
 
 // blockSize is the most targets one memo generation numbers: a closed
 // call's rows are walked in blocks of at most this many distinct targets,
@@ -146,55 +148,65 @@ func equalSets(a, b []uint64) bool {
 	return true
 }
 
-// eval classifies the log rows [lo, hi) with the lazy walk, stores the
-// verdicts in out when it is non-nil (out[i] is row lo+i) and returns how
-// many rows qualified. A row qualifies iff its target's bit is set in the
-// set its start value reaches from boundary 0. An open plan's rows share
-// one one-bit target under a single memo generation. A closed plan's
-// distinct targets are numbered in first-appearance order; a call with
-// more than blockSize of them visits its rows grouped by block, with one
-// generation per block, and any other call visits them in log order.
-func (pp *Prepared) eval(lo, hi int, out []bool) int {
+// eval classifies a call's units: unit k starts at from[k], must reach
+// target[k] when the plan is closed, and stands for weight[k] rows, or for
+// one when weight is nil. The units are the rows of a range, or the whole
+// log's (patient, user) pairs weighted by their rows (SupportRange). eval
+// stores the verdicts in out when it is non-nil and returns the weighted
+// count of units that qualified. A unit qualifies iff its target's bit is
+// set in the set its start value reaches from boundary 0. An open plan's
+// units share one one-bit target under a single memo generation, so a
+// repeated start is a memo hit. A closed plan's distinct targets are
+// numbered in first-appearance order; a call with more than blockSize of
+// them visits its units grouped by block, with one generation per block,
+// and any other call visits them in order.
+func (pp *Prepared) eval(from, target, weight []uint32, out []bool) int {
 	pp.ent.lower(pp.ev.engine)
-	from, target := pp.orient()
-	ops := pp.ent.pl.ops
+	ops, closed := pp.ent.pl.ops, pp.ent.pl.closed
 	n := len(pp.ev.engine.dict.values())
 	s := &pp.ev.scratch
 	lw := &lazyWalk{ops: ops, s: s, scanned: &pp.ev.postingsScanned, exec: newExecLocal(pp.ev.engine, pp.ent.exec)}
 	defer lw.exec.flush()
+
+	// Lay out the blocks: cnt[blk] ends block blk's run of units in order,
+	// or in unit order when order is nil.
+	targets, order := 1, []uint32(nil)
+	if closed {
+		defer s.clearTargets()
+		targets = s.numberTargets(target, n)
+	}
+	if targets > blockSize {
+		s.groupByBlock(target)
+		order = s.order
+	} else {
+		s.cnt = append(s.cnt[:0], uint32(len(from)))
+	}
+
 	count := 0
-	visit := func(k int, b uint32) {
-		if lw.reaches(0, from[lo+k])[b>>6]&(1<<(b&63)) != 0 {
-			count++
-			if out != nil {
-				out[k] = true
-			}
-		}
-	}
-	if !pp.ent.pl.closed {
-		s.startBlock(ops, n, 0, 1)
-		for k := 0; k < hi-lo; k++ {
-			visit(k, 0)
-		}
-		return count
-	}
-	defer s.clearTargets()
-	if s.numberTargets(target, lo, hi, n) <= blockSize {
-		s.startBlock(ops, n, 0, uint32(len(s.targets)))
-		for k := 0; k < hi-lo; k++ {
-			visit(k, s.slot[target[lo+k]]-1)
-		}
-		return count
-	}
-	s.groupByBlock(target, lo, hi)
 	k := uint32(0)
 	for blk, end := range s.cnt {
 		base := uint32(blk * blockSize)
-		s.startBlock(ops, n, base, min(uint32(len(s.targets))-base, blockSize))
+		s.startBlock(ops, n, base, min(uint32(targets)-base, blockSize))
 		for ; k < end; k++ {
-			r := int(s.order[k])
-			b, _ := s.bit(target[lo+r])
-			visit(r, b)
+			u := k
+			if order != nil {
+				u = order[k]
+			}
+			b := uint32(0)
+			if closed {
+				b, _ = s.bit(target[u])
+			}
+			if lw.reaches(0, from[u])[b>>6]&(1<<(b&63)) == 0 {
+				continue
+			}
+			if weight == nil {
+				count++
+			} else {
+				count += int(weight[u])
+			}
+			if out != nil {
+				out[u] = true
+			}
 		}
 	}
 	return count

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
+	"repro/internal/mine"
 	"repro/internal/query"
 	"repro/internal/relation"
 )
@@ -127,5 +128,74 @@ func TestFirstEvaluationRace(t *testing.T) {
 	wg.Wait()
 	if got, n := ev.PlanCacheStats().PlansPlanned, len(ev.PlanCacheKeys()); got != int64(n) {
 		t.Errorf("%d plans counted for %d cached plans; each must be lowered once", got, n)
+	}
+}
+
+// TestLoweringMatchesValueProjections pins the counting-sort lowering to the
+// relation layer's Value-keyed projections. After the catalog's plans and a
+// bridge-2 mining run to length 5 have lowered their projections, every
+// pairs CSR decodes to Table.DistinctPairs, with each posting list in the
+// same Value order; every exists set to the keys of Table.Index; and every
+// interned column to the table's rows, with Table.NumDistinct distinct
+// values.
+func TestLoweringMatchesValueProjections(t *testing.T) {
+	ds := ehr.Generate(ehr.Tiny())
+	h := groups.BuildHierarchy(groups.BuildUserGraph(ds.Log()), 8)
+	ds.DB.AddTable(h.Table("Groups"))
+	ev := query.NewEvaluator(ds.DB)
+	for _, tpl := range explain.Handcrafted(true, true).All() {
+		if pt, ok := tpl.(*explain.PathTemplate); ok {
+			ev.Prepare(pt.Path).Support()
+		}
+	}
+	opt := mine.DefaultOptions()
+	opt.MaxLength = 5
+	opt.Parallelism = 2
+	if _, err := mine.Run(mine.AlgoBridge(2), ev, ehr.SchemaGraph(ehr.DefaultGraphOptions()), opt); err != nil {
+		t.Fatal(err)
+	}
+
+	pairs, sets, onLog := 0, 0, false
+	for _, lp := range ev.LoweredProjections() {
+		name := lp.Table.Name() + "." + lp.A + ">" + lp.B
+		if lp.Table == ev.Log() {
+			onLog = true
+		}
+		if lp.B == "" {
+			sets++
+			want := make(map[relation.Value]bool)
+			for v := range lp.Table.Index(lp.A) {
+				want[v] = true
+			}
+			if !reflect.DeepEqual(lp.Set, want) {
+				t.Errorf("%s: exists set has %d values, Index has %d", name, len(lp.Set), len(want))
+			}
+			continue
+		}
+		pairs++
+		if want := lp.Table.DistinctPairs(lp.A, lp.B); !reflect.DeepEqual(lp.Pairs, want) {
+			t.Errorf("%s: CSR differs from DistinctPairs (%d vs %d keys)", name, len(lp.Pairs), len(want))
+		}
+	}
+	if pairs < 10 || sets == 0 || !onLog {
+		t.Fatalf("lowered %d pairs projections and %d sets (audited log among them: %v); the comparison is too thin", pairs, sets, onLog)
+	}
+
+	cols := ev.InternedColumns()
+	for _, c := range cols {
+		ci, _ := c.Table.ColumnIndex(c.Column)
+		want := make([]relation.Value, c.Table.NumRows())
+		for r := range want {
+			want[r] = c.Table.Row(r)[ci]
+		}
+		if !reflect.DeepEqual(c.Values, want) {
+			t.Errorf("%s.%s: interned column differs from the table's rows", c.Table.Name(), c.Column)
+		}
+		if n := c.Table.NumDistinct(c.Column); c.NDV != n {
+			t.Errorf("%s.%s: %d distinct IDs, NumDistinct %d", c.Table.Name(), c.Column, c.NDV, n)
+		}
+	}
+	if len(cols) == 0 {
+		t.Error("no interned columns")
 	}
 }

@@ -102,19 +102,25 @@ func (pp *Prepared) Path() pathmodel.Path { return pp.path }
 // Closed reports whether the prepared path is closed (reaches Log.User).
 func (pp *Prepared) Closed() bool { return pp.ent.pl.closed }
 
-// orient returns the per-row start and end ID columns for the orientation
-// the shared plan was compiled in. Two paths with equal canonical keys can
-// differ in orientation (a closed path and its reverse impose the same
-// condition set); the plan's own orientation is the one its ops expect, and
-// the explained/connected row set is orientation-invariant, so results are
-// identical either way. The snapshot covers every audited row, including
-// ones appended after the handle was prepared (see engine.idProjections).
-func (pp *Prepared) orient() (starts, ends []uint32) {
-	pr := pp.ev.idProjections()
+// orient returns the start and end ID columns among (patients, users) for
+// the orientation the shared plan was compiled in. Two paths with equal
+// canonical keys can differ in orientation (a closed path and its reverse
+// impose the same condition set); the plan's own orientation is the one its
+// ops expect, and the explained/connected row set is orientation-invariant,
+// so results are identical either way.
+func (pp *Prepared) orient(patients, users []uint32) (starts, ends []uint32) {
 	if pp.ent.forward {
-		return pr.patientID, pr.userID
+		return patients, users
 	}
-	return pr.userID, pr.patientID
+	return users, patients
+}
+
+// rowUnits returns the rows [lo, hi) as eval's units, oriented. The
+// snapshot covers every audited row, including ones appended after the
+// handle was prepared (see engine.idProjections).
+func (pp *Prepared) rowUnits(lo, hi int) (from, target []uint32) {
+	pr := pp.ev.idProjections()
+	return pp.orient(pr.patientID[lo:hi], pr.userID[lo:hi])
 }
 
 // checkRange validates a half-open row range against the audited log.
@@ -132,11 +138,18 @@ func (pp *Prepared) Support() int {
 }
 
 // SupportRange is Support counted over the log rows [lo, hi): disjoint
-// ranges sum to the full-log support. It panics on out-of-bounds ranges.
+// ranges sum to the full-log support. The whole log is counted over its
+// distinct (patient, user) pairs, each weighted by its rows (see logProj);
+// any other range row by row. It panics on out-of-bounds ranges.
 func (pp *Prepared) SupportRange(lo, hi int) int {
 	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
-	return pp.eval(lo, hi, nil)
+	if pr := pp.ev.idProjections(); lo == 0 && hi == len(pr.pairID) {
+		from, target := pp.orient(pr.pairPatient, pr.pairUser)
+		return pp.eval(from, target, pr.pairRows, nil)
+	}
+	from, target := pp.rowUnits(lo, hi)
+	return pp.eval(from, target, nil, nil)
 }
 
 // ExplainedRows returns one boolean per log row: whether the closed path
@@ -163,7 +176,8 @@ func (pp *Prepared) rangeRows(lo, hi int) []bool {
 	pp.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
 	out := make([]bool, hi-lo)
-	pp.eval(lo, hi, out)
+	from, target := pp.rowUnits(lo, hi)
+	pp.eval(from, target, nil, out)
 	return out
 }
 
