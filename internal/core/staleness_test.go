@@ -12,10 +12,10 @@ import (
 	"repro/internal/relation"
 )
 
-// TestRenderAfterMutationMatchesRebuild pins the one risk compiled instance
-// enumeration adds: the auditor's long-lived cursor keeps enumerators that
-// snapshot table indexes, so a mutation must never be answered from a
-// snapshot taken before it. A live auditor renders every row, then the
+// TestRenderAfterMutationMatchesRebuild pins the one risk the instance walk
+// adds: the auditor's long-lived cursor keeps walks that point at lowered
+// forms of the tables (row CSRs, bridge pair lists, interned columns), so a
+// mutation must never be answered from forms lowered before it. A live auditor renders every row, then the
 // database changes under it three ways — an event row is appended so a
 // branch that led nowhere becomes a witness, the Groups table is replaced
 // so whole dead sub-trees come alive, the audited log itself grows under a

@@ -15,6 +15,9 @@ import (
 // snapshot's plan keys register plans without lowering any, so until a plan
 // is evaluated the dictionary is empty and no plan bytes are resident — and
 // a patient report, served from the restored masks, evaluates none. The
+// reports' instance walks intern the columns their hops join on, so the
+// dictionary is no longer empty after them; that they leave the audited log
+// uninterned is pinned in query (TestPointRenderLeavesLogUninterned). The
 // warm reports are byte-identical to the cold ones.
 func TestWarmInstallLowersNothing(t *testing.T) {
 	ds, cold := buildAuditor(t)
@@ -48,18 +51,18 @@ func TestWarmInstallLowersNothing(t *testing.T) {
 		t.Fatalf("InstallWarmState = %d masks, %d plans; want %d masks and some plans", masks, plans, len(ws.Masks))
 	}
 	reg := warm.Evaluator().Metrics()
-	lowered := func(when string) {
+	lowered := func(when string, rendered bool) {
 		t.Helper()
-		if b, v := reg.Gauge("query.plan.resident_bytes").Value(), reg.Gauge("query.dict.values").Value(); b != 0 || v != 0 {
+		if b, v := reg.Gauge("query.plan.resident_bytes").Value(), reg.Gauge("query.dict.values").Value(); b != 0 || (v != 0 && !rendered) {
 			t.Errorf("%s: query.plan.resident_bytes = %d, query.dict.values = %d; want 0 and 0", when, b, v)
 		}
 		if n := warm.PlanCacheStats().PlansPlanned; n != 0 {
 			t.Errorf("%s: %d plans lowered, want 0", when, n)
 		}
 	}
-	lowered("after InstallWarmState")
+	lowered("after InstallWarmState", false)
 	got := render(warm)
-	lowered("after the warm patient reports")
+	lowered("after the warm patient reports", true)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("patient %v: warm report differs from cold:\n got %s\nwant %s", patients[i], got[i], want[i])

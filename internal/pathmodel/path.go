@@ -145,19 +145,45 @@ func (p Path) appendEdge(e schemagraph.Edge) (Path, bool) {
 		return Path{}, false
 	}
 
+	// Closing move: the edge arrives at the opposite log attribute of the
+	// audited tuple (instance 0): Log.User for forward paths, Log.Patient
+	// for backward paths. Otherwise the edge opens a new table instance,
+	// and the checks below, which read only p, reject it before anything
+	// is copied.
+	closing := e.To == (schemagraph.Attr{Table: LogTable, Column: p.endColumn()}) && last != 0
+	if !closing {
+		// A self-join edge must connect an attribute to itself across two
+		// instances of one table; reaching a *different* table with a
+		// SelfJoin edge would be a catalog bug.
+		if e.Kind == schemagraph.SelfJoin && (e.From.Table != e.To.Table || e.From.Column != e.To.Column) {
+			return Path{}, false
+		}
+		// At most two instances of any table: one base instance plus one
+		// self-join partner. (The paper counts such a pair as one table
+		// reference; allowing longer same-table chains would make the
+		// "counted as a single reference" rule ambiguous.) Whether a
+		// *specific* table may appear twice at all is the administrator's
+		// self-join policy (§3.1 assumption 3); the miner enforces it via
+		// the schema graph so the rule is identical for forward and
+		// backward construction.
+		if p.instancesOfTable(e.To.Table) >= 2 {
+			return Path{}, false
+		}
+	}
+
+	// The copies leave room for the append, so extending a path allocates
+	// each slice once; the new path still owns its arrays, whose addresses
+	// identify it.
 	np := Path{
-		insts: append([]Instance(nil), p.insts...),
-		conds: append([]Cond(nil), p.conds...),
-		edges: append([]schemagraph.Edge(nil), p.edges...),
+		insts: append(make([]Instance, 0, len(p.insts)+1), p.insts...),
+		conds: append(make([]Cond, 0, len(p.conds)+1), p.conds...),
+		edges: append(make([]schemagraph.Edge, 0, len(p.edges)+1), p.edges...),
 		start: p.start,
 	}
 	np.insts[last].Exit = exitCol
 	np.edges = append(np.edges, e)
 
-	// Closing move: the edge arrives at the opposite log attribute of the
-	// audited tuple (instance 0): Log.User for forward paths, Log.Patient
-	// for backward paths.
-	if e.To == (schemagraph.Attr{Table: LogTable, Column: p.endColumn()}) && last != 0 {
+	if closing {
 		np.conds = append(np.conds, Cond{
 			LeftInst: last, LeftCol: exitCol,
 			RightInst: 0, RightCol: p.endColumn(),
@@ -165,25 +191,6 @@ func (p Path) appendEdge(e schemagraph.Edge) (Path, bool) {
 		})
 		np.closed = true
 		return np, true
-	}
-
-	// Otherwise the edge opens a new table instance.
-	//
-	// A self-join edge must connect an attribute to itself across two
-	// instances of one table; reaching a *different* table with a SelfJoin
-	// edge would be a catalog bug.
-	if e.Kind == schemagraph.SelfJoin && (e.From.Table != e.To.Table || e.From.Column != e.To.Column) {
-		return Path{}, false
-	}
-	// At most two instances of any table: one base instance plus one
-	// self-join partner. (The paper counts such a pair as one table
-	// reference; allowing longer same-table chains would make the "counted
-	// as a single reference" rule ambiguous.) Whether a *specific* table may
-	// appear twice at all is the administrator's self-join policy (§3.1
-	// assumption 3); the miner enforces it via the schema graph so the rule
-	// is identical for forward and backward construction.
-	if np.instancesOfTable(e.To.Table) >= 2 {
-		return Path{}, false
 	}
 
 	np.insts = append(np.insts, Instance{Table: e.To.Table, Entry: e.To.Column})

@@ -14,24 +14,27 @@ type boundDecoration struct {
 	konst       *relation.Value // when non-nil, right is ignored
 }
 
-type boundRef struct{ inst, col int }
+type boundRef struct {
+	t         *relation.Table // the instance's table
+	inst, col int
+}
 
 // decorated returns the cursor's enumerator for dp's base path with dp's
 // decorations bound into the walk: each is checked as soon as every instance
 // it references is bound, pruning the search early.
 func (ev *Evaluator) decorated(dp pathmodel.DecoratedPath) *instEnum {
 	e := ev.enumerator(dp.Base)
-	e.ready = make([][]boundDecoration, len(e.hops)+1)
+	e.ready = make([][]boundDecoration, len(e.rows)+1)
 	ref := func(r pathmodel.Ref) boundRef {
 		t := ev.log
 		if r.Inst > 0 {
-			t = e.hops[r.Inst-1].table
+			t = ev.db.MustTable(dp.Base.Instances()[r.Inst].Table)
 		}
 		col, ok := t.ColumnIndex(r.Col)
 		if !ok {
 			panic("query: decoration references missing column " + t.Name() + "." + r.Col)
 		}
-		return boundRef{r.Inst, col}
+		return boundRef{t, r.Inst, col}
 	}
 	for _, d := range dp.Decorations {
 		b := boundDecoration{left: ref(d.Left), op: d.Op, konst: d.Const}
@@ -53,7 +56,7 @@ func (e *instEnum) holds(inst int) bool {
 		if r.inst == 0 {
 			return e.logRow[r.col]
 		}
-		return e.hops[r.inst-1].table.Row(e.rows[r.inst-1])[r.col]
+		return r.t.Row(e.rows[r.inst-1])[r.col]
 	}
 	for _, d := range e.ready[inst] {
 		var r relation.Value
@@ -73,7 +76,7 @@ func (e *instEnum) holds(inst int) bool {
 // instance binding of the decorated path explains it. Per Definition 3 the
 // result is always a subset of ExplainedRows of the base path.
 func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
-	return ev.ExplainedRowsDecoratedRange(dp, 0, len(ev.projections().patients))
+	return ev.ExplainedRowsDecoratedRange(dp, 0, ev.log.NumRows())
 }
 
 // ExplainedRowsDecoratedRange evaluates the decorated path over the
@@ -82,9 +85,7 @@ func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
 // disjoint ranges concatenate to exactly the full result; this is the range
 // primitive behind sharding a DecoratedTemplate mask across workers.
 func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int) []bool {
-	if lo < 0 || hi < lo || hi > len(ev.projections().patients) {
-		panic("query: decorated range out of bounds")
-	}
+	ev.checkRange(lo, hi)
 	ev.queriesEvaluated++
 	e := ev.decorated(dp)
 	out := make([]bool, hi-lo)
@@ -95,27 +96,10 @@ func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo,
 	return out
 }
 
-// SupportDecorated returns COUNT(DISTINCT Log.Lid) of the decorated
-// template.
-func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {
-	return countTrue(ev.ExplainedRowsDecorated(dp))
-}
-
 // InstancesDecorated enumerates up to limit satisfying bindings for one
 // audited row, for natural-language rendering.
 func (ev *Evaluator) InstancesDecorated(dp pathmodel.DecoratedPath, logRow, limit int) []InstanceBinding {
 	e := ev.decorated(dp)
 	n, flat := e.run(ev, logRow, limit)
-	return fresh(n, len(e.hops), flat)
-}
-
-// countTrue returns the number of true verdicts.
-func countTrue(rows []bool) int {
-	n := 0
-	for _, ok := range rows {
-		if ok {
-			n++
-		}
-	}
-	return n
+	return fresh(n, len(e.rows), flat)
 }

@@ -1,20 +1,22 @@
 package query
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
 	"repro/internal/relation"
 )
 
-// This file is the engine's dense-ID layer. Every column a plan or an
-// estimate reads — the two columns of a DISTINCT projection, an exists
-// column, the audited log's patients and users — is interned once per table
-// version into a column of uint32 IDs (column). The compiled ops (csr,
-// idSet) are built from those columns by counting, with no hashing
-// (lowered, buildCSR), and the walk touches only IDs. IDs are handed out in
-// encounter order and never change; an ID says nothing about its value's
-// rank, so every posting list is sorted into Value order explicitly — where
+// This file is the engine's dense-ID layer. Every column a plan, an
+// estimate or an instance walk reads — the two columns of a DISTINCT
+// projection, an exists column, an instance's entry and exit, the audited
+// log's patients and users — is interned once per table version into a
+// column of uint32 IDs (column). The lowered forms (csr, idSet, row CSRs)
+// are built from those columns by counting, with no hashing (lowered,
+// groupRows), and the walks touch only IDs. IDs are handed out in encounter
+// order and never change; an ID says nothing about its value's rank, so
+// every DISTINCT posting list is sorted into Value order explicitly — where
 // a walk stops (its first witness, or the posting that fills its set), and
 // so how many postings it consumes, must not depend on the order values
 // happened to be interned in.
@@ -37,6 +39,20 @@ func (d *dict) intern(v relation.Value) uint32 {
 		d.vals = append(d.vals, v)
 	}
 	return id
+}
+
+// noID stands for a value the dictionary never assigned: it lies beyond
+// every lowered form, so it has no postings and equals no ID.
+const noID = ^uint32(0)
+
+// lookup returns v's ID, or noID when v was never interned.
+func (d *dict) lookup(v relation.Value) uint32 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if id, ok := d.ids[v]; ok {
+		return id
+	}
+	return noID
 }
 
 // values returns the reverse mapping (ID -> value) for every ID assigned so
@@ -138,22 +154,38 @@ func (eng *engine) column(t *relation.Table, name string) *idCol {
 	return c
 }
 
-// baseKey names one lowered projection of a table: the DISTINCT (a, b)
-// pairs, or with b empty the distinct values of column a.
-type baseKey struct{ table, a, b string }
+// baseKey names one lowered form of a table: the DISTINCT (a, b) pairs, or
+// with b empty the distinct values of column a; or, with rows set, a row
+// CSR listing for each ID of column a the rows holding it, in that order,
+// with column b's ID per row as their exit.
+type baseKey struct {
+	table, a, b string
+	rows        rowOrder
+}
 
-// base is one lowered projection, valid while the table it was read from is
-// still t at the same version. Exactly one of pairs and set is non-nil.
+type rowOrder uint8
+
+const (
+	projection rowOrder = iota // not a row CSR
+	inRowOrder
+	byExit // grouped by exit ID, ascending; in row order within a group
+)
+
+// base is one lowered form, valid while the table it was read from is
+// still t at the same version. Exactly one of pairs, set and rows is
+// non-nil; exit is set with rows.
 type base struct {
 	once    sync.Once
 	t       *relation.Table
 	version uint64
 	pairs   *csr
 	set     idSet
+	rows    *csr
+	exit    []uint32
 }
 
-// lowered returns the ID form of the projection k of t, lowering it on first
-// use and again once t has grown or was replaced; every plan compiled in
+// lowered returns the lowered form k of t, lowering it on first use and
+// again once t has grown or was replaced; every plan and instance walk in
 // between shares the one copy. Like column, it holds baseMu only for the
 // lookup and builds under the entry's once.
 func (eng *engine) lowered(t *relation.Table, k baseKey) *base {
@@ -165,41 +197,78 @@ func (eng *engine) lowered(t *relation.Table, k baseKey) *base {
 	}
 	eng.baseMu.Unlock()
 	b.once.Do(func() {
-		if k.b == "" {
+		switch {
+		case k.rows != projection:
+			from, exit := eng.column(t, k.a).ids, eng.column(t, k.b).ids
+			n := len(eng.dict.values())
+			var order []uint32
+			if k.rows == byExit {
+				_, order = groupRows(exit, nil, n)
+			}
+			off, rows := groupRows(from, order, n)
+			b.rows, b.exit = &csr{off: off, to: rows}, exit
+		case k.b == "":
 			b.set = eng.column(t, k.a).set
-			return
+		default:
+			from, to := eng.column(t, k.a).ids, eng.column(t, k.b).ids
+			b.pairs = buildCSR(from, to, eng.dict.values())
 		}
-		from, to := eng.column(t, k.a).ids, eng.column(t, k.b).ids
-		b.pairs = buildCSR(from, to, eng.dict.values())
 	})
 	return b
 }
 
-// buildCSR builds the DISTINCT projection of the row-aligned ID columns
-// (from, to) by counting sort: a count of each from-ID's rows, a fill of
-// their to-IDs in row order, and a dedupe of each list against a stamp
-// array. Each list is then sorted in the Value order of vals, which must
-// cover every ID of both columns.
-func buildCSR(from, to []uint32, vals []relation.Value) *csr {
-	n := len(vals)
-	off := make([]uint32, n+1)
-	for _, v := range from {
+// group returns the rows of a byExit list whose exit ID is id, found by
+// binary search without reading the rows before them.
+func (b *base) group(list []uint32, id uint32) []uint32 {
+	lo, _ := slices.BinarySearchFunc(list, id, func(r, id uint32) int { return cmp.Compare(b.exit[r], id) })
+	hi := lo
+	for hi < len(list) && b.exit[list[hi]] == id {
+		hi++
+	}
+	return list[lo:hi]
+}
+
+// groupRows is the count-and-fill step of a counting sort: it groups the
+// rows of the ID column col, each ID below n, by ID, visiting them in the
+// order order lists them, or in row order when order is nil. The rows of ID
+// v are rows[off[v]:off[v+1]], in visiting order.
+func groupRows(col, order []uint32, n int) (off, rows []uint32) {
+	off = make([]uint32, n+1)
+	for _, v := range col {
 		off[v+1]++
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
 	fill := slices.Clone(off[:n])
-	all := make([]uint32, len(from))
-	for r, v := range from {
-		all[fill[v]] = to[r]
+	rows = make([]uint32, len(col))
+	for i := range col {
+		r := uint32(i)
+		if order != nil {
+			r = order[i]
+		}
+		v := col[r]
+		rows[fill[v]] = r
 		fill[v]++
+	}
+	return off, rows
+}
+
+// buildCSR builds the DISTINCT projection of the row-aligned ID columns
+// (from, to) by counting sort: the rows of each from-ID in row order
+// (groupRows), their to-IDs, and a dedupe of each list against a stamp
+// array. Each list is then sorted in the Value order of vals, which must
+// cover every ID of both columns.
+func buildCSR(from, to []uint32, vals []relation.Value) *csr {
+	n := len(vals)
+	off, all := groupRows(from, nil, n)
+	for i, r := range all {
+		all[i] = to[r]
 	}
 	// Compact in place: list v moves down to start at w, dropping every
 	// to-ID already stamped with v+1. off[v] is rewritten only after list
 	// v's old bounds were read, and off[v+1] is still list v+1's old start.
-	stamp := fill[:n]
-	clear(stamp)
+	stamp := make([]uint32, n)
 	w := uint32(0)
 	byValue := func(x, y uint32) int { return vals[x].Compare(vals[y]) }
 	for v := range n {

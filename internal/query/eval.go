@@ -32,17 +32,18 @@
 // of the call's targets it reaches, a bitset over the call's distinct end
 // IDs (one bit for an open plan), in the cursor's scratch (lazy.go), so each
 // sub-question is walked once per call. Nothing an evaluation computes is
-// retained on the engine.
+// retained on the engine. Instances walks the same ops, compiled forward,
+// for the bindings themselves (instances.go).
 //
 // # Concurrency contract
 //
 // An Evaluator is split into two parts. The engine — the database binding,
-// the audited log, its start/end and pair column projections, the value
-// dictionary, the interned columns and lowered projections, and the shared
-// plan cache — is created by NewEvaluatorWithLog and shared by every
-// evaluator cloned from it. The plan cache is guarded by an RWMutex (and
-// per-entry sync.Once for compilation and for lowering, as are the columns
-// and projections), so any number of cursors may Prepare and evaluate
+// the audited log, its ID and pair column projections, the value
+// dictionary, the interned columns and lowered forms, and the shared plan
+// cache — is created by NewEvaluatorWithLog and shared by every evaluator
+// cloned from it. The plan cache is guarded by an RWMutex (and per-entry
+// sync.Once for compilation and for lowering, as are the columns and
+// lowered forms), so any number of cursors may Prepare and evaluate
 // concurrently, reusing each other's compiled plans.
 // The cache is keyed by the path's canonical condition key. A schema change
 // (relation.Database.SchemaVersion: AddTable) drops it wholesale; an append
@@ -50,13 +51,14 @@
 // audited log drops none, because the log projections extend in place.
 //
 // The Evaluator itself is a cheap cursor over that engine: it carries the
-// per-caller statistics counters, the lazy walk's scratch memo and a cache
-// of compiled instance enumerators, the latter two built on first use, so
-// Clone costs one small allocation. A single cursor is NOT safe for
-// concurrent use. The supported concurrent pattern is one cursor per
-// goroutine: each worker clones the evaluator, prepares (cheaply, through
-// the shared cache) the paths it needs, and evaluates — typically a disjoint
-// log-row range via ExplainedRange/ConnectedRange. Cursors cloned with one
+// per-caller statistics counters, the lazy walk's scratch memo and its
+// instance walks (pointers to the engine's lowered forms plus scratch), the
+// latter two built on first use, so Clone costs one small allocation. A
+// single cursor is NOT safe for concurrent use. The supported concurrent
+// pattern is one cursor per goroutine: each worker clones the evaluator,
+// prepares (cheaply, through the shared cache) the paths it needs, and
+// evaluates — typically a disjoint log-row range via
+// ExplainedRange/ConnectedRange. Cursors cloned with one
 // InstanceMemo (CloneWithMemo) also share instance bindings, lock-free,
 // for the life of one call over an unchanging log. The only additional
 // requirement is the table contract: no table reachable from the database
@@ -75,10 +77,10 @@ import (
 )
 
 // engine is the shareable part of an Evaluator: the database, the audited
-// log, the log column projections, the dense-ID layer, and the
-// compiled-plan cache. The projections are extended under projMu and
-// published atomically; the rest is internally synchronized, so any number
-// of cursors may use the engine concurrently.
+// log, the log's ID projections, the dense-ID layer, and the compiled-plan
+// cache. The projections are extended under projMu and published
+// atomically; the rest is internally synchronized, so any number of cursors
+// may use the engine concurrently.
 type engine struct {
 	db  *relation.Database
 	log *relation.Table
@@ -89,9 +91,9 @@ type engine struct {
 	logUserIdx    int
 
 	// dict interns every join value into a dense ID; cols caches the ID form
-	// of each table column plans and estimates read, and bases the ID form
-	// of each table projection plans are compiled from (see dict.go).
-	// baseMu guards the two maps, never the building of an entry.
+	// of each table column plans, estimates and instance walks read, and
+	// bases each lowered form they walk (see dict.go). baseMu guards the two
+	// maps, never the building of an entry.
 	dict   dict
 	baseMu sync.Mutex
 	cols   map[colKey]*idCol
@@ -102,18 +104,14 @@ type engine struct {
 	// projMu.
 	pairs map[uint64]uint32
 
-	// proj is the per-row start/end column snapshot (one entry per audited
-	// row), published atomically so it can be *extended* when the log grows:
-	// projections reads the log's AppendVersion and, on a mismatch, appends
-	// the new rows' values and swaps in a fresh header under projMu. Readers
-	// holding an older snapshot see a clean prefix — appended rows only ever
-	// land beyond their length — which is what makes query evaluation
-	// append-aware without a rebuild. projVersion is the AppendVersion the
-	// current snapshot covers; it is stored after proj so a reader that
-	// observes the new version also observes the new snapshot.
-	proj        atomic.Pointer[logProj]
-	projVersion atomic.Uint64
-	projMu      sync.Mutex
+	// proj is the audited log's ID projections (see logProj), published
+	// atomically so they can be *extended* when the log grows:
+	// idProjections interns the rows beyond the snapshot and swaps in a
+	// fresh header under projMu. Readers holding an older snapshot see a
+	// clean prefix — appended rows only ever land beyond their length —
+	// which is what makes query evaluation append-aware without a rebuild.
+	proj   atomic.Pointer[logProj]
+	projMu sync.Mutex
 
 	// planMu guards plans and planVersion. plans caches compiled plans by
 	// canonical condition key; planVersion is the database *schema* version
@@ -208,8 +206,9 @@ type Evaluator struct {
 	// the first witness, for an open plan).
 	postingsScanned int
 
-	// enums caches this cursor's compiled instance enumerators by path
-	// identity (see instances.go). Cursor-local — never shared between
+	// enums holds this cursor's instance walks by path identity: pointers
+	// to the engine's lowered forms, walk scratch and the resolved memo
+	// table (see instances.go). Cursor-local — never shared between
 	// goroutines — and empty on every Clone.
 	enums map[*pathmodel.Cond]*instEnum
 
@@ -251,14 +250,7 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 		panic("query: Log table lacks User column")
 	}
 	eng.logPatientIdx, eng.logUserIdx = pi, ui
-	n := log.NumRows()
-	pr := &logProj{
-		patients: make([]relation.Value, 0, n),
-		users:    make([]relation.Value, 0, n),
-	}
-	appendProjRows(eng, pr, n)
-	eng.proj.Store(pr)
-	eng.projVersion.Store(log.AppendVersion())
+	eng.proj.Store(&logProj{})
 	return &Evaluator{engine: eng}
 }
 
@@ -268,12 +260,11 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 // metrics here so one snapshot describes the whole engine.
 func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 
-// logProj is one immutable-prefix snapshot of the audited log's start/end
-// column projections: patients[r] and users[r] for every row the snapshot
-// covers. Snapshots are extended, never rewritten — see engine.proj.
-// patientID and userID are the same columns as dictionary IDs, the only form
-// plan evaluation reads; they cover a prefix of the rows (none until a plan
-// is first evaluated — see idProjections).
+// logProj is one immutable-prefix snapshot of the audited log's Patient
+// and User columns as dictionary IDs, the only form evaluation reads:
+// patientID[r] and userID[r] for a prefix of the rows (none until a plan is
+// first evaluated — see idProjections). Snapshots are extended, never
+// rewritten — see engine.proj.
 //
 // The pair column factorises the log by (patient, user), the pair a path
 // explains: pairID[r] numbers row r's pair densely in first-appearance
@@ -282,45 +273,10 @@ func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 // function of the pair, so whole-log support walks the pairs weighted by
 // their rows (Prepared.SupportRange).
 type logProj struct {
-	patients, users   []relation.Value
 	patientID, userID []uint32
 
 	pairID                          []uint32
 	pairPatient, pairUser, pairRows []uint32
-}
-
-// appendProjRows extends pr with log rows [len(pr.patients), n).
-func appendProjRows(eng *engine, pr *logProj, n int) {
-	for r := len(pr.patients); r < n; r++ {
-		row := eng.log.Row(r)
-		pr.patients = append(pr.patients, row[eng.logPatientIdx])
-		pr.users = append(pr.users, row[eng.logUserIdx])
-	}
-}
-
-// projections returns the engine's log-column snapshot, first extending it
-// to cover rows appended to the audited log since the snapshot was built.
-// The fast path is one atomic version compare; extension runs under projMu
-// and appends only the new suffix (an in-place append is safe for
-// concurrent readers of the old header, whose length excludes the new
-// slots), so every query entry point is append-aware at O(new rows) cost.
-// Like all query evaluation, it must not race with the Append itself — the
-// relation.Table contract already forbids interleaving appends with reads.
-func (eng *engine) projections() *logProj {
-	if eng.projVersion.Load() == eng.log.AppendVersion() {
-		return eng.proj.Load()
-	}
-	eng.projMu.Lock()
-	defer eng.projMu.Unlock()
-	v := eng.log.AppendVersion()
-	if eng.projVersion.Load() == v {
-		return eng.proj.Load()
-	}
-	next := *eng.proj.Load()
-	appendProjRows(eng, &next, eng.log.NumRows())
-	eng.proj.Store(&next)
-	eng.projVersion.Store(v)
-	return &next
 }
 
 // idProjections returns a snapshot whose ID and pair columns cover every
@@ -328,10 +284,11 @@ func (eng *engine) projections() *logProj {
 // on the first plan evaluation, the appended suffix after that. An appended
 // row whose pair is known joins it; pairRows is copied first, so an older
 // snapshot keeps its counts. A caller that never evaluates a plan (a warm
-// point render) never pays for the dictionary.
+// point render) never pays for interning the log. Like all query
+// evaluation, it must not race with an Append to the log.
 func (eng *engine) idProjections() *logProj {
-	pr := eng.projections()
-	if len(pr.patientID) == len(pr.patients) {
+	n := eng.log.NumRows()
+	if pr := eng.proj.Load(); len(pr.patientID) == n {
 		return pr
 	}
 	eng.projMu.Lock()
@@ -340,9 +297,10 @@ func (eng *engine) idProjections() *logProj {
 	lo := len(next.patientID)
 	d := &eng.dict
 	d.mu.Lock()
-	for r := lo; r < len(next.patients); r++ {
-		next.patientID = append(next.patientID, d.intern(next.patients[r]))
-		next.userID = append(next.userID, d.intern(next.users[r]))
+	for r := lo; r < n; r++ {
+		row := eng.log.Row(r)
+		next.patientID = append(next.patientID, d.intern(row[eng.logPatientIdx]))
+		next.userID = append(next.userID, d.intern(row[eng.logUserIdx]))
 	}
 	eng.dictValues.Set(int64(len(d.vals)))
 	d.mu.Unlock()
@@ -365,9 +323,9 @@ func (eng *engine) idProjections() *logProj {
 }
 
 // Clone returns a new cursor over the same immutable engine: same database,
-// log, and projections, but fresh statistics counters. The clone may be used
-// concurrently with the receiver and with other clones; this is the
-// primitive the batch auditing engine hands to each worker.
+// log, projections and lowered forms, but fresh statistics counters. The
+// clone may be used concurrently with the receiver and with other clones;
+// this is the primitive the batch auditing engine hands to each worker.
 func (ev *Evaluator) Clone() *Evaluator {
 	return &Evaluator{engine: ev.engine}
 }
@@ -430,7 +388,7 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 	for i, c := range conds {
 		if c.Via != nil {
 			pl.ops = append(pl.ops, op{kind: opBridge, table: c.Via.Table, t: ev.db.MustTable(c.Via.Table),
-				key: baseKey{c.Via.Table, c.Via.FromColumn, c.Via.ToColumn}})
+				key: baseKey{table: c.Via.Table, a: c.Via.FromColumn, b: c.Via.ToColumn}})
 		}
 		if c.RightInst == 0 {
 			if i != len(conds)-1 {
@@ -441,7 +399,7 @@ func (ev *Evaluator) compile(p pathmodel.Path) plan {
 			continue
 		}
 		in := insts[c.RightInst]
-		o := op{kind: opMap, table: in.Table, t: ev.db.MustTable(in.Table), key: baseKey{in.Table, in.Entry, in.Exit}}
+		o := op{kind: opMap, table: in.Table, t: ev.db.MustTable(in.Table), key: baseKey{table: in.Table, a: in.Entry, b: in.Exit}}
 		if in.Exit == "" {
 			o.kind = opExists
 		}
@@ -498,7 +456,7 @@ func (ev *Evaluator) EstimateSupport(p pathmodel.Path) int {
 			rows = 0
 			return
 		}
-		rows = rows * tRows / maxf(ndvPrev, ndvEntry)
+		rows = rows * tRows / max(ndvPrev, ndvEntry)
 		if exit != "" {
 			ndvPrev = ndv(tbl, exit)
 		} else {
@@ -512,7 +470,7 @@ func (ev *Evaluator) EstimateSupport(p pathmodel.Path) int {
 		}
 		if c.RightInst == 0 {
 			ndvEnd := ndv(ev.log, c.RightCol)
-			rows = rows / maxf(ndvPrev, maxf(ndvEnd, 1))
+			rows = rows / max(ndvPrev, max(ndvEnd, 1))
 			continue
 		}
 		in := insts[c.RightInst]
@@ -534,13 +492,6 @@ func clampEstimate(rows float64, n int) int {
 		return n
 	}
 	return int(rows)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ConnectedRows returns, for an open path, a boolean per log row indicating

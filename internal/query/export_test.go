@@ -14,6 +14,34 @@ import (
 // SupportScan.
 func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return countTrue(ev.nestedRows(p, true)) }
 
+// SupportDecorated returns COUNT(DISTINCT Log.Lid) of the decorated
+// template.
+func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {
+	return countTrue(ev.ExplainedRowsDecorated(dp))
+}
+
+// InvalidatePlans drops every cached plan, forcing the next Prepare of each
+// path to recompile. The cache already self-invalidates when the database
+// version changes; this exists for tests that race compilation or count
+// it. It affects all cursors sharing the engine.
+func (ev *Evaluator) InvalidatePlans() {
+	eng := ev.engine
+	eng.planMu.Lock()
+	eng.resetPlans()
+	eng.planMu.Unlock()
+}
+
+// countTrue returns the number of true verdicts.
+func countTrue(rows []bool) int {
+	n := 0
+	for _, ok := range rows {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
 // SupportScan is the fully unoptimized baseline: the same per-row nested
 // join as SupportNaive, but every hop is resolved with a full linear scan of
 // the joined table — no hash indexes, no DISTINCT projections, no semi-join
@@ -93,11 +121,21 @@ func (ev *Evaluator) nestedRows(p pathmodel.Path, indexed bool) []bool {
 // direction: (patients, users) for forward paths, (users, patients) for
 // backward paths.
 func (ev *Evaluator) orient(p pathmodel.Path) (starts, ends []relation.Value) {
-	pr := ev.projections()
+	patients, users := ev.logColumns()
 	if p.Forward() {
-		return pr.patients, pr.users
+		return patients, users
 	}
-	return pr.users, pr.patients
+	return users, patients
+}
+
+// logColumns returns the audited log's Patient and User columns.
+func (ev *Evaluator) logColumns() (patients, users []relation.Value) {
+	for r := range ev.log.NumRows() {
+		row := ev.log.Row(r)
+		patients = append(patients, row[ev.logPatientIdx])
+		users = append(users, row[ev.logUserIdx])
+	}
+	return patients, users
 }
 
 // ScanRows is the per-row form of SupportScan: the index-free nested join's
@@ -123,9 +161,8 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 	}
 	insts := p.Instances()
 	conds := p.Conds()
-	pr := ev.projections()
-	patient := pr.patients[logRow]
-	user := pr.users[logRow]
+	patient := ev.log.Row(logRow)[ev.logPatientIdx]
+	user := ev.log.Row(logRow)[ev.logUserIdx]
 
 	var out []InstanceBinding
 	rows := make([]int, 0, len(insts)-1)
@@ -145,9 +182,9 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 		candidates := func(yield func(relation.Value) bool) { yield(current) }
 		if c.Via != nil {
 			bt := ev.db.MustTable(c.Via.Table)
-			bridged := bt.PairValues(c.Via.FromColumn, c.Via.ToColumn, current)
+			bridged := bt.DistinctPairs(c.Via.FromColumn, c.Via.ToColumn)[current]
 			candidates = func(yield func(relation.Value) bool) {
-				for v := range bridged {
+				for _, v := range bridged {
 					ev.postingsScanned++
 					if !yield(v) {
 						return
@@ -173,7 +210,7 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 		t := ev.db.MustTable(in.Table)
 		done := false
 		for v := range candidates {
-			for r := range t.Postings(in.Entry, v) {
+			for _, r := range t.Index(in.Entry)[v] {
 				ev.postingsScanned++
 				rows = append(rows, r)
 				next := relation.Null()
@@ -233,6 +270,10 @@ func (ev *Evaluator) LoweredProjections() []LoweredProjection {
 	}
 	return out
 }
+
+// InternedLogRows returns how many audited log rows the engine's ID
+// projections cover.
+func (ev *Evaluator) InternedLogRows() int { return len(ev.proj.Load().patientID) }
 
 // InternedColumn is one column the engine has interned, decoded back to
 // values, with its distinct count.

@@ -10,16 +10,17 @@ import (
 )
 
 // This file is the instance enumerator: the one walk behind Instances,
-// InstancesDecorated and decorated row classification. A closed path is
-// compiled once per cursor into hops — tables, entry indexes, exit column
-// positions and bridge projections resolved up front — and walked forward
-// from the row's patient with the row's user known: the closing condition
-// is tested inline at the last instance, and a long posting list there is
-// not filtered but probed for the rows holding both the arriving value and
-// the user (relation.Table.PairIndex), so a branch with no witness for this
-// user costs one lookup instead of a scan. Only rows that cannot close are
-// skipped, so the bindings and their order are those of the blind
-// depth-first search (the test-only instancesReference pins this).
+// InstancesDecorated and decorated row classification. It walks the ops
+// compile builds for the forward path, depth-first over dictionary IDs from
+// the row's patient, with the row's user known. A bridge reads the pairs
+// CSR the set walk reads (lists in Value order), a table instance its row
+// CSR: entry ID to the table's rows in row order, each with its exit ID
+// (see dict.go). When the path closes directly, the last instance's lists
+// are grouped by exit ID and the walk binary-searches the user's group, so
+// it consumes only the rows that close; a bridged close compares the
+// bridged IDs with the user's. Only rows that cannot close are skipped, so
+// the bindings and their order are those of the blind depth-first search
+// (the test-only InstancesReference pins this).
 //
 // An undecorated walk reads nothing of the audited row but its patient and
 // its user, so its bindings are a function of (path, patient, user). A
@@ -34,37 +35,21 @@ type InstanceBinding struct {
 	Rows []int
 }
 
-// instHop is one non-log instance of a compiled path: how to reach it from
-// the previous instance's exit value and where to leave it.
-type instHop struct {
-	bridge map[relation.Value][]relation.Value // Via translation of the incoming value; nil for a direct join
-	table  *relation.Table
-	index  map[relation.Value][]int // rows of table by entry-column value
-	exit   int                      // exit column position in table's rows
-}
-
-// instEnum is one cursor's compiled enumerator for one exact path. The hops
-// snapshot table indexes, so the enumerator is valid only while no table was
-// swapped (schema) and none it reads has grown (deps) — the rule, and the
-// dependency set, of the path's cached plan.
+// instEnum is one cursor's walk of one exact closed path: per op of the
+// forward compile, the engine's lowered form it reads (nil for the close),
+// then walk scratch and the path's entry table in the cursor's
+// InstanceMemo. It is valid while the schema is unchanged and every form it
+// reads is current.
 type instEnum struct {
 	schema uint64
-	deps   []planDep
-	hops   []instHop
-
-	// The closing condition: bridged, it translates the last instance's exit
-	// value through closer; direct, it binds that instance at both ends and
-	// ends — its rows by (entry, exit) value, built on first need — probes it.
-	closer  map[relation.Value][]relation.Value
-	ends    map[[2]relation.Value][]int
-	endCols [2]string
+	ops    []*base
 
 	// Per-call walk state.
-	user    relation.Value
+	user    uint32
 	limit   int
 	found   int                 // bindings emitted so far
-	flat    []int               // their rows, len(hops) per binding; reused from call to call
-	rows    []int               // the row bound in each hop so far
+	flat    []int               // their rows, len(rows) per binding; reused from call to call
+	rows    []int               // the row bound in each table instance so far
 	logRow  []relation.Value    // the audited row, for decorations on instance 0
 	ready   [][]boundDecoration // decorations checkable once instance i is bound; nil for an undecorated walk
 	nodes   int
@@ -76,72 +61,66 @@ type instEnum struct {
 	memoLimit int
 }
 
-const (
-	// probeMin is the posting-list length above which the last hop probes
-	// ends instead of filtering the list: hashing a two-value key costs about
-	// as much as comparing this many rows.
-	probeMin = 8
-	// enumCacheCap bounds a cursor's compiled enumerators; on overflow the
-	// cache is cleared and refills on demand.
-	enumCacheCap = 256
-)
-
-// enumerator returns this cursor's compiled enumerator for the closed path
-// p, compiling it on first use and again once it is stale. Paths are
-// immutable and each owns its condition array, so the array's address
-// identifies the path.
+// enumerator returns this cursor's walk of the closed path p, resolving it
+// on first use and again once it is stale. Paths are immutable and each
+// owns its condition array, so the array's address identifies the path.
 func (ev *Evaluator) enumerator(p pathmodel.Path) *instEnum {
 	if !p.Closed() {
 		panic("query: Instances requires a closed path")
 	}
 	id := &p.Conds()[0]
-	if e := ev.enums[id]; e != nil && e.schema == ev.db.SchemaVersion() && depsFresh(e.deps) {
+	if e := ev.enums[id]; e != nil && e.schema == ev.db.SchemaVersion() && current(e.ops) {
 		return e
 	}
-	if ev.enums == nil || len(ev.enums) >= enumCacheCap {
+	if ev.enums == nil {
 		ev.enums = make(map[*pathmodel.Cond]*instEnum)
 	}
-	if !p.Forward() {
-		p = p.Reverse()
+	ops := ev.compile(p.Reverse()).ops
+	e := &instEnum{schema: ev.db.SchemaVersion(), ops: make([]*base, len(ops)), rows: make([]int, len(p.Instances())-1)}
+	for i, o := range ops {
+		switch k := o.key; o.kind {
+		case opBridge:
+			e.ops[i] = ev.lowered(o.t, k)
+		case opMap:
+			k.rows = inRowOrder
+			if ops[i+1].kind == opClose {
+				k.rows = byExit
+			}
+			e.ops[i] = ev.lowered(o.t, k)
+		}
 	}
-	e := &instEnum{schema: ev.db.SchemaVersion(), deps: ev.planDeps(p)}
 	ev.enums[id] = e
-	insts, conds := p.Instances(), p.Conds()
-	bridge := func(c pathmodel.Cond) map[relation.Value][]relation.Value {
-		if c.Via == nil {
-			return nil
-		}
-		return ev.db.MustTable(c.Via.Table).DistinctPairs(c.Via.FromColumn, c.Via.ToColumn)
-	}
-	e.hops = make([]instHop, len(insts)-1)
-	e.rows = make([]int, len(e.hops))
-	for i := range e.hops {
-		in := insts[i+1]
-		t := ev.db.MustTable(in.Table)
-		exit, ok := t.ColumnIndex(in.Exit)
-		if !ok {
-			panic("query: table " + in.Table + " has no column " + in.Exit)
-		}
-		e.hops[i] = instHop{bridge: bridge(conds[i]), table: t, index: t.Index(in.Entry), exit: exit}
-	}
-	e.closer = bridge(conds[len(conds)-1])
-	e.endCols = [2]string{insts[len(insts)-1].Entry, insts[len(insts)-1].Exit}
 	return e
+}
+
+// rowIDs returns the audited row's patient and user IDs, off its pair in
+// the cursor's InstanceMemo or the ID projections when either covers it,
+// else from the dictionary (noID for a value never interned). A lookup must
+// follow the lowering of the path's ops, which interns every join value.
+func (ev *Evaluator) rowIDs(logRow int) (patient, user uint32) {
+	if m := ev.memo.m; m != nil && logRow < len(m.slot) {
+		return m.patient[m.slot[logRow]], m.user[m.slot[logRow]]
+	}
+	if pr := ev.proj.Load(); logRow < len(pr.patientID) {
+		return pr.patientID[logRow], pr.userID[logRow]
+	}
+	row := ev.log.Row(logRow)
+	return ev.dict.lookup(row[ev.logPatientIdx]), ev.dict.lookup(row[ev.logUserIdx])
 }
 
 // run enumerates up to limit bindings for the audited row logRow and charges
 // the walk to the cursor and to the engine's query.instances.* counters. It
-// returns the number of bindings found and their rows, len(hops) per
+// returns the number of bindings found and their rows, len(e.rows) per
 // binding, in the enumerator's scratch: valid until its next run.
 func (e *instEnum) run(ev *Evaluator, logRow, limit int) (n int, flat []int) {
-	pr := ev.projections()
-	e.user, e.limit = pr.users[logRow], max(limit, 1)
+	patient, user := ev.rowIDs(logRow)
+	e.user, e.limit = user, max(limit, 1)
 	e.found, e.flat = 0, e.flat[:0]
 	if e.ready != nil {
 		e.logRow = ev.log.Row(logRow)
 	}
 	if e.holds(0) {
-		e.walk(0, pr.patients[logRow])
+		e.walk(0, 0, patient)
 	}
 	ev.postingsScanned += e.scanned
 	ev.instCalls.Add(1)
@@ -169,45 +148,43 @@ func fresh(n, w int, flat []int) []InstanceBinding {
 	return bindings(make([]InstanceBinding, 0, n), n, w, slices.Clone(flat))
 }
 
-// walk expands the value cur arriving at hop hi and reports whether the
-// limit was reached. A node is one expansion, closing test or emitted
-// binding: the calls the blind search makes, so the two counts compare.
-func (e *instEnum) walk(hi int, cur relation.Value) bool {
+// walk expands the value v entering op oi, the first op of the condition
+// that joins table instance hi+1, and reports whether the limit was
+// reached. A node is one expansion, closing test or emitted binding: the
+// calls the blind search makes, so the two counts compare.
+func (e *instEnum) walk(oi, hi int, v uint32) bool {
 	e.nodes++
-	h := &e.hops[hi]
-	last := hi == len(e.hops)-1
-	one := [1]relation.Value{cur}
+	one := [1]uint32{v}
 	cands := one[:]
-	if h.bridge != nil {
-		cands = h.bridge[cur]
+	bridged := e.ops[oi].rows == nil
+	if bridged {
+		cands, oi = e.ops[oi].pairs.list(v), oi+1
 	}
-	for _, v := range cands {
-		if h.bridge != nil {
+	h, next := e.ops[oi], e.ops[oi+1]
+	last := next == nil || next.rows == nil && e.ops[oi+2] == nil
+	for _, w := range cands {
+		if bridged {
 			e.scanned++
 		}
-		rows := h.index[v]
-		closed := false // rows already holds only rows that close
-		if last && e.closer == nil && len(rows) > probeMin {
-			if e.ends == nil {
-				e.ends = h.table.PairIndex(e.endCols[0], e.endCols[1])
-			}
-			rows, closed = e.ends[[2]relation.Value{v, e.user}], true
+		rows := h.rows.list(w)
+		if next == nil {
+			rows = h.group(rows, e.user)
 		}
 		for _, r := range rows {
 			e.scanned++
-			e.rows[hi] = r
+			e.rows[hi] = int(r)
 			if !e.holds(hi + 1) {
 				continue
 			}
-			next := h.table.Row(r)[h.exit]
+			x := h.exit[r]
 			if !last {
-				if e.walk(hi+1, next) {
+				if e.walk(oi+1, hi+1, x) {
 					return true
 				}
 				continue
 			}
 			e.nodes++
-			if !closed && !e.closes(next) {
+			if next != nil && !e.closes(next, x) {
 				continue
 			}
 			e.nodes++
@@ -220,13 +197,10 @@ func (e *instEnum) walk(hi int, cur relation.Value) bool {
 	return false
 }
 
-// closes tests the closing condition: the last instance's exit value v,
-// translated through the closing bridge if there is one, equals the user.
-func (e *instEnum) closes(v relation.Value) bool {
-	if e.closer == nil {
-		return v == e.user
-	}
-	for _, w := range e.closer[v] {
+// closes reports whether the closing bridge translates the last instance's
+// exit ID x to the user.
+func (e *instEnum) closes(bridge *base, x uint32) bool {
+	for _, w := range bridge.pairs.list(x) {
 		e.scanned++
 		if w == e.user {
 			return true
@@ -254,7 +228,7 @@ func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBi
 		return ev.memoInstances(e, &p.Conds()[0], logRow, max(limit, 1))
 	}
 	n, flat := e.run(ev, logRow, limit)
-	return fresh(n, len(e.hops), flat)
+	return fresh(n, len(e.rows), flat)
 }
 
 // InstanceMemo holds the instance bindings of undecorated walks keyed by
@@ -262,17 +236,17 @@ func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBi
 // many rows of an audited log that does not change meanwhile (a whole-log
 // stream). The rows' (patient, user) pairs are numbered by the engine's pair
 // column (see logProj), so a path's entries are one dense array indexed by
-// pair. Cursors
-// read it without locks: an entry is 0 until a walk publishes the offset of
+// pair, and a walk reads its row's two IDs off the pair. Cursors read it
+// without locks: an entry is 0 until a walk publishes the offset of
 // its record (atomically, after writing the record), and two cursors racing
 // on one entry compute the same bindings, so either record serves. Records
 // live in an arena of fixed blocks, each block filled by the one cursor
 // that claimed it; a record is the binding count n, then n bindings of one
 // row per hop. A full arena stops memoizing, never evicts.
 type InstanceMemo struct {
-	eng  *engine
-	slot []uint32 // audited row -> its pair in the engine's pair column
-	nps  int      // number of distinct pairs
+	eng           *engine
+	slot          []uint32 // audited row -> its pair in the engine's pair column
+	patient, user []uint32 // pair -> its patient and user IDs
 
 	mu     sync.Mutex
 	tables map[memoKey][]atomic.Uint32 // made on first use
@@ -282,7 +256,7 @@ type InstanceMemo struct {
 }
 
 // memoKey names one entry table: a path, by its condition array's address
-// as the enumerator cache does, and the bindings limit.
+// as the cursor's walks do, and the bindings limit.
 type memoKey struct {
 	id    *pathmodel.Cond
 	limit int
@@ -315,10 +289,11 @@ type memoCursor struct {
 func (ev *Evaluator) NewInstanceMemo() *InstanceMemo {
 	pr := ev.idProjections()
 	return &InstanceMemo{
-		eng:    ev.engine,
-		slot:   pr.pairID,
-		nps:    len(pr.pairRows),
-		blocks: make([]atomic.Pointer[memoBlock], memoMaxBlocks),
+		eng:     ev.engine,
+		slot:    pr.pairID,
+		patient: pr.pairPatient,
+		user:    pr.pairUser,
+		blocks:  make([]atomic.Pointer[memoBlock], memoMaxBlocks),
 	}
 }
 
@@ -341,7 +316,7 @@ func (m *InstanceMemo) table(id *pathmodel.Cond, limit int) []atomic.Uint32 {
 		if m.tables == nil {
 			m.tables = make(map[memoKey][]atomic.Uint32)
 		}
-		t = make([]atomic.Uint32, m.nps)
+		t = make([]atomic.Uint32, len(m.patient))
 		m.tables[k] = t
 	}
 	return t
@@ -356,7 +331,7 @@ func (ev *Evaluator) memoInstances(e *instEnum, id *pathmodel.Cond, logRow, limi
 	if e.memo == nil || e.memoLimit != limit {
 		e.memo, e.memoLimit = mc.m.table(id, limit), limit
 	}
-	w := len(e.hops)
+	w := len(e.rows)
 	ent := &e.memo[mc.m.slot[logRow]]
 	if off := ent.Load(); off != 0 {
 		out := mc.decode(int(off-1), w)

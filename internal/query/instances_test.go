@@ -3,6 +3,7 @@ package query_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -231,11 +232,11 @@ func TestInstancesNodesPerBinding(t *testing.T) {
 	t.Logf("catalog: %d nodes / %d bindings = %.2f", allNodes, allBindings, float64(allNodes)/float64(allBindings))
 }
 
-// TestInstancesProbesLongPostingList covers the end-bound probe directly: a
-// last instance whose posting list is far longer than the probe threshold,
-// with the user's rows scattered through it and a decoration on that
-// instance, must bind exactly the rows the blind search binds, in order,
-// while consuming only the matching postings.
+// TestInstancesProbesLongPostingList covers the grouped closing hop
+// directly: a last instance with a long posting list, the user's rows
+// scattered through it and a decoration on that instance, must bind
+// exactly the rows the blind search binds, in order, while consuming only
+// the matching postings.
 func TestInstancesProbesLongPostingList(t *testing.T) {
 	db := relation.NewDatabase()
 	log := relation.NewTable(pathmodel.LogTable, pathmodel.LogIDColumn, pathmodel.LogDateColumn,
@@ -277,5 +278,177 @@ func TestInstancesProbesLongPostingList(t *testing.T) {
 	}
 	if mask := e.ExplainedRowsDecorated(dp); !reflect.DeepEqual(mask, []bool{true, false}) {
 		t.Errorf("decorated mask = %v, want [true false]", mask)
+	}
+}
+
+// sameBindings reports whether two binding lists are equal, nil and empty
+// alike.
+func sameBindings(a, b []query.InstanceBinding) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// decorationsHold reports whether binding b of the audited row satisfies
+// every decoration of dp, read off the tables by name.
+func decorationsHold(ev *query.Evaluator, dp pathmodel.DecoratedPath, row int, b query.InstanceBinding) bool {
+	value := func(r pathmodel.Ref) relation.Value {
+		if r.Inst == 0 {
+			return ev.Log().Get(row, r.Col)
+		}
+		return ev.Database().MustTable(dp.Base.Instances()[r.Inst].Table).Get(b.Rows[r.Inst-1], r.Col)
+	}
+	for _, d := range dp.Decorations {
+		rhs := d.Const
+		if rhs == nil {
+			v := value(d.Right)
+			rhs = &v
+		}
+		if !d.Op.Eval(value(d.Left).Compare(*rhs)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecoratedInstancesMatchReference pins decorated bindings to the blind
+// search. On three seeded datasets, for the decorated repeat-access template
+// and for every catalog path, forward and rebuilt backward, with one
+// constant decoration on its last instance, InstancesDecorated at limits 1,
+// 3 and 1000 returns the reference's unlimited bindings filtered by the
+// decorations and cut to the limit, and ExplainedRowsDecorated marks
+// exactly the rows with a first binding.
+func TestDecoratedInstancesMatchReference(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := ehr.Tiny()
+		cfg.Seed = seed
+		ev, paths := catalogEvaluator(t, cfg)
+		dps := map[string]pathmodel.DecoratedPath{"repeat-access-decorated": explain.DecoratedRepeatAccess().Decorated}
+		for name, p := range paths {
+			insts := p.Instances()
+			last := insts[len(insts)-1]
+			tb := ev.Database().MustTable(last.Table)
+			col := last.Entry
+			for _, c := range tb.Columns() {
+				if c != last.Entry && c != last.Exit {
+					col = c
+					break
+				}
+			}
+			vals := tb.DistinctValues(col)
+			c := vals[len(vals)/2]
+			d := pathmodel.Decoration{Left: pathmodel.Ref{Inst: len(insts) - 1, Col: col}, Op: pathmodel.OpLE, Const: &c}
+			dps[name] = pathmodel.NewDecoratedPath(p, d)
+			dps[name+" (backward)"] = pathmodel.NewDecoratedPath(backward(t, p), d)
+		}
+		cur, ref := ev.Clone(), ev.Clone()
+		var bindings, filtered int
+		for name, dp := range dps {
+			mask := cur.ExplainedRowsDecorated(dp)
+			for row := 0; row < ev.Log().NumRows(); row++ {
+				all, _ := ref.InstancesReference(dp.Base, row, 1<<30)
+				var want []query.InstanceBinding
+				for _, b := range all {
+					if decorationsHold(ev, dp, row, b) {
+						want = append(want, b)
+					}
+				}
+				bindings, filtered = bindings+len(want), filtered+len(all)-len(want)
+				for _, limit := range []int{1, 3, 1000} {
+					if have, w := cur.InstancesDecorated(dp, row, limit), want[:min(limit, len(want))]; !sameBindings(have, w) {
+						t.Fatalf("seed %d %s row %d limit %d: bindings %v, filtered reference %v", seed, name, row, limit, have, w)
+					}
+				}
+				if first := len(cur.InstancesDecorated(dp, row, 1)) > 0; mask[row] != first {
+					t.Fatalf("seed %d %s row %d: ExplainedRowsDecorated %v, first binding %v", seed, name, row, mask[row], first)
+				}
+			}
+		}
+		if bindings == 0 || filtered == 0 {
+			t.Fatalf("seed %d: %d bindings kept and %d filtered out; the decorations must do both", seed, bindings, filtered)
+		}
+	}
+}
+
+// TestInstancesFreshAfterMutations pins the walk's freshness rule on one
+// long-lived cursor without a memo: after an append to a hop table, a
+// schema change replacing Groups, and an append to the audited log of a
+// row whose patient and user appear nowhere else, Instances on the same
+// cursor still equals the blind search for every catalog path and row. The
+// log's ID projections cover the rows before the last append, so the walk
+// reads old rows' IDs off them and looks the new row's values up.
+func TestInstancesFreshAfterMutations(t *testing.T) {
+	ev, paths := catalogEvaluator(t, ehr.Tiny())
+	db := ev.Database()
+	cur, ref := ev.Clone(), ev.Clone()
+	for _, p := range paths {
+		ev.ExplainedRows(p)
+		break
+	}
+	check := func(when string) {
+		t.Helper()
+		for name, p := range paths {
+			for row := 0; row < ev.Log().NumRows(); row++ {
+				have := cur.Instances(p, row, 1000)
+				if want, _ := ref.InstancesReference(p, row, 1000); !sameBindings(have, want) {
+					t.Fatalf("%s, %s row %d: bindings %v, reference %v", when, name, row, have, want)
+				}
+			}
+		}
+	}
+	check("before any mutation")
+
+	appts := db.MustTable(ehr.TableAppointments)
+	for r := range appts.NumRows() {
+		appts.Append(appts.Row(r)...) // every appointment binding gains a twin
+	}
+	check("after an append to Appointments")
+
+	groups := db.MustTable(ehr.TableGroups)
+	kept := 0
+	db.AddTable(groups.Filter(ehr.TableGroups, func([]relation.Value) bool { kept++; return kept%3 != 0 }))
+	check("after Groups was replaced")
+
+	log := ev.Log()
+	row := slices.Clone(log.Row(log.NumRows() - 1))
+	lid, _ := log.ColumnIndex(pathmodel.LogIDColumn)
+	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
+	ui, _ := log.ColumnIndex(pathmodel.LogUserColumn)
+	row[lid], row[pi], row[ui] = relation.Int(1<<40), relation.Int(1<<41), relation.Int(1<<42)
+	log.Append(row...)
+	check("after a log append of a never-seen patient and user")
+}
+
+// TestPointRenderLeavesLogUninterned pins what a point render pays for. On a
+// fresh evaluator, instance walks over every catalog path intern the
+// columns their hops join on and nothing of the audited log: the log's ID
+// projections stay empty, every dictionary value is a value of an interned
+// column of a hop table, and no plan is lowered.
+func TestPointRenderLeavesLogUninterned(t *testing.T) {
+	ev, paths := catalogEvaluator(t, ehr.Tiny())
+	bindings := 0
+	for _, p := range paths {
+		for row := 0; row < ev.Log().NumRows(); row += 7 {
+			bindings += len(ev.Instances(p, row, 3))
+		}
+	}
+	if bindings == 0 {
+		t.Fatal("no catalog path bound an instance")
+	}
+	if n := ev.InternedLogRows(); n != 0 {
+		t.Errorf("the point renders interned %d audited log rows, want none", n)
+	}
+	values := make(map[relation.Value]bool)
+	for _, c := range ev.InternedColumns() {
+		if c.Table == ev.Log() {
+			t.Errorf("the point renders interned the audited log's %s column", c.Column)
+		}
+		for _, v := range c.Values {
+			values[v] = true
+		}
+	}
+	if got := ev.Metrics().Gauge("query.dict.values").Value(); got != int64(len(values)) {
+		t.Errorf("query.dict.values = %d, want the %d values of the interned columns", got, len(values))
+	}
+	if n := ev.PlanCacheStats().PlansPlanned; n != 0 {
+		t.Errorf("the point renders lowered %d plans, want none", n)
 	}
 }

@@ -155,7 +155,8 @@ func TestMultiBlockDifferential(t *testing.T) {
 	db := blocksDB()
 	ev := NewEvaluator(db)
 	users := make(map[relation.Value]bool)
-	for _, u := range ev.projections().users {
+	_, logUsers := ev.logColumns()
+	for _, u := range logUsers {
 		users[u] = true
 	}
 	if len(users) <= 2*blockSize {

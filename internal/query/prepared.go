@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/pathmodel"
-	"repro/internal/relation"
 )
 
 // Prepared is a compiled explanation path bound to one evaluator cursor: the
@@ -70,32 +69,6 @@ func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
 	}
 }
 
-// planDeps snapshots the current version of every table an evaluation of
-// p reads (bridge tables and right-hand instances; instance 0 is the
-// audited log, which is never snapshotted — per-row log values flow in
-// through the engine's extendable projections instead). Instance
-// enumerators record it when they are compiled.
-func (ev *Evaluator) planDeps(p pathmodel.Path) []planDep {
-	insts := p.Instances()
-	seen := make(map[*relation.Table]bool)
-	var deps []planDep
-	add := func(t *relation.Table) {
-		if !seen[t] {
-			seen[t] = true
-			deps = append(deps, planDep{table: t, version: t.Version()})
-		}
-	}
-	for _, c := range p.Conds() {
-		if c.Via != nil {
-			add(ev.db.MustTable(c.Via.Table))
-		}
-		if c.RightInst != 0 {
-			add(ev.db.MustTable(insts[c.RightInst].Table))
-		}
-	}
-	return deps
-}
-
 // Path returns the path the handle was prepared from.
 func (pp *Prepared) Path() pathmodel.Path { return pp.path }
 
@@ -124,8 +97,8 @@ func (pp *Prepared) rowUnits(lo, hi int) (from, target []uint32) {
 }
 
 // checkRange validates a half-open row range against the audited log.
-func (pp *Prepared) checkRange(lo, hi int) {
-	if n := len(pp.ev.projections().patients); lo < 0 || hi < lo || hi > n {
+func (ev *Evaluator) checkRange(lo, hi int) {
+	if n := ev.log.NumRows(); lo < 0 || hi < lo || hi > n {
 		panic(fmt.Sprintf("query: range [%d, %d) out of bounds for %d log rows",
 			lo, hi, n))
 	}
@@ -134,7 +107,7 @@ func (pp *Prepared) checkRange(lo, hi int) {
 // Support returns COUNT(DISTINCT Log.Lid) of the prepared path's support
 // query, exactly as Evaluator.Support but without recompiling.
 func (pp *Prepared) Support() int {
-	return pp.SupportRange(0, len(pp.ev.projections().patients))
+	return pp.SupportRange(0, pp.ev.log.NumRows())
 }
 
 // SupportRange is Support counted over the log rows [lo, hi): disjoint
@@ -142,7 +115,7 @@ func (pp *Prepared) Support() int {
 // distinct (patient, user) pairs, each weighted by its rows (see logProj);
 // any other range row by row. It panics on out-of-bounds ranges.
 func (pp *Prepared) SupportRange(lo, hi int) int {
-	pp.checkRange(lo, hi)
+	pp.ev.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
 	if pr := pp.ev.idProjections(); lo == 0 && hi == len(pr.pairID) {
 		from, target := pp.orient(pr.pairPatient, pr.pairUser)
@@ -155,7 +128,7 @@ func (pp *Prepared) SupportRange(lo, hi int) int {
 // ExplainedRows returns one boolean per log row: whether the closed path
 // explains that access. It panics on open paths.
 func (pp *Prepared) ExplainedRows() []bool {
-	return pp.ExplainedRange(0, len(pp.ev.projections().patients))
+	return pp.ExplainedRange(0, pp.ev.log.NumRows())
 }
 
 // ExplainedRange evaluates the closed path over the half-open log-row range
@@ -173,7 +146,7 @@ func (pp *Prepared) ExplainedRange(lo, hi int) []bool {
 
 // rangeRows classifies the rows [lo, hi) as one evaluated query.
 func (pp *Prepared) rangeRows(lo, hi int) []bool {
-	pp.checkRange(lo, hi)
+	pp.ev.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
 	out := make([]bool, hi-lo)
 	from, target := pp.rowUnits(lo, hi)
@@ -184,7 +157,7 @@ func (pp *Prepared) rangeRows(lo, hi int) []bool {
 // ConnectedRows returns one boolean per log row: whether the open path's
 // start value can begin a satisfiable chain. It panics on closed paths.
 func (pp *Prepared) ConnectedRows() []bool {
-	return pp.ConnectedRange(0, len(pp.ev.projections().patients))
+	return pp.ConnectedRange(0, pp.ev.log.NumRows())
 }
 
 // ConnectedRange is the range form of ConnectedRows over [lo, hi): element i
@@ -235,31 +208,25 @@ type cachedPlan struct {
 	// it is in the cache (guarded by the engine's planMu).
 	bytes int64
 
-	// deps records, per table the plan reads, the table's version when the
-	// plan was lowered — the versions its projections were built from. A
-	// mismatch with the table's current version means those projections
-	// are stale; Prepare then drops this entry alone. Plans whose
-	// dependencies did not change — in particular every plan during a pure
-	// audited-log append — stay cached, which is what makes incremental
-	// auditing O(new rows) rather than O(recompile).
-	deps []planDep
-}
-
-// planDep is one table dependency of a lowered plan.
-type planDep struct {
-	table   *relation.Table
-	version uint64
+	// deps holds the lowered forms the plan's ops read, each with the
+	// version of the table it was built from. A table that has moved on
+	// means its forms are stale; Prepare then drops this entry alone. Plans
+	// whose dependencies did not change — in particular every plan during a
+	// pure audited-log append — stay cached, which is what makes
+	// incremental auditing O(new rows) rather than O(recompile).
+	deps []*base
 }
 
 // fresh reports whether every table the plan snapshotted is unchanged; a
 // plan not lowered yet snapshotted nothing. It must only be called after
 // compileOnce has completed.
-func (ent *cachedPlan) fresh() bool { return !ent.lowered.Load() || depsFresh(ent.deps) }
+func (ent *cachedPlan) fresh() bool { return !ent.lowered.Load() || current(ent.deps) }
 
-// depsFresh reports whether every table in deps is at its recorded version.
-func depsFresh(deps []planDep) bool {
-	for _, d := range deps {
-		if d.table.Version() != d.version {
+// current reports whether every lowered form in bs but the nil ones is at
+// its table's current version.
+func current(bs []*base) bool {
+	for _, b := range bs {
+		if b != nil && b.t.Version() != b.version {
 			return false
 		}
 	}
@@ -267,15 +234,14 @@ func depsFresh(deps []planDep) bool {
 }
 
 // lower fills in the ID form of every op of the plan, once, from the
-// current rows of the tables it reads, and records their versions as the
-// plan's deps. It then counts the entry's bytes and observes the plan's
+// current rows of the tables it reads, and keeps those forms as the plan's
+// deps. It then counts the entry's bytes and observes the plan's
 // compile and lowering time, so query.plan.compile_nanos counts the plans
 // that were evaluated, once each. The table contract forbids appends while
 // queries run, so each base's version is the version of the rows lowered.
 func (ent *cachedPlan) lower(eng *engine) {
 	ent.lowerOnce.Do(func() {
 		t0 := time.Now()
-		var deps []planDep
 		for i := range ent.pl.ops {
 			o := &ent.pl.ops[i]
 			if o.t == nil {
@@ -283,11 +249,8 @@ func (ent *cachedPlan) lower(eng *engine) {
 			}
 			b := eng.lowered(o.t, o.key)
 			o.pairs, o.index = b.pairs, b.set
-			if !slices.ContainsFunc(deps, func(d planDep) bool { return d.table == o.t }) {
-				deps = append(deps, planDep{table: o.t, version: b.version})
-			}
+			ent.deps = append(ent.deps, b)
 		}
-		ent.deps = deps
 		eng.countResident(ent)
 		eng.compileNanos.Observe(ent.compileNanos + time.Since(t0).Nanoseconds())
 		ent.lowered.Store(true)
@@ -364,18 +327,6 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 	ent := &cachedPlan{key: key}
 	eng.plans[key] = ent
 	return ent
-}
-
-// InvalidatePlans drops every cached plan, forcing the next Prepare of each
-// path to recompile. The cache already self-invalidates when the database
-// version changes; this exists for callers that want to release memory or to
-// measure compilation cost (the compile-each-time benchmark baseline). It
-// affects all cursors sharing the engine.
-func (ev *Evaluator) InvalidatePlans() {
-	eng := ev.engine
-	eng.planMu.Lock()
-	eng.resetPlans()
-	eng.planMu.Unlock()
 }
 
 // PlanCacheKeys returns the canonical condition key of every plan currently

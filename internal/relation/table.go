@@ -40,21 +40,19 @@ type Table struct {
 
 	// indexes maps a column index to a hash index over that column. Built
 	// lazily by Index and invalidated by Append (appends drop indexes; all
-	// workloads here are load-then-query).
+	// workloads here are load-then-query). The query engine reads neither
+	// cache: it walks dictionary IDs it derives from the rows.
 	indexes map[int]map[Value][]int
 
 	// pairIndexes caches DISTINCT (a, b) projections keyed by the two column
 	// indexes; see DistinctPairs.
 	pairIndexes map[[2]int]map[Value][]Value
 
-	// pairRows caches two-column hash indexes keyed by the two column
-	// indexes; see PairIndex.
-	pairRows map[[2]int]map[[2]Value][]int
-
 	// version counts appended rows (the only mutation). Derived caches
-	// built against the table — the lazy indexes above, but also compiled
-	// query plans held outside the table — use it to detect staleness: equal
-	// versions mean the rows have not changed since the cache was built.
+	// built against the table — the lazy indexes above, but also the query
+	// engine's interned columns and lowered forms, held outside the table —
+	// use it to detect staleness: equal versions mean the rows have not
+	// changed since the cache was built.
 	version atomic.Uint64
 }
 
@@ -136,7 +134,6 @@ func (t *Table) AppendRows(rows [][]Value) {
 	t.mu.Lock()
 	t.indexes = nil
 	t.pairIndexes = nil
-	t.pairRows = nil
 	t.mu.Unlock()
 }
 
@@ -151,10 +148,10 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // separate the *delta classes* external caches care about: an equal
 // AppendVersion means no rows were added (projections built over the rows
 // cover them all), while Version is the conservative any-change token.
-// Derivations that can be extended in place — the query engine's
-// audited-log column projections, the auditor's per-template masks —
-// watermark themselves with AppendVersion and, on a mismatch, re-derive
-// only the suffix of rows appended since, rather than starting over.
+// Derivations that can be extended in place — the auditor's per-template
+// masks — watermark themselves with AppendVersion and, on a mismatch,
+// re-derive only the suffix of rows appended since, rather than starting
+// over.
 // Destructive changes happen at the database level (AddTable replacement
 // swaps the whole *Table), so a live Table's history is purely append-only.
 func (t *Table) AppendVersion() uint64 { return t.version.Load() }
@@ -235,39 +232,6 @@ func (t *Table) DistinctPairs(from, to string) map[Value][]Value {
 	}
 	t.pairIndexes[key] = m
 	return m
-}
-
-// PairIndex returns a hash index from each (a-value, b-value) combination to
-// the row numbers holding both, in ascending row order: the rows Index(a)[v]
-// lists, restricted to those whose b column equals w, without scanning the
-// rest. A join bound at both ends — the query engine's last hop, which knows
-// the value it arrives with and the user it must leave with — probes it
-// instead of filtering a posting list. Built on first use and cached like
-// Index; the returned map is immutable.
-func (t *Table) PairIndex(a, b string) map[[2]Value][]int {
-	ai, bi := t.mustColumn(a), t.mustColumn(b)
-	key := [2]int{ai, bi}
-	t.mu.RLock()
-	idx, cached := t.pairRows[key]
-	t.mu.RUnlock()
-	if cached {
-		return idx
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if idx, ok := t.pairRows[key]; ok {
-		return idx
-	}
-	if t.pairRows == nil {
-		t.pairRows = make(map[[2]int]map[[2]Value][]int)
-	}
-	idx = make(map[[2]Value][]int)
-	for r, row := range t.rows {
-		k := [2]Value{row[ai], row[bi]}
-		idx[k] = append(idx[k], r)
-	}
-	t.pairRows[key] = idx
-	return idx
 }
 
 // DistinctValues returns the sorted set of distinct values in the named

@@ -94,39 +94,6 @@ func TestIndexInvalidatedByAppend(t *testing.T) {
 	}
 }
 
-// TestPairIndex pins the two-column index to its definition — the rows of
-// Index(a)[v] whose b column equals w, in ascending order — and to the
-// append invalidation the single-column indexes have.
-func TestPairIndex(t *testing.T) {
-	tb := sampleTable()
-	tb.Append(Int(1), Date(0), Int(10)) // a second (Patient 1, Doctor 10) row
-	pairs := tb.PairIndex("Patient", "Doctor")
-	di, _ := tb.ColumnIndex("Doctor")
-	seen := 0
-	for v, rows := range tb.Index("Patient") {
-		want := make(map[Value][]int)
-		for _, r := range rows {
-			want[tb.Row(r)[di]] = append(want[tb.Row(r)[di]], r)
-		}
-		for w, rs := range want {
-			if got := pairs[[2]Value{v, w}]; !reflect.DeepEqual(got, rs) {
-				t.Errorf("PairIndex[%v, %v] = %v, want %v", v, w, got, rs)
-			}
-			seen++
-		}
-	}
-	if len(pairs) != seen {
-		t.Errorf("PairIndex holds %d combinations, want %d", len(pairs), seen)
-	}
-	if len(pairs[[2]Value{Int(1), Int(10)}]) < 2 {
-		t.Fatal("fixture lost its repeated (Patient, Doctor) combination")
-	}
-	tb.Append(Int(1), Date(3), Int(10))
-	if got := tb.PairIndex("Patient", "Doctor")[[2]Value{Int(1), Int(10)}]; got[len(got)-1] != tb.NumRows()-1 {
-		t.Errorf("PairIndex not rebuilt after Append: %v", got)
-	}
-}
-
 func TestDistinctPairsDeduplicatesAndSorts(t *testing.T) {
 	tb := sampleTable()
 	pairs := tb.DistinctPairs("Patient", "Doctor")
@@ -298,7 +265,6 @@ func TestAppendRows(t *testing.T) {
 	v0, n0 := tb.Version(), tb.NumRows()
 	_ = tb.Index("Patient")
 	_ = tb.DistinctPairs("Patient", "Doctor")
-	_ = tb.PairIndex("Patient", "Doctor")
 
 	rows := [][]Value{{Int(4), Date(4), Int(13)}, {Int(1), Date(5), Int(13)}, {Int(4), Date(6), Int(13)}}
 	tb.AppendRows(rows)
@@ -316,9 +282,6 @@ func TestAppendRows(t *testing.T) {
 	}
 	if got := tb.DistinctPairs("Patient", "Doctor")[Int(1)]; !reflect.DeepEqual(got, []Value{Int(10), Int(11), Int(13)}) {
 		t.Errorf("DistinctPairs(Patient, Doctor)[1] = %v", got)
-	}
-	if got := tb.PairIndex("Patient", "Doctor")[[2]Value{Int(4), Int(13)}]; !reflect.DeepEqual(got, []int{n0, n0 + 2}) {
-		t.Errorf("PairIndex(Patient, Doctor)[(4, 13)] = %v", got)
 	}
 
 	tb.AppendRows(nil)
