@@ -59,14 +59,14 @@ func batchAuditor(b *testing.B) *core.Auditor {
 		a := core.NewAuditor(e.DS.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(e.DS))
 		// experiments.Prepare already installed the trained Groups table.
 		a.AddTemplates(explain.Handcrafted(true, true).All()...)
-		seq, err1 := a.ExplainAll(context.Background(), 1)
-		par, err8 := a.ExplainAll(context.Background(), 8)
+		seq, err1 := collectReports(a, 1)
+		par, err8 := collectReports(a, 8)
 		if err := errors.Join(err1, err8); err != nil {
 			auditorErr = err.Error()
 			return
 		}
 		if !reflect.DeepEqual(seq, par) {
-			auditorErr = "parallel ExplainAll reports differ from sequential"
+			auditorErr = "parallel StreamReports reports differ from sequential"
 			return
 		}
 		auditorInst = a
@@ -77,14 +77,25 @@ func batchAuditor(b *testing.B) *core.Auditor {
 	return auditorInst
 }
 
+// collectReports gathers one StreamReports run of a into a slice in log-row
+// order.
+func collectReports(a *core.Auditor, parallelism int) ([]core.AccessReport, error) {
+	var out []core.AccessReport
+	err := a.StreamReports(context.Background(), parallelism, func(rep core.AccessReport) error {
+		out = append(out, rep)
+		return nil
+	})
+	return out, err
+}
+
 // BenchmarkExplainAllSequential times one full batch audit of the Small log
-// at one worker with every mask warm, so it prices rendering on its own.
+// at one worker with every mask warm, collected into one slice, so it prices
+// rendering on its own.
 func BenchmarkExplainAllSequential(b *testing.B) {
 	a := batchAuditor(b)
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if reports, err := a.ExplainAll(ctx, 1); err != nil || len(reports) == 0 {
+		if reports, err := collectReports(a, 1); err != nil || len(reports) == 0 {
 			b.Fatalf("no reports (err %v)", err)
 		}
 	}

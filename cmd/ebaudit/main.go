@@ -608,6 +608,9 @@ func (a *app) audit(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *n < 0 {
+		return fmt.Errorf("audit -n must be at least 0, got %d", *n)
+	}
 	if *retries < 0 {
 		return fmt.Errorf("audit -retries must be >= 0, got %d", *retries)
 	}
@@ -1073,6 +1076,9 @@ func (a *app) unexplained(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *n < 0 {
+		return fmt.Errorf("unexplained -n must be at least 0, got %d", *n)
+	}
 	rows, err := a.eng.Unexplained(context.Background(), a.parallelism)
 	if err != nil {
 		return err
@@ -1105,6 +1111,9 @@ func (a *app) groups(args []string) error {
 	depth := fs.Int("depth", 1, "hierarchy depth to display")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *depth < 0 {
+		return fmt.Errorf("groups -depth must be at least 0, got %d", *depth)
 	}
 	if a.hier == nil {
 		return errors.New("no collaborative-group hierarchy available (a Groups table loaded from -data is reused as-is, without its training hierarchy)")

@@ -205,6 +205,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"mine M zero", []string{"mine", "-algo", "bridge-2", "-M", "0"}, "-M must be at least 1"},
 		{"mine M zero over a store", []string{"-data", dir, "-store", filepath.Join(dir, "store"), "mine", "-algo", "bridge-2", "-M", "0"}, "-M must be at least 1"},
 		{"shards with federated data", []string{"-data", dir + "," + dir, "audit", "-shards", "2"}, "cannot be combined"},
+		{"audit n negative", []string{"audit", "-n", "-1"}, "audit -n must be at least 0"},
+		{"unexplained n negative", []string{"unexplained", "-n", "-5"}, "unexplained -n must be at least 0"},
+		{"groups depth negative", []string{"groups", "-depth", "-1"}, "groups -depth must be at least 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -123,8 +123,9 @@ func templateKind(t explain.Template) string {
 // printPlanExec renders one template's per-op execution counters, in the
 // path's declared hop order. Counter semantics: rows-in is values entering
 // the op, rows-out values that qualified, postings the pair-list entries
-// consumed (the same events PostingsScanned counts, attributed per op),
-// memo the sub-questions the walk's memo answered without walking.
+// consumed (the same events a query cursor's postings counter counts,
+// attributed per op), memo the sub-questions the walk's memo answered
+// without walking.
 func printPlanExec(w io.Writer, name string, tr query.ExecTrace) {
 	fmt.Fprintf(w, "template %s: plan of %d ops\n", name, len(tr.Ops))
 	if len(tr.Ops) == 0 {

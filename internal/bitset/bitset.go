@@ -62,14 +62,6 @@ func (b *Bits) Get(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Set sets bit i. It panics when i is out of range.
-func (b *Bits) Set(i int) {
-	if i < 0 || i >= b.n {
-		panic("bitset: index out of range")
-	}
-	b.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
 // Grow extends the bitset to length n, clearing the new bits; the existing
 // prefix is preserved. Growing to a smaller or equal length is a no-op —
 // the audited log is append-only, so masks never shrink.
@@ -166,18 +158,6 @@ func FromBools(vals []bool) *Bits {
 	b := New(len(vals))
 	b.SetBools(0, vals)
 	return b
-}
-
-// Bools unpacks the bitset into a []bool mask — the bridge back to the
-// element-wise metrics API.
-func (b *Bits) Bools() []bool {
-	out := make([]bool, b.n)
-	for i := range out {
-		if b.words[i>>6]&(1<<(uint(i)&63)) != 0 {
-			out[i] = true
-		}
-	}
-	return out
 }
 
 // maxSerializedBits bounds the declared length ReadFrom will accept (one

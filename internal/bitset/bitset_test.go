@@ -7,6 +7,24 @@ import (
 	"testing"
 )
 
+// Set sets bit i. It panics when i is out of range.
+func (b *Bits) Set(i int) {
+	if i < 0 || i >= b.n {
+		panic("bitset: index out of range")
+	}
+	b.words[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// Bools unpacks the bitset into a []bool mask, the reference form the
+// property tests compare against.
+func (b *Bits) Bools() []bool {
+	out := make([]bool, b.n)
+	for i := range out {
+		out[i] = b.Get(i)
+	}
+	return out
+}
+
 // boolRef is the []bool reference model the property test checks Bits
 // against: every operation is defined element-wise with zero-extension for
 // ragged lengths, exactly the semantics the packed implementation promises.

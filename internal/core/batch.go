@@ -213,25 +213,6 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 	return out, nil
 }
 
-// ExplainAll builds the report for every log row using a pool of parallelism
-// workers (non-positive means GOMAXPROCS), each with its own evaluator
-// cursor. It materializes the StreamReports pipeline into one slice, so
-// reports are in log-row order and identical to what an ExplainRow(r, 0)
-// loop produces — the differential tests pin this down — and callers that
-// do not need the whole slice at once should consume StreamReports
-// directly for bounded memory. On error (including a cancelled ctx) it
-// returns nil and the error, never a partially filled slice.
-func (a *Auditor) ExplainAll(ctx context.Context, parallelism int) ([]AccessReport, error) {
-	out := make([]AccessReport, 0, a.ev.Log().NumRows())
-	if err := a.StreamReports(ctx, parallelism, func(rep AccessReport) error {
-		out = append(out, rep)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Unexplained returns the audited-log rows no registered template explains —
 // the paper's misuse-detection shortlist — in ascending order. The template
 // masks are computed (or extended) with a worker pool, ORed word-at-a-time

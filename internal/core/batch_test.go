@@ -27,7 +27,7 @@ func buildSeededAuditor(t testing.TB, seed int64) *core.Auditor {
 }
 
 // TestExplainAllMatchesSequential is the batch engine's differential oracle:
-// on three differently seeded datasets, ExplainAll at every parallelism
+// on three differently seeded datasets, StreamReports at every parallelism
 // level must produce reports byte-for-byte identical to an ExplainRow loop,
 // and Unexplained/ExplainedFraction at every parallelism level must match
 // their one-worker results exactly.
@@ -47,7 +47,7 @@ func TestExplainAllMatchesSequential(t *testing.T) {
 		wantFraction := mustFraction(t, a, 1)
 
 		for _, par := range []int{1, 2, 4, 8} {
-			got := mustExplainAll(t, a, par)
+			got := mustReports(t, a, par)
 			if !reflect.DeepEqual(got, want) {
 				for r := range want {
 					if !reflect.DeepEqual(got[r], want[r]) {
@@ -78,10 +78,10 @@ func TestExplainAllColdMasks(t *testing.T) {
 	batch := buildSeededAuditor(t, 7)
 	seq := buildSeededAuditor(t, 7)
 
-	got := mustExplainAll(t, batch, 4)
+	got := mustReports(t, batch, 4)
 	n := seq.Log().NumRows()
 	if len(got) != n {
-		t.Fatalf("ExplainAll returned %d reports, want %d", len(got), n)
+		t.Fatalf("StreamReports emitted %d reports, want %d", len(got), n)
 	}
 	for r := 0; r < n; r++ {
 		want := mustExplainRow(t, seq, r, 0)
@@ -99,8 +99,8 @@ func TestExplainAllCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, state := range []string{"cold", "warm"} {
-		if got, err := a.ExplainAll(ctx, 4); !errors.Is(err, context.Canceled) || got != nil {
-			t.Errorf("%s: ExplainAll with cancelled ctx = (%d reports, %v), want (nil, context.Canceled)", state, len(got), err)
+		if got, err := collectReports(ctx, a, 4); !errors.Is(err, context.Canceled) || got != nil {
+			t.Errorf("%s: StreamReports with cancelled ctx = (%d reports, %v), want (none, context.Canceled)", state, len(got), err)
 		}
 		if got, err := a.Unexplained(ctx, 4); !errors.Is(err, context.Canceled) || got != nil {
 			t.Errorf("%s: Unexplained with cancelled ctx = (%v, %v), want (nil, context.Canceled)", state, got, err)
@@ -137,8 +137,8 @@ func TestExplainAllSharedAuditorRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, err := a.ExplainAll(ctx, 8); err != nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("concurrent ExplainAll diverged from sequential baseline (err %v)", err)
+			if got, err := collectReports(ctx, a, 8); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent StreamReports diverged from sequential baseline (err %v)", err)
 			}
 		}()
 		wg.Add(1)

@@ -15,10 +15,10 @@
 // context and a worker count and return an error, so a cancelled or failed
 // audit can never read as "nothing unexplained". Auditing every access in a
 // hospital-scale log is embarrassingly parallel across log rows, so
-// StreamReports (and ExplainAll, Unexplained, ExplainedFraction over it or
-// its masks) shard the log over a worker pool of cloned evaluator cursors
-// and produce results identical to a row-at-a-time ExplainRow loop (see the
-// Auditor type comment for the concurrency contract). Template masks are
+// StreamReports (and Unexplained and ExplainedFraction over its masks)
+// shard the log over a worker pool of cloned evaluator cursors and produce
+// results identical to a row-at-a-time ExplainRow loop (see the Auditor
+// type comment for the concurrency contract). Template masks are
 // themselves computed sharded: each template's log is split into ranges
 // evaluated concurrently via explain.Template.EvaluateRange over shared
 // prepared plans, so mask computation scales with cores even when few
@@ -53,18 +53,18 @@ import (
 //
 // Configuration (NewAuditor, BuildGroups, AddTemplates, ResetMaskCache)
 // requires exclusive access. Once configured, the batch methods —
-// StreamReports, StreamNDJSON, ExplainAll, Unexplained, ExplainedFraction,
-// Refresh, NewPass and the Range forms of the streams and Unexplained — are
-// safe to call concurrently with each other: they fan work out to
-// per-worker evaluator cursors (query.Evaluator.Clone), shard each missing
-// template mask into log-row ranges over one worker pool (so even a
-// one-template workload uses every worker), and guard the shared
-// template-mask cache with a mutex. The per-worker cursors share the query
-// engine's compiled-plan cache, so a template's path is compiled once no
-// matter how many workers evaluate its shards. The point methods
-// (ExplainRow, PatientReport, Support and their Range forms) bring masks up
-// to date through the same path but render on the auditor's own cursor, so
-// they must not run concurrently with anything else on the same Auditor.
+// StreamReports, StreamNDJSON, Unexplained, ExplainedFraction, Refresh,
+// NewPass and the Range forms of the streams and Unexplained — are safe to
+// call concurrently with each other: they fan work out to per-worker
+// evaluator cursors (query.Evaluator.Clone), shard each missing template
+// mask into log-row ranges over one worker pool (so even a one-template
+// workload uses every worker), and guard the shared template-mask cache with
+// a mutex. The per-worker cursors share the query engine's compiled-plan
+// cache, so a template's path is compiled once no matter how many workers
+// evaluate its shards. The point methods (ExplainRow, PatientReport, Support
+// and their Range forms) bring masks up to date through the same path but
+// render on the auditor's own cursor, so they must not run concurrently with
+// anything else on the same Auditor.
 type Auditor struct {
 	db    *relation.Database
 	graph *schemagraph.Graph
@@ -188,9 +188,6 @@ func NewAuditor(db *relation.Database, graph *schemagraph.Graph, opts ...Option)
 
 // Database returns the underlying database.
 func (a *Auditor) Database() *relation.Database { return a.db }
-
-// Graph returns the schema graph.
-func (a *Auditor) Graph() *schemagraph.Graph { return a.graph }
 
 // Evaluator returns the query evaluator bound to the auditor's database,
 // for callers running custom path queries.

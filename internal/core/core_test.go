@@ -26,8 +26,8 @@ func TestAuditorAccessors(t *testing.T) {
 	if a.Database() != ds.DB {
 		t.Error("Database() wrong")
 	}
-	if a.Graph() == nil || a.Evaluator() == nil {
-		t.Error("nil graph or evaluator")
+	if a.Evaluator() == nil {
+		t.Error("nil evaluator")
 	}
 	if got := len(a.Templates()); got != 20 {
 		t.Errorf("Templates = %d, want 20", got)

@@ -25,7 +25,7 @@ func truncatedDB(ds *ehr.Dataset, cut int) (*relation.Database, *relation.Table)
 	db := relation.NewDatabase()
 	for _, name := range ds.DB.TableNames() {
 		if name == pathmodel.LogTable {
-			db.AddTable(full.Select(pathmodel.LogTable, rows))
+			db.AddTable(selectRows(full, rows))
 		} else {
 			db.AddTable(ds.DB.Table(name))
 		}
@@ -53,7 +53,7 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 			a.BuildGroups(core.GroupsOptions{})
 			a.AddTemplates(explain.Handcrafted(true, true).All()...)
-			if got := mustExplainAll(t, a, par); len(got) != cut {
+			if got := mustReports(t, a, par); len(got) != cut {
 				t.Fatalf("seed %d: warm-up audited %d rows, want %d", seed, len(got), cut)
 			}
 			recomputes := a.PlanCacheStats().MaskRecomputes
@@ -76,7 +76,7 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 					seed, par, st.MaskExtensions, want)
 			}
 
-			got := mustExplainAll(t, a, par)
+			got := mustReports(t, a, par)
 			gotFraction := mustFraction(t, a, par)
 			gotUnexplained := mustUnexplained(t, a, par)
 
@@ -85,7 +85,7 @@ func TestRefreshMatchesRebuild(t *testing.T) {
 			// groups, so neither may the reference).
 			b := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 			b.AddTemplates(a.Templates()...)
-			want := mustExplainAll(t, b, par)
+			want := mustReports(t, b, par)
 			if len(got) != n {
 				t.Fatalf("seed %d: refreshed audit covers %d rows, want %d", seed, len(got), n)
 			}
@@ -151,13 +151,13 @@ func TestRefreshSingleRowAPI(t *testing.T) {
 // correct.
 func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
 	a := buildSeededAuditor(t, 1)
-	before := mustExplainAll(t, a, 2)
+	before := mustReports(t, a, 2)
 	base := a.PlanCacheStats().MaskRecomputes
 
 	// New templates get masks lazily; existing masks survive.
 	extra := explain.WithDrTemplate("appt-with-dr-again", "Appointments", "an appointment")
 	a.AddTemplates(extra)
-	withExtra := mustExplainAll(t, a, 2)
+	withExtra := mustReports(t, a, 2)
 	if len(withExtra) != len(before) {
 		t.Fatalf("audit after AddTemplates covers %d rows, want %d", len(withExtra), len(before))
 	}
@@ -168,7 +168,7 @@ func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
 
 	// An unrelated table add keeps every mask.
 	a.AddTable(relation.NewTable("SideFeed", "Patient", "Date"))
-	mustExplainAll(t, a, 2)
+	mustReports(t, a, 2)
 	if got := a.PlanCacheStats().MaskRecomputes; got != base+1 {
 		t.Errorf("unrelated AddTable recomputed %d masks, want 0", got-base-1)
 	}
@@ -192,7 +192,7 @@ func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
 	}
 	grp := a.Database().MustTable(core.DefaultGroupsTable)
 	a.AddTable(grp.Clone(core.DefaultGroupsTable))
-	after := mustExplainAll(t, a, 2)
+	after := mustReports(t, a, 2)
 	if got := a.PlanCacheStats().MaskRecomputes; got != base+1+groupsReaders {
 		t.Errorf("Groups replacement recomputed %d masks, want %d (the group templates)",
 			got-base-1, groupsReaders)

@@ -12,11 +12,24 @@ import (
 // drive a healthy auditor: any error fails the test on the spot. They call
 // t.Fatalf, so use them only from the test goroutine.
 
-func mustExplainAll(t testing.TB, a *core.Auditor, parallelism int) []core.AccessReport {
+// collectReports gathers a StreamReports run into one slice in log-row
+// order: nil and the error on failure, never a partly filled slice.
+func collectReports(ctx context.Context, a *core.Auditor, parallelism int) ([]core.AccessReport, error) {
+	var out []core.AccessReport
+	if err := a.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
+		out = append(out, rep)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func mustReports(t testing.TB, a *core.Auditor, parallelism int) []core.AccessReport {
 	t.Helper()
-	reps, err := a.ExplainAll(context.Background(), parallelism)
+	reps, err := collectReports(context.Background(), a, parallelism)
 	if err != nil {
-		t.Fatalf("ExplainAll(j=%d): %v", parallelism, err)
+		t.Fatalf("StreamReports(j=%d): %v", parallelism, err)
 	}
 	return reps
 }

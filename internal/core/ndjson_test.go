@@ -385,7 +385,7 @@ func TestStreamNDJSONRendersReplacedTable(t *testing.T) {
 	if want, _ := encodeReports(t, a, 1); !bytes.Equal(after, want) {
 		t.Fatal("after AddTable, StreamNDJSON differs from the encoded StreamReports")
 	}
-	fresh := core.NewAuditor(a.Database(), a.Graph())
+	fresh := core.NewAuditor(a.Database(), ehr.SchemaGraph(ehr.DefaultGraphOptions()))
 	fresh.AddTemplates(a.Templates()...)
 	if want, _ := collectNDJSON(t, fresh, 2); !bytes.Equal(after, want) {
 		t.Fatal("after AddTable, StreamNDJSON differs from a fresh auditor's stream")

@@ -55,7 +55,7 @@ func TestRangeStreamsConcatenate(t *testing.T) {
 		}
 		after := memoCounts(a)
 		wantMemo := [2]int64{after[0] - before[0], after[1] - before[1]}
-		wantReports := mustExplainAll(t, a, 1)
+		wantReports := mustReports(t, a, 1)
 
 		for _, par := range []int{1, 2, 4} {
 			for _, shared := range []bool{true, false} {

@@ -53,7 +53,7 @@ func TestPatientReportMatchesScan(t *testing.T) {
 	log := a.Log()
 	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
 
-	for _, pv := range log.DistinctValues(pathmodel.LogPatientColumn) {
+	for _, pv := range distinctValues(log, pathmodel.LogPatientColumn) {
 		got := mustPatientReport(t, a, pv, 1)
 		k := 0
 		for r := 0; r < log.NumRows(); r++ {

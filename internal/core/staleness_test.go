@@ -51,7 +51,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 		}
 		fresh := core.NewAuditor(db, graph, core.WithNamer(ds))
 		fresh.AddTemplates(a.Templates()...)
-		want := mustExplainAll(t, fresh, 1)
+		want := mustReports(t, fresh, 1)
 		if len(want) != log.NumRows() {
 			t.Fatalf("%s: rebuilt audit covers %d rows, want %d", step, len(want), log.NumRows())
 		}
@@ -60,13 +60,13 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 				t.Fatalf("%s: ExplainRow(%d) differs from rebuild:\n got %+v\nwant %+v", step, r, got, want[r])
 			}
 		}
-		for _, p := range log.DistinctValues(pathmodel.LogPatientColumn) {
+		for _, p := range distinctValues(log, pathmodel.LogPatientColumn) {
 			if got, want := mustPatientReport(t, a, p, 2), mustPatientReport(t, fresh, p, 2); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: PatientReport(%v) differs from rebuild", step, p)
 			}
 		}
 		for pass := 1; pass <= 2; pass++ {
-			if got := mustExplainAll(t, a, 4); !reflect.DeepEqual(got, want) {
+			if got := mustReports(t, a, 4); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: StreamReports pass %d differs from rebuild", step, pass)
 			}
 		}
@@ -93,7 +93,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 	// Every user joins one new collaborative group.
 	old := db.MustTable(core.DefaultGroupsTable)
 	grown := old.Clone(core.DefaultGroupsTable)
-	for _, u := range log.DistinctValues(pathmodel.LogUserColumn) {
+	for _, u := range distinctValues(log, pathmodel.LogUserColumn) {
 		grown.Append(relation.Int(1), relation.Int(1<<40), u)
 	}
 	a.AddTable(grown)

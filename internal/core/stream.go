@@ -51,13 +51,13 @@ func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, ps *P
 
 // StreamReports builds the report for every log row and hands the reports to
 // fn one at a time, in log-row order, exactly as a sequential
-// ExplainRow(r, 0) loop would produce them (ExplainAll materializes this very
-// stream, and the differential tests pin the two together). Work is sharded
-// over a pool of parallelism workers (non-positive means GOMAXPROCS), each
-// with its own evaluator cursor; completed shards are re-sequenced through a
-// bounded window, so peak memory holds a few chunks of reports rather than
-// the whole log — the property that lets hospital-scale logs be audited to
-// an NDJSON sink or network stream without a full-log slice.
+// ExplainRow(r, 0) loop would produce them (the differential tests pin the
+// two together). Work is sharded over a pool of parallelism workers
+// (non-positive means GOMAXPROCS), each with its own evaluator cursor;
+// completed shards are re-sequenced through a bounded window, so peak memory
+// holds a few chunks of reports rather than the whole log — the property
+// that lets hospital-scale logs be audited to an NDJSON sink or network
+// stream without a full-log slice.
 //
 // fn runs on the calling goroutine, never concurrently with itself. If fn
 // returns an error, the stream aborts and StreamReports returns that error;

@@ -142,12 +142,6 @@ type Dataset struct {
 // UserByAudit returns the user with the given audit id, or nil.
 func (d *Dataset) UserByAudit(id int64) *User { return d.userByAudit[id] }
 
-// UserByCaregiver returns the user with the given caregiver id, or nil.
-func (d *Dataset) UserByCaregiver(id int64) *User { return d.userByCaregiver[id] }
-
-// PatientByID returns the patient with the given id, or nil.
-func (d *Dataset) PatientByID(id int64) *Patient { return d.patientByID[id] }
-
 // Log returns the access-log table.
 func (d *Dataset) Log() *relation.Table { return d.DB.MustTable("Log") }
 

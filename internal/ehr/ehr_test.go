@@ -1,6 +1,7 @@
 package ehr_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/ehr"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
+	"repro/internal/schemagraph"
 )
 
 func tinyDS(t *testing.T) *ehr.Dataset {
@@ -298,8 +300,8 @@ func TestCauseStrings(t *testing.T) {
 func TestSchemaGraphOptions(t *testing.T) {
 	full := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 	aOnly := ehr.SchemaGraph(ehr.GraphOptions{})
-	if full.NumEdges() <= aOnly.NumEdges() {
-		t.Errorf("full graph (%d edges) not larger than A-only graph (%d)", full.NumEdges(), aOnly.NumEdges())
+	if len(full.Edges()) <= len(aOnly.Edges()) {
+		t.Errorf("full graph (%d edges) not larger than A-only graph (%d)", len(full.Edges()), len(aOnly.Edges()))
 	}
 	if !full.TableHasSelfJoin("Groups") || !full.TableHasSelfJoin("Log") || !full.TableHasSelfJoin("DeptCodes") {
 		t.Error("default options missing self-join allowances")
@@ -307,13 +309,15 @@ func TestSchemaGraphOptions(t *testing.T) {
 	if aOnly.TableHasSelfJoin("Groups") {
 		t.Error("A-only graph has Groups self-join")
 	}
-	if !full.IsBridgeTable("UserMapping") {
-		t.Error("UserMapping not a bridge table")
+	if !slices.ContainsFunc(full.Edges(), func(e schemagraph.Edge) bool { return e.Via != nil && e.Via.Table == "UserMapping" }) {
+		t.Error("no edge bridges through UserMapping")
 	}
 	// Tables reachable in the A-only graph exclude data set B.
-	for _, tb := range aOnly.Tables() {
-		if tb == "Labs" || tb == "Medications" || tb == "Radiology" {
-			t.Errorf("A-only graph mentions %s", tb)
+	for _, e := range aOnly.Edges() {
+		for _, tb := range []string{e.From.Table, e.To.Table} {
+			if tb == "Labs" || tb == "Medications" || tb == "Radiology" {
+				t.Errorf("A-only graph mentions %s", tb)
+			}
 		}
 	}
 }

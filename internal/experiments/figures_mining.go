@@ -13,6 +13,7 @@ import (
 	"repro/internal/mine"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
+	"repro/internal/schemagraph"
 )
 
 // MiningSeries is one algorithm's cumulative run time by explanation length
@@ -85,10 +86,7 @@ func Figure13(e *Env, algorithms ...string) MiningFigure {
 	var refKeys map[string]bool
 	for _, algo := range algorithms {
 		ev := query.NewEvaluatorWithLog(db, audited)
-		res, err := mine.Run(algo, ev, g, e.Cfg.Mining)
-		if err != nil {
-			panic(err) // algorithm names are fixed above
-		}
+		res := mineWith(algo, ev, g, e.Cfg.Mining)
 		if fig.Templates == nil {
 			fig.Templates = res.Templates
 			refKeys = make(map[string]bool, len(res.Templates))
@@ -122,6 +120,17 @@ func Figure13(e *Env, algorithms ...string) MiningFigure {
 	return fig
 }
 
+// mineWith runs one of the fixed algorithms the figures name. The only
+// errors mine.Run returns are for an unknown name or invalid options, which
+// here are programming errors in the experiment configuration.
+func mineWith(algo string, ev *query.Evaluator, g *schemagraph.Graph, opt mine.Options) mine.Result {
+	res, err := mine.Run(algo, ev, g, opt)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // Figure14 evaluates the predictive power of the mined templates by length
 // on the day-7 first accesses mixed with the fake log. Short templates have
 // the best precision; longer (group-using) templates raise recall at some
@@ -131,7 +140,7 @@ func Figure14(e *Env) PRFigure {
 	db, audited := e.MiningDB()
 	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 	mev := query.NewEvaluatorWithLog(db, audited)
-	res := mine.OneWay(mev, g, e.Cfg.Mining)
+	res := mineWith(mine.AlgoOneWay, mev, g, e.Cfg.Mining)
 
 	testDB := e.HistoricalDB(e.Hierarchy.Table("Groups"))
 	ev, ts := e.testDaySetup(testDB, true)
@@ -227,7 +236,7 @@ func Table1(e *Env) StabilityTable {
 		db := accesslog.WithLog(e.DS.DB, sub)
 		audited := accesslog.FirstAccesses(sub)
 		ev := query.NewEvaluatorWithLog(db, audited)
-		res := mine.OneWay(ev, g, e.Cfg.Mining)
+		res := mineWith(mine.AlgoOneWay, ev, g, e.Cfg.Mining)
 		keys := make(map[string]int, len(res.Templates))
 		for _, tpl := range res.Templates {
 			keys[tpl.CanonicalKey()] = tpl.Length()

@@ -55,7 +55,7 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := mustExplainAll(t, single, 4)
+		want := mustReports(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
@@ -90,7 +90,7 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 				)
 
 				label := fmt.Sprintf("seed %d k=%d j=%d", seed, k, j)
-				got := mustExplainAll(t, f, j)
+				got := mustReports(t, f, j)
 				assertReportsEqual(t, label+" reports", got, want)
 				if d := f.LastDegraded(); !d.IsZero() {
 					t.Fatalf("%s: transient faults left a degraded annotation: %+v", label, d)
@@ -113,9 +113,9 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 				if fault.Default.Injected() == 0 {
 					t.Fatalf("%s: no fault fired — the chaos schedule never hit a seam", label)
 				}
-				for _, h := range f.ShardHealth() {
-					if h.State != federate.Healthy {
-						t.Fatalf("%s: shard %s ended %v, want healthy after recovery", label, h.Name, h.State)
+				for i, st := range f.ShardStates() {
+					if st != federate.Healthy {
+						t.Fatalf("%s: shard %d ended %v, want healthy after recovery", label, i, st)
 					}
 				}
 			}
@@ -160,7 +160,7 @@ func TestChaosSupportTransient(t *testing.T) {
 func TestChaosHangTimeoutRetry(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ds, single := singleEngine(t, 1)
-	want := mustExplainAll(t, single, 4)
+	want := mustReports(t, single, 4)
 
 	f := splitFederation(t, ds, 2, nil)
 	pol := chaosPolicy(1)
@@ -173,7 +173,7 @@ func TestChaosHangTimeoutRetry(t *testing.T) {
 
 	fault.Install(fault.Rule{Site: "federate.shard1.stream", Kind: fault.KindHang, Count: 1})
 	start := time.Now()
-	got := mustExplainAll(t, f, 4)
+	got := mustReports(t, f, 4)
 	assertReportsEqual(t, "hang+timeout", got, want)
 	if el := time.Since(start); el < 2*time.Second {
 		t.Errorf("audit finished in %v — the hang never engaged the timeout", el)
@@ -203,17 +203,14 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("shard-down error lost the injected cause: %v", err)
 	}
-	if got, err := f.ExplainAll(ctx, 4); got != nil || !errors.Is(err, federate.ErrShardDown) {
-		t.Errorf("strict ExplainAll under a permanent fault = (%d reports, %v), want (nil, ErrShardDown)", len(got), err)
-	}
 	if _, err := f.Unexplained(ctx, 4); !errors.Is(err, federate.ErrShardDown) {
 		t.Errorf("strict Unexplained error = %v, want ErrShardDown", err)
 	}
-	health := f.ShardHealth()
-	if health[1].State != federate.Down {
-		t.Errorf("failing shard state = %v, want down", health[1].State)
+	health := f.ShardStates()
+	if health[1] != federate.Down {
+		t.Errorf("failing shard state = %v, want down", health[1])
 	}
-	if health[0].State == federate.Down {
+	if health[0] == federate.Down {
 		t.Errorf("healthy shard marked down")
 	}
 	if d := f.LastDegraded(); !d.IsZero() {
@@ -232,7 +229,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := mustExplainAll(t, single, 4)
+		want := mustReports(t, single, 4)
 		wantUnexplained := mustUnexplained(t, single, 4)
 		for _, k := range []int{2, 4} {
 			f := splitFederation(t, ds, k, nil)
@@ -256,7 +253,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 			fault.Reset()
 			fault.Install(fault.Permanent("federate.shard0.stream"))
 
-			got := mustExplainAll(t, f, 4)
+			got := mustReports(t, f, 4)
 			assertReportsEqual(t, "degraded reports", got, wantSurvive)
 			d := f.LastDegraded()
 			if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard0" {
@@ -294,14 +291,14 @@ func TestChaosPermanentDegraded(t *testing.T) {
 			// Heal: the next call probes the down shard and full results
 			// return, with no annotation left behind.
 			fault.Reset()
-			got = mustExplainAll(t, f, 4)
+			got = mustReports(t, f, 4)
 			assertReportsEqual(t, "healed reports", got, want)
 			if d := f.LastDegraded(); !d.IsZero() {
 				t.Fatalf("seed %d k=%d: healed run still annotated: %+v", seed, k, d)
 			}
-			for _, h := range f.ShardHealth() {
-				if h.State != federate.Healthy {
-					t.Fatalf("seed %d k=%d: shard %s ended %v after healing", seed, k, h.Name, h.State)
+			for i, st := range f.ShardStates() {
+				if st != federate.Healthy {
+					t.Fatalf("seed %d k=%d: shard %d ended %v after healing", seed, k, i, st)
 				}
 			}
 		}
@@ -315,7 +312,7 @@ func TestChaosPermanentDegraded(t *testing.T) {
 func TestChaosMidStreamDegraded(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ds, single := singleEngine(t, 2)
-	want := mustExplainAll(t, single, 4)
+	want := mustReports(t, single, 4)
 
 	const k = 2
 	const prefix = 7 // shard0 row calls that succeed before the permanent fault
@@ -326,7 +323,7 @@ func TestChaosMidStreamDegraded(t *testing.T) {
 	fault.Install(fault.Rule{Site: "federate.shard0.stream.row", After: prefix,
 		Err: errors.New("injected permanent row fault")})
 
-	got := mustExplainAll(t, f, 4)
+	got := mustReports(t, f, 4)
 	// Expected: shard0's first `prefix` rows, then all shard1 rows (shard0
 	// is the run of the merged log's first rows0 rows).
 	_, rows0 := shardStart(t, f, "shard0")
@@ -376,7 +373,7 @@ func inOrderFederation(t *testing.T, seed int64) (*federate.Federation, [][]byte
 	}
 	f := splitFederation(t, ds, 4, nil)
 	f.SetPolicy(chaosPolicy(seed))
-	return f, bytes.SplitAfter(want, []byte("\n"))[:f.Rows()]
+	return f, bytes.SplitAfter(want, []byte("\n"))[:f.Log().NumRows()]
 }
 
 // shardStart returns the merged-log row at which the named shard's run
@@ -494,9 +491,9 @@ func TestChaosInOrderNDJSONCancel(t *testing.T) {
 			t.Fatalf("cancel at chunk %d: emit saw %d chunks, %d of %d bytes (prefix: %v)",
 				cancelAt, chunks, len(got), len(full), bytes.HasPrefix(full, got))
 		}
-		for _, h := range f.ShardHealth() {
-			if h.State != federate.Healthy {
-				t.Fatalf("cancel at chunk %d: shard %s ended %v; a cancellation is not the shard's failure", cancelAt, h.Name, h.State)
+		for i, st := range f.ShardStates() {
+			if st != federate.Healthy {
+				t.Fatalf("cancel at chunk %d: shard %d ended %v; a cancellation is not the shard's failure", cancelAt, i, st)
 			}
 		}
 	}

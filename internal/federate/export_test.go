@@ -8,6 +8,15 @@ import (
 // TimeBucketReference exposes timeBucketReference to the external tests.
 var TimeBucketReference = timeBucketReference
 
+// ShardStates returns every shard's health state, in shard order.
+func (f *Federation) ShardStates() []HealthState {
+	out := make([]HealthState, len(f.shards))
+	for i, sh := range f.shards {
+		out[i] = HealthState(sh.health.Load())
+	}
+	return out
+}
+
 // timeBucketReference is the per-row date bucket TimeRanges counts: row r
 // falls into one of k equal-width buckets spanning the log's [min, max]
 // date range. It is the reference the TimeRanges cut points are pinned to:

@@ -70,10 +70,9 @@ func (sh *shard) rows() int { return sh.hi - sh.lo }
 // with Split or Join, register templates with AddTemplates, then use the
 // audit surface. The concurrency contract matches core.Auditor:
 // configuration requires exclusive access, after which the batch surface
-// (StreamReports, StreamNDJSON, ExplainAll, Unexplained, ExplainedFraction)
-// may be used; the point members (Support, PatientReport, ExplainRow,
-// MineTemplates) must not run concurrently with anything else on the same
-// Federation.
+// (StreamReports, StreamNDJSON, Unexplained, ExplainedFraction) may be used;
+// the point members (Support, PatientReport, MineTemplates) must not run
+// concurrently with anything else on the same Federation.
 type Federation struct {
 	graph  *schemagraph.Graph
 	shards []*shard
@@ -91,7 +90,7 @@ type Federation struct {
 	// hier is the collaborative-group hierarchy trained on the merged log,
 	// or nil when the federation reused an existing Groups table (Split over
 	// an already-configured database, or a Join whose shards all carry an
-	// identical persisted copy) or was built WithoutGroups.
+	// identical persisted copy).
 	hier *groups.Hierarchy
 	// Resilience state (policy.go): the retry/timeout policy, the degraded-
 	// mode switch, and the last batch call's Degraded annotation.
@@ -104,9 +103,8 @@ type Federation struct {
 
 // config collects construction options.
 type config struct {
-	namer    explain.Namer
-	names    []string
-	noGroups bool
+	namer explain.Namer
+	names []string
 }
 
 // Option configures Split and Join.
@@ -123,13 +121,6 @@ func WithNamer(n explain.Namer) Option {
 // example, the source directory names of a multi-directory load).
 func WithShardNames(names ...string) Option {
 	return func(c *config) { c.names = append([]string(nil), names...) }
-}
-
-// WithoutGroups skips collaborative-group inference. Use it when the
-// registered templates do not reference the Groups table and the clustering
-// cost is unwanted (benchmarks, group-free catalogs).
-func WithoutGroups() Option {
-	return func(c *config) { c.noGroups = true }
 }
 
 func checkLog(t *relation.Table, who string) error {
@@ -210,10 +201,9 @@ func TimeRanges(log *relation.Table, k int) []int {
 // each with its own seams, retries and degraded-mode accounting — while
 // masks, compiled plans and a stream's instance memo are built once, and
 // every query resolves against db's full log, so the federated audit is
-// identical to a single-engine audit of db. Unless WithoutGroups is given,
-// a Groups table is trained on the full log and installed if db does not
-// already have one (an existing table, such as one a prior
-// core.Auditor.BuildGroups installed, is reused as-is).
+// identical to a single-engine audit of db. A Groups table is trained on the
+// full log and installed if db does not already have one (an existing table,
+// such as one a prior core.Auditor.BuildGroups installed, is reused as-is).
 func Split(db *relation.Database, graph *schemagraph.Graph, k int, cuts []int, opts ...Option) (*Federation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("federate: Split needs at least 1 shard, got %d", k)
@@ -238,7 +228,7 @@ func Split(db *relation.Database, graph *schemagraph.Graph, k int, cuts []int, o
 
 	cfg := newConfig(opts)
 	f := &Federation{graph: graph, merged: log, split: true}
-	if !cfg.noGroups && !db.HasTable(core.DefaultGroupsTable) {
+	if !db.HasTable(core.DefaultGroupsTable) {
 		f.hier = buildGroups(log)
 		db.AddTable(f.hier.Table(core.DefaultGroupsTable))
 	}
@@ -295,18 +285,17 @@ func sameTable(a, b *relation.Table) bool {
 // the shard logs are concatenated in input order into the logical log, which
 // replaces every shard database's Log table (so repeat-access history and
 // Log self-joins span deployments), while each shard's accesses are still
-// explained against that shard's own metadata. Unless WithoutGroups is
-// given, group membership — like history — is a property of the whole
-// federation: when every input database already carries an identical Groups
-// table (a persisted copy of a previous Join's merged-log training, see
-// store.SaveTable), that table is reused as-is and no retraining happens —
-// the warm start that makes reopening a shard-store federation cheap; any
-// shard missing the table, or carrying a divergent copy, forces the
-// hierarchy to be retrained on the merged log and installed into every
-// shard, replacing whatever was loaded. Reuse trusts the persisted table:
-// a caller that appends to the shard logs after persisting must drop the
-// stale copies to retrain. All shard logs must share an identical column
-// layout.
+// explained against that shard's own metadata. Group membership — like
+// history — is a property of the whole federation: when every input database
+// already carries an identical Groups table (a persisted copy of a previous
+// Join's merged-log training, see store.SaveTable), that table is reused
+// as-is and no retraining happens — the warm start that makes reopening a
+// shard-store federation cheap; any shard missing the table, or carrying a
+// divergent copy, forces the hierarchy to be retrained on the merged log and
+// installed into every shard, replacing whatever was loaded. Reuse trusts
+// the persisted table: a caller that appends to the shard logs after
+// persisting must drop the stale copies to retrain. All shard logs must
+// share an identical column layout.
 func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*Federation, error) {
 	if len(dbs) == 0 {
 		return nil, errors.New("federate: Join needs at least one database")
@@ -326,7 +315,7 @@ func Join(dbs []*relation.Database, graph *schemagraph.Graph, opts ...Option) (*
 
 	f := &Federation{graph: graph, merged: merged}
 	var groupsTable *relation.Table
-	if !cfg.noGroups && !sharedGroupsTable(dbs) {
+	if !sharedGroupsTable(dbs) {
 		f.hier = buildGroups(merged)
 		groupsTable = f.hier.Table(core.DefaultGroupsTable)
 	}
@@ -393,29 +382,15 @@ func (f *Federation) distributed() int {
 	return last.off + last.hi
 }
 
-// TailReports builds the report for every merged-log row at global position
-// >= fromGlobal, in global order, handing each to fn — the primitive behind
-// follow-mode auditing, where only the rows appended since the last emission
-// need reports. It is StreamReports cut to the tail: the same range streams
-// under the same seams, retries and degraded mode, so a TailReports over
-// rows [g, end) emits exactly the suffix of the full stream.
-func (f *Federation) TailReports(ctx context.Context, fromGlobal int, fn func(core.AccessReport) error) error {
-	return f.streamReports(ctx, fromGlobal, 0, fn)
-}
-
 // NumShards returns the number of shards.
 func (f *Federation) NumShards() int { return len(f.shards) }
 
-// Rows returns the merged log's row count.
-func (f *Federation) Rows() int { return f.merged.NumRows() }
-
 // Log returns the logical merged log in global order: the table whose row
-// indexes ExplainRow and Unexplained speak of.
+// indexes Unexplained speaks of.
 func (f *Federation) Log() *relation.Table { return f.merged }
 
 // Hierarchy returns the collaborative-group hierarchy trained on the merged
-// log, or nil when the federation reused an existing Groups table or was
-// built WithoutGroups.
+// log, or nil when the federation reused an existing Groups table.
 func (f *Federation) Hierarchy() *groups.Hierarchy { return f.hier }
 
 // AddTemplates registers explanation templates on every engine.
@@ -457,22 +432,21 @@ func handOn(ctx context.Context, p *resume, n int, send func() error) error {
 	return nil
 }
 
-// streamShards runs stream over each shard's rows at merged-log position
-// from or later, one shard after another in shard order (eachShard, behind
-// each shard's stream seam and resilience policy). stream hands on the rows
-// [p.next, sh.hi) through handOn in order, rendering from ps, the call's
-// pass over the shard's engine: made by the first attempt that needs it
-// (so a mask fault strikes that shard's seam and retries), then shared by
-// every later shard of the same engine, so a Split call builds masks,
-// compiles templates and walks each instance once. A retried attempt
-// resumes at the first row its shard has not handed on. In degraded mode a
-// shard that goes down mid-stream is recorded with the rows it never handed
-// on, and the next shard continues the stream.
-func (f *Federation) streamShards(ctx context.Context, from, parallelism int, stream func(ctx context.Context, ps *core.Pass, p *resume) error) error {
+// streamShards runs stream over each shard's rows, one shard after another
+// in shard order (eachShard, behind each shard's stream seam and resilience
+// policy). stream hands on the rows [p.next, sh.hi) through handOn in order,
+// rendering from ps, the call's pass over the shard's engine: made by the
+// first attempt that needs it (so a mask fault strikes that shard's seam and
+// retries), then shared by every later shard of the same engine, so a Split
+// call builds masks, compiles templates and walks each instance once. A
+// retried attempt resumes at the first row its shard has not handed on. In
+// degraded mode a shard that goes down mid-stream is recorded with the rows
+// it never handed on, and the next shard continues the stream.
+func (f *Federation) streamShards(ctx context.Context, parallelism int, stream func(ctx context.Context, ps *core.Pass, p *resume) error) error {
 	passes := make(map[*core.Auditor]*core.Pass, len(f.engines))
 	next := make(map[*shard]int, len(f.shards))
 	for _, sh := range f.shards {
-		next[sh] = min(max(sh.lo, from-sh.off), sh.hi)
+		next[sh] = sh.lo
 	}
 	return f.eachShard(ctx, seamStream,
 		func(sh *shard) int { return sh.hi - next[sh] },
@@ -516,13 +490,7 @@ func (f *Federation) streamShards(ctx context.Context, from, parallelism int, st
 // stream continues with the next shard, and the loss is recorded in
 // LastDegraded.
 func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
-	return f.streamReports(ctx, 0, parallelism, fn)
-}
-
-// streamReports is StreamReports over the merged-log rows at position from
-// or later.
-func (f *Federation) streamReports(ctx context.Context, from, parallelism int, fn func(core.AccessReport) error) error {
-	return f.streamShards(ctx, from, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
+	return f.streamShards(ctx, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
 		return p.sh.auditor.StreamReportsRange(actx, parallelism, ps, p.next, p.sh.hi, func(rep core.AccessReport) error {
 			return handOn(actx, p, 1, func() error { return fn(rep) })
 		})
@@ -545,25 +513,11 @@ func (f *Federation) streamReports(ctx context.Context, from, parallelism int, f
 // returns. Errors, cancellation and degraded mode follow StreamReports; on
 // an error emit has seen a clean prefix of whole chunks.
 func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	return f.streamShards(ctx, 0, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
+	return f.streamShards(ctx, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
 		return p.sh.auditor.StreamNDJSONRange(actx, parallelism, ps, p.next, p.sh.hi, func(buf []byte, rows, explained int) error {
 			return handOn(actx, p, rows, func() error { return emit(buf, rows, explained) })
 		})
 	})
-}
-
-// ExplainAll materializes the federated stream into one slice in global log
-// order. On error (including a cancelled ctx or a strict-mode shard
-// failure) it returns nil and the error, never a partially filled slice.
-func (f *Federation) ExplainAll(ctx context.Context, parallelism int) ([]core.AccessReport, error) {
-	out := make([]core.AccessReport, 0, f.merged.NumRows())
-	if err := f.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
-		out = append(out, rep)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Support returns the path's support over the merged log: the sum of the
@@ -659,30 +613,6 @@ func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) (
 		return nil, err
 	}
 	return out, nil
-}
-
-// ExplainRow builds the report for one merged-log row on the shard that
-// audits it, under the resilience policy. A row that is not (yet)
-// distributed to any shard — beyond the log, or appended since the last
-// Refresh — is an error.
-func (f *Federation) ExplainRow(row, maxPerTemplate int) (core.AccessReport, error) {
-	for _, sh := range f.shards {
-		local := row - sh.off
-		if local < sh.lo || local >= sh.hi {
-			continue
-		}
-		var rep core.AccessReport
-		err := f.callShard(context.TODO(), sh, func(actx context.Context) error {
-			if err := sh.inject(actx, seamReport); err != nil {
-				return err
-			}
-			var err error
-			rep, err = sh.auditor.ExplainRow(local, maxPerTemplate)
-			return err
-		})
-		return rep, err
-	}
-	return core.AccessReport{}, fmt.Errorf("federate: row %d is not audited by any shard (merged log has %d rows, %d distributed)", row, f.merged.NumRows(), f.distributed())
 }
 
 // MineTemplates runs the named mining algorithm over the federation as if

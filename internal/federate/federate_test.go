@@ -61,7 +61,7 @@ func splitFederation(t testing.TB, ds *ehr.Dataset, k int, cuts []int) *federate
 func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := mustExplainAll(t, single, 4)
+		want := mustReports(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
@@ -78,11 +78,11 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 			}
 			for name, cuts := range layouts {
 				f := splitFederation(t, ds, k, cuts)
-				if f.Rows() != len(want) {
-					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Rows(), len(want))
+				if f.Log().NumRows() != len(want) {
+					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Log().NumRows(), len(want))
 				}
 				for _, par := range []int{1, 4, 8} {
-					got := mustExplainAll(t, f, par)
+					got := mustReports(t, f, par)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d k=%d %s j=%d: %d reports, want %d", seed, k, name, par, len(got), len(want))
 					}
@@ -105,7 +105,7 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 // history and collaborative groups spanning both shards.
 func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 	ds, single := singleEngine(t, 2)
-	want := mustExplainAll(t, single, 4)
+	want := mustReports(t, single, 4)
 
 	log := ds.Log()
 	cut := log.NumRows() / 3
@@ -118,8 +118,8 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 			rowsB = append(rowsB, r)
 		}
 	}
-	dbA := accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsA))
-	dbB := accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsB))
+	dbA := accesslog.WithLog(ds.DB, selectRows(log, rowsA))
+	dbB := accesslog.WithLog(ds.DB, selectRows(log, rowsB))
 
 	f, err := federate.Join([]*relation.Database{dbA, dbB}, graph(),
 		federate.WithNamer(ds), federate.WithShardNames("east", "west"))
@@ -135,7 +135,7 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 		t.Error("Join retrained Groups despite identical shard copies")
 	}
 
-	got := mustExplainAll(t, f, 4)
+	got := mustReports(t, f, 4)
 	if !reflect.DeepEqual(got, want) {
 		for r := range want {
 			if r < len(got) && !reflect.DeepEqual(got[r], want[r]) {
@@ -170,8 +170,8 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 		rows[r] = r
 	}
 	shardDBs := []*relation.Database{
-		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rows[:cut])),
-		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rows[cut:])),
+		accesslog.WithLog(ds.DB, selectRows(log, rows[:cut])),
+		accesslog.WithLog(ds.DB, selectRows(log, rows[cut:])),
 	}
 
 	cold, err := federate.Join(shardDBs, graph(), federate.WithNamer(ds))
@@ -182,7 +182,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if cold.Hierarchy() == nil {
 		t.Fatal("cold Join over groupless shards did not train a hierarchy")
 	}
-	want := mustExplainAll(t, cold, 4)
+	want := mustReports(t, cold, 4)
 	trained := cold.Hierarchy().Table(core.DefaultGroupsTable)
 
 	// Persist the trained table into each shard's store and reopen — the
@@ -214,7 +214,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if warm.Hierarchy() != nil {
 		t.Error("warm Join retrained Groups despite identical persisted copies")
 	}
-	if got := mustExplainAll(t, warm, 4); !reflect.DeepEqual(got, want) {
+	if got := mustReports(t, warm, 4); !reflect.DeepEqual(got, want) {
 		t.Error("warm Join over persisted Groups audits differently from the cold Join that trained them")
 	}
 
@@ -232,15 +232,15 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if refed.Hierarchy() == nil {
 		t.Error("Join reused a diverged Groups copy instead of retraining")
 	}
-	if got := mustExplainAll(t, refed, 4); !reflect.DeepEqual(got, want) {
+	if got := mustReports(t, refed, 4); !reflect.DeepEqual(got, want) {
 		t.Error("retrained Join audits differently from the original cold Join")
 	}
 }
 
 // TestFederatedAggregates pins the aggregated surface — Support,
-// ExplainedFraction, Unexplained, PatientReport, ExplainRow — to the
-// single-engine results, including exact float equality for the fraction
-// (both sides divide the same integers).
+// ExplainedFraction, Unexplained, PatientReport — to the single-engine
+// results, including exact float equality for the fraction (both sides
+// divide the same integers).
 func TestFederatedAggregates(t *testing.T) {
 	ds, single := singleEngine(t, 3)
 	f := splitFederation(t, ds, 4, nil)
@@ -266,30 +266,13 @@ func TestFederatedAggregates(t *testing.T) {
 	}
 
 	log := ds.Log()
-	patients := log.DistinctValues(pathmodel.LogPatientColumn)
+	patients := distinctValues(log, pathmodel.LogPatientColumn)
 	for _, pv := range patients[:min(5, len(patients))] {
 		got := mustPatientReport(t, f, pv, 1)
 		want := mustPatientReport(t, single, pv, 1)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("patient %v: federated report differs", pv)
 		}
-	}
-
-	for _, row := range []int{0, log.NumRows() / 2, log.NumRows() - 1} {
-		got, err := f.ExplainRow(row, 2)
-		if err != nil {
-			t.Fatalf("ExplainRow(%d): %v", row, err)
-		}
-		want, err := single.ExplainRow(row, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("row %d: federated ExplainRow differs", row)
-		}
-	}
-	if _, err := f.ExplainRow(log.NumRows(), 1); err == nil {
-		t.Error("ExplainRow past the merged log succeeded")
 	}
 
 	if stats := f.PlanCacheStats(); stats.Misses == 0 {
@@ -355,14 +338,14 @@ func TestFederatedCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("StreamReports after cancel = %v, want context.Canceled", err)
 	}
-	if seen >= f.Rows() {
+	if seen >= f.Log().NumRows() {
 		t.Errorf("cancelled stream still saw all %d reports", seen)
 	}
 
 	cancelled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if got, err := f.ExplainAll(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("ExplainAll on cancelled ctx = (%d reports, %v), want (nil, context.Canceled)", len(got), err)
+	if got, err := collectReports(cancelled, f, 4); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("StreamReports on cancelled ctx = (%d reports, %v), want (none, context.Canceled)", len(got), err)
 	}
 	if got, err := f.Unexplained(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("Unexplained on cancelled ctx = (%v, %v), want (nil, context.Canceled)", got, err)
@@ -482,7 +465,7 @@ func TestTimeRangesMatchesDateBuckets(t *testing.T) {
 		cfg := ehr.Tiny()
 		cfg.Seed = seed
 		log := ehr.Generate(cfg).Log()
-		shuffled := log.Select(pathmodel.LogTable, rand.New(rand.NewPCG(uint64(seed), 7)).Perm(log.NumRows()))
+		shuffled := selectRows(log, rand.New(rand.NewPCG(uint64(seed), 7)).Perm(log.NumRows()))
 		for _, k := range []int{2, 3, 4, 7} {
 			bucket := federate.TimeBucketReference(log, k)
 			for r := 1; r < log.NumRows(); r++ {
@@ -539,8 +522,8 @@ func TestJoinMiningMatchesSingleLog(t *testing.T) {
 		}
 	}
 	f, err := federate.Join([]*relation.Database{
-		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsA)),
-		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsB)),
+		accesslog.WithLog(ds.DB, selectRows(log, rowsA)),
+		accesslog.WithLog(ds.DB, selectRows(log, rowsB)),
 	}, graph(), federate.WithNamer(ds))
 	if err != nil {
 		t.Fatal(err)

@@ -13,22 +13,33 @@ import (
 // so one set of helpers (and one error table) serves both.
 type surface interface {
 	StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error
-	ExplainAll(ctx context.Context, parallelism int) ([]core.AccessReport, error)
 	Unexplained(ctx context.Context, parallelism int) ([]int, error)
 	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
 	PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error)
-	ExplainRow(row, maxPerTemplate int) (core.AccessReport, error)
 	Support(ctx context.Context, p pathmodel.Path) (int, error)
 }
 
 // The must* helpers unwrap the surface for tests that drive a healthy
 // engine: any error fails the test on the spot (test goroutine only).
 
-func mustExplainAll(t testing.TB, e surface, parallelism int) []core.AccessReport {
+// collectReports gathers a StreamReports run into one slice in log order:
+// nil and the error on failure, never a partly filled slice.
+func collectReports(ctx context.Context, e surface, parallelism int) ([]core.AccessReport, error) {
+	var out []core.AccessReport
+	if err := e.StreamReports(ctx, parallelism, func(rep core.AccessReport) error {
+		out = append(out, rep)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func mustReports(t testing.TB, e surface, parallelism int) []core.AccessReport {
 	t.Helper()
-	reps, err := e.ExplainAll(context.Background(), parallelism)
+	reps, err := collectReports(context.Background(), e, parallelism)
 	if err != nil {
-		t.Fatalf("ExplainAll(j=%d): %v", parallelism, err)
+		t.Fatalf("StreamReports(j=%d): %v", parallelism, err)
 	}
 	return reps
 }

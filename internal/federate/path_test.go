@@ -48,8 +48,8 @@ func joinCase(t *testing.T) layoutCase {
 		}
 	}
 	f, err := federate.Join([]*relation.Database{
-		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsA)),
-		accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, rowsB)),
+		accesslog.WithLog(ds.DB, selectRows(log, rowsA)),
+		accesslog.WithLog(ds.DB, selectRows(log, rowsB)),
 	}, graph(), federate.WithNamer(ds))
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +71,13 @@ func refreshedCase(t *testing.T) layoutCase {
 	for r := range rows {
 		rows[r] = r
 	}
-	db := accesslog.WithLog(ds.DB, full.Select(pathmodel.LogTable, rows))
+	db := accesslog.WithLog(ds.DB, selectRows(full, rows))
 	f, err := federate.Split(db, graph(), 3, nil, federate.WithNamer(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.AddTemplates(explain.Handcrafted(true, true).All()...)
-	if _, err := f.ExplainAll(context.Background(), 2); err != nil {
+	if _, err := collectReports(context.Background(), f, 2); err != nil {
 		t.Fatal(err)
 	}
 	log := db.MustTable(pathmodel.LogTable)
@@ -102,7 +102,7 @@ func shuffledCase(t *testing.T) layoutCase {
 	ds := ehr.Generate(cfg)
 	log := ds.Log()
 	perm := rand.New(rand.NewPCG(2, 3)).Perm(log.NumRows())
-	db := accesslog.WithLog(ds.DB, log.Select(pathmodel.LogTable, perm))
+	db := accesslog.WithLog(ds.DB, selectRows(log, perm))
 	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 	single.BuildGroups(core.GroupsOptions{})
 	single.AddTemplates(explain.Handcrafted(true, true).All()...)
@@ -145,16 +145,16 @@ func TestStreamLayoutsMatchSingleEngine(t *testing.T) {
 	ctx := context.Background()
 	cases := append(timeRangeCases(t), joinCase(t), refreshedCase(t), shuffledCase(t))
 	for _, c := range cases {
-		want := mustExplainAll(t, c.single, 4)
+		want := mustReports(t, c.single, 4)
 		wantNDJSON, wantRows, wantExplained, err := collectNDJSON(t, c.single, 4)
 		if err != nil {
 			t.Fatalf("%s: single StreamNDJSON: %v", c.name, err)
 		}
-		if wantRows != len(want) || len(want) != c.fed.Rows() {
-			t.Fatalf("%s: single engine covers %d/%d rows, federation %d", c.name, wantRows, len(want), c.fed.Rows())
+		if wantRows != len(want) || len(want) != c.fed.Log().NumRows() {
+			t.Fatalf("%s: single engine covers %d/%d rows, federation %d", c.name, wantRows, len(want), c.fed.Log().NumRows())
 		}
 		for _, j := range []int{1, 2, 4} {
-			got, err := c.fed.ExplainAll(ctx, j)
+			got, err := collectReports(ctx, c.fed, j)
 			if err != nil {
 				t.Fatalf("%s j=%d: StreamReports: %v", c.name, j, err)
 			}

@@ -141,7 +141,7 @@ type Degraded struct {
 func (d Degraded) IsZero() bool { return len(d.MissingShards) == 0 && d.RowsSkipped == 0 }
 
 // LastDegraded returns the Degraded annotation of the most recent
-// completed aggregate call (StreamReports, ExplainAll, Unexplained,
+// completed aggregate call (StreamReports, StreamNDJSON, Unexplained,
 // ExplainedFraction, Support, PatientReport). In strict mode, and after
 // fully successful degraded-mode calls, it is zero. Concurrent calls
 // overwrite it last-writer-wins; read it from the goroutine that made the
@@ -169,9 +169,10 @@ func (f *Federation) setLastDegraded(d Degraded) {
 //	Healthy --retryable failure--> Suspect --budget exhausted--> Down
 //	Down --next call--> Probing --success--> Healthy (or back to Down)
 //
-// States are advisory bookkeeping for operators and tests; calls are
-// always attempted regardless of state (a Down shard's next call probes
-// it), so a healed shard recovers without any external reset.
+// States are advisory bookkeeping, visible through the federate.health.*
+// metrics; calls are always attempted regardless of state (a Down shard's
+// next call probes it), so a healed shard recovers without any external
+// reset.
 type HealthState int32
 
 const (
@@ -195,21 +196,6 @@ func (s HealthState) String() string {
 	default:
 		return fmt.Sprintf("HealthState(%d)", int32(s))
 	}
-}
-
-// ShardHealth is one shard's health as reported by Federation.ShardHealth.
-type ShardHealth struct {
-	Name  string
-	State HealthState
-}
-
-// ShardHealth returns every shard's current health state, in shard order.
-func (f *Federation) ShardHealth() []ShardHealth {
-	out := make([]ShardHealth, len(f.shards))
-	for i, sh := range f.shards {
-		out[i] = ShardHealth{Name: sh.name, State: HealthState(sh.health.Load())}
-	}
-	return out
 }
 
 // setHealth transitions sh to state, maintaining the transition counter
@@ -241,7 +227,7 @@ const (
 	seamRow
 	seamUnexplained // Unexplained and ExplainedFraction
 	seamSupport     // Support
-	seamReport      // PatientReport and ExplainRow
+	seamReport      // PatientReport
 	numSeams
 )
 

@@ -49,13 +49,12 @@ func (historyCountTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []boo
 }
 func (historyCountTemplate) Render(*query.Evaluator, int, int, explain.Namer) []string { return nil }
 
-// TestFederationRefreshMatchesSingleEngine appends a chronological suffix
-// to a Split federation's merged log, Refreshes (the last shard's run grows,
+// TestFederationRefreshMatchesSingleEngine appends a chronological suffix to
+// a Split federation's merged log, Refreshes (the last shard's run grows,
 // and each shard refreshes its masks independently), and checks the
-// federated stream, aggregates, and tail reports against a from-scratch
-// single engine over the grown log. Besides the TimeRanges cuts, one
-// federation's last shard starts empty, so all of its rows arrive by
-// Refresh.
+// federated stream and aggregates against a from-scratch single engine over
+// the grown log. Besides the TimeRanges cuts, one federation's last shard
+// starts empty, so all of its rows arrive by Refresh.
 func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 	ctx := context.Background()
 	type layout struct {
@@ -79,7 +78,7 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		db := relation.NewDatabase()
 		for _, name := range ds.DB.TableNames() {
 			if name == pathmodel.LogTable {
-				db.AddTable(full.Select(pathmodel.LogTable, rows))
+				db.AddTable(selectRows(full, rows))
 			} else {
 				db.AddTable(ds.DB.Table(name))
 			}
@@ -94,7 +93,7 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-		warm := mustExplainAll(t, fed, 4)
+		warm := mustReports(t, fed, 4)
 		if len(warm) != cut {
 			t.Fatalf("%s: warm-up covered %d rows, want %d", label, len(warm), cut)
 		}
@@ -118,9 +117,9 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		// the Groups table the federation installed.
 		single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 		single.AddTemplates(explain.Handcrafted(true, true).All()...)
-		want := mustExplainAll(t, single, 4)
+		want := mustReports(t, single, 4)
 
-		got := mustExplainAll(t, fed, 4)
+		got := mustReports(t, fed, 4)
 		if !reflect.DeepEqual(got, want) {
 			for r := range want {
 				if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
@@ -134,18 +133,6 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		}
 		if gu, wu := mustUnexplained(t, fed, 4), mustUnexplained(t, single, 4); !reflect.DeepEqual(gu, wu) {
 			t.Errorf("%s: refreshed unexplained differ: %v vs %v", label, gu, wu)
-		}
-
-		// TailReports over the appended range must equal the stream suffix.
-		var tail []core.AccessReport
-		if err := fed.TailReports(ctx, cut, func(rep core.AccessReport) error {
-			tail = append(tail, rep)
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: TailReports: %v", label, err)
-		}
-		if !reflect.DeepEqual(tail, want[cut:]) {
-			t.Errorf("%s: TailReports differs from stream suffix", label)
 		}
 	}
 }
@@ -171,13 +158,13 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 	db := relation.NewDatabase()
 	for _, name := range ds.DB.TableNames() {
 		if name == pathmodel.LogTable {
-			db.AddTable(full.Select(pathmodel.LogTable, rows))
+			db.AddTable(selectRows(full, rows))
 		} else {
 			db.AddTable(ds.DB.Table(name))
 		}
 	}
 	// All appended rows join shard 1; shard 0's slice never grows.
-	fed, err := federate.Split(db, graph(), 2, []int{cut / 2}, federate.WithoutGroups())
+	fed, err := federate.Split(db, graph(), 2, []int{cut / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +181,8 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 
 	single := core.NewAuditor(db, graph())
 	single.AddTemplates(historyCountTemplate{})
-	got := mustExplainAll(t, fed, 2)
-	want := mustExplainAll(t, single, 2)
+	got := mustReports(t, fed, 2)
+	want := mustReports(t, single, 2)
 	if !reflect.DeepEqual(got, want) {
 		for r := range want {
 			if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
@@ -245,12 +232,12 @@ func TestJoinRefreshRefused(t *testing.T) {
 	}
 }
 
-// TestTailReportsRetriesIntoSuffix drives TailReports through the
-// resilience loop: after a Refresh folds a chronological suffix into the
+// TestRefreshedStreamRetries drives a refreshed federation's stream through
+// the resilience loop: after a Refresh folds a chronological suffix into the
 // last shard, transient faults at every shard's stream start and mid-way
-// through the tail's rows are retried, and the tail still equals exactly
-// the suffix of a single engine's stream over the grown log.
-func TestTailReportsRetriesIntoSuffix(t *testing.T) {
+// through the last shard's rows are retried, and the stream still equals a
+// single engine's stream over the grown log.
+func TestRefreshedStreamRetries(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
 	cfg := ehr.Tiny()
@@ -266,7 +253,7 @@ func TestTailReportsRetriesIntoSuffix(t *testing.T) {
 	db := relation.NewDatabase()
 	for _, name := range ds.DB.TableNames() {
 		if name == pathmodel.LogTable {
-			db.AddTable(full.Select(pathmodel.LogTable, rows))
+			db.AddTable(selectRows(full, rows))
 		} else {
 			db.AddTable(ds.DB.Table(name))
 		}
@@ -286,7 +273,7 @@ func TestTailReportsRetriesIntoSuffix(t *testing.T) {
 	}
 	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 	single.AddTemplates(explain.Handcrafted(true, true).All()...)
-	want := mustExplainAll(t, single, 2)[cut-5:]
+	want := mustReports(t, single, 2)
 
 	fault.Reset()
 	fault.Install(
@@ -296,18 +283,15 @@ func TestTailReportsRetriesIntoSuffix(t *testing.T) {
 		fault.Rule{Site: "federate.shard2.stream.row", After: 3, Count: 1,
 			Err: fault.Retryable(errors.New("injected row fault"))},
 	)
-	var tail []core.AccessReport
-	if err := fed.TailReports(ctx, cut-5, func(rep core.AccessReport) error {
-		tail = append(tail, rep)
-		return nil
-	}); err != nil {
-		t.Fatalf("TailReports under transient faults: %v", err)
+	got, err := collectReports(ctx, fed, 2)
+	if err != nil {
+		t.Fatalf("StreamReports under transient faults: %v", err)
 	}
 	if injected := fault.Default.Injected(); injected != 4 {
 		t.Errorf("%d faults fired, want 4 (three stream starts and one row)", injected)
 	}
-	if !reflect.DeepEqual(tail, want) {
-		t.Fatalf("TailReports under retries emitted %d reports, want the %d-report stream suffix", len(tail), len(want))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("StreamReports under retries emitted %d reports, want the single engine's %d", len(got), len(want))
 	}
 	if d := fed.LastDegraded(); !d.IsZero() {
 		t.Errorf("transient faults left a degraded annotation: %+v", d)

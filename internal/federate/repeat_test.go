@@ -39,23 +39,23 @@ func TestRepeatAccessSharedIndexRace(t *testing.T) {
 			db := relation.NewDatabase()
 			for _, name := range ds.DB.TableNames() {
 				if name == pathmodel.LogTable {
-					db.AddTable(full.Select(pathmodel.LogTable, rows))
+					db.AddTable(selectRows(full, rows))
 				} else {
 					db.AddTable(ds.DB.Table(name))
 				}
 			}
 			log := db.MustTable(pathmodel.LogTable)
-			fed, err := federate.Split(db, graph(), k, cuts, federate.WithNamer(ds), federate.WithoutGroups())
+			fed, err := federate.Split(db, graph(), k, cuts, federate.WithNamer(ds))
 			if err != nil {
 				t.Fatal(err)
 			}
 			fed.AddTemplates(explain.RepeatAccess{})
 			check := func(stage string) {
 				t.Helper()
-				got := mustExplainAll(t, fed, 4*k)
+				got := mustReports(t, fed, 4*k)
 				single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 				single.AddTemplates(explain.RepeatAccess{})
-				if want := mustExplainAll(t, single, 4); !reflect.DeepEqual(got, want) {
+				if want := mustReports(t, single, 4); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: federated repeat-access reports differ from a single engine", stage)
 				}
 				gu, wu := mustUnexplained(t, fed, 4*k), mustUnexplained(t, single, 4)

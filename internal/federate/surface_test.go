@@ -38,10 +38,6 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 			err := e.StreamReports(ctx, 2, func(core.AccessReport) error { n++; return nil })
 			return n == 0, err
 		}},
-		{"ExplainAll", true, func(ctx context.Context, e surface) (bool, error) {
-			reps, err := e.ExplainAll(ctx, 2)
-			return reps == nil, err
-		}},
 		{"Unexplained", true, func(ctx context.Context, e surface) (bool, error) {
 			rows, err := e.Unexplained(ctx, 2)
 			return rows == nil, err
@@ -58,10 +54,6 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 			reps, err := e.PatientReport(patient, 1)
 			return reps == nil, err
 		}},
-		{"ExplainRow", true, func(_ context.Context, e surface) (bool, error) {
-			rep, err := e.ExplainRow(0, 1)
-			return rep.Lid == 0 && rep.Explanations == nil, err
-		}},
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -71,14 +63,14 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 	}{{"single", single}, {"split-2", fed}}
 
 	for _, eng := range engines {
-		mustExplainAll(t, eng.e, 2) // warm every mask first
+		mustReports(t, eng.e, 2) // warm every mask first
 		for _, o := range ops {
 			// A healthy call answers with a non-zero result.
 			if zero, err := o.run(context.Background(), eng.e); err != nil || zero {
 				t.Fatalf("%s %s: healthy call = (zero %v, %v)", eng.name, o.name, zero, err)
 			}
-			// PatientReport and ExplainRow take no context.
-			if o.name != "PatientReport" && o.name != "ExplainRow" {
+			// PatientReport takes no context.
+			if o.name != "PatientReport" {
 				zero, err := o.run(cancelled, eng.e)
 				if !errors.Is(err, context.Canceled) {
 					t.Errorf("%s %s, cancelled ctx: err = %v, want context.Canceled", eng.name, o.name, err)

@@ -29,19 +29,8 @@ type UserGraph struct {
 	indexOf map[relation.Value]int
 }
 
-// UserIndex returns the node index of a user id, or -1.
-func (g *UserGraph) UserIndex(u relation.Value) int {
-	if i, ok := g.indexOf[u]; ok {
-		return i
-	}
-	return -1
-}
-
 // NumUsers returns the number of nodes.
 func (g *UserGraph) NumUsers() int { return len(g.Users) }
-
-// Weight returns the edge weight between node indexes a and b (0 if absent).
-func (g *UserGraph) Weight(a, b int) float64 { return g.Adj[a][b] }
 
 // NodeWeight returns the sum of the weights of edges incident to node a (the
 // paper's definition of a node's weight).

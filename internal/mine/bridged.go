@@ -3,7 +3,6 @@ package mine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -12,7 +11,7 @@ import (
 	"repro/internal/schemagraph"
 )
 
-// Bridged runs the bridged algorithm of §3.3.1 with half-length bridgeLen
+// bridged runs the bridged algorithm of §3.3.1 with half-length bridgeLen
 // (the paper's Bridge-l): a two-way expansion up to length bridgeLen, after
 // which candidate explanations of every greater length n are assembled by
 // connecting supported forward paths to supported backward paths that share
@@ -20,14 +19,9 @@ import (
 // the mined halves; beyond that the middle edges are enumerated from the
 // schema, which is where the candidate space grows exponentially — the
 // trade-off Figure 13 quantifies. bridgeLen must be at least 2.
-func Bridged(ev *query.Evaluator, g *schemagraph.Graph, opt Options, bridgeLen int) Result {
-	return BridgedWith(EvaluatorOracle(ev), g, opt, bridgeLen)
-}
-
-// BridgedWith is Bridged against an arbitrary support oracle.
-func BridgedWith(o Oracle, g *schemagraph.Graph, opt Options, bridgeLen int) Result {
+func bridged(o Oracle, g *schemagraph.Graph, opt Options, bridgeLen int) Result {
 	if bridgeLen < 2 {
-		panic("mine: Bridged requires bridgeLen >= 2")
+		panic("mine: bridged requires bridgeLen >= 2")
 	}
 	m := newMiner(o, g, opt)
 	l := bridgeLen
@@ -182,25 +176,14 @@ func RunWith(algo string, o Oracle, g *schemagraph.Graph, opt Options) (Result, 
 	}
 	switch algo {
 	case AlgoOneWay:
-		return OneWayWith(o, g, opt), nil
+		return oneWay(o, g, opt), nil
 	case AlgoTwoWay:
-		return TwoWayWith(o, g, opt), nil
+		return twoWay(o, g, opt), nil
 	}
 	if n, ok := strings.CutPrefix(algo, "bridge-"); ok {
 		if l, err := strconv.Atoi(n); err == nil && l >= 2 && AlgoBridge(l) == algo {
-			return BridgedWith(o, g, opt, l), nil
+			return bridged(o, g, opt, l), nil
 		}
 	}
 	return Result{}, fmt.Errorf("mine: unknown algorithm %q", algo)
-}
-
-// Lengths returns the sorted set of lengths for which cumulative times were
-// recorded, for rendering Figure 13.
-func (s Stats) Lengths() []int {
-	out := make([]int, 0, len(s.CumulativeTime))
-	for l := range s.CumulativeTime {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -12,12 +12,12 @@ import (
 	"repro/internal/query"
 )
 
-// ExampleBridged is the administrator's workflow of §3: instead of
+// ExampleRun is the administrator's workflow of §3: instead of
 // hand-writing explanation templates, mine the frequent ones from six days
 // of log data, review them (here: print the length-2 ones with their
 // support), adopt them, and measure how much of the seventh day they
 // explain.
-func ExampleBridged() {
+func ExampleRun() {
 	ds := ehr.Generate(ehr.Tiny())
 	graph := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 
@@ -35,7 +35,10 @@ func ExampleBridged() {
 	mev := query.NewEvaluatorWithLog(miningDB, accesslog.FirstAccesses(trainLog))
 	opt := mine.DefaultOptions()
 	opt.MaxLength = 4
-	res := mine.Bridged(mev, graph, opt, 2)
+	res, err := mine.Run(mine.AlgoBridge(2), mev, graph, opt)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("mined %d templates from %d training accesses (%d support queries, %d cache hits, %d skipped)\n",
 		len(res.Templates), trainLog.NumRows(),
 		res.Stats.SupportQueries, res.Stats.CacheHits, res.Stats.Skipped)

@@ -431,14 +431,8 @@ func (m *miner) initialPaths(startCol string) []pathmodel.Path {
 	return m.admitBatch(cands)
 }
 
-// OneWay runs Algorithm 1: bottom-up expansion from Log.Patient only.
-func OneWay(ev *query.Evaluator, g *schemagraph.Graph, opt Options) Result {
-	return OneWayWith(EvaluatorOracle(ev), g, opt)
-}
-
-// OneWayWith runs Algorithm 1 against an arbitrary support oracle (a single
-// evaluator, or a Join federation's shard engines).
-func OneWayWith(o Oracle, g *schemagraph.Graph, opt Options) Result {
+// oneWay runs Algorithm 1: bottom-up expansion from Log.Patient only.
+func oneWay(o Oracle, g *schemagraph.Graph, opt Options) Result {
 	m := newMiner(o, g, opt)
 	frontier := m.initialPaths(pathmodel.LogPatientColumn)
 	m.markLength(1)
@@ -449,17 +443,12 @@ func OneWayWith(o Oracle, g *schemagraph.Graph, opt Options) Result {
 	return m.result()
 }
 
-// TwoWay expands simultaneously from Log.Patient (rightward) and Log.User
+// twoWay expands simultaneously from Log.Patient (rightward) and Log.User
 // (leftward). Both directions find the same closed templates (recorded once
 // via canonical keys); the point of the exercise is the candidate workload,
 // which Figure 13 measures. The backward frontier contributes the suffix
-// paths that Bridged reuses.
-func TwoWay(ev *query.Evaluator, g *schemagraph.Graph, opt Options) Result {
-	return TwoWayWith(EvaluatorOracle(ev), g, opt)
-}
-
-// TwoWayWith is TwoWay against an arbitrary support oracle.
-func TwoWayWith(o Oracle, g *schemagraph.Graph, opt Options) Result {
+// paths that bridged reuses.
+func twoWay(o Oracle, g *schemagraph.Graph, opt Options) Result {
 	m := newMiner(o, g, opt)
 	fwd := m.initialPaths(pathmodel.LogPatientColumn)
 	bwd := m.initialPaths(pathmodel.LogUserColumn)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mine"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
+	"repro/internal/schemagraph"
 )
 
 // buildTinyEvaluator generates the tiny hospital with groups installed and
@@ -31,6 +32,17 @@ func templateKeys(r mine.Result) map[string]bool {
 	return out
 }
 
+// mustRun runs the named algorithm through mine.Run, failing the test on
+// an error.
+func mustRun(t testing.TB, algo string, ev *query.Evaluator, g *schemagraph.Graph, opt mine.Options) mine.Result {
+	t.Helper()
+	res, err := mine.Run(algo, ev, g, opt)
+	if err != nil {
+		t.Fatalf("mine.Run(%s): %v", algo, err)
+	}
+	return res
+}
+
 // TestMinersAgree verifies the paper's §5.3.3 claim that the one-way,
 // two-way, and bridged algorithms produce the same set of explanation
 // templates.
@@ -40,10 +52,10 @@ func TestMinersAgree(t *testing.T) {
 	opt := mine.DefaultOptions()
 	opt.MaxLength = 4 // keep the tiny run fast
 
-	oneWay := mine.OneWay(ev, g, opt)
-	twoWay := mine.TwoWay(ev, g, opt)
-	bridge2 := mine.Bridged(ev, g, opt, 2)
-	bridge3 := mine.Bridged(ev, g, opt, 3)
+	oneWay := mustRun(t, mine.AlgoOneWay, ev, g, opt)
+	twoWay := mustRun(t, mine.AlgoTwoWay, ev, g, opt)
+	bridge2 := mustRun(t, mine.AlgoBridge(2), ev, g, opt)
+	bridge3 := mustRun(t, mine.AlgoBridge(3), ev, g, opt)
 
 	ref := templateKeys(oneWay)
 	if len(ref) == 0 {
@@ -83,7 +95,7 @@ func TestMinedTemplatesAreForwardAndClosed(t *testing.T) {
 	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 	opt := mine.DefaultOptions()
 	opt.MaxLength = 3
-	res := mine.OneWay(ev, g, opt)
+	res := mustRun(t, mine.AlgoOneWay, ev, g, opt)
 	minSupp := int(float64(ev.Log().NumRows())*opt.SupportFraction + 0.999999)
 	for _, p := range res.Templates {
 		if !p.Closed() || !p.Forward() {

@@ -1,7 +1,9 @@
 package mine_test
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/ehr"
@@ -39,31 +41,31 @@ func TestOptimizationsPreserveResults(t *testing.T) {
 	base := mine.DefaultOptions()
 	base.MaxLength = 3
 
-	ref := mine.OneWay(ev, g, base)
+	ref := mustRun(t, mine.AlgoOneWay, ev, g, base)
 	if len(ref.Templates) == 0 {
 		t.Fatal("no templates mined")
 	}
 
 	noCache := base
 	noCache.CacheSupport = false
-	sameTemplates(t, "cache off", ref, mine.OneWay(ev, g, noCache))
+	sameTemplates(t, "cache off", ref, mustRun(t, mine.AlgoOneWay, ev, g, noCache))
 
 	noSkip := base
 	noSkip.SkipNonSelective = false
-	sameTemplates(t, "skip off", ref, mine.OneWay(ev, g, noSkip))
+	sameTemplates(t, "skip off", ref, mustRun(t, mine.AlgoOneWay, ev, g, noSkip))
 
 	bare := base
 	bare.CacheSupport = false
 	bare.SkipNonSelective = false
-	sameTemplates(t, "all off", ref, mine.OneWay(ev, g, bare))
+	sameTemplates(t, "all off", ref, mustRun(t, mine.AlgoOneWay, ev, g, bare))
 
 	// With everything off, every candidate issues a query and no cache hits
 	// or skips occur.
-	res := mine.OneWay(ev, g, bare)
+	res := mustRun(t, mine.AlgoOneWay, ev, g, bare)
 	if res.Stats.CacheHits != 0 || res.Stats.Skipped != 0 {
 		t.Errorf("bare run has cacheHits=%d skipped=%d", res.Stats.CacheHits, res.Stats.Skipped)
 	}
-	withOpt := mine.OneWay(ev, g, base)
+	withOpt := mustRun(t, mine.AlgoOneWay, ev, g, base)
 	if withOpt.Stats.SupportQueries >= res.Stats.SupportQueries {
 		t.Errorf("optimizations did not reduce queries: %d vs %d",
 			withOpt.Stats.SupportQueries, res.Stats.SupportQueries)
@@ -83,8 +85,8 @@ func TestSupportThresholdMonotonic(t *testing.T) {
 	high := opt
 	high.SupportFraction = 0.20
 
-	lowRes := mine.OneWay(ev, g, low)
-	highRes := mine.OneWay(ev, g, high)
+	lowRes := mustRun(t, mine.AlgoOneWay, ev, g, low)
+	highRes := mustRun(t, mine.AlgoOneWay, ev, g, high)
 	if len(highRes.Templates) >= len(lowRes.Templates) {
 		t.Errorf("s=20%% mined %d templates, s=1%% mined %d — expected strict shrink",
 			len(highRes.Templates), len(lowRes.Templates))
@@ -105,14 +107,14 @@ func TestMaxLengthRespected(t *testing.T) {
 	opt := mine.DefaultOptions()
 
 	opt.MaxLength = 2
-	short := mine.OneWay(ev, g, opt)
+	short := mustRun(t, mine.AlgoOneWay, ev, g, opt)
 	for _, p := range short.Templates {
 		if p.Length() > 2 {
 			t.Errorf("template of length %d mined with M=2", p.Length())
 		}
 	}
 	opt.MaxLength = 3
-	longer := mine.OneWay(ev, g, opt)
+	longer := mustRun(t, mine.AlgoOneWay, ev, g, opt)
 	shortKeys := keysOf(short)
 	longKeys := keysOf(longer)
 	for k := range shortKeys {
@@ -133,7 +135,7 @@ func TestMaxTablesRespected(t *testing.T) {
 	opt.MaxLength = 4
 	opt.MaxTables = 2
 
-	res := mine.OneWay(ev, g, opt)
+	res := mustRun(t, mine.AlgoOneWay, ev, g, opt)
 	for _, p := range res.Templates {
 		if p.NumTables() > 2 {
 			t.Errorf("template references %d tables with T=2: %s", p.NumTables(), p)
@@ -150,11 +152,11 @@ func TestSkipConstantExtreme(t *testing.T) {
 	opt := mine.DefaultOptions()
 	opt.MaxLength = 3
 
-	ref := mine.OneWay(ev, g, opt)
+	ref := mustRun(t, mine.AlgoOneWay, ev, g, opt)
 
 	aggressive := opt
 	aggressive.SkipConstant = 0 // skip whenever the estimate is positive
-	res := mine.OneWay(ev, g, aggressive)
+	res := mustRun(t, mine.AlgoOneWay, ev, g, aggressive)
 	// Skipping never discards candidate explanations, but it does disable
 	// support pruning of prefixes, so the result must be a superset filtered
 	// by the same closed-path exact checks — i.e. identical.
@@ -231,34 +233,16 @@ func TestRunRejectsNonsenseParameters(t *testing.T) {
 	}
 }
 
-func TestBridgedPanicsOnShortBridge(t *testing.T) {
-	ev := buildTinyEvaluator(t)
-	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bridgeLen < 2")
-		}
-	}()
-	mine.Bridged(ev, g, mine.DefaultOptions(), 1)
-}
-
 func TestStatsLengthsSortedAndTimed(t *testing.T) {
 	ev := buildTinyEvaluator(t)
 	g := ehr.SchemaGraph(ehr.DefaultGraphOptions())
 	opt := mine.DefaultOptions()
 	opt.MaxLength = 3
-	res := mine.OneWay(ev, g, opt)
+	res := mustRun(t, mine.AlgoOneWay, ev, g, opt)
 
-	lengths := res.Stats.Lengths()
-	if len(lengths) != 3 {
-		t.Fatalf("Lengths = %v, want 3 entries", lengths)
-	}
-	prev := -1
-	for _, l := range lengths {
-		if l <= prev {
-			t.Errorf("Lengths not sorted: %v", lengths)
-		}
-		prev = l
+	lengths := slices.Sorted(maps.Keys(res.Stats.CumulativeTime))
+	if !slices.Equal(lengths, []int{1, 2, 3}) {
+		t.Fatalf("timed lengths = %v, want [1 2 3]", lengths)
 	}
 	// Cumulative times are non-decreasing.
 	for i := 1; i < len(lengths); i++ {
@@ -284,7 +268,7 @@ func TestMinedRepeatAccessTemplate(t *testing.T) {
 	opt := mine.DefaultOptions()
 	opt.MaxLength = 2
 
-	withLog := mine.OneWay(ev, ehr.SchemaGraph(ehr.DefaultGraphOptions()), opt)
+	withLog := mustRun(t, mine.AlgoOneWay, ev, ehr.SchemaGraph(ehr.DefaultGraphOptions()), opt)
 	found := false
 	for _, p := range withLog.Templates {
 		if p.InstancesOfTable(pathmodel.LogTable) == 2 {
@@ -297,7 +281,7 @@ func TestMinedRepeatAccessTemplate(t *testing.T) {
 
 	noLogOpts := ehr.DefaultGraphOptions()
 	noLogOpts.LogSelfJoins = false
-	withoutLog := mine.OneWay(ev, ehr.SchemaGraph(noLogOpts), opt)
+	withoutLog := mustRun(t, mine.AlgoOneWay, ev, ehr.SchemaGraph(noLogOpts), opt)
 	for _, p := range withoutLog.Templates {
 		if p.InstancesOfTable(pathmodel.LogTable) == 2 {
 			t.Errorf("log self-join template mined despite being disallowed: %s", p)

@@ -138,7 +138,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			h := r.Histogram("test.shared.hist")
 			ga := r.Gauge("test.shared.gauge")
 			for i := 0; i < perG; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(int64(i))
 				ga.Set(int64(g))
 			}

@@ -22,9 +22,6 @@ var active atomic.Pointer[Tracer]
 // still drain it.
 func SetTracer(t *Tracer) *Tracer { return active.Swap(t) }
 
-// ActiveTracer returns the installed tracer, or nil when tracing is off.
-func ActiveTracer() *Tracer { return active.Load() }
-
 // StartSpan opens a root span on the active tracer. With no tracer
 // installed it is one atomic load and returns the zero Span — no
 // allocation, no clock read — so call sites need no enabled-check of their

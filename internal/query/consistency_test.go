@@ -63,7 +63,10 @@ func TestMinedTemplatesAgreeWithNaive(t *testing.T) {
 
 	mopt := mine.DefaultOptions()
 	mopt.MaxLength = 3
-	res := mine.OneWay(ev, g, mopt)
+	res, err := mine.Run(mine.AlgoOneWay, ev, g, mopt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Templates) == 0 {
 		t.Fatal("no templates mined")
 	}

@@ -17,11 +17,11 @@
 //
 // Evaluation is organized around prepared plans: Evaluator.Prepare compiles
 // a path once into a *Prepared handle whose Support, ExplainedRows /
-// ExplainedRange, ConnectedRows / ConnectedRange, and Instances methods
-// evaluate it without recompiling. The legacy one-shot methods (Support,
-// ExplainedRows, ConnectedRows) are conveniences that prepare and evaluate
-// in one call — because compiled plans are cached, even they stop paying
-// compilation cost after the first evaluation of a condition set.
+// ExplainedRange and ConnectedRows methods evaluate it without recompiling.
+// The legacy one-shot methods (Support, ExplainedRows, ConnectedRows) are
+// conveniences that prepare and evaluate in one call — because compiled
+// plans are cached, even they stop paying compilation cost after the first
+// evaluation of a condition set.
 //
 // There is one execution path, and it reads dictionary IDs only. compile
 // turns a path into its hops in declared order; a plan's first evaluation
@@ -57,13 +57,13 @@
 // single cursor is NOT safe for concurrent use. The supported concurrent
 // pattern is one cursor per goroutine: each worker clones the evaluator,
 // prepares (cheaply, through the shared cache) the paths it needs, and
-// evaluates — typically a disjoint log-row range via
-// ExplainedRange/ConnectedRange. Cursors cloned with one
-// InstanceMemo (CloneWithMemo) also share instance bindings, lock-free,
-// for the life of one call over an unchanging log. The only additional
-// requirement is the table contract: no table reachable from the database
-// may be Appended while queries run (see relation.Table); mutations between
-// query phases are handled by the cache invalidation above.
+// evaluates — typically a disjoint log-row range via ExplainedRange or
+// SupportRange. Cursors cloned with one InstanceMemo (CloneWithMemo) also
+// share instance bindings, lock-free, for the life of one call over an
+// unchanging log. The only additional requirement is the table contract: no
+// table reachable from the database may be Appended while queries run (see
+// relation.Table); mutations between query phases are handled by the cache
+// invalidation above.
 package query
 
 import (
@@ -194,8 +194,8 @@ func (eng *engine) initMetrics() {
 type Evaluator struct {
 	*engine
 
-	// stats counters for mining-performance experiments. Per-cursor: queries
-	// run through a clone are counted on that clone only.
+	// Work counters the package's tests read (export_test.go). Per-cursor:
+	// queries run through a clone are counted on that clone only.
 	queriesEvaluated int
 	estimatesIssued  int
 
@@ -335,17 +335,6 @@ func (ev *Evaluator) Database() *relation.Database { return ev.db }
 
 // Log returns the log table the evaluator is bound to.
 func (ev *Evaluator) Log() *relation.Table { return ev.log }
-
-// QueriesEvaluated returns the number of exact support evaluations performed.
-func (ev *Evaluator) QueriesEvaluated() int { return ev.queriesEvaluated }
-
-// EstimatesIssued returns the number of cardinality estimates issued.
-func (ev *Evaluator) EstimatesIssued() int { return ev.estimatesIssued }
-
-// PostingsScanned returns the number of index postings and pair-list
-// entries this cursor's lazy evaluations and instance enumerations have
-// consumed. Like QueriesEvaluated it is per-cursor.
-func (ev *Evaluator) PostingsScanned() int { return ev.postingsScanned }
 
 // opKind distinguishes the three step types of a compiled plan.
 type opKind uint8

@@ -18,10 +18,6 @@ import "sync/atomic"
 // per-plan trace. The setting is engine-wide: every Clone shares it.
 func (ev *Evaluator) SetExecStats(on bool) { ev.engine.execOn.Store(on) }
 
-// ExecStatsEnabled reports whether per-op execution statistics are being
-// collected.
-func (ev *Evaluator) ExecStatsEnabled() bool { return ev.engine.execOn.Load() }
-
 // opExecCounters is the shared, atomically-updated execution tally of one
 // plan op.
 type opExecCounters struct {
@@ -46,7 +42,7 @@ type OpExec struct {
 	// values are its walked (op, value) sub-questions, each once per call.
 	RowsIn, RowsOut int64
 	// Postings counts pair-list entries the op consumed — the same events
-	// Evaluator.PostingsScanned counts, attributed per op.
+	// a cursor's postings counter counts, attributed per op.
 	Postings int64
 	// MemoHits counts sub-questions at this op answered from the walk's
 	// set memo instead of walking.

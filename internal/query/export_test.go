@@ -1,9 +1,52 @@
 package query
 
 import (
+	"slices"
+
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
+
+// QueriesEvaluated returns the number of exact support evaluations performed.
+func (ev *Evaluator) QueriesEvaluated() int { return ev.queriesEvaluated }
+
+// EstimatesIssued returns the number of cardinality estimates issued.
+func (ev *Evaluator) EstimatesIssued() int { return ev.estimatesIssued }
+
+// PostingsScanned returns the number of index postings and pair-list
+// entries this cursor's lazy evaluations and instance enumerations have
+// consumed. Like QueriesEvaluated it is per-cursor.
+func (ev *Evaluator) PostingsScanned() int { return ev.postingsScanned }
+
+// ConnectedRange is ConnectedRows over the log rows [lo, hi): element i is
+// ConnectedRows()[lo+i]. The product classifies open paths over the whole
+// log only; the range tests stitch open plans through the same rangeRows
+// ExplainedRange uses.
+func (pp *Prepared) ConnectedRange(lo, hi int) []bool {
+	if pp.ent.pl.closed {
+		panic("query: ConnectedRange requires an open path")
+	}
+	return pp.rangeRows(lo, hi)
+}
+
+// DistinctPairs is the DISTINCT projection of t's (from, to) columns, the
+// Value-keyed reference the lowered pair CSRs are pinned to: each
+// from-value maps to the sorted, de-duplicated to-values paired with it.
+func DistinctPairs(t *relation.Table, from, to string) map[relation.Value][]relation.Value {
+	fi, _ := t.ColumnIndex(from)
+	ti, _ := t.ColumnIndex(to)
+	out := make(map[relation.Value][]relation.Value)
+	for r := 0; r < t.NumRows(); r++ {
+		row := t.Row(r)
+		if vs := out[row[fi]]; !slices.Contains(vs, row[ti]) {
+			out[row[fi]] = append(vs, row[ti])
+		}
+	}
+	for _, vs := range out {
+		slices.SortFunc(vs, relation.Value.Compare)
+	}
+	return out
+}
 
 // SupportNaive computes the same COUNT(DISTINCT Log.Lid) as Support but with
 // a per-row nested join over table rows, without the DISTINCT projections or
@@ -182,7 +225,7 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 		candidates := func(yield func(relation.Value) bool) { yield(current) }
 		if c.Via != nil {
 			bt := ev.db.MustTable(c.Via.Table)
-			bridged := bt.DistinctPairs(c.Via.FromColumn, c.Via.ToColumn)[current]
+			bridged := DistinctPairs(bt, c.Via.FromColumn, c.Via.ToColumn)[current]
 			candidates = func(yield func(relation.Value) bool) {
 				for _, v := range bridged {
 					ev.postingsScanned++

@@ -215,7 +215,7 @@ func (e *instEnum) closes(bridge *base, x uint32) bool {
 // hold; the explain package renders them in natural language. The search
 // unwinds as soon as limit bindings exist, so the postings consumed are
 // bounded by the work to the limit-th witness, not by the hop fanout
-// (PostingsScanned counts the consumption).
+// (the cursor's postings counter counts the consumption).
 //
 // On a cursor cloned with an InstanceMemo (CloneWithMemo), a row whose
 // (patient, user) pair this path already walked at this limit is served

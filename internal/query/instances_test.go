@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -333,7 +334,8 @@ func TestDecoratedInstancesMatchReference(t *testing.T) {
 					break
 				}
 			}
-			vals := tb.DistinctValues(col)
+			vals := slices.Collect(maps.Keys(tb.Index(col)))
+			slices.SortFunc(vals, relation.Value.Compare)
 			c := vals[len(vals)/2]
 			d := pathmodel.Decoration{Left: pathmodel.Ref{Inst: len(insts) - 1, Col: col}, Op: pathmodel.OpLE, Const: &c}
 			dps[name] = pathmodel.NewDecoratedPath(p, d)

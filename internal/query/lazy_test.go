@@ -35,9 +35,9 @@ func engineRows(ev *query.Evaluator, p pathmodel.Path) []bool {
 	return ev.ConnectedRows(p)
 }
 
-// shardedRows evaluates pp's full row mask as j disjoint ranges on
-// concurrently running cloned cursors and concatenates them.
-func shardedRows(t *testing.T, ev *query.Evaluator, pp *query.Prepared, j int) []bool {
+// shardedRows evaluates closed path p's full row mask as j disjoint ranges
+// on concurrently running cloned cursors and concatenates them.
+func shardedRows(t *testing.T, ev *query.Evaluator, p pathmodel.Path, j int) []bool {
 	t.Helper()
 	n := ev.Log().NumRows()
 	out := make([]bool, n)
@@ -47,14 +47,7 @@ func shardedRows(t *testing.T, ev *query.Evaluator, pp *query.Prepared, j int) [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := ev.Clone().Prepare(pp.Path())
-			var part []bool
-			if cl.Closed() {
-				part = cl.ExplainedRange(lo, hi)
-			} else {
-				part = cl.ConnectedRange(lo, hi)
-			}
-			copy(out[lo:hi], part)
+			copy(out[lo:hi], ev.Clone().Prepare(p).ExplainedRange(lo, hi))
 		}()
 	}
 	wg.Wait()
@@ -82,12 +75,11 @@ func TestLazyDifferentialCatalog(t *testing.T) {
 				continue // the decorated repeat-access template has no simple path
 			}
 			want := ev.ScanRows(pt.Path)
-			pp := ev.Prepare(pt.Path)
-			if got := pp.Support(); got != popcount(want) {
+			if got := ev.Prepare(pt.Path).Support(); got != popcount(want) {
 				t.Errorf("seed %d, %s: Support = %d, nested join = %d", seed, pt.Name(), got, popcount(want))
 			}
 			for _, j := range []int{1, 4} {
-				if got := shardedRows(t, ev, pp, j); !reflect.DeepEqual(got, want) {
+				if got := shardedRows(t, ev, pt.Path, j); !reflect.DeepEqual(got, want) {
 					t.Errorf("seed %d, %s, j=%d: mask differs from the nested join", seed, pt.Name(), j)
 				}
 			}

@@ -134,8 +134,8 @@ func TestFirstEvaluationRace(t *testing.T) {
 // TestLoweringMatchesValueProjections pins the counting-sort lowering to the
 // relation layer's Value-keyed projections. After the catalog's plans and a
 // bridge-2 mining run to length 5 have lowered their projections, every
-// pairs CSR decodes to Table.DistinctPairs, with each posting list in the
-// same Value order; every exists set to the keys of Table.Index; and every
+// pairs CSR decodes to the table's DISTINCT projection (DistinctPairs),
+// with each posting list in the same Value order; every exists set to the keys of Table.Index; and every
 // interned column to the table's rows, with Table.NumDistinct distinct
 // values.
 func TestLoweringMatchesValueProjections(t *testing.T) {
@@ -173,7 +173,7 @@ func TestLoweringMatchesValueProjections(t *testing.T) {
 			continue
 		}
 		pairs++
-		if want := lp.Table.DistinctPairs(lp.A, lp.B); !reflect.DeepEqual(lp.Pairs, want) {
+		if want := query.DistinctPairs(lp.Table, lp.A, lp.B); !reflect.DeepEqual(lp.Pairs, want) {
 			t.Errorf("%s: CSR differs from DistinctPairs (%d vs %d keys)", name, len(lp.Pairs), len(want))
 		}
 	}

@@ -24,9 +24,8 @@ import (
 // evaluated on per-worker cursors concatenate to exactly the full-range
 // result.
 type Prepared struct {
-	ev   *Evaluator
-	path pathmodel.Path
-	ent  *cachedPlan
+	ev  *Evaluator
+	ent *cachedPlan
 }
 
 // Prepare compiles p once and returns a reusable handle. The compiled plan
@@ -61,19 +60,13 @@ func (ev *Evaluator) Prepare(p pathmodel.Path) *Prepared {
 			ent.compileNanos = time.Since(t0).Nanoseconds()
 		})
 		if ent.fresh() {
-			return &Prepared{ev: ev, path: p, ent: ent}
+			return &Prepared{ev: ev, ent: ent}
 		}
 		// A dependency grew since this entry was lowered: its snapshotted
 		// projections are stale. Drop it and recompile against current rows.
 		ev.engine.dropPlan(ent)
 	}
 }
-
-// Path returns the path the handle was prepared from.
-func (pp *Prepared) Path() pathmodel.Path { return pp.path }
-
-// Closed reports whether the prepared path is closed (reaches Log.User).
-func (pp *Prepared) Closed() bool { return pp.ent.pl.closed }
 
 // orient returns the start and end ID columns among (patients, users) for
 // the orientation the shared plan was compiled in. Two paths with equal
@@ -157,23 +150,10 @@ func (pp *Prepared) rangeRows(lo, hi int) []bool {
 // ConnectedRows returns one boolean per log row: whether the open path's
 // start value can begin a satisfiable chain. It panics on closed paths.
 func (pp *Prepared) ConnectedRows() []bool {
-	return pp.ConnectedRange(0, pp.ev.log.NumRows())
-}
-
-// ConnectedRange is the range form of ConnectedRows over [lo, hi): element i
-// is ConnectedRows()[lo+i]. It panics on closed paths and out-of-bounds
-// ranges.
-func (pp *Prepared) ConnectedRange(lo, hi int) []bool {
 	if pp.ent.pl.closed {
-		panic("query: ConnectedRange requires an open path")
+		panic("query: ConnectedRows requires an open path")
 	}
-	return pp.rangeRows(lo, hi)
-}
-
-// Instances enumerates up to limit explanation instances of the prepared
-// closed path for one log row; see Evaluator.Instances.
-func (pp *Prepared) Instances(logRow, limit int) []InstanceBinding {
-	return pp.ev.Instances(pp.path, logRow, limit)
+	return pp.rangeRows(0, pp.ev.log.NumRows())
 }
 
 // cachedPlan is one entry of the engine-level plan cache: the compiled plan

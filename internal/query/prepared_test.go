@@ -47,9 +47,6 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	if got, want := po.ConnectedRows(), ev.ConnectedRows(open); !reflect.DeepEqual(got, want) {
 		t.Errorf("Prepared.ConnectedRows = %v, want %v", got, want)
 	}
-	if got, want := pc.Instances(0, 3), ev.Instances(closed, 0, 3); !reflect.DeepEqual(got, want) {
-		t.Errorf("Prepared.Instances = %v, want %v", got, want)
-	}
 }
 
 // TestPreparedRangeStitching verifies the range contract: concatenating

@@ -14,7 +14,7 @@ type Database struct {
 	order  []string
 
 	// gen counts schema mutations (AddTable calls, including table
-	// replacement); see Version.
+	// replacement); see SchemaVersion.
 	gen atomic.Uint64
 }
 
@@ -33,31 +33,13 @@ func (db *Database) AddTable(t *Table) {
 	db.gen.Add(1)
 }
 
-// Version returns a token that changes whenever the database is mutated:
-// AddTable (including table replacement) bumps the database's own counter,
-// and Append on any registered table bumps that table's counter. Callers
-// holding derived state — compiled query plans, cached masks — compare
-// tokens for equality; a changed token means the derivation may be stale.
-// The token is a combination, not a strict monotone counter, so only
-// equality is meaningful.
-func (db *Database) Version() uint64 {
-	// Weight the schema generation so that replacing a table (which resets
-	// that table's Append count) cannot collide with a pure-Append history.
-	v := db.gen.Load() * 1_000_003
-	for _, t := range db.tables {
-		v += t.version.Load()
-	}
-	return v
-}
-
 // SchemaVersion returns the destructive-mutation counter: it increases on
 // every AddTable (including table replacement) and never on Append. The
 // split matters for append-aware caches: a changed SchemaVersion means a
 // *Table pointer obtained earlier may have been swapped out wholesale and
-// every derivation from it must be rebuilt, while a changed Version with an
-// unchanged SchemaVersion means some registered table merely grew — a delta
-// per-table AppendVersion watermarks can localize, so caches keyed to
-// unchanged tables survive.
+// every derivation from it must be rebuilt, while an unchanged SchemaVersion
+// with a grown table is a delta per-table AppendVersion watermarks can
+// localize, so caches keyed to unchanged tables survive.
 func (db *Database) SchemaVersion() uint64 { return db.gen.Load() }
 
 // Table returns the named table, or nil if absent.

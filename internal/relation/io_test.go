@@ -145,7 +145,7 @@ func TestNullSentinelEscaping(t *testing.T) {
 		if v := got.Row(r)[0]; v != String(s) {
 			t.Errorf("row %d: string %q loaded as %v", r, s, v)
 		}
-		if v := got.Row(r)[1]; !v.IsNull() {
+		if v := got.Row(r)[1]; v.Kind != KindNull {
 			t.Errorf("row %d: null loaded as %v", r, v)
 		}
 	}
@@ -205,7 +205,7 @@ func FuzzValueRoundTrip(f *testing.F) {
 		if v := got.Row(0)[0]; v != String(s) {
 			t.Errorf("string %q loaded as %v", s, v)
 		}
-		if v := got.Row(0)[1]; !v.IsNull() {
+		if v := got.Row(0)[1]; v.Kind != KindNull {
 			t.Errorf("%q: null loaded as %v", s, v)
 		}
 	})

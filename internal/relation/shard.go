@@ -2,24 +2,6 @@ package relation
 
 import "fmt"
 
-// Select returns a new table named name containing the receiver's rows at
-// the given indexes, in the given order. Rows are shared, not copied (they
-// are never mutated), so selecting a shard of a large log costs one slice of
-// row pointers. It panics on out-of-range indexes because those indicate a
-// partitioning bug, not a runtime condition. The new table shares no index
-// state with the receiver.
-func (t *Table) Select(name string, rows []int) *Table {
-	out := NewTable(name, t.columns...)
-	out.rows = make([][]Value, 0, len(rows))
-	for _, r := range rows {
-		if r < 0 || r >= len(t.rows) {
-			panic(fmt.Sprintf("relation: Select row %d out of range for table %q with %d rows", r, t.name, len(t.rows)))
-		}
-		out.rows = append(out.rows, t.rows[r])
-	}
-	return out
-}
-
 // Concat returns a new table named name holding the rows of every input
 // table appended in order — the single-log view of a set of shard logs. All
 // inputs must share exactly the same column list (same names, same order);

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func shardFixture() *Table {
 	t := NewTable("Log", "Lid", "User")
@@ -13,39 +10,11 @@ func shardFixture() *Table {
 	return t
 }
 
-func TestSelectSubsetsInOrder(t *testing.T) {
-	tbl := shardFixture()
-	sel := tbl.Select("Shard", []int{4, 1, 5})
-	if sel.Name() != "Shard" || sel.NumRows() != 3 {
-		t.Fatalf("got %q with %d rows", sel.Name(), sel.NumRows())
-	}
-	for i, want := range []int64{5, 2, 6} {
-		if got := sel.Get(i, "Lid").AsInt(); got != want {
-			t.Errorf("row %d: Lid = %d, want %d", i, got, want)
-		}
-	}
-	if !reflect.DeepEqual(sel.Columns(), tbl.Columns()) {
-		t.Errorf("columns changed: %v", sel.Columns())
-	}
-	// Empty selection is a valid, empty shard.
-	if empty := tbl.Select("Empty", nil); empty.NumRows() != 0 {
-		t.Errorf("empty selection has %d rows", empty.NumRows())
-	}
-}
-
-func TestSelectPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Select with an out-of-range row did not panic")
-		}
-	}()
-	shardFixture().Select("Bad", []int{6})
-}
-
 func TestConcatRebuildsOriginal(t *testing.T) {
 	tbl := shardFixture()
-	a := tbl.Select("A", []int{0, 2, 4})
-	b := tbl.Select("B", []int{1, 3, 5})
+	a, b := NewTable("A", tbl.Columns()...), NewTable("B", tbl.Columns()...)
+	a.AppendRows([][]Value{tbl.Row(0), tbl.Row(2), tbl.Row(4)})
+	b.AppendRows([][]Value{tbl.Row(1), tbl.Row(3), tbl.Row(5)})
 	got, err := Concat("Log", a, b)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -14,39 +13,35 @@ import (
 //
 // # Concurrency and index invalidation
 //
-// A Table supports two phases. During the load phase, Append and
-// AppendRows require exclusive access (no concurrent readers or writers);
-// each call invalidates every cached index once, because row positions
-// referenced by an index built earlier would otherwise go stale, so a bulk
-// loader hands its rows over in batches with AppendRows. During the query
-// phase, any number of goroutines may call the read-side methods (Row, Get,
-// Index, DistinctPairs, DistinctValues, NumDistinct, ...) concurrently: lazy
-// index construction is serialized by an internal mutex, and a map returned
-// by Index or DistinctPairs is immutable once published, so callers may read
-// it without further locking. The contract is therefore "single-writer load, then
-// many-reader query"; interleaving an append with concurrent reads is a data
-// race on the row slice itself and is not supported.
+// A Table supports two phases. During the load phase, Append and AppendRows
+// require exclusive access (no concurrent readers or writers); each call
+// invalidates every cached index once, because row positions referenced by
+// an index built earlier would otherwise go stale, so a bulk loader hands
+// its rows over in batches with AppendRows. During the query phase, any
+// number of goroutines may call the read-side methods (Row, Get, Index,
+// NumDistinct, ...) concurrently: lazy index construction is serialized by
+// an internal mutex, and a map returned by Index is immutable once
+// published, so callers may read it without further locking. The contract is
+// therefore "single-writer load, then many-reader query"; interleaving an
+// append with concurrent reads is a data race on the row slice itself and is
+// not supported.
 type Table struct {
 	name    string
 	columns []string
 	colIdx  map[string]int
 	rows    [][]Value
 
-	// mu serializes lazy construction and invalidation of the caches below;
-	// cache hits take only the read lock, so concurrent queries do not
-	// contend once an index is built. Built index maps are never mutated
-	// after being stored, so they can be returned and read outside the lock.
+	// mu serializes lazy construction and invalidation of the index cache
+	// below; cache hits take only the read lock, so concurrent queries do not
+	// contend once an index is built. Built index maps are never mutated after
+	// being stored, so they can be returned and read outside the lock.
 	mu sync.RWMutex
 
 	// indexes maps a column index to a hash index over that column. Built
 	// lazily by Index and invalidated by Append (appends drop indexes; all
-	// workloads here are load-then-query). The query engine reads neither
-	// cache: it walks dictionary IDs it derives from the rows.
+	// workloads here are load-then-query). The query engine does not read
+	// it: it walks dictionary IDs it derives from the rows.
 	indexes map[int]map[Value][]int
-
-	// pairIndexes caches DISTINCT (a, b) projections keyed by the two column
-	// indexes; see DistinctPairs.
-	pairIndexes map[[2]int]map[Value][]Value
 
 	// version counts appended rows (the only mutation). Derived caches
 	// built against the table — the lazy indexes above, but also the query
@@ -133,7 +128,6 @@ func (t *Table) AppendRows(rows [][]Value) {
 	t.version.Add(uint64(len(rows)))
 	t.mu.Lock()
 	t.indexes = nil
-	t.pairIndexes = nil
 	t.mu.Unlock()
 }
 
@@ -190,60 +184,6 @@ func (t *Table) Index(column string) map[Value][]int {
 	}
 	t.indexes[ci] = idx
 	return idx
-}
-
-// DistinctPairs returns the DISTINCT projection of (from, to) as a map from
-// each from-value to the sorted, de-duplicated set of to-values paired with
-// it. This is the engine-level form of the paper's "Reducing Result
-// Multiplicity" optimization (§3.2.1): support counting only cares whether a
-// connecting tuple exists, so duplicates are removed before joining. Like
-// Index, the projection is built on first use under the table lock and the
-// returned map is immutable, so concurrent callers are safe.
-func (t *Table) DistinctPairs(from, to string) map[Value][]Value {
-	fi, ti := t.mustColumn(from), t.mustColumn(to)
-	key := [2]int{fi, ti}
-	t.mu.RLock()
-	m, cached := t.pairIndexes[key]
-	t.mu.RUnlock()
-	if cached {
-		return m
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pairIndexes == nil {
-		t.pairIndexes = make(map[[2]int]map[Value][]Value)
-	}
-	if m, ok := t.pairIndexes[key]; ok {
-		return m
-	}
-	seen := make(map[[2]Value]struct{}, len(t.rows))
-	m = make(map[Value][]Value)
-	for _, row := range t.rows {
-		p := [2]Value{row[fi], row[ti]}
-		if _, dup := seen[p]; dup {
-			continue
-		}
-		seen[p] = struct{}{}
-		m[p[0]] = append(m[p[0]], p[1])
-	}
-	for k := range m {
-		vs := m[k]
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Less(vs[j]) })
-	}
-	t.pairIndexes[key] = m
-	return m
-}
-
-// DistinctValues returns the sorted set of distinct values in the named
-// column.
-func (t *Table) DistinctValues(column string) []Value {
-	idx := t.Index(column)
-	out := make([]Value, 0, len(idx))
-	for v := range idx {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // NumDistinct returns the number of distinct values in the named column.

@@ -1,12 +1,12 @@
 package relation
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func sampleTable() *Table {
@@ -49,7 +49,6 @@ func TestTablePanicsOnSchemaErrors(t *testing.T) {
 	assertPanics(t, "short row", func() { sampleTable().Append(Int(1)) })
 	assertPanics(t, "missing column Get", func() { sampleTable().Get(0, "Nope") })
 	assertPanics(t, "missing column Index", func() { sampleTable().Index("Nope") })
-	assertPanics(t, "missing column DistinctPairs", func() { sampleTable().DistinctPairs("Nope", "Date") })
 }
 
 func assertPanics(t *testing.T, name string, f func()) {
@@ -94,26 +93,12 @@ func TestIndexInvalidatedByAppend(t *testing.T) {
 	}
 }
 
-func TestDistinctPairsDeduplicatesAndSorts(t *testing.T) {
-	tb := sampleTable()
-	pairs := tb.DistinctPairs("Patient", "Doctor")
-	// Patient 1 pairs with doctors 10 (twice in rows) and 11 — deduplicated.
-	if got := pairs[Int(1)]; !reflect.DeepEqual(got, []Value{Int(10), Int(11)}) {
-		t.Errorf("pairs[1] = %v, want [10 11]", got)
-	}
-	if got := pairs[Int(2)]; !reflect.DeepEqual(got, []Value{Int(10)}) {
-		t.Errorf("pairs[2] = %v", got)
-	}
-	if len(pairs) != 3 {
-		t.Errorf("len(pairs) = %d, want 3", len(pairs))
-	}
-}
-
 func TestDistinctValuesAndNumDistinct(t *testing.T) {
 	tb := sampleTable()
-	vals := tb.DistinctValues("Doctor")
+	vals := slices.Collect(maps.Keys(tb.Index("Doctor")))
+	slices.SortFunc(vals, Value.Compare)
 	if want := []Value{Int(10), Int(11), Int(12)}; !reflect.DeepEqual(vals, want) {
-		t.Errorf("DistinctValues = %v, want %v", vals, want)
+		t.Errorf("distinct Doctor values = %v, want %v", vals, want)
 	}
 	if got := tb.NumDistinct("Patient"); got != 3 {
 		t.Errorf("NumDistinct(Patient) = %d", got)
@@ -134,50 +119,6 @@ func TestFilterAndClone(t *testing.T) {
 	c.Append(Int(7), Date(0), Int(10))
 	if tb.NumRows() != 5 {
 		t.Error("Clone shares row storage with original")
-	}
-}
-
-// TestDistinctPairsMatchesNaive is a property test: DistinctPairs agrees
-// with a brute-force scan on random tables.
-func TestDistinctPairsMatchesNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tb := NewTable("T", "A", "B")
-		n := r.Intn(60)
-		for i := 0; i < n; i++ {
-			tb.Append(Int(int64(r.Intn(6))), Int(int64(r.Intn(6))))
-		}
-		got := tb.DistinctPairs("A", "B")
-
-		want := make(map[Value]map[Value]bool)
-		for i := 0; i < tb.NumRows(); i++ {
-			a, b := tb.Get(i, "A"), tb.Get(i, "B")
-			if want[a] == nil {
-				want[a] = make(map[Value]bool)
-			}
-			want[a][b] = true
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for a, bs := range want {
-			gotBs := got[a]
-			if len(gotBs) != len(bs) {
-				return false
-			}
-			if !sort.SliceIsSorted(gotBs, func(i, j int) bool { return gotBs[i].Less(gotBs[j]) }) {
-				return false
-			}
-			for _, b := range gotBs {
-				if !bs[b] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -213,9 +154,9 @@ func TestDatabase(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexBuild races many goroutines through the lazy index and
-// projection builders of one table (run under -race): all callers must
-// observe the same published maps, and cache hits after the build must
+// TestConcurrentIndexBuild races many goroutines through the lazy index
+// builder of one table (run under -race): all callers must observe the same
+// published maps, and cache hits after the build must
 // return the identical map instance.
 func TestConcurrentIndexBuild(t *testing.T) {
 	tb := NewTable("Events", "Patient", "Doctor")
@@ -226,20 +167,12 @@ func TestConcurrentIndexBuild(t *testing.T) {
 
 	const workers = 8
 	indexes := make([]map[Value][]int, workers)
-	pairs := make([]map[Value][]Value, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Alternate call order so builders and cache hits interleave.
-			if w%2 == 0 {
-				indexes[w] = tb.Index("Patient")
-				pairs[w] = tb.DistinctPairs("Patient", "Doctor")
-			} else {
-				pairs[w] = tb.DistinctPairs("Patient", "Doctor")
-				indexes[w] = tb.Index("Patient")
-			}
+			indexes[w] = tb.Index("Patient")
 			if tb.NumDistinct("Doctor") == 0 {
 				t.Error("NumDistinct = 0")
 			}
@@ -251,20 +184,16 @@ func TestConcurrentIndexBuild(t *testing.T) {
 		if !reflect.DeepEqual(indexes[w], indexes[0]) {
 			t.Fatalf("worker %d observed a different Patient index", w)
 		}
-		if !reflect.DeepEqual(pairs[w], pairs[0]) {
-			t.Fatalf("worker %d observed a different pair projection", w)
-		}
 	}
 }
 
 // TestAppendRows pins the bulk append: the version advances one step per
-// row, the caches built before the call are rebuilt over every row after
-// it, and the table keeps the caller's row slices rather than copies.
+// row, the index built before the call is rebuilt over every row after it,
+// and the table keeps the caller's row slices rather than copies.
 func TestAppendRows(t *testing.T) {
 	tb := sampleTable()
 	v0, n0 := tb.Version(), tb.NumRows()
 	_ = tb.Index("Patient")
-	_ = tb.DistinctPairs("Patient", "Doctor")
 
 	rows := [][]Value{{Int(4), Date(4), Int(13)}, {Int(1), Date(5), Int(13)}, {Int(4), Date(6), Int(13)}}
 	tb.AppendRows(rows)
@@ -279,9 +208,6 @@ func TestAppendRows(t *testing.T) {
 	}
 	if got := tb.Index("Patient")[Int(4)]; !reflect.DeepEqual(got, []int{n0, n0 + 2}) {
 		t.Errorf("Index(Patient)[4] = %v, want rows %d and %d", got, n0, n0+2)
-	}
-	if got := tb.DistinctPairs("Patient", "Doctor")[Int(1)]; !reflect.DeepEqual(got, []Value{Int(10), Int(11), Int(13)}) {
-		t.Errorf("DistinctPairs(Patient, Doctor)[1] = %v", got)
 	}
 
 	tb.AppendRows(nil)

@@ -47,9 +47,6 @@ func String(s string) Value { return Value{Kind: KindString, Str: s} }
 // epoch).
 func Date(day int) Value { return Value{Kind: KindDate, Int: int64(day)} }
 
-// IsNull reports whether v is the null value.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
-
 // AsInt returns the integer payload of an int or date value; it returns 0
 // for other kinds.
 func (v Value) AsInt() int64 {

@@ -22,12 +22,6 @@ func TestValueConstructorsAndKinds(t *testing.T) {
 			t.Errorf("value %v: kind = %v, want %v", c.v, c.v.Kind, c.kind)
 		}
 	}
-	if !Null().IsNull() {
-		t.Error("Null().IsNull() = false")
-	}
-	if Int(1).IsNull() {
-		t.Error("Int(1).IsNull() = true")
-	}
 }
 
 func TestValueAsInt(t *testing.T) {

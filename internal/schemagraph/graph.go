@@ -14,7 +14,6 @@ package schemagraph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Attr identifies one attribute (column) of one table in the schema.
@@ -93,7 +92,6 @@ type Graph struct {
 	edges       []Edge
 	byFromTable map[string][]int
 	selfJoinOK  map[Attr]bool
-	bridges     map[string]bool // tables used only as transparent bridges
 }
 
 // NewGraph returns an empty schema graph.
@@ -101,7 +99,6 @@ func NewGraph() *Graph {
 	return &Graph{
 		byFromTable: make(map[string][]int),
 		selfJoinOK:  make(map[Attr]bool),
-		bridges:     make(map[string]bool),
 	}
 }
 
@@ -130,7 +127,6 @@ func (g *Graph) AddBridgedRelationship(a, b Attr, kind EdgeKind, via Bridge) {
 	g.addDirected(Edge{From: a, To: b, Kind: kind, Via: &v})
 	r := *via.Reversed()
 	g.addDirected(Edge{From: b, To: a, Kind: kind, Via: &r})
-	g.bridges[via.Table] = true
 }
 
 // AllowSelfJoin registers attr as usable in a self-join
@@ -143,13 +139,6 @@ func (g *Graph) AllowSelfJoin(attr Attr) {
 	g.selfJoinOK[attr] = true
 	g.addDirected(Edge{From: attr, To: attr, Kind: SelfJoin})
 }
-
-// SelfJoinAllowed reports whether attr may participate in a self-join.
-func (g *Graph) SelfJoinAllowed(attr Attr) bool { return g.selfJoinOK[attr] }
-
-// IsBridgeTable reports whether the named table is used as a transparent
-// mapping bridge (and therefore never counts toward the table budget T).
-func (g *Graph) IsBridgeTable(table string) bool { return g.bridges[table] }
 
 // Edges returns all directed edges. The returned slice must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
@@ -176,42 +165,6 @@ func (g *Graph) EdgesFromAttr(a Attr) []Edge {
 	}
 	return out
 }
-
-// EdgesToAttr returns the directed edges arriving at exactly the given
-// attribute. Used by the two-way algorithm, which grows paths backward from
-// Log.User.
-func (g *Graph) EdgesToAttr(a Attr) []Edge {
-	var out []Edge
-	for _, e := range g.edges {
-		if e.To == a {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Tables returns the sorted set of table names mentioned by any edge,
-// excluding bridge tables.
-func (g *Graph) Tables() []string {
-	set := make(map[string]bool)
-	for _, e := range g.edges {
-		if !g.bridges[e.From.Table] {
-			set[e.From.Table] = true
-		}
-		if !g.bridges[e.To.Table] {
-			set[e.To.Table] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NumEdges returns the number of directed edges in the catalog.
-func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // TableHasSelfJoin reports whether the named table has at least one
 // attribute allowed in self-joins, i.e. whether the administrator permits

@@ -11,8 +11,8 @@ var (
 	// (full segment writes, append records, manifest rewrites).
 	bytesWritten = obs.Default.Counter("store.bytes_written")
 
-	// store.bytes_read counts checksum-valid segment bytes consumed by Open
-	// and ScanBatches.
+	// store.bytes_read counts checksum-valid segment bytes consumed by
+	// Open.
 	bytesRead = obs.Default.Counter("store.bytes_read")
 
 	// store.sync_nanos is the latency of each durable fsync on the append

@@ -1,11 +1,35 @@
 package store
 
 import (
+	"iter"
 	"os"
 	"testing"
 
 	"repro/internal/relation"
 )
+
+// scanBatches drives the segment scanner readSegment drains: one decoded row
+// batch per checksummed record, in write order, stopping cleanly at a torn
+// tail. A scan that cannot start yields a single (nil, error) pair.
+func scanBatches(s *Store, table string) iter.Seq2[[][]relation.Value, error] {
+	return func(yield func([][]relation.Value, error) bool) {
+		sc, err := openSegScanner(s.segPath(table))
+		if err != nil {
+			if sc != nil {
+				sc.close()
+			}
+			yield(nil, err)
+			return
+		}
+		defer sc.close()
+		for {
+			rows, ok := sc.next()
+			if !ok || !yield(rows, nil) {
+				return
+			}
+		}
+	}
+}
 
 // bigLogDB builds a single-table database whose Log spans several batch
 // records, so a scan yields a multi-record sequence.
@@ -19,7 +43,7 @@ func bigLogDB(rows int) *relation.Database {
 	return db
 }
 
-// TestScanBatchesRoundTrip pins the public iterator to the segment's
+// TestScanBatchesRoundTrip pins the segment scanner to the segment's
 // contents: batches arrive in write order, each bulk batch holds at most
 // segBatchRows rows, appended records surface as their own batches, and
 // the concatenation reproduces the table Open loads.
@@ -37,7 +61,7 @@ func TestScanBatchesRoundTrip(t *testing.T) {
 
 	var sizes []int
 	got := relation.NewTable("Log", db.MustTable("Log").Columns()...)
-	for batch, err := range s.ScanBatches("Log") {
+	for batch, err := range scanBatches(s, "Log") {
 		if err != nil {
 			t.Fatalf("scan error: %v", err)
 		}
@@ -66,9 +90,9 @@ func TestScanBatchesRoundTrip(t *testing.T) {
 	tablesEqual(t, got, opened.MustTable("Log"))
 }
 
-// TestScanBatchesTornTail verifies WAL semantics on the public iterator: a
-// segment cut mid-record yields the checksum-valid prefix and ends cleanly,
-// without surfacing an error.
+// TestScanBatchesTornTail verifies WAL semantics on the scanner: a segment
+// cut mid-record yields the checksum-valid prefix and ends cleanly, without
+// surfacing an error.
 func TestScanBatchesTornTail(t *testing.T) {
 	db := bigLogDB(segBatchRows + 50)
 	dir := t.TempDir()
@@ -85,7 +109,7 @@ func TestScanBatchesTornTail(t *testing.T) {
 	}
 
 	total := 0
-	for batch, err := range s.ScanBatches("Log") {
+	for batch, err := range scanBatches(s, "Log") {
 		if err != nil {
 			t.Fatalf("torn tail surfaced an error: %v", err)
 		}
@@ -96,8 +120,8 @@ func TestScanBatchesTornTail(t *testing.T) {
 	}
 }
 
-// TestScanBatchesErrors pins the terminal-error contract: unknown tables
-// and headerless segments yield exactly one (nil, error) pair.
+// TestScanBatchesErrors pins the terminal-error contract: missing and
+// headerless segments yield exactly one (nil, error) pair.
 func TestScanBatchesErrors(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Create(dir, testDB())
@@ -105,7 +129,7 @@ func TestScanBatchesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, breakSeg := range map[string]func(){
-		"unknown table": func() {},
+		"missing segment": func() {},
 		"not a segment": func() {
 			if err := os.WriteFile(s.segPath("Events"), []byte("garbage"), 0o644); err != nil {
 				t.Fatal(err)
@@ -118,7 +142,7 @@ func TestScanBatchesErrors(t *testing.T) {
 			table = "Events"
 		}
 		yields, errs := 0, 0
-		for batch, err := range s.ScanBatches(table) {
+		for batch, err := range scanBatches(s, table) {
 			yields++
 			if err != nil {
 				errs++
@@ -143,7 +167,7 @@ func TestScanBatchesEarlyBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := 0
-	for _, err := range s.ScanBatches("Log") {
+	for _, err := range scanBatches(s, "Log") {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -311,8 +311,7 @@ type scanResult struct {
 // decoded row batch per checksummed record, reusing a single payload buffer
 // across records, so a consumer that processes batches as they arrive holds
 // at most one record's rows plus one payload buffer regardless of segment
-// size. Both readSegment (which drains it into a table) and the public
-// Store.ScanBatches iterator run on it.
+// size. readSegment drains it into a table.
 type segScanner struct {
 	f   *os.File
 	br  *bufio.Reader
@@ -377,8 +376,8 @@ func openSegScanner(path string) (sc *segScanner, err error) {
 }
 
 // close releases the segment file and charges the checksum-valid bytes the
-// scan consumed to store.bytes_read (every scanner — Open's loads and
-// ScanBatches exports alike — funnels through here exactly once).
+// scan consumed to store.bytes_read (every scanner funnels through here
+// exactly once).
 func (sc *segScanner) close() {
 	bytesRead.Add(sc.validEnd)
 	sc.f.Close()

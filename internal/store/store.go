@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"iter"
 	"os"
 	"path/filepath"
 	"time"
@@ -55,17 +54,6 @@ func IsStore(dir string) bool {
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Rows returns the named table's row watermark, or -1 if the store has no
-// such table.
-func (s *Store) Rows(table string) int {
-	for _, mt := range s.man.Tables {
-		if mt.Name == table {
-			return mt.Rows
-		}
-	}
-	return -1
-}
 
 // segPath returns the segment path for a table name.
 func (s *Store) segPath(table string) string {
@@ -159,44 +147,6 @@ func Open(dir string) (*Store, *relation.Database, error) {
 		}
 	}
 	return s, db, nil
-}
-
-// ScanBatches streams the named table's segment as decoded row batches —
-// one batch per checksummed record, at most segBatchRows rows from the
-// bulk writer (append records may be smaller) — without materializing the
-// table: a consumer that processes each batch as it arrives holds one
-// batch plus one reused payload buffer regardless of segment size. This is
-// the export / ETL form of Open's own streaming load. Batches stop cleanly
-// at a torn tail (the checksum-valid prefix is the segment's contents); a
-// scan that cannot start at all — unknown table, missing or headerless
-// segment — yields a single (nil, error) pair. Each yielded batch is
-// freshly allocated and the caller's to keep. Breaking out of the loop
-// closes the segment file.
-func (s *Store) ScanBatches(table string) iter.Seq2[[][]relation.Value, error] {
-	return func(yield func([][]relation.Value, error) bool) {
-		if s.Rows(table) < 0 {
-			yield(nil, fmt.Errorf("store: no table %q to scan", table))
-			return
-		}
-		sc, err := openSegScanner(s.segPath(table))
-		if err != nil {
-			if sc != nil {
-				sc.close()
-			}
-			yield(nil, err)
-			return
-		}
-		defer sc.close()
-		for {
-			rows, ok := sc.next()
-			if !ok {
-				return
-			}
-			if !yield(rows, nil) {
-				return
-			}
-		}
-	}
 }
 
 // AppendRows appends rows to the named table's segment as one checksummed

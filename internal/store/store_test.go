@@ -11,6 +11,17 @@ import (
 	"repro/internal/relation"
 )
 
+// rows returns the named table's manifest row watermark, or -1 if the store
+// has no such table.
+func (s *Store) rows(table string) int {
+	for _, mt := range s.man.Tables {
+		if mt.Name == table {
+			return mt.Rows
+		}
+	}
+	return -1
+}
+
 // testDB builds a small two-table database: an append-only Log and an
 // Events table exercising every value kind, the null sentinel family, and
 // non-ASCII strings.
@@ -79,8 +90,8 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 	for _, name := range names {
 		tablesEqual(t, got.MustTable(name), db.MustTable(name))
 	}
-	if s.Rows("Log") != 5 || s.Rows("Events") != 3 || s.Rows("Nope") != -1 {
-		t.Fatalf("watermarks: Log=%d Events=%d Nope=%d", s.Rows("Log"), s.Rows("Events"), s.Rows("Nope"))
+	if s.rows("Log") != 5 || s.rows("Events") != 3 || s.rows("Nope") != -1 {
+		t.Fatalf("watermarks: Log=%d Events=%d Nope=%d", s.rows("Log"), s.rows("Events"), s.rows("Nope"))
 	}
 }
 
@@ -120,8 +131,8 @@ func TestAppendRows(t *testing.T) {
 	if err := s.AppendRows("Log", [][]relation.Value{logRow(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Rows("Log") != 9 {
-		t.Fatalf("watermark = %d, want 9", s.Rows("Log"))
+	if s.rows("Log") != 9 {
+		t.Fatalf("watermark = %d, want 9", s.rows("Log"))
 	}
 	if err := s.AppendRows("Nope", [][]relation.Value{{relation.Int(1)}}); err == nil {
 		t.Error("append to unknown table succeeded")
@@ -337,11 +348,8 @@ func TestCorruptRecordRecovery(t *testing.T) {
 }
 
 func testWarmState(db *relation.Database) *WarmState {
-	m0 := bitset.New(5)
-	m0.Set(0)
-	m0.Set(3)
-	m1 := bitset.New(5)
-	m1.Set(4)
+	m0 := bitset.FromBools([]bool{true, false, false, true, false})
+	m1 := bitset.FromBools([]bool{false, false, false, false, true})
 	return &WarmState{
 		LogTable: "Log",
 		PlanKeys: []string{"k1|a", "k2|b"},
