@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/relation"
 )
 
 // truncatedExport copies an exported dataset into a fresh directory with
@@ -204,8 +209,8 @@ func tailRow(b []byte) []byte {
 }
 
 // TestFollowValidation pins the flag surface: -follow refuses -stream,
-// federated topologies, generated datasets, and non-positive poll
-// intervals.
+// federated topologies, generated datasets, non-positive poll intervals
+// and a negative -follow-rows.
 func TestFollowValidation(t *testing.T) {
 	exportDir := t.TempDir()
 	var buf bytes.Buffer
@@ -221,12 +226,207 @@ func TestFollowValidation(t *testing.T) {
 		{[]string{"-data", exportDir, "audit", "-follow", "-shards", "2"}, "single engine"},
 		{[]string{"-data", exportDir + "," + exportDir, "audit", "-follow"}, "single engine"},
 		{[]string{"-data", exportDir, "audit", "-follow", "-poll", "0s"}, "must be positive"},
+		{[]string{"-data", exportDir, "audit", "-follow", "-follow-rows", "-1"}, "audit -follow-rows must be at least 0"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
 		err := run(tc.argv, &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) error = %v, want containing %q", tc.argv, err, tc.want)
+		}
+	}
+}
+
+// TestFollowRejectsNonAppend pins follow mode's append-only contract: once
+// following has started and a poll has appended a row, a Log.csv truncated
+// below the audited rows, or rewritten under a header naming other
+// columns, ends the session with the named error once the grace window is
+// spent — and no row is appended on the way, so stdout holds exactly the
+// reports of the rows audited before the rewrite.
+func TestFollowRejectsNonAppend(t *testing.T) {
+	exportDir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"export", "-dir", exportDir}, &stdout, &stderr); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	cases := []struct {
+		name    string
+		rewrite func(log []byte) []byte
+		want    string
+	}{
+		{"truncated", func(log []byte) []byte {
+			lines := bytes.SplitAfter(log, []byte("\n"))
+			return bytes.Join(lines[:len(lines)/2], nil)
+		}, "shrank"},
+		{"new header", func(log []byte) []byte {
+			header, rows, _ := bytes.Cut(log, []byte("\n"))
+			return append(append(bytes.Replace(header, []byte("Lid:"), []byte("LogId:"), 1), '\n'), rows...)
+		}, "changed columns"},
+	}
+	for _, tc := range cases {
+		dir, fullLog, total := truncatedExport(t, exportDir, 0.9)
+		logPath := filepath.Join(dir, "Log.csv")
+		start, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One row is appended while following, so that the rewrite meets a
+		// session whose polls have already located and advanced the offset.
+		row := fullLog[len(start) : len(start)+bytes.IndexByte(fullLog[len(start):], '\n')+1]
+		grown := append(append([]byte(nil), start...), row...)
+		rewritten := tc.rewrite(grown)
+		if bytes.Equal(rewritten, grown) {
+			t.Fatalf("%s: the rewrite left Log.csv as it was", tc.name)
+		}
+		if err := os.WriteFile(logPath, grown, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want, wantErr bytes.Buffer
+		if err := run([]string{"-data", dir, "audit", "-stream"}, &want, &wantErr); err != nil {
+			t.Fatalf("%s: audit -stream: %v\nstderr: %s", tc.name, err, wantErr.String())
+		}
+		if err := os.WriteFile(logPath, start, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		followCh, appendedCh := make(chan struct{}), make(chan struct{})
+		gotErr := &markerWriter{markers: map[string]chan struct{}{"following ": followCh, "appended 1 rows": appendedCh}}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			<-followCh
+			if err := appendFile(logPath, row); err != nil {
+				t.Errorf("%s: appending a row: %v", tc.name, err)
+				return
+			}
+			<-appendedCh
+			tmp := filepath.Join(dir, ".Log.csv.tmp")
+			if err := os.WriteFile(tmp, rewritten, 0o644); err != nil {
+				t.Errorf("%s: writing rewritten log: %v", tc.name, err)
+				return
+			}
+			if err := os.Rename(tmp, logPath); err != nil {
+				t.Errorf("%s: renaming rewritten log: %v", tc.name, err)
+			}
+		}()
+
+		var got bytes.Buffer
+		err = run([]string{"-data", dir, "audit", "-follow",
+			"-poll", "5ms", "-grace", "50ms", "-follow-rows", fmt.Sprint(total)}, &got, gotErr)
+		select {
+		case <-appendedCh:
+			<-done
+		default: // the session ended before appending the row; the checks below say how
+		}
+		if err == nil || !strings.Contains(err.Error(), "follow poll failing") || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want a grace-window failure naming %q\nstderr: %s", tc.name, err, tc.want, gotErr.String())
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: follow wrote %d bytes of NDJSON, want the %d of the rows before the rewrite",
+				tc.name, got.Len(), want.Len())
+		}
+	}
+}
+
+// TestFollowPollCostFlat pins that a follow poll reads only what was
+// appended since the last one: over a log of 1,024 rows and one of 16,384,
+// a poll that picks up 64 appended rows allocates about as much. (Parsing
+// the whole file on every poll allocates in proportion to the log.)
+func TestFollowPollCostFlat(t *testing.T) {
+	const batch, polls = 64, 8
+	row := func(w io.Writer, i int) {
+		fmt.Fprintf(w, "%d,%d,%d,%d\n", i+1, i/100, 10001+i%37, 1+i%501)
+	}
+	bytesPerPoll := func(base int) uint64 {
+		var csv bytes.Buffer
+		csv.WriteString("Lid:int,Date:date,User:int,Patient:int\n")
+		for i := 0; i < base; i++ {
+			row(&csv, i)
+		}
+		path := filepath.Join(t.TempDir(), "Log.csv")
+		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, err := relation.Load("Log", bytes.NewReader(csv.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := &logTail{path: path}
+		if rows, err := tail.poll(log); err != nil || len(rows) != 0 {
+			t.Fatalf("first poll of %d rows: %d new rows, err = %v", base, len(rows), err)
+		}
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for p := 0; p < polls; p++ {
+			var grow bytes.Buffer
+			for i := range batch {
+				row(&grow, log.NumRows()+i)
+			}
+			if err := appendFile(path, grow.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			rows, err := tail.poll(log)
+			runtime.ReadMemStats(&ms)
+			if err != nil || len(rows) != batch {
+				t.Fatalf("poll over %d rows: %d new rows, err = %v, want %d", log.NumRows(), len(rows), err, batch)
+			}
+			least = min(least, ms.TotalAlloc-before)
+			log.AppendRows(rows)
+		}
+		if got, want := log.Row(log.NumRows() - 1)[0], relation.Int(int64(base+polls*batch)); got != want {
+			t.Fatalf("last appended Lid = %v, want %v", got, want)
+		}
+		return least
+	}
+	small, large := bytesPerPoll(1<<10), bytesPerPoll(1<<14)
+	t.Logf("bytes allocated per poll of %d rows: %d over 1,024 rows, %d over 16,384", batch, small, large)
+	if large > 2*small {
+		t.Errorf("a poll over 16,384 rows allocated %d bytes, over 1,024 rows %d: the cost grows with the log", large, small)
+	}
+}
+
+// TestLogTailLocate pins the first poll, which finds the end of the rows
+// the log already holds by counting lines rather than parsing them: a
+// header naming other columns and a file with fewer rows than the log are
+// errors, blank lines are not rows (relation.Load skips them), and a file
+// whose header line is not complete yet shows nothing.
+func TestLogTailLocate(t *testing.T) {
+	const header = "Lid:int,User:int\n"
+	log, err := relation.Load("Log", strings.NewReader(header+"1,7\n2,7\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		file    string
+		newRows int
+		wantErr string
+	}{
+		{header + "1,7\n2,7\n3,8\n", 1, ""},
+		{header + "1,7\n\n2,7\r\n\r\n3,8\n4,", 1, ""},
+		{header + "1,7\n2,7\n", 0, ""},
+		{"Lid:int,Us", 0, ""},
+		{"Lid:int,Patient:int\n1,7\n2,7\n3,8\n", 0, "changed columns"},
+		{header + "1,7\n2,", 0, "shrank from 2 to 1 rows"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "Log.csv")
+		if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tail := &logTail{path: path}
+		rows, err := tail.poll(log)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%q: err = %v, want one naming %q", tc.file, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || len(rows) != tc.newRows {
+			t.Errorf("%q: %d new rows, err = %v; want %d rows", tc.file, len(rows), err, tc.newRows)
+		} else if tc.newRows == 1 && rows[0][0] != relation.Int(3) {
+			t.Errorf("%q: new row %v, want Lid 3", tc.file, rows[0])
 		}
 	}
 }

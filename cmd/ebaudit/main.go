@@ -85,6 +85,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"context"
@@ -611,6 +612,9 @@ func (a *app) audit(args []string) error {
 	if *n < 0 {
 		return fmt.Errorf("audit -n must be at least 0, got %d", *n)
 	}
+	if *followRows < 0 {
+		return fmt.Errorf("audit -follow-rows must be at least 0, got %d", *followRows)
+	}
 	if *retries < 0 {
 		return fmt.Errorf("audit -retries must be >= 0, got %d", *retries)
 	}
@@ -838,20 +842,25 @@ func printMemoStats(w io.Writer, snap map[string]obs.Metric) {
 
 // auditFollow is the incremental mode of the audit subcommand: it audits
 // the rows already loaded, emits their NDJSON reports, then polls the -data
-// directory's Log table for appended rows, folds each batch in with
+// directory's Log.csv for appended rows, folds each batch in with
 // core.Auditor.Refresh (cached template masks are extended over just the
 // new rows — never recomputed from row 0), and emits only the new reports.
 // The concatenated output is byte-identical to a single `audit -stream`
-// over the final log, which the CLI differential test pins down. A torn
-// final CSV row (a writer caught mid-append) is not an error: rows become
-// visible only once newline-terminated, so the poll simply picks the row
-// up when it is complete (see appendNewLogRows). Genuine poll errors —
-// the data file renamed away mid-rotation, a transient read failure — are
-// retried with capped-jittered-exponential backoff for the grace window: a
-// fault that heals within it costs nothing but stderr noise, one that
-// persists past it ends the session with the underlying error. A log that
-// shrank or changed layout is handled the same way, because follow mode is
-// defined only for append-only growth.
+// over the final log, which the CLI differential test pins down.
+//
+// Each poll reads and parses only the bytes appended since the last one
+// (see logTail.poll), after checking what still has to hold for the log to
+// be an extension of the rows already audited: the header line is
+// byte-for-byte the one the session started with, and the file is no
+// shorter than the end of the audited rows. A torn final row (a writer
+// caught mid-append) is not an error: rows become visible only once
+// newline-terminated, so a later poll picks the row up once it is
+// complete. Genuine poll errors — the data file renamed away mid-rotation,
+// a transient read failure — are retried with capped-jittered-exponential
+// backoff for the grace window: a fault that heals within it costs nothing
+// but stderr noise, one that persists past it ends the session with the
+// underlying error. A log that shrank or changed its header is handled the
+// same way, because follow mode is defined only for append-only growth.
 func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, verbose bool) error {
 	log := a.db.MustTable(pathmodel.LogTable)
 	ctx := context.Background()
@@ -881,7 +890,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		a.printStats(a.stderr, nil, workers)
 	}
 
-	var lastStat os.FileInfo
+	tail := &logTail{path: filepath.Join(a.dataDir, pathmodel.LogTable+".csv")}
 	var errSince time.Time
 	var lines []byte // each appended batch's NDJSON, one write per batch
 	// Failed polls retry on a backoff ramp starting at the poll interval;
@@ -893,7 +902,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		} else {
 			time.Sleep(retryBo.Next())
 		}
-		added, stat, err := a.appendNewLogRows(log, lastStat)
+		rows, err := tail.poll(log)
 		if err != nil {
 			now := time.Now()
 			if errSince.IsZero() {
@@ -908,18 +917,14 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 			continue
 		}
 		errSince = time.Time{}
-		lastStat = stat
-		if added == 0 {
+		if len(rows) == 0 {
 			continue
 		}
+		log.AppendRows(rows)
 		if a.store != nil {
 			// Persist the batch before auditing it: one checksummed segment
 			// record per poll, synced, so a crash between here and the
 			// snapshot save below loses derived state but never rows.
-			rows := make([][]relation.Value, added)
-			for i := range rows {
-				rows[i] = log.Row(audited + i)
-			}
 			if err := a.store.AppendRows(pathmodel.LogTable, rows); err != nil {
 				return err
 			}
@@ -927,6 +932,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		if err := a.auditor.Refresh(ctx, workers); err != nil {
 			return err
 		}
+		added := len(rows)
 		if lines, err = a.auditor.AppendNDJSONRows(lines[:0], audited, audited+added); err != nil {
 			return err
 		}
@@ -945,62 +951,169 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 	return nil
 }
 
-// appendNewLogRows re-reads the -data directory's Log table and appends to
-// log the rows beyond its current count, returning how many were added and
-// the file stat observed. When the file's size and mtime match lastStat,
-// the parse is skipped entirely — an idle poll tick is one stat call, not a
-// full CSV parse. The reloaded table must keep the same column layout and
-// at least the current row count — follow mode observes an append-only
-// log, not arbitrary edits (the pre-existing prefix is trusted, exactly as
-// a database tailing a WAL trusts already-applied records).
+// logTail is follow mode's read position in the -data directory's Log.csv:
+// the header line the audited rows were read under and the byte offset just
+// past the last of them. The prefix before the offset is trusted, as a
+// database tailing a write-ahead log trusts records already applied, so a
+// poll reads and parses only the bytes after it: its cost follows the rows
+// appended since the last poll, not the length of the log.
+type logTail struct {
+	path   string
+	stat   os.FileInfo // size and mtime at the last successful poll; nil before the first
+	header []byte      // the header line, newline included; nil until a poll has seen it whole
+	offset int64       // the byte just past the last row poll returned (or the log held)
+}
+
+// poll returns the complete rows appended to the file since the last poll,
+// for the caller to append to log. The first poll that sees the whole
+// header line locates the offset: it checks the header names log's columns
+// and steps over log.NumRows() newline-terminated rows, scanning bytes
+// without parsing them. Every poll then checks, before reading anything
+// past the offset:
 //
-// A writer appending in place may be caught mid-row, so only rows
-// terminated by a newline are considered visible: everything after the
-// final newline is a torn row that is parsed on a later poll, once the
-// writer finishes it. Without the cut, a torn row would either surface as
-// a parse error on every poll until completed or — worse — parse cleanly
-// as a truncated value (a Lid "10" caught after one byte is a valid "1")
-// and be appended wrongly. The cut is safe because the export format never
-// quotes fields, so a row cannot contain embedded newlines.
-func (a *app) appendNewLogRows(log *relation.Table, lastStat os.FileInfo) (int, os.FileInfo, error) {
-	path := filepath.Join(a.dataDir, pathmodel.LogTable+".csv")
-	stat, err := os.Stat(path)
+//   - the file's size and mtime: unchanged since the last poll, it returns
+//     at once — an idle tick is one stat call;
+//   - the header line, which must be byte-for-byte the one the offset was
+//     located under (else "changed columns");
+//   - the size, which must not be below the offset (else "shrank").
+//
+// It then reads [offset, size) and cuts it after the last newline. A writer
+// appending in place may be caught mid-row, so only newline-terminated rows
+// are visible: the bytes after the cut are a torn row left for a later
+// poll, once the writer finishes it. Without the cut, a torn row would
+// either surface as a parse error on every poll until completed or — worse
+// — parse cleanly as a truncated value (a Lid "10" caught after one byte is
+// a valid "1") and be appended wrongly. The cut is safe because the export
+// format never quotes fields, so a row cannot contain embedded newlines.
+// The rows before the cut are parsed by relation.Load under the saved
+// header, exactly as a whole-file load would parse them, and the offset
+// advances past them. A failed poll leaves the tail as it was, so the next
+// poll checks everything again.
+func (lt *logTail) poll(log *relation.Table) ([][]relation.Value, error) {
+	stat, err := os.Stat(lt.path)
 	if err != nil {
-		return 0, lastStat, err
+		return nil, err
 	}
-	if lastStat != nil && stat.Size() == lastStat.Size() && stat.ModTime().Equal(lastStat.ModTime()) {
-		return 0, lastStat, nil
+	if lt.stat != nil && stat.Size() == lt.stat.Size() && stat.ModTime().Equal(lt.stat.ModTime()) {
+		return nil, nil
 	}
-	data, err := os.ReadFile(path)
+	f, err := os.Open(lt.path)
 	if err != nil {
-		return 0, lastStat, err
+		return nil, err
 	}
-	cut := bytes.LastIndexByte(data, '\n')
+	defer f.Close()
+	// The bytes read below are bounded by the stat of the open file, not of
+	// the path, which a rename may have pointed elsewhere meanwhile.
+	if stat, err = f.Stat(); err != nil {
+		return nil, err
+	}
+	size := stat.Size()
+	if lt.header == nil {
+		if err := lt.locate(f, size, log); err != nil {
+			return nil, err
+		}
+		if lt.header == nil {
+			// Even the header line is still being written; nothing is
+			// visible yet. The completing write grows the file, so the stat
+			// short-circuit cannot mask it.
+			lt.stat = stat
+			return nil, nil
+		}
+	} else if err := lt.checkHeader(f, size); err != nil {
+		return nil, err
+	}
+	if size < lt.offset {
+		return nil, fmt.Errorf("reloaded %s table shrank to %d bytes, below the end of its audited rows at byte %d; follow mode is append-only",
+			pathmodel.LogTable, size, lt.offset)
+	}
+	suffix := make([]byte, size-lt.offset)
+	if _, err := f.ReadAt(suffix, lt.offset); err != nil {
+		return nil, err
+	}
+	cut := bytes.LastIndexByte(suffix, '\n')
 	if cut < 0 {
-		// Even the header line is still being written; nothing is visible
-		// yet. The completing write grows the file, so the stat short-circuit
-		// cannot mask it.
-		return 0, stat, nil
+		lt.stat = stat // at most a torn row: nothing new is visible
+		return nil, nil
 	}
-	t, err := relation.Load(pathmodel.LogTable, bytes.NewReader(data[:cut+1]))
+	t, err := relation.Load(pathmodel.LogTable, io.MultiReader(bytes.NewReader(lt.header), bytes.NewReader(suffix[:cut+1])))
 	if err != nil {
-		return 0, lastStat, err
+		// Load numbers lines from the header; say where the parse began.
+		return nil, fmt.Errorf("rows after byte %d: %w", lt.offset, err)
 	}
-	if strings.Join(t.Columns(), ",") != strings.Join(log.Columns(), ",") {
-		return 0, lastStat, fmt.Errorf("reloaded %s table changed columns (%s -> %s)",
+	rows := make([][]relation.Value, t.NumRows())
+	for i := range rows {
+		rows[i] = t.Row(i)
+	}
+	lt.offset += int64(cut + 1)
+	lt.stat = stat
+	return rows, nil
+}
+
+// locate reads the file's header line and steps over the log.NumRows() rows
+// after it, setting header and offset. It leaves both unset when the header
+// line is not complete yet. A file whose header names other columns than
+// log's, or that ends before log's rows do, is an error. Blank lines are
+// not rows, as relation.Load skips them.
+func (lt *logTail) locate(f *os.File, size int64, log *relation.Table) error {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
+	header, err := br.ReadBytes('\n')
+	if err == io.EOF {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	t, err := relation.Load(pathmodel.LogTable, bytes.NewReader(header))
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(t.Columns(), log.Columns()) {
+		return fmt.Errorf("reloaded %s table changed columns (%s -> %s)",
 			pathmodel.LogTable, strings.Join(log.Columns(), ","), strings.Join(t.Columns(), ","))
 	}
-	cur := log.NumRows()
-	if t.NumRows() < cur {
-		return 0, lastStat, fmt.Errorf("reloaded %s table shrank from %d to %d rows; follow mode is append-only",
-			pathmodel.LogTable, cur, t.NumRows())
+	offset := int64(len(header))
+	midRow := false // the last read ended inside a row longer than the buffer
+	for rows := 0; rows < log.NumRows(); {
+		line, err := br.ReadSlice('\n')
+		offset += int64(len(line))
+		switch {
+		case err == bufio.ErrBufferFull:
+			midRow = true
+			continue
+		case err == io.EOF:
+			return fmt.Errorf("reloaded %s table shrank from %d to %d rows; follow mode is append-only",
+				pathmodel.LogTable, log.NumRows(), rows)
+		case err != nil:
+			return err
+		case midRow || !blankLine(line):
+			rows++
+		}
+		midRow = false
 	}
-	rows := make([][]relation.Value, 0, t.NumRows()-cur)
-	for r := cur; r < t.NumRows(); r++ {
-		rows = append(rows, t.Row(r))
+	lt.header, lt.offset = header, offset
+	return nil
+}
+
+// checkHeader reports an error unless the file's header line is the one
+// the offset was located under.
+func (lt *logTail) checkHeader(f *os.File, size int64) error {
+	got := make([]byte, len(lt.header))
+	n, err := f.ReadAt(got, 0)
+	if err != nil && err != io.EOF {
+		return err
 	}
-	log.AppendRows(rows)
-	return len(rows), stat, nil
+	if bytes.Equal(got[:n], lt.header) {
+		return nil
+	}
+	line, _ := bufio.NewReader(io.NewSectionReader(f, 0, size)).ReadSlice('\n')
+	return fmt.Errorf("reloaded %s table changed columns (header %q -> %q); follow mode is append-only",
+		pathmodel.LogTable, bytes.TrimRight(lt.header, "\r\n"), bytes.TrimRight(line, "\r\n"))
+}
+
+// blankLine reports whether line, newline included, is empty: a line
+// encoding/csv skips rather than reads as a record.
+func blankLine(line []byte) bool {
+	return len(line) == 1 || (len(line) == 2 && line[0] == '\r')
 }
 
 func (a *app) patient(args []string) error {

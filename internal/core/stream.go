@@ -41,7 +41,11 @@ func streamChunks[T any](ctx context.Context, a *Auditor, parallelism int, ps *P
 	}
 	err := parallel.OrderedChunks(workers, hi-lo, batchChunk, workers*streamWindowPerWorker,
 		func() bool { return ctx.Err() != nil },
-		func(w, clo, chi int) T { return produce(cursors[w], ps, lo+clo, lo+chi) },
+		func(w, clo, chi int) T {
+			v := produce(cursors[w], ps, lo+clo, lo+chi)
+			cursors[w].FlushStats() // one set of atomic adds per chunk, not per row
+			return v
+		},
 		emit)
 	if err != nil {
 		return err

@@ -93,6 +93,7 @@ func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo,
 		n, _ := e.run(ev, r, 1) // first witness suffices
 		out[r-lo] = n > 0
 	}
+	ev.endCall()
 	return out
 }
 
@@ -101,5 +102,6 @@ func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo,
 func (ev *Evaluator) InstancesDecorated(dp pathmodel.DecoratedPath, logRow, limit int) []InstanceBinding {
 	e := ev.decorated(dp)
 	n, flat := e.run(ev, logRow, limit)
+	ev.endCall()
 	return fresh(n, len(e.rows), flat)
 }

@@ -158,7 +158,7 @@ type engine struct {
 	execOn atomic.Bool
 
 	// Instance enumeration totals (query.instances.calls / .nodes /
-	// .bindings), flushed once per call from cursor-local ints: nodes ÷
+	// .bindings), flushed from cursor-local ints (see FlushStats): nodes ÷
 	// bindings is the work the walk spends per explanation instance it
 	// produces (at best the path length + 1, less when one expansion yields
 	// several bindings).
@@ -219,6 +219,10 @@ type Evaluator struct {
 	// memo is the shared instance-binding memo this cursor was cloned with,
 	// if any, and its cursor-local state (see InstanceMemo).
 	memo memoCursor
+
+	// inst is the cursor's query.instances.* counts not yet added to the
+	// engine's counters (see FlushStats).
+	inst instTally
 }
 
 // NewEvaluator creates an evaluator over db, which must contain a table

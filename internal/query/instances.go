@@ -109,9 +109,10 @@ func (ev *Evaluator) rowIDs(logRow int) (patient, user uint32) {
 }
 
 // run enumerates up to limit bindings for the audited row logRow and charges
-// the walk to the cursor and to the engine's query.instances.* counters. It
-// returns the number of bindings found and their rows, len(e.rows) per
-// binding, in the enumerator's scratch: valid until its next run.
+// the walk to the cursor's tally of query.instances.* counts (see
+// FlushStats). It returns the number of bindings found and their rows,
+// len(e.rows) per binding, in the enumerator's scratch: valid until its
+// next run.
 func (e *instEnum) run(ev *Evaluator, logRow, limit int) (n int, flat []int) {
 	patient, user := ev.rowIDs(logRow)
 	e.user, e.limit = user, max(limit, 1)
@@ -123,11 +124,49 @@ func (e *instEnum) run(ev *Evaluator, logRow, limit int) (n int, flat []int) {
 		e.walk(0, 0, patient)
 	}
 	ev.postingsScanned += e.scanned
-	ev.instCalls.Add(1)
-	ev.instNodes.Add(int64(e.nodes))
-	ev.instBindings.Add(int64(e.found))
+	ev.inst.calls++
+	ev.inst.nodes += int64(e.nodes)
+	ev.inst.bindings += int64(e.found)
 	e.nodes, e.scanned = 0, 0
 	return e.found, e.flat
+}
+
+// instTally is a cursor's query.instances.* counts not yet added to the
+// engine's counters, in plain ints: the walk makes no atomic adds on
+// counters other cursors share.
+type instTally struct{ calls, nodes, bindings, memoHits, memoMisses int64 }
+
+// FlushStats adds the cursor's pending query.instances.* counts to the
+// engine's counters. A cursor without an InstanceMemo flushes at the end of
+// each Instances, InstancesDecorated and ExplainedRowsDecoratedRange call
+// itself. A cursor made by CloneWithMemo renders many rows for one owner
+// and holds its counts until the owner calls FlushStats: the whole-log
+// stream does so once per chunk of rows.
+func (ev *Evaluator) FlushStats() {
+	t := &ev.inst
+	if t.calls == 0 { // every memo hit and every walk counts a call
+		return
+	}
+	ev.instCalls.Add(t.calls)
+	ev.instBindings.Add(t.bindings)
+	if t.nodes != 0 {
+		ev.instNodes.Add(t.nodes)
+	}
+	if t.memoHits != 0 {
+		ev.instMemoHits.Add(t.memoHits)
+	}
+	if t.memoMisses != 0 {
+		ev.instMemoMisses.Add(t.memoMisses)
+	}
+	*t = instTally{}
+}
+
+// endCall ends an instance-walk call: a cursor without a memo flushes its
+// counts now (see FlushStats).
+func (ev *Evaluator) endCall() {
+	if ev.memo.m == nil {
+		ev.FlushStats()
+	}
 }
 
 // bindings returns n bindings w rows wide over flat, appended to out; each
@@ -228,6 +267,7 @@ func (ev *Evaluator) Instances(p pathmodel.Path, logRow, limit int) []InstanceBi
 		return ev.memoInstances(e, &p.Conds()[0], logRow, max(limit, 1))
 	}
 	n, flat := e.run(ev, logRow, limit)
+	ev.endCall()
 	return fresh(n, len(e.rows), flat)
 }
 
@@ -325,7 +365,8 @@ func (m *InstanceMemo) table(id *pathmodel.Cond, limit int) []atomic.Uint32 {
 // memoInstances serves Instances for logRow from the memo, walking and
 // publishing the bindings on a miss. A hit is charged to
 // query.instances.calls and .bindings as the walk it stands for would be,
-// but expands no nodes.
+// but expands no nodes. The counts wait in the cursor's tally for its
+// owner's FlushStats.
 func (ev *Evaluator) memoInstances(e *instEnum, id *pathmodel.Cond, logRow, limit int) []InstanceBinding {
 	mc := &ev.memo
 	if e.memo == nil || e.memoLimit != limit {
@@ -335,12 +376,12 @@ func (ev *Evaluator) memoInstances(e *instEnum, id *pathmodel.Cond, logRow, limi
 	ent := &e.memo[mc.m.slot[logRow]]
 	if off := ent.Load(); off != 0 {
 		out := mc.decode(int(off-1), w)
-		ev.instMemoHits.Add(1)
-		ev.instCalls.Add(1)
-		ev.instBindings.Add(int64(len(out)))
+		ev.inst.memoHits++
+		ev.inst.calls++
+		ev.inst.bindings += int64(len(out))
 		return out
 	}
-	ev.instMemoMisses.Add(1)
+	ev.inst.memoMisses++
 	n, flat := e.run(ev, logRow, limit)
 	if off, ok := mc.store(n, flat); ok {
 		ent.Store(uint32(off + 1))

@@ -109,9 +109,9 @@ func TestInstancesMatchReference(t *testing.T) {
 // rebuilt backward) at limits 1 and 3 over every row, concurrently and
 // from staggered starting rows so they race on the same entries, return
 // exactly what a plain cursor and the blind reference return. A second
-// pass is served from the memo alone, and the instance counters count a
-// hit as the walk it stands for: calls and bindings match the plain
-// cursor's, nodes do not grow.
+// pass is served from the memo alone, and once the cursors have flushed,
+// the instance counters count a hit as the walk it stands for: calls and
+// bindings match the plain cursor's, nodes do not grow.
 func TestInstancesMemoMatchesPlain(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		cfg := ehr.Tiny()
@@ -155,6 +155,7 @@ func TestInstancesMemoMatchesPlain(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					defer cur.FlushStats() // a memo cursor holds its counts until its owner flushes
 					for k := 0; k < n; k++ {
 						row := (k + w*n/workers) % n
 						for pi, p := range paths {
