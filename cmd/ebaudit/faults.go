@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/federate"
 )
 
 // installFaults parses the -faults spec and arms the process-wide fault
@@ -36,7 +34,6 @@ func installFaults(spec string, seed int64) error {
 //	error      permanent (non-retryable) injected error
 //	flaky      transient (retryable) injected error
 //	delay=DUR  sleep DUR, then proceed normally
-//	hang       block until the call timeout cuts the attempt
 //	panic      panic with an injected error (contained by the engine)
 //
 // COUNT is how many times the rule fires before healing (0 or omitted =
@@ -65,8 +62,6 @@ func parseFaultRules(spec string) ([]fault.Rule, error) {
 		case kind == "flaky":
 			r.Kind = fault.KindError
 			r.Err = fault.Retryable(errors.New("injected transient fault"))
-		case kind == "hang":
-			r.Kind = fault.KindHang
 		case kind == "panic":
 			r.Kind = fault.KindPanic
 		case strings.HasPrefix(kind, "delay="):
@@ -77,7 +72,7 @@ func parseFaultRules(spec string) ([]fault.Rule, error) {
 			r.Kind = fault.KindDelay
 			r.Delay = d
 		default:
-			return nil, fmt.Errorf("-faults entry %q: unknown kind %q (want error, flaky, delay=DUR, hang, or panic)", entry, kind)
+			return nil, fmt.Errorf("-faults entry %q: unknown kind %q (want error, flaky, delay=DUR, or panic)", entry, kind)
 		}
 		if len(parts) >= 3 {
 			n, err := strconv.Atoi(parts[2])
@@ -96,31 +91,4 @@ func parseFaultRules(spec string) ([]fault.Rule, error) {
 		rules = append(rules, r)
 	}
 	return rules, nil
-}
-
-// reportDegraded surfaces a degraded-mode partial result after a federated
-// audit: a human note on stderr always, plus — in stream mode, where stdout
-// is machine-readable NDJSON — a final trailer object
-// {"degraded":{"missingShards":[...],"rowsSkipped":N}} so consumers can
-// tell a partial stream from a complete one without parsing stderr. A
-// complete result (or strict mode) emits nothing.
-func (a *app) reportDegraded(fed *federate.Federation, stream bool) error {
-	if !fed.DegradedMode() {
-		return nil
-	}
-	d := fed.LastDegraded()
-	if d.IsZero() {
-		return nil
-	}
-	fmt.Fprintf(a.stderr, "ebaudit: DEGRADED result: missing shards [%s], %d rows skipped\n",
-		strings.Join(d.MissingShards, ", "), d.RowsSkipped)
-	if !stream {
-		return nil
-	}
-	if d.MissingShards == nil {
-		d.MissingShards = []string{}
-	}
-	return json.NewEncoder(a.stdout).Encode(struct {
-		Degraded federate.Degraded `json:"degraded"`
-	}{d})
 }

@@ -88,7 +88,9 @@ func TestFollowByteIdentical(t *testing.T) {
 			// in between.
 			lines := bytes.SplitAfter(fullLog, []byte("\n"))
 			partial := bytes.Join(lines[:1+total*95/100], nil)
+			done := make(chan struct{})
 			go func() {
+				defer close(done)
 				for _, content := range [][]byte{partial, fullLog} {
 					time.Sleep(30 * time.Millisecond)
 					tmp := filepath.Join(dir, ".Log.csv.tmp")
@@ -106,6 +108,7 @@ func TestFollowByteIdentical(t *testing.T) {
 			var got, gotErr bytes.Buffer
 			err := run([]string{"-data", dir, "-j", j, "audit", "-follow",
 				"-poll", "5ms", "-follow-rows", fmt.Sprint(total), "-v"}, &got, &gotErr)
+			<-done // the writer reports its own failures before the test can end
 			if err != nil {
 				t.Fatalf("seed %s -j %s audit -follow: %v\nstderr: %s", seed, j, err, gotErr.String())
 			}
@@ -160,7 +163,9 @@ func TestFollowTornRow(t *testing.T) {
 		t.Logf("final field is a single byte; torn tail %q is malformed rather than truncated-valid", tailRow(torn))
 	}
 
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		time.Sleep(30 * time.Millisecond) // let the initial catch-up finish
 		if err := appendFile(logPath, torn); err != nil {
 			t.Errorf("first append: %v", err)
@@ -175,6 +180,7 @@ func TestFollowTornRow(t *testing.T) {
 	var got, gotErr bytes.Buffer
 	err = run([]string{"-data", dir, "audit", "-follow",
 		"-poll", "5ms", "-follow-rows", fmt.Sprint(total)}, &got, &gotErr)
+	<-done
 	if err != nil {
 		t.Fatalf("audit -follow: %v\nstderr: %s", err, gotErr.String())
 	}

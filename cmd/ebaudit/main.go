@@ -70,18 +70,14 @@
 //
 // Resilience: the top-level -faults flag arms deterministic chaos
 // injectors (comma-separated SITE:KIND[:COUNT[:AFTER]] entries; kinds
-// error, flaky, delay=DUR, hang, panic) at the engine's named seams before
+// error, flaky, delay=DUR, panic) at the engine's named seams before
 // anything runs, so store opens and shard calls can be failed on a precise,
 // replayable schedule. Federated audits take -retries N (per-shard-call
-// retry budget with capped-jittered-exponential backoff), -call-timeout D
-// (per-attempt deadline; expiry is retryable, which turns hung shards into
-// retries), and -degraded, which trades strict fail-fast exactness for
-// partial results over the surviving shards — announced on stderr and, in
-// -stream mode, recorded in a final NDJSON trailer object
-// {"degraded":{...}} so downstream consumers can tell a partial stream
-// from a complete one. audit -follow -grace D bounds how long transient
-// -data poll failures (a file renamed away mid-rotation) are retried with
-// backoff before the session ends with the underlying error.
+// retry budget with capped-jittered-exponential backoff); a shard that
+// stays down fails the audit, whose output up to then is a clean prefix of
+// the complete one. audit -follow -grace D bounds how long transient -data
+// poll failures (a file renamed away mid-rotation) are retried with backoff
+// before the session ends with the underlying error.
 package main
 
 import (
@@ -144,7 +140,7 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 	dataDir := fs.String("data", "", "load tables from a directory of typed CSVs (see 'ebaudit export') instead of generating; a comma-separated list federates one shard per directory")
 	storeDir := fs.String("store", "", "open (or create from -data / the generated dataset) a binary segment store; restarts resume warm from its snapshot; a comma-separated list federates one shard per store")
 	metricsAddr := fs.String("metrics-addr", "", "serve live observability on this address for the life of the process: /metrics (Prometheus text), /debug/vars (JSON), /debug/pprof/*")
-	faultSpec := fs.String("faults", "", "arm deterministic fault injectors: comma-separated SITE:KIND[:COUNT[:AFTER]] entries with KIND error|flaky|delay=DUR|hang|panic; SITE may end in * (chaos testing; see internal/fault)")
+	faultSpec := fs.String("faults", "", "arm deterministic fault injectors: comma-separated SITE:KIND[:COUNT[:AFTER]] entries with KIND error|flaky|delay=DUR|panic; SITE may end in * (chaos testing; see internal/fault)")
 	if err := fs.Parse(argv); err != nil {
 		return errUsage
 	}
@@ -258,8 +254,8 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, "usage: ebaudit [-scale S] [-seed N] [-j W] [-data DIR[,DIR...]] [-store DIR[,DIR...]] [-metrics-addr ADDR] [-faults SPEC] <summary|patient|audit|mine|unexplained|groups|templates|export> [args]")
 	fmt.Fprintln(w, "  audit flags: -n N (unexplained sample size), -v (engine internals + metrics dump), -stream (NDJSON reports in log order, bounded memory), -shards K (federated shard-parallel audit), -follow (poll -data for appended rows, incremental refresh; with -poll D, -follow-rows N, -grace D), -trace FILE (NDJSON observability spans), -explain (per-template plan + per-op execution report)")
-	fmt.Fprintln(w, "  audit resilience (federated): -retries N (per-shard-call retry budget), -call-timeout D (per-attempt deadline), -degraded (partial results over surviving shards, with stderr note + NDJSON trailer in -stream mode)")
-	fmt.Fprintln(w, "  -faults arms deterministic chaos injectors: SITE:KIND[:COUNT[:AFTER]],... with KIND error|flaky|delay=DUR|hang|panic")
+	fmt.Fprintln(w, "  audit resilience (federated): -retries N (per-shard-call retry budget); a shard that stays down fails the audit")
+	fmt.Fprintln(w, "  -faults arms deterministic chaos injectors: SITE:KIND[:COUNT[:AFTER]],... with KIND error|flaky|delay=DUR|panic")
 	fmt.Fprintln(w, "  export flags: -dir DIR, -format csv|store")
 	fmt.Fprintln(w, "  -metrics-addr serves /metrics (Prometheus), /debug/vars (JSON), /debug/pprof for the life of the process")
 }
@@ -268,8 +264,8 @@ func usage(w io.Writer) {
 // core.Auditor, or a federate.Federation — K row ranges of one engine
 // (-shards K), or one engine per -data/-store shard, over the logical merged
 // log. Both answer identically for the same log, so only genuinely
-// topology-specific code asks which one it holds: resilience flags, the
-// degraded trailer and per-shard stats (federated only); -follow, -explain,
+// topology-specific code asks which one it holds: -retries and per-shard
+// stats (federated only); -follow, -explain,
 // export and the warm-state save (single engine only).
 type engine interface {
 	Summary() string
@@ -602,9 +598,7 @@ func (a *app) audit(args []string) error {
 	followRows := fs.Int("follow-rows", 0, "follow mode: exit once this many rows have been audited (0 = run until interrupted)")
 	tracePath := fs.String("trace", "", "write the audit's observability spans to FILE as NDJSON (one span per line)")
 	explainPlans := fs.Bool("explain", false, "after auditing, print each template's plan decisions and per-op execution counters (single engine only)")
-	degraded := fs.Bool("degraded", false, "federated audits: return partial results over surviving shards when a shard is down, with a stderr note and (in -stream mode) an NDJSON trailer recording what is missing; default strict mode fails fast")
 	retries := fs.Int("retries", 0, "federated audits: per-shard-call retry budget beyond the first attempt (capped-jittered-exponential backoff between attempts)")
-	callTimeout := fs.Duration("call-timeout", 0, "federated audits: deadline per shard-call attempt (0 = none); expiry counts as a retryable failure")
 	grace := fs.Duration("grace", 30*time.Second, "follow mode: keep retrying failed -data polls with backoff for this window before giving up")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -618,9 +612,6 @@ func (a *app) audit(args []string) error {
 	if *retries < 0 {
 		return fmt.Errorf("audit -retries must be >= 0, got %d", *retries)
 	}
-	if *callTimeout < 0 {
-		return fmt.Errorf("audit -call-timeout must be >= 0, got %v", *callTimeout)
-	}
 	if *grace <= 0 {
 		return fmt.Errorf("audit -grace must be positive, got %v", *grace)
 	}
@@ -630,13 +621,13 @@ func (a *app) audit(args []string) error {
 	// fed is the federation the audit runs on, nil for a single engine.
 	eng := a.eng
 	fed, _ := eng.(*federate.Federation)
-	shardsSet, resilienceSet := false, false
+	shardsSet, retriesSet := false, false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "shards":
 			shardsSet = true
-		case "degraded", "retries", "call-timeout":
-			resilienceSet = true
+		case "retries":
+			retriesSet = true
 		}
 	})
 	if shardsSet {
@@ -653,13 +644,9 @@ func (a *app) audit(args []string) error {
 		eng = fed
 	}
 	if fed != nil {
-		pol := fed.Policy()
-		pol.CallTimeout = *callTimeout
-		pol.Retry.MaxAttempts = *retries + 1
-		fed.SetPolicy(pol)
-		fed.SetDegradedMode(*degraded)
-	} else if resilienceSet {
-		return errors.New("audit -degraded/-retries/-call-timeout require a federated audit (-shards K, or a multi-directory -data/-store list)")
+		fed.SetRetries(*retries)
+	} else if retriesSet {
+		return errors.New("audit -retries requires a federated audit (-shards K, or a multi-directory -data/-store list)")
 	}
 	if *follow {
 		switch {
@@ -730,7 +717,7 @@ func (a *app) audit(args []string) error {
 // summary and a sample of up to n of them go to stdout. The same code
 // serves a single engine and a federation: K=1 and K>1 streams are
 // byte-identical, and only the topology-specific tail differs — a single
-// engine saves its warm state, a federation reports degraded results.
+// engine saves its warm state.
 func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, verbose, stream bool) error {
 	ctx := context.Background()
 	human := a.stdout
@@ -788,10 +775,10 @@ func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, ve
 		}
 		fmt.Fprintf(human, "  L%-6d %s  %-22s -> %s\n", r.Lid, r.Date, r.UserName, a.namer().PatientName(r.Patient))
 	}
-	if fed != nil {
-		return a.reportDegraded(fed, stream)
+	if fed == nil {
+		return a.saveWarmState()
 	}
-	return a.saveWarmState()
+	return nil
 }
 
 // printStats reports the query-engine internals: plan-cache hit/miss

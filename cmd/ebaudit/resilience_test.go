@@ -62,13 +62,12 @@ func TestCLIFaultsRetryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCLIDegradedStream pins the degraded-mode CLI contract: with one shard
-// permanently down, audit -stream -degraded exits 0 and emits exactly the
-// surviving shard's reports — a byte-prefix of the single-engine stream,
-// because the log was split at a time cut — followed by the machine-readable
-// NDJSON trailer, with a DEGRADED note on stderr. Without -degraded the same
-// fault is a strict-mode failure with nonzero exit.
-func TestCLIDegradedStream(t *testing.T) {
+// TestCLIShardDownFailsStream pins strict federation at the CLI: with one
+// shard permanently down, audit -stream exits with a shard-down error, and
+// what it wrote to stdout is exactly the reports of the shard before it —
+// a byte prefix of the single-engine stream, because the log was split at a
+// time cut. A federation never answers over only part of its shards.
+func TestCLIShardDownFailsStream(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
@@ -81,25 +80,6 @@ func TestCLIDegradedStream(t *testing.T) {
 	}
 	dirA, dirB := splitExportedLog(t, dir, 0.4)
 	rowsA, rowsB := countLogRows(t, dirA), countLogRows(t, dirB)
-
-	// Strict mode first: the permanent fault must abort the audit.
-	var strictOut, strictErr bytes.Buffer
-	err := run([]string{"-data", dirA + "," + dirB,
-		"-faults", "federate.west.*:error",
-		"audit", "-stream"}, &strictOut, &strictErr)
-	if err == nil || !strings.Contains(err.Error(), "shard down") {
-		t.Fatalf("strict mode with a downed shard: err = %v, want shard-down failure", err)
-	}
-	fault.Reset()
-
-	// Degraded mode: the surviving east shard's reports plus the trailer.
-	var got, gotErr bytes.Buffer
-	err = run([]string{"-data", dirA + "," + dirB,
-		"-faults", "federate.west.*:error",
-		"audit", "-stream", "-degraded"}, &got, &gotErr)
-	if err != nil {
-		t.Fatalf("degraded federated stream: %v\nstderr: %s", err, gotErr.String())
-	}
 	wantLines := strings.SplitAfter(want.String(), "\n")
 	if wantLines[len(wantLines)-1] == "" {
 		wantLines = wantLines[:len(wantLines)-1]
@@ -107,34 +87,16 @@ func TestCLIDegradedStream(t *testing.T) {
 	if len(wantLines) != rowsA+rowsB {
 		t.Fatalf("reference stream has %d lines, want %d", len(wantLines), rowsA+rowsB)
 	}
-	trailer := fmt.Sprintf("{\"degraded\":{\"missingShards\":[\"west\"],\"rowsSkipped\":%d}}\n", rowsB)
-	wantDeg := strings.Join(wantLines[:rowsA], "") + trailer
-	if got.String() != wantDeg {
-		t.Errorf("degraded stream != surviving-shard prefix + trailer (%d vs %d bytes)",
-			got.Len(), len(wantDeg))
-	}
-	if !strings.Contains(gotErr.String(), "DEGRADED result: missing shards [west]") {
-		t.Errorf("stderr missing the degraded note:\n%s", gotErr.String())
-	}
 
-	// The materialized mode surfaces the same note without a trailer on
-	// stdout (stdout is the human report there).
-	fault.Reset()
-	var matOut, matErr bytes.Buffer
-	err = run([]string{"-data", dirA + "," + dirB,
+	var got, gotErr bytes.Buffer
+	err := run([]string{"-data", dirA + "," + dirB,
 		"-faults", "federate.west.*:error",
-		"audit", "-degraded"}, &matOut, &matErr)
-	if err != nil {
-		t.Fatalf("degraded materialized audit: %v\nstderr: %s", err, matErr.String())
+		"audit", "-stream"}, &got, &gotErr)
+	if err == nil || !strings.Contains(err.Error(), "shard down") {
+		t.Fatalf("stream with a downed shard: err = %v, want shard-down failure", err)
 	}
-	if !strings.Contains(matOut.String(), fmt.Sprintf("federated batch-audited %d accesses", rowsA)) {
-		t.Errorf("materialized degraded audit did not report %d surviving accesses:\n%s", rowsA, matOut.String())
-	}
-	if !strings.Contains(matErr.String(), "DEGRADED result") {
-		t.Errorf("materialized stderr missing the degraded note:\n%s", matErr.String())
-	}
-	if strings.Contains(matOut.String(), "\"degraded\"") {
-		t.Error("materialized mode must not emit the NDJSON trailer")
+	if got.String() != strings.Join(wantLines[:rowsA], "") {
+		t.Errorf("stdout (%d bytes) is not exactly the east shard's %d lines of the single-engine stream", got.Len(), rowsA)
 	}
 }
 
@@ -171,8 +133,9 @@ func TestFailedStreamLeavesWholeLines(t *testing.T) {
 	}
 }
 
-// TestCLIResilienceValidation pins the flag surface: resilience flags
-// require a federation, bounds are checked, and malformed -faults specs are
+// TestCLIResilienceValidation pins the flag surface: -retries requires a
+// federation and is bounds-checked, -degraded and -call-timeout are not
+// audit flags and hang is not a fault kind, and malformed -faults specs are
 // rejected with pointable diagnostics.
 func TestCLIResilienceValidation(t *testing.T) {
 	t.Cleanup(fault.Reset)
@@ -185,14 +148,14 @@ func TestCLIResilienceValidation(t *testing.T) {
 		argv []string
 		want string
 	}{
-		{[]string{"-data", dir, "audit", "-degraded"}, "require a federated audit"},
-		{[]string{"-data", dir, "audit", "-retries", "2"}, "require a federated audit"},
-		{[]string{"-data", dir, "audit", "-call-timeout", "1s"}, "require a federated audit"},
+		{[]string{"-data", dir, "audit", "-retries", "2"}, "requires a federated audit"},
 		{[]string{"audit", "-retries", "-1"}, "-retries must be >= 0"},
-		{[]string{"audit", "-call-timeout", "-1s"}, "-call-timeout must be >= 0"},
+		{[]string{"audit", "-shards", "2", "-degraded"}, "flag provided but not defined: -degraded"},
+		{[]string{"audit", "-shards", "2", "-call-timeout", "1s"}, "flag provided but not defined: -call-timeout"},
 		{[]string{"audit", "-grace", "0s"}, "-grace must be positive"},
 		{[]string{"-faults", "noseam", "summary"}, "want SITE:KIND"},
 		{[]string{"-faults", "a.b:bogus", "summary"}, "unknown kind"},
+		{[]string{"-faults", "a.b:hang", "summary"}, "unknown kind"},
 		{[]string{"-faults", "a.b:delay=xyz", "summary"}, "bad delay"},
 		{[]string{"-faults", "a.b:error:x", "summary"}, "bad count"},
 		{[]string{"-faults", "a.b:error:1:y", "summary"}, "bad after"},
@@ -233,20 +196,27 @@ func TestFollowGraceRecovers(t *testing.T) {
 	// The outage is sequenced off follow's own stderr, not wall-clock
 	// sleeps: rename the log away once the catch-up banner confirms polling
 	// has started, and bring it back (grown to the full log) only after a
-	// retried poll error proves the outage was observed.
+	// retried poll error proves the outage was observed. A session that
+	// ends first closes quit, so the writer is always joined.
 	followCh := make(chan struct{})
 	retryCh := make(chan struct{})
 	gotErr := &markerWriter{markers: map[string]chan struct{}{
 		"following ":      followCh,
 		"retrying within": retryCh,
 	}}
+	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		<-followCh
+		defer close(done)
+		if !awaitMarker(followCh, quit) {
+			return
+		}
 		if err := os.Rename(logPath, awayPath); err != nil {
 			t.Errorf("renaming log away: %v", err)
 			return
 		}
-		<-retryCh
+		if !awaitMarker(retryCh, quit) {
+			return
+		}
 		tmp := filepath.Join(dir, ".Log.csv.tmp")
 		if err := os.WriteFile(tmp, fullLog, 0o644); err != nil {
 			t.Errorf("writing grown log: %v", err)
@@ -260,6 +230,8 @@ func TestFollowGraceRecovers(t *testing.T) {
 	var got bytes.Buffer
 	err := run([]string{"-data", dir, "audit", "-follow",
 		"-poll", "5ms", "-grace", "10s", "-follow-rows", fmt.Sprint(total)}, &got, gotErr)
+	close(quit)
+	<-done
 	if err != nil {
 		t.Fatalf("audit -follow: %v\nstderr: %s", err, gotErr.String())
 	}
@@ -303,6 +275,18 @@ func (w *markerWriter) String() string {
 	return w.buf.String()
 }
 
+// awaitMarker waits for a marker channel and reports whether it closed
+// before quit did: a writer goroutine gives up on a session that has
+// already ended.
+func awaitMarker(marker, quit <-chan struct{}) bool {
+	select {
+	case <-marker:
+		return true
+	case <-quit:
+		return false
+	}
+}
+
 // TestFollowGraceExpires is the bound on the bound: a poll failure that
 // never heals must end the session with the underlying error once the grace
 // window is spent, not retry forever.
@@ -317,8 +301,12 @@ func TestFollowGraceExpires(t *testing.T) {
 
 	followCh := make(chan struct{})
 	gotErr := &markerWriter{markers: map[string]chan struct{}{"following ": followCh}}
+	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		<-followCh
+		defer close(done)
+		if !awaitMarker(followCh, quit) {
+			return
+		}
 		if err := os.Rename(logPath, logPath+".gone"); err != nil {
 			t.Errorf("renaming log away: %v", err)
 		}
@@ -328,6 +316,8 @@ func TestFollowGraceExpires(t *testing.T) {
 	start := time.Now()
 	err := run([]string{"-data", dir, "audit", "-follow",
 		"-poll", "5ms", "-grace", "75ms", "-follow-rows", fmt.Sprint(total)}, &got, gotErr)
+	close(quit)
+	<-done
 	if err == nil || !strings.Contains(err.Error(), "follow poll failing") {
 		t.Fatalf("follow with a permanent outage: err = %v, want grace-window failure", err)
 	}

@@ -110,7 +110,9 @@ func TestStoreFollowPersistsRows(t *testing.T) {
 	dir, fullLog, total := truncatedExport(t, exportDir, 0.9)
 	storeDir := filepath.Join(t.TempDir(), "store")
 
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		time.Sleep(30 * time.Millisecond)
 		tmp := filepath.Join(dir, ".Log.csv.tmp")
 		if err := os.WriteFile(tmp, fullLog, 0o644); err != nil {
@@ -125,6 +127,7 @@ func TestStoreFollowPersistsRows(t *testing.T) {
 	var follow, followErr bytes.Buffer
 	err := run([]string{"-data", dir, "-store", storeDir, "audit", "-follow",
 		"-poll", "5ms", "-follow-rows", fmt.Sprint(total)}, &follow, &followErr)
+	<-done
 	if err != nil {
 		t.Fatalf("audit -follow: %v\nstderr: %s", err, followErr.String())
 	}

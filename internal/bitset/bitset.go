@@ -97,19 +97,6 @@ func (b *Bits) Or(o *Bits) {
 	}
 }
 
-// AndNot clears every bit of b that is set in o: b &^= o. Bits of o beyond
-// b's length are ignored; bits of b beyond o's length are unchanged.
-func (b *Bits) AndNot(o *Bits) {
-	words := b.words
-	if len(o.words) < len(words) {
-		words = words[:len(o.words)]
-	}
-	for i := range words {
-		words[i] &^= o.words[i]
-	}
-	b.clearTail()
-}
-
 // Count returns the number of set bits (population count, word at a time).
 func (b *Bits) Count() int {
 	n := 0
@@ -166,6 +153,10 @@ func FromBools(vals []bool) *Bits {
 // is far above any log the engine can hold in memory anyway.
 const maxSerializedBits = 1 << 30
 
+// readChunkWords is how many words ReadFrom reads at a time (512 KiB): a
+// mask of up to 4M bits is read in one piece.
+const readChunkWords = 1 << 16
+
 // WriteTo serializes the bitset: a uvarint bit length followed by the
 // packed words in little-endian order. The format is the storage layer's
 // warm-start mask encoding; ReadFrom restores it exactly. It implements
@@ -201,15 +192,22 @@ func (b *Bits) ReadFrom(r io.Reader) (int64, error) {
 	if n > maxSerializedBits {
 		return br.count, fmt.Errorf("bitset: declared length %d exceeds limit", n)
 	}
-	words := make([]uint64, wordsFor(int(n)))
-	buf := make([]byte, 8*len(words))
-	read, err := io.ReadFull(r, buf)
-	total := br.count + int64(read)
-	if err != nil {
-		return total, fmt.Errorf("bitset: reading %d words: %w", len(words), err)
-	}
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(buf[8*i:])
+	// The words are read a bounded chunk at a time, so a corrupt length
+	// cannot allocate more than the stream actually holds.
+	nw := wordsFor(int(n))
+	words := make([]uint64, 0, min(nw, readChunkWords))
+	buf := make([]byte, 8*min(nw, readChunkWords))
+	total := br.count
+	for len(words) < nw {
+		k := min(nw-len(words), readChunkWords)
+		read, err := io.ReadFull(r, buf[:8*k])
+		total += int64(read)
+		if err != nil {
+			return total, fmt.Errorf("bitset: reading %d words: %w", nw, err)
+		}
+		for i := 0; i < k; i++ {
+			words = append(words, binary.LittleEndian.Uint64(buf[8*i:]))
+		}
 	}
 	b.n = int(n)
 	b.words = words

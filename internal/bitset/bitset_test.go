@@ -42,16 +42,6 @@ func (r boolRef) or(o boolRef) boolRef {
 	return out
 }
 
-func (r boolRef) andNot(o boolRef) boolRef {
-	out := append(boolRef(nil), r...)
-	for i := range out {
-		if i < len(o) && o[i] {
-			out[i] = false
-		}
-	}
-	return out
-}
-
 func (r boolRef) count() int {
 	n := 0
 	for _, v := range r {
@@ -91,7 +81,7 @@ func checkEqual(t *testing.T, op string, b *Bits, ref boolRef) {
 	}
 }
 
-// TestBitsProperty drives random sequences of Or, AndNot, Grow, Set, and
+// TestBitsProperty drives random sequences of Or, Grow, Set, and
 // SetBools — including ragged operand lengths spanning word boundaries —
 // against the []bool reference model.
 func TestBitsProperty(t *testing.T) {
@@ -107,30 +97,26 @@ func TestBitsProperty(t *testing.T) {
 			// longer than the current bitset, crossing word boundaries.
 			m := rng.Intn(300)
 			other := boolRef(randBools(rng, m))
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
 				b.Or(FromBools(other))
 				ref = ref.or(other)
 				checkEqual(t, "Or", b, ref)
 			case 1:
-				b.AndNot(FromBools(other))
-				ref = ref.andNot(other)
-				checkEqual(t, "AndNot", b, ref)
-			case 2:
 				grown := len(ref) + rng.Intn(130)
 				b.Grow(grown)
 				for len(ref) < grown {
 					ref = append(ref, false)
 				}
 				checkEqual(t, "Grow", b, ref)
-			case 3:
+			case 2:
 				if len(ref) > 0 {
 					i := rng.Intn(len(ref))
 					b.Set(i)
 					ref[i] = true
 					checkEqual(t, "Set", b, ref)
 				}
-			case 4:
+			case 3:
 				if len(ref) > 0 {
 					off := rng.Intn(len(ref))
 					vals := randBools(rng, rng.Intn(len(ref)-off+1))

@@ -116,7 +116,7 @@ type maskTask struct {
 // work for a mask both find stale, but they converge on identical values,
 // so the cache stays consistent.
 func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.Bits, error) {
-	// Chaos seam: lets the fault framework fail, stall, or hang mask
+	// Chaos seam: lets the fault framework fail, stall, or panic mask
 	// computation as a whole, the way a sick shard's evaluator would.
 	if fault.Enabled() {
 		if err := fault.InjectCtx(ctx, "core.mask.ensure"); err != nil {

@@ -61,8 +61,8 @@ import (
 // workload uses every worker), and guard the shared template-mask cache with
 // a mutex. The per-worker cursors share the query engine's compiled-plan
 // cache, so a template's path is compiled once no matter how many workers
-// evaluate its shards. The point methods (ExplainRow, PatientReport, Support
-// and their Range forms) bring masks up to date through the same path but
+// evaluate its shards. The point methods (ExplainRow, PatientReport and its
+// Range form) bring masks up to date through the same path but
 // render on the auditor's own cursor, so they must not run concurrently with
 // anything else on the same Auditor.
 type Auditor struct {
@@ -525,7 +525,7 @@ func (a *Auditor) PatientReportRange(patient relation.Value, maxPerTemplate, lo,
 	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
 		return nil, err
 	}
-	rows := PatientRows(a.ev.Log(), patient, lo, hi)
+	rows := patientRows(a.ev.Log(), patient, lo, hi)
 	out := make([]AccessReport, 0, len(rows))
 	if len(rows) == 0 {
 		return out, nil
@@ -540,29 +540,11 @@ func (a *Auditor) PatientReportRange(patient relation.Value, maxPerTemplate, lo,
 	return out, nil
 }
 
-// PatientRows returns the rows of log in [lo, hi) that access patient,
+// patientRows returns the rows of log in [lo, hi) that access patient,
 // ascending, as a subslice of the log's per-patient index.
-func PatientRows(log *relation.Table, patient relation.Value, lo, hi int) []int {
+func patientRows(log *relation.Table, patient relation.Value, lo, hi int) []int {
 	rows := log.Index(pathmodel.LogPatientColumn)[patient]
 	return rows[sort.SearchInts(rows, lo):sort.SearchInts(rows, hi)]
-}
-
-// Support returns the number of audited log rows path p connects — its
-// support (§3.1) — through the engine's compiled-plan cache. Like the other
-// point methods it runs on the auditor's own cursor.
-func (a *Auditor) Support(ctx context.Context, p pathmodel.Path) (int, error) {
-	return a.SupportRange(ctx, p, 0, a.ev.Log().NumRows())
-}
-
-// SupportRange is Support counted over the audited rows [lo, hi).
-func (a *Auditor) SupportRange(ctx context.Context, p pathmodel.Path, lo, hi int) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
-		return 0, err
-	}
-	return a.ev.Prepare(p).SupportRange(lo, hi), nil
 }
 
 // PlanCacheStats returns the query engine's plan-cache counters with the

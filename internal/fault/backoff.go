@@ -2,7 +2,6 @@ package fault
 
 import (
 	"context"
-	"fmt"
 	"time"
 )
 
@@ -77,34 +76,4 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Retry runs op up to attempts times (a non-positive budget means one
-// attempt). A nil or non-retryable result returns immediately; a
-// retryable one waits one Backoff delay — aborting promptly if ctx is
-// cancelled mid-backoff — and tries again. The total number of op calls
-// never exceeds attempts. On a cancelled backoff the returned error
-// carries both the last attempt's error and the context error, so
-// errors.Is finds either.
-func Retry(ctx context.Context, attempts int, b *Backoff, op func(attempt int) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err == nil {
-				return cerr
-			}
-			return fmt.Errorf("%w; retry aborted: %w", err, cerr)
-		}
-		err = op(i)
-		if err == nil || !IsRetryable(err) || i == attempts-1 {
-			return err
-		}
-		if serr := SleepCtx(ctx, b.Next()); serr != nil {
-			return fmt.Errorf("%w; retry aborted: %w", err, serr)
-		}
-	}
-	return err
 }

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -65,91 +63,5 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 	if !differs {
 		t.Error("seeds 42 and 43 produced identical 32-delay sequences")
-	}
-}
-
-// TestRetryBudget pins the attempt accounting: a permanently retryable op
-// is tried exactly `attempts` times, a non-retryable one exactly once,
-// and a success stops the loop immediately.
-func TestRetryBudget(t *testing.T) {
-	ctx := context.Background()
-	fast := func() *Backoff { return &Backoff{Base: time.Microsecond, Cap: 10 * time.Microsecond} }
-
-	calls := 0
-	err := Retry(ctx, 5, fast(), func(int) error { calls++; return Retryable(errors.New("flaky")) })
-	if calls != 5 {
-		t.Errorf("retryable op called %d times, want 5 (budget)", calls)
-	}
-	if !IsRetryable(err) {
-		t.Errorf("exhausted retry lost the last error: %v", err)
-	}
-
-	calls = 0
-	perm := errors.New("permanent")
-	if err := Retry(ctx, 5, fast(), func(int) error { calls++; return perm }); !errors.Is(err, perm) || calls != 1 {
-		t.Errorf("non-retryable op: calls=%d err=%v, want 1 call returning the error", calls, err)
-	}
-
-	calls = 0
-	if err := Retry(ctx, 5, fast(), func(int) error { calls++; return nil }); err != nil || calls != 1 {
-		t.Errorf("successful op: calls=%d err=%v, want 1 call and nil", calls, err)
-	}
-
-	calls = 0
-	attempts := []int{}
-	err = Retry(ctx, 3, fast(), func(a int) error {
-		calls++
-		attempts = append(attempts, a)
-		if a < 2 {
-			return Retryable(errors.New("warming up"))
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Errorf("heal-on-third: calls=%d err=%v", calls, err)
-	}
-	for i, a := range attempts {
-		if a != i {
-			t.Errorf("attempt numbering: op saw %v", attempts)
-			break
-		}
-	}
-}
-
-// TestRetryCancelledMidBackoff pins prompt abort: with a multi-second
-// backoff pending, cancelling the context returns well before the delay
-// elapses, and the error carries both the last attempt's failure and the
-// cancellation.
-func TestRetryCancelledMidBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	flaky := Retryable(errors.New("flaky"))
-	b := &Backoff{Base: 10 * time.Second, Cap: 10 * time.Second}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	err := Retry(ctx, 3, b, func(int) error { return flaky })
-	elapsed := time.Since(start)
-	if elapsed > 2*time.Second {
-		t.Fatalf("retry loop slept %v through a cancellation; want prompt abort", elapsed)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("aborted retry error %v does not match context.Canceled", err)
-	}
-	if !errors.Is(err, flaky) {
-		t.Errorf("aborted retry error %v lost the last attempt's failure", err)
-	}
-}
-
-// TestRetryCancelledBeforeStart pins that an already-cancelled context
-// never runs the op.
-func TestRetryCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := Retry(ctx, 3, &Backoff{}, func(int) error { calls++; return nil })
-	if calls != 0 || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled-before-start: calls=%d err=%v", calls, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package fault is a zero-dependency, deterministic fault-injection
 // framework: named seams in the engine ("injection sites") consult a
 // registry of rules before doing real work, and a rule that matches the
-// site can return an error, sleep, hang, or panic on a precise activation
+// site can return an error, sleep, or panic on a precise activation
 // schedule ("skip the first After matched calls, then fire Count times,
 // then heal"). Everything is seeded and counter-driven, so a chaos test
 // replays the exact same fault sequence on every run — which is what lets
@@ -9,10 +9,10 @@
 // pipeline with retries enabled.
 //
 // The package also owns the resilience vocabulary the rest of the engine
-// shares: the ErrInjected/ErrTimeout sentinels, the Retryable marker and
-// the IsRetryable predicate that retry loops use to separate transient
-// faults (worth a backoff and another attempt) from permanent ones, and
-// the capped-jittered-exponential Backoff/Retry helpers (backoff.go).
+// shares: the ErrInjected sentinel, the Retryable marker and the
+// IsRetryable predicate that retry loops use to separate transient faults
+// (worth a backoff and another attempt) from permanent ones, and the
+// capped-jittered-exponential Backoff (backoff.go).
 //
 // The no-fault fast path is one atomic load: a disabled registry makes
 // Inject return nil before touching any rule state, so seams stay
@@ -38,10 +38,6 @@ const (
 	// KindDelay makes Inject sleep for the rule's Delay (bounded by the
 	// context), then proceed normally.
 	KindDelay
-	// KindHang makes Inject block until the context is done or the
-	// registry is Reset — the stand-in for a shard that stops responding,
-	// which only a call timeout can turn back into an error.
-	KindHang
 	// KindPanic makes Inject panic with the rule's error (or a default
 	// injected error), exercising panic-containment seams.
 	KindPanic
@@ -54,8 +50,6 @@ func (k Kind) String() string {
 		return "error"
 	case KindDelay:
 		return "delay"
-	case KindHang:
-		return "hang"
 	case KindPanic:
 		return "panic"
 	default:
@@ -120,24 +114,19 @@ func (ar *activeRule) flip() float64 {
 }
 
 // Registry holds installed rules and the enabled flag seams consult.
-// Installing any rule enables the registry; Reset disables it, removes
-// every rule, and releases any goroutine blocked in a KindHang injection.
-// All methods are safe for concurrent use.
+// Installing any rule enables the registry; Reset disables it and removes
+// every rule. All methods are safe for concurrent use.
 type Registry struct {
 	enabled  atomic.Bool
 	injected atomic.Int64
 
 	mu    sync.Mutex
 	rules atomic.Pointer[[]*activeRule]
-	heal  chan struct{}
 	seed  uint64
 }
 
 // NewRegistry returns an empty, disabled registry.
-func NewRegistry() *Registry {
-	r := &Registry{heal: make(chan struct{})}
-	return r
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // Default is the process-wide registry the engine's built-in seams use,
 // mirroring obs.Default. Tests that install rules into it must Reset it
@@ -176,24 +165,13 @@ func (r *Registry) Install(rules ...Rule) {
 	r.enabled.Store(len(next) > 0)
 }
 
-// Reset removes every rule, disables the registry, and releases any
-// injection currently blocked in a hang.
+// Reset removes every rule and disables the registry.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.enabled.Store(false)
 	r.rules.Store(nil)
 	r.injected.Store(0)
-	close(r.heal)
-	r.heal = make(chan struct{})
 	r.mu.Unlock()
-}
-
-// healCh returns the channel closed by the next Reset.
-func (r *Registry) healCh() <-chan struct{} {
-	r.mu.Lock()
-	ch := r.heal
-	r.mu.Unlock()
-	return ch
 }
 
 // Enabled reports whether any rule is installed — the one-atomic-load
@@ -206,8 +184,7 @@ func (r *Registry) Injected() int64 { return r.injected.Load() }
 
 // Inject is the seam entry point: it evaluates the installed rules
 // against site in install order and applies the first rule that fires.
-// With no context available use context.Background(); a hang then blocks
-// until the registry is Reset.
+// With no context available use context.Background().
 func (r *Registry) Inject(ctx context.Context, site string) error {
 	if !r.enabled.Load() {
 		return nil
@@ -238,13 +215,6 @@ func (r *Registry) Inject(ctx context.Context, site string) error {
 				return &InjectedError{Site: site, Err: err}
 			}
 			return nil
-		case KindHang:
-			select {
-			case <-ctx.Done():
-				return &InjectedError{Site: site, Err: ctx.Err()}
-			case <-r.healCh():
-				return nil
-			}
 		case KindPanic:
 			panic(&InjectedError{Site: site, Err: ar.err()})
 		default: // KindError
@@ -265,8 +235,7 @@ func (ar *activeRule) err() error {
 // Enabled reports whether the Default registry has rules installed.
 func Enabled() bool { return Default.Enabled() }
 
-// Inject runs the Default registry's injectors at site with no context;
-// hangs block until Reset.
+// Inject runs the Default registry's injectors at site with no context.
 func Inject(site string) error { return Default.Inject(context.Background(), site) }
 
 // InjectCtx runs the Default registry's injectors at site under ctx.
@@ -282,12 +251,6 @@ func Reset() { Default.Reset() }
 // letting tests and containment seams tell injected failures from real
 // ones.
 var ErrInjected = errors.New("fault: injected")
-
-// ErrTimeout is the sentinel for a call that exceeded its deadline; it is
-// always retryable. Resilience layers wrap a per-attempt
-// context.DeadlineExceeded into it so callers can errors.Is against one
-// name.
-var ErrTimeout = errors.New("fault: call timed out")
 
 // InjectedError is the concrete error (and panic value) produced by an
 // injection, carrying the site for attribution. It matches ErrInjected
@@ -337,24 +300,14 @@ func Retryable(err error) error {
 }
 
 // IsRetryable is the retryability predicate resilience loops share: true
-// for errors marked with Retryable, for ErrTimeout, and for per-attempt
-// deadline expiry — and always false once the caller's own context is
-// cancelled, so cancellation is never retried.
+// for errors marked with Retryable — and always false once the caller's own
+// context is cancelled, so cancellation is never retried.
 func IsRetryable(err error) bool {
-	if err == nil {
+	if err == nil || errors.Is(err, context.Canceled) {
 		return false
-	}
-	if errors.Is(err, context.Canceled) {
-		return false
-	}
-	if errors.Is(err, ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
-		return true
 	}
 	var m interface{ FaultRetryable() bool }
-	if errors.As(err, &m) {
-		return m.FaultRetryable()
-	}
-	return false
+	return errors.As(err, &m) && m.FaultRetryable()
 }
 
 // Transient returns a rule that fails site's first n matched calls with a

@@ -10,25 +10,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/explain"
 	"repro/internal/fault"
 	"repro/internal/federate"
-	"repro/internal/query"
 )
 
-// chaosPolicy is the retry policy the chaos suite runs under: enough
-// attempts to outlast every transient schedule below, with millisecond
-// backoffs so the suite stays fast.
-func chaosPolicy(seed int64) federate.Policy {
-	return federate.Policy{
-		Retry: federate.RetryPolicy{
-			MaxAttempts: 5,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    4 * time.Millisecond,
-			Seed:        uint64(seed),
-		},
-	}
-}
+// chaosRetries is the retry budget the chaos suite runs under: enough
+// attempts to outlast every transient schedule below.
+const chaosRetries = 4
 
 // assertReportsEqual compares two report slices field for field.
 func assertReportsEqual(t *testing.T, label string, got, want []core.AccessReport) {
@@ -48,8 +36,8 @@ func assertReportsEqual(t *testing.T, label string, got, want []core.AccessRepor
 // panic, and delay injectors armed at the stream, per-row, and mask seams
 // on transient schedules, a federation with retries enabled must produce
 // reports byte-identical to the unfaulted single engine — and the
-// aggregate surfaces (unexplained rows, explained fraction, support) must
-// agree exactly as well, with their own seams injected.
+// aggregate surfaces (unexplained rows, explained fraction) must agree
+// exactly as well, with their own seam injected.
 func TestChaosTransientByteIdentical(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
@@ -64,7 +52,7 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 
 		for _, k := range []int{2, 4} {
 			f := splitFederation(t, ds, k, nil)
-			f.SetPolicy(chaosPolicy(seed))
+			f.SetRetries(chaosRetries)
 			for _, j := range []int{1, 4} {
 				fault.Reset()
 				fault.Default.SetSeed(uint64(seed))
@@ -84,17 +72,13 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 					// Mask computation: the first ensure call across the
 					// federation fails once.
 					fault.Transient("core.mask.ensure", 1),
-					// Aggregate seams, for the calls below.
+					// Aggregate seam, for the calls below.
 					fault.Transient("federate.shard0.unexplained", 1),
-					fault.Transient("federate.shard1.support", 1),
 				)
 
 				label := fmt.Sprintf("seed %d k=%d j=%d", seed, k, j)
 				got := mustReports(t, f, j)
 				assertReportsEqual(t, label+" reports", got, want)
-				if d := f.LastDegraded(); !d.IsZero() {
-					t.Fatalf("%s: transient faults left a degraded annotation: %+v", label, d)
-				}
 
 				gotUnexplained, err := f.Unexplained(ctx, j)
 				if err != nil {
@@ -123,75 +107,16 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosSupportTransient drives the support seam: an injected transient
-// fault on one shard's support call must retry into the exact federated
-// sum.
-func TestChaosSupportTransient(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	ctx := context.Background()
-	ds, _ := singleEngine(t, 1)
-	f := splitFederation(t, ds, 2, nil)
-	f.SetPolicy(chaosPolicy(1))
-
-	ev := query.NewEvaluator(ds.DB)
-	for _, tpl := range []*explain.PathTemplate{
-		explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment"),
-		explain.GroupTemplate("appt-same-group", "Appointments", "an appointment"),
-	} {
-		want := ev.Support(tpl.Path)
-		fault.Reset()
-		fault.Install(fault.Transient("federate.shard0.support", 1))
-		got, err := f.Support(ctx, tpl.Path)
-		if err != nil {
-			t.Fatalf("Support(%s): %v", tpl.Name(), err)
-		}
-		if got != want {
-			t.Fatalf("Support(%s) = %d, want %d", tpl.Name(), got, want)
-		}
-		if fault.Default.Injected() == 0 {
-			t.Fatalf("Support(%s): support seam never fired", tpl.Name())
-		}
-	}
-}
-
-// TestChaosHangTimeoutRetry pins the timeout path: a shard stream that
-// hangs once converts — via the per-attempt call deadline — into a
-// retryable timeout, and the retry produces byte-identical output.
-func TestChaosHangTimeoutRetry(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	ds, single := singleEngine(t, 1)
-	want := mustReports(t, single, 4)
-
-	f := splitFederation(t, ds, 2, nil)
-	pol := chaosPolicy(1)
-	// The per-attempt deadline bounds the whole shard stream, so it must
-	// comfortably cover a genuine (healed) attempt — including under
-	// -race — while still converting the hung first attempt into a
-	// retryable timeout.
-	pol.CallTimeout = 2 * time.Second
-	f.SetPolicy(pol)
-
-	fault.Install(fault.Rule{Site: "federate.shard1.stream", Kind: fault.KindHang, Count: 1})
-	start := time.Now()
-	got := mustReports(t, f, 4)
-	assertReportsEqual(t, "hang+timeout", got, want)
-	if el := time.Since(start); el < 2*time.Second {
-		t.Errorf("audit finished in %v — the hang never engaged the timeout", el)
-	}
-	if fault.Default.Injected() == 0 {
-		t.Error("hang injector never fired")
-	}
-}
-
 // TestChaosPermanentStrictFailFast pins strict mode: a permanently failing
 // shard aborts the batch surface with an error matching ErrShardDown (and
-// no partial result), and the shard is marked Down.
+// no partial result), and the shard is marked Down. Healing the fault then
+// restores full results (Down → Probing → Healthy).
 func TestChaosPermanentStrictFailFast(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ctx := context.Background()
-	ds, _ := singleEngine(t, 1)
+	ds, single := singleEngine(t, 1)
 	f := splitFederation(t, ds, 2, nil)
-	f.SetPolicy(chaosPolicy(1))
+	f.SetRetries(chaosRetries)
 
 	// A prefix glob arms every shard1 seam: the stream, its rows, and the
 	// aggregate calls all fail permanently — the shard is simply gone.
@@ -213,129 +138,14 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 	if health[0] == federate.Down {
 		t.Errorf("healthy shard marked down")
 	}
-	if d := f.LastDegraded(); !d.IsZero() {
-		t.Errorf("strict mode recorded a degraded annotation: %+v", d)
-	}
-}
 
-// TestChaosPermanentDegraded is the degraded-mode differential: with one
-// shard permanently down from its first stream call, degraded mode must
-// return exactly the oracle restricted to the surviving shards — for
-// reports, unexplained rows, and the fraction — with the Degraded
-// annotation accounting for every skipped row. Healing the fault then
-// restores full, annotation-free results (Down → Probing → Healthy).
-func TestChaosPermanentDegraded(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	ctx := context.Background()
-	for _, seed := range []int64{1, 2, 3} {
-		ds, single := singleEngine(t, seed)
-		want := mustReports(t, single, 4)
-		wantUnexplained := mustUnexplained(t, single, 4)
-		for _, k := range []int{2, 4} {
-			f := splitFederation(t, ds, k, nil)
-			f.SetPolicy(chaosPolicy(seed))
-			f.SetDegradedMode(true)
-
-			// Restrict the oracle to rows outside shard0, the run of the
-			// merged log's first downRows rows.
-			_, downRows := shardStart(t, f, "shard0")
-			if downRows == 0 || downRows == len(want) {
-				t.Fatalf("seed %d k=%d: shard0 audits %d of %d rows: the fixture exercises nothing", seed, k, downRows, len(want))
-			}
-			wantSurvive := want[downRows:]
-			var wantUnexpSurvive []int
-			for _, g := range wantUnexplained {
-				if g >= downRows {
-					wantUnexpSurvive = append(wantUnexpSurvive, g)
-				}
-			}
-
-			fault.Reset()
-			fault.Install(fault.Permanent("federate.shard0.stream"))
-
-			got := mustReports(t, f, 4)
-			assertReportsEqual(t, "degraded reports", got, wantSurvive)
-			d := f.LastDegraded()
-			if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard0" {
-				t.Fatalf("seed %d k=%d: MissingShards = %v, want [shard0]", seed, k, d.MissingShards)
-			}
-			if d.RowsSkipped != downRows {
-				t.Fatalf("seed %d k=%d: RowsSkipped = %d, want %d", seed, k, d.RowsSkipped, downRows)
-			}
-
-			fault.Reset()
-			fault.Install(fault.Permanent("federate.shard0.unexplained"))
-			gotUnexp, err := f.Unexplained(ctx, 4)
-			if err != nil {
-				t.Fatalf("seed %d k=%d: degraded Unexplained: %v", seed, k, err)
-			}
-			if !reflect.DeepEqual(gotUnexp, wantUnexpSurvive) {
-				t.Fatalf("seed %d k=%d: degraded unexplained = %v, want %v", seed, k, gotUnexp, wantUnexpSurvive)
-			}
-			frac, err := f.ExplainedFraction(ctx, 4)
-			if err != nil {
-				t.Fatalf("seed %d k=%d: degraded ExplainedFraction: %v", seed, k, err)
-			}
-			surviveTotal := len(wantSurvive)
-			wantFrac := 0.0
-			if surviveTotal > 0 {
-				wantFrac = float64(surviveTotal-len(wantUnexpSurvive)) / float64(surviveTotal)
-			}
-			if frac != wantFrac {
-				t.Fatalf("seed %d k=%d: degraded fraction = %v, want %v", seed, k, frac, wantFrac)
-			}
-			if d := f.LastDegraded(); d.RowsSkipped != downRows {
-				t.Fatalf("seed %d k=%d: aggregate RowsSkipped = %d, want %d", seed, k, d.RowsSkipped, downRows)
-			}
-
-			// Heal: the next call probes the down shard and full results
-			// return, with no annotation left behind.
-			fault.Reset()
-			got = mustReports(t, f, 4)
-			assertReportsEqual(t, "healed reports", got, want)
-			if d := f.LastDegraded(); !d.IsZero() {
-				t.Fatalf("seed %d k=%d: healed run still annotated: %+v", seed, k, d)
-			}
-			for i, st := range f.ShardStates() {
-				if st != federate.Healthy {
-					t.Fatalf("seed %d k=%d: shard %d ended %v after healing", seed, k, i, st)
-				}
-			}
+	// Heal: the next call probes the down shard and full results return.
+	fault.Reset()
+	assertReportsEqual(t, "healed reports", mustReports(t, f, 4), mustReports(t, single, 4))
+	for i, st := range f.ShardStates() {
+		if st != federate.Healthy {
+			t.Fatalf("shard %d ended %v after healing", i, st)
 		}
-	}
-}
-
-// TestChaosMidStreamDegraded pins the partial-shard accounting: a shard
-// that dies after emitting part of its stream leaves exactly its emitted
-// prefix in the degraded result, and RowsSkipped counts exactly the rows
-// it never delivered.
-func TestChaosMidStreamDegraded(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	ds, single := singleEngine(t, 2)
-	want := mustReports(t, single, 4)
-
-	const k = 2
-	const prefix = 7 // shard0 row calls that succeed before the permanent fault
-	f := splitFederation(t, ds, k, nil)
-	f.SetPolicy(chaosPolicy(2))
-	f.SetDegradedMode(true)
-
-	fault.Install(fault.Rule{Site: "federate.shard0.stream.row", After: prefix,
-		Err: errors.New("injected permanent row fault")})
-
-	got := mustReports(t, f, 4)
-	// Expected: shard0's first `prefix` rows, then all shard1 rows (shard0
-	// is the run of the merged log's first rows0 rows).
-	_, rows0 := shardStart(t, f, "shard0")
-	if rows0 <= prefix {
-		t.Fatalf("shard0 audits %d rows, the fault after row %d never fires", rows0, prefix)
-	}
-	wantPartial := append(append([]core.AccessReport{}, want[:prefix]...), want[rows0:]...)
-	skipped := rows0 - prefix
-	assertReportsEqual(t, "mid-stream degraded", got, wantPartial)
-	d := f.LastDegraded()
-	if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard0" || d.RowsSkipped != skipped {
-		t.Fatalf("Degraded = %+v, want shard0 with %d rows skipped", d, skipped)
 	}
 }
 
@@ -348,8 +158,7 @@ func TestChaosRetryExhaustion(t *testing.T) {
 	ctx := context.Background()
 	ds, _ := singleEngine(t, 1)
 	f := splitFederation(t, ds, 2, nil)
-	f.SetPolicy(federate.Policy{Retry: federate.RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}})
+	f.SetRetries(2)
 
 	fault.Install(fault.Transient("federate.shard0.stream", 5))
 	err := f.StreamReports(ctx, 2, func(core.AccessReport) error { return nil })
@@ -362,7 +171,7 @@ func TestChaosRetryExhaustion(t *testing.T) {
 }
 
 // inOrderFederation is a 4-way TimeRanges Split of the Tiny hospital, whose
-// shards stream one after another, with the chaos retry policy, plus the
+// shards stream one after another, with the chaos retry budget, plus the
 // single engine's NDJSON stream as lines.
 func inOrderFederation(t *testing.T, seed int64) (*federate.Federation, [][]byte) {
 	t.Helper()
@@ -372,7 +181,7 @@ func inOrderFederation(t *testing.T, seed int64) (*federate.Federation, [][]byte
 		t.Fatal(err)
 	}
 	f := splitFederation(t, ds, 4, nil)
-	f.SetPolicy(chaosPolicy(seed))
+	f.SetRetries(chaosRetries)
 	return f, bytes.SplitAfter(want, []byte("\n"))[:f.Log().NumRows()]
 }
 
@@ -418,23 +227,19 @@ func TestChaosInOrderNDJSONTransient(t *testing.T) {
 			if fault.Default.Injected() != 1 {
 				t.Fatalf("%s: row fault fired %d times, want 1", label, fault.Default.Injected())
 			}
-			if d := f.LastDegraded(); !d.IsZero() {
-				t.Fatalf("%s: transient fault left a degraded annotation: %+v", label, d)
-			}
 		}
 	}
 }
 
-// TestChaosInOrderNDJSONMidStreamDegraded downs shard1 permanently in the
-// middle of its NDJSON stream in degraded mode: the output is the
-// single engine's stream minus exactly RowsSkipped lines of shard1 — the
-// tail after the whole chunks it delivered before the fault — and the
-// later shards still stream.
-func TestChaosInOrderNDJSONMidStreamDegraded(t *testing.T) {
+// TestChaosInOrderNDJSONMidStreamStrict downs shard1 permanently in the
+// middle of its NDJSON stream: the stream fails with ErrShardDown, and emit
+// has seen exactly a prefix of the single engine's stream — every earlier
+// shard's lines, then the whole 64-row chunks shard1 delivered before the
+// fault — and nothing of the later shards.
+func TestChaosInOrderNDJSONMidStreamStrict(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	const after = 100
 	f, want := inOrderFederation(t, 2)
-	f.SetDegradedMode(true)
 	start, rows := shardStart(t, f, "shard1")
 	if rows <= after {
 		t.Fatalf("shard1 audits %d rows, the fault at row %d never fires", rows, after+1)
@@ -443,21 +248,50 @@ func TestChaosInOrderNDJSONMidStreamDegraded(t *testing.T) {
 		Err: errors.New("injected permanent row fault")})
 
 	got, gotRows, _, err := collectNDJSON(t, f, 4)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, federate.ErrShardDown) || !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("StreamNDJSON error = %v, want ErrShardDown wrapping the injected fault", err)
 	}
-	d := f.LastDegraded()
-	if len(d.MissingShards) != 1 || d.MissingShards[0] != "shard1" {
-		t.Fatalf("Degraded = %+v, want shard1 missing", d)
-	}
-	delivered := rows - d.RowsSkipped
+	delivered := gotRows - start
 	if delivered < 0 || delivered > after || delivered%64 != 0 {
 		t.Fatalf("shard1 delivered %d of %d rows before the fault at row %d, want whole 64-row chunks", delivered, rows, after+1)
 	}
-	wantLines := append(append([][]byte{}, want[:start+delivered]...), want[start+rows:]...)
-	if !bytes.Equal(got, bytes.Join(wantLines, nil)) || gotRows != len(wantLines) {
-		t.Fatalf("degraded stream has %d lines (%d bytes), want the single engine minus %d shard1 lines: %d lines",
-			gotRows, len(got), d.RowsSkipped, len(wantLines))
+	if !bytes.Equal(got, bytes.Join(want[:gotRows], nil)) {
+		t.Fatalf("failed stream's %d lines (%d bytes) are not a prefix of the single engine's stream", gotRows, len(got))
+	}
+}
+
+// TestChaosCancelledMidBackoff cancels the caller's context while a shard
+// call sleeps between retries: the call returns promptly, well before the
+// remaining backoff would have elapsed, with the last attempt's failure,
+// and the shard is not declared down for it.
+func TestChaosCancelledMidBackoff(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	ds, _ := singleEngine(t, 1)
+	f := splitFederation(t, ds, 2, nil)
+	f.SetRetries(50) // up to 50 backoffs capped at 250ms: ≈ 10s uncancelled
+	fault.Install(fault.Transient("federate.shard0.stream", 1000))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := f.StreamReports(ctx, 2, func(core.AccessReport) error { return nil })
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("retry loop slept %v through a cancellation; want prompt abort", el)
+	}
+	// The deadline almost always strikes mid-backoff, and the error then
+	// carries it too; one that strikes during an attempt returns the
+	// attempt's error as it is.
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("StreamReports error = %v, want the injected fault", err)
+	}
+	if errors.Is(err, federate.ErrShardDown) {
+		t.Errorf("a cancelled retry declared the shard down: %v", err)
+	}
+	if fault.Default.Injected() < 2 {
+		t.Errorf("injector fired %d times: the call never reached a backoff", fault.Default.Injected())
+	}
+	if st := f.ShardStates()[0]; st == federate.Down {
+		t.Errorf("shard0 ended %v after a cancelled call", st)
 	}
 }
 

@@ -8,11 +8,11 @@
 // another as range streams (byte-identical to one engine over the merged
 // log), the aggregates sum exact per-shard row counts, and MineTemplates
 // mines the merged log. Every shard call runs behind the shard's fault
-// seams and the resilience policy (policy.go): retries resume a stream
-// exactly where it stopped, and degraded mode answers over the surviving
-// shards. Everything that computes masks takes a context and returns an
-// error, so a cancelled audit or a failed shard never reads as "nothing
-// unexplained".
+// seams and a retry budget (policy.go), and a retried stream resumes
+// exactly where it stopped. A shard that stays down fails the whole call:
+// the answer is over every shard or there is none. Everything that
+// computes masks takes a context and returns an error, so a cancelled audit
+// or a failed shard never reads as "nothing unexplained".
 //
 // Two constructors cover the two deployment shapes. Split cuts one
 // database's log into K row runs of ONE engine: a fault-isolated partition
@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/accesslog"
@@ -71,7 +70,7 @@ func (sh *shard) rows() int { return sh.hi - sh.lo }
 // audit surface. The concurrency contract matches core.Auditor:
 // configuration requires exclusive access, after which the batch surface
 // (StreamReports, StreamNDJSON, Unexplained, ExplainedFraction) may be used;
-// the point members (Support, PatientReport, MineTemplates) must not run
+// the point members (PatientReport, MineTemplates) must not run
 // concurrently with anything else on the same Federation.
 type Federation struct {
 	graph  *schemagraph.Graph
@@ -92,13 +91,9 @@ type Federation struct {
 	// an already-configured database, or a Join whose shards all carry an
 	// identical persisted copy).
 	hier *groups.Hierarchy
-	// Resilience state (policy.go): the retry/timeout policy, the degraded-
-	// mode switch, and the last batch call's Degraded annotation.
-	polMu    sync.RWMutex
-	pol      Policy
-	degraded atomic.Bool
-	degMu    sync.Mutex
-	lastDeg  Degraded
+	// retries is every shard call's retry budget beyond its first attempt
+	// (SetRetries).
+	retries int
 }
 
 // config collects construction options.
@@ -198,7 +193,7 @@ func TimeRanges(log *relation.Table, k int) []int {
 // ascending cut points (shard i audits rows [cuts[i-1], cuts[i]), the first
 // from row 0 and the last to the end; nil means TimeRanges) of one engine
 // over db. The shards are fault-isolated ranges of that engine's audit —
-// each with its own seams, retries and degraded-mode accounting — while
+// each with its own seams, retries and health state — while
 // masks, compiled plans and a stream's instance memo are built once, and
 // every query resolves against db's full log, so the federated audit is
 // identical to a single-engine audit of db. A Groups table is trained on the
@@ -433,38 +428,34 @@ func handOn(ctx context.Context, p *resume, n int, send func() error) error {
 }
 
 // streamShards runs stream over each shard's rows, one shard after another
-// in shard order (eachShard, behind each shard's stream seam and resilience
-// policy). stream hands on the rows [p.next, sh.hi) through handOn in order,
+// in shard order (eachShard, behind each shard's stream seam and retry
+// budget). stream hands on the rows [p.next, sh.hi) through handOn in order,
 // rendering from ps, the call's pass over the shard's engine: made by the
 // first attempt that needs it (so a mask fault strikes that shard's seam and
 // retries), then shared by every later shard of the same engine, so a Split
 // call builds masks, compiles templates and walks each instance once. A
-// retried attempt resumes at the first row its shard has not handed on. In
-// degraded mode a shard that goes down mid-stream is recorded with the rows
-// it never handed on, and the next shard continues the stream.
-func (f *Federation) streamShards(ctx context.Context, parallelism int, stream func(ctx context.Context, ps *core.Pass, p *resume) error) error {
+// retried attempt resumes at the first row its shard has not handed on.
+func (f *Federation) streamShards(ctx context.Context, parallelism int, stream func(ps *core.Pass, p *resume) error) error {
 	passes := make(map[*core.Auditor]*core.Pass, len(f.engines))
 	next := make(map[*shard]int, len(f.shards))
 	for _, sh := range f.shards {
 		next[sh] = sh.lo
 	}
-	return f.eachShard(ctx, seamStream,
-		func(sh *shard) int { return sh.hi - next[sh] },
-		func(actx context.Context, sh *shard) error {
-			ps := passes[sh.auditor]
-			if ps == nil {
-				var err error
-				if ps, err = sh.auditor.NewPass(actx, parallelism); err != nil {
-					return err
-				}
-				passes[sh.auditor] = ps
+	return f.eachShard(ctx, seamStream, func(sh *shard) error {
+		ps := passes[sh.auditor]
+		if ps == nil {
+			var err error
+			if ps, err = sh.auditor.NewPass(ctx, parallelism); err != nil {
+				return err
 			}
-			p := &resume{sh: sh, next: next[sh]}
-			// Deferred so a contained panic still records the attempt's
-			// progress.
-			defer func() { next[sh] = p.next }()
-			return stream(actx, ps, p)
-		})
+			passes[sh.auditor] = ps
+		}
+		p := &resume{sh: sh, next: next[sh]}
+		// Deferred so a contained panic still records the attempt's
+		// progress.
+		defer func() { next[sh] = p.next }()
+		return stream(ps, p)
+	})
 }
 
 // StreamReports builds the report for every row of the merged log and hands
@@ -480,19 +471,16 @@ func (f *Federation) streamShards(ctx context.Context, parallelism int, stream f
 // the shard pipeline stops promptly and StreamReports returns ctx.Err(). In
 // both cases fn has seen a clean prefix of the merged stream.
 //
-// Each shard's stream runs under the federation's resilience policy
-// (callShard): per-attempt timeouts, retries with backoff on retryable
-// failures, and panic containment. A retried shard resumes exactly where
-// it left off, at the first row it has not handed on, so transient faults
-// never duplicate or drop a report. In strict mode a shard whose budget is
-// exhausted aborts the stream with an error matching ErrShardDown; in
-// degraded mode (SetDegradedMode) its remaining rows are skipped, the
-// stream continues with the next shard, and the loss is recorded in
-// LastDegraded.
+// Each shard's stream runs under the retry budget (callShard): retries with
+// backoff on retryable failures, and panic containment. A retried shard
+// resumes exactly where it left off, at the first row it has not handed on,
+// so transient faults never duplicate or drop a report. A shard whose budget
+// is exhausted aborts the stream with an error matching ErrShardDown, again
+// after a clean prefix.
 func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
-	return f.streamShards(ctx, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
-		return p.sh.auditor.StreamReportsRange(actx, parallelism, ps, p.next, p.sh.hi, func(rep core.AccessReport) error {
-			return handOn(actx, p, 1, func() error { return fn(rep) })
+	return f.streamShards(ctx, parallelism, func(ps *core.Pass, p *resume) error {
+		return p.sh.auditor.StreamReportsRange(ctx, parallelism, ps, p.next, p.sh.hi, func(rep core.AccessReport) error {
+			return handOn(ctx, p, 1, func() error { return fn(rep) })
 		})
 	})
 }
@@ -510,42 +498,19 @@ func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func
 // — always a chunk boundary, since only whole chunks are.
 //
 // emit runs on the calling goroutine and must not retain buf after it
-// returns. Errors, cancellation and degraded mode follow StreamReports; on
-// an error emit has seen a clean prefix of whole chunks.
+// returns. Errors, cancellation and retries follow StreamReports; on an
+// error emit has seen a clean prefix of whole chunks.
 func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	return f.streamShards(ctx, parallelism, func(actx context.Context, ps *core.Pass, p *resume) error {
-		return p.sh.auditor.StreamNDJSONRange(actx, parallelism, ps, p.next, p.sh.hi, func(buf []byte, rows, explained int) error {
-			return handOn(actx, p, rows, func() error { return emit(buf, rows, explained) })
+	return f.streamShards(ctx, parallelism, func(ps *core.Pass, p *resume) error {
+		return p.sh.auditor.StreamNDJSONRange(ctx, parallelism, ps, p.next, p.sh.hi, func(buf []byte, rows, explained int) error {
+			return handOn(ctx, p, rows, func() error { return emit(buf, rows, explained) })
 		})
 	})
 }
 
-// Support returns the path's support over the merged log: the sum of the
-// shards' range supports, each shard call running under the resilience
-// policy (eachShard). Support counts audited rows and the shards partition
-// them, so the sum is exact, not an estimate. In degraded mode a down
-// shard contributes zero and is recorded in LastDegraded.
-func (f *Federation) Support(ctx context.Context, p pathmodel.Path) (int, error) {
-	total := 0
-	err := f.eachShard(ctx, seamSupport, (*shard).rows, func(actx context.Context, sh *shard) error {
-		n, err := sh.auditor.SupportRange(actx, p, sh.lo, sh.hi)
-		if err != nil {
-			return err
-		}
-		total += n
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
 // Unexplained returns the merged-log row indexes no registered template
 // explains, ascending — each shard's unexplained rows, concatenated in
-// shard order. In degraded mode a down shard's rows are absent from the
-// result (and recorded in LastDegraded); in strict mode any shard failure
-// aborts the call.
+// shard order. Any shard failure aborts the call.
 func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, error) {
 	var out []int
 	err := f.eachUnexplained(ctx, parallelism, func(sh *shard, rows []int) {
@@ -562,10 +527,8 @@ func (f *Federation) Unexplained(ctx context.Context, parallelism int) ([]int, e
 // ExplainedFraction returns the fraction of merged-log rows explained by the
 // registered templates, aggregated from exact per-shard explained counts
 // — bit-identical to the single-engine fraction, because both divide the
-// same integers. In degraded mode the fraction is over the surviving
-// shards' rows only (the denominator shrinks with the numerator, so a dead
-// shard does not masquerade as unexplained accesses); LastDegraded records
-// the loss. An empty federation yields 0, never NaN.
+// same integers. Any shard failure aborts the call. An empty federation
+// yields 0, never NaN.
 func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (float64, error) {
 	total, unexplained := 0, 0
 	err := f.eachUnexplained(ctx, parallelism, func(sh *shard, rows []int) {
@@ -581,8 +544,8 @@ func (f *Federation) ExplainedFraction(ctx context.Context, parallelism int) (fl
 // eachUnexplained hands add each shard's unexplained rows, in its engine's
 // numbering, shard by shard under the unexplained seam (eachShard).
 func (f *Federation) eachUnexplained(ctx context.Context, parallelism int, add func(sh *shard, rows []int)) error {
-	return f.eachShard(ctx, seamUnexplained, (*shard).rows, func(actx context.Context, sh *shard) error {
-		rows, err := sh.auditor.UnexplainedRange(actx, parallelism, sh.lo, sh.hi)
+	return f.eachShard(ctx, seamUnexplained, func(sh *shard) error {
+		rows, err := sh.auditor.UnexplainedRange(ctx, parallelism, sh.lo, sh.hi)
 		if err == nil {
 			add(sh, rows)
 		}
@@ -595,20 +558,17 @@ func (f *Federation) eachUnexplained(ctx context.Context, parallelism int, add f
 // concatenated in shard order), each with its explanations. Each shard looks
 // the patient up in its engine's per-patient index, so the cost is
 // O(accesses to that patient) plus rendering. Shard calls run under the
-// resilience policy; in degraded mode a down shard's accesses to the
-// patient are missing and recorded in LastDegraded.
+// retry budget, and any shard failure aborts the call.
 func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error) {
 	out := []core.AccessReport{}
-	err := f.eachShard(context.TODO(), seamReport,
-		func(sh *shard) int { return len(core.PatientRows(sh.auditor.Log(), patient, sh.lo, sh.hi)) },
-		func(_ context.Context, sh *shard) error {
-			reps, err := sh.auditor.PatientReportRange(patient, maxPerTemplate, sh.lo, sh.hi)
-			if err != nil {
-				return err
-			}
-			out = append(out, reps...)
-			return nil
-		})
+	err := f.eachShard(context.TODO(), seamReport, func(sh *shard) error {
+		reps, err := sh.auditor.PatientReportRange(patient, maxPerTemplate, sh.lo, sh.hi)
+		if err != nil {
+			return err
+		}
+		out = append(out, reps...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
 
@@ -16,7 +15,6 @@ type surface interface {
 	Unexplained(ctx context.Context, parallelism int) ([]int, error)
 	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
 	PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error)
-	Support(ctx context.Context, p pathmodel.Path) (int, error)
 }
 
 // The must* helpers unwrap the surface for tests that drive a healthy
@@ -69,13 +67,4 @@ func mustPatientReport(t testing.TB, e surface, patient relation.Value, maxPerTe
 		t.Fatalf("PatientReport(%v): %v", patient, err)
 	}
 	return reps
-}
-
-func mustSupport(t testing.TB, e surface, p pathmodel.Path) int {
-	t.Helper()
-	n, err := e.Support(context.Background(), p)
-	if err != nil {
-		t.Fatalf("Support(%s): %v", p, err)
-	}
-	return n
 }

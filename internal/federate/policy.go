@@ -40,129 +40,27 @@ var (
 	// federate.health.panics counts panics recovered at the shard-call
 	// containment boundary.
 	healthPanics = obs.Default.Counter("federate.health.panics")
-
-	// federate.degraded.runs counts batch calls that completed degraded
-	// (at least one shard's rows missing from the result).
-	degradedRuns = obs.Default.Counter("federate.degraded.runs")
-
-	// federate.degraded.rows_skipped counts merged-log rows omitted from
-	// degraded results.
-	degradedRows = obs.Default.Counter("federate.degraded.rows_skipped")
 )
 
 // ErrShardDown marks a shard call that failed for good: its retry budget
-// is spent or its error was permanent. In strict mode it propagates to the
-// caller (errors.Is(err, ErrShardDown)); in degraded mode the federation
-// absorbs it and records the shard in the call's Degraded annotation.
+// is spent or its error was permanent. It fails the whole call
+// (errors.Is(err, ErrShardDown)): a federation answers over every shard or
+// not at all.
 var ErrShardDown = errors.New("federate: shard down")
 
-// RetryPolicy bounds the per-shard-call retry loop.
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget per shard call (first try
-	// included); values below 1 mean one attempt, i.e. no retries.
-	MaxAttempts int
-	// BaseDelay is the backoff floor (default 5ms) and MaxDelay its cap
-	// (default 250ms); delays are capped-jittered-exponential between
-	// them (see fault.Backoff).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed fixes the jitter sequence; each shard derives its own stream
-	// from it, so retry timing is reproducible per shard.
-	Seed uint64
-}
+// The retry backoff is capped-jittered-exponential between these bounds
+// (see fault.Backoff), its jitter seeded per shard by fnvSeed(shard name),
+// so retry timing is reproducible per shard.
+const (
+	retryBase = 5 * time.Millisecond
+	retryCap  = 250 * time.Millisecond
+)
 
-// Policy is a federation's resilience configuration. The zero value is
-// today's strict behavior exactly: one attempt, no timeout, fail fast.
-type Policy struct {
-	// CallTimeout bounds each shard-call attempt with a context deadline;
-	// zero means no deadline. A deadline expiry is mapped to the
-	// retryable fault.ErrTimeout, so hung shards convert into retries
-	// (and eventually ErrShardDown) instead of hung audits.
-	CallTimeout time.Duration
-	Retry       RetryPolicy
-}
-
-func (p Policy) attempts() int {
-	if p.Retry.MaxAttempts < 1 {
-		return 1
-	}
-	return p.Retry.MaxAttempts
-}
-
-func (p Policy) retryBase() time.Duration {
-	if p.Retry.BaseDelay > 0 {
-		return p.Retry.BaseDelay
-	}
-	return 5 * time.Millisecond
-}
-
-func (p Policy) retryCap() time.Duration {
-	if p.Retry.MaxDelay > 0 {
-		return p.Retry.MaxDelay
-	}
-	return 250 * time.Millisecond
-}
-
-// SetPolicy installs the resilience policy. Like the other configuration
-// methods it requires exclusive access relative to the audit surface.
-func (f *Federation) SetPolicy(p Policy) {
-	f.polMu.Lock()
-	f.pol = p
-	f.polMu.Unlock()
-}
-
-// Policy returns the current resilience policy.
-func (f *Federation) Policy() Policy {
-	f.polMu.RLock()
-	defer f.polMu.RUnlock()
-	return f.pol
-}
-
-// SetDegradedMode switches the batch surface between strict mode (the
-// default: any shard failure aborts the call, fail-fast and exact) and
-// degraded mode, where calls return partial results over the surviving
-// shards and record what is missing in LastDegraded. Configuration-level
-// exclusivity applies.
-func (f *Federation) SetDegradedMode(on bool) { f.degraded.Store(on) }
-
-// DegradedMode reports whether degraded mode is on.
-func (f *Federation) DegradedMode() bool { return f.degraded.Load() }
-
-// Degraded is the machine-readable annotation of a partial result:
-// which shards contributed nothing (or stopped mid-stream) and how many
-// merged-log rows the result is missing. The zero value means the result
-// is complete.
-type Degraded struct {
-	MissingShards []string `json:"missingShards"`
-	RowsSkipped   int      `json:"rowsSkipped"`
-}
-
-// IsZero reports a complete (non-degraded) result.
-func (d Degraded) IsZero() bool { return len(d.MissingShards) == 0 && d.RowsSkipped == 0 }
-
-// LastDegraded returns the Degraded annotation of the most recent
-// completed aggregate call (StreamReports, StreamNDJSON, Unexplained,
-// ExplainedFraction, Support, PatientReport). In strict mode, and after
-// fully successful degraded-mode calls, it is zero. Concurrent calls
-// overwrite it last-writer-wins; read it from the goroutine that made the
-// call.
-func (f *Federation) LastDegraded() Degraded {
-	f.degMu.Lock()
-	defer f.degMu.Unlock()
-	return f.lastDeg
-}
-
-// setLastDegraded records d and bumps the degraded metrics when d is
-// non-zero.
-func (f *Federation) setLastDegraded(d Degraded) {
-	f.degMu.Lock()
-	f.lastDeg = d
-	f.degMu.Unlock()
-	if !d.IsZero() {
-		degradedRuns.Add(1)
-		degradedRows.Add(int64(d.RowsSkipped))
-	}
-}
+// SetRetries sets the retry budget of every shard call: up to n retries
+// beyond the first attempt for retryable failures (n below 0 counts as 0,
+// the default). Like the other configuration methods it requires exclusive
+// access relative to the audit surface.
+func (f *Federation) SetRetries(n int) { f.retries = max(n, 0) }
 
 // HealthState is a shard's position in the health state machine:
 //
@@ -226,12 +124,11 @@ const (
 	// as StreamNDJSON hands the chunk on.
 	seamRow
 	seamUnexplained // Unexplained and ExplainedFraction
-	seamSupport     // Support
 	seamReport      // PatientReport
 	numSeams
 )
 
-var seamSuffix = [numSeams]string{".stream", ".stream.row", ".unexplained", ".support", ".report"}
+var seamSuffix = [numSeams]string{".stream", ".stream.row", ".unexplained", ".report"}
 
 // initResilience finishes construction: shards start Healthy and carry
 // precomputed injection-site names so the hot paths never build strings.
@@ -254,34 +151,23 @@ func (sh *shard) inject(ctx context.Context, s seam) error {
 
 // eachShard is the one aggregation loop of the federated surface: it runs
 // op on every shard in shard order, each call behind the shard's fault seam
-// s and under the resilience policy (callShard). In strict mode the first
-// failure aborts the loop and is returned; in degraded mode a shard that is
-// down is skipped, with missing(shard) merged-log rows recorded in
-// LastDegraded. A failed attempt may be retried, so op must commit its
+// s and the retry budget (callShard). The first failure aborts the loop and
+// is returned. A failed attempt may be retried, so op must commit its
 // shard's contribution only when it returns nil — or, for a stream that
 // hands rows on as it goes, track them and skip them on the next attempt
 // (streamShards).
-func (f *Federation) eachShard(ctx context.Context, s seam, missing func(*shard) int, op func(ctx context.Context, sh *shard) error) error {
-	degradedOn := f.degraded.Load()
-	var deg Degraded
+func (f *Federation) eachShard(ctx context.Context, s seam, op func(sh *shard) error) error {
 	for _, sh := range f.shards {
-		err := f.callShard(ctx, sh, func(actx context.Context) error {
-			if err := sh.inject(actx, s); err != nil {
+		err := f.callShard(ctx, sh, func() error {
+			if err := sh.inject(ctx, s); err != nil {
 				return err
 			}
-			return op(actx, sh)
+			return op(sh)
 		})
 		if err != nil {
-			if degradedOn && errors.Is(err, ErrShardDown) {
-				deg.MissingShards = append(deg.MissingShards, sh.name)
-				deg.RowsSkipped += missing(sh)
-				continue
-			}
-			f.setLastDegraded(Degraded{})
 			return err
 		}
 	}
-	f.setLastDegraded(deg)
 	return nil
 }
 
@@ -296,27 +182,21 @@ func (e *downstreamError) Error() string { return e.err.Error() }
 // Unwrap exposes the downstream error.
 func (e *downstreamError) Unwrap() error { return e.err }
 
-// callShard runs op against sh under the federation's resilience policy:
-// per-attempt context deadlines, capped-jittered-exponential-backoff
-// retries for retryable failures, panic containment, and the health state
-// machine. op receives the attempt context and must respect its
+// callShard runs op against sh under the retry budget:
+// capped-jittered-exponential-backoff retries for retryable failures, panic
+// containment, and the health state machine. op must respect ctx's
 // cancellation. A nil return means some attempt succeeded; a returned
 // error is either the caller's cancellation, a downstream error unwrapped
 // (op wraps consumer failures in downstreamError), or an ErrShardDown
 // wrapper around the final attempt's failure.
-func (f *Federation) callShard(ctx context.Context, sh *shard, op func(ctx context.Context) error) error {
-	pol := f.Policy()
+func (f *Federation) callShard(ctx context.Context, sh *shard, op func() error) error {
 	if HealthState(sh.health.Load()) == Down {
 		// A down shard's next call is its probe: state says so, and a
 		// success below flips it back to Healthy.
 		f.setHealth(sh, Probing)
 	}
-	bo := &fault.Backoff{
-		Base: pol.retryBase(),
-		Cap:  pol.retryCap(),
-		Seed: pol.Retry.Seed ^ fnvSeed(sh.name),
-	}
-	attempts := pol.attempts()
+	bo := &fault.Backoff{Base: retryBase, Cap: retryCap, Seed: fnvSeed(sh.name)}
+	attempts := f.retries + 1
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -329,7 +209,7 @@ func (f *Federation) callShard(ctx context.Context, sh *shard, op func(ctx conte
 		if attempt > 0 {
 			retryRetries.Add(1)
 		}
-		err = f.runAttempt(ctx, pol, op)
+		err = runAttempt(op)
 		if err == nil {
 			f.setHealth(sh, Healthy)
 			return nil
@@ -361,17 +241,9 @@ func (f *Federation) callShard(ctx context.Context, sh *shard, op func(ctx conte
 	return fmt.Errorf("%w: %s after %d attempt(s): %w", ErrShardDown, sh.name, attempts, err)
 }
 
-// runAttempt executes one attempt of op under the policy's call timeout,
-// containing panics into errors (injected panics stay retryable; genuine
-// ones are permanent) and mapping a per-attempt deadline expiry to the
-// retryable fault.ErrTimeout.
-func (f *Federation) runAttempt(ctx context.Context, pol Policy, op func(context.Context) error) (err error) {
-	actx := ctx
-	cancel := func() {}
-	if pol.CallTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, pol.CallTimeout)
-	}
-	defer cancel()
+// runAttempt executes one attempt of op, containing panics into errors
+// (injected panics stay retryable; genuine ones are permanent).
+func runAttempt(op func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			healthPanics.Add(1)
@@ -384,15 +256,11 @@ func (f *Federation) runAttempt(ctx context.Context, pol Policy, op func(context
 			}
 		}
 	}()
-	err = op(actx)
-	if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("federate: shard call exceeded %v: %w", pol.CallTimeout, fault.ErrTimeout)
-	}
-	return err
+	return op()
 }
 
-// fnvSeed hashes a shard name into a backoff-seed perturbation, so shards
-// sharing a policy seed still jitter independently.
+// fnvSeed hashes a shard name into its backoff jitter seed, so shards
+// jitter independently.
 func fnvSeed(s string) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(s); i++ {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/explain"
 	"repro/internal/fault"
 	"repro/internal/pathmodel"
 )
@@ -23,7 +22,6 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 	ds, single := singleEngine(t, 1)
 	fed := splitFederation(t, ds, 2, nil)
 	patient := ds.Log().Get(0, pathmodel.LogPatientColumn)
-	path := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment").Path
 
 	// Each op reports whether its result was the nil/zero value.
 	type op struct {
@@ -45,10 +43,6 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 		{"ExplainedFraction", true, func(ctx context.Context, e surface) (bool, error) {
 			frac, err := e.ExplainedFraction(ctx, 2)
 			return frac == 0, err
-		}},
-		{"Support", false, func(ctx context.Context, e surface) (bool, error) {
-			n, err := e.Support(ctx, path)
-			return n == 0, err
 		}},
 		{"PatientReport", true, func(_ context.Context, e surface) (bool, error) {
 			reps, err := e.PatientReport(patient, 1)

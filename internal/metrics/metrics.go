@@ -10,7 +10,7 @@
 // Masks come in two representations: the element-wise []bool form the
 // experiment figures consume, and the packed bitset.Bits form the batch
 // auditing engine caches (8x smaller, word-speed combinators). The *Bits
-// variants (UnionBits, FractionBits, FractionWhereBits) compute the same
+// variants (UnionBits, FractionBits) compute the same
 // numbers as their []bool counterparts — both divide identical integer
 // counts — so callers can pick the representation without changing results.
 package metrics
@@ -114,45 +114,4 @@ func FractionBits(mask *bitset.Bits) float64 {
 		return 0
 	}
 	return float64(mask.Count()) / float64(mask.Len())
-}
-
-// FractionWhereBits is the packed-mask form of FractionWhere: among the
-// rows set in cond, the fraction also set in mask, computed with one AND +
-// popcount pass instead of an element-wise scan. The masks must have equal
-// length.
-func FractionWhereBits(mask, cond *bitset.Bits) float64 {
-	if mask.Len() != cond.Len() {
-		panic("metrics: mask length mismatch in FractionWhereBits")
-	}
-	d := cond.Count()
-	if d == 0 {
-		return 0
-	}
-	// mask AND cond == cond AND-NOT (NOT mask); cheaper to compute as
-	// cond.Count() - (cond AND-NOT mask).Count() on a clone.
-	sel := cond.Clone()
-	sel.AndNot(mask)
-	return float64(d-sel.Count()) / float64(d)
-}
-
-// FractionWhere returns the fraction of rows selected by cond that are also
-// set in mask.
-func FractionWhere(mask, cond []bool) float64 {
-	if len(mask) != len(cond) {
-		panic("metrics: mask length mismatch in FractionWhere")
-	}
-	n, d := 0, 0
-	for i := range cond {
-		if !cond[i] {
-			continue
-		}
-		d++
-		if mask[i] {
-			n++
-		}
-	}
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
 }

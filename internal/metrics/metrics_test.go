@@ -85,18 +85,6 @@ func TestFraction(t *testing.T) {
 	}
 }
 
-func TestFractionWhere(t *testing.T) {
-	mask := []bool{true, true, false, false}
-	cond := []bool{true, false, true, false}
-	if got := metrics.FractionWhere(mask, cond); got != 0.5 {
-		t.Errorf("FractionWhere = %v", got)
-	}
-	if got := metrics.FractionWhere(mask, []bool{false, false, false, false}); got != 0 {
-		t.Errorf("FractionWhere empty cond = %v", got)
-	}
-	assertPanics(t, func() { metrics.FractionWhere([]bool{true}, []bool{}) })
-}
-
 // TestComputeBoundsProperty: all three measures lie in [0, 1] whenever
 // hasEvent dominates explained-real rows; recall <= normalized recall.
 func TestComputeBoundsProperty(t *testing.T) {
@@ -152,14 +140,8 @@ func TestBitsVariantsMatchBoolVariants(t *testing.T) {
 		if got, want := metrics.FractionBits(gotUnion), metrics.Fraction(wantUnion); got != want {
 			t.Fatalf("trial %d: FractionBits = %v, want %v", trial, got, want)
 		}
-		if got, want := metrics.FractionWhereBits(packed[0], gotUnion), metrics.FractionWhere(bools[0], wantUnion); got != want {
-			t.Fatalf("trial %d: FractionWhereBits = %v, want %v", trial, got, want)
-		}
 	}
 	if metrics.FractionBits(nil) != 0 {
 		t.Error("FractionBits(nil) != 0")
 	}
-	assertPanics(t, func() {
-		metrics.FractionWhereBits(bitset.New(3), bitset.New(4))
-	})
 }

@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/relation"
 )
 
@@ -123,4 +125,73 @@ func FuzzDecodeRowBatch(f *testing.F) {
 			t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", again, payload)
 		}
 	})
+}
+
+// FuzzSnapshotDecode throws arbitrary bytes at the warm-start snapshot
+// parser, both as a whole file and framed as a checksummed payload (a
+// mutated file almost never keeps its checksum, so the payload route is
+// what reaches the decoder behind it). Under fuzz the parser never panics,
+// allocates in proportion to its input — a declared count or mask length
+// the bytes do not back fails before it sizes an allocation — and any input
+// it accepts re-encodes (encodeWarmState plus the frame) and re-decodes to
+// an equal WarmState and fingerprint. Seeds: the WARM.snap of a Tiny store
+// (testdata/tiny_WARM.snap, written by `ebaudit -scale tiny -store DIR
+// audit`), its payload, truncated and bit-flipped copies of both, and a
+// payload whose mask overstates its length.
+func FuzzSnapshotDecode(f *testing.F) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "tiny_WARM.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := parseSnapshot(snap); err != nil {
+		f.Fatalf("seed snapshot does not parse: %v", err)
+	}
+	payload := snap[len(snapMagic)+8:]
+	// A mask that declares 2^30 bits and carries no words: decoding it must
+	// fail without allocating for the declared length.
+	overstated := encodeWarmState(&WarmState{LogTable: "Log",
+		Masks: []MaskState{{Template: "t", Bits: bitset.New(0)}}}, 0)
+	overstated = binary.AppendUvarint(overstated[:len(overstated)-1], 1<<30)
+	f.Add(overstated)
+	for _, seed := range [][]byte{snap, payload} {
+		f.Add(seed)
+		for _, n := range []int{len(seed) - 1, len(seed) / 2, len(snapMagic) + 8, len(snapMagic), 0} {
+			f.Add(seed[:n])
+		}
+		for _, at := range []int{2, len(snapMagic) + 9, len(seed) / 2, len(seed) - 1} {
+			flipped := append([]byte(nil), seed...)
+			flipped[at] ^= 0x10
+			f.Add(flipped)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSnapshotRoundTrip(t, data)
+		checkSnapshotRoundTrip(t, frameSnapshot(data))
+	})
+}
+
+// checkSnapshotRoundTrip parses data as a snapshot file and, if it is
+// accepted, checks that it survives re-encoding unchanged.
+func checkSnapshotRoundTrip(t *testing.T, data []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ws, fp, err := parseSnapshot(data)
+	runtime.ReadMemStats(&after)
+	// Mask words, strings and the per-mask records stay within 64 bytes
+	// per input byte; the slack covers one bounded chunk of a mask whose
+	// declared length the input does not back.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+2<<20 {
+		t.Fatalf("parsing %d bytes allocated %d bytes", len(data), grew)
+	}
+	if err != nil {
+		return
+	}
+	again, fp2, err := parseSnapshot(frameSnapshot(encodeWarmState(ws, fp)))
+	if err != nil {
+		t.Fatalf("re-encoded snapshot does not parse: %v", err)
+	}
+	if fp2 != fp || !reflect.DeepEqual(again, ws) {
+		t.Fatalf("snapshot changed across re-encoding: fingerprint %x→%x\n got %+v\nwant %+v", fp, fp2, again, ws)
+	}
 }

@@ -72,8 +72,7 @@ func (s *Store) SaveWarmState(db *relation.Database, ws *WarmState) error {
 	ws.SchemaVersion = db.SchemaVersion()
 	ws.LogRows = log.NumRows()
 
-	payload := encodeWarmState(ws, fingerprint(db, ws.LogTable))
-	buf := append([]byte(snapMagic), appendRecord(nil, payload)...)
+	buf := frameSnapshot(encodeWarmState(ws, fingerprint(db, ws.LogTable)))
 	tmp := filepath.Join(s.dir, "."+snapshotName+".tmp")
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
 		return err
@@ -118,6 +117,12 @@ func (s *Store) LoadWarmState(db *relation.Database) (*WarmState, error) {
 			ErrStaleSnapshot, ws.LogRows, log.NumRows())
 	}
 	return ws, nil
+}
+
+// frameSnapshot returns the snapshot file bytes for a record payload: the
+// magic, then the payload as one framed, checksummed record.
+func frameSnapshot(payload []byte) []byte {
+	return appendRecord([]byte(snapMagic), payload)
 }
 
 // parseSnapshot validates the snapshot file bytes and decodes the warm
