@@ -358,8 +358,8 @@ func TestFollowPollCostFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		tail := &logTail{path: path}
-		if rows, err := tail.poll(log); err != nil || len(rows) != 0 {
-			t.Fatalf("first poll of %d rows: %d new rows, err = %v", base, len(rows), err)
+		if rows, err := tail.poll(log); err != nil || numRows(rows) != 0 {
+			t.Fatalf("first poll of %d rows: %d new rows, err = %v", base, numRows(rows), err)
 		}
 		least := uint64(math.MaxUint64)
 		var ms runtime.MemStats
@@ -375,11 +375,11 @@ func TestFollowPollCostFlat(t *testing.T) {
 			before := ms.TotalAlloc
 			rows, err := tail.poll(log)
 			runtime.ReadMemStats(&ms)
-			if err != nil || len(rows) != batch {
-				t.Fatalf("poll over %d rows: %d new rows, err = %v, want %d", log.NumRows(), len(rows), err, batch)
+			if err != nil || numRows(rows) != batch {
+				t.Fatalf("poll over %d rows: %d new rows, err = %v, want %d", log.NumRows(), numRows(rows), err, batch)
 			}
 			least = min(least, ms.TotalAlloc-before)
-			log.AppendRows(rows)
+			log.AppendTable(rows)
 		}
 		if got, want := log.Row(log.NumRows() - 1)[0], relation.Int(int64(base+polls*batch)); got != want {
 			t.Fatalf("last appended Lid = %v, want %v", got, want)
@@ -393,11 +393,21 @@ func TestFollowPollCostFlat(t *testing.T) {
 	}
 }
 
+// numRows is the row count of a poll's batch, which is nil when the poll
+// found no rows.
+func numRows(batch *relation.Table) int {
+	if batch == nil {
+		return 0
+	}
+	return batch.NumRows()
+}
+
 // TestLogTailLocate pins the first poll, which finds the end of the rows
 // the log already holds by counting lines rather than parsing them: a
-// header naming other columns and a file with fewer rows than the log are
-// errors, blank lines are not rows (relation.Load skips them), and a file
-// whose header line is not complete yet shows nothing.
+// header naming other columns or declaring another kind for one, and a file
+// with fewer rows than the log, are errors, blank lines are not rows
+// (relation.Load skips them), and a file whose header line is not complete
+// yet shows nothing.
 func TestLogTailLocate(t *testing.T) {
 	const header = "Lid:int,User:int\n"
 	log, err := relation.Load("Log", strings.NewReader(header+"1,7\n2,7\n"))
@@ -414,6 +424,7 @@ func TestLogTailLocate(t *testing.T) {
 		{header + "1,7\n2,7\n", 0, ""},
 		{"Lid:int,Us", 0, ""},
 		{"Lid:int,Patient:int\n1,7\n2,7\n3,8\n", 0, "changed columns"},
+		{"Lid:int,User:string\n1,7\n2,7\n3,8\n", 0, "changed columns"},
 		{header + "1,7\n2,", 0, "shrank from 2 to 1 rows"},
 	}
 	for _, tc := range cases {
@@ -429,10 +440,10 @@ func TestLogTailLocate(t *testing.T) {
 			}
 			continue
 		}
-		if err != nil || len(rows) != tc.newRows {
-			t.Errorf("%q: %d new rows, err = %v; want %d rows", tc.file, len(rows), err, tc.newRows)
-		} else if tc.newRows == 1 && rows[0][0] != relation.Int(3) {
-			t.Errorf("%q: new row %v, want Lid 3", tc.file, rows[0])
+		if err != nil || numRows(rows) != tc.newRows {
+			t.Errorf("%q: %d new rows, err = %v; want %d rows", tc.file, numRows(rows), err, tc.newRows)
+		} else if tc.newRows == 1 && rows.Cell(0, 0) != relation.Int(3) {
+			t.Errorf("%q: new row %v, want Lid 3", tc.file, rows.Row(0))
 		}
 	}
 }

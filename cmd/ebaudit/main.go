@@ -889,7 +889,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		} else {
 			time.Sleep(retryBo.Next())
 		}
-		rows, err := tail.poll(log)
+		batch, err := tail.poll(log)
 		if err != nil {
 			now := time.Now()
 			if errSince.IsZero() {
@@ -904,22 +904,22 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 			continue
 		}
 		errSince = time.Time{}
-		if len(rows) == 0 {
+		if batch == nil || batch.NumRows() == 0 {
 			continue
 		}
-		log.AppendRows(rows)
+		log.AppendTable(batch)
 		if a.store != nil {
 			// Persist the batch before auditing it: one checksummed segment
 			// record per poll, synced, so a crash between here and the
 			// snapshot save below loses derived state but never rows.
-			if err := a.store.AppendRows(pathmodel.LogTable, rows); err != nil {
+			if err := a.store.AppendTable(pathmodel.LogTable, batch); err != nil {
 				return err
 			}
 		}
 		if err := a.auditor.Refresh(ctx, workers); err != nil {
 			return err
 		}
-		added := len(rows)
+		added := batch.NumRows()
 		if lines, err = a.auditor.AppendNDJSONRows(lines[:0], audited, audited+added); err != nil {
 			return err
 		}
@@ -952,10 +952,11 @@ type logTail struct {
 }
 
 // poll returns the complete rows appended to the file since the last poll,
-// for the caller to append to log. The first poll that sees the whole
-// header line locates the offset: it checks the header names log's columns
-// and steps over log.NumRows() newline-terminated rows, scanning bytes
-// without parsing them. Every poll then checks, before reading anything
+// as a table with log's columns and kinds for the caller to append to log,
+// or nil when there are none. The first poll that sees the whole header
+// line locates the offset: it checks the header declares log's columns and
+// their kinds and steps over log.NumRows() newline-terminated rows,
+// scanning bytes without parsing them. Every poll then checks, before reading anything
 // past the offset:
 //
 //   - the file's size and mtime: unchanged since the last poll, it returns
@@ -976,7 +977,7 @@ type logTail struct {
 // header, exactly as a whole-file load would parse them, and the offset
 // advances past them. A failed poll leaves the tail as it was, so the next
 // poll checks everything again.
-func (lt *logTail) poll(log *relation.Table) ([][]relation.Value, error) {
+func (lt *logTail) poll(log *relation.Table) (*relation.Table, error) {
 	stat, err := os.Stat(lt.path)
 	if err != nil {
 		return nil, err
@@ -1027,20 +1028,17 @@ func (lt *logTail) poll(log *relation.Table) ([][]relation.Value, error) {
 		// Load numbers lines from the header; say where the parse began.
 		return nil, fmt.Errorf("rows after byte %d: %w", lt.offset, err)
 	}
-	rows := make([][]relation.Value, t.NumRows())
-	for i := range rows {
-		rows[i] = t.Row(i)
-	}
 	lt.offset += int64(cut + 1)
 	lt.stat = stat
-	return rows, nil
+	return t, nil
 }
 
 // locate reads the file's header line and steps over the log.NumRows() rows
 // after it, setting header and offset. It leaves both unset when the header
 // line is not complete yet. A file whose header names other columns than
-// log's, or that ends before log's rows do, is an error. Blank lines are
-// not rows, as relation.Load skips them.
+// log's or declares another kind for one of them, or that ends before log's
+// rows do, is an error. Blank lines are not rows, as relation.Load skips
+// them.
 func (lt *logTail) locate(f *os.File, size int64, log *relation.Table) error {
 	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 64<<10)
 	header, err := br.ReadBytes('\n')
@@ -1054,9 +1052,9 @@ func (lt *logTail) locate(f *os.File, size int64, log *relation.Table) error {
 	if err != nil {
 		return err
 	}
-	if !slices.Equal(t.Columns(), log.Columns()) {
+	if !slices.Equal(t.Columns(), log.Columns()) || !sameKinds(log, t) {
 		return fmt.Errorf("reloaded %s table changed columns (%s -> %s)",
-			pathmodel.LogTable, strings.Join(log.Columns(), ","), strings.Join(t.Columns(), ","))
+			pathmodel.LogTable, typedColumns(log), typedColumns(t))
 	}
 	offset := int64(len(header))
 	midRow := false // the last read ended inside a row longer than the buffer
@@ -1079,6 +1077,27 @@ func (lt *logTail) locate(f *os.File, size int64, log *relation.Table) error {
 	}
 	lt.header, lt.offset = header, offset
 	return nil
+}
+
+// sameKinds reports whether every column of t has the kind of log's column
+// at its position, where a log column no value has declared yet (it holds
+// only nulls) takes any kind.
+func sameKinds(log, t *relation.Table) bool {
+	for c := range log.Columns() {
+		if k := log.ColumnKind(c); k != relation.KindNull && k != t.ColumnKind(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// typedColumns lists t's columns as a header does, "name:kind".
+func typedColumns(t *relation.Table) string {
+	cols := make([]string, len(t.Columns()))
+	for c, name := range t.Columns() {
+		cols[c] = name + ":" + relation.KindName(t.ColumnKind(c))
+	}
+	return strings.Join(cols, ",")
 }
 
 // checkHeader reports an error unless the file's header line is the one
@@ -1188,15 +1207,16 @@ func (a *app) unexplained(args []string) error {
 	fmt.Fprintf(a.stdout, "%d of %d accesses unexplained (%.2f%%)\n",
 		len(rows), total, 100*float64(len(rows))/float64(max(total, 1)))
 	namer := a.namer()
+	lc := pathmodel.LogColumnsOf(log)
 	for i, r := range rows {
 		if i >= *n {
 			fmt.Fprintf(a.stdout, "  ... and %d more\n", len(rows)-i)
 			break
 		}
 		fmt.Fprintf(a.stdout, "  L%-6d %s  %-22s -> %-18s",
-			log.Get(r, pathmodel.LogIDColumn).AsInt(), log.Get(r, pathmodel.LogDateColumn),
-			namer.UserName(log.Get(r, pathmodel.LogUserColumn)),
-			namer.PatientName(log.Get(r, pathmodel.LogPatientColumn)))
+			log.Int(r, lc.Lid), log.Cell(r, lc.Date),
+			namer.UserName(log.Cell(r, lc.User)),
+			namer.PatientName(log.Cell(r, lc.Patient)))
 		if a.ds != nil {
 			fmt.Fprintf(a.stdout, " (ground truth: %s)", a.ds.Causes[r])
 		}

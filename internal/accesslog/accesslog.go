@@ -7,8 +7,6 @@
 package accesslog
 
 import (
-	"sort"
-
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
@@ -31,8 +29,8 @@ func NewLogTable(name string) *relation.Table {
 // (inclusive day indexes).
 func FilterDays(log *relation.Table, fromDay, toDay int) *relation.Table {
 	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
-	return log.Filter(log.Name(), func(row []relation.Value) bool {
-		d := int(row[di].AsInt())
+	return log.Filter(log.Name(), func(r int) bool {
+		d := int(log.Int(r, di))
 		return d >= fromDay && d <= toDay
 	})
 }
@@ -42,61 +40,25 @@ func FilterDays(log *relation.Table, fromDay, toDay int) *relation.Table {
 // paper notes (§5.3.1), truncation makes some repeat accesses look like
 // first accesses; the same artifact applies here when the log is sliced.
 func FirstAccesses(log *relation.Table) *relation.Table {
-	type pair struct{ u, p relation.Value }
-	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
-	ui, _ := log.ColumnIndex(pathmodel.LogUserColumn)
-	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
-	li, _ := log.ColumnIndex(pathmodel.LogIDColumn)
-
-	best := make(map[pair]int) // row index of earliest access
-	for r := 0; r < log.NumRows(); r++ {
-		row := log.Row(r)
-		k := pair{row[ui], row[pi]}
-		b, ok := best[k]
-		if !ok {
-			best[k] = r
-			continue
-		}
-		brow := log.Row(b)
-		if row[di].AsInt() < brow[di].AsInt() ||
-			(row[di].AsInt() == brow[di].AsInt() && row[li].AsInt() < brow[li].AsInt()) {
-			best[k] = r
-		}
-	}
-	keep := make([]int, 0, len(best))
-	for _, r := range best {
-		keep = append(keep, r)
-	}
-	sort.Ints(keep)
-
-	out := relation.NewTable(log.Name(), log.Columns()...)
-	for _, r := range keep {
-		out.Append(log.Row(r)...)
-	}
-	return out
+	first := FirstAccessRows(log)
+	return log.Filter(log.Name(), func(r int) bool { return first[r] })
 }
 
 // FirstAccessRows returns a boolean per row of log marking whether that row
 // is the first access by its (user, patient) pair within the log.
 func FirstAccessRows(log *relation.Table) []bool {
 	type pair struct{ u, p relation.Value }
-	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
-	ui, _ := log.ColumnIndex(pathmodel.LogUserColumn)
-	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
-	li, _ := log.ColumnIndex(pathmodel.LogIDColumn)
+	lc := pathmodel.LogColumnsOf(log)
 
 	best := make(map[pair]int)
 	for r := 0; r < log.NumRows(); r++ {
-		row := log.Row(r)
-		k := pair{row[ui], row[pi]}
+		k := pair{log.Cell(r, lc.User), log.Cell(r, lc.Patient)}
 		b, ok := best[k]
 		if !ok {
 			best[k] = r
 			continue
 		}
-		brow := log.Row(b)
-		if row[di].AsInt() < brow[di].AsInt() ||
-			(row[di].AsInt() == brow[di].AsInt() && row[li].AsInt() < brow[li].AsInt()) {
+		if d, bd := log.Int(r, lc.Date), log.Int(b, lc.Date); d < bd || (d == bd && log.Int(r, lc.Lid) < log.Int(b, lc.Lid)) {
 			best[k] = r
 		}
 	}
@@ -119,17 +81,9 @@ func WithLog(db *relation.Database, log *relation.Table) *relation.Database {
 		out.AddTable(db.Table(name))
 	}
 	if log.Name() != pathmodel.LogTable {
-		log = renamed(log, pathmodel.LogTable)
+		log = log.Clone(pathmodel.LogTable)
 	}
 	out.AddTable(log)
-	return out
-}
-
-func renamed(t *relation.Table, name string) *relation.Table {
-	out := relation.NewTable(name, t.Columns()...)
-	for r := 0; r < t.NumRows(); r++ {
-		out.Append(t.Row(r)...)
-	}
 	return out
 }
 
@@ -138,14 +92,11 @@ func renamed(t *relation.Table, name string) *relation.Table {
 // first (real) log. Used by the precision/recall experiments of §5.3.2.
 func Combine(real, fake *relation.Table) (*relation.Table, []bool) {
 	out := NewLogTable(pathmodel.LogTable)
-	isReal := make([]bool, 0, real.NumRows()+fake.NumRows())
-	for r := 0; r < real.NumRows(); r++ {
-		out.Append(real.Row(r)...)
-		isReal = append(isReal, true)
-	}
-	for r := 0; r < fake.NumRows(); r++ {
-		out.Append(fake.Row(r)...)
-		isReal = append(isReal, false)
+	out.AppendTable(real)
+	out.AppendTable(fake)
+	isReal := make([]bool, out.NumRows())
+	for r := range real.NumRows() {
+		isReal[r] = true
 	}
 	return out, isReal
 }
@@ -158,8 +109,7 @@ func UserPatientPairs(log *relation.Table) int {
 	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
 	set := make(map[pair]struct{})
 	for r := 0; r < log.NumRows(); r++ {
-		row := log.Row(r)
-		set[pair{row[ui], row[pi]}] = struct{}{}
+		set[pair{log.Cell(r, ui), log.Cell(r, pi)}] = struct{}{}
 	}
 	return len(set)
 }

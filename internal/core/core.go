@@ -424,6 +424,7 @@ type Pass struct {
 	a     *Auditor
 	masks []*bitset.Bits
 	progs []explain.Program
+	cols  pathmodel.LogColumns
 	// rows is the number of audited rows the masks cover.
 	rows int
 	// memo is nil for a point call, which renders on the auditor's own
@@ -439,7 +440,7 @@ func (a *Auditor) prepare(ctx context.Context, parallelism int) (*Pass, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pass{a: a, masks: masks, progs: explain.Compile(a.ev, a.namer, a.templates), rows: n}, nil
+	return &Pass{a: a, masks: masks, progs: explain.Compile(a.ev, a.namer, a.templates), cols: pathmodel.LogColumnsOf(a.ev.Log()), rows: n}, nil
 }
 
 // NewPass brings the masks up to date with parallelism workers, compiles
@@ -480,10 +481,10 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *Pass, row, maxPerTempl
 		maxPerTemplate = defaultPerTemplate
 	}
 	rep := AccessReport{
-		Lid:     log.Get(row, pathmodel.LogIDColumn).AsInt(),
-		Date:    log.Get(row, pathmodel.LogDateColumn),
-		User:    log.Get(row, pathmodel.LogUserColumn),
-		Patient: log.Get(row, pathmodel.LogPatientColumn),
+		Lid:     log.Int(row, ps.cols.Lid),
+		Date:    log.Cell(row, ps.cols.Date),
+		User:    log.Cell(row, ps.cols.User),
+		Patient: log.Cell(row, ps.cols.Patient),
 	}
 	rep.UserName = a.namer.UserName(rep.User)
 	explaining := 0
@@ -511,11 +512,13 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *Pass, row, maxPerTempl
 
 // PatientReport is the user-centric auditing view: every access to one
 // patient's record, each with its explanations. The patient's rows are
-// resolved through the log's per-patient hash index rather than a linear
-// scan, so one report costs O(accesses to that patient) plus rendering —
-// the lookup pattern a patient-facing portal serves per request. Reports
-// are in ascending row order; a patient with no accesses gets an empty
-// slice without any mask work.
+// found by one scan of the log's Patient column, with no index built —
+// the lookup a patient-facing portal serves per request, which would
+// otherwise pay to index every patient for one — and handed to the
+// repeat-access programs as the patient's history, so rendering builds no
+// index either. A report costs O(log rows) for the scan plus rendering.
+// Reports are in ascending row order; a patient with no accesses gets an
+// empty slice without any mask work.
 func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) ([]AccessReport, error) {
 	return a.PatientReportRange(patient, maxPerTemplate, 0, a.ev.Log().NumRows())
 }
@@ -525,7 +528,10 @@ func (a *Auditor) PatientReportRange(patient relation.Value, maxPerTemplate, lo,
 	if err := checkRange(lo, hi, a.ev.Log().NumRows()); err != nil {
 		return nil, err
 	}
-	rows := patientRows(a.ev.Log(), patient, lo, hi)
+	log := a.ev.Log()
+	pc, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
+	all := log.Find(pc, patient)
+	rows := all[sort.SearchInts(all, lo):sort.SearchInts(all, hi)]
 	out := make([]AccessReport, 0, len(rows))
 	if len(rows) == 0 {
 		return out, nil
@@ -534,17 +540,17 @@ func (a *Auditor) PatientReportRange(patient relation.Value, maxPerTemplate, lo,
 	if err != nil {
 		return nil, err
 	}
+	if history := a.ev.Database().MustTable(pathmodel.LogTable); history != log {
+		hc, _ := history.ColumnIndex(pathmodel.LogPatientColumn)
+		all = history.Find(hc, patient)
+	}
+	for i := range ps.progs {
+		ps.progs[i].SetPatientRows(patient, all)
+	}
 	for _, r := range rows {
 		out = append(out, a.explainRowWith(a.ev, ps, r, maxPerTemplate))
 	}
 	return out, nil
-}
-
-// patientRows returns the rows of log in [lo, hi) that access patient,
-// ascending, as a subslice of the log's per-patient index.
-func patientRows(log *relation.Table, patient relation.Value, lo, hi int) []int {
-	rows := log.Index(pathmodel.LogPatientColumn)[patient]
-	return rows[sort.SearchInts(rows, lo):sort.SearchInts(rows, hi)]
 }
 
 // PlanCacheStats returns the query engine's plan-cache counters with the

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/explain"
-	"repro/internal/pathmodel"
 	"repro/internal/query"
 )
 
@@ -23,15 +22,15 @@ import (
 // explained.
 func (a *Auditor) appendRowNDJSON(dst []byte, ev *query.Evaluator, ps *Pass, row int) ([]byte, bool) {
 	log := ev.Log()
-	user := log.Get(row, pathmodel.LogUserColumn)
+	user := log.Cell(row, ps.cols.User)
 	dst = append(dst, `{"lid":`...)
-	dst = strconv.AppendInt(dst, log.Get(row, pathmodel.LogIDColumn).AsInt(), 10)
+	dst = strconv.AppendInt(dst, log.Int(row, ps.cols.Lid), 10)
 	dst = append(dst, `,"date":`...)
-	dst = explain.AppendJSONValue(dst, log.Get(row, pathmodel.LogDateColumn))
+	dst = explain.AppendJSONValue(dst, log.Cell(row, ps.cols.Date))
 	dst = append(dst, `,"user":`...)
 	dst = explain.AppendJSONValue(dst, user)
 	dst = append(dst, `,"patient":`...)
-	dst = explain.AppendJSONValue(dst, log.Get(row, pathmodel.LogPatientColumn))
+	dst = explain.AppendJSONValue(dst, log.Cell(row, ps.cols.Patient))
 	dst = append(dst, `,"userName":`...)
 	dst = explain.AppendUserNameJSON(dst, a.namer, user)
 	mark := len(dst)

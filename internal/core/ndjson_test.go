@@ -464,7 +464,7 @@ func FuzzRenderNDJSON(f *testing.F) {
 		log := relation.NewTable("Log", "Lid", "Date", "User", "Patient")
 		log.Append(relation.Int(1), relation.Date(0), relation.String(value), relation.Int(1))
 		log.Append(relation.Int(2), relation.Date(1), relation.String(value), relation.Int(1))
-		log.Append(relation.Int(3), relation.Date(2), relation.Int(7), relation.Int(2))
+		log.Append(relation.Int(3), relation.Date(2), relation.String("other "+value), relation.Int(2))
 		appt := relation.NewTable("Appointments", "Patient", "Date", "Doctor", "Note")
 		appt.Append(relation.Int(1), relation.Date(0), relation.String(value), relation.String(value))
 		appt.Append(relation.Int(1), relation.Date(3), relation.String(value), relation.String(literal+value))

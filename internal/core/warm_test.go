@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ehr"
 	"repro/internal/explain"
+	"repro/internal/obs"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
@@ -67,5 +68,40 @@ func TestWarmInstallLowersNothing(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("patient %v: warm report differs from cold:\n got %s\nwant %s", patients[i], got[i], want[i])
 		}
+	}
+}
+
+// TestWarmPatientReportBuildsNoIndex pins the point report's cost: a warm
+// PatientReport finds the patient's rows by scanning the Patient column and
+// hands them to the repeat-access render, so it builds no hash index on
+// any table (relation.index_builds), where the cold mask build does. The
+// warm auditor runs over a dataset of its own, whose tables no earlier
+// report can have indexed.
+func TestWarmPatientReportBuildsNoIndex(t *testing.T) {
+	builds := obs.Default.Counter("relation.index_builds")
+	n0 := builds.Value()
+	ds, cold := buildAuditor(t)
+	pi, _ := ds.Log().ColumnIndex(pathmodel.LogPatientColumn)
+	patient := ds.Log().Cell(0, pi)
+	want := fmt.Sprintf("%+v", mustPatientReport(t, cold, patient, 1))
+	if builds.Value() == n0 {
+		t.Fatal("the cold report built no index: relation.index_builds does not count builds")
+	}
+	ws := cold.CaptureWarmState()
+
+	fresh := ehr.Generate(ehr.Tiny())
+	warm := core.NewAuditor(fresh.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(fresh))
+	warm.BuildGroups(core.GroupsOptions{})
+	warm.AddTemplates(explain.Handcrafted(true, true).All()...)
+	if masks, _ := warm.InstallWarmState(ws); masks != len(ws.Masks) {
+		t.Fatalf("InstallWarmState restored %d of %d masks", masks, len(ws.Masks))
+	}
+	n1 := builds.Value()
+	got := fmt.Sprintf("%+v", mustPatientReport(t, warm, patient, 1))
+	if n := builds.Value() - n1; n != 0 {
+		t.Errorf("a warm PatientReport built %d indexes, want 0", n)
+	}
+	if got != want {
+		t.Errorf("warm report differs from cold:\n got %s\nwant %s", got, want)
 	}
 }

@@ -127,13 +127,9 @@ func Prepare(cfg Config) *Env {
 func (e *Env) TestDayFirstAccesses() *relation.Table {
 	di, _ := e.FullLog.ColumnIndex(pathmodel.LogDateColumn)
 	testDay := int64(e.Cfg.TrainEndDay + 1)
-	out := accesslog.NewLogTable(pathmodel.LogTable)
-	for r := 0; r < e.FullLog.NumRows(); r++ {
-		if e.FirstAll[r] && e.FullLog.Row(r)[di].AsInt() == testDay {
-			out.Append(e.FullLog.Row(r)...)
-		}
-	}
-	return out
+	return e.FullLog.Filter(pathmodel.LogTable, func(r int) bool {
+		return e.FirstAll[r] && e.FullLog.Int(r, di) == testDay
+	})
 }
 
 // FakeFor generates a fake log matching real's size and dates.

@@ -73,8 +73,10 @@ func Figure10_11(e *Env, topN int) GroupCompositionFigure {
 
 	deptOf := make(map[relation.Value]string)
 	dept := e.DS.DB.MustTable("DeptCodes")
+	user, _ := dept.ColumnIndex("User")
+	code, _ := dept.ColumnIndex("Dept")
 	for r := 0; r < dept.NumRows(); r++ {
-		deptOf[dept.Get(r, "User")] = dept.Get(r, "Dept").Str
+		deptOf[dept.Cell(r, user)] = dept.Cell(r, code).Str
 	}
 
 	var comps []GroupComposition

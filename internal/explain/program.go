@@ -105,7 +105,8 @@ func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot
 			p.form = newTextForm(tpl.TemplateName, tpl.Length(), tpl.Desc, insts)
 		}
 	case RepeatAccess:
-		p.src, p.form, p.repeat = srcRepeat, repeatForm, newRepeatProbe(ev)
+		p.src, p.form = srcRepeat, repeatForm
+		p.repeat.init(ev)
 	default:
 		p.form = newTextForm(t.Name(), t.Length(), "", nil)
 		return slots
@@ -145,6 +146,18 @@ func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot
 	}
 	p.slots = slots[start:len(slots):len(slots)]
 	return slots
+}
+
+// SetPatientRows tells a repeat-access program that rows, ascending, are
+// every row of the history Log that accesses patient — found by the caller
+// scanning the Patient column — so that rendering an access to patient
+// probes them instead of an index of the whole column. A point report,
+// which renders one patient's accesses, then builds no index at all.
+// Programs of other templates ignore it.
+func (p *Program) SetPatientRows(patient relation.Value, rows []int) {
+	if p.src == srcRepeat {
+		p.repeat.point, p.repeat.patient, p.repeat.patientRows = true, patient, rows
+	}
 }
 
 // repeatHit is the repeat-access probe's one binding: the text reads only
@@ -242,7 +255,7 @@ func (p *Program) openObject(dst []byte, sep bool) []byte {
 // body of a JSON string when esc. exact is false when esc met a piece that
 // is not valid UTF-8, after which dst holds a partial text.
 func (p *Program) appendText(dst []byte, ev *query.Evaluator, logRow int, b query.InstanceBinding, esc bool) (out []byte, exact bool) {
-	audited := ev.Log().Row(logRow)
+	audited := ev.Log()
 	exact = true
 	for i := range p.slots {
 		s := &p.slots[i]
@@ -256,9 +269,9 @@ func (p *Program) appendText(dst []byte, ev *query.Evaluator, logRow int, b quer
 		}
 		var v relation.Value
 		if s.tbl == nil {
-			v = audited[s.col]
+			v = audited.Cell(logRow, s.col)
 		} else {
-			v = s.tbl.Row(b.Rows[s.seg.inst-1])[s.col]
+			v = s.tbl.Cell(b.Rows[s.seg.inst-1], s.col)
 		}
 		switch s.role {
 		case roleRaw:

@@ -1,6 +1,8 @@
 package explain
 
 import (
+	"sync"
+
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -55,11 +57,10 @@ func logCols(t *relation.Table) logColumns {
 // (the patient's rows) was made by user u strictly before (date, lid).
 func earlierAccess(history *relation.Table, hc logColumns, postings []int, u relation.Value, date, lid int64) bool {
 	for _, r := range postings {
-		row := history.Row(r)
-		if row[hc.user] != u {
+		if history.Cell(r, hc.user) != u {
 			continue
 		}
-		if hd := row[hc.date].AsInt(); hd < date || (hd == date && row[hc.lid].AsInt() < lid) {
+		if hd := history.Int(r, hc.date); hd < date || (hd == date && history.Int(r, hc.lid) < lid) {
 			return true
 		}
 	}
@@ -68,32 +69,56 @@ func earlierAccess(history *relation.Table, hc logColumns, postings []int, u rel
 
 // repeatProbe is the repeat-access question resolved against one
 // evaluator: the audited log and the history Log, their column positions,
-// and the history's per-patient posting list — Index(Patient), built once
-// per Log version and shared by every cursor, shard and PatientReport
-// reading the same table. Mask evaluation and rendering ask it the same
+// and the history's per-patient posting lists. Those come from
+// Index(Patient), built on the first probe — once per Log version, shared
+// by every cursor, shard and program reading the same table — unless the
+// probed row's patient is the one a point call handed the rows of
+// (Program.SetPatientRows). Mask evaluation and rendering ask it the same
 // question, so a text exists exactly when the mask bit is set.
 type repeatProbe struct {
 	audited, history *relation.Table
 	ac, hc           logColumns
-	byPatient        map[relation.Value][]int
+	byPatient        patientIndex
+
+	// When point is set, patientRows are every history row of patient.
+	point       bool
+	patient     relation.Value
+	patientRows []int
 }
 
-func newRepeatProbe(ev *query.Evaluator) repeatProbe {
+// init resolves the probe against ev. A probe is filled in place rather
+// than returned, as it holds a sync.Once, and must not be copied after.
+func (rp *repeatProbe) init(ev *query.Evaluator) {
 	history := ev.Database().MustTable(pathmodel.LogTable)
-	return repeatProbe{
+	*rp = repeatProbe{
 		audited: ev.Log(), history: history,
 		ac: logCols(ev.Log()), hc: logCols(history),
-		byPatient: history.Index(pathmodel.LogPatientColumn),
 	}
+}
+
+// patientIndex holds the history's Index(Patient) once a probe has needed
+// it.
+type patientIndex struct {
+	once sync.Once
+	m    map[relation.Value][]int
+}
+
+func (x *patientIndex) get(history *relation.Table) map[relation.Value][]int {
+	x.once.Do(func() { x.m = history.Index(pathmodel.LogPatientColumn) })
+	return x.m
 }
 
 // explains reports whether the history holds a strictly earlier access by
 // the audited row's (user, patient) pair: one probe of the patient's
 // posting list, O(accesses to that patient).
 func (rp *repeatProbe) explains(r int) bool {
-	row := rp.audited.Row(r)
-	return earlierAccess(rp.history, rp.hc, rp.byPatient[row[rp.ac.patient]], row[rp.ac.user],
-		row[rp.ac.date].AsInt(), row[rp.ac.lid].AsInt())
+	patient := rp.audited.Cell(r, rp.ac.patient)
+	postings := rp.patientRows
+	if !rp.point || patient != rp.patient {
+		postings = rp.byPatient.get(rp.history)[patient]
+	}
+	return earlierAccess(rp.history, rp.hc, postings, rp.audited.Cell(r, rp.ac.user),
+		rp.audited.Int(r, rp.ac.date), rp.audited.Int(r, rp.ac.lid))
 }
 
 // EvaluateRange implements Template. Each audited row in [lo, hi) probes
@@ -105,7 +130,8 @@ func (RepeatAccess) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
 		panic("explain: RepeatAccess range out of bounds")
 	}
 	out := make([]bool, hi-lo)
-	rp := newRepeatProbe(ev)
+	var rp repeatProbe
+	rp.init(ev)
 	for r := lo; r < hi; r++ {
 		out[r-lo] = rp.explains(r)
 	}

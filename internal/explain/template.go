@@ -233,8 +233,8 @@ func parseDesc(desc string, insts []pathmodel.Instance) []descSeg {
 // bound tuples along the path.
 func renderGeneric(p pathmodel.Path, ev *query.Evaluator, logRow int, b query.InstanceBinding, n Namer) string {
 	log := ev.Log()
-	patient := log.Get(logRow, pathmodel.LogPatientColumn)
-	user := log.Get(logRow, pathmodel.LogUserColumn)
+	lc := pathmodel.LogColumnsOf(log)
+	patient, user := log.Cell(logRow, lc.Patient), log.Cell(logRow, lc.User)
 
 	var hops []string
 	insts := p.Instances()
@@ -245,11 +245,10 @@ func renderGeneric(p pathmodel.Path, ev *query.Evaluator, logRow int, b query.In
 			break
 		}
 		tbl := ev.Database().MustTable(insts[i].Table)
-		row := tbl.Row(b.Rows[i-1])
 		cols := tbl.Columns()
 		fields := make([]string, len(cols))
 		for ci, c := range cols {
-			fields[ci] = c + "=" + row[ci].String()
+			fields[ci] = c + "=" + tbl.Cell(b.Rows[i-1], ci).String()
 		}
 		hops = append(hops, fmt.Sprintf("%s%d(%s)", insts[i].Table, seen[insts[i].Table], strings.Join(fields, ", ")))
 	}

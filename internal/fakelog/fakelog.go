@@ -27,7 +27,7 @@ func Generate(real *relation.Table, users, patients []relation.Value, seed, lidB
 
 	out := accesslog.NewLogTable("FakeLog")
 	for r := 0; r < real.NumRows(); r++ {
-		date := real.Row(r)[di]
+		date := real.Cell(r, di)
 		u := users[rng.Intn(len(users))]
 		p := patients[rng.Intn(len(patients))]
 		out.Append(relation.Int(lidBase+int64(r)+1), date, u, p)

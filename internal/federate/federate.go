@@ -162,9 +162,9 @@ func TimeRanges(log *relation.Table, k int) []int {
 	if !ok || n == 0 {
 		counts[0] = n
 	} else {
-		dmin, dmax := log.Row(0)[di].AsInt(), log.Row(0)[di].AsInt()
+		dmin, dmax := log.Int(0, di), log.Int(0, di)
 		for r := 1; r < n; r++ {
-			if d := log.Row(r)[di].AsInt(); d < dmin {
+			if d := log.Int(r, di); d < dmin {
 				dmin = d
 			} else if d > dmax {
 				dmax = d
@@ -177,7 +177,7 @@ func TimeRanges(log *relation.Table, k int) []int {
 		// offset for any int64 pair with dmax >= dmin.
 		spanF := float64(uint64(dmax)-uint64(dmin)) + 1
 		for r := 0; r < n; r++ {
-			off := uint64(log.Row(r)[di].AsInt()) - uint64(dmin)
+			off := uint64(log.Int(r, di)) - uint64(dmin)
 			counts[max(0, min(k-1, int(float64(off)/spanF*float64(k))))]++
 		}
 	}
@@ -268,8 +268,10 @@ func sameTable(a, b *relation.Table) bool {
 		return false
 	}
 	for r := 0; r < a.NumRows(); r++ {
-		if !slices.Equal(a.Row(r), b.Row(r)) {
-			return false
+		for c := range a.Columns() {
+			if a.Cell(r, c) != b.Cell(r, c) {
+				return false
+			}
 		}
 	}
 	return true

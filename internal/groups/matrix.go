@@ -63,8 +63,7 @@ func BuildUserGraph(log *relation.Table) *UserGraph {
 	userInPatient := make(map[[2]int]bool)
 
 	for r := 0; r < log.NumRows(); r++ {
-		row := log.Row(r)
-		u, p := row[ui], row[pi]
+		u, p := log.Cell(r, ui), log.Cell(r, pi)
 		uidx, ok := g.indexOf[u]
 		if !ok {
 			uidx = len(g.Users)

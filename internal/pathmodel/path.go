@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/relation"
 	"repro/internal/schemagraph"
 )
 
@@ -41,6 +42,21 @@ const (
 // cannot drift apart on what a well-formed log is.
 func RequiredLogColumns() []string {
 	return []string{LogIDColumn, LogDateColumn, LogUserColumn, LogPatientColumn}
+}
+
+// LogColumns are the positions of the required columns in one log table,
+// resolved once so per-row code reads cells by position, not by name.
+type LogColumns struct{ Lid, Date, User, Patient int }
+
+// LogColumnsOf resolves the required columns in t, which has been
+// validated to hold them (a missing one resolves to position 0).
+func LogColumnsOf(t *relation.Table) LogColumns {
+	var c LogColumns
+	c.Lid, _ = t.ColumnIndex(LogIDColumn)
+	c.Date, _ = t.ColumnIndex(LogDateColumn)
+	c.User, _ = t.ColumnIndex(LogUserColumn)
+	c.Patient, _ = t.ColumnIndex(LogPatientColumn)
+	return c
 }
 
 // StartAttr returns the start attribute of every explanation path.

@@ -54,9 +54,9 @@ func (e *instEnum) holds(inst int) bool {
 	}
 	value := func(r boundRef) relation.Value {
 		if r.inst == 0 {
-			return e.logRow[r.col]
+			return r.t.Cell(e.logRow, r.col)
 		}
-		return r.t.Row(e.rows[r.inst-1])[r.col]
+		return r.t.Cell(e.rows[r.inst-1], r.col)
 	}
 	for _, d := range e.ready[inst] {
 		var r relation.Value

@@ -21,21 +21,47 @@ import (
 // so how many postings it consumes, must not depend on the order values
 // happened to be interned in.
 
-// dict is the engine's value dictionary. vals is append-only, so a slice
-// header read under the lock stays a valid prefix afterwards.
+// dict is the engine's value dictionary, keyed by typed payloads: one map
+// per kind, so interning an int hashes an int64, never a whole Value. vals
+// is append-only, so a slice header read under the lock stays a valid
+// prefix afterwards.
 type dict struct {
-	mu   sync.RWMutex
-	ids  map[relation.Value]uint32
-	vals []relation.Value
+	mu          sync.RWMutex
+	ints, dates map[int64]uint32
+	strs        map[string]uint32
+	null        uint32 // 1 + the null value's ID; 0 until it is interned
+	vals        []relation.Value
+}
+
+func newDict() dict {
+	return dict{ints: make(map[int64]uint32), dates: make(map[int64]uint32), strs: make(map[string]uint32)}
 }
 
 // intern returns v's ID, assigning the next one on first sight. The caller
 // holds d.mu for writing.
 func (d *dict) intern(v relation.Value) uint32 {
-	id, ok := d.ids[v]
+	switch v.Kind {
+	case relation.KindInt:
+		return internIn(d, d.ints, v.Int, v)
+	case relation.KindDate:
+		return internIn(d, d.dates, v.Int, v)
+	case relation.KindString:
+		return internIn(d, d.strs, v.Str, v)
+	}
+	if d.null == 0 {
+		d.vals = append(d.vals, v)
+		d.null = uint32(len(d.vals))
+	}
+	return d.null - 1
+}
+
+// internIn returns the ID of v, whose payload is k in m, assigning the next
+// one on first sight.
+func internIn[K comparable](d *dict, m map[K]uint32, k K, v relation.Value) uint32 {
+	id, ok := m[k]
 	if !ok {
 		id = uint32(len(d.vals))
-		d.ids[v] = id
+		m[k] = id
 		d.vals = append(d.vals, v)
 	}
 	return id
@@ -49,10 +75,22 @@ const noID = ^uint32(0)
 func (d *dict) lookup(v relation.Value) uint32 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if id, ok := d.ids[v]; ok {
-		return id
+	var id uint32
+	ok := false
+	switch v.Kind {
+	case relation.KindInt:
+		id, ok = d.ints[v.Int]
+	case relation.KindDate:
+		id, ok = d.dates[v.Int]
+	case relation.KindString:
+		id, ok = d.strs[v.Str]
+	default:
+		id, ok = d.null-1, d.null != 0
 	}
-	return noID
+	if !ok {
+		return noID
+	}
+	return id
 }
 
 // values returns the reverse mapping (ID -> value) for every ID assigned so
@@ -134,11 +172,11 @@ func (eng *engine) column(t *relation.Table, name string) *idCol {
 		case t == eng.log && ci == eng.logUserIdx:
 			c.ids = eng.idProjections().userID[:t.NumRows()]
 		default:
-			c.ids = make([]uint32, t.NumRows())
 			d := &eng.dict
 			d.mu.Lock()
+			c.ids = make([]uint32, t.NumRows())
 			for r := range c.ids {
-				c.ids[r] = d.intern(t.Row(r)[ci])
+				c.ids[r] = d.intern(t.Cell(r, ci))
 			}
 			eng.dictValues.Set(int64(len(d.vals)))
 			d.mu.Unlock()

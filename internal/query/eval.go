@@ -243,7 +243,7 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 	log := audited
 	eng := &engine{db: db, log: log, plans: make(map[string]*cachedPlan), planVersion: db.SchemaVersion(),
 		cols: make(map[colKey]*idCol), bases: make(map[baseKey]*base), pairs: make(map[uint64]uint32)}
-	eng.dict.ids = make(map[relation.Value]uint32)
+	eng.dict = newDict()
 	eng.initMetrics()
 	pi, ok := log.ColumnIndex(pathmodel.LogPatientColumn)
 	if !ok {
@@ -302,9 +302,8 @@ func (eng *engine) idProjections() *logProj {
 	d := &eng.dict
 	d.mu.Lock()
 	for r := lo; r < n; r++ {
-		row := eng.log.Row(r)
-		next.patientID = append(next.patientID, d.intern(row[eng.logPatientIdx]))
-		next.userID = append(next.userID, d.intern(row[eng.logUserIdx]))
+		next.patientID = append(next.patientID, d.intern(eng.log.Cell(r, eng.logPatientIdx)))
+		next.userID = append(next.userID, d.intern(eng.log.Cell(r, eng.logUserIdx)))
 	}
 	eng.dictValues.Set(int64(len(d.vals)))
 	d.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pathmodel"
-	"repro/internal/relation"
 )
 
 // This file is the instance enumerator: the one walk behind Instances,
@@ -50,7 +49,7 @@ type instEnum struct {
 	found   int                 // bindings emitted so far
 	flat    []int               // their rows, len(rows) per binding; reused from call to call
 	rows    []int               // the row bound in each table instance so far
-	logRow  []relation.Value    // the audited row, for decorations on instance 0
+	logRow  int                 // the audited row, for decorations on instance 0
 	ready   [][]boundDecoration // decorations checkable once instance i is bound; nil for an undecorated walk
 	nodes   int
 	scanned int
@@ -104,8 +103,7 @@ func (ev *Evaluator) rowIDs(logRow int) (patient, user uint32) {
 	if pr := ev.proj.Load(); logRow < len(pr.patientID) {
 		return pr.patientID[logRow], pr.userID[logRow]
 	}
-	row := ev.log.Row(logRow)
-	return ev.dict.lookup(row[ev.logPatientIdx]), ev.dict.lookup(row[ev.logUserIdx])
+	return ev.dict.lookup(ev.log.Cell(logRow, ev.logPatientIdx)), ev.dict.lookup(ev.log.Cell(logRow, ev.logUserIdx))
 }
 
 // run enumerates up to limit bindings for the audited row logRow and charges
@@ -117,9 +115,7 @@ func (e *instEnum) run(ev *Evaluator, logRow, limit int) (n int, flat []int) {
 	patient, user := ev.rowIDs(logRow)
 	e.user, e.limit = user, max(limit, 1)
 	e.found, e.flat = 0, e.flat[:0]
-	if e.ready != nil {
-		e.logRow = ev.log.Row(logRow)
-	}
+	e.logRow = logRow
 	if e.holds(0) {
 		e.walk(0, 0, patient)
 	}

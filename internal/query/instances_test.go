@@ -407,7 +407,7 @@ func TestInstancesFreshAfterMutations(t *testing.T) {
 
 	groups := db.MustTable(ehr.TableGroups)
 	kept := 0
-	db.AddTable(groups.Filter(ehr.TableGroups, func([]relation.Value) bool { kept++; return kept%3 != 0 }))
+	db.AddTable(groups.Filter(ehr.TableGroups, func(int) bool { kept++; return kept%3 != 0 }))
 	check("after Groups was replaced")
 
 	log := ev.Log()

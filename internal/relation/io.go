@@ -22,31 +22,16 @@ func (t *Table) Dump(w io.Writer) error {
 
 	header := make([]string, len(t.columns))
 	for i, c := range t.columns {
-		kind := "string"
-		// Infer the column kind from the first non-null value.
-		for _, row := range t.rows {
-			switch row[i].Kind {
-			case KindInt:
-				kind = "int"
-			case KindDate:
-				kind = "date"
-			case KindString:
-				kind = "string"
-			default:
-				continue
-			}
-			break
-		}
-		header[i] = c + ":" + kind
+		header[i] = c + ":" + KindName(t.cols[i].kind)
 	}
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("relation: dump %s: %w", t.name, err)
 	}
 
 	record := make([]string, len(t.columns))
-	for _, row := range t.rows {
-		for i, v := range row {
-			switch v.Kind {
+	for r := range t.rows {
+		for i := range record {
+			switch v := t.Cell(r, i); v.Kind {
 			case KindNull:
 				record[i] = "\\N"
 			case KindInt, KindDate:
@@ -88,29 +73,24 @@ func Load(name string, r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("relation: load %s: header cell %q lacks a :kind suffix", name, h)
 		}
 		columns[i] = col
-		switch kindName {
-		case "int":
-			kinds[i] = KindInt
-		case "string":
-			kinds[i] = KindString
-		case "date":
-			kinds[i] = KindDate
-		default:
+		if kinds[i], ok = ParseKind(kindName); !ok {
 			return nil, fmt.Errorf("relation: load %s: unknown kind %q", name, kindName)
 		}
 	}
 	t := NewTable(name, columns...)
+	for i, k := range kinds {
+		t.Declare(i, k)
+	}
 
 	// line is the file line a malformed record is reported at. The header
 	// occupies line 1, so the first data record is line 2 — the number an
 	// editor or `sed -n` shows for the offending row (the export format
 	// never quotes, so records never span lines).
 	line := 2
-	var rows [][]Value
 	for {
 		record, err := cr.Read()
 		if err == io.EOF {
-			t.AppendRows(rows)
+			t.CommitRows(line - 2)
 			return t, nil
 		}
 		if err != nil {
@@ -120,35 +100,51 @@ func Load(name string, r io.Reader) (*Table, error) {
 			return nil, fmt.Errorf("relation: load %s: line %d has %d fields, want %d",
 				name, line, len(record), len(columns))
 		}
-		row := make([]Value, len(columns))
 		for i, cell := range record {
 			if cell == `\N` {
-				row[i] = Null()
+				t.AppendNull(i)
 				continue
 			}
-			switch kinds[i] {
-			case KindString:
+			if kinds[i] == KindString {
 				if len(cell) > 1 && cell[0] == '\\' && sentinelLike(cell[1:]) {
 					cell = cell[1:] // Dump escaped a sentinel-like literal
 				}
-				row[i] = String(cell)
-			case KindInt:
-				n, err := strconv.ParseInt(cell, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("relation: load %s: line %d column %s: %w", name, line, columns[i], err)
-				}
-				row[i] = Int(n)
-			case KindDate:
-				n, err := strconv.ParseInt(cell, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("relation: load %s: line %d column %s: %w", name, line, columns[i], err)
-				}
-				row[i] = Date(int(n))
+				t.AppendString(i, cell)
+				continue
 			}
+			n, err := strconv.ParseInt(cell, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("relation: load %s: line %d column %s: %w", name, line, columns[i], err)
+			}
+			t.AppendInt(i, n)
 		}
-		rows = append(rows, row)
 		line++
 	}
+}
+
+// kindNames are the kinds' names in the CSV header and the store's
+// segment header.
+var kindNames = [...]string{KindInt: "int", KindString: "string", KindDate: "date"}
+
+// KindName returns the header name of a column of kind k: "int",
+// "string" or "date". An undeclared column (KindNull) is named a string
+// column: it holds only nulls, which a column of any kind reads back.
+func KindName(k Kind) string {
+	if k == KindNull {
+		return kindNames[KindString]
+	}
+	return kindNames[k]
+}
+
+// ParseKind returns the kind a header names, and false for a name that is
+// not "int", "string" or "date".
+func ParseKind(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n != "" && n == name {
+			return Kind(k), true
+		}
+	}
+	return KindNull, false
 }
 
 // sentinelLike reports whether s collides with the null sentinel's escape

@@ -5,31 +5,60 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
-// Table is an in-memory relation: a named list of columns and a list of rows.
-// Rows are append-only; the engine never updates in place, which keeps the
-// lazily built hash indexes valid for the lifetime of the table.
+// indexBuilds counts the hash indexes Index has built (relation.index_builds
+// in the process-wide registry): a point query that should read a column
+// without indexing it can be checked against it.
+var indexBuilds = obs.Default.Counter("relation.index_builds")
+
+// Table is an in-memory relation: a named list of columns holding an
+// append-only sequence of rows. Rows are stored by column, one typed array
+// per column: an int or date column keeps its cells' payloads in an
+// []int64, a string column in a []string, and a column that has held a null
+// also keeps a null bitmap. A column has one kind. Load and the store
+// declare it from their headers (Declare); otherwise the first non-null
+// value appended sets it, and until then the column holds only nulls and no
+// array. A non-null value of another kind is rejected: appending one
+// panics, as a row of the wrong width does. The engine never updates in
+// place, which keeps the lazily built hash indexes valid for the lifetime
+// of the table.
+//
+// Cells are read by column position, resolved once with ColumnIndex: Cell
+// materialises one Value, Int reads an int or date payload without one,
+// and Find scans a column for a value without building an index. Row
+// materialises a whole row and is meant for tests and one-off reads.
+//
+// # Appending
+//
+// AppendRows (and Append for one row) take rows of Values. Decoders write
+// typed cells instead: AppendInt, AppendString and AppendNull stage one
+// cell at the end of a column, and CommitRows makes the next n staged rows
+// of every column part of the table (DiscardRows drops staged cells
+// instead). Readers see committed rows only.
 //
 // # Concurrency and index invalidation
 //
-// A Table supports two phases. During the load phase, Append and AppendRows
-// require exclusive access (no concurrent readers or writers); each call
+// A Table supports two phases. During the load phase, appends require
+// exclusive access (no concurrent readers or writers); each commit
 // invalidates every cached index once, because row positions referenced by
 // an index built earlier would otherwise go stale, so a bulk loader hands
-// its rows over in batches with AppendRows. During the query phase, any
-// number of goroutines may call the read-side methods (Row, Get, Index,
+// its rows over in batches. During the query phase, any number of
+// goroutines may call the read-side methods (Cell, Int, Find, Index,
 // NumDistinct, ...) concurrently: lazy index construction is serialized by
 // an internal mutex, and a map returned by Index is immutable once
 // published, so callers may read it without further locking. The contract is
 // therefore "single-writer load, then many-reader query"; interleaving an
-// append with concurrent reads is a data race on the row slice itself and is
+// append with concurrent reads is a data race on the column arrays and is
 // not supported.
 type Table struct {
 	name    string
 	columns []string
 	colIdx  map[string]int
-	rows    [][]Value
+	cols    []column
+	rows    int // committed rows; columns may hold staged cells past it
 
 	// mu serializes lazy construction and invalidation of the index cache
 	// below; cache hits take only the read lock, so concurrent queries do not
@@ -38,9 +67,9 @@ type Table struct {
 	mu sync.RWMutex
 
 	// indexes maps a column index to a hash index over that column. Built
-	// lazily by Index and invalidated by Append (appends drop indexes; all
-	// workloads here are load-then-query). The query engine does not read
-	// it: it walks dictionary IDs it derives from the rows.
+	// lazily by Index and invalidated by every commit (appends drop indexes;
+	// all workloads here are load-then-query). The query engine does not
+	// read it: it walks dictionary IDs it derives from the columns.
 	indexes map[int]map[Value][]int
 
 	// version counts appended rows (the only mutation). Derived caches
@@ -51,14 +80,89 @@ type Table struct {
 	version atomic.Uint64
 }
 
-// NewTable creates an empty table with the given column names. Column names
-// must be unique; NewTable panics otherwise because a malformed schema is a
+// column is one column's cells. Which array holds them follows kind: ints
+// for KindInt and KindDate, strs for KindString, neither for KindNull (a
+// column no non-null value has declared yet, whose nullCells cells are all
+// null). A null cell of a typed column holds the zero payload and has its
+// bit set in nulls, which stays nil until the column holds a null.
+type column struct {
+	kind      Kind
+	ints      []int64
+	strs      []string
+	nulls     []uint64
+	nullCells int
+}
+
+// len returns the number of cells the column holds, staged ones included.
+func (c *column) len() int {
+	switch c.kind {
+	case KindNull:
+		return c.nullCells
+	case KindString:
+		return len(c.strs)
+	}
+	return len(c.ints)
+}
+
+// null reports whether cell r is null.
+func (c *column) null(r int) bool {
+	if c.kind == KindNull {
+		return true
+	}
+	return r>>6 < len(c.nulls) && c.nulls[r>>6]&(1<<(r&63)) != 0
+}
+
+// setNull marks cell r null.
+func (c *column) setNull(r int) {
+	for len(c.nulls) <= r>>6 {
+		c.nulls = append(c.nulls, 0)
+	}
+	c.nulls[r>>6] |= 1 << (r & 63)
+}
+
+// declare gives a column of kind KindNull the kind k, turning the null
+// cells it holds into null cells of a typed array.
+func (c *column) declare(k Kind) {
+	n := c.nullCells
+	c.kind, c.nullCells = k, 0
+	if k == KindString {
+		c.strs = make([]string, n)
+	} else {
+		c.ints = make([]int64, n)
+	}
+	for r := range n {
+		c.setNull(r)
+	}
+}
+
+// truncate drops the cells from n on.
+func (c *column) truncate(n int) {
+	switch c.kind {
+	case KindNull:
+		c.nullCells = n
+	case KindString:
+		c.strs = c.strs[:n]
+	default:
+		c.ints = c.ints[:n]
+	}
+	if w := (n + 63) / 64; w < len(c.nulls) {
+		c.nulls = c.nulls[:w]
+	}
+	if r := n % 64; r != 0 && len(c.nulls) == (n+63)/64 {
+		c.nulls[len(c.nulls)-1] &= 1<<r - 1
+	}
+}
+
+// NewTable creates an empty table with the given column names, whose kinds
+// the first non-null values appended will set. Column names must be
+// unique; NewTable panics otherwise because a malformed schema is a
 // programming error, not a runtime condition.
 func NewTable(name string, columns ...string) *Table {
 	t := &Table{
 		name:    name,
 		columns: append([]string(nil), columns...),
 		colIdx:  make(map[string]int, len(columns)),
+		cols:    make([]column, len(columns)),
 	}
 	for i, c := range columns {
 		if _, dup := t.colIdx[c]; dup {
@@ -77,7 +181,7 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Columns() []string { return t.columns }
 
 // NumRows returns the number of rows in the table.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.rows }
 
 // ColumnIndex returns the position of the named column and whether it exists.
 func (t *Table) ColumnIndex(name string) (int, bool) {
@@ -101,35 +205,207 @@ func (t *Table) HasColumn(name string) bool {
 	return ok
 }
 
-// Append adds a copy of row; it is AppendRows for one row, so the same
-// width check, cache invalidation and concurrency contract apply.
-func (t *Table) Append(row ...Value) {
-	t.AppendRows([][]Value{slices.Clone(row)})
+// ColumnKind returns the kind of column c: KindInt, KindString or KindDate,
+// or KindNull while no header or non-null value has declared one.
+func (t *Table) ColumnKind(c int) Kind { return t.cols[c].kind }
+
+// Declare sets the kind of column c to k (KindInt, KindString or KindDate).
+// Declaring a column's own kind again does nothing; declaring another kind
+// for a column that already has one panics.
+func (t *Table) Declare(c int, k Kind) {
+	col := &t.cols[c]
+	switch {
+	case k == col.kind:
+	case k != KindInt && k != KindString && k != KindDate:
+		panic(fmt.Sprintf("relation: cannot declare kind %d for column %q of table %q", k, t.columns[c], t.name))
+	case col.kind != KindNull:
+		panic(fmt.Sprintf("relation: column %q of table %q holds kind %d, not %d", t.columns[c], t.name, col.kind, k))
+	default:
+		col.declare(k)
+	}
 }
 
-// AppendRows adds rows in order and invalidates all cached indexes (their
-// row numbers and projections would be stale). The table takes ownership
-// of the row slices without copying them, so the caller must not modify
-// them afterwards. Every row's length must match the number of columns; a
-// mismatch panics before any row is added. The version advances by
-// len(rows), one step per row, so AppendVersion stays equal to the row
-// count of a table built only by appends. AppendRows requires exclusive
-// access to the table; see the type comment for the concurrency contract.
-func (t *Table) AppendRows(rows [][]Value) {
-	for _, row := range rows {
-		if len(row) != len(t.columns) {
-			panic(fmt.Sprintf("relation: table %q expects %d values, got %d", t.name, len(t.columns), len(row)))
+// Grow makes room for n more rows in every declared column, so a decoder
+// that knows (or estimates) its row count appends without regrowing.
+func (t *Table) Grow(n int) {
+	for i := range t.cols {
+		c := &t.cols[i]
+		switch c.kind {
+		case KindInt, KindDate:
+			c.ints = slices.Grow(c.ints, n)
+		case KindString:
+			c.strs = slices.Grow(c.strs, n)
 		}
 	}
-	if len(rows) == 0 {
+}
+
+// AppendInt stages the payload v of an int or date cell at the end of
+// column c, which must be declared an int or date column. Staged cells
+// become rows at CommitRows.
+func (t *Table) AppendInt(c int, v int64) { t.cols[c].ints = append(t.cols[c].ints, v) }
+
+// AppendString stages a string cell at the end of column c, which must be
+// declared a string column.
+func (t *Table) AppendString(c int, s string) { t.cols[c].strs = append(t.cols[c].strs, s) }
+
+// AppendNull stages a null cell at the end of column c.
+func (t *Table) AppendNull(c int) {
+	col := &t.cols[c]
+	r := col.len()
+	switch col.kind {
+	case KindNull:
+		col.nullCells++
+		return
+	case KindString:
+		col.strs = append(col.strs, "")
+	default:
+		col.ints = append(col.ints, 0)
+	}
+	col.setNull(r)
+}
+
+// appendValue stages v at the end of column c, declaring the column's kind
+// if v is its first non-null value. The caller has checked v's kind.
+func (t *Table) appendValue(c int, v Value) {
+	col := &t.cols[c]
+	switch {
+	case v.Kind == KindNull:
+		t.AppendNull(c)
+		return
+	case col.kind == KindNull:
+		col.declare(v.Kind)
+	}
+	if v.Kind == KindString {
+		col.strs = append(col.strs, v.Str)
+	} else {
+		col.ints = append(col.ints, v.Int)
+	}
+}
+
+// CommitRows makes the next n staged rows of every column part of the
+// table, advancing the version by n and dropping the cached indexes. Every
+// column must hold exactly NumRows()+n cells; CommitRows panics otherwise.
+func (t *Table) CommitRows(n int) {
+	for i := range t.cols {
+		if got := t.cols[i].len(); got != t.rows+n {
+			panic(fmt.Sprintf("relation: table %q commits %d rows but column %q holds %d cells past its %d rows",
+				t.name, n, t.columns[i], got-t.rows, t.rows))
+		}
+	}
+	if n == 0 {
 		return
 	}
-	t.rows = append(t.rows, rows...)
-	t.version.Add(uint64(len(rows)))
+	t.rows += n
+	t.version.Add(uint64(n))
 	t.mu.Lock()
 	t.indexes = nil
 	t.mu.Unlock()
 }
+
+// DiscardRows drops every staged cell, leaving the committed rows. A kind
+// the staged cells declared stays declared.
+func (t *Table) DiscardRows() {
+	for i := range t.cols {
+		t.cols[i].truncate(t.rows)
+	}
+}
+
+// Append adds one row; it is AppendRows for one row, so the same checks,
+// cache invalidation and concurrency contract apply.
+func (t *Table) Append(row ...Value) {
+	t.AppendRows([][]Value{row})
+}
+
+// AppendRows adds rows in order, copying their values into the columns,
+// and invalidates all cached indexes (their row numbers would be stale).
+// Every row's length must match the number of columns, and every non-null
+// value's kind its column's; a mismatch panics before any row is added.
+// The version advances by len(rows), one step per row, so AppendVersion
+// stays equal to the row count of a table built only by appends.
+// AppendRows requires exclusive access to the table; see the type comment
+// for the concurrency contract.
+func (t *Table) AppendRows(rows [][]Value) {
+	var declared []Kind // the kinds the batch declares, once it declares one
+	for _, row := range rows {
+		if len(row) != len(t.columns) {
+			panic(fmt.Sprintf("relation: table %q expects %d values, got %d", t.name, len(t.columns), len(row)))
+		}
+		for i, v := range row {
+			k := t.cols[i].kind
+			if declared != nil {
+				k = declared[i]
+			}
+			switch {
+			case v.Kind == KindNull || v.Kind == k:
+			case k == KindNull && v.Kind <= KindDate:
+				if declared == nil {
+					declared = make([]Kind, len(t.cols))
+					for c := range t.cols {
+						declared[c] = t.cols[c].kind
+					}
+				}
+				declared[i] = v.Kind
+			default:
+				panic(fmt.Sprintf("relation: table %q column %q holds kind %d, got a value of kind %d",
+					t.name, t.columns[i], k, v.Kind))
+			}
+		}
+	}
+	for _, row := range rows {
+		for i, v := range row {
+			t.appendValue(i, v)
+		}
+	}
+	t.CommitRows(len(rows))
+}
+
+// AppendTable adds every row of src, which must have the receiver's number
+// of columns and, column by column, a kind the receiver's column has or can
+// take; AppendTable panics otherwise, before any row is added. Names are
+// not compared. The cells are copied.
+func (t *Table) AppendTable(src *Table) {
+	if len(src.cols) != len(t.cols) {
+		panic(fmt.Sprintf("relation: table %q has %d columns, table %q has %d", t.name, len(t.cols), src.name, len(src.cols)))
+	}
+	for i := range t.cols {
+		if !compatible(t.cols[i].kind, src.cols[i].kind) {
+			panic(fmt.Sprintf("relation: column %q of table %q holds kind %d, column %q of table %q kind %d",
+				t.columns[i], t.name, t.cols[i].kind, src.columns[i], src.name, src.cols[i].kind))
+		}
+	}
+	n := src.rows
+	for i := range t.cols {
+		dst, s := &t.cols[i], &src.cols[i]
+		if s.kind != KindNull && dst.kind == KindNull {
+			dst.declare(s.kind)
+		}
+		base := dst.len()
+		switch s.kind {
+		case KindNull:
+			for range n {
+				t.AppendNull(i)
+			}
+			continue
+		case KindString:
+			dst.strs = append(dst.strs, s.strs[:n]...)
+		default:
+			dst.ints = append(dst.ints, s.ints[:n]...)
+		}
+		if s.nulls == nil {
+			continue
+		}
+		for r := range n {
+			if s.null(r) {
+				dst.setNull(base + r)
+			}
+		}
+	}
+	t.CommitRows(n)
+}
+
+// compatible reports whether a column of kind a can take the cells of a
+// column of kind b: equal kinds, or either column still undeclared.
+func compatible(a, b Kind) bool { return a == b || a == KindNull || b == KindNull }
 
 // Version returns the table's mutation counter: it advances by one per
 // appended row and never otherwise changes. External caches derived from
@@ -150,12 +426,74 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // swaps the whole *Table), so a live Table's history is purely append-only.
 func (t *Table) AppendVersion() uint64 { return t.version.Load() }
 
-// Row returns the i-th row. The returned slice must not be modified.
-func (t *Table) Row(i int) []Value { return t.rows[i] }
+// Cell returns the value in row r of column c.
+func (t *Table) Cell(r, c int) Value {
+	col := &t.cols[c]
+	switch {
+	case col.null(r):
+		return Null()
+	case col.kind == KindString:
+		return Value{Kind: KindString, Str: col.strs[r]}
+	}
+	return Value{Kind: col.kind, Int: col.ints[r]}
+}
+
+// Int returns the payload of row r's cell in column c when c is an int or
+// date column — 0 for a null cell — and 0 for a column of another kind,
+// as Value.AsInt does.
+func (t *Table) Int(r, c int) int64 {
+	if ints := t.cols[c].ints; r < len(ints) {
+		return ints[r]
+	}
+	return 0
+}
+
+// Row returns a new slice holding the i-th row's values. It materialises
+// every cell; per-row code reads cells with Cell or Int instead.
+func (t *Table) Row(i int) []Value {
+	if i < 0 || i >= t.rows {
+		panic(fmt.Sprintf("relation: row %d out of range [0, %d) in table %q", i, t.rows, t.name))
+	}
+	row := make([]Value, len(t.cols))
+	for c := range row {
+		row[c] = t.Cell(i, c)
+	}
+	return row
+}
 
 // Get returns the value of the named column in the i-th row.
 func (t *Table) Get(i int, column string) Value {
-	return t.rows[i][t.mustColumn(column)]
+	return t.Cell(i, t.mustColumn(column))
+}
+
+// Find returns the rows whose cell in column c equals v, ascending, by
+// scanning the column: O(rows) with no index built or cached, the lookup
+// for a one-off question such as one patient's accesses.
+func (t *Table) Find(c int, v Value) []int {
+	col := &t.cols[c]
+	var out []int
+	switch {
+	case v.Kind == KindNull:
+		for r := range t.rows {
+			if col.null(r) {
+				out = append(out, r)
+			}
+		}
+	case v.Kind != col.kind:
+	case v.Kind == KindString:
+		for r, s := range col.strs[:t.rows] {
+			if s == v.Str && !col.null(r) {
+				out = append(out, r)
+			}
+		}
+	default:
+		for r, x := range col.ints[:t.rows] {
+			if x == v.Int && !col.null(r) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }
 
 // Index returns a hash index from values of the named column to the row
@@ -179,32 +517,53 @@ func (t *Table) Index(column string) map[Value][]int {
 		return idx
 	}
 	idx = make(map[Value][]int)
-	for r, row := range t.rows {
-		idx[row[ci]] = append(idx[row[ci]], r)
+	for r := range t.rows {
+		v := t.Cell(r, ci)
+		idx[v] = append(idx[v], r)
 	}
 	t.indexes[ci] = idx
+	indexBuilds.Add(1)
 	return idx
 }
 
 // NumDistinct returns the number of distinct values in the named column.
 func (t *Table) NumDistinct(column string) int { return len(t.Index(column)) }
 
-// Filter returns a new table containing the rows for which keep returns
-// true. The new table shares no index state with the receiver.
-func (t *Table) Filter(name string, keep func(row []Value) bool) *Table {
-	out := NewTable(name, t.columns...)
-	for _, row := range t.rows {
-		if keep(row) {
-			out.rows = append(out.rows, row)
+// Filter returns a new table named name holding, in order, the rows r for
+// which keep(r) is true, with the receiver's column kinds. The new table
+// shares no index state or storage with the receiver.
+func (t *Table) Filter(name string, keep func(r int) bool) *Table {
+	out := t.empty(name)
+	n := 0
+	for r := range t.rows {
+		if !keep(r) {
+			continue
 		}
+		for c := range t.cols {
+			out.appendValue(c, t.Cell(r, c))
+		}
+		n++
 	}
+	out.CommitRows(n)
 	return out
 }
 
-// Clone returns a copy of the table (rows are shared; they are never
-// mutated).
+// Clone returns a copy of the table under another name, with copies of its
+// columns, so appending to either leaves the other as it was.
 func (t *Table) Clone(name string) *Table {
+	out := t.empty(name)
+	out.AppendTable(t)
+	return out
+}
+
+// empty returns a table named name with the receiver's columns and their
+// declared kinds, and no rows.
+func (t *Table) empty(name string) *Table {
 	out := NewTable(name, t.columns...)
-	out.rows = append(out.rows, t.rows...)
+	for c := range t.cols {
+		if k := t.cols[c].kind; k != KindNull {
+			out.Declare(c, k)
+		}
+	}
 	return out
 }

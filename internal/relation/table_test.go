@@ -107,7 +107,7 @@ func TestDistinctValuesAndNumDistinct(t *testing.T) {
 
 func TestFilterAndClone(t *testing.T) {
 	tb := sampleTable()
-	f := tb.Filter("sub", func(row []Value) bool { return row[0] == Int(1) })
+	f := tb.Filter("sub", func(r int) bool { return tb.Cell(r, 0) == Int(1) })
 	if f.NumRows() != 3 || f.Name() != "sub" {
 		t.Errorf("Filter: rows=%d name=%q", f.NumRows(), f.Name())
 	}
@@ -189,7 +189,7 @@ func TestConcurrentIndexBuild(t *testing.T) {
 
 // TestAppendRows pins the bulk append: the version advances one step per
 // row, the index built before the call is rebuilt over every row after it,
-// and the table keeps the caller's row slices rather than copies.
+// and the table copies the values it is handed into its columns.
 func TestAppendRows(t *testing.T) {
 	tb := sampleTable()
 	v0, n0 := tb.Version(), tb.NumRows()
@@ -203,8 +203,9 @@ func TestAppendRows(t *testing.T) {
 	if got := tb.AppendVersion(); got != uint64(tb.NumRows()) {
 		t.Errorf("AppendVersion = %d, want the row count %d", got, tb.NumRows())
 	}
-	if &tb.Row(n0)[0] != &rows[0][0] {
-		t.Error("AppendRows copied a row it was handed")
+	rows[0][0] = Int(99)
+	if got := tb.Cell(n0, 0); got != Int(4) {
+		t.Errorf("editing a row after AppendRows changed the table's cell to %v", got)
 	}
 	if got := tb.Index("Patient")[Int(4)]; !reflect.DeepEqual(got, []int{n0, n0 + 2}) {
 		t.Errorf("Index(Patient)[4] = %v, want rows %d and %d", got, n0, n0+2)
@@ -231,5 +232,69 @@ func TestAppendRowsWrongWidth(t *testing.T) {
 	}
 	if reflect.ValueOf(tb.Index("Patient")).Pointer() != reflect.ValueOf(idx).Pointer() {
 		t.Error("a rejected append dropped the cached Index")
+	}
+}
+
+// TestColumnKinds pins the typed layout's rules: the first non-null value
+// appended declares an undeclared column's kind, a value of another kind
+// panics before any row is added, a column of nulls takes a kind later
+// with its earlier cells still null, and Declare refuses to change a kind.
+func TestColumnKinds(t *testing.T) {
+	tb := NewTable("T", "A", "B", "C")
+	tb.Append(Int(1), Null(), Null())
+	tb.Append(Null(), Null(), Date(4))
+	if got := []Kind{tb.ColumnKind(0), tb.ColumnKind(1), tb.ColumnKind(2)}; !slices.Equal(got, []Kind{KindInt, KindNull, KindDate}) {
+		t.Fatalf("kinds = %v", got)
+	}
+	assertPanics(t, "a string in an int column", func() { tb.Append(String("x"), Null(), Null()) })
+	assertPanics(t, "an int in a date column", func() { tb.AppendRows([][]Value{{Int(2), Null(), Date(5)}, {Int(3), Null(), Int(5)}}) })
+	if tb.NumRows() != 2 || tb.Version() != 2 {
+		t.Fatalf("after the rejected appends: %d rows at version %d, want 2 at 2", tb.NumRows(), tb.Version())
+	}
+	tb.Append(Int(3), String("late"), Null())
+	want := [][]Value{{Int(1), Null(), Null()}, {Null(), Null(), Date(4)}, {Int(3), String("late"), Null()}}
+	for r, row := range want {
+		if got := tb.Row(r); !slices.Equal(got, row) {
+			t.Errorf("row %d = %v, want %v", r, got, row)
+		}
+	}
+	assertPanics(t, "redeclaring a column", func() { tb.Declare(0, KindString) })
+	tb.Declare(0, KindInt) // its own kind: no-op
+	if got := tb.Find(0, Int(3)); !slices.Equal(got, []int{2}) {
+		t.Errorf("Find(A, 3) = %v", got)
+	}
+	if got := tb.Find(2, Null()); !slices.Equal(got, []int{0, 2}) {
+		t.Errorf("Find(C, NULL) = %v", got)
+	}
+	if got := tb.Find(2, Int(4)); got != nil {
+		t.Errorf("Find(C, Int 4) = %v in a date column, want none", got)
+	}
+}
+
+// TestStagedCells pins the decoder's append path: staged cells are
+// invisible until CommitRows, DiscardRows drops them, and a commit whose
+// columns disagree on the row count panics.
+func TestStagedCells(t *testing.T) {
+	tb := NewTable("T", "I", "S")
+	tb.Declare(0, KindInt)
+	tb.Declare(1, KindString)
+	tb.AppendInt(0, 7)
+	tb.AppendString(1, "a")
+	tb.CommitRows(1)
+	tb.AppendNull(0)
+	tb.AppendString(1, "b")
+	if tb.NumRows() != 1 {
+		t.Fatalf("staged row visible: %d rows", tb.NumRows())
+	}
+	tb.DiscardRows()
+	tb.AppendInt(0, 8)
+	assertPanics(t, "ragged commit", func() { tb.CommitRows(1) })
+	tb.AppendNull(1)
+	tb.CommitRows(1)
+	if got := tb.Row(1); !slices.Equal(got, []Value{Int(8), Null()}) {
+		t.Errorf("row 1 = %v after a discard and a commit", got)
+	}
+	if got := tb.Cell(1, 0); got != Int(8) {
+		t.Errorf("discarded null left behind: %v", got)
 	}
 }

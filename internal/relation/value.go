@@ -1,9 +1,10 @@
 // Package relation implements the small in-memory relational engine that the
 // rest of the repository is built on. It stands in for the PostgreSQL
-// instance used in the paper's evaluation (see DESIGN.md §2): it stores typed
-// tables, maintains hash indexes for equi-joins, and supports the DISTINCT
-// projections that the paper's "Reducing Result Multiplicity" optimization
-// relies on.
+// instance used in the paper's evaluation: it stores typed tables by column
+// — one array per column, of the kind its header or its first value
+// declares — and maintains hash indexes for equi-joins. Value is the
+// dynamically typed scalar at the edges: what a cell is read as (Cell, Row),
+// appended as (AppendRows), and keyed by in an index.
 package relation
 
 import (

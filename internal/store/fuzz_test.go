@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/bitset"
@@ -47,7 +48,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		res, err := readSegment(path, "T")
+		res, err := readSegment(path, "T", 0)
 		if err != nil {
 			return
 		}
@@ -57,7 +58,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err := os.Truncate(path, res.validEnd); err != nil {
 			t.Fatal(err)
 		}
-		again, err := readSegment(path, "T")
+		again, err := readSegment(path, "T", 0)
 		if err != nil {
 			t.Fatalf("re-read after truncate to valid end: %v", err)
 		}
@@ -79,12 +80,17 @@ func FuzzSegmentDecode(f *testing.F) {
 }
 
 // FuzzDecodeRowBatch drives the batch decoder directly: FuzzSegmentDecode
-// rarely gets a payload past the record checksum. Under fuzz the decoder
-// never panics, never allocates more values than the payload has bytes —
-// the declared row count is checked against the payload before it sizes
-// the allocation — and a batch it accepts re-encodes to exactly its bytes.
-// Seeds: a valid batch, an overstated row count, zero columns, a huge
-// column count, and a value truncated mid-varint.
+// rarely gets a payload past the record checksum. The decoder writes into
+// a table of ncols columns no header has declared, so each column takes
+// the kind of its first non-null value and must keep it. Under fuzz the
+// decoder never panics, never allocates more than a bounded multiple of
+// the payload — the declared row count is checked against the payload
+// before it sizes the columns — and a batch it accepts fills every column
+// to the row count and re-encodes to exactly its bytes. Seeds: a batch
+// whose third column mixes a date and an int (rejected, as a column has
+// one kind), an overstated row count, zero columns, a huge column count, a
+// value truncated mid-varint, an overlong zero row count, and a
+// kind-consistent batch with nulls that round-trips.
 func FuzzDecodeRowBatch(f *testing.F) {
 	rows := [][]relation.Value{
 		{relation.Int(1), relation.String("x"), relation.Date(3)},
@@ -98,33 +104,50 @@ func FuzzDecodeRowBatch(f *testing.F) {
 	f.Add(valid, math.MaxInt)
 	f.Add(valid[:len(valid)-1], 3) // -300 is a two-byte varint; cut after its first byte
 	f.Add([]byte{0x80, 0x00}, 1)   // an overlong zero row count
+	f.Add(encodeRows([][]relation.Value{
+		{relation.Int(1), relation.String("x"), relation.Date(3), relation.Null()},
+		{relation.Null(), relation.String(`\N`), relation.Date(-300), relation.Null()},
+	}), 4)
 
 	f.Fuzz(func(t *testing.T, payload []byte, ncols int) {
+		if ncols < 0 || ncols > maxColumns {
+			return // decodeHeader refuses such a header, so no record is decoded against it
+		}
+		got := relation.NewTable("T", columnNames(ncols)...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := decodeRowBatch(payload, ncols)
+		err := decodeRowBatch(payload, got)
 		runtime.ReadMemStats(&after)
-		// Values are 32 bytes, row headers 24, and string bytes at most the
-		// payload: a decode bounded by the payload stays under 64 bytes per
-		// payload byte, plus slack for the runtime's own allocations.
+		// An int or date cell takes 8 bytes, a string cell a 16-byte header,
+		// and string bytes are at most the payload; each cell costs a payload
+		// byte, and a column's array at most doubles past its cells. A decode
+		// bounded by the payload stays under 64 bytes per payload byte, plus
+		// slack for the runtime's own allocations.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(payload))+1<<16 {
 			t.Fatalf("decoding %d payload bytes allocated %d bytes", len(payload), grew)
 		}
 		if err != nil {
+			if got.NumRows() != 0 {
+				t.Fatalf("a rejected batch committed %d rows", got.NumRows())
+			}
 			return
 		}
-		if n := len(got) * max(ncols, 0); n > len(payload) {
-			t.Fatalf("accepted %d rows of %d columns from %d bytes", len(got), ncols, len(payload))
+		if n := got.NumRows() * ncols; n > len(payload) {
+			t.Fatalf("accepted %d rows of %d columns from %d bytes", got.NumRows(), ncols, len(payload))
 		}
-		for _, row := range got {
-			if len(row) != ncols || cap(row) != ncols {
-				t.Fatalf("row len %d cap %d, want %d", len(row), cap(row), ncols)
-			}
-		}
-		if again := encodeRows(got); !bytes.Equal(again, payload) {
+		if again := encodeRowBatch(got, 0, got.NumRows()); !bytes.Equal(again, payload) {
 			t.Fatalf("re-encoded batch differs:\n got %x\nwant %x", again, payload)
 		}
 	})
+}
+
+// columnNames returns n distinct column names.
+func columnNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = strconv.Itoa(i)
+	}
+	return names
 }
 
 // FuzzSnapshotDecode throws arbitrary bytes at the warm-start snapshot

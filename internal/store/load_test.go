@@ -61,21 +61,20 @@ func TestReadSegmentOneRow(t *testing.T) {
 	tablesEqual(t, got.MustTable("Log"), bigLogDB(2).MustTable("Log"))
 }
 
-// TestDecodedRowsAreCapped pins the shared backing array: the rows of one
-// record are full-capacity subslices, so appending to one copies instead of
-// overwriting the next row.
-func TestDecodedRowsAreCapped(t *testing.T) {
-	rows := [][]relation.Value{logRow(1), logRow(2)}
-	got, err := decodeRowBatch(encodeRows(rows), 4)
-	if err != nil {
+// TestDecodedCellsOutliveThePayload pins that decoding copies: the
+// scanner reuses one payload buffer across records, so a string cell that
+// aliased it would change when the next record is read.
+func TestDecodedCellsOutliveThePayload(t *testing.T) {
+	payload := encodeRows([][]relation.Value{{relation.Int(1), relation.String("abc")}})
+	got := relation.NewTable("T", "A", "B")
+	if err := decodeRowBatch(payload, got); err != nil {
 		t.Fatal(err)
 	}
-	if cap(got[0]) != 4 {
-		t.Fatalf("row capacity %d, want 4", cap(got[0]))
+	for i := range payload {
+		payload[i] = 'z'
 	}
-	_ = append(got[0], relation.Int(99))
-	if got[1][0] != relation.Int(2) {
-		t.Fatalf("append to row 0 overwrote row 1: %v", got[1])
+	if v := got.Cell(0, 1); v != relation.String("abc") {
+		t.Fatalf("cell read %v after the payload was overwritten", v)
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 	"repro/internal/relation"
 )
 
-// scanBatches drives the segment scanner readSegment drains: one decoded row
-// batch per checksummed record, in write order, stopping cleanly at a torn
-// tail. A scan that cannot start yields a single (nil, error) pair.
-func scanBatches(s *Store, table string) iter.Seq2[[][]relation.Value, error] {
-	return func(yield func([][]relation.Value, error) bool) {
+// scanBatches drives the segment scanner readSegment drains: one table per
+// checksummed record, holding its rows, in write order, stopping cleanly at
+// a torn tail. A scan that cannot start, or a record it refuses, yields a
+// single (nil, error) pair.
+func scanBatches(s *Store, table string) iter.Seq2[*relation.Table, error] {
+	return func(yield func(*relation.Table, error) bool) {
 		sc, err := openSegScanner(s.segPath(table))
 		if err != nil {
 			if sc != nil {
@@ -23,8 +24,13 @@ func scanBatches(s *Store, table string) iter.Seq2[[][]relation.Value, error] {
 		}
 		defer sc.close()
 		for {
-			rows, ok := sc.next()
-			if !ok || !yield(rows, nil) {
+			batch := sc.newTable(table)
+			ok, err := sc.next(batch)
+			if err != nil {
+				yield(nil, err)
+				return
+			}
+			if !ok || !yield(batch, nil) {
 				return
 			}
 		}
@@ -65,13 +71,11 @@ func TestScanBatchesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scan error: %v", err)
 		}
-		if len(batch) > segBatchRows {
-			t.Fatalf("batch of %d rows exceeds segBatchRows = %d", len(batch), segBatchRows)
+		if batch.NumRows() > segBatchRows {
+			t.Fatalf("batch of %d rows exceeds segBatchRows = %d", batch.NumRows(), segBatchRows)
 		}
-		sizes = append(sizes, len(batch))
-		for _, row := range batch {
-			got.Append(row...)
-		}
+		sizes = append(sizes, batch.NumRows())
+		got.AppendTable(batch)
 	}
 	wantSizes := []int{segBatchRows, segBatchRows, 123, 2}
 	if len(sizes) != len(wantSizes) {
@@ -113,7 +117,7 @@ func TestScanBatchesTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("torn tail surfaced an error: %v", err)
 		}
-		total += len(batch)
+		total += batch.NumRows()
 	}
 	if total != segBatchRows {
 		t.Fatalf("torn scan yielded %d rows, want the %d of the intact record", total, segBatchRows)

@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/relation"
@@ -54,14 +55,6 @@ const segBatchRows = 4096
 // crcTable is the Castagnoli polynomial, the usual storage-checksum choice
 // (hardware-accelerated on the platforms that matter).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// kindNames maps relation value kinds to the manifest's kind strings,
-// matching the CSV header vocabulary.
-var kindNames = map[relation.Kind]string{
-	relation.KindInt:    "int",
-	relation.KindString: "string",
-	relation.KindDate:   "date",
-}
 
 // appendRecord frames payload — length prefix, checksum, bytes — onto buf.
 func appendRecord(buf, payload []byte) []byte {
@@ -97,41 +90,12 @@ func appendValue(buf []byte, v relation.Value) []byte {
 // re-encodes to its own bytes.
 func minimalVarint(b []byte, w int) bool { return w == 1 || b[w-1] != 0 }
 
-// decodeValue decodes one value at data[pos:], returning the value and the
-// next position.
-func decodeValue(data []byte, pos int) (relation.Value, int, error) {
-	if pos >= len(data) {
-		return relation.Value{}, 0, errors.New("store: value truncated")
-	}
-	kind := relation.Kind(data[pos])
-	pos++
-	switch kind {
-	case relation.KindNull:
-		return relation.Null(), pos, nil
-	case relation.KindInt, relation.KindDate:
-		n, w := binary.Varint(data[pos:])
-		if w <= 0 || !minimalVarint(data[pos:], w) {
-			return relation.Value{}, 0, errors.New("store: malformed varint")
-		}
-		return relation.Value{Kind: kind, Int: n}, pos + w, nil
-	case relation.KindString:
-		sz, w := binary.Uvarint(data[pos:])
-		if w <= 0 || !minimalVarint(data[pos:], w) {
-			return relation.Value{}, 0, errors.New("store: malformed string length")
-		}
-		pos += w
-		if sz > uint64(len(data)-pos) {
-			return relation.Value{}, 0, errors.New("store: string length exceeds record")
-		}
-		return relation.String(string(data[pos : pos+int(sz)])), pos + int(sz), nil
-	default:
-		return relation.Value{}, 0, fmt.Errorf("store: unknown value kind %d", kind)
-	}
-}
-
 // segmentHeader is the decoded first record of a segment: the column names
-// and their advisory kinds (each stored value carries its own kind byte;
-// the header kinds exist for schema validation and the manifest).
+// and their kinds, as relation.KindName names them. The kinds are
+// declarations: the table a segment decodes into has them, and a stored
+// value — which carries its own kind byte — must be null or of its column's
+// kind (see decodeRowBatch). A column that held only nulls when the
+// segment was written is declared a string column.
 type segmentHeader struct {
 	columns []string
 	kinds   []string
@@ -176,24 +140,21 @@ func decodeHeader(payload []byte) (segmentHeader, error) {
 		if err != nil {
 			return h, err
 		}
+		if slices.Contains(h.columns, col) {
+			return h, fmt.Errorf("store: segment header repeats column %q", col)
+		}
 		h.columns = append(h.columns, col)
 		h.kinds = append(h.kinds, kind)
 	}
 	return h, nil
 }
 
-// inferKinds mirrors relation.Table.Dump's column typing: the kind of the
-// first non-null value, defaulting to string.
-func inferKinds(t *relation.Table) []string {
+// kindNames returns the kind names of t's columns, as Dump writes them in
+// its header.
+func kindNames(t *relation.Table) []string {
 	kinds := make([]string, len(t.Columns()))
 	for i := range kinds {
-		kinds[i] = "string"
-		for r := 0; r < t.NumRows(); r++ {
-			if name, ok := kindNames[t.Row(r)[i].Kind]; ok {
-				kinds[i] = name
-				break
-			}
-		}
+		kinds[i] = relation.KindName(t.ColumnKind(i))
 	}
 	return kinds
 }
@@ -214,7 +175,7 @@ func writeSegment(path string, t *relation.Table) error {
 		f.Close()
 		return err
 	}
-	hdr := segmentHeader{columns: t.Columns(), kinds: inferKinds(t)}
+	hdr := segmentHeader{columns: t.Columns(), kinds: kindNames(t)}
 	rec := appendRecord(nil, encodeHeader(hdr))
 	total += int64(len(rec))
 	if _, err := bw.Write(rec); err != nil {
@@ -242,8 +203,8 @@ func writeSegment(path string, t *relation.Table) error {
 func encodeRowBatch(t *relation.Table, lo, hi int) []byte {
 	buf := binary.AppendUvarint(nil, uint64(hi-lo))
 	for r := lo; r < hi; r++ {
-		for _, v := range t.Row(r) {
-			buf = appendValue(buf, v)
+		for c := range t.Columns() {
+			buf = appendValue(buf, t.Cell(r, c))
 		}
 	}
 	return buf
@@ -260,41 +221,91 @@ func encodeRows(rows [][]relation.Value) []byte {
 	return buf
 }
 
-// decodeRowBatch decodes one data record's rows. Every row must have
-// exactly ncols values and consume the payload completely. The rows are
-// full-capacity subslices of one backing array allocated per record — never
-// aliasing the payload — so the caller may keep them after the payload
-// buffer is reused, and an append to one row cannot spill into the next.
-func decodeRowBatch(payload []byte, ncols int) ([][]relation.Value, error) {
+// errKindMismatch is a checksum-valid value whose kind is not its column's.
+// It is not a torn tail — a writer that stored such a value finished the
+// record — so Open reports it and leaves the segment as it is.
+var errKindMismatch = errors.New("store: value kind does not match its column")
+
+// decodeRowBatch decodes one data record's rows straight into t's typed
+// columns and commits them. Every row must have exactly one value per
+// column of t and the rows must consume the payload completely. A value
+// must be null or of its column's kind; the first non-null value of a
+// column t has not declared declares it. On error nothing is committed and
+// t is left as it was (though a kind the record declared stays declared);
+// a kind mismatch wraps errKindMismatch. String cells are copied out of the
+// payload, so the caller may reuse its buffer.
+func decodeRowBatch(payload []byte, t *relation.Table) error {
+	ncols := len(t.Columns())
 	nrows, w := binary.Uvarint(payload)
 	if w <= 0 || !minimalVarint(payload, w) {
-		return nil, errors.New("store: malformed record row count")
+		return errors.New("store: malformed record row count")
 	}
 	pos := w
 	// Every value costs at least its kind byte, so a declared count the
 	// rest of the payload cannot hold is corrupt: reject it before it sizes
 	// an allocation. A zero-width row has no bytes to check the count
 	// against, which is why the writers refuse zero-column rows.
-	if rem := uint64(len(payload) - pos); nrows > 0 && (ncols <= 0 || nrows > rem/uint64(ncols)) {
-		return nil, errors.New("store: record row count exceeds payload")
+	if rem := uint64(len(payload) - pos); nrows > 0 && (ncols == 0 || nrows > rem/uint64(ncols)) {
+		return errors.New("store: record row count exceeds payload")
 	}
-	vals := make([]relation.Value, int(nrows)*ncols)
-	for i := range vals {
-		v, next, err := decodeValue(payload, pos)
-		if err != nil {
-			return nil, err
+	t.Grow(int(nrows))
+	if err := decodeCells(payload, pos, int(nrows), t); err != nil {
+		t.DiscardRows()
+		return err
+	}
+	t.CommitRows(int(nrows))
+	return nil
+}
+
+// decodeCells stages the nrows rows of cells at payload[pos:] on t and
+// checks that they end the payload.
+func decodeCells(payload []byte, pos, nrows int, t *relation.Table) error {
+	ncols := len(t.Columns())
+	for range nrows {
+		for c := range ncols {
+			if pos >= len(payload) {
+				return errors.New("store: value truncated")
+			}
+			kind := relation.Kind(payload[pos])
+			pos++
+			if kind == relation.KindNull {
+				t.AppendNull(c)
+				continue
+			}
+			switch ck := t.ColumnKind(c); {
+			case kind != relation.KindInt && kind != relation.KindString && kind != relation.KindDate:
+				return fmt.Errorf("store: unknown value kind %d", kind)
+			case ck == relation.KindNull:
+				t.Declare(c, kind)
+			case ck != kind:
+				return fmt.Errorf("%w: column %q holds %s values, the record a %s value",
+					errKindMismatch, t.Columns()[c], relation.KindName(ck), relation.KindName(kind))
+			}
+			if kind == relation.KindString {
+				sz, w := binary.Uvarint(payload[pos:])
+				if w <= 0 || !minimalVarint(payload[pos:], w) {
+					return errors.New("store: malformed string length")
+				}
+				pos += w
+				if sz > uint64(len(payload)-pos) {
+					return errors.New("store: string length exceeds record")
+				}
+				t.AppendString(c, string(payload[pos:pos+int(sz)]))
+				pos += int(sz)
+				continue
+			}
+			n, w := binary.Varint(payload[pos:])
+			if w <= 0 || !minimalVarint(payload[pos:], w) {
+				return errors.New("store: malformed varint")
+			}
+			t.AppendInt(c, n)
+			pos += w
 		}
-		vals[i] = v
-		pos = next
 	}
 	if pos != len(payload) {
-		return nil, errors.New("store: record has trailing bytes")
+		return errors.New("store: record has trailing bytes")
 	}
-	rows := make([][]relation.Value, nrows)
-	for r := range rows {
-		rows[r] = vals[r*ncols : (r+1)*ncols : (r+1)*ncols]
-	}
-	return rows, nil
+	return nil
 }
 
 // scanResult is what readSegment recovered: the table (nil if even the
@@ -307,16 +318,17 @@ type scanResult struct {
 	fileSize int64
 }
 
-// segScanner is the pull-based core of segment reading: it yields one
-// decoded row batch per checksummed record, reusing a single payload buffer
-// across records, so a consumer that processes batches as they arrive holds
-// at most one record's rows plus one payload buffer regardless of segment
-// size. readSegment drains it into a table.
+// segScanner is the pull-based core of segment reading: it decodes one
+// checksummed record at a time onto a table, reusing a single payload
+// buffer across records, so reading a segment holds the table plus one
+// payload buffer however large the segment is. readSegment drains it into
+// a table.
 type segScanner struct {
-	f   *os.File
-	br  *bufio.Reader
-	buf []byte
-	hdr segmentHeader
+	f     *os.File
+	br    *bufio.Reader
+	buf   []byte
+	hdr   segmentHeader
+	kinds []relation.Kind // hdr.kinds parsed
 
 	// off tracks the bytes consumed so far; validEnd is the offset just past
 	// the last record that decoded cleanly — the torn-tail truncation point.
@@ -371,6 +383,12 @@ func openSegScanner(path string) (sc *segScanner, err error) {
 		return sc, fmt.Errorf("store: %s: %w", path, err)
 	}
 	sc.hdr = hdr
+	sc.kinds = make([]relation.Kind, len(hdr.kinds))
+	for i, name := range hdr.kinds {
+		if sc.kinds[i], ok = relation.ParseKind(name); !ok {
+			return sc, fmt.Errorf("store: %s: column %q has unknown kind %q", path, hdr.columns[i], name)
+		}
+	}
 	sc.validEnd = sc.off
 	return sc, nil
 }
@@ -383,25 +401,37 @@ func (sc *segScanner) close() {
 	sc.f.Close()
 }
 
-// next decodes the next data record into a fresh row batch, returning ok =
-// false — never an error — at the first torn, truncated, or corrupt record,
-// as a WAL reader stops at the first invalid entry: a checksum-valid record
-// that fails to decode is corruption the frame cannot explain and is
-// treated the same as a torn tail. The payload buffer is reused between
-// calls; the returned rows hold freshly decoded values and are the
-// caller's to keep.
-func (sc *segScanner) next() (rows [][]relation.Value, ok bool) {
+// newTable returns an empty table named name with the segment's columns
+// and kinds.
+func (sc *segScanner) newTable(name string) *relation.Table {
+	t := relation.NewTable(name, sc.hdr.columns...)
+	for i, k := range sc.kinds {
+		t.Declare(i, k)
+	}
+	return t
+}
+
+// next decodes the next data record onto t (see decodeRowBatch), reporting
+// ok = false at the first torn, truncated, or corrupt record, as a WAL
+// reader stops at the first invalid entry: a checksum-valid record that
+// fails to decode is corruption the frame cannot explain and is treated
+// the same as a torn tail. The one exception is a value whose kind is not
+// its column's, which a writer can have stored whole: next returns it as
+// an error, for the caller to refuse the segment rather than truncate it.
+func (sc *segScanner) next(t *relation.Table) (ok bool, err error) {
 	payload, n, ok := sc.readRecord()
 	if !ok {
-		return nil, false
+		return false, nil
+	}
+	if err := decodeRowBatch(payload, t); err != nil {
+		if errors.Is(err, errKindMismatch) {
+			return false, fmt.Errorf("store: segment %s, record at byte %d: %w", sc.f.Name(), sc.off, err)
+		}
+		return false, nil
 	}
 	sc.off += n
-	rows, err := decodeRowBatch(payload, len(sc.hdr.columns))
-	if err != nil {
-		return nil, false
-	}
 	sc.validEnd = sc.off
-	return rows, true
+	return true, nil
 }
 
 // readRecord reads one framed record into the scanner's reused buffer,
@@ -439,11 +469,14 @@ func (sc *segScanner) readRecord() (payload []byte, consumed int64, ok bool) {
 // readSegment streams the segment at path into a fresh table named name,
 // stopping — without error — at the first torn or corrupt data record.
 // Each record is verified against its checksum before a single value is
-// decoded, so a torn tail can never contribute rows. Each decoded batch is
-// handed to Table.AppendRows, which keeps its rows without copying them;
-// the file is never materialized whole, and peak transient memory is the
-// scanner's reused payload buffer.
-func readSegment(path, name string) (scanResult, error) {
+// decoded, so a torn tail can never contribute rows, and decoded straight
+// into the table's typed columns; the file is never materialized whole,
+// and peak transient memory is the scanner's reused payload buffer.
+// rowsHint, the manifest's row count, pre-sizes the columns. It is only a
+// hint — a torn tail or a stale manifest makes it wrong — so it is capped
+// at the rows the file could hold. A record holding a value of the wrong
+// kind for its column is an error (see segScanner.next).
+func readSegment(path, name string, rowsHint int) (scanResult, error) {
 	sc, err := openSegScanner(path)
 	if err != nil {
 		if sc == nil {
@@ -453,12 +486,17 @@ func readSegment(path, name string) (scanResult, error) {
 		return scanResult{fileSize: sc.fileSize}, err
 	}
 	defer sc.close()
-	t := relation.NewTable(name, sc.hdr.columns...)
+	t := sc.newTable(name)
+	if ncols := int64(len(sc.kinds)); ncols > 0 && rowsHint > 0 {
+		t.Grow(int(min(int64(rowsHint), sc.fileSize/ncols)))
+	}
 	for {
-		rows, ok := sc.next()
+		ok, err := sc.next(t)
+		if err != nil {
+			return scanResult{fileSize: sc.fileSize}, err
+		}
 		if !ok {
 			return scanResult{table: t, validEnd: sc.validEnd, fileSize: sc.fileSize}, nil
 		}
-		t.AppendRows(rows)
 	}
 }

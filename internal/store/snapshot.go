@@ -167,11 +167,10 @@ func fingerprint(db *relation.Database, logTable string) uint64 {
 		t := db.MustTable(name)
 		writeStr(name)
 		cols := t.Columns()
-		kinds := inferKinds(t)
 		writeNum(uint64(len(cols)))
 		for i, c := range cols {
 			writeStr(c)
-			writeStr(kinds[i])
+			writeStr(relation.KindName(t.ColumnKind(i)))
 		}
 		if name == logTable {
 			writeNum(0)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/fault"
@@ -74,13 +75,16 @@ func Create(dir string, db *relation.Database) (*Store, error) {
 	s := &Store{dir: dir, man: manifest{Format: manifestFormat}}
 	for _, name := range db.TableNames() {
 		t := db.MustTable(name)
+		if !validTableName(name) {
+			return nil, fmt.Errorf("store: table name %q is not a file name in the store directory", name)
+		}
 		if err := writeSegment(s.segPath(name), t); err != nil {
 			return nil, fmt.Errorf("store: writing segment %s: %w", name, err)
 		}
 		s.man.Tables = append(s.man.Tables, manifestTable{
 			Name:    name,
 			Columns: t.Columns(),
-			Kinds:   inferKinds(t),
+			Kinds:   kindNames(t),
 			Rows:    t.NumRows(),
 		})
 	}
@@ -117,16 +121,30 @@ func Open(dir string) (*Store, *relation.Database, error) {
 		return nil, nil, fmt.Errorf("store: manifest format %d not supported (want %d)", s.man.Format, manifestFormat)
 	}
 
+	for i, mt := range s.man.Tables {
+		if !validTableName(mt.Name) {
+			return nil, nil, fmt.Errorf("store: manifest table name %q is not a file name in the store directory", mt.Name)
+		}
+		for _, prev := range s.man.Tables[:i] {
+			if prev.Name == mt.Name {
+				return nil, nil, fmt.Errorf("store: manifest lists table %q twice", mt.Name)
+			}
+		}
+	}
+
 	db := relation.NewDatabase()
 	dirty := false
 	for i := range s.man.Tables {
 		mt := &s.man.Tables[i]
-		res, err := readSegment(s.segPath(mt.Name), mt.Name)
+		res, err := readSegment(s.segPath(mt.Name), mt.Name, mt.Rows)
 		if err != nil {
 			return nil, nil, err
 		}
-		if got, want := res.table.Columns(), mt.Columns; !equalStrings(got, want) {
+		if got, want := res.table.Columns(), mt.Columns; !slices.Equal(got, want) {
 			return nil, nil, fmt.Errorf("store: segment %s columns %v do not match manifest %v", mt.Name, got, want)
+		}
+		if got, want := kindNames(res.table), mt.Kinds; !slices.Equal(got, want) {
+			return nil, nil, fmt.Errorf("store: segment %s kinds %v do not match manifest %v", mt.Name, got, want)
 		}
 		if res.validEnd < res.fileSize {
 			if err := os.Truncate(s.segPath(mt.Name), res.validEnd); err != nil {
@@ -154,29 +172,68 @@ func Open(dir string) (*Store, *relation.Database, error) {
 // This is the follow-mode persistence primitive: each poll's batch of new
 // log rows becomes one durable record, and a crash mid-write leaves a torn
 // tail the next Open truncates away. Rows must match the table's column
-// count. Appending zero rows is a no-op.
+// count, and each non-null value its column's kind: a record Open would
+// refuse is never written. Appending zero rows is a no-op.
 func (s *Store) AppendRows(table string, rows [][]relation.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	var mt *manifestTable
-	for i := range s.man.Tables {
-		if s.man.Tables[i].Name == table {
-			mt = &s.man.Tables[i]
-			break
-		}
-	}
-	if mt == nil {
-		return fmt.Errorf("store: no table %q to append to", table)
-	}
-	if len(mt.Columns) == 0 {
-		return fmt.Errorf("store: append to %s: %w", table, errZeroWidthRows)
+	mt, err := s.appendTarget(table)
+	if err != nil {
+		return err
 	}
 	for _, row := range rows {
 		if len(row) != len(mt.Columns) {
 			return fmt.Errorf("store: append to %s: row has %d values, want %d", table, len(row), len(mt.Columns))
 		}
+		for i, v := range row {
+			if v.Kind != relation.KindNull && relation.KindName(v.Kind) != mt.Kinds[i] {
+				return fmt.Errorf("store: append to %s: column %s holds %s values, not %s", table, mt.Columns[i], mt.Kinds[i], relation.KindName(v.Kind))
+			}
+		}
 	}
+	return s.appendRecord(mt, encodeRows(rows), len(rows))
+}
+
+// AppendTable is AppendRows for the rows of batch, encoded from its typed
+// columns: batch must have the table's column count and, column by column,
+// its kind, or no declared kind (a column of nulls).
+func (s *Store) AppendTable(table string, batch *relation.Table) error {
+	if batch.NumRows() == 0 {
+		return nil
+	}
+	mt, err := s.appendTarget(table)
+	if err != nil {
+		return err
+	}
+	if len(batch.Columns()) != len(mt.Columns) {
+		return fmt.Errorf("store: append to %s: rows have %d values, want %d", table, len(batch.Columns()), len(mt.Columns))
+	}
+	for i := range mt.Columns {
+		if k := batch.ColumnKind(i); k != relation.KindNull && relation.KindName(k) != mt.Kinds[i] {
+			return fmt.Errorf("store: append to %s: column %s holds %s values, not %s", table, mt.Columns[i], mt.Kinds[i], relation.KindName(k))
+		}
+	}
+	return s.appendRecord(mt, encodeRowBatch(batch, 0, batch.NumRows()), batch.NumRows())
+}
+
+// appendTarget returns the manifest entry of the table an append names.
+func (s *Store) appendTarget(table string) (*manifestTable, error) {
+	for i := range s.man.Tables {
+		if mt := &s.man.Tables[i]; mt.Name == table {
+			if len(mt.Columns) == 0 {
+				return nil, fmt.Errorf("store: append to %s: %w", table, errZeroWidthRows)
+			}
+			return mt, nil
+		}
+	}
+	return nil, fmt.Errorf("store: no table %q to append to", table)
+}
+
+// appendRecord appends payload, holding rows rows, to mt's segment as one
+// record, syncs it and advances the manifest watermark.
+func (s *Store) appendRecord(mt *manifestTable, payload []byte, rows int) error {
+	table := mt.Name
 	// Chaos seam: injectable append failure, standing in for a full disk
 	// or yanked volume under the segment file.
 	if err := fault.Inject("store.segment.append"); err != nil {
@@ -186,7 +243,7 @@ func (s *Store) AppendRows(table string, rows [][]relation.Value) error {
 	if err != nil {
 		return fmt.Errorf("store: append to %s: %w", table, err)
 	}
-	rec := appendRecord(nil, encodeRows(rows))
+	rec := appendRecord(nil, payload)
 	if _, err := f.Write(rec); err != nil {
 		f.Close()
 		return fmt.Errorf("store: append to %s: %w", table, err)
@@ -214,7 +271,7 @@ func (s *Store) AppendRows(table string, rows [][]relation.Value) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: append to %s: %w", table, err)
 	}
-	mt.Rows += len(rows)
+	mt.Rows += rows
 	return s.writeManifest()
 }
 
@@ -230,13 +287,16 @@ func (s *Store) AppendRows(table string, rows [][]relation.Value) error {
 // rejects it if the saved table changed what the snapshot described.
 func (s *Store) SaveTable(t *relation.Table) error {
 	name := t.Name()
+	if !validTableName(name) {
+		return fmt.Errorf("store: table name %q is not a file name in the store directory", name)
+	}
 	if err := writeSegment(s.segPath(name), t); err != nil {
 		return fmt.Errorf("store: writing segment %s: %w", name, err)
 	}
 	mt := manifestTable{
 		Name:    name,
 		Columns: t.Columns(),
-		Kinds:   inferKinds(t),
+		Kinds:   kindNames(t),
 		Rows:    t.NumRows(),
 	}
 	replaced := false
@@ -269,15 +329,8 @@ func (s *Store) writeManifest() error {
 	return os.Rename(tmp, filepath.Join(s.dir, ManifestName))
 }
 
-// equalStrings reports element-wise equality.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// validTableName reports whether a table name names a segment file inside
+// the store directory: one path element, not empty, "." or "..".
+func validTableName(name string) bool {
+	return name != "" && name != "." && name != ".." && filepath.Base(name) == name
 }
