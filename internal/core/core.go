@@ -514,9 +514,9 @@ func (a *Auditor) explainRowWith(ev *query.Evaluator, ps *Pass, row, maxPerTempl
 // patient's record, each with its explanations. The patient's rows are
 // found by one scan of the log's Patient column, with no index built —
 // the lookup a patient-facing portal serves per request, which would
-// otherwise pay to index every patient for one — and handed to the
-// repeat-access programs as the patient's history, so rendering builds no
-// index either. A report costs O(log rows) for the scan plus rendering.
+// otherwise pay to index every patient for one — and a row renders only
+// the templates its masks explain, so rendering builds no index either. A
+// report costs O(log rows) for the scan plus rendering.
 // Reports are in ascending row order; a patient with no accesses gets an
 // empty slice without any mask work.
 func (a *Auditor) PatientReport(patient relation.Value, maxPerTemplate int) ([]AccessReport, error) {
@@ -539,13 +539,6 @@ func (a *Auditor) PatientReportRange(patient relation.Value, maxPerTemplate, lo,
 	ps, err := a.prepare(context.TODO(), 0)
 	if err != nil {
 		return nil, err
-	}
-	if history := a.ev.Database().MustTable(pathmodel.LogTable); history != log {
-		hc, _ := history.ColumnIndex(pathmodel.LogPatientColumn)
-		all = history.Find(hc, patient)
-	}
-	for i := range ps.progs {
-		ps.progs[i].SetPatientRows(patient, all)
 	}
 	for _, r := range rows {
 		out = append(out, a.explainRowWith(a.ev, ps, r, maxPerTemplate))

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -71,22 +73,64 @@ func TestWarmInstallLowersNothing(t *testing.T) {
 	}
 }
 
-// TestWarmPatientReportBuildsNoIndex pins the point report's cost: a warm
-// PatientReport finds the patient's rows by scanning the Patient column and
-// hands them to the repeat-access render, so it builds no hash index on
-// any table (relation.index_builds), where the cold mask build does. The
-// warm auditor runs over a dataset of its own, whose tables no earlier
-// report can have indexed.
+// TestWarmPatientReportBuildsNoIndex pins that no audit path builds a hash
+// index on any table (relation.index_builds): a cold StreamNDJSON, a cold
+// Unexplained, AppendNDJSONRows after a log append and Refresh (the follow
+// path), and a cold and a warm PatientReport. One direct Table.Index call
+// first shows the counter counts. The warm auditor runs over a dataset of
+// its own, whose tables no earlier report can have indexed.
 func TestWarmPatientReportBuildsNoIndex(t *testing.T) {
 	builds := obs.Default.Counter("relation.index_builds")
+	probe := ehr.Generate(ehr.Tiny())
 	n0 := builds.Value()
-	ds, cold := buildAuditor(t)
-	pi, _ := ds.Log().ColumnIndex(pathmodel.LogPatientColumn)
-	patient := ds.Log().Cell(0, pi)
-	want := fmt.Sprintf("%+v", mustPatientReport(t, cold, patient, 1))
-	if builds.Value() == n0 {
-		t.Fatal("the cold report built no index: relation.index_builds does not count builds")
+	probe.Log().Index(pathmodel.LogPatientColumn)
+	if builds.Value() != n0+1 {
+		t.Fatal("a Table.Index call built no index: relation.index_builds does not count builds")
 	}
+	noBuild := func(what string, f func()) {
+		t.Helper()
+		n1 := builds.Value()
+		f()
+		if n := builds.Value() - n1; n != 0 {
+			t.Errorf("%s built %d indexes, want 0", what, n)
+		}
+	}
+
+	ctx := context.Background()
+	ds := ehr.Generate(ehr.Tiny())
+	n := ds.Log().NumRows()
+	db, full := truncatedDB(ds, n-64)
+	newAuditor := func() *core.Auditor {
+		a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
+		a.BuildGroups(core.GroupsOptions{})
+		a.AddTemplates(explain.Handcrafted(true, true).All()...)
+		return a
+	}
+	stream := newAuditor()
+	noBuild("a cold StreamNDJSON", func() {
+		if err := stream.StreamNDJSON(ctx, 4, func([]byte, int, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	noBuild("a cold Unexplained", func() { mustUnexplained(t, newAuditor(), 4) })
+	log := db.MustTable(pathmodel.LogTable)
+	for r := n - 64; r < n; r++ {
+		log.Append(full.Row(r)...)
+	}
+	noBuild("the follow path (Refresh, AppendNDJSONRows)", func() {
+		if err := stream.Refresh(ctx, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stream.AppendNDJSONRows(nil, n-64, n); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	pi, _ := log.ColumnIndex(pathmodel.LogPatientColumn)
+	patient := log.Cell(0, pi)
+	cold := newAuditor()
+	var want string
+	noBuild("a cold PatientReport", func() { want = fmt.Sprintf("%+v", mustPatientReport(t, cold, patient, 1)) })
 	ws := cold.CaptureWarmState()
 
 	fresh := ehr.Generate(ehr.Tiny())
@@ -96,12 +140,12 @@ func TestWarmPatientReportBuildsNoIndex(t *testing.T) {
 	if masks, _ := warm.InstallWarmState(ws); masks != len(ws.Masks) {
 		t.Fatalf("InstallWarmState restored %d of %d masks", masks, len(ws.Masks))
 	}
-	n1 := builds.Value()
-	got := fmt.Sprintf("%+v", mustPatientReport(t, warm, patient, 1))
-	if n := builds.Value() - n1; n != 0 {
-		t.Errorf("a warm PatientReport built %d indexes, want 0", n)
-	}
+	var got string
+	noBuild("a warm PatientReport", func() { got = fmt.Sprintf("%+v", mustPatientReport(t, warm, patient, 1)) })
 	if got != want {
 		t.Errorf("warm report differs from cold:\n got %s\nwant %s", got, want)
+	}
+	if !strings.Contains(got, "repeat-access") {
+		t.Errorf("patient %v's report renders no repeat access: the check is vacuous", patient)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // RepeatAccessReference is the map-scan RepeatAccess.EvaluateRange ran
-// before it probed the history's patient index, kept verbatim as the
+// before the engine kept each pair's first access, kept verbatim as the
 // differential oracle: every call hashes the whole history into the
 // earliest (Date, Lid) per (user, patient) pair, then classifies the audited
 // rows [lo, hi) against it.
@@ -104,20 +104,35 @@ func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *
 }
 
 // repeatAccessRenderReference is RepeatAccess.Render as it was before the
-// template compiled to a program, kept verbatim as the differential oracle:
-// every call looks the history, its columns and its patient index up by
-// name, and fmt.Sprintf builds the text.
+// template compiled to a program, kept as the differential oracle: every
+// call scans the whole history for an earlier access by the row's (user,
+// patient) pair, and fmt.Sprintf builds the text.
 func repeatAccessRenderReference(ev *query.Evaluator, logRow int, n Namer) []string {
 	audited := ev.Log()
 	if logRow < 0 || logRow >= audited.NumRows() {
 		return nil
 	}
-	ac := logCols(audited)
-	row := audited.Row(logRow)
-	u, p := row[ac.user], row[ac.patient]
+	cols := func(t *relation.Table) (di, ui, pi, li int) {
+		di, _ = t.ColumnIndex(pathmodel.LogDateColumn)
+		ui, _ = t.ColumnIndex(pathmodel.LogUserColumn)
+		pi, _ = t.ColumnIndex(pathmodel.LogPatientColumn)
+		li, _ = t.ColumnIndex(pathmodel.LogIDColumn)
+		return
+	}
+	adi, aui, api, ali := cols(audited)
+	u, p := audited.Cell(logRow, aui), audited.Cell(logRow, api)
+	date, lid := audited.Cell(logRow, adi).AsInt(), audited.Cell(logRow, ali).AsInt()
 	history := ev.Database().MustTable(pathmodel.LogTable)
-	postings := history.Index(pathmodel.LogPatientColumn)[p]
-	if !earlierAccess(history, logCols(history), postings, u, row[ac.date].AsInt(), row[ac.lid].AsInt()) {
+	hdi, hui, hpi, hli := cols(history)
+	earlier := false
+	for r := 0; r < history.NumRows() && !earlier; r++ {
+		if history.Cell(r, hui) != u || history.Cell(r, hpi) != p {
+			continue
+		}
+		hd, hl := history.Cell(r, hdi).AsInt(), history.Cell(r, hli).AsInt()
+		earlier = hd < date || (hd == date && hl < lid)
+	}
+	if !earlier {
 		return nil
 	}
 	return []string{fmt.Sprintf("%s previously accessed %s's record.",

@@ -11,9 +11,9 @@ import (
 
 // Program is one template compiled for one call: its description's
 // placeholders resolved to table pointers, column positions and name roles,
-// and its binding source (path walk, decorated walk or repeat-access probe)
-// bound to the call's evaluator. It renders through two sinks: Render, the
-// string sink behind Template.Render and the report API, and AppendNDJSON,
+// and its binding source (path walk, decorated walk or the repeat-access
+// row) bound to the call's evaluator. It renders through two sinks: Render,
+// the string sink behind Template.Render and the report API, and AppendNDJSON,
 // which escapes a text into the NDJSON wire form piece by piece as it is
 // assembled, with the literals escaped once when the template was built.
 //
@@ -27,10 +27,9 @@ type Program struct {
 	form *textForm
 	n    Namer
 
-	slots  []slot
-	path   pathmodel.Path           // srcPath, and a generic text's hops
-	dec    *pathmodel.DecoratedPath // srcDecorated
-	repeat repeatProbe              // srcRepeat
+	slots []slot
+	path  pathmodel.Path           // srcPath, and a generic text's hops
+	dec   *pathmodel.DecoratedPath // srcDecorated
 }
 
 // bindingSource is where a program's instance bindings come from.
@@ -40,7 +39,7 @@ const (
 	srcOpaque    bindingSource = iota // a template type this package does not know: Template.Render
 	srcPath                           // Evaluator.Instances
 	srcDecorated                      // Evaluator.InstancesDecorated
-	srcRepeat                         // the repeat-access probe: one binding of no rows
+	srcRepeat                         // RepeatAccess: one binding of no rows
 )
 
 // slotRole is how a resolved placeholder renders its value.
@@ -106,7 +105,6 @@ func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot
 		}
 	case RepeatAccess:
 		p.src, p.form = srcRepeat, repeatForm
-		p.repeat.init(ev)
 	default:
 		p.form = newTextForm(t.Name(), t.Length(), "", nil)
 		return slots
@@ -148,23 +146,14 @@ func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot
 	return slots
 }
 
-// SetPatientRows tells a repeat-access program that rows, ascending, are
-// every row of the history Log that accesses patient — found by the caller
-// scanning the Patient column — so that rendering an access to patient
-// probes them instead of an index of the whole column. A point report,
-// which renders one patient's accesses, then builds no index at all.
-// Programs of other templates ignore it.
-func (p *Program) SetPatientRows(patient relation.Value, rows []int) {
-	if p.src == srcRepeat {
-		p.repeat.point, p.repeat.patient, p.repeat.patientRows = true, patient, rows
-	}
-}
-
-// repeatHit is the repeat-access probe's one binding: the text reads only
+// repeatHit is a repeat-access program's one binding: the text reads only
 // the audited row.
 var repeatHit = []query.InstanceBinding{{}}
 
-// bindings returns up to limit instance bindings of logRow.
+// bindings returns up to limit instance bindings of logRow. A
+// repeat-access program returns its one binding for any audited row
+// without classifying it: callers render a template only for the rows its
+// mask explains.
 func (p *Program) bindings(ev *query.Evaluator, logRow, limit int) []query.InstanceBinding {
 	switch p.src {
 	case srcPath:
@@ -172,16 +161,17 @@ func (p *Program) bindings(ev *query.Evaluator, logRow, limit int) []query.Insta
 	case srcDecorated:
 		return ev.InstancesDecorated(*p.dec, logRow, limit)
 	case srcRepeat:
-		if logRow >= 0 && logRow < p.repeat.audited.NumRows() && p.repeat.explains(logRow) {
+		if logRow >= 0 && logRow < ev.Log().NumRows() {
 			return repeatHit
 		}
 	}
 	return nil
 }
 
-// Render is the string sink: up to limit texts for logRow, exactly what
-// Template.Render returns — nil when a repeat-access program does not
-// explain the row, an empty slice when a path program finds no binding.
+// Render is the string sink: up to limit texts for logRow, what
+// Template.Render returns for a row the template explains — nil when
+// logRow is not an audited row of a repeat-access program, an empty slice
+// when a path program finds no binding.
 func (p *Program) Render(ev *query.Evaluator, logRow, limit int) []string {
 	if p.src == srcOpaque {
 		return p.t.Render(ev, logRow, limit, p.n)

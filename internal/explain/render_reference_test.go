@@ -64,6 +64,9 @@ func refObjects(t *testing.T, tpl explain.Template, texts []string, sep bool) []
 // dataset's namer — through
 // Template.Render, through the call's Program.Render, and through
 // Program.AppendNDJSON, whose objects must be the reference texts encoded.
+// A repeat-access program renders its text without classifying the row, as
+// its callers render only the rows its mask explains, so its sinks are
+// compared on the rows the reference explains.
 func TestRenderMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ehr.Tiny()
@@ -84,6 +87,9 @@ func TestRenderMatchesReference(t *testing.T) {
 					got := tpl.Render(ev, r, 3, namer)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d %T %s row %d:\n got %q\nwant %q", seed, namer, tpl.Name(), r, got, want)
+					}
+					if _, repeat := tpl.(explain.RepeatAccess); repeat && want == nil {
+						continue
 					}
 					if got := progs[i].Render(ev, r, 3); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d %T %s row %d: Program.Render\n got %q\nwant %q", seed, namer, tpl.Name(), r, got, want)

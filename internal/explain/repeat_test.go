@@ -95,8 +95,8 @@ func historicalSplit(ds *ehr.Dataset) *query.Evaluator {
 	return core.NewAuditor(accesslog.WithLog(ds.DB, history), nil, core.WithAuditedLog(audited)).Evaluator()
 }
 
-// TestRepeatAccessMatchesReference pins the patient-index probe to the map
-// scan it replaced: over random range partitions of three Tiny seeds, the
+// TestRepeatAccessMatchesReference pins the per-pair first-access table to
+// the map scan it replaced: over random range partitions of three Tiny seeds, the
 // stitched EvaluateRange masks equal the reference's, on the database Log,
 // on a shuffled history with same-Date ties, and on a historical audit.
 // Render must produce text exactly for the rows the mask sets.
@@ -156,13 +156,129 @@ func TestRepeatAccessMatchesReference(t *testing.T) {
 }
 
 // TestRepeatAccessRangeAllocs pins "no per-call history structure": once
-// the history's patient index is built, classifying a 64-row range
-// allocates the result slice and nothing that grows with the history.
+// the log's pair column is interned, classifying a 64-row range allocates
+// the result slice and nothing that grows with the history.
 func TestRepeatAccessRangeAllocs(t *testing.T) {
 	ev := query.NewEvaluator(ehr.Generate(ehr.Tiny()).DB)
 	tpl := explain.RepeatAccess{}
-	tpl.EvaluateRange(ev, 0, 64) // warm the index
+	tpl.EvaluateRange(ev, 0, 64) // intern the pair column
 	if allocs := testing.AllocsPerRun(50, func() { tpl.EvaluateRange(ev, 64, 128) }); allocs > 2 {
 		t.Errorf("64-row EvaluateRange allocates %.0f objects, want <= 2", allocs)
+	}
+}
+
+// TestRepeatAccessUnderAppends is the repeat-access differential under
+// appends: one evaluator follows a log grown by seeded batches, and after
+// each batch EvaluateRange over the whole log, the appended range included,
+// equals RepeatAccessReference. The batches come in (Date, Lid) order or
+// out of it, and each may add a copy of an audited row (a duplicate
+// (Date, Lid)) and two accesses by a pair first seen in the batch.
+func TestRepeatAccessUnderAppends(t *testing.T) {
+	tpl := explain.RepeatAccess{}
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := ehr.Tiny()
+		cfg.Seed = seed
+		full := ehr.Generate(cfg).Log()
+		n := full.NumRows()
+		ui, _ := full.ColumnIndex(pathmodel.LogUserColumn)
+		li, _ := full.ColumnIndex(pathmodel.LogIDColumn)
+		for _, order := range []string{"chronological", "shuffled"} {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, order), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				rows := make([]int, n)
+				for r := range rows {
+					rows[r] = r
+				}
+				base := n / 2
+				if order == "shuffled" {
+					rng.Shuffle(n-base, func(i, j int) { rows[base+i], rows[base+j] = rows[base+j], rows[base+i] })
+				}
+				log := accesslog.NewLogTable(pathmodel.LogTable)
+				for _, r := range rows[:base] {
+					log.Append(full.Row(r)...)
+				}
+				ev := query.NewEvaluator(accesslog.WithLog(relation.NewDatabase(), log))
+				check := func(stage string) {
+					t.Helper()
+					want := explain.RepeatAccessReference(ev, 0, log.NumRows())
+					for r, b := range tpl.EvaluateRange(ev, 0, log.NumRows()) {
+						if b != want[r] {
+							t.Fatalf("%s: row %d = %v, reference %v", stage, r, b, want[r])
+						}
+					}
+				}
+				check("base")
+				dups, fresh := 0, 0
+				for lo, batch := base, 0; lo < n; batch++ {
+					hi := min(n, lo+1+rng.Intn(97))
+					for _, r := range rows[lo:hi] {
+						log.Append(full.Row(r)...)
+					}
+					if rng.Intn(2) == 0 {
+						log.Append(log.Row(rng.Intn(log.NumRows()))...)
+						dups++
+					}
+					if rng.Intn(2) == 0 {
+						row := log.Row(rng.Intn(log.NumRows()))
+						row[ui] = relation.Int(1<<40 + int64(batch))
+						log.Append(row...)
+						row[li] = relation.Int(row[li].AsInt() + 1)
+						log.Append(row...)
+						fresh++
+					}
+					check(fmt.Sprintf("batch %d (rows %d..%d)", batch, lo, hi))
+					lo = hi
+				}
+				if dups == 0 || fresh == 0 {
+					t.Fatalf("%d duplicate rows and %d fresh pairs appended: the fixture exercises too little", dups, fresh)
+				}
+			})
+		}
+	}
+}
+
+// TestRepeatAccessGrowingHistory covers a history that is not the audited
+// log (WithAuditedLog): the history (the log's first half) and the audited
+// log (its second half) grow in turns, so one call sees the history grown
+// under an unchanged audited pair count and the next new audited pairs
+// under an unchanged history. Each call's EvaluateRange, made twice (the
+// second is served the cached table), equals RepeatAccessReference.
+func TestRepeatAccessGrowingHistory(t *testing.T) {
+	tpl := explain.RepeatAccess{}
+	ds := ehr.Generate(ehr.Tiny())
+	full := ds.Log()
+	n := full.NumRows()
+	history := accesslog.NewLogTable(pathmodel.LogTable)
+	audited := accesslog.NewLogTable(pathmodel.LogTable)
+	ev := core.NewAuditor(accesslog.WithLog(ds.DB, history), nil, core.WithAuditedLog(audited)).Evaluator()
+	rng := rand.New(rand.NewSource(7))
+	next := [2]int{0, n / 2} // the next row each table takes
+	end := [2]int{n / 2, n}
+	for step := 0; next[0] < end[0] || next[1] < end[1]; step++ {
+		side := step % 2
+		tb := []*relation.Table{history, audited}[side]
+		hi := min(end[side], next[side]+1+rng.Intn(300))
+		for r := next[side]; r < hi; r++ {
+			tb.Append(full.Row(r)...)
+		}
+		next[side] = hi
+		for k := 0; k < 2; k++ {
+			want := explain.RepeatAccessReference(ev, 0, audited.NumRows())
+			for r, b := range tpl.EvaluateRange(ev, 0, audited.NumRows()) {
+				if b != want[r] {
+					t.Fatalf("step %d: audited row %d = %v, reference %v", step, r, b, want[r])
+				}
+			}
+		}
+	}
+	want := explain.RepeatAccessReference(ev, 0, audited.NumRows())
+	explained := 0
+	for _, b := range want {
+		if b {
+			explained++
+		}
+	}
+	if explained == 0 || explained == len(want) {
+		t.Fatalf("%d of %d audited rows explained: the fixture exercises nothing", explained, len(want))
 	}
 }

@@ -557,10 +557,10 @@ func (f *Federation) eachUnexplained(ctx context.Context, parallelism int, add f
 
 // PatientReport is the federated user-centric view: every access to one
 // patient's record across all shards, in global log order (the shard reports
-// concatenated in shard order), each with its explanations. Each shard looks
-// the patient up in its engine's per-patient index, so the cost is
-// O(accesses to that patient) plus rendering. Shard calls run under the
-// retry budget, and any shard failure aborts the call.
+// concatenated in shard order), each with its explanations. Each shard finds
+// the patient's rows by scanning its engine's Patient column, with no index
+// built, and renders them. Shard calls run under the retry budget, and any
+// shard failure aborts the call.
 func (f *Federation) PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error) {
 	out := []core.AccessReport{}
 	err := f.eachShard(context.TODO(), seamReport, func(sh *shard) error {

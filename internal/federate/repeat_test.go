@@ -14,12 +14,12 @@ import (
 )
 
 // TestRepeatAccessSharedIndexRace drives the one structure every shard of a
-// Split shares: repeat-access probes the merged Log's lazily built patient
-// index, so on a fresh database every mask worker of a shard asks for that
-// index at once, and the next shard finds it built. A K=4 federation streams
-// with 4*K workers per shard and must match a single engine; after an
-// append (which drops the index) and Refresh, it must match a from-scratch
-// auditor over the grown log. The skewed layout has a run off the 64-row
+// Split shares: repeat access reads the engine's per-pair first-access
+// table, built with the pair column on first use, so on a fresh database
+// every mask worker of a shard asks for it at once, and the next shard finds
+// it built. A K=4 federation streams with 4*K workers per shard and must
+// match a single engine; after an append (which extends the table) and
+// Refresh, it must match a from-scratch auditor over the grown log. The skewed layout has a run off the 64-row
 // chunk boundary, an empty shard and a 1-row last shard that Refresh grows.
 // Run under -race.
 func TestRepeatAccessSharedIndexRace(t *testing.T) {

@@ -75,6 +75,11 @@ const noID = ^uint32(0)
 func (d *dict) lookup(v relation.Value) uint32 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.find(v)
+}
+
+// find is lookup for a caller that holds d.mu.
+func (d *dict) find(v relation.Value) uint32 {
 	var id uint32
 	ok := false
 	switch v.Kind {

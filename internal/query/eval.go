@@ -85,10 +85,10 @@ type engine struct {
 	db  *relation.Database
 	log *relation.Table
 
-	// logPatientIdx and logUserIdx are the audited log's Patient and User
-	// column positions, immutable after construction.
-	logPatientIdx int
-	logUserIdx    int
+	// The audited log's Patient, User, Date and Lid column positions,
+	// immutable after construction.
+	logPatientIdx, logUserIdx int
+	logDateIdx, logLidIdx     int
 
 	// dict interns every join value into a dense ID; cols caches the ID form
 	// of each table column plans, estimates and instance walks read, and
@@ -103,6 +103,11 @@ type engine struct {
 	// keyed patient<<32 | user, for idProjections' pair column. Guarded by
 	// projMu.
 	pairs map[uint64]uint32
+
+	// history is the first-access table of a history Log that is not the
+	// audited log (see repeat.go), guarded by historyMu.
+	historyMu sync.Mutex
+	history   *historyFirst
 
 	// proj is the audited log's ID projections (see logProj), published
 	// atomically so they can be *extended* when the log grows:
@@ -245,15 +250,15 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 		cols: make(map[colKey]*idCol), bases: make(map[baseKey]*base), pairs: make(map[uint64]uint32)}
 	eng.dict = newDict()
 	eng.initMetrics()
-	pi, ok := log.ColumnIndex(pathmodel.LogPatientColumn)
-	if !ok {
-		panic("query: Log table lacks Patient column")
+	col := func(name string) int {
+		c, ok := log.ColumnIndex(name)
+		if !ok {
+			panic("query: Log table lacks " + name + " column")
+		}
+		return c
 	}
-	ui, ok := log.ColumnIndex(pathmodel.LogUserColumn)
-	if !ok {
-		panic("query: Log table lacks User column")
-	}
-	eng.logPatientIdx, eng.logUserIdx = pi, ui
+	eng.logPatientIdx, eng.logUserIdx = col(pathmodel.LogPatientColumn), col(pathmodel.LogUserColumn)
+	eng.logDateIdx, eng.logLidIdx = col(pathmodel.LogDateColumn), col(pathmodel.LogIDColumn)
 	eng.proj.Store(&logProj{})
 	return &Evaluator{engine: eng}
 }
@@ -275,21 +280,27 @@ func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 // order, and pair p is (pairPatient[p], pairUser[p]) and holds pairRows[p]
 // of the rows the ID columns cover. An undecorated template's verdict is a
 // function of the pair, so whole-log support walks the pairs weighted by
-// their rows (Prepared.SupportRange).
+// their rows (Prepared.SupportRange). pairFirst[p] is the earliest
+// (Date, Lid) among pair p's rows, the repeat-access state of a log that is
+// its own history (see repeat.go).
 type logProj struct {
 	patientID, userID []uint32
 
 	pairID                          []uint32
 	pairPatient, pairUser, pairRows []uint32
+	pairFirst                       []stamp
 }
 
 // idProjections returns a snapshot whose ID and pair columns cover every
 // row, interning and numbering the rows they do not cover yet: the whole log
 // on the first plan evaluation, the appended suffix after that. An appended
-// row whose pair is known joins it; pairRows is copied first, so an older
-// snapshot keeps its counts. A caller that never evaluates a plan (a warm
-// point render) never pays for interning the log. Like all query
-// evaluation, it must not race with an Append to the log.
+// row whose pair is known joins it. pairRows is copied first, and
+// pairFirst before an appended row lowers an entry an older snapshot
+// covers (an append out of (Date, Lid) order), so an older snapshot keeps
+// its values and a chronological append copies no pairFirst. A caller
+// that never evaluates a plan (a warm point render) never pays for
+// interning the log. Like all query evaluation, it must not race with an
+// Append to the log.
 func (eng *engine) idProjections() *logProj {
 	n := eng.log.NumRows()
 	if pr := eng.proj.Load(); len(pr.patientID) == n {
@@ -308,6 +319,7 @@ func (eng *engine) idProjections() *logProj {
 	eng.dictValues.Set(int64(len(d.vals)))
 	d.mu.Unlock()
 	next.pairRows = slices.Clone(next.pairRows)
+	shared := len(next.pairFirst) // entries the previous snapshot covers
 	for r := lo; r < len(next.patientID); r++ {
 		pt, u := next.patientID[r], next.userID[r]
 		p, ok := eng.pairs[uint64(pt)<<32|uint64(u)]
@@ -317,9 +329,16 @@ func (eng *engine) idProjections() *logProj {
 			next.pairPatient = append(next.pairPatient, pt)
 			next.pairUser = append(next.pairUser, u)
 			next.pairRows = append(next.pairRows, 0)
+			next.pairFirst = append(next.pairFirst, noAccess)
 		}
 		next.pairID = append(next.pairID, p)
 		next.pairRows[p]++
+		if s := stampOf(eng.log, eng.logDateIdx, eng.logLidIdx, r); s.before(next.pairFirst[p]) {
+			if int(p) < shared {
+				next.pairFirst, shared = slices.Clone(next.pairFirst), 0
+			}
+			next.pairFirst[p] = s
+		}
 	}
 	eng.proj.Store(&next)
 	return &next

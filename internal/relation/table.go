@@ -526,8 +526,34 @@ func (t *Table) Index(column string) map[Value][]int {
 	return idx
 }
 
-// NumDistinct returns the number of distinct values in the named column.
-func (t *Table) NumDistinct(column string) int { return len(t.Index(column)) }
+// NumDistinct returns the number of distinct values in the named column:
+// the distinct payloads of its typed cells, plus one when it holds a null.
+// It counts with a set of payloads and builds or caches no index.
+func (t *Table) NumDistinct(column string) int {
+	col := &t.cols[t.mustColumn(column)]
+	switch col.kind {
+	case KindNull:
+		return min(t.rows, 1)
+	case KindString:
+		return numDistinct(col, col.strs[:t.rows])
+	}
+	return numDistinct(col, col.ints[:t.rows])
+}
+
+// numDistinct counts the distinct payloads among the non-null cells of col,
+// plus one when one of its cells is null.
+func numDistinct[T comparable](col *column, cells []T) int {
+	seen := make(map[T]struct{})
+	null := 0
+	for r, x := range cells {
+		if col.null(r) {
+			null = 1
+			continue
+		}
+		seen[x] = struct{}{}
+	}
+	return len(seen) + null
+}
 
 // Filter returns a new table named name holding, in order, the rows r for
 // which keep(r) is true, with the receiver's column kinds. The new table
