@@ -535,7 +535,7 @@ func BenchmarkWarmStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		masks, _ := a.InstallWarmState(ws)
+		masks := a.InstallWarmState(ws)
 		if masks == 0 {
 			b.Fatal("snapshot installed no masks")
 		}

@@ -60,7 +60,7 @@
 // database: a missing store is created from -data (or the generated
 // dataset), an existing one is opened directly — no CSV reparse — with any
 // torn segment tail from a crash truncated away. audit saves a warm-start
-// snapshot (template masks, compiled-plan keys, watermarks) into the
+// snapshot (template masks and their watermarks) into the
 // store, and audit -follow additionally persists every appended log batch
 // as a durable segment record, so a restarted session resumes warm exactly
 // where the interrupted one left off; a snapshot that no longer matches
@@ -397,9 +397,8 @@ func openApp(srcs []source, gen func() (*ehr.Dataset, error), parallelism int, s
 			ws, err := st.LoadWarmState(a.db)
 			switch {
 			case err == nil:
-				masks, plans := aud.InstallWarmState(ws)
-				fmt.Fprintf(stderr, "ebaudit: warm start from %s: %d masks, %d plans restored\n",
-					st.Dir(), masks, plans)
+				fmt.Fprintf(stderr, "ebaudit: warm start from %s: %d masks restored\n",
+					st.Dir(), aud.InstallWarmState(ws))
 			case errors.Is(err, store.ErrStaleSnapshot):
 				fmt.Fprintf(stderr, "ebaudit: %v (starting cold)\n", err)
 			case errors.Is(err, store.ErrNoSnapshot):
@@ -536,8 +535,8 @@ func (a *app) federation(k int) (*federate.Federation, error) {
 	return fed, nil
 }
 
-// saveWarmState persists the auditor's current derived state — cached
-// template masks and resident compiled-plan keys — into the app's store so
+// saveWarmState persists the auditor's current derived state — its cached
+// template masks — into the app's store so
 // the next session over the same store resumes warm. It is a no-op without
 // a store; only a single engine has one (shard stores of a federation keep
 // no snapshot).

@@ -101,23 +101,17 @@ func (a *app) printExplainReport(w io.Writer) {
 	ev := a.auditor.Evaluator()
 	for _, t := range a.auditor.Templates() {
 		tpl, ok := t.(*explain.PathTemplate)
-		if !ok {
-			fmt.Fprintf(w, "template %s: evaluates outside the plan cache (%s); no exec trace\n",
-				t.Name(), templateKind(t))
+		if !ok || len(tpl.Decorations) > 0 {
+			kind := "direct log scan"
+			if ok {
+				kind = "decorated bound-tuple DFS"
+			}
+			fmt.Fprintf(w, "template %s: evaluates outside the plan cache (%s); no exec trace\n", t.Name(), kind)
 			continue
 		}
 		pp := ev.Prepare(tpl.Path)
 		printPlanExec(w, t.Name(), pp.ExecTrace())
 	}
-}
-
-// templateKind names the evaluation strategy of a non-plan-cache template
-// for the -explain notes.
-func templateKind(t explain.Template) string {
-	if _, ok := t.(*explain.DecoratedTemplate); ok {
-		return "decorated bound-tuple DFS"
-	}
-	return "direct log scan"
 }
 
 // printPlanExec renders one template's per-op execution counters, in the

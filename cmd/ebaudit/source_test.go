@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,5 +133,53 @@ func TestStoreStaleSnapshotReopen(t *testing.T) {
 	if got != want {
 		t.Errorf("stale-snapshot reopen streams differently from a cold -data load (%d vs %d bytes)",
 			len(got), len(want))
+	}
+}
+
+// TestStoreOldSnapshotFormatStartsCold rewrites a store's warm-start
+// snapshot into the EBWRM01 layout, which listed plan-cache keys between the
+// log watermark and the masks: the next run must say it starts cold, stream
+// exactly what the cold run that created the store streamed, and leave a
+// current snapshot the run after it starts warm from.
+func TestStoreOldSnapshotFormatStartsCold(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	want, _ := runOK(t, "-store", dir, "audit", "-stream")
+
+	snap := filepath.Join(dir, "WARM.snap")
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magic, frame = len("EBWRM02\n"), 8
+	if string(data[:magic]) != "EBWRM02\n" {
+		t.Fatalf("snapshot opens with %q", data[:magic])
+	}
+	payload := data[magic+frame:]
+	// The head: schema version, 8-byte fingerprint, log table name, log rows.
+	_, n := binary.Uvarint(payload)
+	head := n + 8
+	nameLen, n := binary.Uvarint(payload[head:])
+	head += n + int(nameLen)
+	_, n = binary.Uvarint(payload[head:])
+	head += n
+	old := append([]byte(nil), payload[:head]...)
+	old = append(binary.AppendUvarint(old, 1), 3, 'k', '|', 'x')
+	old = append(old, payload[head:]...)
+	file := binary.LittleEndian.AppendUint32([]byte("EBWRM01\n"), uint32(len(old)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(old, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(snap, append(file, old...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, gotErr := runOK(t, "-store", dir, "audit", "-stream")
+	if !strings.Contains(gotErr, "(starting cold)") || strings.Contains(gotErr, "warm start from") {
+		t.Errorf("an EBWRM01 snapshot was not discarded:\n%s", gotErr)
+	}
+	if got != want {
+		t.Errorf("the cold restart streams differently from the run that created the store (%d vs %d bytes)",
+			len(got), len(want))
+	}
+	if _, warmErr := runOK(t, "-store", dir, "audit", "-stream"); !strings.Contains(warmErr, "warm start from") {
+		t.Errorf("the cold restart left no current snapshot:\n%s", warmErr)
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"repro/internal/explain"
 )
 
-// TestAuditorWithDecoratedTemplates wires the §5.3.4 depth-restricted group
-// templates through the full Auditor flow: registration, per-row
-// explanation, and unexplained triage must all work identically to plain
-// path templates.
-func TestAuditorWithDecoratedTemplates(t *testing.T) {
+// TestAuditorWithDecoratedPathTemplates wires decorated path templates (the
+// §5.3.4 depth-restricted group template and the decorated repeat access)
+// through the full Auditor flow: registration, per-row explanation, and
+// unexplained triage must all work identically to undecorated ones.
+func TestAuditorWithDecoratedPathTemplates(t *testing.T) {
 	ds := ehr.Generate(ehr.Tiny())
 	a := core.NewAuditor(ds.DB, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(ds))
 	a.BuildGroups(core.GroupsOptions{})

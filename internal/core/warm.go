@@ -7,20 +7,16 @@ import (
 )
 
 // CaptureWarmState snapshots the auditor's reusable derived state — every
-// cached template mask with its watermarks, and the canonical keys of the
-// compiled plans currently resident in the query engine — as a
-// store.WarmState ready for Store.SaveWarmState. HistRows is recorded as a
-// row count: a live Log table's history is purely append-only and grows one
-// Append per row, so its AppendVersion watermark and its row count are the
-// same number, and a row count is what survives a process restart.
+// cached template mask with its watermarks — as a store.WarmState ready for
+// Store.SaveWarmState. HistRows is recorded as a row count: a live Log
+// table's history is purely append-only and grows one Append per row, so
+// its AppendVersion watermark and its row count are the same number, and a
+// row count is what survives a process restart.
 // CaptureWarmState requires the same exclusive access as the other
 // configuration methods (the batch methods may be filling masks
 // concurrently).
 func (a *Auditor) CaptureWarmState() *store.WarmState {
-	ws := &store.WarmState{
-		LogTable: pathmodel.LogTable,
-		PlanKeys: a.ev.PlanCacheKeys(),
-	}
+	ws := &store.WarmState{LogTable: pathmodel.LogTable}
 	a.mu.Lock()
 	for i, t := range a.templates {
 		e, ok := a.masks[i]
@@ -40,12 +36,11 @@ func (a *Auditor) CaptureWarmState() *store.WarmState {
 
 // InstallWarmState seeds a freshly configured auditor from a snapshot the
 // store has already validated (Store.LoadWarmState): cached masks are
-// installed where their watermarks prove them still correct, and the
-// plans the snapshot's keys name are registered via WarmPlans. It returns
-// how many masks and plans were warmed. Nothing here reads a table's rows:
-// a registered plan is lowered on its first evaluation, so a warm command
-// that only renders (a patient report) never lowers one. The install rules are
-// exactly the mask cache's own staleness policy, applied across a restart:
+// installed where their watermarks prove them still correct, and it returns
+// how many were. Nothing here reads a table's rows or prepares a plan, so a
+// warm command that only renders (a patient report) never lowers one. The
+// install rules are exactly the mask cache's own staleness policy, applied
+// across a restart:
 //
 //   - an append-monotone template's mask is a valid prefix as long as its
 //     row watermark has not passed the current log — the next Refresh or
@@ -60,7 +55,7 @@ func (a *Auditor) CaptureWarmState() *store.WarmState {
 // Masks of template names the auditor does not have are ignored.
 // InstallWarmState requires exclusive access, like the configuration
 // methods it extends.
-func (a *Auditor) InstallWarmState(ws *store.WarmState) (masks, plans int) {
+func (a *Auditor) InstallWarmState(ws *store.WarmState) (masks int) {
 	n := a.ev.Log().NumRows()
 	hist := a.histVersion()
 	byName := make(map[string]int, len(a.templates))
@@ -87,34 +82,5 @@ func (a *Auditor) InstallWarmState(ws *store.WarmState) (masks, plans int) {
 		masks++
 	}
 	a.mu.Unlock()
-	return masks, a.WarmPlans(ws.PlanKeys)
-}
-
-// WarmPlans re-prepares every registered template path whose canonical
-// condition key appears in keys, registering those plans in the engine's
-// plan cache so later Prepares hit. Preparing compiles a plan's structure
-// only — each plan is lowered onto the rows on its first evaluation — so
-// registering costs almost nothing. Keys that match no template path are
-// ignored (the workload that compiled them is not running anymore). It
-// returns the number of plans prepared.
-func (a *Auditor) WarmPlans(keys []string) int {
-	want := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
-	}
-	warmed := 0
-	for _, t := range a.templates {
-		p, ok := explain.TemplatePath(t)
-		if !ok {
-			continue
-		}
-		key := p.CanonicalKey()
-		if !want[key] {
-			continue
-		}
-		delete(want, key) // two templates may share a canonical plan
-		a.ev.Prepare(p)
-		warmed++
-	}
-	return warmed
+	return masks
 }

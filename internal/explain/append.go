@@ -15,30 +15,10 @@ func TemplateTables(t Template) (tables []string, ok bool) {
 	switch tpl := t.(type) {
 	case *PathTemplate:
 		return pathTables(tpl.Path), true
-	case *DecoratedTemplate:
-		return pathTables(tpl.Decorated.Base), true
 	case RepeatAccess:
 		return []string{pathmodel.LogTable}, true
 	default:
 		return nil, false
-	}
-}
-
-// TemplatePath returns the closed path behind a path-backed template — a
-// PathTemplate's own path, or a DecoratedTemplate's base — and whether the
-// template type exposes one. The warm-start layer uses it to map a
-// snapshot's recorded plan-cache keys back to concrete paths it can
-// re-prepare; note a decorated template's per-row search does not itself go
-// through the plan cache, so its base path only warms anything when some
-// plain path template shares the same canonical condition set.
-func TemplatePath(t Template) (pathmodel.Path, bool) {
-	switch tpl := t.(type) {
-	case *PathTemplate:
-		return tpl.Path, true
-	case *DecoratedTemplate:
-		return tpl.Decorated.Base, true
-	default:
-		return pathmodel.Path{}, false
 	}
 }
 
@@ -79,53 +59,33 @@ func pathTables(p pathmodel.Path) []string {
 //     tables, which appending log rows does not touch;
 //   - RepeatAccess explains a row only from strictly *earlier* (Date, Lid)
 //     history, which later rows cannot provide;
-//   - a decorated template whose base self-joins the Log qualifies when
-//     every Log instance is pinned to the past by a Lid-order decoration
+//   - a path template whose path self-joins the Log qualifies when every
+//     Log instance is pinned to the past by a Lid-order decoration
 //     (Log_k.Lid < L.Lid), the decorated repeat-access shape.
 //
 // Anything else — notably a mined closed path that self-joins the Log with
 // no temporal guard, where a future access can retroactively explain a past
-// one — reports false, and unknown template types report false
-// conservatively.
+// one, or any path bridged through the Log — reports false, and unknown
+// template types report false conservatively.
 func AppendMonotone(t Template) bool {
 	switch tpl := t.(type) {
 	case *PathTemplate:
-		return !referencesLog(tpl.Path)
-	case RepeatAccess:
-		return true
-	case *DecoratedTemplate:
-		base := tpl.Decorated.Base
-		if !referencesLog(base) {
-			return true
-		}
-		for i, in := range base.Instances() {
-			if i == 0 || in.Table != pathmodel.LogTable {
-				continue
+		for _, c := range tpl.Path.Conds() {
+			if c.Via != nil && c.Via.Table == pathmodel.LogTable {
+				return false
 			}
-			if !pastPinned(tpl.Decorated.Decorations, i) {
+		}
+		for i, in := range tpl.Path.Instances() {
+			if i > 0 && in.Table == pathmodel.LogTable && !pastPinned(tpl.Decorations, i) {
 				return false
 			}
 		}
 		return true
+	case RepeatAccess:
+		return true
 	default:
 		return false
 	}
-}
-
-// referencesLog reports whether the path joins the Log table beyond the
-// audited instance 0.
-func referencesLog(p pathmodel.Path) bool {
-	for _, in := range p.Instances()[1:] {
-		if in.Table == pathmodel.LogTable {
-			return true
-		}
-	}
-	for _, c := range p.Conds() {
-		if c.Via != nil && c.Via.Table == pathmodel.LogTable {
-			return true
-		}
-	}
-	return false
 }
 
 // pastPinned reports whether some decoration restricts log instance inst to

@@ -82,18 +82,35 @@ func TestAppendMonotone(t *testing.T) {
 	if explain.AppendMonotone(explain.NewPathTemplate("any-access", base, "")) {
 		t.Error("unguarded Log self-join path should not be append-monotone")
 	}
-	undated := pathmodel.NewDecoratedPath(base, pathmodel.Decoration{
+	undated := explain.NewPathTemplate("same-day", base, "", pathmodel.Decoration{
 		Left:  pathmodel.Ref{Inst: 1, Col: pathmodel.LogDateColumn},
 		Op:    pathmodel.OpLE,
 		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogDateColumn},
 	})
-	if explain.AppendMonotone(explain.NewDecoratedTemplate("same-day", undated, "")) {
+	if explain.AppendMonotone(undated) {
 		t.Error("Log self-join without a strict Lid guard should not be append-monotone")
 	}
 
 	if explain.AppendMonotone(opaqueTemplate{}) {
 		t.Error("unknown template type should not be append-monotone")
 	}
+}
+
+// TestNewPathTemplateRejectsMissingInstance pins construction-time
+// validation: a decoration that names an instance the path does not have
+// panics when the template is built, not when it is first evaluated.
+func TestNewPathTemplateRejectsMissingInstance(t *testing.T) {
+	p := explain.DecoratedRepeatAccess().Path // instances L and Log2
+	defer func() {
+		if recover() == nil {
+			t.Error("a decoration on instance 2 of a two-instance path built a template")
+		}
+	}()
+	explain.NewPathTemplate("missing-instance", p, "", pathmodel.Decoration{
+		Left:  pathmodel.Ref{Inst: 2, Col: pathmodel.LogIDColumn},
+		Op:    pathmodel.OpLT,
+		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogIDColumn},
+	})
 }
 
 // opaqueTemplate is an un-introspectable Template implementation.

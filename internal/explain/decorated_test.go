@@ -98,7 +98,7 @@ func TestDepthRestrictionControlsPrecision(t *testing.T) {
 	}
 }
 
-func TestDecoratedTemplateSQLAndRender(t *testing.T) {
+func TestDecoratedPathTemplateSQLAndRender(t *testing.T) {
 	ds, ev := tinyEvaluator(t)
 	dec := explain.DepthRestrictedGroupTemplate("appt-group-d1", "Appointments", "an appointment", 1)
 
@@ -164,8 +164,7 @@ func TestDecorationOperators(t *testing.T) {
 		{pathmodel.OpGT, []bool{true, false}},
 	}
 	for _, c := range cases {
-		dp := pathmodel.NewDecoratedPath(base, pathmodel.Decoration{Left: ref1, Op: c.op, Right: ref0})
-		got := ev.ExplainedRowsDecorated(dp)
+		got := explain.NewPathTemplate("lid-order", base, "", pathmodel.Decoration{Left: ref1, Op: c.op, Right: ref0}).Evaluate(ev)
 		for i := range c.want {
 			if got[i] != c.want[i] {
 				t.Errorf("op %v row %d: got %v, want %v", c.op, i, got[i], c.want[i])

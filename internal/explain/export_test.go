@@ -154,10 +154,13 @@ func formSegs(f *textForm) []descSeg {
 func RenderReference(t Template, ev *query.Evaluator, logRow, limit int, n Namer) (texts []string, ok bool) {
 	switch tpl := t.(type) {
 	case *PathTemplate:
-		return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Path, ev, logRow, ev.Instances(tpl.Path, logRow, limit), n), true
-	case *DecoratedTemplate:
-		return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Decorated.Base, ev, logRow,
-			ev.InstancesDecorated(tpl.Decorated, logRow, limit), n), true
+		var bs []query.InstanceBinding
+		if len(tpl.Decorations) > 0 {
+			bs = ev.InstancesDecorated(tpl.decorated(), logRow, limit)
+		} else {
+			bs = ev.Instances(tpl.Path, logRow, limit)
+		}
+		return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Path, ev, logRow, bs, n), true
 	case RepeatAccess:
 		return repeatAccessRenderReference(ev, logRow, n), true
 	}

@@ -1,7 +1,10 @@
 package explain
 
 import (
+	"fmt"
+
 	"repro/internal/pathmodel"
+	"repro/internal/relation"
 	"repro/internal/schemagraph"
 )
 
@@ -137,6 +140,46 @@ func GroupTemplateB(name, eventTable, col, verb string) *PathTemplate {
 	desc := "someone in [L.User|user]'s collaborative group " + verb + " for [L.Patient|patient] on [" +
 		eventTable + "1.Date]."
 	return NewPathTemplate(name, p, desc)
+}
+
+// DecoratedRepeatAccess builds the paper's decorated repeat-access template
+// through the generic decoration machinery: the simple path
+// L.Patient = Log2.Patient AND Log2.User = L.User, decorated with
+// Log2.Lid < L.Lid. Lids increase over time in an append-only log, so the
+// Lid comparison is the (Date, Lid) temporal order of the specialized
+// RepeatAccess template in one condition. The two implementations are
+// differentially tested against each other.
+func DecoratedRepeatAccess() *PathTemplate {
+	start := pathmodel.StartAttr()
+	end := pathmodel.EndAttr()
+	p := mustPath(
+		schemagraph.Edge{From: start, To: start, Kind: schemagraph.SelfJoin},
+		schemagraph.Edge{From: end, To: end, Kind: schemagraph.SelfJoin},
+	)
+	return NewPathTemplate("repeat-access-decorated", p,
+		"[L.User|user] previously accessed [L.Patient|patient]'s record (on [Log2.Date]).",
+		pathmodel.Decoration{
+			Left:  pathmodel.Ref{Inst: 1, Col: pathmodel.LogIDColumn},
+			Op:    pathmodel.OpLT,
+			Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogIDColumn},
+		})
+}
+
+// DepthRestrictedGroupTemplate builds the §5.3.4 future-work template: the
+// collaborative-group explanation restricted to groups at one hierarchy
+// depth, controlling the precision/recall trade-off without rebuilding the
+// Groups table. eventTable must be a data set A table (Appointments,
+// Visits, Documents).
+func DepthRestrictedGroupTemplate(name, eventTable, eventNoun string, depth int) *PathTemplate {
+	d := relation.Int(int64(depth))
+	doctor := setADoctorColumn(eventTable)
+	desc := fmt.Sprintf("[L.Patient|patient] had %s with [%s1.%s|caregiver] on [%s1.Date], and "+
+		"[L.User|user] shares a depth-%d collaborative group with them.",
+		eventNoun, eventTable, doctor, eventTable, depth)
+	return NewPathTemplate(name, GroupTemplate(name+"-base", eventTable, eventNoun).Path, desc,
+		pathmodel.Decoration{Left: pathmodel.Ref{Inst: 2, Col: "GroupDepth"}, Op: pathmodel.OpEQ, Const: &d}, // Groups1
+		pathmodel.Decoration{Left: pathmodel.Ref{Inst: 3, Col: "GroupDepth"}, Op: pathmodel.OpEQ, Const: &d}, // Groups2
+	)
 }
 
 // Catalog bundles the hand-crafted templates used by the paper's

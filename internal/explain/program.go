@@ -11,10 +11,10 @@ import (
 
 // Program is one template compiled for one call: its description's
 // placeholders resolved to table pointers, column positions and name roles,
-// and its binding source (path walk, decorated walk or the repeat-access
-// row) bound to the call's evaluator. It renders through two sinks: Render,
-// the string sink behind Template.Render and the report API, and AppendNDJSON,
-// which escapes a text into the NDJSON wire form piece by piece as it is
+// and its binding source (path walk or the repeat-access row) bound to the
+// call's evaluator. It renders through two sinks: Render, the string sink
+// behind Template.Render and the report API, and AppendNDJSON, which
+// escapes a text into the NDJSON wire form piece by piece as it is
 // assembled, with the literals escaped once when the template was built.
 //
 // Programs are call-local. They hold the tables the database had when
@@ -28,18 +28,17 @@ type Program struct {
 	n    Namer
 
 	slots []slot
-	path  pathmodel.Path           // srcPath, and a generic text's hops
-	dec   *pathmodel.DecoratedPath // srcDecorated
+	path  pathmodel.Path         // srcPath, and a generic text's hops
+	decs  []pathmodel.Decoration // srcPath: the walk's extra conditions
 }
 
 // bindingSource is where a program's instance bindings come from.
 type bindingSource uint8
 
 const (
-	srcOpaque    bindingSource = iota // a template type this package does not know: Template.Render
-	srcPath                           // Evaluator.Instances
-	srcDecorated                      // Evaluator.InstancesDecorated
-	srcRepeat                         // RepeatAccess: one binding of no rows
+	srcOpaque bindingSource = iota // a template type this package does not know: Template.Render
+	srcPath                        // Evaluator.Instances, or InstancesDecorated when decorated
+	srcRepeat                      // RepeatAccess: one binding of no rows
 )
 
 // slotRole is how a resolved placeholder renders its value.
@@ -92,15 +91,9 @@ func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot
 	var insts []pathmodel.Instance
 	switch tpl := t.(type) {
 	case *PathTemplate:
-		p.src, p.path, p.form = srcPath, tpl.Path, tpl.form
+		p.src, p.path, p.decs, p.form = srcPath, tpl.Path, tpl.Decorations, tpl.form
 		insts = tpl.Path.Instances()
 		if p.form == nil { // assembled without NewPathTemplate
-			p.form = newTextForm(tpl.TemplateName, tpl.Length(), tpl.Desc, insts)
-		}
-	case *DecoratedTemplate:
-		p.src, p.dec, p.path, p.form = srcDecorated, &tpl.Decorated, tpl.Decorated.Base, tpl.form
-		insts = tpl.Decorated.Base.Instances()
-		if p.form == nil {
 			p.form = newTextForm(tpl.TemplateName, tpl.Length(), tpl.Desc, insts)
 		}
 	case RepeatAccess:
@@ -157,9 +150,10 @@ var repeatHit = []query.InstanceBinding{{}}
 func (p *Program) bindings(ev *query.Evaluator, logRow, limit int) []query.InstanceBinding {
 	switch p.src {
 	case srcPath:
+		if len(p.decs) > 0 {
+			return ev.InstancesDecorated(pathmodel.DecoratedPath{Base: p.path, Decorations: p.decs}, logRow, limit)
+		}
 		return ev.Instances(p.path, logRow, limit)
-	case srcDecorated:
-		return ev.InstancesDecorated(*p.dec, logRow, limit)
 	case srcRepeat:
 		if logRow >= 0 && logRow < ev.Log().NumRows() {
 			return repeatHit

@@ -85,28 +85,37 @@ func labeled(label string, v relation.Value) string {
 	return string(v.AppendString(append(buf[:0], label...)))
 }
 
-// PathTemplate is a Template backed by a closed explanation path. Desc, when
-// non-empty, is a parameterized description string with [Alias.Column]
-// placeholders (Example 2.2); otherwise a generic rendering is produced from
-// the bound tuples.
+// PathTemplate is a Template backed by a closed explanation path and,
+// optionally, decorations (Definition 3): selection conditions over the
+// path's bound instances, which make the template explain a subset of what
+// the path alone explains. Desc, when non-empty, is a parameterized
+// description string with [Alias.Column] placeholders (Example 2.2);
+// otherwise a generic rendering is produced from the bound tuples.
 type PathTemplate struct {
 	TemplateName string
 	Path         pathmodel.Path
+	Decorations  []pathmodel.Decoration
 	Desc         string
 
 	form *textForm // Desc prepared against Path by NewPathTemplate
 }
 
-// NewPathTemplate wraps a closed path as a template. Backward paths are
-// reversed into forward orientation.
-func NewPathTemplate(name string, p pathmodel.Path, desc string) *PathTemplate {
+// NewPathTemplate wraps a closed path and its decorations as a template.
+// Backward paths are reversed into forward orientation. It panics on an
+// open path or on a decoration that references an instance the path does
+// not have: templates are curated, so these are programming errors.
+func NewPathTemplate(name string, p pathmodel.Path, desc string, decorations ...pathmodel.Decoration) *PathTemplate {
 	if !p.Closed() {
 		panic("explain: NewPathTemplate requires a closed path")
 	}
-	if !p.Forward() {
-		p = p.Reverse()
-	}
-	return &PathTemplate{TemplateName: name, Path: p, Desc: desc, form: newTextForm(name, p.Length(), desc, p.Instances())}
+	dp := pathmodel.NewDecoratedPath(p, decorations...)
+	return &PathTemplate{TemplateName: name, Path: dp.Base, Decorations: dp.Decorations, Desc: desc,
+		form: newTextForm(name, dp.Length(), desc, dp.Base.Instances())}
+}
+
+// decorated returns the template's path with its decorations.
+func (t *PathTemplate) decorated() pathmodel.DecoratedPath {
+	return pathmodel.DecoratedPath{Base: t.Path, Decorations: t.Decorations}
 }
 
 // Name implements Template.
@@ -115,18 +124,24 @@ func (t *PathTemplate) Name() string { return t.TemplateName }
 // Length implements Template.
 func (t *PathTemplate) Length() int { return t.Path.Length() }
 
-// SQL implements Template.
-func (t *PathTemplate) SQL() string { return t.Path.SQL() }
+// SQL implements Template: the path's support query, plus one condition
+// per decoration.
+func (t *PathTemplate) SQL() string { return t.decorated().SQL() }
 
-// Evaluate implements Template. The path is prepared through the engine's
-// shared plan cache, so repeated evaluation (or concurrent range shards)
-// compile it only once.
+// Evaluate implements Template.
 func (t *PathTemplate) Evaluate(ev *query.Evaluator) []bool {
-	return ev.Prepare(t.Path).ExplainedRows()
+	return t.EvaluateRange(ev, 0, ev.Log().NumRows())
 }
 
-// EvaluateRange implements Template.
+// EvaluateRange implements Template. An undecorated path is prepared
+// through the engine's shared plan cache, so repeated evaluation (or
+// concurrent range shards) compile it only once; a decorated one is
+// searched row by row, so disjoint ranges concatenate to exactly the full
+// Evaluate result either way.
 func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
+	if len(t.Decorations) > 0 {
+		return ev.ExplainedRowsDecoratedRange(t.decorated(), lo, hi)
+	}
 	return ev.Prepare(t.Path).ExplainedRange(lo, hi)
 }
 

@@ -72,18 +72,12 @@ func (e *instEnum) holds(inst int) bool {
 	return true
 }
 
-// ExplainedRowsDecorated returns one boolean per audited row: whether some
-// instance binding of the decorated path explains it. Per Definition 3 the
-// result is always a subset of ExplainedRows of the base path.
-func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
-	return ev.ExplainedRowsDecoratedRange(dp, 0, ev.log.NumRows())
-}
-
-// ExplainedRowsDecoratedRange evaluates the decorated path over the
-// half-open log-row range [lo, hi), returning hi-lo booleans: element i is
-// ExplainedRowsDecorated(dp)[lo+i]. Decorated evaluation is per-row, so
-// disjoint ranges concatenate to exactly the full result; this is the range
-// primitive behind sharding a DecoratedTemplate mask across workers.
+// ExplainedRowsDecoratedRange returns one boolean per audited row of the
+// half-open range [lo, hi): whether some instance binding of the decorated
+// path explains it. Per Definition 3 the result is always a subset of what
+// the base path explains. Decorated evaluation is per-row, so disjoint
+// ranges concatenate to exactly the full-log result; this is the range
+// primitive behind sharding a decorated template's mask across workers.
 func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int) []bool {
 	ev.checkRange(lo, hi)
 	ev.queriesEvaluated++

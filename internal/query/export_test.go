@@ -57,6 +57,12 @@ func DistinctPairs(t *relation.Table, from, to string) map[relation.Value][]rela
 // SupportScan.
 func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return countTrue(ev.nestedRows(p, true)) }
 
+// ExplainedRowsDecorated is ExplainedRowsDecoratedRange over the whole
+// audited log.
+func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
+	return ev.ExplainedRowsDecoratedRange(dp, 0, ev.log.NumRows())
+}
+
 // SupportDecorated returns COUNT(DISTINCT Log.Lid) of the decorated
 // template.
 func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {

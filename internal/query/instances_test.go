@@ -27,8 +27,8 @@ func catalogEvaluator(t *testing.T, cfg ehr.Config) (*query.Evaluator, map[strin
 	a.BuildGroups(core.GroupsOptions{})
 	paths := make(map[string]pathmodel.Path)
 	for _, tpl := range explain.Handcrafted(true, true).All() {
-		if p, ok := explain.TemplatePath(tpl); ok {
-			paths[tpl.Name()] = p
+		if pt, ok := tpl.(*explain.PathTemplate); ok {
+			paths[tpl.Name()] = pt.Path
 		}
 	}
 	if len(paths) < 19 {
@@ -323,7 +323,8 @@ func TestDecoratedInstancesMatchReference(t *testing.T) {
 		cfg := ehr.Tiny()
 		cfg.Seed = seed
 		ev, paths := catalogEvaluator(t, cfg)
-		dps := map[string]pathmodel.DecoratedPath{"repeat-access-decorated": explain.DecoratedRepeatAccess().Decorated}
+		rt := explain.DecoratedRepeatAccess()
+		dps := map[string]pathmodel.DecoratedPath{"repeat-access-decorated": {Base: rt.Path, Decorations: rt.Decorations}}
 		for name, p := range paths {
 			insts := p.Instances()
 			last := insts[len(insts)-1]

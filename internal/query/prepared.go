@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,24 +306,6 @@ func (eng *engine) planEntry(key string) *cachedPlan {
 	ent := &cachedPlan{key: key}
 	eng.plans[key] = ent
 	return ent
-}
-
-// PlanCacheKeys returns the canonical condition key of every plan currently
-// resident in the engine's shared cache, sorted. The keys are the durable
-// identity of the cache's contents: the warm-start layer records them in a
-// snapshot, and a restarted engine re-Prepares the template paths whose
-// canonical keys match, rebuilding an equivalent cache without replaying
-// the workload that populated it.
-func (ev *Evaluator) PlanCacheKeys() []string {
-	eng := ev.engine
-	eng.planMu.RLock()
-	keys := make([]string, 0, len(eng.plans))
-	for k := range eng.plans {
-		keys = append(keys, k)
-	}
-	eng.planMu.RUnlock()
-	slices.Sort(keys)
-	return keys
 }
 
 // PlanCacheStats is a snapshot of the engine-wide plan-cache counters.

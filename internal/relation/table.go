@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -23,8 +22,8 @@ var indexBuilds = obs.Default.Counter("relation.index_builds")
 // value appended sets it, and until then the column holds only nulls and no
 // array. A non-null value of another kind is rejected: appending one
 // panics, as a row of the wrong width does. The engine never updates in
-// place, which keeps the lazily built hash indexes valid for the lifetime
-// of the table.
+// place. A table keeps no index: Index builds a fresh hash index on every
+// call.
 //
 // Cells are read by column position, resolved once with ColumnIndex: Cell
 // materialises one Value, Int reads an int or date payload without one,
@@ -39,20 +38,15 @@ var indexBuilds = obs.Default.Counter("relation.index_builds")
 // of every column part of the table (DiscardRows drops staged cells
 // instead). Readers see committed rows only.
 //
-// # Concurrency and index invalidation
+// # Concurrency
 //
 // A Table supports two phases. During the load phase, appends require
-// exclusive access (no concurrent readers or writers); each commit
-// invalidates every cached index once, because row positions referenced by
-// an index built earlier would otherwise go stale, so a bulk loader hands
-// its rows over in batches. During the query phase, any number of
-// goroutines may call the read-side methods (Cell, Int, Find, Index,
-// NumDistinct, ...) concurrently: lazy index construction is serialized by
-// an internal mutex, and a map returned by Index is immutable once
-// published, so callers may read it without further locking. The contract is
-// therefore "single-writer load, then many-reader query"; interleaving an
-// append with concurrent reads is a data race on the column arrays and is
-// not supported.
+// exclusive access (no concurrent readers or writers). During the query
+// phase, any number of goroutines may call the read-side methods (Cell,
+// Int, Find, Index, NumDistinct, ...) concurrently: none of them writes
+// to the table. The contract is therefore "single-writer load, then
+// many-reader query"; interleaving an append with concurrent reads is a
+// data race on the column arrays and is not supported.
 type Table struct {
 	name    string
 	columns []string
@@ -60,23 +54,11 @@ type Table struct {
 	cols    []column
 	rows    int // committed rows; columns may hold staged cells past it
 
-	// mu serializes lazy construction and invalidation of the index cache
-	// below; cache hits take only the read lock, so concurrent queries do not
-	// contend once an index is built. Built index maps are never mutated after
-	// being stored, so they can be returned and read outside the lock.
-	mu sync.RWMutex
-
-	// indexes maps a column index to a hash index over that column. Built
-	// lazily by Index and invalidated by every commit (appends drop indexes;
-	// all workloads here are load-then-query). The query engine does not
-	// read it: it walks dictionary IDs it derives from the columns.
-	indexes map[int]map[Value][]int
-
 	// version counts appended rows (the only mutation). Derived caches
-	// built against the table — the lazy indexes above, but also the query
-	// engine's interned columns and lowered forms, held outside the table —
-	// use it to detect staleness: equal versions mean the rows have not
-	// changed since the cache was built.
+	// built against the table — the query engine's interned columns and
+	// lowered forms, held outside the table — use it to detect staleness:
+	// equal versions mean the rows have not changed since the cache was
+	// built.
 	version atomic.Uint64
 }
 
@@ -283,8 +265,8 @@ func (t *Table) appendValue(c int, v Value) {
 }
 
 // CommitRows makes the next n staged rows of every column part of the
-// table, advancing the version by n and dropping the cached indexes. Every
-// column must hold exactly NumRows()+n cells; CommitRows panics otherwise.
+// table, advancing the version by n. Every column must hold exactly
+// NumRows()+n cells; CommitRows panics otherwise.
 func (t *Table) CommitRows(n int) {
 	for i := range t.cols {
 		if got := t.cols[i].len(); got != t.rows+n {
@@ -297,9 +279,6 @@ func (t *Table) CommitRows(n int) {
 	}
 	t.rows += n
 	t.version.Add(uint64(n))
-	t.mu.Lock()
-	t.indexes = nil
-	t.mu.Unlock()
 }
 
 // DiscardRows drops every staged cell, leaving the committed rows. A kind
@@ -310,14 +289,13 @@ func (t *Table) DiscardRows() {
 	}
 }
 
-// Append adds one row; it is AppendRows for one row, so the same checks,
-// cache invalidation and concurrency contract apply.
+// Append adds one row; it is AppendRows for one row, so the same checks
+// and concurrency contract apply.
 func (t *Table) Append(row ...Value) {
 	t.AppendRows([][]Value{row})
 }
 
-// AppendRows adds rows in order, copying their values into the columns,
-// and invalidates all cached indexes (their row numbers would be stale).
+// AppendRows adds rows in order, copying their values into the columns.
 // Every row's length must match the number of columns, and every non-null
 // value's kind its column's; a mismatch panics before any row is added.
 // The version advances by len(rows), one step per row, so AppendVersion
@@ -497,31 +475,16 @@ func (t *Table) Find(c int, v Value) []int {
 }
 
 // Index returns a hash index from values of the named column to the row
-// numbers holding that value. The index is built on first use and cached;
-// concurrent callers are safe, and the returned map is immutable (callers
-// must treat it as read-only).
+// numbers holding that value. It builds a fresh map on every call (counted
+// by relation.index_builds) and caches nothing, so an append never leaves
+// an index stale. No audit path calls it.
 func (t *Table) Index(column string) map[Value][]int {
 	ci := t.mustColumn(column)
-	t.mu.RLock()
-	idx, ok := t.indexes[ci]
-	t.mu.RUnlock()
-	if ok {
-		return idx
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.indexes == nil {
-		t.indexes = make(map[int]map[Value][]int)
-	}
-	if idx, ok := t.indexes[ci]; ok {
-		return idx
-	}
-	idx = make(map[Value][]int)
+	idx := make(map[Value][]int)
 	for r := range t.rows {
 		v := t.Cell(r, ci)
 		idx[v] = append(idx[v], r)
 	}
-	t.indexes[ci] = idx
 	indexBuilds.Add(1)
 	return idx
 }
@@ -557,7 +520,7 @@ func numDistinct[T comparable](col *column, cells []T) int {
 
 // Filter returns a new table named name holding, in order, the rows r for
 // which keep(r) is true, with the receiver's column kinds. The new table
-// shares no index state or storage with the receiver.
+// shares no storage with the receiver.
 func (t *Table) Filter(name string, keep func(r int) bool) *Table {
 	out := t.empty(name)
 	n := 0

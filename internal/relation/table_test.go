@@ -73,14 +73,12 @@ func TestIndex(t *testing.T) {
 	if _, ok := idx[Int(99)]; ok {
 		t.Error("index contains absent value")
 	}
-	// Caching: a second call returns the same map (mutating one shows in the
-	// other; never do this outside a test).
-	idx2 := tb.Index("Patient")
+	// No cache: each call builds its own map, so editing one leaves the
+	// next call's untouched.
 	idx[Int(99)] = []int{1}
-	if _, ok := idx2[Int(99)]; !ok {
-		t.Error("Index not cached between calls")
+	if _, ok := tb.Index("Patient")[Int(99)]; ok {
+		t.Error("Index returned a map an earlier call handed out")
 	}
-	delete(idx, Int(99))
 }
 
 func TestIndexInvalidatedByAppend(t *testing.T) {
@@ -154,10 +152,9 @@ func TestDatabase(t *testing.T) {
 	}
 }
 
-// TestConcurrentIndexBuild races many goroutines through the lazy index
-// builder of one table (run under -race): all callers must observe the same
-// published maps, and cache hits after the build must
-// return the identical map instance.
+// TestConcurrentIndexBuild races many goroutines through the index builder
+// of one table (run under -race): reads share the table without writing to
+// it, and every caller must observe an equal map.
 func TestConcurrentIndexBuild(t *testing.T) {
 	tb := NewTable("Events", "Patient", "Doctor")
 	rng := rand.New(rand.NewSource(9))
@@ -188,12 +185,11 @@ func TestConcurrentIndexBuild(t *testing.T) {
 }
 
 // TestAppendRows pins the bulk append: the version advances one step per
-// row, the index built before the call is rebuilt over every row after it,
+// row, an index built after the call covers every row,
 // and the table copies the values it is handed into its columns.
 func TestAppendRows(t *testing.T) {
 	tb := sampleTable()
 	v0, n0 := tb.Version(), tb.NumRows()
-	_ = tb.Index("Patient")
 
 	rows := [][]Value{{Int(4), Date(4), Int(13)}, {Int(1), Date(5), Int(13)}, {Int(4), Date(6), Int(13)}}
 	tb.AppendRows(rows)
@@ -218,20 +214,16 @@ func TestAppendRows(t *testing.T) {
 }
 
 // TestAppendRowsWrongWidth pins the all-or-nothing check: a wrong-width row
-// anywhere in the batch panics before any row is added or the version or
-// caches move.
+// anywhere in the batch panics before any row is added or the version
+// moves.
 func TestAppendRowsWrongWidth(t *testing.T) {
 	tb := sampleTable()
 	v0, n0 := tb.Version(), tb.NumRows()
-	idx := tb.Index("Patient")
 	assertPanics(t, "wrong-width row", func() {
 		tb.AppendRows([][]Value{{Int(4), Date(4), Int(13)}, {Int(5), Date(5)}})
 	})
 	if tb.NumRows() != n0 || tb.Version() != v0 {
 		t.Errorf("after the panic: %d rows at version %d, want %d at %d", tb.NumRows(), tb.Version(), n0, v0)
-	}
-	if reflect.ValueOf(tb.Index("Patient")).Pointer() != reflect.ValueOf(idx).Pointer() {
-		t.Error("a rejected append dropped the cached Index")
 	}
 }
 

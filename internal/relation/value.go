@@ -2,9 +2,9 @@
 // rest of the repository is built on. It stands in for the PostgreSQL
 // instance used in the paper's evaluation: it stores typed tables by column
 // — one array per column, of the kind its header or its first value
-// declares — and maintains hash indexes for equi-joins. Value is the
-// dynamically typed scalar at the edges: what a cell is read as (Cell, Row),
-// appended as (AppendRows), and keyed by in an index.
+// declares. Value is the dynamically typed scalar at the edges: what a cell
+// is read as (Cell, Row), appended as (AppendRows), and keyed by in an
+// index.
 package relation
 
 import (

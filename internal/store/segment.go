@@ -1,8 +1,8 @@
 // Package store is the persistence subsystem behind relation.Database: an
 // append-only binary log-segment format plus a durable warm-start snapshot,
 // so a restarted process reopens its tables from disk instead of reparsing
-// CSVs and resumes auditing with its cached masks and compiled-plan keys
-// instead of a cold rebuild.
+// CSVs and resumes auditing with its cached masks instead of a cold
+// rebuild.
 //
 // A store directory holds one segment file per table (<name>.seg), a small
 // JSON manifest (schema and row-count watermarks), and optionally one

@@ -19,8 +19,9 @@ import (
 const snapshotName = "WARM.snap"
 
 // snapMagic opens the snapshot file; the rest is one framed, checksummed
-// record in the segment format.
-const snapMagic = "EBWRM01\n"
+// record in the segment format. A file of an earlier format (EBWRM01, which
+// also listed plan-cache keys) fails the magic check and reads as stale.
+const snapMagic = "EBWRM02\n"
 
 // ErrNoSnapshot reports that the store has no warm-start snapshot; the
 // caller starts cold.
@@ -47,16 +48,14 @@ type MaskState struct {
 }
 
 // WarmState is everything a restarted auditor needs to resume warm: the
-// mask cache, the compiled-plan cache keys to register again, and the
-// watermarks and schema fingerprint that gate whether any of it is still
-// trustworthy. SchemaVersion and the fingerprint are stamped by
+// mask cache, and the watermarks and schema fingerprint that gate whether
+// any of it is still trustworthy. SchemaVersion and the fingerprint are stamped by
 // SaveWarmState and validated by LoadWarmState; LogRows records how much
 // of LogTable the capture had seen.
 type WarmState struct {
 	SchemaVersion uint64
 	LogTable      string
 	LogRows       int
-	PlanKeys      []string
 	Masks         []MaskState
 }
 
@@ -188,10 +187,6 @@ func encodeWarmState(ws *WarmState, fp uint64) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, fp)
 	buf = appendString(buf, ws.LogTable)
 	buf = binary.AppendUvarint(buf, uint64(ws.LogRows))
-	buf = binary.AppendUvarint(buf, uint64(len(ws.PlanKeys)))
-	for _, k := range ws.PlanKeys {
-		buf = appendString(buf, k)
-	}
 	buf = binary.AppendUvarint(buf, uint64(len(ws.Masks)))
 	var bb bytes.Buffer
 	for _, m := range ws.Masks {
@@ -238,18 +233,6 @@ func decodeWarmState(payload []byte) (*WarmState, uint64, error) {
 		return nil, 0, errors.New("malformed log watermark")
 	}
 	ws.LogRows = int(logRows)
-
-	nkeys, err := readNum()
-	if err != nil || nkeys > maxSnapshotCount {
-		return nil, 0, errors.New("malformed plan key count")
-	}
-	for i := uint64(0); i < nkeys; i++ {
-		k, err := readStr()
-		if err != nil {
-			return nil, 0, err
-		}
-		ws.PlanKeys = append(ws.PlanKeys, k)
-	}
 
 	nmasks, err := readNum()
 	if err != nil || nmasks > maxSnapshotCount {

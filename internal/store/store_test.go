@@ -352,7 +352,6 @@ func testWarmState(db *relation.Database) *WarmState {
 	m1 := bitset.FromBools([]bool{false, false, false, false, true})
 	return &WarmState{
 		LogTable: "Log",
-		PlanKeys: []string{"k1|a", "k2|b"},
 		Masks: []MaskState{
 			{Template: "t-alpha", Rows: 5, HistRows: 5, Bits: m0},
 			{Template: "t-beta", Rows: 5, HistRows: 5, Bits: m1},
@@ -384,9 +383,6 @@ func TestWarmStateRoundTrip(t *testing.T) {
 	if got.SchemaVersion != ws.SchemaVersion || got.LogTable != "Log" || got.LogRows != 5 {
 		t.Fatalf("loaded header %+v", got)
 	}
-	if len(got.PlanKeys) != 2 || got.PlanKeys[0] != "k1|a" || got.PlanKeys[1] != "k2|b" {
-		t.Fatalf("plan keys %v", got.PlanKeys)
-	}
 	if len(got.Masks) != 2 {
 		t.Fatalf("masks %d", len(got.Masks))
 	}
@@ -410,6 +406,51 @@ func TestWarmStateRoundTrip(t *testing.T) {
 	db.MustTable("Log").Append(logRow(6)...)
 	if _, err := s.LoadWarmState(db); err != nil {
 		t.Fatalf("after log growth: %v", err)
+	}
+}
+
+// TestWarmStateOldFormatIsStale writes, for the store's own database, a
+// snapshot in the EBWRM01 layout, which listed plan-cache keys between the
+// log watermark and the masks: it must load as ErrStaleSnapshot, while the
+// same state in the current layout loads.
+func TestWarmStateOldFormatIsStale(t *testing.T) {
+	db := testDB()
+	dir := t.TempDir()
+	s, err := Create(dir, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := testWarmState(db)
+	ws.SchemaVersion, ws.LogRows = db.SchemaVersion(), db.MustTable("Log").NumRows()
+	fp := fingerprint(db, ws.LogTable)
+	head := binary.AppendUvarint(nil, ws.SchemaVersion)
+	head = binary.LittleEndian.AppendUint64(head, fp)
+	head = appendString(head, ws.LogTable)
+	head = binary.AppendUvarint(head, uint64(ws.LogRows))
+	payload := encodeWarmState(ws, fp)
+	old := binary.AppendUvarint(append([]byte(nil), head...), 2)
+	old = appendString(appendString(old, "k1|a"), "k2|b")
+	old = append(old, payload[len(head):]...)
+
+	snap := filepath.Join(dir, snapshotName)
+	for _, c := range []struct {
+		name  string
+		data  []byte
+		stale bool
+	}{
+		{"EBWRM01", appendRecord([]byte("EBWRM01\n"), old), true},
+		{"current", frameSnapshot(payload), false},
+	} {
+		if err := os.WriteFile(snap, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.LoadWarmState(db)
+		if c.stale && !errors.Is(err, ErrStaleSnapshot) {
+			t.Errorf("%s layout: err = %v, want ErrStaleSnapshot", c.name, err)
+		}
+		if !c.stale && (err != nil || len(got.Masks) != len(ws.Masks)) {
+			t.Errorf("%s layout: err = %v, want %d masks", c.name, err, len(ws.Masks))
+		}
 	}
 }
 
