@@ -297,7 +297,7 @@ var (
 // mediumFederation partitions the Medium auditor's database across 4 shard
 // engines (TimeRanges cut points, same non-group catalog) with masks
 // pre-warmed, so BenchmarkFaultOverhead's federated runs time the
-// shard-after-shard report path and nothing else.
+// shard-after-shard NDJSON path and nothing else.
 func mediumFederation(b *testing.B) *federate.Federation {
 	b.Helper()
 	a := mediumAuditor(b)
@@ -322,49 +322,45 @@ func mediumFederation(b *testing.B) *federate.Federation {
 }
 
 // BenchmarkFaultOverhead pins the cost of carrying fault-injection seams in
-// the hot paths. single-disabled mirrors BenchmarkStreamReports with the
-// registry in its default disabled state, so comparing the two measures the
-// seams' overhead — one atomic load per guard, which must stay within noise
-// (~2%). federated-armed keeps the registry enabled with a rule that matches
-// no engine site, timing the rule-scan path the per-row seam takes once any
-// injector is installed; compare it against federated-disabled.
+// the hot paths, all three sub-benchmarks on the one NDJSON sink so single
+// and federated compare like for like. single-disabled streams the single
+// engine with the registry in its default disabled state, and
+// federated-disabled the 4-shard Split: comparing the two measures the
+// federation's seams — one atomic load per guard, which must stay within
+// noise (~2%). federated-armed keeps the registry enabled with a rule that
+// matches no engine site, timing the rule-scan path the per-row seam takes
+// once any injector is installed; compare it against federated-disabled.
 func BenchmarkFaultOverhead(b *testing.B) {
 	ctx := context.Background()
-	drive := func(b *testing.B, stream func(fn func(core.AccessReport) error) error) {
+	drive := func(b *testing.B, e interface {
+		StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error
+	}) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			texts := 0
-			if err := stream(func(rep core.AccessReport) error {
-				texts += len(rep.Explanations)
+			explained := 0
+			if err := e.StreamNDJSON(ctx, 8, func(_ []byte, _, x int) error {
+				explained += x
 				return nil
 			}); err != nil {
 				b.Fatal(err)
 			}
-			if texts == 0 {
-				b.Fatal("no explanations streamed")
+			if explained == 0 {
+				b.Fatal("no explained access streamed")
 			}
 		}
 	}
 	b.Run("single-disabled", func(b *testing.B) {
-		a := mediumAuditor(b)
-		drive(b, func(fn func(core.AccessReport) error) error {
-			return a.StreamReports(ctx, 8, fn)
-		})
+		drive(b, mediumAuditor(b))
 	})
 	b.Run("federated-disabled", func(b *testing.B) {
-		f := mediumFederation(b)
-		drive(b, func(fn func(core.AccessReport) error) error {
-			return f.StreamReports(ctx, 8, fn)
-		})
+		drive(b, mediumFederation(b))
 	})
 	b.Run("federated-armed", func(b *testing.B) {
 		f := mediumFederation(b)
 		fault.Install(fault.Rule{Site: "bench.nowhere"})
 		b.Cleanup(fault.Reset)
-		drive(b, func(fn func(core.AccessReport) error) error {
-			return f.StreamReports(ctx, 8, fn)
-		})
+		drive(b, f)
 	})
 }
 

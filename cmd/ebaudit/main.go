@@ -127,8 +127,9 @@ func main() {
 // printed).
 var errUsage = errors.New("usage error")
 
-// run is the testable CLI entry point: it parses argv, builds the app
-// (generated or loaded dataset), and dispatches the subcommand. Library
+// run is the testable CLI entry point: it parses argv, checks the
+// subcommand, builds the app (generated or loaded dataset), and dispatches
+// the subcommand. Library
 // panics triggered by malformed loaded data are recovered at this boundary
 // and surfaced as ordinary errors.
 func run(argv []string, stdout, stderr io.Writer) (err error) {
@@ -149,7 +150,10 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		// build histograms cover the whole run the endpoint reports on.
 		obs.SetEnabled(true)
 	}
-	if fs.NArg() < 1 {
+	sub, ok := subcommands[fs.Arg(0)]
+	if !ok {
+		// Before anything is loaded or generated: a misspelt subcommand is a
+		// usage error whatever the other flags say.
 		usage(stderr)
 		return errUsage
 	}
@@ -227,28 +231,19 @@ func run(argv []string, stdout, stderr io.Writer) (err error) {
 		fmt.Fprintf(stderr, "ebaudit: serving /metrics, /debug/vars, /debug/pprof on %s\n", bound)
 	}
 
-	cmd, args := fs.Arg(0), fs.Args()[1:]
-	switch cmd {
-	case "summary":
-		return a.summary()
-	case "patient":
-		return a.patient(args)
-	case "audit":
-		return a.audit(args)
-	case "mine":
-		return a.mine(args)
-	case "unexplained":
-		return a.unexplained(args)
-	case "groups":
-		return a.groups(args)
-	case "templates":
-		return a.templates()
-	case "export":
-		return a.export(args)
-	default:
-		usage(stderr)
-		return errUsage
-	}
+	return sub(a, fs.Args()[1:])
+}
+
+// subcommands dispatches each subcommand to the app method that runs it.
+var subcommands = map[string]func(a *app, args []string) error{
+	"summary":     func(a *app, _ []string) error { return a.summary() },
+	"patient":     (*app).patient,
+	"audit":       (*app).audit,
+	"mine":        (*app).mine,
+	"unexplained": (*app).unexplained,
+	"groups":      (*app).groups,
+	"templates":   func(a *app, _ []string) error { return a.templates() },
+	"export":      (*app).export,
 }
 
 func usage(w io.Writer) {
@@ -274,7 +269,7 @@ type engine interface {
 	Log() *relation.Table
 	ExplainedFraction(ctx context.Context, parallelism int) (float64, error)
 	Unexplained(ctx context.Context, parallelism int) ([]int, error)
-	StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error
+	// StreamNDJSON is the one stream: audit -stream's NDJSON lines.
 	StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error
 	PatientReport(patient relation.Value, maxPerTemplate int) ([]core.AccessReport, error)
 	MineTemplates(algo string, opt mine.Options) (mine.Result, error)
@@ -711,16 +706,16 @@ func (a *app) audit(args []string) error {
 
 // auditOnce audits every access of eng's log once. With stream, every
 // report goes to stdout as NDJSON (StreamNDJSON's lines, one write per
-// encoded chunk) and the summary to stderr; otherwise the reports stream
-// through StreamReports, only the unexplained ones are kept, and the
-// summary and a sample of up to n of them go to stdout. The same code
-// serves a single engine and a federation: K=1 and K>1 streams are
-// byte-identical, and only the topology-specific tail differs — a single
-// engine saves its warm state.
+// encoded chunk) and the summary to stderr. Otherwise nothing is rendered:
+// the template masks answer which accesses are unexplained (Unexplained),
+// and the summary and up to n of those accesses, read off the log, go to
+// stdout. The same code serves a single engine and a federation: K=1 and
+// K>1 outputs are byte-identical, and only the topology-specific tail
+// differs — a single engine saves its warm state.
 func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, verbose, stream bool) error {
 	ctx := context.Background()
 	human := a.stdout
-	var unexplained []core.AccessReport
+	var unexplained []int
 	total, explained := 0, 0
 	start := time.Now()
 	var err error
@@ -734,16 +729,9 @@ func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, ve
 			_, err := a.stdout.Write(buf)
 			return err
 		})
-	} else {
-		err = eng.StreamReports(ctx, workers, func(rep core.AccessReport) error {
-			total++
-			if rep.Explained() {
-				explained++
-			} else {
-				unexplained = append(unexplained, rep)
-			}
-			return nil
-		})
+	} else if unexplained, err = eng.Unexplained(ctx, workers); err == nil {
+		total = eng.Log().NumRows()
+		explained = total - len(unexplained)
 	}
 	if err != nil {
 		return err
@@ -767,13 +755,7 @@ func (a *app) auditOnce(eng engine, fed *federate.Federation, workers, n int, ve
 	if verbose {
 		a.printStats(human, fed, workers)
 	}
-	for i, r := range unexplained {
-		if i >= n {
-			fmt.Fprintf(human, "  ... and %d more\n", len(unexplained)-i)
-			break
-		}
-		fmt.Fprintf(human, "  L%-6d %s  %-22s -> %s\n", r.Lid, r.Date, r.UserName, a.namer().PatientName(r.Patient))
-	}
+	a.printAccesses(human, eng.Log(), unexplained, n)
 	if fed == nil {
 		return a.saveWarmState()
 	}
@@ -1222,6 +1204,23 @@ func (a *app) unexplained(args []string) error {
 		fmt.Fprintln(a.stdout)
 	}
 	return nil
+}
+
+// printAccesses prints up to n of log's rows, one access a line (Lid, date,
+// user and patient names), then how many it left out.
+func (a *app) printAccesses(w io.Writer, log *relation.Table, rows []int, n int) {
+	namer := a.namer()
+	lc := pathmodel.LogColumnsOf(log)
+	for i, r := range rows {
+		if i >= n {
+			fmt.Fprintf(w, "  ... and %d more\n", len(rows)-i)
+			return
+		}
+		fmt.Fprintf(w, "  L%-6d %s  %-22s -> %s\n",
+			log.Int(r, lc.Lid), log.Cell(r, lc.Date),
+			namer.UserName(log.Cell(r, lc.User)),
+			namer.PatientName(log.Cell(r, lc.Patient)))
+	}
 }
 
 func (a *app) groups(args []string) error {

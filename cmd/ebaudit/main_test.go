@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,6 +111,18 @@ func TestRunUsageErrors(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if err := run(argv, &stdout, &stderr); !errors.Is(err, errUsage) {
 			t.Errorf("run(%v) = %v, want usage error", argv, err)
+		}
+	}
+	// An unknown subcommand is a usage error before anything is generated or
+	// loaded, so neither a bad -scale nor a missing -data directory is
+	// reported in its place.
+	for _, argv := range [][]string{
+		{"-scale", "bogus", "nosuch"},
+		{"-data", filepath.Join(t.TempDir(), "nonexistent"), "nosuch"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(argv, &stdout, &stderr); !errors.Is(err, errUsage) || !strings.HasPrefix(stderr.String(), "usage: ebaudit") {
+			t.Errorf("run(%v) = %v with stderr %q, want the usage error and text", argv, err, stderr.String())
 		}
 	}
 }
@@ -307,10 +320,44 @@ func splitExportedLog(t *testing.T, exportDir string, frac float64) (string, str
 	return dirA, dirB
 }
 
+// auditGolden builds what plain `audit -n 100000` prints from the output of
+// `unexplained -n 100000` over the same data: the headline numbers, then
+// every unexplained access in audit's layout (the patient name unpadded,
+// no ground truth). The first line's timing figures read "T" and "R".
+func auditGolden(t *testing.T, unexplained, federated, across string) string {
+	t.Helper()
+	lines := strings.SplitAfter(unexplained, "\n")
+	var bad, total int
+	if _, err := fmt.Sscanf(lines[0], "%d of %d accesses unexplained", &bad, &total); err != nil {
+		t.Fatalf("unexplained header %q: %v", lines[0], err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%sbatch-audited %d accesses%s in T (R accesses/sec, 2 workers)\n", federated, total, across)
+	fmt.Fprintf(&b, "explained: %d (%.2f%%), unexplained: %d\n", total-bad, 100*float64(total-bad)/float64(total), bad)
+	for _, line := range lines[1:] {
+		if line == "" {
+			continue
+		}
+		access, patient, ok := strings.Cut(strings.TrimSuffix(line, "\n"), " -> ")
+		if !ok {
+			t.Fatalf("unexplained row %q has no patient", line)
+		}
+		patient, _, _ = strings.Cut(patient, " (ground truth: ")
+		fmt.Fprintf(&b, "%s -> %s\n", access, strings.TrimRight(patient, " "))
+	}
+	return b.String()
+}
+
+// timing matches the figures of audit's first line that vary run to run.
+var timing = regexp.MustCompile(`in \S+ \(\S+ accesses/sec`)
+
 // TestFederatedStreamByteIdentical is the CLI-level federated differential:
 // the NDJSON emitted by audit -stream must be byte-identical across (a) the
 // single engine, (b) audit -shards K partitioning of the same log, and (c)
 // a multi-directory federation of the log split across two deployments.
+// Plain audit, which answers from the masks, prints the unexplained
+// subcommand's rows (auditGolden) over each of them and over the generated
+// dataset.
 func TestFederatedStreamByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
@@ -342,6 +389,24 @@ func TestFederatedStreamByteIdentical(t *testing.T) {
 		t.Error("multi-directory federated stream differs from the single-engine stream")
 	}
 
+	for _, c := range []struct {
+		name             string
+		data, shards     []string
+		federated, cross string
+	}{
+		{"K=1", []string{"-data", dir}, nil, "", ""},
+		{"-shards 2", []string{"-data", dir}, []string{"-shards", "2"}, "federated ", " across 2 shards"},
+		{"two-directory Join", []string{"-data", dirA + "," + dirB}, nil, "federated ", " across 2 shards"},
+		{"generated", nil, nil, "", ""},
+	} {
+		global := append([]string{"-j", "2"}, c.data...)
+		golden := auditGolden(t, streamOut(append(global, "unexplained", "-n", "100000")...), c.federated, c.cross)
+		got := streamOut(append(append(global, "audit", "-n", "100000"), c.shards...)...)
+		if got = timing.ReplaceAllString(got, "in T (R accesses/sec"); got != golden {
+			t.Errorf("%s: plain audit printed\n%s\nwant\n%s", c.name, got, golden)
+		}
+	}
+
 	// The materialized federated audit agrees on the headline numbers and
 	// reports per-shard internals under -v.
 	var fedOut, fedErr bytes.Buffer
@@ -352,6 +417,10 @@ func TestFederatedStreamByteIdentical(t *testing.T) {
 		if !strings.Contains(fedOut.String(), sub) {
 			t.Errorf("federated audit output missing %q:\n%s", sub, fedOut.String())
 		}
+	}
+	// Nothing is rendered, so no instance memo was consulted.
+	if strings.Contains(fedOut.String(), "instance memo:") {
+		t.Errorf("plain audit -v reports an instance memo:\n%s", fedOut.String())
 	}
 }
 

@@ -334,7 +334,9 @@ func TestFollowGraceExpires(t *testing.T) {
 // shard call fails (a two-directory federation, federate.* armed), each
 // subcommand that reports on the audit must fail — never print "0 of N
 // accesses unexplained", a 0.000 explained fraction or "batch-audited 0
-// accesses" and exit 0 as if the log were clean.
+// accesses" and exit 0 as if the log were clean. A federated command fails
+// at the first shard seam its call reaches, which the error names: plain
+// audit answers from the masks, so it trips .unexplained as summary does.
 func TestFailedAuditNeverReadsClean(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	dir := t.TempDir()
@@ -344,32 +346,38 @@ func TestFailedAuditNeverReadsClean(t *testing.T) {
 	}
 	dirA, dirB := splitExportedLog(t, dir, 0.5)
 	setups := []struct {
-		name string
-		argv []string
+		name      string
+		argv      []string
+		federated bool
 	}{
-		{"single engine", []string{"-faults", "core.mask.ensure:error"}},
-		{"federated", []string{"-data", dirA + "," + dirB, "-faults", "federate.*:error"}},
+		{"single engine", []string{"-faults", "core.mask.ensure:error"}, false},
+		{"federated", []string{"-data", dirA + "," + dirB, "-faults", "federate.*:error"}, true},
 	}
-	commands := [][]string{
-		{"summary"},
-		{"unexplained"},
-		{"audit"},
-		{"audit", "-stream"},
-		{"patient", "-id", "1"},
+	commands := []struct {
+		argv []string
+		seam string // the federated shard seam the command trips
+	}{
+		{[]string{"summary"}, ".unexplained"},
+		{[]string{"unexplained"}, ".unexplained"},
+		{[]string{"audit"}, ".unexplained"},
+		{[]string{"audit", "-stream"}, ".stream"},
+		{[]string{"patient", "-id", "1"}, ".report"},
 	}
 	clean := []string{"0 of ", "explained fraction with hand-crafted templates: 0.000", "batch-audited 0 accesses"}
 	for _, setup := range setups {
 		for _, cmd := range commands {
-			argv := append(append([]string(nil), setup.argv...), cmd...)
+			argv := append(append([]string(nil), setup.argv...), cmd.argv...)
 			var stdout, stderr bytes.Buffer
 			err := run(argv, &stdout, &stderr)
 			fault.Reset()
 			if err == nil {
-				t.Errorf("%s %v: run succeeded under an armed fault; stdout:\n%s", setup.name, cmd, stdout.String())
+				t.Errorf("%s %v: run succeeded under an armed fault; stdout:\n%s", setup.name, cmd.argv, stdout.String())
+			} else if setup.federated && !strings.Contains(err.Error(), cmd.seam+":") {
+				t.Errorf("%s %v: error %q does not name the %s seam", setup.name, cmd.argv, err, cmd.seam)
 			}
 			for _, s := range clean {
 				if strings.Contains(stdout.String(), s) {
-					t.Errorf("%s %v: stdout reads as a clean audit (%q):\n%s", setup.name, cmd, s, stdout.String())
+					t.Errorf("%s %v: stdout reads as a clean audit (%q):\n%s", setup.name, cmd.argv, s, stdout.String())
 				}
 			}
 		}

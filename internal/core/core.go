@@ -14,11 +14,14 @@
 // Every operation has one form: the ones that compute template masks take a
 // context and a worker count and return an error, so a cancelled or failed
 // audit can never read as "nothing unexplained". Auditing every access in a
-// hospital-scale log is embarrassingly parallel across log rows, so
-// StreamReports (and Unexplained and ExplainedFraction over its masks)
-// shard the log over a worker pool of cloned evaluator cursors and produce
+// hospital-scale log is embarrassingly parallel across log rows, so the
+// streams — StreamNDJSON, the NDJSON lines audit -stream writes, and
+// StreamReports, the report structs those lines are tested against — shard
+// the log over a worker pool of cloned evaluator cursors and produce
 // results identical to a row-at-a-time ExplainRow loop (see the Auditor
-// type comment for the concurrency contract). Template masks are
+// type comment for the concurrency contract), while Unexplained and
+// ExplainedFraction answer from the template masks alone and render
+// nothing. Template masks are
 // themselves computed sharded: each template's log is split into ranges
 // evaluated concurrently via explain.Template.EvaluateRange over shared
 // prepared plans, so mask computation scales with cores even when few
@@ -54,7 +57,7 @@ import (
 // Configuration (NewAuditor, BuildGroups, AddTemplates, ResetMaskCache)
 // requires exclusive access. Once configured, the batch methods —
 // StreamReports, StreamNDJSON, Unexplained, ExplainedFraction, Refresh,
-// NewPass and the Range forms of the streams and Unexplained — are safe to
+// NewPass, StreamNDJSONRange and UnexplainedRange — are safe to
 // call concurrently with each other: they fan work out to per-worker
 // evaluator cursors (query.Evaluator.Clone), shard each missing template
 // mask into log-row ranges over one worker pool (so even a one-template
@@ -445,10 +448,10 @@ func (a *Auditor) prepare(ctx context.Context, parallelism int) (*Pass, error) {
 
 // NewPass brings the masks up to date with parallelism workers, compiles
 // the templates and makes an instance memo over the audited rows as they
-// are now: the state one streaming call renders from. StreamReportsRange
-// and StreamNDJSONRange calls handed the same pass stream their ranges as
-// parts of one call, sharing the masks, the programs and the memo, so a
-// (patient, user) pair is walked once per pass however the rows are cut.
+// are now: the state one streaming call renders from. StreamNDJSONRange
+// calls handed the same pass stream their ranges as parts of one call,
+// sharing the masks, the programs and the memo, so a (patient, user) pair
+// is walked once per pass however the rows are cut.
 // Make a pass per call and drop it after: rows appended since do not
 // belong to it.
 func (a *Auditor) NewPass(ctx context.Context, parallelism int) (*Pass, error) {

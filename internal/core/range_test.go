@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -31,13 +30,13 @@ func memoCounts(a *core.Auditor) [2]int64 {
 	return [2]int64{reg.Counter("query.instances.memo_hits").Value(), reg.Counter("query.instances.memo_misses").Value()}
 }
 
-// TestRangeStreamsConcatenate is the range streams' law: over random cut
-// points of Tiny seeds 1-3, the NDJSON and report range streams of the
-// consecutive ranges concatenate to exactly the whole-log StreamNDJSON bytes
-// and StreamReports reports — with one pass shared by every range (the
-// shape of a federated call) and with a pass per range, at parallelism 1, 2
-// and 4. At parallelism 1 a shared pass walks what the whole-log call walks:
-// its memo hits and misses equal the whole-log call's.
+// TestRangeStreamsConcatenate is the range stream's law: over random cut
+// points of Tiny seeds 1-3, the NDJSON range streams of the consecutive
+// ranges concatenate to exactly the whole-log StreamNDJSON bytes — with one
+// pass shared by every range (the shape of a federated call) and with a
+// pass per range, at parallelism 1, 2 and 4. At parallelism 1 a shared
+// pass walks what the whole-log call walks: its memo hits and misses equal
+// the whole-log call's.
 func TestRangeStreamsConcatenate(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
@@ -55,7 +54,6 @@ func TestRangeStreamsConcatenate(t *testing.T) {
 		}
 		after := memoCounts(a)
 		wantMemo := [2]int64{after[0] - before[0], after[1] - before[1]}
-		wantReports := mustReports(t, a, 1)
 
 		for _, par := range []int{1, 2, 4} {
 			for _, shared := range []bool{true, false} {
@@ -89,20 +87,6 @@ func TestRangeStreamsConcatenate(t *testing.T) {
 				after := memoCounts(a)
 				if memo := [2]int64{after[0] - before[0], after[1] - before[1]}; par == 1 && shared && memo != wantMemo {
 					t.Errorf("%s: memo hits/misses %v, want the whole-log call's %v", label, memo, wantMemo)
-				}
-
-				ps = nil
-				var reps []core.AccessReport
-				for i := 0; i+1 < len(bounds); i++ {
-					if err := a.StreamReportsRange(ctx, par, pass(), bounds[i], bounds[i+1], func(rep core.AccessReport) error {
-						reps = append(reps, rep)
-						return nil
-					}); err != nil {
-						t.Fatalf("%s: StreamReportsRange: %v", label, err)
-					}
-				}
-				if !reflect.DeepEqual(reps, wantReports) {
-					t.Fatalf("%s: concatenated report ranges differ from the whole-log stream", label)
 				}
 			}
 		}

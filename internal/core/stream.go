@@ -74,14 +74,7 @@ func (a *Auditor) StreamReports(ctx context.Context, parallelism int, fn func(Ac
 	if err != nil {
 		return err
 	}
-	return a.StreamReportsRange(ctx, parallelism, ps, 0, ps.rows, fn)
-}
-
-// StreamReportsRange is StreamReports over the audited rows [lo, hi),
-// rendered from ps (see NewPass): consecutive ranges streamed with one pass
-// hand fn exactly the reports one StreamReports over their union would.
-func (a *Auditor) StreamReportsRange(ctx context.Context, parallelism int, ps *Pass, lo, hi int, fn func(AccessReport) error) error {
-	return streamChunks(ctx, a, parallelism, ps, lo, hi,
+	return streamChunks(ctx, a, parallelism, ps, 0, ps.rows,
 		func(ev *query.Evaluator, ps *Pass, lo, hi int) []AccessReport {
 			chunk := make([]AccessReport, 0, hi-lo)
 			for r := lo; r < hi; r++ {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/federate"
 )
@@ -18,24 +17,11 @@ import (
 // attempts to outlast every transient schedule below.
 const chaosRetries = 4
 
-// assertReportsEqual compares two report slices field for field.
-func assertReportsEqual(t *testing.T, label string, got, want []core.AccessReport) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d reports, want %d", label, len(got), len(want))
-	}
-	for r := range want {
-		if !reflect.DeepEqual(got[r], want[r]) {
-			t.Fatalf("%s: report %d differs:\n got %+v\nwant %+v", label, r, got[r], want[r])
-		}
-	}
-}
-
 // TestChaosTransientByteIdentical is the tentpole differential under
 // transient faults: across 3 seeds × K∈{2,4} × j∈{1,4}, with error,
 // panic, and delay injectors armed at the stream, per-row, and mask seams
 // on transient schedules, a federation with retries enabled must produce
-// reports byte-identical to the unfaulted single engine — and the
+// NDJSON byte-identical to the unfaulted single engine — and the
 // aggregate surfaces (unexplained rows, explained fraction) must agree
 // exactly as well, with their own seam injected.
 func TestChaosTransientByteIdentical(t *testing.T) {
@@ -43,7 +29,7 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := mustReports(t, single, 4)
+		want := mustNDJSON(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
@@ -77,8 +63,7 @@ func TestChaosTransientByteIdentical(t *testing.T) {
 				)
 
 				label := fmt.Sprintf("seed %d k=%d j=%d", seed, k, j)
-				got := mustReports(t, f, j)
-				assertReportsEqual(t, label+" reports", got, want)
+				assertSameNDJSON(t, label+" stream", mustNDJSON(t, f, j), want)
 
 				gotUnexplained, err := f.Unexplained(ctx, j)
 				if err != nil {
@@ -121,9 +106,9 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 	// A prefix glob arms every shard1 seam: the stream, its rows, and the
 	// aggregate calls all fail permanently — the shard is simply gone.
 	fault.Install(fault.Permanent("federate.shard1.*"))
-	err := f.StreamReports(ctx, 4, func(core.AccessReport) error { return nil })
+	_, _, _, err := collectNDJSON(t, f, 4)
 	if !errors.Is(err, federate.ErrShardDown) {
-		t.Fatalf("strict StreamReports error = %v, want ErrShardDown", err)
+		t.Fatalf("strict StreamNDJSON error = %v, want ErrShardDown", err)
 	}
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("shard-down error lost the injected cause: %v", err)
@@ -141,7 +126,7 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 
 	// Heal: the next call probes the down shard and full results return.
 	fault.Reset()
-	assertReportsEqual(t, "healed reports", mustReports(t, f, 4), mustReports(t, single, 4))
+	assertSameNDJSON(t, "healed stream", mustNDJSON(t, f, 4), mustNDJSON(t, single, 4))
 	for i, st := range f.ShardStates() {
 		if st != federate.Healthy {
 			t.Fatalf("shard %d ended %v after healing", i, st)
@@ -155,13 +140,12 @@ func TestChaosPermanentStrictFailFast(t *testing.T) {
 // stay inspectable down to the injected cause.
 func TestChaosRetryExhaustion(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	ctx := context.Background()
 	ds, _ := singleEngine(t, 1)
 	f := splitFederation(t, ds, 2, nil)
 	f.SetRetries(2)
 
 	fault.Install(fault.Transient("federate.shard0.stream", 5))
-	err := f.StreamReports(ctx, 2, func(core.AccessReport) error { return nil })
+	_, _, _, err := collectNDJSON(t, f, 2)
 	if !errors.Is(err, federate.ErrShardDown) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("exhausted retries: err = %v, want ErrShardDown wrapping the injected fault", err)
 	}
@@ -274,7 +258,7 @@ func TestChaosCancelledMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := f.StreamReports(ctx, 2, func(core.AccessReport) error { return nil })
+	err := f.StreamNDJSON(ctx, 2, func([]byte, int, int) error { return nil })
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("retry loop slept %v through a cancellation; want prompt abort", el)
 	}
@@ -282,7 +266,7 @@ func TestChaosCancelledMidBackoff(t *testing.T) {
 	// carries it too; one that strikes during an attempt returns the
 	// attempt's error as it is.
 	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("StreamReports error = %v, want the injected fault", err)
+		t.Fatalf("StreamNDJSON error = %v, want the injected fault", err)
 	}
 	if errors.Is(err, federate.ErrShardDown) {
 		t.Errorf("a cancelled retry declared the shard down: %v", err)

@@ -4,13 +4,13 @@
 // answer — every access to a patient's record, explained, in one
 // chronology. A Federation is a sequence of shards, each a run [lo, hi) of
 // one core.Auditor's audited rows in log order, with core.Auditor's audit
-// surface over the logical merged log: the streams run the shards one after
-// another as range streams (byte-identical to one engine over the merged
-// log), the aggregates sum exact per-shard row counts, and MineTemplates
-// mines the merged log. Every shard call runs behind the shard's fault
-// seams and a retry budget (policy.go), and a retried stream resumes
-// exactly where it stopped. A shard that stays down fails the whole call:
-// the answer is over every shard or there is none. Everything that
+// surface over the logical merged log: the NDJSON stream runs the shards
+// one after another as range streams (byte-identical to one engine over
+// the merged log), the aggregates sum exact per-shard row counts, and
+// MineTemplates mines the merged log. Every shard call runs behind the
+// shard's fault seams and a retry budget (policy.go), and a retried stream
+// resumes exactly where it stopped. A shard that stays down fails the whole
+// call: the answer is over every shard or there is none. Everything that
 // computes masks takes a context and returns an error, so a cancelled audit
 // or a failed shard never reads as "nothing unexplained".
 //
@@ -69,7 +69,7 @@ func (sh *shard) rows() int { return sh.hi - sh.lo }
 // with Split or Join, register templates with AddTemplates, then use the
 // audit surface. The concurrency contract matches core.Auditor:
 // configuration requires exclusive access, after which the batch surface
-// (StreamReports, StreamNDJSON, Unexplained, ExplainedFraction) may be used;
+// (StreamNDJSON, Unexplained, ExplainedFraction) may be used;
 // the point members (PatientReport, MineTemplates) must not run
 // concurrently with anything else on the same Federation.
 type Federation struct {
@@ -404,45 +404,36 @@ func (f *Federation) Templates() []explain.Template {
 	return f.engines[0].Templates()
 }
 
-// resume is one attempt of a shard stream: next is the first row of the
-// shard's run not yet handed on, where the attempt starts and a retry
-// resumes.
-type resume struct {
-	sh   *shard
-	next int
-}
-
-// handOn passes n consecutive rows of the shard's stream (one report, or
-// one encoded core chunk) on through send. The shard's row seam fires once
-// per row first, so a fault strikes before any of them leave. A send
-// failure is wrapped as a downstreamError.
-func handOn(ctx context.Context, p *resume, n int, send func() error) error {
-	for i := 0; i < n; i++ {
-		if err := p.sh.inject(ctx, seamRow); err != nil {
-			return err
-		}
-	}
-	if err := send(); err != nil {
-		return &downstreamError{err: err}
-	}
-	p.next += n
-	return nil
-}
-
-// streamShards runs stream over each shard's rows, one shard after another
-// in shard order (eachShard, behind each shard's stream seam and retry
-// budget). stream hands on the rows [p.next, sh.hi) through handOn in order,
-// rendering from ps, the call's pass over the shard's engine: made by the
-// first attempt that needs it (so a mask fault strikes that shard's seam and
-// retries), then shared by every later shard of the same engine, so a Split
-// call builds masks, compiles templates and walks each instance once. A
-// retried attempt resumes at the first row its shard has not handed on.
-func (f *Federation) streamShards(ctx context.Context, parallelism int, stream func(ps *core.Pass, p *resume) error) error {
+// StreamNDJSON builds the NDJSON line of every row of the merged log and
+// hands the lines to emit a chunk at a time, in global log order (buf holds
+// rows complete lines, explained of which are explained accesses) — exactly
+// the bytes core.Auditor.StreamNDJSON writes over the merged log (the
+// federated differential tests pin the two together). The shards stream one
+// after another, each through core.Auditor.StreamNDJSONRange with the whole
+// worker budget, so encoding runs in the engine's render workers, each
+// encoded core chunk goes to emit as it is, and peak buffering stays a few
+// chunks per worker regardless of log size. A shard renders from the call's
+// pass over its engine (core.Auditor.NewPass): made by the first attempt
+// that needs it, so a mask fault strikes that shard's stream seam and
+// retries, then shared by every later shard of the same engine, so a Split
+// call builds masks, compiles templates and walks each instance once.
+//
+// emit runs on the calling goroutine, never concurrently with itself, and
+// must not retain buf after it returns. If emit returns an error the stream
+// aborts with it; if ctx is cancelled mid-run the shard pipeline stops
+// promptly and StreamNDJSON returns ctx.Err().
+//
+// Each shard's stream runs under the retry budget (callShard): retries with
+// backoff on retryable failures, and panic containment. The shard's row
+// seam fires once per row of a chunk before the chunk is handed on, and a
+// retried shard resumes at its first row not handed on — always a chunk
+// boundary, since only whole chunks are — so transient faults never
+// duplicate or drop a line. A shard whose budget is exhausted aborts the
+// stream with an error matching ErrShardDown. On every error emit has seen
+// a clean prefix of whole chunks of the merged stream.
+func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
 	passes := make(map[*core.Auditor]*core.Pass, len(f.engines))
-	next := make(map[*shard]int, len(f.shards))
-	for _, sh := range f.shards {
-		next[sh] = sh.lo
-	}
+	handed := make(map[*shard]int, len(f.shards)) // rows of each shard's run emit has seen
 	return f.eachShard(ctx, seamStream, func(sh *shard) error {
 		ps := passes[sh.auditor]
 		if ps == nil {
@@ -452,60 +443,17 @@ func (f *Federation) streamShards(ctx context.Context, parallelism int, stream f
 			}
 			passes[sh.auditor] = ps
 		}
-		p := &resume{sh: sh, next: next[sh]}
-		// Deferred so a contained panic still records the attempt's
-		// progress.
-		defer func() { next[sh] = p.next }()
-		return stream(ps, p)
-	})
-}
-
-// StreamReports builds the report for every row of the merged log and hands
-// the reports to fn one at a time in global log order — exactly the stream a
-// single core.Auditor over the merged log produces (the federated
-// differential tests pin the two together byte for byte). The shards stream
-// one after another, each a bounded core range stream with the whole worker
-// budget, so peak buffering stays a few chunks per worker regardless of log
-// size.
-//
-// fn runs on the calling goroutine, never concurrently with itself. If fn
-// returns an error the stream aborts with it; if ctx is cancelled mid-run
-// the shard pipeline stops promptly and StreamReports returns ctx.Err(). In
-// both cases fn has seen a clean prefix of the merged stream.
-//
-// Each shard's stream runs under the retry budget (callShard): retries with
-// backoff on retryable failures, and panic containment. A retried shard
-// resumes exactly where it left off, at the first row it has not handed on,
-// so transient faults never duplicate or drop a report. A shard whose budget
-// is exhausted aborts the stream with an error matching ErrShardDown, again
-// after a clean prefix.
-func (f *Federation) StreamReports(ctx context.Context, parallelism int, fn func(core.AccessReport) error) error {
-	return f.streamShards(ctx, parallelism, func(ps *core.Pass, p *resume) error {
-		return p.sh.auditor.StreamReportsRange(ctx, parallelism, ps, p.next, p.sh.hi, func(rep core.AccessReport) error {
-			return handOn(ctx, p, 1, func() error { return fn(rep) })
-		})
-	})
-}
-
-// StreamNDJSON is StreamReports encoded: the merged stream as NDJSON
-// lines, handed to emit a chunk at a time (buf holds rows
-// complete lines, explained of which are explained accesses), byte-identical
-// to core.Auditor.StreamNDJSON over the merged log.
-//
-// Each shard streams its run through core.Auditor.StreamNDJSONRange, one
-// shard after another with the whole worker budget, so encoding runs in the
-// engine's render workers and each encoded core chunk goes to emit as it
-// is. The shard's row seam fires once per row of a chunk before the chunk
-// is handed on, and a retried shard resumes at its first row not handed on
-// — always a chunk boundary, since only whole chunks are.
-//
-// emit runs on the calling goroutine and must not retain buf after it
-// returns. Errors, cancellation and retries follow StreamReports; on an
-// error emit has seen a clean prefix of whole chunks.
-func (f *Federation) StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error {
-	return f.streamShards(ctx, parallelism, func(ps *core.Pass, p *resume) error {
-		return p.sh.auditor.StreamNDJSONRange(ctx, parallelism, ps, p.next, p.sh.hi, func(buf []byte, rows, explained int) error {
-			return handOn(ctx, p, rows, func() error { return emit(buf, rows, explained) })
+		return sh.auditor.StreamNDJSONRange(ctx, parallelism, ps, sh.lo+handed[sh], sh.hi, func(buf []byte, rows, explained int) error {
+			for range rows {
+				if err := sh.inject(ctx, seamRow); err != nil {
+					return err
+				}
+			}
+			if err := emit(buf, rows, explained); err != nil {
+				return &downstreamError{err: err}
+			}
+			handed[sh] += rows
+			return nil
 		})
 	})
 }

@@ -1,6 +1,7 @@
 package federate_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -53,19 +54,18 @@ func splitFederation(t testing.TB, ds *ehr.Dataset, k int, cuts []int) *federate
 
 // TestFederatedStreamMatchesSingleEngine is the tentpole differential: for
 // K in {1, 2, 4} shards of a partitioned log, across three dataset seeds,
-// the federated report stream must be identical — report for report, field
-// for field — to the single-engine stream over the whole log, at several
-// worker budgets. Besides the TimeRanges cuts, skewed cuts are exercised —
+// the federated NDJSON stream must be byte-identical to the single-engine
+// stream over the whole log, at several worker budgets. Besides the TimeRanges cuts, skewed cuts are exercised —
 // a cut off the 64-row core chunk boundary, an empty shard, a 1-row last
 // shard — because the audit surface must be partition-invariant.
 func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		ds, single := singleEngine(t, seed)
-		want := mustReports(t, single, 4)
+		want := mustNDJSON(t, single, 4)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty single-engine audit", seed)
 		}
-		n := len(want)
+		n := ds.Log().NumRows()
 		for _, k := range []int{1, 2, 4} {
 			layouts := map[string][]int{"time-range": nil}
 			switch k {
@@ -78,20 +78,11 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 			}
 			for name, cuts := range layouts {
 				f := splitFederation(t, ds, k, cuts)
-				if f.Log().NumRows() != len(want) {
-					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Log().NumRows(), len(want))
+				if f.Log().NumRows() != n {
+					t.Fatalf("seed %d k=%d %s: federation covers %d rows, want %d", seed, k, name, f.Log().NumRows(), n)
 				}
 				for _, par := range []int{1, 4, 8} {
-					got := mustReports(t, f, par)
-					if len(got) != len(want) {
-						t.Fatalf("seed %d k=%d %s j=%d: %d reports, want %d", seed, k, name, par, len(got), len(want))
-					}
-					for r := range want {
-						if !reflect.DeepEqual(got[r], want[r]) {
-							t.Fatalf("seed %d k=%d %s j=%d: report %d differs:\n got %+v\nwant %+v",
-								seed, k, name, par, r, got[r], want[r])
-						}
-					}
+					assertSameNDJSON(t, fmt.Sprintf("seed %d k=%d %s j=%d", seed, k, name, par), mustNDJSON(t, f, par), want)
 				}
 			}
 		}
@@ -105,7 +96,7 @@ func TestFederatedStreamMatchesSingleEngine(t *testing.T) {
 // history and collaborative groups spanning both shards.
 func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 	ds, single := singleEngine(t, 2)
-	want := mustReports(t, single, 4)
+	want := mustNDJSON(t, single, 4)
 
 	log := ds.Log()
 	cut := log.NumRows() / 3
@@ -135,15 +126,7 @@ func TestFederatedJoinMatchesSingleEngine(t *testing.T) {
 		t.Error("Join retrained Groups despite identical shard copies")
 	}
 
-	got := mustReports(t, f, 4)
-	if !reflect.DeepEqual(got, want) {
-		for r := range want {
-			if r < len(got) && !reflect.DeepEqual(got[r], want[r]) {
-				t.Fatalf("joined report %d differs:\n got %+v\nwant %+v", r, got[r], want[r])
-			}
-		}
-		t.Fatalf("joined audit produced %d reports, want %d", len(got), len(want))
-	}
+	assertSameNDJSON(t, "joined stream", mustNDJSON(t, f, 4), want)
 
 	infos := f.ShardInfos()
 	if len(infos) != 2 || infos[0].Name != "east" || infos[1].Name != "west" {
@@ -182,7 +165,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if cold.Hierarchy() == nil {
 		t.Fatal("cold Join over groupless shards did not train a hierarchy")
 	}
-	want := mustReports(t, cold, 4)
+	want := mustNDJSON(t, cold, 4)
 	trained := cold.Hierarchy().Table(core.DefaultGroupsTable)
 
 	// Persist the trained table into each shard's store and reopen — the
@@ -214,7 +197,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if warm.Hierarchy() != nil {
 		t.Error("warm Join retrained Groups despite identical persisted copies")
 	}
-	if got := mustReports(t, warm, 4); !reflect.DeepEqual(got, want) {
+	if got := mustNDJSON(t, warm, 4); !bytes.Equal(got, want) {
 		t.Error("warm Join over persisted Groups audits differently from the cold Join that trained them")
 	}
 
@@ -232,7 +215,7 @@ func TestJoinWarmStartMatchesRetrained(t *testing.T) {
 	if refed.Hierarchy() == nil {
 		t.Error("Join reused a diverged Groups copy instead of retraining")
 	}
-	if got := mustReports(t, refed, 4); !reflect.DeepEqual(got, want) {
+	if got := mustNDJSON(t, refed, 4); !bytes.Equal(got, want) {
 		t.Error("retrained Join audits differently from the original cold Join")
 	}
 }
@@ -318,24 +301,27 @@ func TestFederatedCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	err := f.StreamReports(ctx, 4, func(core.AccessReport) error {
-		seen++
-		if seen == 3 {
-			cancel()
-		}
+	err := f.StreamNDJSON(ctx, 4, func(_ []byte, rows, _ int) error {
+		seen += rows
+		cancel()
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("StreamReports after cancel = %v, want context.Canceled", err)
+		t.Errorf("StreamNDJSON after cancel = %v, want context.Canceled", err)
 	}
 	if seen >= f.Log().NumRows() {
-		t.Errorf("cancelled stream still saw all %d reports", seen)
+		t.Errorf("cancelled stream still saw all %d rows", seen)
 	}
 
 	cancelled, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if got, err := collectReports(cancelled, f, 4); got != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("StreamReports on cancelled ctx = (%d reports, %v), want (none, context.Canceled)", len(got), err)
+	seen = 0
+	err = f.StreamNDJSON(cancelled, 4, func(_ []byte, rows, _ int) error {
+		seen += rows
+		return nil
+	})
+	if seen != 0 || !errors.Is(err, context.Canceled) {
+		t.Errorf("StreamNDJSON on cancelled ctx = (%d rows, %v), want (none, context.Canceled)", seen, err)
 	}
 	if got, err := f.Unexplained(cancelled, 4); got != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("Unexplained on cancelled ctx = (%v, %v), want (nil, context.Canceled)", got, err)

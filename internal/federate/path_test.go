@@ -1,7 +1,6 @@
 package federate_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -77,9 +76,7 @@ func refreshedCase(t *testing.T) layoutCase {
 		t.Fatal(err)
 	}
 	f.AddTemplates(explain.Handcrafted(true, true).All()...)
-	if _, err := collectReports(context.Background(), f, 2); err != nil {
-		t.Fatal(err)
-	}
+	mustNDJSON(t, f, 2)
 	log := db.MustTable(pathmodel.LogTable)
 	for r := cut; r < n; r++ {
 		log.Append(full.Row(r)...)
@@ -114,59 +111,32 @@ func shuffledCase(t *testing.T) layoutCase {
 	return layoutCase{"time-range k=4 shuffled", single, f}
 }
 
-// ndjsonStream is the encoded stream surface core.Auditor and
-// federate.Federation share.
-type ndjsonStream interface {
-	StreamNDJSON(ctx context.Context, parallelism int, emit func(buf []byte, rows, explained int) error) error
-}
-
-// collectNDJSON concatenates e's StreamNDJSON chunks, checking that each is
-// whole lines, and returns the bytes with the row and explained totals.
-func collectNDJSON(t *testing.T, e ndjsonStream, j int) (out []byte, rows, explained int, err error) {
-	t.Helper()
-	err = e.StreamNDJSON(context.Background(), j, func(buf []byte, r, x int) error {
-		if r <= 0 || bytes.Count(buf, []byte("\n")) != r || buf[len(buf)-1] != '\n' {
-			t.Fatalf("chunk of %d bytes is not %d whole lines", len(buf), r)
-		}
-		out = append(out, buf...)
-		rows += r
-		explained += x
-		return nil
-	})
-	return out, rows, explained, err
-}
-
-// TestStreamLayoutsMatchSingleEngine pins both stream surfaces byte for
-// byte to the single engine over every shard layout a product federation
-// has: TimeRanges cuts over a chronological log (the CLI's -shards K), a
-// Join, a TimeRanges Split grown by Refresh, and TimeRanges cuts over a
-// date-shuffled log, whose shards each hold rows from every period.
+// TestStreamLayoutsMatchSingleEngine pins the federated NDJSON stream byte
+// for byte, with its row and explained counts, to the single engine over
+// every shard layout a product federation has: TimeRanges cuts over a
+// chronological log (the CLI's -shards K), a Join, a TimeRanges Split grown
+// by Refresh, and TimeRanges cuts over a date-shuffled log, whose shards
+// each hold rows from every period.
 func TestStreamLayoutsMatchSingleEngine(t *testing.T) {
-	ctx := context.Background()
 	cases := append(timeRangeCases(t), joinCase(t), refreshedCase(t), shuffledCase(t))
 	for _, c := range cases {
-		want := mustReports(t, c.single, 4)
-		wantNDJSON, wantRows, wantExplained, err := collectNDJSON(t, c.single, 4)
+		want, wantRows, wantExplained, err := collectNDJSON(t, c.single, 4)
 		if err != nil {
 			t.Fatalf("%s: single StreamNDJSON: %v", c.name, err)
 		}
-		if wantRows != len(want) || len(want) != c.fed.Log().NumRows() {
-			t.Fatalf("%s: single engine covers %d/%d rows, federation %d", c.name, wantRows, len(want), c.fed.Log().NumRows())
+		if wantRows != c.fed.Log().NumRows() {
+			t.Fatalf("%s: single engine covers %d rows, federation %d", c.name, wantRows, c.fed.Log().NumRows())
 		}
 		for _, j := range []int{1, 2, 4} {
-			got, err := collectReports(ctx, c.fed, j)
-			if err != nil {
-				t.Fatalf("%s j=%d: StreamReports: %v", c.name, j, err)
-			}
-			assertReportsEqual(t, fmt.Sprintf("%s j=%d", c.name, j), got, want)
-
-			gotNDJSON, rows, explained, err := collectNDJSON(t, c.fed, j)
+			got, rows, explained, err := collectNDJSON(t, c.fed, j)
 			if err != nil {
 				t.Fatalf("%s j=%d: StreamNDJSON: %v", c.name, j, err)
 			}
-			if !bytes.Equal(gotNDJSON, wantNDJSON) || rows != wantRows || explained != wantExplained {
-				t.Fatalf("%s j=%d: StreamNDJSON gave %d bytes (%d rows, %d explained), single engine %d bytes (%d rows, %d explained)",
-					c.name, j, len(gotNDJSON), rows, explained, len(wantNDJSON), wantRows, wantExplained)
+			label := fmt.Sprintf("%s j=%d", c.name, j)
+			assertSameNDJSON(t, label, got, want)
+			if rows != wantRows || explained != wantExplained {
+				t.Fatalf("%s: %d rows, %d explained; single engine %d rows, %d explained",
+					label, rows, explained, wantRows, wantExplained)
 			}
 		}
 	}

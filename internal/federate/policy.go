@@ -120,8 +120,7 @@ type seam int
 const (
 	seamStream seam = iota // a shard stream's start (each attempt)
 	// seamRow fires once per row a shard stream emits, in row order: per
-	// report as StreamReports hands it on, and per row of an encoded chunk
-	// as StreamNDJSON hands the chunk on.
+	// row of an encoded chunk, before StreamNDJSON hands the chunk on.
 	seamRow
 	seamUnexplained // Unexplained and ExplainedFraction
 	seamReport      // PatientReport
@@ -155,7 +154,7 @@ func (sh *shard) inject(ctx context.Context, s seam) error {
 // is returned. A failed attempt may be retried, so op must commit its
 // shard's contribution only when it returns nil — or, for a stream that
 // hands rows on as it goes, track them and skip them on the next attempt
-// (streamShards).
+// (StreamNDJSON).
 func (f *Federation) eachShard(ctx context.Context, s seam, op func(sh *shard) error) error {
 	for _, sh := range f.shards {
 		err := f.callShard(ctx, sh, func() error {

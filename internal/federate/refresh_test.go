@@ -93,9 +93,8 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		fed.AddTemplates(explain.Handcrafted(true, true).All()...)
-		warm := mustReports(t, fed, 4)
-		if len(warm) != cut {
-			t.Fatalf("%s: warm-up covered %d rows, want %d", label, len(warm), cut)
+		if _, warm, _, err := collectNDJSON(t, fed, 4); err != nil || warm != cut {
+			t.Fatalf("%s: warm-up covered %d rows (%v), want %d", label, warm, err, cut)
 		}
 
 		log := db.MustTable(pathmodel.LogTable)
@@ -117,17 +116,7 @@ func TestFederationRefreshMatchesSingleEngine(t *testing.T) {
 		// the Groups table the federation installed.
 		single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 		single.AddTemplates(explain.Handcrafted(true, true).All()...)
-		want := mustReports(t, single, 4)
-
-		got := mustReports(t, fed, 4)
-		if !reflect.DeepEqual(got, want) {
-			for r := range want {
-				if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
-					t.Fatalf("%s: refreshed federated report %d differs", label, r)
-				}
-			}
-			t.Fatalf("%s: refreshed federated reports differ", label)
-		}
+		assertSameNDJSON(t, label+" refreshed stream", mustNDJSON(t, fed, 4), mustNDJSON(t, single, 4))
 		if gf, wf := mustFraction(t, fed, 4), mustFraction(t, single, 4); gf != wf {
 			t.Errorf("%s: refreshed fraction = %v, want %v", label, gf, wf)
 		}
@@ -181,16 +170,7 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 
 	single := core.NewAuditor(db, graph())
 	single.AddTemplates(historyCountTemplate{})
-	got := mustReports(t, fed, 2)
-	want := mustReports(t, single, 2)
-	if !reflect.DeepEqual(got, want) {
-		for r := range want {
-			if r >= len(got) || !reflect.DeepEqual(got[r], want[r]) {
-				t.Fatalf("refreshed non-monotone report %d differs (shard-0 stale mask?)", r)
-			}
-		}
-		t.Fatal("refreshed non-monotone reports differ")
-	}
+	assertSameNDJSON(t, "refreshed non-monotone stream (shard-0 stale mask?)", mustNDJSON(t, fed, 2), mustNDJSON(t, single, 2))
 	gf, wf := mustFraction(t, fed, 2), mustFraction(t, single, 2)
 	if gf != wf {
 		t.Errorf("refreshed non-monotone fraction = %v, want %v", gf, wf)
@@ -273,7 +253,7 @@ func TestRefreshedStreamRetries(t *testing.T) {
 	}
 	single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 	single.AddTemplates(explain.Handcrafted(true, true).All()...)
-	want := mustReports(t, single, 2)
+	want := mustNDJSON(t, single, 2)
 
 	fault.Reset()
 	fault.Install(
@@ -283,14 +263,12 @@ func TestRefreshedStreamRetries(t *testing.T) {
 		fault.Rule{Site: "federate.shard2.stream.row", After: 3, Count: 1,
 			Err: fault.Retryable(errors.New("injected row fault"))},
 	)
-	got, err := collectReports(ctx, fed, 2)
+	got, _, _, err := collectNDJSON(t, fed, 2)
 	if err != nil {
-		t.Fatalf("StreamReports under transient faults: %v", err)
+		t.Fatalf("StreamNDJSON under transient faults: %v", err)
 	}
 	if injected := fault.Default.Injected(); injected != 4 {
 		t.Errorf("%d faults fired, want 4 (three stream starts and one row)", injected)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("StreamReports under retries emitted %d reports, want the single engine's %d", len(got), len(want))
-	}
+	assertSameNDJSON(t, "stream under retries", got, want)
 }

@@ -52,12 +52,10 @@ func TestRepeatAccessSharedIndexRace(t *testing.T) {
 			fed.AddTemplates(explain.RepeatAccess{})
 			check := func(stage string) {
 				t.Helper()
-				got := mustReports(t, fed, 4*k)
+				got := mustNDJSON(t, fed, 4*k)
 				single := core.NewAuditor(db, graph(), core.WithNamer(ds))
 				single.AddTemplates(explain.RepeatAccess{})
-				if want := mustReports(t, single, 4); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: federated repeat-access reports differ from a single engine", stage)
-				}
+				assertSameNDJSON(t, stage+": federated repeat-access stream", got, mustNDJSON(t, single, 4))
 				gu, wu := mustUnexplained(t, fed, 4*k), mustUnexplained(t, single, 4)
 				if !reflect.DeepEqual(gu, wu) {
 					t.Fatalf("%s: federated repeat-access mask differs: %d vs %d unexplained", stage, len(gu), len(wu))

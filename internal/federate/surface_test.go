@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/pathmodel"
 )
@@ -31,9 +30,9 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 		run       func(ctx context.Context, e surface) (zero bool, err error)
 	}
 	ops := []op{
-		{"StreamReports", true, func(ctx context.Context, e surface) (bool, error) {
+		{"StreamNDJSON", true, func(ctx context.Context, e surface) (bool, error) {
 			n := 0
-			err := e.StreamReports(ctx, 2, func(core.AccessReport) error { n++; return nil })
+			err := e.StreamNDJSON(ctx, 2, func(_ []byte, rows, _ int) error { n += rows; return nil })
 			return n == 0, err
 		}},
 		{"Unexplained", true, func(ctx context.Context, e surface) (bool, error) {
@@ -57,7 +56,7 @@ func TestSurfaceErrorsComeOut(t *testing.T) {
 	}{{"single", single}, {"split-2", fed}}
 
 	for _, eng := range engines {
-		mustReports(t, eng.e, 2) // warm every mask first
+		mustNDJSON(t, eng.e, 2) // warm every mask first
 		for _, o := range ops {
 			// A healthy call answers with a non-zero result.
 			if zero, err := o.run(context.Background(), eng.e); err != nil || zero {

@@ -64,18 +64,18 @@ func ExampleRun() {
 	fmt.Printf("mined templates + repeat access explain %.1f%% of day-7 accesses\n",
 		100*metrics.Fraction(metrics.Union(masks...)))
 	// Output:
-	// mined 108 templates from 1838 training accesses (228 support queries, 122 cache hits, 282 skipped)
+	// mined 168 templates from 1838 training accesses (339 support queries, 11 cache hits, 282 skipped)
 	// administrator review — the length-2 candidates:
 	//   support   83  L.Patient = Appointments1.Patient AND Appointments1.Doctor =[UserMapping]= L.User
 	//   support   77  L.Patient = Documents1.Patient AND Documents1.Author =[UserMapping]= L.User
 	//   support   31  L.Patient = Labs1.Patient AND Labs1.OrderedBy = L.User
 	//   support   25  L.Patient = Labs1.Patient AND Labs1.PerformedBy = L.User
+	//   support  621  L.Patient = Log2.Patient AND Log2.User = L.User
 	//   support   75  L.Patient = Medications1.Patient AND Medications1.AdministeredBy = L.User
 	//   support   74  L.Patient = Medications1.Patient AND Medications1.RequestedBy = L.User
 	//   support   77  L.Patient = Medications1.Patient AND Medications1.SignedBy = L.User
 	//   support   20  L.Patient = Radiology1.Patient AND Radiology1.OrderedBy = L.User
 	//   support   15  L.Patient = Radiology1.Patient AND Radiology1.ReadBy = L.User
 	//   support    8  L.Patient = Visits1.Patient AND Visits1.Doctor =[UserMapping]= L.User
-	//   support  621  L.Patient = Log2.Patient AND Log2.User = L.User
 	// mined templates + repeat access explain 99.6% of day-7 accesses
 }

@@ -366,18 +366,21 @@ func (p Path) Key() string {
 // first optimization (§3.2.1, "Caching Selection Conditions and Support
 // Values") observes that paths traversing the graph in different orders can
 // impose the same condition set and therefore have equal support; the miner
-// caches support by this key.
+// caches support by this key, and the query engine its compiled plans. The
+// audited log tuple L is never renamed: support counts L's rows, so a
+// second Log instance is not interchangeable with it.
 func (p Path) CanonicalKey() string {
 	// Group instance indices by table; within a table there are at most two
 	// instances, so trying both labelings per multi-instance table costs at
-	// most 2^k renderings for k such tables (k <= T).
+	// most 2^k renderings for k such tables (k <= T). A Log pair holds L,
+	// which keeps its label.
 	byTable := make(map[string][]int)
 	for i, in := range p.insts {
 		byTable[in.Table] = append(byTable[in.Table], i)
 	}
 	var multi [][]int
 	for _, idxs := range byTable {
-		if len(idxs) == 2 {
+		if len(idxs) == 2 && idxs[0] != 0 {
 			multi = append(multi, idxs)
 		}
 	}

@@ -254,6 +254,26 @@ func TestCanonicalKeyDistinguishesDifferentTemplates(t *testing.T) {
 	if open.CanonicalKey() == appt.CanonicalKey() {
 		t.Error("open and closed paths share a canonical key")
 	}
+
+	// Swapping the audited tuple L with a second Log instance is no
+	// renaming: L.Patient -> Visits -> Appointments -> Log2 and L.Patient
+	// -> Appointments -> Visits -> Log2 would share a key if it were.
+	viaLog2 := func(first, second string) Path {
+		p, ok := Start(edge(StartAttr(), attr(first, "Patient")))
+		if ok {
+			p, ok = p.Append(edge(attr(first, "Doctor"), attr(second, "Doctor")))
+		}
+		if ok {
+			p, ok = p.Append(edge(attr(second, "Patient"), attr(LogTable, LogPatientColumn)))
+		}
+		if !ok {
+			t.Fatalf("could not build %s -> %s -> Log2", first, second)
+		}
+		return p
+	}
+	if a, b := viaLog2("Visits", "Appointments"), viaLog2("Appointments", "Visits"); a.CanonicalKey() == b.CanonicalKey() {
+		t.Errorf("%s and %s share a canonical key", a, b)
+	}
 }
 
 func TestSQLRendering(t *testing.T) {

@@ -67,6 +67,7 @@
 package query
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -259,7 +260,7 @@ func NewEvaluatorWithLog(db *relation.Database, audited *relation.Table) *Evalua
 	}
 	eng.logPatientIdx, eng.logUserIdx = col(pathmodel.LogPatientColumn), col(pathmodel.LogUserColumn)
 	eng.logDateIdx, eng.logLidIdx = col(pathmodel.LogDateColumn), col(pathmodel.LogIDColumn)
-	eng.proj.Store(&logProj{})
+	eng.proj.Store(&logProj{whole: new([2]pairUnits)})
 	return &Evaluator{engine: eng}
 }
 
@@ -280,15 +281,76 @@ func (ev *Evaluator) Metrics() *obs.Registry { return ev.engine.reg }
 // order, and pair p is (pairPatient[p], pairUser[p]) and holds pairRows[p]
 // of the rows the ID columns cover. An undecorated template's verdict is a
 // function of the pair, so whole-log support walks the pairs weighted by
-// their rows (Prepared.SupportRange). pairFirst[p] is the earliest
-// (Date, Lid) among pair p's rows, the repeat-access state of a log that is
-// its own history (see repeat.go).
+// their rows (Prepared.SupportRange), laid out once (wholeLog). pairFirst[p]
+// is the earliest (Date, Lid) among pair p's rows, the repeat-access state
+// of a log that is its own history (see repeat.go).
 type logProj struct {
 	patientID, userID []uint32
 
 	pairID                          []uint32
 	pairPatient, pairUser, pairRows []uint32
 	pairFirst                       []stamp
+
+	whole *[2]pairUnits // see wholeLog; every snapshot has its own
+}
+
+// pairUnits is a snapshot's pairs as whole-log units in one orientation,
+// laid out once: for closed plans and, since an open plan's verdict is a
+// function of the start value alone, for open ones with one unit per
+// start value that stands for all its rows.
+type pairUnits struct {
+	once         sync.Once
+	closed, open units
+}
+
+// wholeLog returns the snapshot's pairs as eval's units for a plan oriented
+// forward (from the patient) or not, closed or not. A closed plan's units
+// are laid out with each block's units stored together and sorted by
+// start value, so that a start's pairs in a block are adjacent and eval
+// asks its sub-question once for them. They are built on first use, once
+// per snapshot and orientation, with s's buffers and a dictionary of n
+// values.
+func (pr *logProj) wholeLog(forward, closed bool, s *scratch, n int) units {
+	pu := &pr.whole[0]
+	from, target := pr.pairUser, pr.pairPatient
+	if forward {
+		pu, from, target = &pr.whole[1], target, from
+	}
+	pu.once.Do(func() {
+		byStart := make([]uint32, len(from))
+		for p := range byStart {
+			byStart[p] = uint32(p)
+		}
+		slices.SortStableFunc(byStart, func(a, b uint32) int { return cmp.Compare(from[a], from[b]) })
+		sorted := units{from: permute(from, byStart), target: permute(target, byStart), weight: permute(pr.pairRows, byStart)}
+		for k, v := range sorted.from {
+			if k == 0 || v != sorted.from[k-1] {
+				pu.open.from = append(pu.open.from, v)
+				pu.open.weight = append(pu.open.weight, 0)
+			}
+			pu.open.weight[len(pu.open.weight)-1] += sorted.weight[k]
+		}
+		pu.open.cnt = []uint32{uint32(len(pu.open.from))}
+		l := s.layOut(sorted, true, n)
+		defer s.clearTargets()
+		if l.order != nil {
+			l.from, l.target, l.weight = permute(l.from, l.order), permute(l.target, l.order), permute(l.weight, l.order)
+		}
+		pu.closed = units{from: l.from, target: l.target, weight: l.weight, targets: slices.Clone(l.targets), cnt: slices.Clone(l.cnt)}
+	})
+	if closed {
+		return pu.closed
+	}
+	return pu.open
+}
+
+// permute returns col reordered so that its k-th value is col[order[k]].
+func permute(col, order []uint32) []uint32 {
+	out := make([]uint32, len(order))
+	for k, p := range order {
+		out[k] = col[p]
+	}
+	return out
 }
 
 // idProjections returns a snapshot whose ID and pair columns cover every
@@ -309,6 +371,7 @@ func (eng *engine) idProjections() *logProj {
 	eng.projMu.Lock()
 	defer eng.projMu.Unlock()
 	next := *eng.proj.Load()
+	next.whole = new([2]pairUnits)
 	lo := len(next.patientID)
 	d := &eng.dict
 	d.mu.Lock()

@@ -2,12 +2,13 @@ package query
 
 // This file is the execution engine: pull-based, set-valued evaluation of
 // compiled plans. A call's units — the rows of a range, or for whole-log
-// support the log's distinct (patient, user) pairs weighted by their rows —
-// ask "does this unit's start value reach its target?"; the walk answers
-// the coarser sub-question "which of this call's targets can value v at op
-// boundary bi reach?" as a bitset over the call's distinct targets, by a
-// depth-first walk over the plan's pairs lists in declared hop order that
-// stops as soon as the set is full. Each (boundary, value) sub-question is
+// support the log's distinct (patient, user) pairs weighted by their rows
+// (an open plan's distinct start values) — ask "does this unit's start
+// value reach its target?"; the walk answers the coarser sub-question
+// "which of this call's targets can value v at op boundary bi reach?" as a
+// bitset over the call's distinct targets, by a depth-first walk over the
+// plan's pairs lists in declared hop order that stops as soon as the set
+// is full. Each (boundary, value) sub-question is
 // walked once per call however many units and targets raise it, and its set
 // is memoized in the cursor's scratch (dict.go). An open plan has no
 // targets: its set is one bit, set by any chain that survives every op, so
@@ -148,19 +149,50 @@ func equalSets(a, b []uint64) bool {
 	return true
 }
 
-// eval classifies a call's units: unit k starts at from[k], must reach
-// target[k] when the plan is closed, and stands for weight[k] rows, or for
-// one when weight is nil. The units are the rows of a range, or the whole
-// log's (patient, user) pairs weighted by their rows (SupportRange). eval
-// stores the verdicts in out when it is non-nil and returns the weighted
-// count of units that qualified. A unit qualifies iff its target's bit is
-// set in the set its start value reaches from boundary 0. An open plan's
-// units share one one-bit target under a single memo generation, so a
-// repeated start is a memo hit. A closed plan's distinct targets are
-// numbered in first-appearance order; a call with more than blockSize of
-// them visits its units grouped by block, with one generation per block,
-// and any other call visits them in order.
-func (pp *Prepared) eval(from, target, weight []uint32, out []bool) int {
+// units are a call's units: unit u starts at from[u], must reach target[u]
+// when the plan is closed, and stands for weight[u] rows, or for one when
+// weight is nil. The units are the rows of a range, or the whole log's
+// pairs or start values as logProj.wholeLog lays them out. Once laid
+// out (cnt non-nil), a closed plan's distinct targets are numbered in the
+// order targets lists them, and the units are visited in blocks of
+// blockSize target numbers: visit k is unit order[k], or unit k when order
+// is nil, and cnt[blk] ends block blk's visits.
+type units struct {
+	from, target, weight []uint32
+	targets, order, cnt  []uint32
+}
+
+// layOut lays out the units of a call to a plan, closed or not, over a
+// dictionary of n values: a closed plan's distinct targets are numbered in
+// first-appearance order, and a call with more than blockSize of them
+// visits its units grouped by block; any other call is one block in unit
+// order. The layout aliases s's buffers until its next call, and the
+// targets stay numbered until s.clearTargets.
+func (s *scratch) layOut(u units, closed bool, n int) units {
+	if closed {
+		s.numberTargets(u.target, n)
+		u.targets = s.targets
+	}
+	if len(u.targets) > blockSize {
+		s.groupByBlock(u.target)
+		u.order = s.order
+	} else {
+		s.cnt = append(s.cnt[:0], uint32(len(u.from)))
+	}
+	u.cnt = s.cnt
+	return u
+}
+
+// eval classifies a call's units, which it lays out unless they come laid
+// out (see units), stores the verdicts in out when it is non-nil and
+// returns the weighted count of units that qualified. A unit qualifies iff its
+// target's bit is set in the set its start value reaches from boundary 0.
+// An open plan's units share one one-bit target under a single memo
+// generation, so a repeated start is a memo hit; a closed plan's blocks
+// each have a generation. Consecutive visits to one start ask its
+// sub-question once: the whole log's pairs are laid out sorted by start
+// within each block (logProj.wholeLog), so each start asks once per block.
+func (pp *Prepared) eval(u units, out []bool) int {
 	pp.ent.lower(pp.ev.engine)
 	ops, closed := pp.ent.pl.ops, pp.ent.pl.closed
 	n := len(pp.ev.engine.dict.values())
@@ -168,44 +200,45 @@ func (pp *Prepared) eval(from, target, weight []uint32, out []bool) int {
 	lw := &lazyWalk{ops: ops, s: s, scanned: &pp.ev.postingsScanned, exec: newExecLocal(pp.ev.engine, pp.ent.exec)}
 	defer lw.exec.flush()
 
-	// Lay out the blocks: cnt[blk] ends block blk's run of units in order,
-	// or in unit order when order is nil.
-	targets, order := 1, []uint32(nil)
 	if closed {
 		defer s.clearTargets()
-		targets = s.numberTargets(target, n)
 	}
-	if targets > blockSize {
-		s.groupByBlock(target)
-		order = s.order
-	} else {
-		s.cnt = append(s.cnt[:0], uint32(len(from)))
+	if u.cnt == nil {
+		u = s.layOut(u, closed, n)
+	} else if closed {
+		s.numberTargets(u.targets, n)
 	}
+	targets := max(len(u.targets), 1)
 
-	count := 0
+	count, prev := 0, uint32(0)
 	k := uint32(0)
-	for blk, end := range s.cnt {
+	for blk, end := range u.cnt {
 		base := uint32(blk * blockSize)
 		s.startBlock(ops, n, base, min(uint32(targets)-base, blockSize))
+		var set []uint64
 		for ; k < end; k++ {
-			u := k
-			if order != nil {
-				u = order[k]
+			v := k
+			if u.order != nil {
+				v = u.order[k]
 			}
 			b := uint32(0)
 			if closed {
-				b, _ = s.bit(target[u])
+				b, _ = s.bit(u.target[v])
 			}
-			if lw.reaches(0, from[u])[b>>6]&(1<<(b&63)) == 0 {
+			if set == nil || u.from[v] != u.from[prev] {
+				set = lw.reaches(0, u.from[v])
+			}
+			prev = v
+			if set[b>>6]&(1<<(b&63)) == 0 {
 				continue
 			}
-			if weight == nil {
+			if u.weight == nil {
 				count++
 			} else {
-				count += int(weight[u])
+				count += int(u.weight[v])
 			}
 			if out != nil {
-				out[u] = true
+				out[v] = true
 			}
 		}
 	}

@@ -104,17 +104,17 @@ func (pp *Prepared) Support() int {
 
 // SupportRange is Support counted over the log rows [lo, hi): disjoint
 // ranges sum to the full-log support. The whole log is counted over its
-// distinct (patient, user) pairs, each weighted by its rows (see logProj);
-// any other range row by row. It panics on out-of-bounds ranges.
+// distinct (patient, user) pairs, each weighted by its rows and laid out
+// once per snapshot (see logProj.wholeLog); any other range row by row. It
+// panics on out-of-bounds ranges.
 func (pp *Prepared) SupportRange(lo, hi int) int {
 	pp.ev.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
 	if pr := pp.ev.idProjections(); lo == 0 && hi == len(pr.pairID) {
-		from, target := pp.orient(pr.pairPatient, pr.pairUser)
-		return pp.eval(from, target, pr.pairRows, nil)
+		return pp.eval(pr.wholeLog(pp.ent.forward, pp.ent.pl.closed, &pp.ev.scratch, len(pp.ev.engine.dict.values())), nil)
 	}
 	from, target := pp.rowUnits(lo, hi)
-	return pp.eval(from, target, nil, nil)
+	return pp.eval(units{from: from, target: target}, nil)
 }
 
 // ExplainedRows returns one boolean per log row: whether the closed path
@@ -142,7 +142,7 @@ func (pp *Prepared) rangeRows(lo, hi int) []bool {
 	pp.ev.queriesEvaluated++
 	out := make([]bool, hi-lo)
 	from, target := pp.rowUnits(lo, hi)
-	pp.eval(from, target, nil, out)
+	pp.eval(units{from: from, target: target}, out)
 	return out
 }
 
