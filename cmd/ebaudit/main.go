@@ -16,10 +16,12 @@
 //	                                     # order with bounded memory; -shards K
 //	                                     # cuts the log into K row ranges of one
 //	                                     # engine (identical output); -follow
-//	                                     # polls -data for appended log rows and
-//	                                     # emits only the new reports, extending
-//	                                     # cached template masks incrementally
-//	                                     # instead of recomputing them
+//	                                     # polls -data for appended log rows (at
+//	                                     # once when Log.csv is written, on Linux;
+//	                                     # else every -poll) and emits only the
+//	                                     # new reports, extending cached template
+//	                                     # masks incrementally instead of
+//	                                     # recomputing them
 //	ebaudit [flags] mine [-algo name]    # mine templates for review
 //	ebaudit [flags] unexplained [-n N]   # misuse-detection shortlist
 //	ebaudit [flags] groups [-depth D]    # collaborative-group composition
@@ -68,6 +70,10 @@
 // -store list federates one store per shard, pairing with -data by
 // position when migration is needed.
 //
+// Follow mode: audit -follow waits between polls of -data on an inotify
+// watch of the directory (Linux), so a write to Log.csv is polled at once
+// and -poll only bounds the wait; elsewhere it polls every -poll.
+//
 // Resilience: the top-level -faults flag arms deterministic chaos
 // injectors (comma-separated SITE:KIND[:COUNT[:AFTER]] entries; kinds
 // error, flaky, delay=DUR, panic) at the engine's named seams before
@@ -107,6 +113,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
+	"repro/internal/schemagraph"
 	"repro/internal/store"
 )
 
@@ -501,7 +508,7 @@ func loadDatabase(dir string) (*relation.Database, error) {
 
 // validateLogSchema checks the audit-log contract a loaded or store-opened
 // database must satisfy before the query layer sees it: a Log table with
-// the required columns.
+// the required columns, and join columns whose kinds agree.
 func validateLogSchema(db *relation.Database) error {
 	log := db.Table(pathmodel.LogTable)
 	if log == nil {
@@ -511,6 +518,48 @@ func validateLogSchema(db *relation.Database) error {
 		if !log.HasColumn(col) {
 			return fmt.Errorf("%s table lacks required column %q (have %s)",
 				pathmodel.LogTable, col, strings.Join(log.Columns(), ", "))
+		}
+	}
+	return validateJoinKinds(db)
+}
+
+// validateJoinKinds checks every schema-graph join the database holds both
+// tables of — an edge, or either hop through its bridge table — from the
+// headers alone: both columns must exist and declare one kind. An int
+// column joined to a string column matches nothing, so a mismatch would
+// otherwise drop every explanation through the join without an error. A
+// column that holds only nulls has no kind and joins nothing either way.
+func validateJoinKinds(db *relation.Database) error {
+	kind := func(a schemagraph.Attr) (relation.Kind, error) {
+		t := db.Table(a.Table)
+		c, ok := t.ColumnIndex(a.Column)
+		if !ok {
+			return 0, fmt.Errorf("%s table lacks column %q, which the schema graph joins on (have %s)",
+				a.Table, a.Column, strings.Join(t.Columns(), ", "))
+		}
+		return t.ColumnKind(c), nil
+	}
+	for _, e := range ehr.SchemaGraph(ehr.DefaultGraphOptions()).Edges() {
+		hops := [][2]schemagraph.Attr{{e.From, e.To}}
+		if v := e.Via; v != nil {
+			hops = [][2]schemagraph.Attr{{e.From, {Table: v.Table, Column: v.FromColumn}}, {{Table: v.Table, Column: v.ToColumn}, e.To}}
+		}
+		for _, h := range hops {
+			if !db.HasTable(h[0].Table) || !db.HasTable(h[1].Table) {
+				continue
+			}
+			k0, err := kind(h[0])
+			if err != nil {
+				return err
+			}
+			k1, err := kind(h[1])
+			if err != nil {
+				return err
+			}
+			if k0 != k1 && k0 != relation.KindNull && k1 != relation.KindNull {
+				return fmt.Errorf("join column kinds disagree: %s is %s but %s is %s",
+					h[0], relation.KindName(k0), h[1], relation.KindName(k1))
+			}
 		}
 	}
 	return nil
@@ -588,7 +637,7 @@ func (a *app) audit(args []string) error {
 	stream := fs.Bool("stream", false, "emit every report as NDJSON on stdout (log order, bounded memory)")
 	shards := fs.Int("shards", 0, "partition the log into K fault-isolated row ranges of one federated engine")
 	follow := fs.Bool("follow", false, "after auditing the current log, poll -data for appended rows and emit only their NDJSON reports (incremental mask refresh)")
-	poll := fs.Duration("poll", 2*time.Second, "follow mode: interval between -data polls")
+	poll := fs.Duration("poll", 2*time.Second, "follow mode: longest wait between -data polls; on Linux, a write to Log.csv wakes the poll at once")
 	followRows := fs.Int("follow-rows", 0, "follow mode: exit once this many rows have been audited (0 = run until interrupted)")
 	tracePath := fs.String("trace", "", "write the audit's observability spans to FILE as NDJSON (one span per line)")
 	explainPlans := fs.Bool("explain", false, "after auditing, print each template's plan decisions and per-op execution counters (single engine only)")
@@ -816,7 +865,11 @@ func printMemoStats(w io.Writer, snap map[string]obs.Metric) {
 // The concatenated output is byte-identical to a single `audit -stream`
 // over the final log, which the CLI differential test pins down.
 //
-// Each poll reads and parses only the bytes appended since the last one
+// Between polls it waits on logWatch: on Linux an inotify watch of the -data
+// directory, started before the catch-up stream, ends the wait as soon as
+// Log.csv is written, created or renamed onto, so a batch is audited as it
+// lands and -poll only bounds the wait (a missed event costs at most one
+// interval); elsewhere the wait sleeps out -poll. Each poll reads and parses only the bytes appended since the last one
 // (see logTail.poll), after checking what still has to hold for the log to
 // be an extension of the rows already audited: the header line is
 // byte-for-byte the one the session started with, and the file is no
@@ -832,6 +885,10 @@ func printMemoStats(w io.Writer, snap map[string]obs.Metric) {
 func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, verbose bool) error {
 	log := a.db.MustTable(pathmodel.LogTable)
 	ctx := context.Background()
+	// The watch starts before the catch-up, so a row appended while the
+	// catch-up streams wakes the first poll.
+	watch := watchLog(a.dataDir, pathmodel.LogTable+".csv")
+	defer watch.Close()
 
 	// Initial catch-up: the whole current log through the worker-pool
 	// streaming pipeline (identical bytes to a one-shot audit -stream; the
@@ -844,7 +901,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		return err
 	}
 	audited := log.NumRows()
-	fmt.Fprintf(a.stderr, "following %s: %d reports emitted, polling every %v\n",
+	fmt.Fprintf(a.stderr, "following %s: %d reports emitted, waiting at most %v between polls\n",
 		a.dataDir, audited, poll)
 	// A follow session usually ends by interruption (no defers run), so
 	// durable state is written after the catch-up and after every appended
@@ -861,12 +918,12 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 	tail := &logTail{path: filepath.Join(a.dataDir, pathmodel.LogTable+".csv")}
 	var errSince time.Time
 	var lines []byte // each appended batch's NDJSON, one write per batch
-	// Failed polls retry on a backoff ramp starting at the poll interval;
-	// healthy polls keep the plain cadence.
+	// Healthy polls wait for a write to Log.csv, at most the poll interval;
+	// failed polls retry on a backoff ramp starting at the poll interval.
 	retryBo := &fault.Backoff{Base: poll, Cap: 8 * poll}
 	for stopRows <= 0 || audited < stopRows {
 		if errSince.IsZero() {
-			time.Sleep(poll)
+			watch.wait(poll)
 		} else {
 			time.Sleep(retryBo.Next())
 		}

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/ehr"
 	"repro/internal/relation"
+	"repro/internal/schemagraph"
 	"repro/internal/store"
 )
 
@@ -97,6 +100,107 @@ func TestSkipNoteMissingTable(t *testing.T) {
 			t.Errorf("-data %s: audit -stream emitted nothing", data)
 		}
 	}
+}
+
+// retypeColumn rewrites the header of dir's table so column col declares
+// kind instead of its own.
+func retypeColumn(t *testing.T, dir, table, col, kind string) {
+	t.Helper()
+	path := filepath.Join(dir, table+".csv")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rows, _ := strings.Cut(string(data), "\n")
+	cells := strings.Split(header, ",")
+	for i, cell := range cells {
+		if name, _, _ := strings.Cut(cell, ":"); name == col {
+			cells[i] = name + ":" + kind
+		}
+	}
+	retyped := strings.Join(cells, ",")
+	if retyped == header {
+		t.Fatalf("%s.csv declares no column %s other than :%s", table, col, kind)
+	}
+	if err := os.WriteFile(path, []byte(retyped+"\n"+rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinKindMismatch pins that a dataset whose join columns disagree on
+// their kind is an error naming both columns and kinds, on a single engine
+// and on one shard of a Join — never an audit that exits 0 after its joins
+// matched nothing (a string DeptCodes.User drops every same-dept
+// explanation).
+func TestJoinKindMismatch(t *testing.T) {
+	exportDir := t.TempDir()
+	runOK(t, "export", "-dir", exportDir)
+	cases := []struct {
+		name             string
+		table, col, kind string
+		join             bool
+		want             string
+	}{
+		{"DeptCodes.User string", "DeptCodes", "User", "string", false,
+			"join column kinds disagree: Log.User is int but DeptCodes.User is string"},
+		{"Log.Patient string", "Log", "Patient", "string", false,
+			"join column kinds disagree: Log.Patient is string but Appointments.Patient is int"},
+		{"Join shard DeptCodes.User string", "DeptCodes", "User", "string", true,
+			"shardB: join column kinds disagree: Log.User is int but DeptCodes.User is string"},
+	}
+	for _, tc := range cases {
+		dir := filepath.Join(t.TempDir(), "shardB")
+		data := dir
+		if tc.join {
+			dirA, dirB := splitExportedLog(t, exportDir, 0.5)
+			if err := os.Rename(dirB, dir); err != nil {
+				t.Fatal(err)
+			}
+			data = dirA + "," + dir
+		} else if err := os.CopyFS(dir, os.DirFS(exportDir)); err != nil {
+			t.Fatal(err)
+		}
+		retypeColumn(t, dir, tc.table, tc.col, tc.kind)
+		for _, cmd := range [][]string{{"audit", "-stream"}, {"unexplained"}} {
+			var stdout, stderr bytes.Buffer
+			err := run(append([]string{"-data", data}, cmd...), &stdout, &stderr)
+			if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %v: err = %v, want an exit-1 error containing %q", tc.name, cmd, err, tc.want)
+			}
+			if stdout.Len() > 0 {
+				t.Errorf("%s: %v printed %d bytes before failing", tc.name, cmd, stdout.Len())
+			}
+		}
+	}
+}
+
+// TestJoinKindLaw is the law behind TestJoinKindMismatch: declaring any
+// join column of the exported dataset a string, where it is an int, is an
+// error naming that column — never a changed answer.
+func TestJoinKindLaw(t *testing.T) {
+	exportDir := t.TempDir()
+	runOK(t, "export", "-dir", exportDir)
+	seen := map[schemagraph.Attr]bool{}
+	for _, e := range ehr.SchemaGraph(ehr.DefaultGraphOptions()).Edges() {
+		if seen[e.From] || e.Kind == schemagraph.SelfJoin {
+			continue
+		}
+		seen[e.From] = true
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(exportDir)); err != nil {
+			t.Fatal(err)
+		}
+		retypeColumn(t, dir, e.From.Table, e.From.Column, "string")
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-data", dir, "unexplained"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), e.From.String()+" is string") {
+			t.Errorf("%s declared string: err = %v, want a kind mismatch naming it", e.From, err)
+		}
+	}
+	if len(seen) < 10 {
+		t.Errorf("only %d join columns checked", len(seen))
+	}
+	t.Logf("%d join columns checked", len(seen))
 }
 
 // TestStoreStaleSnapshotReopen makes an existing store's warm-start

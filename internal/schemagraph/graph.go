@@ -90,21 +90,21 @@ func (e Edge) String() string {
 // Graph is the edge catalog handed to the mining algorithms.
 type Graph struct {
 	edges       []Edge
-	byFromTable map[string][]int
+	byFromTable map[string][]Edge // the edges of each From table, in edges' order
 	selfJoinOK  map[Attr]bool
 }
 
 // NewGraph returns an empty schema graph.
 func NewGraph() *Graph {
 	return &Graph{
-		byFromTable: make(map[string][]int),
+		byFromTable: make(map[string][]Edge),
 		selfJoinOK:  make(map[Attr]bool),
 	}
 }
 
 // addDirected appends one directed edge.
 func (g *Graph) addDirected(e Edge) {
-	g.byFromTable[e.From.Table] = append(g.byFromTable[e.From.Table], len(g.edges))
+	g.byFromTable[e.From.Table] = append(g.byFromTable[e.From.Table], e)
 	g.edges = append(g.edges, e)
 }
 
@@ -144,23 +144,16 @@ func (g *Graph) AllowSelfJoin(attr Attr) {
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // EdgesFromTable returns the directed edges whose From attribute belongs to
-// the named table.
-func (g *Graph) EdgesFromTable(table string) []Edge {
-	idxs := g.byFromTable[table]
-	out := make([]Edge, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, g.edges[i])
-	}
-	return out
-}
+// the named table. The returned slice must not be modified.
+func (g *Graph) EdgesFromTable(table string) []Edge { return g.byFromTable[table] }
 
 // EdgesFromAttr returns the directed edges leaving exactly the given
 // attribute.
 func (g *Graph) EdgesFromAttr(a Attr) []Edge {
 	var out []Edge
-	for _, i := range g.byFromTable[a.Table] {
-		if g.edges[i].From == a {
-			out = append(out, g.edges[i])
+	for _, e := range g.byFromTable[a.Table] {
+		if e.From == a {
+			out = append(out, e)
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -22,7 +23,7 @@ const surfaceAllowlist = "testdata/test_only_api.txt"
 
 // TestExportedSurfaceHasProductCallers pins the product API to what the
 // product calls. It type-checks every non-test file under internal/, cmd/
-// and bench/ and lists each exported function or method declared under
+// and bench/ that this platform builds and lists each exported function or method declared under
 // internal/ or cmd/ that none of those files refers to, outside its own
 // body. The list must equal the allowlist: a new exported declaration that
 // only tests reach fails here until it is unexported, moved into an
@@ -252,6 +253,13 @@ func (l *surfaceLoader) load(dir string) (*surfacePkg, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Only the files this platform builds: a per-OS pair declares the
+		// same names twice.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
