@@ -542,7 +542,10 @@ func validateJoinKinds(db *relation.Database) error {
 	for _, e := range ehr.SchemaGraph(ehr.DefaultGraphOptions()).Edges() {
 		hops := [][2]schemagraph.Attr{{e.From, e.To}}
 		if v := e.Via; v != nil {
-			hops = [][2]schemagraph.Attr{{e.From, {Table: v.Table, Column: v.FromColumn}}, {{Table: v.Table, Column: v.ToColumn}, e.To}}
+			hops = [][2]schemagraph.Attr{
+				{e.From, {Table: v.Table, Column: v.FromColumn}},
+				{{Table: v.Table, Column: v.ToColumn}, e.To},
+			}
 		}
 		for _, h := range hops {
 			if !db.HasTable(h[0].Table) || !db.HasTable(h[1].Table) {
@@ -869,7 +872,9 @@ func printMemoStats(w io.Writer, snap map[string]obs.Metric) {
 // directory, started before the catch-up stream, ends the wait as soon as
 // Log.csv is written, created or renamed onto, so a batch is audited as it
 // lands and -poll only bounds the wait (a missed event costs at most one
-// interval); elsewhere the wait sleeps out -poll. Each poll reads and parses only the bytes appended since the last one
+// interval); elsewhere the wait sleeps out -poll.
+//
+// Each poll reads and parses only the bytes appended since the last one
 // (see logTail.poll), after checking what still has to hold for the log to
 // be an extension of the rows already audited: the header line is
 // byte-for-byte the one the session started with, and the file is no
@@ -887,7 +892,8 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 	ctx := context.Background()
 	// The watch starts before the catch-up, so a row appended while the
 	// catch-up streams wakes the first poll.
-	watch := watchLog(a.dataDir, pathmodel.LogTable+".csv")
+	logFile := pathmodel.LogTable + ".csv"
+	watch := watchLog(a.dataDir, logFile)
 	defer watch.Close()
 
 	// Initial catch-up: the whole current log through the worker-pool
@@ -915,7 +921,7 @@ func (a *app) auditFollow(workers int, poll, grace time.Duration, stopRows int, 
 		a.printStats(a.stderr, nil, workers)
 	}
 
-	tail := &logTail{path: filepath.Join(a.dataDir, pathmodel.LogTable+".csv")}
+	tail := &logTail{path: filepath.Join(a.dataDir, logFile)}
 	var errSince time.Time
 	var lines []byte // each appended batch's NDJSON, one write per batch
 	// Healthy polls wait for a write to Log.csv, at most the poll interval;

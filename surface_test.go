@@ -23,9 +23,9 @@ const surfaceAllowlist = "testdata/test_only_api.txt"
 
 // TestExportedSurfaceHasProductCallers pins the product API to what the
 // product calls. It type-checks every non-test file under internal/, cmd/
-// and bench/ that this platform builds and lists each exported function or method declared under
-// internal/ or cmd/ that none of those files refers to, outside its own
-// body. The list must equal the allowlist: a new exported declaration that
+// and bench/ that this platform builds, and lists each exported function or
+// method declared under internal/ or cmd/ that none of those files refers
+// to, outside its own body. The list must equal the allowlist: a new exported declaration that
 // only tests reach fails here until it is unexported, moved into an
 // export_test.go or allowlisted with a reason, and a deleted one fails
 // until its allowlist line goes too.
