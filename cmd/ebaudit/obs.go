@@ -94,19 +94,14 @@ func startTrace(path string, stderr io.Writer) (finish func() error, err error) 
 // printExplainReport renders the EXPLAIN ANALYZE view of the audit just
 // run: for every registered template whose evaluation goes through the
 // compiled-plan cache, the per-op execution counters the audit accumulated
-// (ExecTrace). Templates that evaluate outside the plan cache — decorated
-// DFS templates, log-only templates — get a note instead of a fabricated
-// zero trace.
+// (ExecTrace). A decorated template evaluates outside the plan cache and
+// gets a note instead of a fabricated zero trace.
 func (a *app) printExplainReport(w io.Writer) {
 	ev := a.auditor.Evaluator()
 	for _, t := range a.auditor.Templates() {
 		tpl, ok := t.(*explain.PathTemplate)
 		if !ok || len(tpl.Decorations) > 0 {
-			kind := "direct log scan"
-			if ok {
-				kind = "decorated bound-tuple DFS"
-			}
-			fmt.Fprintf(w, "template %s: evaluates outside the plan cache (%s); no exec trace\n", t.Name(), kind)
+			fmt.Fprintf(w, "template %s: evaluates outside the plan cache (decorated path); no exec trace\n", t.Name())
 			continue
 		}
 		pp := ev.Prepare(tpl.Path)

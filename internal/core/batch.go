@@ -35,7 +35,7 @@ func normalizeParallelism(p int) int {
 // on per-shard setup (a path template's walk starts each range with a fresh
 // memo generation and claims its scratch from the cursor; every template
 // allocates its range's result) than on classification. No template pays a
-// per-shard pass over the history: RepeatAccess compares each row with its
+// per-shard pass over the history: repeat access compares each row with its
 // pair's first access, which the engine keeps for every shard.
 const minMaskShard = 256
 

@@ -351,8 +351,8 @@ func (a *Auditor) MineTemplates(algo string, opt mine.Options) (mine.Result, err
 //
 // Appended rows must follow the access-log contract the incremental
 // differential tests pin down: they sort after every pre-existing row by
-// (Date, Lid) and carry increasing Lids, which is what an append-only
-// chronological log produces. Destructive changes (table replacement)
+// (Date, Lid), which is what an append-only chronological log produces;
+// their Lids need not increase across Dates. Destructive changes (table replacement)
 // instead go through AddTable/ResetMaskCache.
 func (a *Auditor) Refresh(ctx context.Context, parallelism int) error {
 	_, err := a.ensureMasks(ctx, parallelism)

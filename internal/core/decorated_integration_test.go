@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/accesslog"
@@ -9,8 +10,18 @@ import (
 	"repro/internal/explain"
 )
 
+// datedRepeatAccess is repeat access whose text also names the earlier
+// access's date (the description alias Log2), so its explanations render
+// from the bindings of the decorated walk, while its mask is the engine's
+// repeat-access state.
+func datedRepeatAccess() *explain.PathTemplate {
+	rt := explain.RepeatAccess()
+	return explain.NewPathTemplate("repeat-access-dated", rt.Path,
+		"[L.User|user] previously accessed [L.Patient|patient]'s record (on [Log2.Date]).", rt.Decorations...)
+}
+
 // TestAuditorWithDecoratedPathTemplates wires decorated path templates (the
-// §5.3.4 depth-restricted group template and the decorated repeat access)
+// §5.3.4 depth-restricted group template and a dated repeat access)
 // through the full Auditor flow: registration, per-row explanation, and
 // unexplained triage must all work identically to undecorated ones.
 func TestAuditorWithDecoratedPathTemplates(t *testing.T) {
@@ -19,7 +30,7 @@ func TestAuditorWithDecoratedPathTemplates(t *testing.T) {
 	a.BuildGroups(core.GroupsOptions{})
 
 	a.AddTemplates(
-		explain.DecoratedRepeatAccess(),
+		datedRepeatAccess(),
 		explain.DepthRestrictedGroupTemplate("appt-group-d1", "Appointments", "an appointment", 1),
 	)
 	frac := mustFraction(t, a, 0)
@@ -32,9 +43,9 @@ func TestAuditorWithDecoratedPathTemplates(t *testing.T) {
 	for r := 0; r < 100 && !found; r++ {
 		rep := mustExplainRow(t, a, r, 2)
 		for _, e := range rep.Explanations {
-			if e.Template == "repeat-access-decorated" || e.Template == "appt-group-d1" {
-				if e.Text == "" {
-					t.Errorf("empty rendered text for %s", e.Template)
+			if e.Template == "repeat-access-dated" || e.Template == "appt-group-d1" {
+				if e.Text == "" || strings.Contains(e.Text, "?]") {
+					t.Errorf("rendered text for %s: %q", e.Template, e.Text)
 				}
 				found = true
 			}

@@ -270,7 +270,7 @@ func renderAuditor(t *testing.T, seed int64, named bool) *core.Auditor {
 	a.AddTemplates(
 		explain.NewPathTemplate("fixture", appt.Path, desc),
 		&explain.PathTemplate{TemplateName: "fixture-literal", Path: appt.Path, Desc: desc},
-		explain.DecoratedRepeatAccess(),
+		datedRepeatAccess(),
 		explain.NewPathTemplate("fixture-generic", explain.GroupTemplate("g", "Appointments", "an appointment").Path, ""),
 		opaqueTemplate{explain.DeptTemplate("fixture-opaque", "Visits", "a visit")},
 	)
@@ -468,7 +468,7 @@ func FuzzRenderNDJSON(f *testing.F) {
 			a := core.NewAuditor(db, ehr.SchemaGraph(ehr.DefaultGraphOptions()), core.WithNamer(namer))
 			a.AddTemplates(
 				explain.NewPathTemplate("t"+literal, path, desc),
-				explain.RepeatAccess{},
+				explain.RepeatAccess(),
 				explain.NewPathTemplate("generic", path, ""),
 			)
 			var want []byte

@@ -34,7 +34,7 @@ func TestRenderAfterMutationMatchesRebuild(t *testing.T) {
 	a := core.NewAuditor(db, graph, core.WithNamer(ds))
 	a.BuildGroups(core.GroupsOptions{})
 	a.AddTemplates(explain.Handcrafted(true, true).All()...)
-	a.AddTemplates(explain.DecoratedRepeatAccess()) // its base path self-joins Log
+	a.AddTemplates(datedRepeatAccess()) // its base path self-joins Log
 	log := db.MustTable(pathmodel.LogTable)
 
 	explanations := func() int {

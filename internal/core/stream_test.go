@@ -40,7 +40,7 @@ func widenedAuditor(t *testing.T, seed int64, shuffle bool) *core.Auditor {
 	a.BuildGroups(core.GroupsOptions{})
 	a.AddTemplates(explain.Handcrafted(true, true).All()...)
 	a.AddTemplates(
-		explain.DecoratedRepeatAccess(),
+		datedRepeatAccess(),
 		explain.DepthRestrictedGroupTemplate("appt-group-depth1", "Appointments", "an appointment", 1),
 		explain.NewPathTemplate("appt-row-date-lid",
 			explain.WithDrTemplate("appt", "Appointments", "an appointment").Path,

@@ -35,7 +35,7 @@ func eventBars(ev *query.Evaluator, title string, includeRepeat bool) BarFigure 
 		fig.Bars = append(fig.Bars, Bar{Label: names[ind.IndicatorName], Value: metrics.Fraction(m)})
 	}
 	if includeRepeat {
-		m := explain.RepeatAccess{}.Evaluate(ev)
+		m := explain.RepeatAccess().Evaluate(ev)
 		masks = append(masks, m)
 		fig.Bars = append(fig.Bars, Bar{Label: "Repeat Access", Value: metrics.Fraction(m)})
 	}

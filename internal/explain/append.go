@@ -1,22 +1,22 @@
 package explain
 
 import (
+	"slices"
+
 	"repro/internal/pathmodel"
 )
 
 // TemplateTables returns the names of the tables template t reads beyond
-// the audited log row itself (path instances, bridge tables, and — for the
-// log-history templates — the Log table), and whether the template type is
-// introspectable. Unknown template implementations report ok == false and
-// callers must treat them as potentially reading anything. The auditing
-// layer uses this to invalidate only the cached masks a table mutation can
-// actually affect.
+// the audited log row itself (path instances, bridge tables, and — for a
+// path that self-joins the Log, such as repeat access — the Log table), and
+// whether the template type is introspectable. Unknown template
+// implementations report ok == false and callers must treat them as
+// potentially reading anything. The auditing layer uses this to invalidate
+// only the cached masks a table mutation can actually affect.
 func TemplateTables(t Template) (tables []string, ok bool) {
 	switch tpl := t.(type) {
 	case *PathTemplate:
 		return pathTables(tpl.Path), true
-	case RepeatAccess:
-		return []string{pathmodel.LogTable}, true
 	default:
 		return nil, false
 	}
@@ -57,11 +57,11 @@ func pathTables(p pathmodel.Path) []string {
 //
 //   - a path template that never self-joins the Log reads only event
 //     tables, which appending log rows does not touch;
-//   - RepeatAccess explains a row only from strictly *earlier* (Date, Lid)
-//     history, which later rows cannot provide;
 //   - a path template whose path self-joins the Log qualifies when every
-//     Log instance is pinned to the past by a Lid-order decoration
-//     (Log_k.Lid < L.Lid), the decorated repeat-access shape.
+//     Log instance is pinned to the past by a log-order decoration
+//     (Log2.LogOrder < L.LogOrder, as in RepeatAccess): it binds only
+//     strictly *earlier* (Date, Lid) history, which later rows cannot
+//     provide.
 //
 // Anything else — notably a mined closed path that self-joins the Log with
 // no temporal guard, where a future access can retroactively explain a past
@@ -81,32 +81,15 @@ func AppendMonotone(t Template) bool {
 			}
 		}
 		return true
-	case RepeatAccess:
-		return true
 	default:
 		return false
 	}
 }
 
-// pastPinned reports whether some decoration restricts log instance inst to
-// rows strictly before the audited row in Lid order: Inst.Lid < L.Lid or
-// the mirrored L.Lid > Inst.Lid. Lids increase with (Date, Lid) time in an
-// append-only log, so the restriction confines the instance to history that
-// appending can never change.
+// pastPinned reports whether some decoration confines log instance inst to
+// accesses strictly before the audited row in log order
+// (pathmodel.Decoration.PinsPast). Log order is (Date, Lid), not Lid alone,
+// so the rule holds for a log whose Lids are not chronological.
 func pastPinned(decs []pathmodel.Decoration, inst int) bool {
-	for _, d := range decs {
-		if d.Const != nil {
-			continue
-		}
-		lidRef := func(r pathmodel.Ref, i int) bool {
-			return r.Inst == i && r.Col == pathmodel.LogIDColumn
-		}
-		if d.Op == pathmodel.OpLT && lidRef(d.Left, inst) && lidRef(d.Right, 0) {
-			return true
-		}
-		if d.Op == pathmodel.OpGT && lidRef(d.Left, 0) && lidRef(d.Right, inst) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(decs, func(d pathmodel.Decoration) bool { return d.PinsPast(inst) })
 }

@@ -12,8 +12,8 @@ import (
 
 // TestTemplateTables pins the introspection the auditor's targeted mask
 // invalidation relies on: path templates report their event and bridge
-// tables, RepeatAccess reports the Log, and unknown template types report
-// not-ok.
+// tables, repeat access (a Log self-join) reports the Log, and unknown
+// template types report not-ok.
 func TestTemplateTables(t *testing.T) {
 	cat := explain.Handcrafted(true, true)
 
@@ -52,18 +52,17 @@ func TestTemplateTables(t *testing.T) {
 }
 
 // TestAppendMonotone pins the extend-vs-rebuild classification: the whole
-// hand-crafted catalog is append-monotone (event-table paths, the temporal
-// repeat-access, and the Lid-guarded decorated repeat-access), while an
-// unguarded Log self-join path — where a future access can retroactively
-// explain a past one — and unknown template types are not.
+// hand-crafted catalog is append-monotone (event-table paths, and repeat
+// access, whose Log self-join is pinned before the audited row in log
+// order, in either spelling), while an unguarded Log self-join path — where
+// a future access can retroactively explain a past one —, one guarded by
+// Lid alone (Lids need not be chronological) and unknown template types are
+// not.
 func TestAppendMonotone(t *testing.T) {
 	for _, tpl := range explain.Handcrafted(true, true).All() {
 		if !explain.AppendMonotone(tpl) {
 			t.Errorf("catalog template %s not append-monotone", tpl.Name())
 		}
-	}
-	if !explain.AppendMonotone(explain.DecoratedRepeatAccess()) {
-		t.Error("decorated repeat-access (Lid-guarded Log self-join) should be append-monotone")
 	}
 
 	// The same self-join base without the temporal decoration is the
@@ -88,7 +87,23 @@ func TestAppendMonotone(t *testing.T) {
 		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogDateColumn},
 	})
 	if explain.AppendMonotone(undated) {
-		t.Error("Log self-join without a strict Lid guard should not be append-monotone")
+		t.Error("Log self-join without a strict log-order guard should not be append-monotone")
+	}
+	lidOnly := explain.NewPathTemplate("lid-order", base, "", pathmodel.Decoration{
+		Left:  pathmodel.Ref{Inst: 1, Col: pathmodel.LogIDColumn},
+		Op:    pathmodel.OpLT,
+		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogIDColumn},
+	})
+	if explain.AppendMonotone(lidOnly) {
+		t.Error("Log self-join guarded by Lid alone should not be append-monotone")
+	}
+	mirrored := explain.NewPathTemplate("mirrored", base, "", pathmodel.Decoration{
+		Left:  pathmodel.Ref{Inst: 0, Col: pathmodel.LogOrder},
+		Op:    pathmodel.OpGT,
+		Right: pathmodel.Ref{Inst: 1, Col: pathmodel.LogOrder},
+	})
+	if !explain.AppendMonotone(mirrored) {
+		t.Error("Log self-join guarded by L.LogOrder > Log2.LogOrder should be append-monotone")
 	}
 
 	if explain.AppendMonotone(opaqueTemplate{}) {
@@ -100,16 +115,16 @@ func TestAppendMonotone(t *testing.T) {
 // validation: a decoration that names an instance the path does not have
 // panics when the template is built, not when it is first evaluated.
 func TestNewPathTemplateRejectsMissingInstance(t *testing.T) {
-	p := explain.DecoratedRepeatAccess().Path // instances L and Log2
+	p := explain.RepeatAccess().Path // instances L and Log2
 	defer func() {
 		if recover() == nil {
 			t.Error("a decoration on instance 2 of a two-instance path built a template")
 		}
 	}()
 	explain.NewPathTemplate("missing-instance", p, "", pathmodel.Decoration{
-		Left:  pathmodel.Ref{Inst: 2, Col: pathmodel.LogIDColumn},
+		Left:  pathmodel.Ref{Inst: 2, Col: pathmodel.LogOrder},
 		Op:    pathmodel.OpLT,
-		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogIDColumn},
+		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogOrder},
 	})
 }
 

@@ -15,23 +15,6 @@ import (
 	"repro/internal/schemagraph"
 )
 
-// TestDecoratedRepeatMatchesSpecialized differentially tests the generic
-// decorated repeat-access template against the specialized RepeatAccess
-// implementation over the full synthetic log.
-func TestDecoratedRepeatMatchesSpecialized(t *testing.T) {
-	_, ev := tinyEvaluator(t)
-	generic := explain.DecoratedRepeatAccess().Evaluate(ev)
-	special := explain.RepeatAccess{}.Evaluate(ev)
-	if len(generic) != len(special) {
-		t.Fatalf("mask lengths differ: %d vs %d", len(generic), len(special))
-	}
-	for i := range generic {
-		if generic[i] != special[i] {
-			t.Fatalf("row %d: decorated=%v specialized=%v", i, generic[i], special[i])
-		}
-	}
-}
-
 // TestDecoratedExplainsSubsetOfBase checks Definition 3's guarantee: a
 // decorated template explains a subset of its base simple template.
 func TestDecoratedExplainsSubsetOfBase(t *testing.T) {
@@ -130,11 +113,13 @@ func TestDecoratedPathTemplateSQLAndRender(t *testing.T) {
 }
 
 func TestDecorationOperators(t *testing.T) {
-	// Hand-built two-row log over one patient: a strict inequality
-	// decoration on Lid distinguishes first from repeat.
+	// Hand-built two-row log over one pair: row 0 (Lid 2, day 0) comes
+	// before row 1 (Lid 1, day 1) in log order while its Lid is larger,
+	// so a strict inequality on Lid and one on LogOrder each tell first
+	// from repeat, in opposite directions.
 	log := accesslog.NewLogTable("Log")
-	log.Append(relation.Int(1), relation.Date(0), relation.Int(10), relation.Int(1))
 	log.Append(relation.Int(2), relation.Date(0), relation.Int(10), relation.Int(1))
+	log.Append(relation.Int(1), relation.Date(1), relation.Int(10), relation.Int(1))
 	db := relation.NewDatabase()
 	db.AddTable(log)
 	ev := query.NewEvaluator(db)
@@ -151,23 +136,28 @@ func TestDecorationOperators(t *testing.T) {
 		t.Fatal("append failed")
 	}
 
-	ref0 := pathmodel.Ref{Inst: 0, Col: pathmodel.LogIDColumn}
-	ref1 := pathmodel.Ref{Inst: 1, Col: pathmodel.LogIDColumn}
 	cases := []struct {
-		op   pathmodel.CompareOp
-		want []bool // which of the two audited rows have a witness Log2 row
+		op         pathmodel.CompareOp
+		lid, order []bool // which of the two audited rows have a witness Log2 row
 	}{
-		{pathmodel.OpLT, []bool{false, true}}, // Log2.Lid < L.Lid
-		{pathmodel.OpLE, []bool{true, true}},
-		{pathmodel.OpEQ, []bool{true, true}}, // self-match allowed
-		{pathmodel.OpGE, []bool{true, true}},
-		{pathmodel.OpGT, []bool{true, false}},
+		{pathmodel.OpLT, []bool{true, false}, []bool{false, true}}, // Log2 < L
+		{pathmodel.OpLE, []bool{true, true}, []bool{true, true}},
+		{pathmodel.OpEQ, []bool{true, true}, []bool{true, true}}, // self-match allowed
+		{pathmodel.OpGE, []bool{true, true}, []bool{true, true}},
+		{pathmodel.OpGT, []bool{false, true}, []bool{true, false}},
 	}
 	for _, c := range cases {
-		got := explain.NewPathTemplate("lid-order", base, "", pathmodel.Decoration{Left: ref1, Op: c.op, Right: ref0}).Evaluate(ev)
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("op %v row %d: got %v, want %v", c.op, i, got[i], c.want[i])
+		for _, col := range []string{pathmodel.LogIDColumn, pathmodel.LogOrder} {
+			want := c.lid
+			if col == pathmodel.LogOrder {
+				want = c.order
+			}
+			d := pathmodel.Decoration{Left: pathmodel.Ref{Inst: 1, Col: col}, Op: c.op, Right: pathmodel.Ref{Inst: 0, Col: col}}
+			got := explain.NewPathTemplate("order", base, "", d).Evaluate(ev)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("Log2.%s %v L.%s row %d: got %v, want %v", col, c.op, col, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -91,8 +91,10 @@ func TestTemplateSQL(t *testing.T) {
 		}
 	}
 	rsql := c.RepeatAccess.SQL()
-	if !strings.Contains(rsql, "L1.Date > L2.Date") {
-		t.Errorf("repeat SQL missing decoration:\n%s", rsql)
+	for _, want := range []string{"(SELECT DISTINCT Patient, User, Date, Lid FROM Log) Log2", "(Log2.Date, Log2.Lid) < (L.Date, L.Lid)"} {
+		if !strings.Contains(rsql, want) {
+			t.Errorf("repeat SQL missing %q:\n%s", want, rsql)
+		}
 	}
 }
 
@@ -111,7 +113,7 @@ func TestRepeatAccessSemantics(t *testing.T) {
 	db := relation.NewDatabase()
 	db.AddTable(log)
 	ev := query.NewEvaluator(db)
-	mask := explain.RepeatAccess{}.Evaluate(ev)
+	mask := explain.RepeatAccess().Evaluate(ev)
 	want := []bool{false, true, false, false, false, true}
 	for i := range want {
 		if mask[i] != want[i] {
@@ -131,16 +133,16 @@ func TestRepeatAccessAgainstHistoricalLog(t *testing.T) {
 	audited.Append(relation.Int(51), relation.Date(6), relation.Int(11), relation.Int(1)) // new pair
 
 	ev := query.NewEvaluatorWithLog(db, audited)
-	mask := explain.RepeatAccess{}.Evaluate(ev)
+	mask := explain.RepeatAccess().Evaluate(ev)
 	if !mask[0] || mask[1] {
 		t.Errorf("historical repeat mask = %v, want [true false]", mask)
 	}
 
 	// Render produces text for the explained row only.
-	if texts := (explain.RepeatAccess{}).Render(ev, 0, 3, explain.NullNamer{}); len(texts) != 1 {
+	if texts := explain.RepeatAccess().Render(ev, 0, 3, explain.NullNamer{}); len(texts) != 1 {
 		t.Errorf("Render explained row = %v", texts)
 	}
-	if texts := (explain.RepeatAccess{}).Render(ev, 1, 3, explain.NullNamer{}); texts != nil {
+	if texts := explain.RepeatAccess().Render(ev, 1, 3, explain.NullNamer{}); texts != nil {
 		t.Errorf("Render unexplained row = %v", texts)
 	}
 }

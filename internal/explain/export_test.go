@@ -8,16 +8,15 @@ import (
 	"repro/internal/relation"
 )
 
-// RepeatAccessReference is the map-scan RepeatAccess.EvaluateRange ran
-// before the engine kept each pair's first access, kept verbatim as the
-// differential oracle: every call hashes the whole history into the
+// RepeatAccessReference is the map scan repeat access ran before the engine
+// kept each pair's first access, kept verbatim as the differential oracle: every call hashes the whole history into the
 // earliest (Date, Lid) per (user, patient) pair, then classifies the audited
 // rows [lo, hi) against it.
 func RepeatAccessReference(ev *query.Evaluator, lo, hi int) []bool {
 	history := ev.Database().MustTable(pathmodel.LogTable)
 	audited := ev.Log()
 	if lo < 0 || hi < lo || hi > audited.NumRows() {
-		panic("explain: RepeatAccess range out of bounds")
+		panic("explain: repeat-access range out of bounds")
 	}
 	type pair struct{ u, p relation.Value }
 	type stamp struct{ date, lid int64 }
@@ -69,7 +68,7 @@ func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *
 		return out
 	}
 	if segs == nil {
-		segs = parseDesc(desc, p.Instances())
+		segs = parseDesc(desc, p)
 	}
 	var buf [256]byte
 	text := buf[:0]
@@ -103,11 +102,11 @@ func renderBindingsReference(segs []descSeg, desc string, p pathmodel.Path, ev *
 	return out
 }
 
-// repeatAccessRenderReference is RepeatAccess.Render as it was before the
-// template compiled to a program, kept as the differential oracle: every
+// RepeatAccessRenderReference is repeat access's Render as it was before
+// the template compiled to a program, kept as the differential oracle: every
 // call scans the whole history for an earlier access by the row's (user,
 // patient) pair, and fmt.Sprintf builds the text.
-func repeatAccessRenderReference(ev *query.Evaluator, logRow int, n Namer) []string {
+func RepeatAccessRenderReference(ev *query.Evaluator, logRow int, n Namer) []string {
 	audited := ev.Log()
 	if logRow < 0 || logRow >= audited.NumRows() {
 		return nil
@@ -139,6 +138,17 @@ func repeatAccessRenderReference(ev *query.Evaluator, logRow int, n Namer) []str
 		n.UserName(u), n.PatientName(p))}
 }
 
+// ResolveAlias returns the instance of p that the description placeholder
+// [label.X] names; ok is false when the description would keep it as
+// literal text.
+func ResolveAlias(p pathmodel.Path, label string) (inst int, ok bool) {
+	segs := parseDesc("["+label+".X]", p)
+	if len(segs) != 1 || segs[0].lit != "" {
+		return 0, false
+	}
+	return segs[0].inst, true
+}
+
 // formSegs returns a prepared form's segments, nil for a template assembled
 // without its constructor.
 func formSegs(f *textForm) []descSeg {
@@ -149,20 +159,26 @@ func formSegs(f *textForm) []descSeg {
 }
 
 // RenderReference renders t's explanation instances for logRow the way
-// renderBindingsReference and repeatAccessRenderReference did. ok is false
-// for template types with no reference renderer.
+// renderBindingsReference did, over the bindings of the instance walk: one
+// text when the description reads only the audited row and the walk finds
+// a binding, nil when it finds none. ok is false for template types with no
+// reference renderer.
 func RenderReference(t Template, ev *query.Evaluator, logRow, limit int, n Namer) (texts []string, ok bool) {
-	switch tpl := t.(type) {
-	case *PathTemplate:
-		var bs []query.InstanceBinding
-		if len(tpl.Decorations) > 0 {
-			bs = ev.InstancesDecorated(tpl.decorated(), logRow, limit)
-		} else {
-			bs = ev.Instances(tpl.Path, logRow, limit)
-		}
-		return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Path, ev, logRow, bs, n), true
-	case RepeatAccess:
-		return repeatAccessRenderReference(ev, logRow, n), true
+	tpl, ok := t.(*PathTemplate)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	var bs []query.InstanceBinding
+	if len(tpl.Decorations) > 0 {
+		bs = ev.InstancesDecorated(tpl.decorated(), logRow, limit)
+	} else {
+		bs = ev.Instances(tpl.Path, logRow, limit)
+	}
+	if tpl.prepared().rowOnly {
+		if len(bs) == 0 {
+			return nil, true
+		}
+		bs = bs[:1]
+	}
+	return renderBindingsReference(formSegs(tpl.form), tpl.Desc, tpl.Path, ev, logRow, bs, n), true
 }

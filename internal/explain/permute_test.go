@@ -50,7 +50,7 @@ func TestPermutedLogPermutesMasks(t *testing.T) {
 						explained++
 					}
 				}
-				if tpl.Name() == (explain.RepeatAccess{}).Name() && (explained == 0 || explained == len(want)) {
+				if tpl.Name() == explain.RepeatAccess().Name() && (explained == 0 || explained == len(want)) {
 					t.Fatalf("repeat access explains %d of %d rows: the law is vacuous for it", explained, len(want))
 				}
 			})

@@ -11,8 +11,10 @@ import (
 
 // Program is one template compiled for one call: its description's
 // placeholders resolved to table pointers, column positions and name roles,
-// and its binding source (path walk or the repeat-access row) bound to the
-// call's evaluator. It renders through two sinks: Render, the string sink
+// bound to the call's evaluator. A description that reads only the audited
+// row (textForm.rowOnly, as repeat access's does) renders one text from one
+// empty binding and enumerates no instances; any other walks its path for
+// its bindings. It renders through two sinks: Render, the string sink
 // behind Template.Render and the report API, and AppendNDJSON, which
 // escapes a text into the NDJSON wire form piece by piece as it is
 // assembled, with the literals escaped once when the template was built.
@@ -22,24 +24,15 @@ import (
 // call's workers share the set read-only, each rendering on its own cursor
 // over the same database and audited log.
 type Program struct {
-	t    Template
-	src  bindingSource
-	form *textForm
-	n    Namer
+	t      Template
+	opaque bool // a template type this package does not know: Template.Render
+	form   *textForm
+	n      Namer
 
 	slots []slot
-	path  pathmodel.Path         // srcPath, and a generic text's hops
-	decs  []pathmodel.Decoration // srcPath: the walk's extra conditions
+	path  pathmodel.Path         // the walk's path, and a generic text's hops
+	decs  []pathmodel.Decoration // the walk's extra conditions
 }
-
-// bindingSource is where a program's instance bindings come from.
-type bindingSource uint8
-
-const (
-	srcOpaque bindingSource = iota // a template type this package does not know: Template.Render
-	srcPath                        // Evaluator.Instances, or InstancesDecorated when decorated
-	srcRepeat                      // RepeatAccess: one binding of no rows
-)
 
 // slotRole is how a resolved placeholder renders its value.
 type slotRole uint8
@@ -75,33 +68,18 @@ func Compile(ev *query.Evaluator, n Namer, ts []Template) []Program {
 	return progs
 }
 
-// renderOnce is Template.Render for the template types this package knows:
-// the string sink of a program compiled for the one call.
-func renderOnce(t Template, ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	var p Program
-	p.compile(t, ev, n, nil)
-	return p.Render(ev, logRow, limit)
-}
-
 // compile fills p for template t, appending its resolved slots to slots
 // (which several programs may share as one backing array) and returning
 // the extended slice.
 func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot) []slot {
 	*p = Program{t: t, n: n}
-	var insts []pathmodel.Instance
-	switch tpl := t.(type) {
-	case *PathTemplate:
-		p.src, p.path, p.decs, p.form = srcPath, tpl.Path, tpl.Decorations, tpl.form
-		insts = tpl.Path.Instances()
-		if p.form == nil { // assembled without NewPathTemplate
-			p.form = newTextForm(tpl.TemplateName, tpl.Length(), tpl.Desc, insts)
-		}
-	case RepeatAccess:
-		p.src, p.form = srcRepeat, repeatForm
-	default:
-		p.form = newTextForm(t.Name(), t.Length(), "", nil)
+	tpl, ok := t.(*PathTemplate)
+	if !ok {
+		p.opaque, p.form = true, newTextForm(t.Name(), t.Length(), "", pathmodel.Path{})
 		return slots
 	}
+	p.path, p.decs, p.form = tpl.Path, tpl.Decorations, tpl.prepared()
+	insts := tpl.Path.Instances()
 	_, null := n.(NullNamer)
 	start := len(slots)
 	slots = slices.Grow(slots, len(p.form.segs))
@@ -139,41 +117,36 @@ func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot
 	return slots
 }
 
-// repeatHit is a repeat-access program's one binding: the text reads only
+// rowOnlyHit is the one binding of a program whose description reads only
 // the audited row.
-var repeatHit = []query.InstanceBinding{{}}
+var rowOnlyHit = []query.InstanceBinding{{}}
 
-// bindings returns up to limit instance bindings of logRow. A
-// repeat-access program returns its one binding for any audited row
-// without classifying it: callers render a template only for the rows its
-// mask explains.
+// bindings returns up to limit instance bindings of logRow. A program whose
+// description reads only the audited row returns its one binding for any
+// audited row without classifying it: callers render a template only for
+// the rows its mask explains.
 func (p *Program) bindings(ev *query.Evaluator, logRow, limit int) []query.InstanceBinding {
-	switch p.src {
-	case srcPath:
-		if len(p.decs) > 0 {
-			return ev.InstancesDecorated(pathmodel.DecoratedPath{Base: p.path, Decorations: p.decs}, logRow, limit)
-		}
-		return ev.Instances(p.path, logRow, limit)
-	case srcRepeat:
+	switch {
+	case p.form.rowOnly:
 		if logRow >= 0 && logRow < ev.Log().NumRows() {
-			return repeatHit
+			return rowOnlyHit
 		}
+		return nil
+	case len(p.decs) > 0:
+		return ev.InstancesDecorated(pathmodel.DecoratedPath{Base: p.path, Decorations: p.decs}, logRow, limit)
+	default:
+		return ev.Instances(p.path, logRow, limit)
 	}
-	return nil
 }
 
 // Render is the string sink: up to limit texts for logRow, what
-// Template.Render returns for a row the template explains — nil when
-// logRow is not an audited row of a repeat-access program, an empty slice
+// Template.Render returns for a row the template explains — an empty slice
 // when a path program finds no binding.
 func (p *Program) Render(ev *query.Evaluator, logRow, limit int) []string {
-	if p.src == srcOpaque {
+	if p.opaque {
 		return p.t.Render(ev, logRow, limit, p.n)
 	}
 	bs := p.bindings(ev, logRow, limit)
-	if bs == nil && p.src == srcRepeat {
-		return nil
-	}
 	out := make([]string, 0, len(bs))
 	var buf [256]byte
 	for _, b := range bs {
@@ -199,7 +172,7 @@ func (p *Program) Render(ev *query.Evaluator, logRow, limit int) []string {
 // invalid tail byte can combine with the next piece into a different
 // character. Generic and unknown templates always take that path.
 func (p *Program) AppendNDJSON(dst []byte, ev *query.Evaluator, logRow, limit int, sep bool) ([]byte, int) {
-	if p.src == srcOpaque || p.form.generic {
+	if p.opaque || p.form.generic {
 		texts := p.Render(ev, logRow, limit)
 		for _, text := range texts {
 			dst = p.openObject(dst, sep)

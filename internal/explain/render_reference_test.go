@@ -16,8 +16,9 @@ import (
 // audited-row placeholders with no role ([L.Date] and [L.Lid]), an unknown
 // alias, a token without a dot, every role on both the audited row and a
 // bound instance, an unknown role, a template assembled without the
-// constructor, whose description is prepared when it is compiled, and one
-// with no description (the generic rendering).
+// constructor, whose description is prepared when it is compiled, repeat
+// access with a placeholder on its Log2 (so it renders through the walk),
+// and one with no description (the generic rendering).
 func referenceFixtureTemplates() []explain.Template {
 	appt := explain.WithDrTemplate("appt-with-dr", "Appointments", "an appointment")
 	desc := "On [L.Date] (access [L.Lid]) [L.User|user] saw [L.Patient|patient]; " +
@@ -27,9 +28,18 @@ func referenceFixtureTemplates() []explain.Template {
 	return []explain.Template{
 		explain.NewPathTemplate("fixture", appt.Path, desc),
 		&explain.PathTemplate{TemplateName: "fixture-literal", Path: appt.Path, Desc: desc},
-		explain.DecoratedRepeatAccess(),
+		datedRepeatAccess(),
 		explain.NewPathTemplate("fixture-generic", explain.GroupTemplate("g", "Appointments", "an appointment").Path, ""),
 	}
+}
+
+// datedRepeatAccess is repeat access whose text also names the earlier
+// access's date through the description alias Log2, so it renders each
+// binding the walk finds rather than one text per explained row.
+func datedRepeatAccess() *explain.PathTemplate {
+	rt := explain.RepeatAccess()
+	return explain.NewPathTemplate("repeat-access-dated", rt.Path,
+		"[L.User|user] previously accessed [L.Patient|patient]'s record (on [Log2.Date]).", rt.Decorations...)
 }
 
 // refObjects is the reference NDJSON sink: the {template, length, text}
@@ -57,16 +67,16 @@ func refObjects(t *testing.T, tpl explain.Template, texts []string, sep bool) []
 }
 
 // TestRenderMatchesReference pins both sinks of the compiled programs to
-// the per-binding reference renderers (and RepeatAccess to its old
-// fmt.Sprintf text): for seeds 1-3 of the Tiny hospital, every catalog and
+// the per-binding reference renderers: for seeds 1-3 of the Tiny hospital, every catalog and
 // fixture template renders every audited row byte-identically, up to three
 // instances per template, under NullNamer and under the generated
 // dataset's namer — through
 // Template.Render, through the call's Program.Render, and through
 // Program.AppendNDJSON, whose objects must be the reference texts encoded.
-// A repeat-access program renders its text without classifying the row, as
-// its callers render only the rows its mask explains, so its sinks are
-// compared on the rows the reference explains.
+// A program whose description reads only the audited row (repeat access)
+// renders its text without classifying the row, as its callers render only
+// the rows its mask explains, so its sinks are compared on the rows the
+// reference explains.
 func TestRenderMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ehr.Tiny()
@@ -88,7 +98,7 @@ func TestRenderMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d %T %s row %d:\n got %q\nwant %q", seed, namer, tpl.Name(), r, got, want)
 					}
-					if _, repeat := tpl.(explain.RepeatAccess); repeat && want == nil {
+					if want == nil { // an unexplained row of a row-only description
 						continue
 					}
 					if got := progs[i].Render(ev, r, 3); !reflect.DeepEqual(got, want) {
@@ -105,12 +115,12 @@ func TestRenderMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			for _, name := range []string{"appt-with-dr", "repeat-access", "fixture", "fixture-literal", "repeat-access-decorated", "fixture-generic"} {
+			for _, name := range []string{"appt-with-dr", "repeat-access", "fixture", "fixture-literal", "repeat-access-dated", "fixture-generic"} {
 				if rendered[name] == 0 {
 					t.Fatalf("seed %d %T: %s rendered no text; the comparison is vacuous", seed, namer, name)
 				}
 			}
-			for _, name := range []string{"appt-same-group", "fixture-generic"} {
+			for _, name := range []string{"appt-same-group", "repeat-access-dated", "fixture-generic"} {
 				if multi[name] == 0 {
 					t.Fatalf("seed %d %T: %s never rendered two texts for one row", seed, namer, name)
 				}

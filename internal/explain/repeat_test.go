@@ -78,11 +78,11 @@ func lidDecided(log *relation.Table) int {
 	return n
 }
 
-// historicalSplit audits the accesses on or after the log's middle day
-// against a history holding only the earlier ones, through the auditor's
-// WithAuditedLog option: no audited row is present in the history.
-func historicalSplit(ds *ehr.Dataset) *query.Evaluator {
-	log := ds.Log()
+// historicalSplit audits the accesses of db's Log on or after its middle
+// day against a history holding only the earlier ones, through the
+// auditor's WithAuditedLog option: no audited row is present in the history.
+func historicalSplit(db *relation.Database) *query.Evaluator {
+	log := db.MustTable(pathmodel.LogTable)
 	di, _ := log.ColumnIndex(pathmodel.LogDateColumn)
 	first, last := log.Row(0)[di].AsInt(), log.Row(0)[di].AsInt()
 	for r := 0; r < log.NumRows(); r++ {
@@ -92,7 +92,7 @@ func historicalSplit(ds *ehr.Dataset) *query.Evaluator {
 	mid := int(first+last) / 2
 	history := accesslog.FilterDays(log, int(first), mid-1)
 	audited := accesslog.FilterDays(log, mid, int(last))
-	return core.NewAuditor(accesslog.WithLog(ds.DB, history), nil, core.WithAuditedLog(audited)).Evaluator()
+	return core.NewAuditor(accesslog.WithLog(db, history), nil, core.WithAuditedLog(audited)).Evaluator()
 }
 
 // TestRepeatAccessMatchesReference pins the per-pair first-access table to
@@ -101,7 +101,7 @@ func historicalSplit(ds *ehr.Dataset) *query.Evaluator {
 // on a shuffled history with same-Date ties, and on a historical audit.
 // Render must produce text exactly for the rows the mask sets.
 func TestRepeatAccessMatchesReference(t *testing.T) {
-	tpl := explain.RepeatAccess{}
+	tpl := explain.RepeatAccess()
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ehr.Tiny()
 		cfg.Seed = seed
@@ -117,7 +117,7 @@ func TestRepeatAccessMatchesReference(t *testing.T) {
 		}{
 			{"log", query.NewEvaluator(ds.DB)},
 			{"shuffled-ties", query.NewEvaluator(accesslog.WithLog(ds.DB, tied))},
-			{"historical", historicalSplit(ds)},
+			{"historical", historicalSplit(ds.DB)},
 		}
 		for _, h := range histories {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, h.name), func(t *testing.T) {
@@ -160,7 +160,7 @@ func TestRepeatAccessMatchesReference(t *testing.T) {
 // the result slice and nothing that grows with the history.
 func TestRepeatAccessRangeAllocs(t *testing.T) {
 	ev := query.NewEvaluator(ehr.Generate(ehr.Tiny()).DB)
-	tpl := explain.RepeatAccess{}
+	tpl := explain.RepeatAccess()
 	tpl.EvaluateRange(ev, 0, 64) // intern the pair column
 	if allocs := testing.AllocsPerRun(50, func() { tpl.EvaluateRange(ev, 64, 128) }); allocs > 2 {
 		t.Errorf("64-row EvaluateRange allocates %.0f objects, want <= 2", allocs)
@@ -174,7 +174,7 @@ func TestRepeatAccessRangeAllocs(t *testing.T) {
 // out of it, and each may add a copy of an audited row (a duplicate
 // (Date, Lid)) and two accesses by a pair first seen in the batch.
 func TestRepeatAccessUnderAppends(t *testing.T) {
-	tpl := explain.RepeatAccess{}
+	tpl := explain.RepeatAccess()
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := ehr.Tiny()
 		cfg.Seed = seed
@@ -244,7 +244,7 @@ func TestRepeatAccessUnderAppends(t *testing.T) {
 // under an unchanged history. Each call's EvaluateRange, made twice (the
 // second is served the cached table), equals RepeatAccessReference.
 func TestRepeatAccessGrowingHistory(t *testing.T) {
-	tpl := explain.RepeatAccess{}
+	tpl := explain.RepeatAccess()
 	ds := ehr.Generate(ehr.Tiny())
 	full := ds.Log()
 	n := full.NumRows()

@@ -100,6 +100,15 @@ type PathTemplate struct {
 	form *textForm // Desc prepared against Path by NewPathTemplate
 }
 
+// prepared returns the template's prepared description, preparing it now
+// for a template assembled without NewPathTemplate.
+func (t *PathTemplate) prepared() *textForm {
+	if t.form != nil {
+		return t.form
+	}
+	return newTextForm(t.TemplateName, t.Length(), t.Desc, t.Path)
+}
+
 // NewPathTemplate wraps a closed path and its decorations as a template.
 // Backward paths are reversed into forward orientation. It panics on an
 // open path or on a decoration that references an instance the path does
@@ -110,7 +119,7 @@ func NewPathTemplate(name string, p pathmodel.Path, desc string, decorations ...
 	}
 	dp := pathmodel.NewDecoratedPath(p, decorations...)
 	return &PathTemplate{TemplateName: name, Path: dp.Base, Decorations: dp.Decorations, Desc: desc,
-		form: newTextForm(name, dp.Length(), desc, dp.Base.Instances())}
+		form: newTextForm(name, dp.Length(), desc, dp.Base)}
 }
 
 // decorated returns the template's path with its decorations.
@@ -145,9 +154,18 @@ func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
 	return ev.Prepare(t.Path).ExplainedRange(lo, hi)
 }
 
-// Render implements Template.
+// Render implements Template. A template whose description reads only the
+// audited row renders without enumerating instances (see Program), so its
+// row is classified first: an unexplained row renders nil.
 func (t *PathTemplate) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
-	return renderOnce(t, ev, logRow, limit, n)
+	if t.prepared().rowOnly {
+		if logRow < 0 || logRow >= ev.Log().NumRows() || !t.EvaluateRange(ev, logRow, logRow+1)[0] {
+			return nil
+		}
+	}
+	var p Program // compiled for this one call
+	p.compile(t, ev, n, nil)
+	return p.Render(ev, logRow, limit)
 }
 
 // descSeg is one piece of a parsed description: literal text, raw and
@@ -168,6 +186,7 @@ type descSeg struct {
 type textForm struct {
 	segs    []descSeg
 	generic bool // no description: texts list the bound tuples (renderGeneric)
+	rowOnly bool // a description whose every placeholder reads the audited row
 	// valid reports that every literal is valid UTF-8, so a text's pieces
 	// may be escaped one by one (see appendEscaped).
 	valid  bool
@@ -175,37 +194,39 @@ type textForm struct {
 }
 
 // newTextForm prepares desc for a template of the given name and length
-// whose path has instances insts.
-func newTextForm(name string, length int, desc string, insts []pathmodel.Instance) *textForm {
+// over path p.
+func newTextForm(name string, length int, desc string, p pathmodel.Path) *textForm {
 	prefix := AppendJSONString([]byte(`{"template":`), name)
 	prefix = append(strconv.AppendInt(append(prefix, `,"length":`...), int64(length), 10), `,"text":"`...)
 	f := &textForm{generic: desc == "", valid: true, prefix: string(prefix)}
 	if f.generic {
 		return f
 	}
-	f.segs = parseDesc(desc, insts)
+	f.segs = parseDesc(desc, p)
+	f.rowOnly = true
 	for i := range f.segs {
 		if s := &f.segs[i]; s.lit != "" {
 			esc, ok := appendEscaped(nil, s.lit)
 			s.esc, f.valid = string(esc), f.valid && ok
+		} else if s.inst > 0 {
+			f.rowOnly = false
 		}
 	}
 	return f
 }
 
 // parseDesc splits desc into literal and placeholder segments against the
-// path instances' aliases ("L" for the audited row insts[0], then each
-// table name numbered per occurrence: Appointments1, Groups2). A "|role"
+// path instances' aliases, those of its SQL (pathmodel.Path.InstLabel: "L"
+// for the audited row, then each table name numbered per occurrence, L
+// counting as the first Log: Appointments1, Groups2, Log2). A "|role"
 // suffix selects name resolution: [L.Patient|patient], [L.User|user],
 // [Appointments1.Doctor|caregiver]; without one the raw value is rendered.
 // Tokens that name nothing stay in the text: "[tok]" for one without a dot,
 // "[tok?]" for an unknown alias; an unterminated bracket passes through.
-func parseDesc(desc string, insts []pathmodel.Instance) []descSeg {
-	alias := map[string]int{"L": 0}
-	seen := make(map[string]int)
-	for i := 1; i < len(insts); i++ {
-		seen[insts[i].Table]++
-		alias[fmt.Sprintf("%s%d", insts[i].Table, seen[insts[i].Table])] = i
+func parseDesc(desc string, p pathmodel.Path) []descSeg {
+	alias := make(map[string]int, len(p.Instances()))
+	for i := range p.Instances() {
+		alias[p.InstLabel(i)] = i
 	}
 	var segs []descSeg
 	lit := func(s string) {
@@ -253,9 +274,7 @@ func renderGeneric(p pathmodel.Path, ev *query.Evaluator, logRow int, b query.In
 
 	var hops []string
 	insts := p.Instances()
-	seen := make(map[string]int)
 	for i := 1; i < len(insts); i++ {
-		seen[insts[i].Table]++
 		if i-1 >= len(b.Rows) {
 			break
 		}
@@ -265,7 +284,7 @@ func renderGeneric(p pathmodel.Path, ev *query.Evaluator, logRow int, b query.In
 		for ci, c := range cols {
 			fields[ci] = c + "=" + tbl.Cell(b.Rows[i-1], ci).String()
 		}
-		hops = append(hops, fmt.Sprintf("%s%d(%s)", insts[i].Table, seen[insts[i].Table], strings.Join(fields, ", ")))
+		hops = append(hops, fmt.Sprintf("%s(%s)", p.InstLabel(i), strings.Join(fields, ", ")))
 	}
 	return fmt.Sprintf("%s is connected to %s via %s",
 		n.PatientName(patient), n.UserName(user), strings.Join(hops, " -> "))

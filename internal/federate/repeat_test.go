@@ -49,12 +49,12 @@ func TestRepeatAccessSharedIndexRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fed.AddTemplates(explain.RepeatAccess{})
+			fed.AddTemplates(explain.RepeatAccess())
 			check := func(stage string) {
 				t.Helper()
 				got := mustNDJSON(t, fed, 4*k)
 				single := core.NewAuditor(db, graph(), core.WithNamer(ds))
-				single.AddTemplates(explain.RepeatAccess{})
+				single.AddTemplates(explain.RepeatAccess())
 				assertSameNDJSON(t, stage+": federated repeat-access stream", got, mustNDJSON(t, single, 4))
 				gu, wu := mustUnexplained(t, fed, 4*k), mustUnexplained(t, single, 4)
 				if !reflect.DeepEqual(gu, wu) {

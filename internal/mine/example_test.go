@@ -60,7 +60,7 @@ func ExampleRun() {
 	for i, p := range res.Templates {
 		masks = append(masks, explain.NewPathTemplate(fmt.Sprintf("mined-%d", i), p, "").Evaluate(tev))
 	}
-	masks = append(masks, explain.RepeatAccess{}.Evaluate(tev))
+	masks = append(masks, explain.RepeatAccess().Evaluate(tev))
 	fmt.Printf("mined templates + repeat access explain %.1f%% of day-7 accesses\n",
 		100*metrics.Fraction(metrics.Union(masks...)))
 	// Output:

@@ -2,7 +2,6 @@ package pathmodel
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/relation"
 )
@@ -60,6 +59,22 @@ type Ref struct {
 	Col  string
 }
 
+// LogOrder is the pseudo-column of a Log instance that orders accesses by
+// (Date, Lid), compared lexicographically: the log order of an append-only
+// access log, in which a later Date, or the same Date and a later Lid, is
+// later. A decoration may compare two Log instances' LogOrder, as the
+// paper's repeat-access template pins its Log2 before the audited row L;
+// its SQL is the row-value comparison (Log2.Date, Log2.Lid) < (L.Date, L.Lid).
+const LogOrder = "(Date, Lid)"
+
+// cols returns the table columns r reads: Date and Lid for LogOrder.
+func (r Ref) cols() []string {
+	if r.Col == LogOrder {
+		return []string{LogDateColumn, LogIDColumn}
+	}
+	return []string{r.Col}
+}
+
 // Decoration is one additional selection condition layered on a simple
 // path (Definition 3): either a comparison between two bound attributes, or
 // between a bound attribute and a constant (Const non-nil).
@@ -68,6 +83,18 @@ type Decoration struct {
 	Op    CompareOp
 	Right Ref
 	Const *relation.Value // when non-nil, Right is ignored
+}
+
+// PinsPast reports whether d confines log instance inst to accesses
+// strictly before the audited row in log order: inst's LogOrder < L's, or
+// L's > inst's. Appending later accesses cannot change what such an
+// instance binds.
+func (d Decoration) PinsPast(inst int) bool {
+	if d.Const != nil || d.Left.Col != LogOrder || d.Right.Col != LogOrder {
+		return false
+	}
+	return d.Op == OpLT && d.Left.Inst == inst && d.Right.Inst == 0 ||
+		d.Op == OpGT && d.Left.Inst == 0 && d.Right.Inst == inst
 }
 
 // MaxInst returns the largest instance index the decoration references.
@@ -89,9 +116,11 @@ type DecoratedPath struct {
 	Decorations []Decoration
 }
 
-// NewDecoratedPath wraps a closed base path with decorations. It panics on
-// open or backward base paths, or on decorations referencing instances the
-// path does not have — decorated templates are curated, so these are
+// NewDecoratedPath wraps a closed base path with decorations, reversing a
+// backward base path into forward orientation. It panics on an open base
+// path, on a decoration referencing an instance the path does not have, and
+// on a LogOrder reference that is not on a Log instance or is not compared
+// with another LogOrder — decorated templates are curated, so these are
 // programming errors.
 func NewDecoratedPath(base Path, decorations ...Decoration) DecoratedPath {
 	if !base.Closed() {
@@ -105,6 +134,13 @@ func NewDecoratedPath(base Path, decorations ...Decoration) DecoratedPath {
 			(d.Const == nil && d.Right.Inst < 0) {
 			panic(fmt.Sprintf("pathmodel: decoration %v references a missing instance", d))
 		}
+		if d.Left.Col == LogOrder || d.Const == nil && d.Right.Col == LogOrder {
+			insts := base.Instances()
+			if d.Const != nil || d.Left.Col != d.Right.Col ||
+				insts[d.Left.Inst].Table != LogTable || insts[d.Right.Inst].Table != LogTable {
+				panic(fmt.Sprintf("pathmodel: decoration %v compares LogOrder with something other than a Log instance's LogOrder", d))
+			}
+		}
 	}
 	return DecoratedPath{Base: base, Decorations: decorations}
 }
@@ -113,45 +149,48 @@ func NewDecoratedPath(base Path, decorations ...Decoration) DecoratedPath {
 // joins.
 func (dp DecoratedPath) Length() int { return dp.Base.Length() }
 
-// refLabel renders a Ref using the base path's instance labels.
+// refLabel renders a Ref using the base path's instance labels, a LogOrder
+// as the row value (Inst.Date, Inst.Lid).
 func (dp DecoratedPath) refLabel(r Ref) string {
-	return dp.Base.instLabel(r.Inst) + "." + r.Col
+	label := dp.Base.InstLabel(r.Inst)
+	if r.Col == LogOrder {
+		return "(" + label + "." + LogDateColumn + ", " + label + "." + LogIDColumn + ")"
+	}
+	return label + "." + r.Col
+}
+
+// cond renders decoration d as a condition, a string constant quoted.
+func (dp DecoratedPath) cond(d Decoration) string {
+	rhs := ""
+	if d.Const == nil {
+		rhs = dp.refLabel(d.Right)
+	} else if rhs = d.Const.String(); d.Const.Kind == relation.KindString {
+		rhs = "'" + rhs + "'"
+	}
+	return dp.refLabel(d.Left) + " " + d.Op.String() + " " + rhs
 }
 
 // SQL renders the decorated support query: the base query plus the
-// decoration conditions.
+// decoration conditions, with every column a decoration reads selected by
+// its instance's subquery.
 func (dp DecoratedPath) SQL() string {
-	sql := dp.Base.SQL()
-	var extra []string
+	extra := make([][]string, len(dp.Base.Instances()))
+	var conds []string
 	for _, d := range dp.Decorations {
-		rhs := ""
-		if d.Const != nil {
-			rhs = d.Const.String()
-			if d.Const.Kind == relation.KindString {
-				rhs = "'" + rhs + "'"
-			}
-		} else {
-			rhs = dp.refLabel(d.Right)
+		extra[d.Left.Inst] = append(extra[d.Left.Inst], d.Left.cols()...)
+		if d.Const == nil {
+			extra[d.Right.Inst] = append(extra[d.Right.Inst], d.Right.cols()...)
 		}
-		extra = append(extra, fmt.Sprintf("%s %s %s", dp.refLabel(d.Left), d.Op, rhs))
+		conds = append(conds, dp.cond(d))
 	}
-	if len(extra) == 0 {
-		return sql
-	}
-	return sql + "\n  AND " + strings.Join(extra, "\n  AND ")
+	return dp.Base.sql(extra, conds)
 }
 
 // String returns a one-line rendering.
 func (dp DecoratedPath) String() string {
 	s := dp.Base.String()
 	for _, d := range dp.Decorations {
-		rhs := ""
-		if d.Const != nil {
-			rhs = d.Const.String()
-		} else {
-			rhs = dp.refLabel(d.Right)
-		}
-		s += fmt.Sprintf(" AND %s %s %s", dp.refLabel(d.Left), d.Op, rhs)
+		s += " AND " + dp.cond(d)
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/schemagraph"
 )
 
 func TestCompareOpEval(t *testing.T) {
@@ -125,6 +126,47 @@ func TestDecoratedSQLAndString(t *testing.T) {
 	if NewDecoratedPath(base).SQL() != base.SQL() {
 		t.Error("undecorated SQL differs from base")
 	}
+}
+
+// TestLogOrder pins the log-order pseudo-column: its SQL is the (Date, Lid)
+// row value with both columns selected by the Log2 subquery, PinsPast
+// accepts Log2 < L and its mirror only, and a LogOrder that is not compared
+// with a Log instance's LogOrder does not build.
+func TestLogOrder(t *testing.T) {
+	self := func(a schemagraph.Attr) schemagraph.Edge {
+		return schemagraph.Edge{From: a, To: a, Kind: schemagraph.SelfJoin}
+	}
+	base, _ := Start(self(StartAttr()))
+	base, _ = base.Append(self(EndAttr()))
+	past := Decoration{Left: Ref{Inst: 1, Col: LogOrder}, Op: OpLT, Right: Ref{Inst: 0, Col: LogOrder}}
+	sql := NewDecoratedPath(base, past).SQL()
+	for _, want := range []string{"(SELECT DISTINCT Patient, User, Date, Lid FROM Log) Log2", "(Log2.Date, Log2.Lid) < (L.Date, L.Lid)"} {
+		if !strings.Contains(sql, want) {
+			t.Errorf("SQL missing %q:\n%s", want, sql)
+		}
+	}
+	mirrored := Decoration{Left: Ref{Inst: 0, Col: LogOrder}, Op: OpGT, Right: Ref{Inst: 1, Col: LogOrder}}
+	if !past.PinsPast(1) || !mirrored.PinsPast(1) || past.PinsPast(0) {
+		t.Error("PinsPast misses Log2 < L or its mirror, or pins L itself")
+	}
+	for _, d := range []Decoration{
+		{Left: Ref{Inst: 1, Col: LogOrder}, Op: OpGT, Right: Ref{Inst: 0, Col: LogOrder}},
+		{Left: Ref{Inst: 1, Col: LogIDColumn}, Op: OpLT, Right: Ref{Inst: 0, Col: LogIDColumn}},
+	} {
+		if d.PinsPast(1) {
+			t.Errorf("%v pins Log2 to the past", d)
+		}
+	}
+	assertPanics(t, "LogOrder against a Date", func() {
+		NewDecoratedPath(base, Decoration{Left: Ref{Inst: 1, Col: LogOrder}, Op: OpLT, Right: Ref{Inst: 0, Col: LogDateColumn}})
+	})
+	day := relation.Date(3)
+	assertPanics(t, "LogOrder against a constant", func() {
+		NewDecoratedPath(base, Decoration{Left: Ref{Inst: 1, Col: LogOrder}, Op: OpLT, Const: &day})
+	})
+	assertPanics(t, "LogOrder on an event table", func() {
+		NewDecoratedPath(apptPath(t), Decoration{Left: Ref{Inst: 1, Col: LogOrder}, Op: OpLT, Right: Ref{Inst: 0, Col: LogOrder}})
+	})
 }
 
 func assertPanics(t *testing.T, name string, f func()) {

@@ -18,6 +18,7 @@ package pathmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -328,9 +329,11 @@ func (p Path) Reverse() Path {
 	return rev
 }
 
-// instLabel renders instance i as a SQL alias such as "L" (the audited log
-// tuple), "Appointments1", or "Groups2".
-func (p Path) instLabel(i int) string {
+// InstLabel renders instance i as an alias such as "L" (the audited log
+// tuple), "Appointments1", "Groups2" or "Log2": each table's instances are
+// numbered in path order, L counting as the first Log. The SQL and the
+// placeholders of a template description use the same aliases.
+func (p Path) InstLabel(i int) string {
 	if i == 0 {
 		return "L"
 	}
@@ -349,11 +352,11 @@ func (p Path) instLabel(i int) string {
 func (p Path) Key() string {
 	var b strings.Builder
 	for _, c := range p.conds {
-		fmt.Fprintf(&b, "%s.%s", p.instLabel(c.LeftInst), c.LeftCol)
+		fmt.Fprintf(&b, "%s.%s", p.InstLabel(c.LeftInst), c.LeftCol)
 		if c.Via != nil {
 			fmt.Fprintf(&b, "~%s(%s->%s)", c.Via.Table, c.Via.FromColumn, c.Via.ToColumn)
 		}
-		fmt.Fprintf(&b, "=%s.%s;", p.instLabel(c.RightInst), c.RightCol)
+		fmt.Fprintf(&b, "=%s.%s;", p.InstLabel(c.RightInst), c.RightCol)
 	}
 	if p.closed {
 		b.WriteString("!")
@@ -442,29 +445,37 @@ func (p Path) CanonicalKey() string {
 	return best
 }
 
-// SQL renders the path as the support-counting query of §3.2, using the
+// sql renders the path as the support-counting query of §3.2, using the
 // DISTINCT-subquery rewriting of the "Reducing Result Multiplicity"
-// optimization for every non-log instance.
-func (p Path) SQL() string {
+// optimization for every non-log instance, with extra[i] selected beside
+// instance i's entry and exit columns and conds appended to the WHERE
+// clause (DecoratedPath.SQL).
+func (p Path) sql(extra [][]string, conds []string) string {
 	var from []string
 	from = append(from, "Log L")
 	for i := 1; i < len(p.insts); i++ {
 		in := p.insts[i]
-		cols := []string{}
-		if in.Entry != "" {
-			cols = append(cols, in.Entry)
+		var cols []string
+		add := func(c string) {
+			if c != "" && !slices.Contains(cols, c) {
+				cols = append(cols, c)
+			}
 		}
-		if in.Exit != "" && in.Exit != in.Entry {
-			cols = append(cols, in.Exit)
+		add(in.Entry)
+		add(in.Exit)
+		if i < len(extra) {
+			for _, c := range extra[i] {
+				add(c)
+			}
 		}
 		from = append(from, fmt.Sprintf("(SELECT DISTINCT %s FROM %s) %s",
-			strings.Join(cols, ", "), in.Table, p.instLabel(i)))
+			strings.Join(cols, ", "), in.Table, p.InstLabel(i)))
 	}
 	var where []string
 	bridgeN := 0
 	for _, c := range p.conds {
-		l := p.instLabel(c.LeftInst) + "." + c.LeftCol
-		r := p.instLabel(c.RightInst) + "." + c.RightCol
+		l := p.InstLabel(c.LeftInst) + "." + c.LeftCol
+		r := p.InstLabel(c.RightInst) + "." + c.RightCol
 		if c.Via == nil {
 			where = append(where, l+" = "+r)
 			continue
@@ -475,6 +486,7 @@ func (p Path) SQL() string {
 		where = append(where, fmt.Sprintf("%s = %s.%s", l, m, c.Via.FromColumn))
 		where = append(where, fmt.Sprintf("%s.%s = %s", m, c.Via.ToColumn, r))
 	}
+	where = append(where, conds...)
 	return fmt.Sprintf("SELECT COUNT(DISTINCT L.%s)\nFROM %s\nWHERE %s",
 		LogIDColumn, strings.Join(from, ",\n     "), strings.Join(where, "\n  AND "))
 }
@@ -483,8 +495,8 @@ func (p Path) SQL() string {
 func (p Path) String() string {
 	parts := make([]string, 0, len(p.conds))
 	for _, c := range p.conds {
-		l := p.instLabel(c.LeftInst) + "." + c.LeftCol
-		r := p.instLabel(c.RightInst) + "." + c.RightCol
+		l := p.InstLabel(c.LeftInst) + "." + c.LeftCol
+		r := p.InstLabel(c.RightInst) + "." + c.RightCol
 		if c.Via != nil {
 			parts = append(parts, fmt.Sprintf("%s =[%s]= %s", l, c.Via.Table, r))
 		} else {

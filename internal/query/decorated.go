@@ -17,6 +17,7 @@ type boundDecoration struct {
 type boundRef struct {
 	t         *relation.Table // the instance's table
 	inst, col int
+	lid       int // a LogOrder's Lid column, col being its Date; -1 otherwise
 }
 
 // decorated returns the cursor's enumerator for dp's base path with dp's
@@ -30,11 +31,17 @@ func (ev *Evaluator) decorated(dp pathmodel.DecoratedPath) *instEnum {
 		if r.Inst > 0 {
 			t = ev.db.MustTable(dp.Base.Instances()[r.Inst].Table)
 		}
-		col, ok := t.ColumnIndex(r.Col)
-		if !ok {
-			panic("query: decoration references missing column " + t.Name() + "." + r.Col)
+		column := func(name string) int {
+			col, ok := t.ColumnIndex(name)
+			if !ok {
+				panic("query: decoration references missing column " + t.Name() + "." + name)
+			}
+			return col
 		}
-		return boundRef{t, r.Inst, col}
+		if r.Col == pathmodel.LogOrder {
+			return boundRef{t, r.Inst, column(pathmodel.LogDateColumn), column(pathmodel.LogIDColumn)}
+		}
+		return boundRef{t, r.Inst, column(r.Col), -1}
 	}
 	for _, d := range dp.Decorations {
 		b := boundDecoration{left: ref(d.Left), op: d.Op, konst: d.Const}
@@ -47,25 +54,31 @@ func (ev *Evaluator) decorated(dp pathmodel.DecoratedPath) *instEnum {
 }
 
 // holds reports whether every decoration that became checkable when
-// instance inst was bound is satisfied; an undecorated walk has none.
+// instance inst was bound is satisfied; an undecorated walk has none. A
+// LogOrder pair compares (Date, Lid) through Table.Int, as the repeat-access
+// state does, so a null cell reads 0.
 func (e *instEnum) holds(inst int) bool {
 	if e.ready == nil {
 		return true
 	}
-	value := func(r boundRef) relation.Value {
+	row := func(r boundRef) int {
 		if r.inst == 0 {
-			return r.t.Cell(e.logRow, r.col)
+			return e.logRow
 		}
-		return r.t.Cell(e.rows[r.inst-1], r.col)
+		return e.rows[r.inst-1]
 	}
 	for _, d := range e.ready[inst] {
-		var r relation.Value
-		if d.konst != nil {
-			r = *d.konst
-		} else {
-			r = value(d.right)
+		l, r := d.left, d.right
+		var c int
+		switch {
+		case d.konst != nil:
+			c = l.t.Cell(row(l), l.col).Compare(*d.konst)
+		case l.lid >= 0:
+			c = stampOf(l.t, l.col, l.lid, row(l)).compare(stampOf(r.t, r.col, r.lid, row(r)))
+		default:
+			c = l.t.Cell(row(l), l.col).Compare(r.t.Cell(row(r), r.col))
 		}
-		if !d.op.Eval(value(d.left).Compare(r)) {
+		if !d.op.Eval(c) {
 			return false
 		}
 	}
@@ -78,17 +91,41 @@ func (e *instEnum) holds(inst int) bool {
 // the base path explains. Decorated evaluation is per-row, so disjoint
 // ranges concatenate to exactly the full-log result; this is the range
 // primitive behind sharding a decorated template's mask across workers.
+//
+// Repeat access (isRepeatAccess) is answered by the engine's per-pair
+// first-access state, one comparison per row; every other decorated path
+// is walked row by row.
 func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int) []bool {
 	ev.checkRange(lo, hi)
 	ev.queriesEvaluated++
-	e := ev.decorated(dp)
 	out := make([]bool, hi-lo)
+	if isRepeatAccess(dp) {
+		rp := ev.repeats()
+		for r := lo; r < hi; r++ {
+			out[r-lo] = rp.explains(r)
+		}
+		return out
+	}
+	e := ev.decorated(dp)
 	for r := lo; r < hi; r++ {
 		n, _ := e.run(ev, r, 1) // first witness suffices
 		out[r-lo] = n > 0
 	}
 	ev.endCall()
 	return out
+}
+
+// isRepeatAccess reports whether dp is the repeat access of §2.1: a second
+// Log instance joined to the audited row on Patient and then on User,
+// whose only decoration pins it before the audited row in log order. Such a
+// row is explained exactly when it comes after its (patient, user) pair's
+// first access in the history Log.
+func isRepeatAccess(dp pathmodel.DecoratedPath) bool {
+	insts, conds := dp.Base.Instances(), dp.Base.Conds()
+	return len(insts) == 2 && insts[1].Table == pathmodel.LogTable && len(conds) == 2 &&
+		conds[0] == pathmodel.Cond{LeftInst: 0, LeftCol: pathmodel.LogPatientColumn, RightInst: 1, RightCol: pathmodel.LogPatientColumn} &&
+		conds[1] == pathmodel.Cond{LeftInst: 1, LeftCol: pathmodel.LogUserColumn, RightInst: 0, RightCol: pathmodel.LogUserColumn} &&
+		len(dp.Decorations) == 1 && dp.Decorations[0].PinsPast(1)
 }
 
 // InstancesDecorated enumerates up to limit satisfying bindings for one

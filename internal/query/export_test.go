@@ -63,6 +63,15 @@ func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
 	return ev.ExplainedRowsDecoratedRange(dp, 0, ev.log.NumRows())
 }
 
+// Repeats is the engine's repeat-access view (repeats).
+type Repeats = repeats
+
+// Repeats returns the repeat-access state of every audited row.
+func (ev *Evaluator) Repeats() Repeats { return ev.repeats() }
+
+// Explains reports whether audited row r is a repeat access.
+func (rp Repeats) Explains(r int) bool { return rp.explains(r) }
+
 // SupportDecorated returns COUNT(DISTINCT Log.Lid) of the decorated
 // template.
 func (ev *Evaluator) SupportDecorated(dp pathmodel.DecoratedPath) int {

@@ -46,7 +46,7 @@ func pairsFixture(t *testing.T) (*relation.Database, []pathmodel.Path) {
 	ds.DB.AddTable(log)
 	var closed []pathmodel.Path
 	for _, tpl := range explain.Handcrafted(true, true).All() {
-		if pt, ok := tpl.(*explain.PathTemplate); ok {
+		if pt, ok := tpl.(*explain.PathTemplate); ok && len(pt.Decorations) == 0 {
 			closed = append(closed, pt.Path)
 		}
 	}

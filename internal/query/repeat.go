@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"math"
 
 	"repro/internal/pathmodel"
@@ -10,9 +11,9 @@ import (
 // This file is the engine's repeat-access state: for each (patient, user)
 // pair of the audited log, the earliest access the history Log holds for it
 // in (Date, Lid) order. The repeat-access template of §2.1 ("the same user
-// previously accessed the same patient's record") explains a row exactly
-// when the row comes strictly after that access, so one comparison
-// classifies a row and no index of the history is built.
+// previously accessed the same patient's record"; see isRepeatAccess)
+// explains a row exactly when the row comes strictly after that access, so
+// one comparison classifies a row and no index of the history is built.
 //
 // When the history is the audited log itself, the table is the pair
 // column's pairFirst, which idProjections extends over appended rows only.
@@ -31,6 +32,11 @@ func (s stamp) before(t stamp) bool {
 	return s.date < t.date || (s.date == t.date && s.lid < t.lid)
 }
 
+// compare orders s and t: -1, 0 or +1.
+func (s stamp) compare(t stamp) int {
+	return cmp.Or(cmp.Compare(s.date, t.date), cmp.Compare(s.lid, t.lid))
+}
+
 // stampOf reads row r's (Date, Lid) through Table.Int, as the
 // repeat-access reference reads them with Value.AsInt: a null cell reads 0.
 func stampOf(t *relation.Table, date, lid, r int) stamp {
@@ -47,33 +53,33 @@ type historyFirst struct {
 	first   []stamp
 }
 
-// Repeats is a read-only view of the audited log's repeat-access state:
+// repeats is a read-only view of the audited log's repeat-access state:
 // row r's pair and the (Date, Lid) of that pair's earliest history access.
-// It covers the rows the log held when Evaluator.Repeats returned it.
-type Repeats struct {
+// It covers the rows the log held when Evaluator.repeats returned it.
+type repeats struct {
 	log       *relation.Table
 	date, lid int
 	pairID    []uint32
 	first     []stamp
 }
 
-// Repeats returns the repeat-access state of every audited row: the pair
+// repeats returns the repeat-access state of every audited row: the pair
 // column (interned on first use, extended over appended rows after) and
 // its first-access table. It panics when the database has no Log table,
 // or one that lacks a Lid, Date, User or Patient column.
-func (ev *Evaluator) Repeats() Repeats {
+func (ev *Evaluator) repeats() repeats {
 	eng := ev.engine
 	pr := eng.idProjections()
-	rp := Repeats{log: eng.log, date: eng.logDateIdx, lid: eng.logLidIdx, pairID: pr.pairID, first: pr.pairFirst}
+	rp := repeats{log: eng.log, date: eng.logDateIdx, lid: eng.logLidIdx, pairID: pr.pairID, first: pr.pairFirst}
 	if history := eng.db.MustTable(pathmodel.LogTable); history != eng.log {
 		rp.first = eng.historyFirst(history, len(pr.pairRows))
 	}
 	return rp
 }
 
-// Explains reports whether audited row r comes strictly after the earliest
+// explains reports whether audited row r comes strictly after the earliest
 // history access of its (patient, user) pair in (Date, Lid) order.
-func (rp Repeats) Explains(r int) bool {
+func (rp repeats) explains(r int) bool {
 	return rp.first[rp.pairID[r]].before(stampOf(rp.log, rp.date, rp.lid, r))
 }
 
