@@ -25,7 +25,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/federate"
 	"repro/internal/groups"
-	"repro/internal/metrics"
 	"repro/internal/mine"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -230,8 +229,10 @@ func BenchmarkEvalLazy(b *testing.B) {
 		ev.Prepare(tpl.Path).Support() // interns the log, once per engine
 		before := liveHeap()
 		b.StartTimer()
-		rows := ev.Clone().Prepare(tpl.Path).ExplainedRows()
-		if len(rows) == 0 {
+		n := ev.Log().NumRows()
+		rows := bitset.New(n)
+		ev.Clone().Prepare(tpl.Path).ExplainedRange(0, n, rows)
+		if rows.Count() == 0 {
 			b.Fatal("empty mask")
 		}
 		rows = nil
@@ -279,8 +280,10 @@ func benchmarkEvalObs(b *testing.B, enabled bool) {
 	for i := 0; i < b.N; i++ {
 		ev := query.NewEvaluator(a.Database())
 		ev.SetExecStats(enabled)
-		pp := ev.Prepare(tpl.Path)
-		if len(pp.ExplainedRows()) == 0 {
+		n := ev.Log().NumRows()
+		rows := bitset.New(n)
+		ev.Prepare(tpl.Path).ExplainedRange(0, n, rows)
+		if rows.Count() == 0 {
 			b.Fatal("empty mask")
 		}
 	}
@@ -368,52 +371,36 @@ func BenchmarkFaultOverhead(b *testing.B) {
 
 var (
 	maskFixOnce sync.Once
-	maskBools   [][]bool
 	maskBits    []*bitset.Bits
 )
 
 // maskFixtures evaluates (once) every catalog template mask over the Medium
-// log in both representations.
-func maskFixtures(b *testing.B) ([][]bool, []*bitset.Bits) {
+// log.
+func maskFixtures(b *testing.B) []*bitset.Bits {
 	b.Helper()
 	a := mediumAuditor(b)
 	maskFixOnce.Do(func() {
 		ev := a.Evaluator()
+		n := ev.Log().NumRows()
 		for _, tpl := range a.Templates() {
-			m := tpl.Evaluate(ev)
-			maskBools = append(maskBools, m)
-			maskBits = append(maskBits, bitset.FromBools(m))
+			m := bitset.New(n)
+			tpl.EvaluateRange(ev, 0, n, m)
+			maskBits = append(maskBits, m)
 		}
 	})
-	return maskBools, maskBits
+	return maskBits
 }
 
 // BenchmarkMaskBitsetUnion times the packed union + fraction over the
-// Medium catalog masks — one OR and one popcount per 64 rows. Compare
-// against BenchmarkMaskBitsetBoolBaseline, the element-wise []bool path the
-// engine used before (8x the memory, one branch per row per mask).
+// Medium catalog masks — one OR and one popcount per 64 rows.
 func BenchmarkMaskBitsetUnion(b *testing.B) {
-	_, bits := maskFixtures(b)
+	bits := maskFixtures(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink = metrics.FractionBits(metrics.UnionBits(bits...))
-	}
-	if sink == 0 {
-		b.Fatal("explained fraction is zero")
-	}
-}
-
-// BenchmarkMaskBitsetBoolBaseline is the element-wise []bool union +
-// fraction BenchmarkMaskBitsetUnion replaces.
-func BenchmarkMaskBitsetBoolBaseline(b *testing.B) {
-	bools, _ := maskFixtures(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink = metrics.Fraction(metrics.Union(bools...))
+		union := bitset.Union(bits...)
+		sink = float64(union.Count()) / float64(union.Len())
 	}
 	if sink == 0 {
 		b.Fatal("explained fraction is zero")

@@ -454,7 +454,7 @@ func openApp(srcs []source, gen func() (*ehr.Dataset, error), parallelism int, s
 func catalog(dbs []*relation.Database, stderr io.Writer) []explain.Template {
 	var out []explain.Template
 	for _, t := range explain.Handcrafted(true, true).All() {
-		tables, _ := explain.TemplateTables(t)
+		tables := explain.TemplateTables(t)
 		missing := slices.DeleteFunc(tables, func(name string) bool {
 			return name == core.DefaultGroupsTable || !slices.ContainsFunc(dbs, func(db *relation.Database) bool { return !db.HasTable(name) })
 		})

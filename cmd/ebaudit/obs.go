@@ -99,8 +99,8 @@ func startTrace(path string, stderr io.Writer) (finish func() error, err error) 
 func (a *app) printExplainReport(w io.Writer) {
 	ev := a.auditor.Evaluator()
 	for _, t := range a.auditor.Templates() {
-		tpl, ok := t.(*explain.PathTemplate)
-		if !ok || len(tpl.Decorations) > 0 {
+		tpl := t.(*explain.PathTemplate) // Template's only implementation
+		if len(tpl.Decorations) > 0 {
 			fmt.Fprintf(w, "template %s: evaluates outside the plan cache (decorated path); no exec trace\n", t.Name())
 			continue
 		}

@@ -87,18 +87,15 @@ func WithLog(db *relation.Database, log *relation.Table) *relation.Database {
 	return out
 }
 
-// Combine concatenates two logs into one table named "Log" and returns the
-// combined table plus a boolean per row marking whether it came from the
-// first (real) log. Used by the precision/recall experiments of §5.3.2.
-func Combine(real, fake *relation.Table) (*relation.Table, []bool) {
+// Combine concatenates two logs into one table named "Log", the real rows
+// first, and returns the combined table and the number of real rows: row r
+// came from the real log exactly when r < realRows. Used by the
+// precision/recall experiments of §5.3.2.
+func Combine(real, fake *relation.Table) (combined *relation.Table, realRows int) {
 	out := NewLogTable(pathmodel.LogTable)
 	out.AppendTable(real)
 	out.AppendTable(fake)
-	isReal := make([]bool, out.NumRows())
-	for r := range real.NumRows() {
-		isReal[r] = true
-	}
-	return out, isReal
+	return out, real.NumRows()
 }
 
 // UserPatientPairs returns the number of distinct (user, patient) pairs in

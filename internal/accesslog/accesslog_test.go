@@ -99,12 +99,14 @@ func TestFirstAccessRowsMatchesFirstAccesses(t *testing.T) {
 func TestCombine(t *testing.T) {
 	real := mkLog([4]int64{1, 0, 10, 1}, [4]int64{2, 1, 11, 2})
 	fake := mkLog([4]int64{100, 0, 12, 3})
-	combined, isReal := accesslog.Combine(real, fake)
-	if combined.NumRows() != 3 || len(isReal) != 3 {
-		t.Fatalf("Combine sizes: %d rows, %d labels", combined.NumRows(), len(isReal))
+	combined, realRows := accesslog.Combine(real, fake)
+	if combined.NumRows() != 3 || realRows != 2 {
+		t.Fatalf("Combine sizes: %d rows, %d real", combined.NumRows(), realRows)
 	}
-	if !isReal[0] || !isReal[1] || isReal[2] {
-		t.Errorf("isReal = %v", isReal)
+	for r, lid := range []int64{1, 2, 100} { // the real rows first
+		if got := combined.Get(r, "Lid").AsInt(); got != lid {
+			t.Errorf("row %d Lid = %d, want %d", r, got, lid)
+		}
 	}
 	if combined.Name() != "Log" {
 		t.Errorf("combined name = %q", combined.Name())

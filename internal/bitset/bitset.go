@@ -1,10 +1,11 @@
 // Package bitset provides the packed mask representation behind the
 // auditing engine's per-template explained-row masks. A Bits holds one bit
-// per log row in []uint64 words — 8x smaller than the []bool masks it
-// replaces — and the mask combinators the metrics layer needs (union,
-// difference, popcount) run word-at-a-time instead of element-wise, so
-// summarizing a hospital-scale audit (the "All" union rows, the explained
-// fraction, the unexplained scan) costs one machine word per 64 accesses.
+// per log row in []uint64 words, and the mask combinators the auditor and
+// the experiments need (union, popcount) run word-at-a-time instead of
+// element-wise, so summarizing a hospital-scale audit (the "All" union
+// rows, the explained fraction, the unexplained scan) costs one machine
+// word per 64 accesses. It is the one mask type: every classifier writes
+// its verdicts into a Bits the caller passes in.
 //
 // The compact-representation lesson comes from factorised query engines
 // (FDB): at scale the shape of the intermediate result dominates the
@@ -16,10 +17,11 @@
 // # Concurrency
 //
 // A Bits is not synchronized. The one concurrent pattern the engine uses is
-// writing disjoint 64-aligned row ranges of a fresh Bits from several
-// goroutines via SetBools: aligned ranges touch disjoint words, so no two
-// writers share a word (the core layer aligns its mask shards for exactly
-// this reason). Everything else follows the usual rule: publish, then read.
+// several goroutines calling Set on disjoint row ranges of one Bits whose
+// interior boundaries are multiples of 64: aligned ranges touch disjoint
+// words, so no two writers share a word (the core layer aligns its mask
+// shards for exactly this reason). Everything else follows the usual rule:
+// publish, then read.
 package bitset
 
 import (
@@ -53,8 +55,7 @@ func New(n int) *Bits {
 // Len returns the number of bits.
 func (b *Bits) Len() int { return b.n }
 
-// Get reports bit i. It panics when i is out of range, matching slice
-// indexing on the []bool representation it replaces.
+// Get reports bit i. It panics when i is out of range.
 func (b *Bits) Get(i int) bool {
 	if i < 0 || i >= b.n {
 		panic("bitset: index out of range")
@@ -114,36 +115,22 @@ func (b *Bits) clearTail() {
 	}
 }
 
-// SetBools ORs vals into the bit range [off, off+len(vals)): bit off+i is
-// set where vals[i] is true, and no bit is cleared. It panics when the
-// range falls outside the bitset. Each destination word is built in a
-// register and ORed once, so bridging a []bool range costs one memory
-// write per 64 rows; concurrent callers writing 64-aligned disjoint ranges
-// touch disjoint words.
-func (b *Bits) SetBools(off int, vals []bool) {
-	if off < 0 || off+len(vals) > b.n {
-		panic("bitset: SetBools range out of bounds")
+// Set sets bit i. It panics when i is out of range.
+func (b *Bits) Set(i int) {
+	if i < 0 || i >= b.n {
+		panic("bitset: index out of range")
 	}
-	i := 0
-	for i < len(vals) {
-		w := uint(off+i) >> 6
-		bit := uint(off+i) & 63
-		var acc uint64
-		for ; i < len(vals) && bit < 64; bit, i = bit+1, i+1 {
-			if vals[i] {
-				acc |= 1 << bit
-			}
-		}
-		if acc != 0 {
-			b.words[w] |= acc
-		}
-	}
+	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // FromBools packs a []bool mask.
 func FromBools(vals []bool) *Bits {
 	b := New(len(vals))
-	b.SetBools(0, vals)
+	for i, v := range vals {
+		if v {
+			b.Set(i)
+		}
+	}
 	return b
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/explain"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/query"
@@ -33,8 +32,8 @@ func normalizeParallelism(p int) int {
 // minMaskShard is the smallest log-row range worth handing to a worker when
 // sharding one template's mask. Shards below this size would spend more time
 // on per-shard setup (a path template's walk starts each range with a fresh
-// memo generation and claims its scratch from the cursor; every template
-// allocates its range's result) than on classification. No template pays a
+// memo generation and claims its scratch from the cursor) than on
+// classification. No template pays a
 // per-shard pass over the history: repeat access compares each row with its
 // pair's first access, which the engine keeps for every shard.
 const minMaskShard = 256
@@ -52,8 +51,8 @@ const maskShardsPerWorker = 4
 // boundary a multiple of 64. Aligned boundaries make concurrent shards of
 // one packed mask write disjoint words: only the first range can start
 // mid-word (an extension resumes at the old watermark), and only that one
-// shard touches its boundary word. Concatenating EvaluateRange over these
-// ranges is byte-identical to one full EvaluateRange(lo, n), per the
+// shard touches its boundary word. EvaluateRange over these ranges into
+// one mask sets exactly the bits of one full EvaluateRange(lo, n), per the
 // Template contract.
 func alignedRanges(lo, n, workers int) [][2]int {
 	span := n - lo
@@ -194,7 +193,7 @@ func (a *Auditor) ensureMasks(ctx context.Context, parallelism int) ([]*bitset.B
 		// Shards of one task cover word-disjoint ranges of its private
 		// bitset (interior boundaries are 64-aligned), so no lock is
 		// needed until publication below.
-		tk.bits.SetBools(s.lo, a.templates[tk.tpl].EvaluateRange(cursors[w], s.lo, s.hi))
+		a.templates[tk.tpl].EvaluateRange(cursors[w], s.lo, s.hi, tk.bits)
 		if timed {
 			a.maskEvalNanos.Observe(time.Since(t0).Nanoseconds())
 		}
@@ -233,7 +232,7 @@ func (a *Auditor) UnexplainedRange(ctx context.Context, parallelism, lo, hi int)
 	if err != nil {
 		return nil, err
 	}
-	union := metrics.UnionBits(masks...)
+	union := bitset.Union(masks...)
 	var out []int
 	for r := lo; r < hi; r++ {
 		if union == nil || !union.Get(r) {
@@ -254,5 +253,9 @@ func (a *Auditor) ExplainedFraction(ctx context.Context, parallelism int) (float
 	if err != nil {
 		return 0, err
 	}
-	return metrics.FractionBits(metrics.UnionBits(masks...)), nil
+	union := bitset.Union(masks...)
+	if union == nil || union.Len() == 0 {
+		return 0, nil
+	}
+	return float64(union.Count()) / float64(union.Len()), nil
 }

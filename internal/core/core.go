@@ -297,16 +297,8 @@ func (a *Auditor) invalidateMasksReading(table string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for i := range a.templates {
-		refs, ok := explain.TemplateTables(a.templates[i])
-		if !ok {
-			delete(a.masks, i) // unknown template type: assume it reads anything
-			continue
-		}
-		for _, r := range refs {
-			if r == table {
-				delete(a.masks, i)
-				break
-			}
+		if slices.Contains(explain.TemplateTables(a.templates[i]), table) {
+			delete(a.masks, i)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -176,15 +177,8 @@ func TestMaskCacheSurvivesUnrelatedConfig(t *testing.T) {
 	// Replacing the Groups table invalidates exactly the group templates.
 	groupsReaders := int64(0)
 	for _, tpl := range a.Templates() {
-		refs, ok := explain.TemplateTables(tpl)
-		if !ok {
-			t.Fatalf("catalog template %s not introspectable", tpl.Name())
-		}
-		for _, r := range refs {
-			if r == core.DefaultGroupsTable {
-				groupsReaders++
-				break
-			}
+		if slices.Contains(explain.TemplateTables(tpl), core.DefaultGroupsTable) {
+			groupsReaders++
 		}
 	}
 	if groupsReaders == 0 {

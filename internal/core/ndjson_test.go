@@ -248,8 +248,8 @@ func TestStreamNDJSONCancelWholeChunks(t *testing.T) {
 // placeholders with no role, an unknown alias, a token without a dot,
 // every role on both the audited row and a bound instance, an unknown
 // role, a template assembled without its constructor, the decorated
-// repeat-access template, one with no description (the generic rendering)
-// and a template type the explain package does not know (opaqueTemplate).
+// repeat-access template and one with no description (the generic
+// rendering).
 func renderAuditor(t *testing.T, seed int64, named bool) *core.Auditor {
 	t.Helper()
 	cfg := ehr.Tiny()
@@ -272,14 +272,9 @@ func renderAuditor(t *testing.T, seed int64, named bool) *core.Auditor {
 		&explain.PathTemplate{TemplateName: "fixture-literal", Path: appt.Path, Desc: desc},
 		datedRepeatAccess(),
 		explain.NewPathTemplate("fixture-generic", explain.GroupTemplate("g", "Appointments", "an appointment").Path, ""),
-		opaqueTemplate{explain.DeptTemplate("fixture-opaque", "Visits", "a visit")},
 	)
 	return a
 }
-
-// opaqueTemplate hides a template's type from explain.Compile, whose
-// programs then render through Template.Render.
-type opaqueTemplate struct{ explain.Template }
 
 // collectNDJSON concatenates a StreamNDJSON run's chunks, checking each is
 // whole lines, and returns the bytes and the explained count.

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/explain"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -27,19 +27,19 @@ func Figure8(e *Env) BarFigure {
 func eventBars(ev *query.Evaluator, title string, includeRepeat bool) BarFigure {
 	var fig BarFigure
 	fig.Title = title
-	var masks [][]bool
+	var masks []*bitset.Bits
 	names := map[string]string{"appt": "Appt", "visit": "Visit", "document": "Document"}
 	for _, ind := range explain.Indicators(false) {
-		m := ev.ConnectedRows(ind.Path)
+		m := ev.Prepare(ind.Path).ConnectedRows()
 		masks = append(masks, m)
-		fig.Bars = append(fig.Bars, Bar{Label: names[ind.IndicatorName], Value: metrics.Fraction(m)})
+		fig.Bars = append(fig.Bars, Bar{Label: names[ind.IndicatorName], Value: fraction(m)})
 	}
 	if includeRepeat {
-		m := explain.RepeatAccess().Evaluate(ev)
+		m := templateMask(ev, explain.RepeatAccess())
 		masks = append(masks, m)
-		fig.Bars = append(fig.Bars, Bar{Label: "Repeat Access", Value: metrics.Fraction(m)})
+		fig.Bars = append(fig.Bars, Bar{Label: "Repeat Access", Value: fraction(m)})
 	}
-	fig.Bars = append(fig.Bars, Bar{Label: "All", Value: metrics.Fraction(metrics.Union(masks...))})
+	fig.Bars = append(fig.Bars, Bar{Label: "All", Value: fraction(bitset.Union(masks...))})
 	return fig
 }
 
@@ -66,17 +66,17 @@ func withDrBars(ev *query.Evaluator, title string, includeRepeat bool) BarFigure
 	fig.Title = title
 	cat := explain.Handcrafted(false, false)
 	labels := []string{"Appt w/Dr.", "Visit w/Dr.", "Doc. w/Dr."}
-	var masks [][]bool
+	var masks []*bitset.Bits
 	for i, t := range cat.SetAWithDr {
-		m := t.Evaluate(ev)
+		m := templateMask(ev, t)
 		masks = append(masks, m)
-		fig.Bars = append(fig.Bars, Bar{Label: labels[i], Value: metrics.Fraction(m)})
+		fig.Bars = append(fig.Bars, Bar{Label: labels[i], Value: fraction(m)})
 	}
 	if includeRepeat {
-		m := cat.RepeatAccess.Evaluate(ev)
+		m := templateMask(ev, cat.RepeatAccess)
 		masks = append(masks, m)
-		fig.Bars = append(fig.Bars, Bar{Label: "Repeat Access", Value: metrics.Fraction(m)})
+		fig.Bars = append(fig.Bars, Bar{Label: "Repeat Access", Value: fraction(m)})
 	}
-	fig.Bars = append(fig.Bars, Bar{Label: "All w/Dr.", Value: metrics.Fraction(metrics.Union(masks...))})
+	fig.Bars = append(fig.Bars, Bar{Label: "All w/Dr.", Value: fraction(bitset.Union(masks...))})
 	return fig
 }

@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/explain"
-	"repro/internal/metrics"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -112,8 +112,8 @@ func Figure10_11(e *Env, topN int) GroupCompositionFigure {
 // testSetup bundles the combined day-7 test log used by Figures 12 and 14.
 type testSetup struct {
 	combined *relation.Table
-	isReal   []bool
-	hasEvent []bool // patient has a data set A event (normalized recall)
+	realRows int          // the combined log's first realRows rows are real
+	hasEvent *bitset.Bits // patient has a data set A event (normalized recall)
 }
 
 // testDaySetup builds the day-7 first accesses + fake log test set and the
@@ -124,21 +124,21 @@ type testSetup struct {
 func (e *Env) testDaySetup(db *relation.Database, includeB bool) (*query.Evaluator, testSetup) {
 	real := e.TestDayFirstAccesses()
 	fake := e.FakeFor(real)
-	combined, isReal := accesslog.Combine(real, fake)
+	combined, realRows := accesslog.Combine(real, fake)
 	ev := query.NewEvaluatorWithLog(db, combined)
 
-	var eventMasks [][]bool
+	var eventMasks []*bitset.Bits
 	for _, ind := range explain.Indicators(includeB) {
-		eventMasks = append(eventMasks, ev.ConnectedRows(ind.Path))
+		eventMasks = append(eventMasks, ev.Prepare(ind.Path).ConnectedRows())
 	}
 	if includeB {
 		// Mined templates can route through the historical log itself
 		// (co-access paths), so "the patient has some event" must include
 		// having been accessed before; otherwise normalized recall could
 		// exceed 1 for event-less but previously accessed patients.
-		eventMasks = append(eventMasks, ev.ConnectedRows(logPresenceIndicator()))
+		eventMasks = append(eventMasks, ev.Prepare(logPresenceIndicator()).ConnectedRows())
 	}
-	return ev, testSetup{combined: combined, isReal: isReal, hasEvent: metrics.Union(eventMasks...)}
+	return ev, testSetup{combined: combined, realRows: realRows, hasEvent: bitset.Union(eventMasks...)}
 }
 
 // logPresenceIndicator is the open path Log.Patient = Log2.Patient: the
@@ -168,33 +168,21 @@ func Figure12(e *Env) PRFigure {
 		db := e.HistoricalDB(gt)
 		ev, ts := e.testDaySetup(db, false)
 
-		var masks [][]bool
+		var masks []*bitset.Bits
 		for _, t := range cat.GroupLen4A {
-			masks = append(masks, t.Evaluate(ev))
+			masks = append(masks, templateMask(ev, t))
 		}
-		pr := metrics.Compute(metrics.Union(masks...), ts.isReal, ts.hasEvent)
-		fig.Rows = append(fig.Rows, PRRow{
-			Label:            fmt.Sprintf("depth %d", depth),
-			Precision:        pr.Precision,
-			Recall:           pr.Recall,
-			NormalizedRecall: pr.NormalizedRecall,
-		})
+		fig.Rows = append(fig.Rows, score(bitset.Union(masks...), ts.realRows, ts.hasEvent).row(fmt.Sprintf("depth %d", depth)))
 	}
 
 	// Same-department baseline.
 	db := e.HistoricalDB(nil)
 	ev, ts := e.testDaySetup(db, false)
-	var masks [][]bool
+	var masks []*bitset.Bits
 	for _, t := range cat.DeptLen4 {
-		masks = append(masks, t.Evaluate(ev))
+		masks = append(masks, templateMask(ev, t))
 	}
-	pr := metrics.Compute(metrics.Union(masks...), ts.isReal, ts.hasEvent)
-	fig.Rows = append(fig.Rows, PRRow{
-		Label:            "same dept.",
-		Precision:        pr.Precision,
-		Recall:           pr.Recall,
-		NormalizedRecall: pr.NormalizedRecall,
-	})
+	fig.Rows = append(fig.Rows, score(bitset.Union(masks...), ts.realRows, ts.hasEvent).row("same dept."))
 	return fig
 }
 
@@ -218,19 +206,13 @@ func Figure12Decorated(e *Env) PRFigure {
 	}
 	maxDepth := e.Hierarchy.MaxDepth()
 	for depth := 0; depth <= maxDepth; depth++ {
-		var masks [][]bool
+		var masks []*bitset.Bits
 		for _, evt := range events {
 			tpl := explain.DepthRestrictedGroupTemplate(
 				fmt.Sprintf("%s-d%d", evt.table, depth), evt.table, evt.noun, depth)
-			masks = append(masks, tpl.Evaluate(ev))
+			masks = append(masks, templateMask(ev, tpl))
 		}
-		pr := metrics.Compute(metrics.Union(masks...), ts.isReal, ts.hasEvent)
-		fig.Rows = append(fig.Rows, PRRow{
-			Label:            fmt.Sprintf("depth %d", depth),
-			Precision:        pr.Precision,
-			Recall:           pr.Recall,
-			NormalizedRecall: pr.NormalizedRecall,
-		})
+		fig.Rows = append(fig.Rows, score(bitset.Union(masks...), ts.realRows, ts.hasEvent).row(fmt.Sprintf("depth %d", depth)))
 	}
 	return fig
 }

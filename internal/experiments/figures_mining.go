@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/ehr"
 	"repro/internal/explain"
-	"repro/internal/metrics"
 	"repro/internal/mine"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
@@ -145,10 +145,10 @@ func Figure14(e *Env) PRFigure {
 	testDB := e.HistoricalDB(e.Hierarchy.Table("Groups"))
 	ev, ts := e.testDaySetup(testDB, true)
 
-	byLen := make(map[int][][]bool)
-	var all [][]bool
+	byLen := make(map[int][]*bitset.Bits)
+	var all []*bitset.Bits
 	for _, p := range res.Templates {
-		m := ev.ExplainedRows(p)
+		m := pathMask(ev, p)
 		byLen[p.Length()] = append(byLen[p.Length()], m)
 		all = append(all, m)
 	}
@@ -160,18 +160,9 @@ func Figure14(e *Env) PRFigure {
 	}
 	sort.Ints(lengths)
 	for _, l := range lengths {
-		pr := metrics.Compute(metrics.Union(byLen[l]...), ts.isReal, ts.hasEvent)
-		fig.Rows = append(fig.Rows, PRRow{
-			Label:            fmt.Sprintf("length %d", l),
-			Precision:        pr.Precision,
-			Recall:           pr.Recall,
-			NormalizedRecall: pr.NormalizedRecall,
-		})
+		fig.Rows = append(fig.Rows, score(bitset.Union(byLen[l]...), ts.realRows, ts.hasEvent).row(fmt.Sprintf("length %d", l)))
 	}
-	pr := metrics.Compute(metrics.Union(all...), ts.isReal, ts.hasEvent)
-	fig.Rows = append(fig.Rows, PRRow{
-		Label: "All", Precision: pr.Precision, Recall: pr.Recall, NormalizedRecall: pr.NormalizedRecall,
-	})
+	fig.Rows = append(fig.Rows, score(bitset.Union(all...), ts.realRows, ts.hasEvent).row("All"))
 	return fig
 }
 
@@ -310,36 +301,37 @@ func Headline(e *Env) HeadlineResult {
 
 	cat := explain.Handcrafted(true, true)
 	contribute := make(map[string]float64)
-	var masks [][]bool
-	add := func(name string, m []bool) {
+	var masks []*bitset.Bits
+	add := func(t explain.Template) {
+		m := templateMask(ev, t)
 		masks = append(masks, m)
-		contribute[name] = metrics.Fraction(m)
+		contribute[t.Name()] = fraction(m)
 	}
 	for _, t := range cat.SetAWithDr {
-		add(t.Name(), t.Evaluate(ev))
+		add(t)
 	}
-	add(cat.RepeatAccess.Name(), cat.RepeatAccess.Evaluate(ev))
+	add(cat.RepeatAccess)
 	for _, t := range cat.SetBLen2 {
-		add(t.Name(), t.Evaluate(ev))
+		add(t)
 	}
 	for _, t := range cat.GroupLen4A {
-		add(t.Name(), t.Evaluate(ev))
+		add(t)
 	}
 	for _, t := range cat.GroupLen4B {
-		add(t.Name(), t.Evaluate(ev))
+		add(t)
 	}
-	explained := metrics.Fraction(metrics.Union(masks...))
+	explained := fraction(bitset.Union(masks...))
 
 	// Depth-0 recall on day-7 first accesses.
 	fig12db := e.HistoricalDB(e.Hierarchy.TableAtDepth("Groups", 0))
 	firsts := e.TestDayFirstAccesses()
 	fev := query.NewEvaluatorWithLog(fig12db, firsts)
 	cat12 := explain.Handcrafted(false, true)
-	var gmasks [][]bool
+	var gmasks []*bitset.Bits
 	for _, t := range cat12.GroupLen4A {
-		gmasks = append(gmasks, t.Evaluate(fev))
+		gmasks = append(gmasks, templateMask(fev, t))
 	}
-	depth0 := metrics.Fraction(metrics.Union(gmasks...))
+	depth0 := fraction(bitset.Union(gmasks...))
 
 	pairs := accesslog.UserPatientPairs(e.FullLog)
 	users := e.FullLog.NumDistinct(pathmodel.LogUserColumn)

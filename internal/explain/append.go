@@ -8,18 +8,11 @@ import (
 
 // TemplateTables returns the names of the tables template t reads beyond
 // the audited log row itself (path instances, bridge tables, and — for a
-// path that self-joins the Log, such as repeat access — the Log table), and
-// whether the template type is introspectable. Unknown template
-// implementations report ok == false and callers must treat them as
-// potentially reading anything. The auditing layer uses this to invalidate
-// only the cached masks a table mutation can actually affect.
-func TemplateTables(t Template) (tables []string, ok bool) {
-	switch tpl := t.(type) {
-	case *PathTemplate:
-		return pathTables(tpl.Path), true
-	default:
-		return nil, false
-	}
+// path that self-joins the Log, such as repeat access — the Log table).
+// The auditing layer uses this to invalidate only the cached masks a table
+// mutation can actually affect.
+func TemplateTables(t Template) []string {
+	return pathTables(t.pathTemplate().Path)
 }
 
 // pathTables lists the distinct table names of a path's non-log instances
@@ -65,25 +58,20 @@ func pathTables(p pathmodel.Path) []string {
 //
 // Anything else — notably a mined closed path that self-joins the Log with
 // no temporal guard, where a future access can retroactively explain a past
-// one, or any path bridged through the Log — reports false, and unknown
-// template types report false conservatively.
+// one, or any path bridged through the Log — reports false.
 func AppendMonotone(t Template) bool {
-	switch tpl := t.(type) {
-	case *PathTemplate:
-		for _, c := range tpl.Path.Conds() {
-			if c.Via != nil && c.Via.Table == pathmodel.LogTable {
-				return false
-			}
+	tpl := t.pathTemplate()
+	for _, c := range tpl.Path.Conds() {
+		if c.Via != nil && c.Via.Table == pathmodel.LogTable {
+			return false
 		}
-		for i, in := range tpl.Path.Instances() {
-			if i > 0 && in.Table == pathmodel.LogTable && !pastPinned(tpl.Decorations, i) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
 	}
+	for i, in := range tpl.Path.Instances() {
+		if i > 0 && in.Table == pathmodel.LogTable && !pastPinned(tpl.Decorations, i) {
+			return false
+		}
+	}
+	return true
 }
 
 // pastPinned reports whether some decoration confines log instance inst to

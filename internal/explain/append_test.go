@@ -6,23 +6,18 @@ import (
 
 	"repro/internal/explain"
 	"repro/internal/pathmodel"
-	"repro/internal/query"
 	"repro/internal/schemagraph"
 )
 
 // TestTemplateTables pins the introspection the auditor's targeted mask
 // invalidation relies on: path templates report their event and bridge
-// tables, repeat access (a Log self-join) reports the Log, and unknown
-// template types report not-ok.
+// tables, and repeat access (a Log self-join) reports the Log.
 func TestTemplateTables(t *testing.T) {
 	cat := explain.Handcrafted(true, true)
 
 	refs := func(tpl explain.Template) []string {
 		t.Helper()
-		out, ok := explain.TemplateTables(tpl)
-		if !ok {
-			t.Fatalf("catalog template %s not introspectable", tpl.Name())
-		}
+		out := explain.TemplateTables(tpl)
 		sort.Strings(out)
 		return out
 	}
@@ -45,19 +40,14 @@ func TestTemplateTables(t *testing.T) {
 	if !foundGroups {
 		t.Errorf("group template tables = %v, want to include Groups", got)
 	}
-
-	if _, ok := explain.TemplateTables(opaqueTemplate{}); ok {
-		t.Error("unknown template type reported introspectable")
-	}
 }
 
 // TestAppendMonotone pins the extend-vs-rebuild classification: the whole
 // hand-crafted catalog is append-monotone (event-table paths, and repeat
 // access, whose Log self-join is pinned before the audited row in log
 // order, in either spelling), while an unguarded Log self-join path — where
-// a future access can retroactively explain a past one —, one guarded by
-// Lid alone (Lids need not be chronological) and unknown template types are
-// not.
+// a future access can retroactively explain a past one — and one guarded
+// by Lid alone (Lids need not be chronological) are not.
 func TestAppendMonotone(t *testing.T) {
 	for _, tpl := range explain.Handcrafted(true, true).All() {
 		if !explain.AppendMonotone(tpl) {
@@ -105,10 +95,6 @@ func TestAppendMonotone(t *testing.T) {
 	if !explain.AppendMonotone(mirrored) {
 		t.Error("Log self-join guarded by L.LogOrder > Log2.LogOrder should be append-monotone")
 	}
-
-	if explain.AppendMonotone(opaqueTemplate{}) {
-		t.Error("unknown template type should not be append-monotone")
-	}
 }
 
 // TestNewPathTemplateRejectsMissingInstance pins construction-time
@@ -127,16 +113,6 @@ func TestNewPathTemplateRejectsMissingInstance(t *testing.T) {
 		Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogOrder},
 	})
 }
-
-// opaqueTemplate is an un-introspectable Template implementation.
-type opaqueTemplate struct{}
-
-func (opaqueTemplate) Name() string                                              { return "opaque" }
-func (opaqueTemplate) Length() int                                               { return 1 }
-func (opaqueTemplate) SQL() string                                               { return "" }
-func (opaqueTemplate) Evaluate(ev *query.Evaluator) []bool                       { return nil }
-func (opaqueTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool      { return nil }
-func (opaqueTemplate) Render(*query.Evaluator, int, int, explain.Namer) []string { return nil }
 
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
-	"repro/internal/metrics"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -29,7 +29,7 @@ func TestDecoratedExplainsSubsetOfBase(t *testing.T) {
 			t.Fatalf("row %d explained by decoration but not by base", i)
 		}
 	}
-	if metrics.Fraction(dm) > metrics.Fraction(bm) {
+	if fraction(bitset.FromBools(dm)) > fraction(bitset.FromBools(bm)) {
 		t.Error("decorated recall exceeds base recall")
 	}
 }
@@ -73,7 +73,7 @@ func TestDepthRestrictionControlsPrecision(t *testing.T) {
 	prev := -1.0
 	for depth := 0; depth <= 2; depth++ {
 		dec := explain.DepthRestrictedGroupTemplate("t", "Appointments", "an appointment", depth)
-		frac := metrics.Fraction(dec.Evaluate(ev))
+		frac := fraction(templateMask(ev, dec))
 		if prev >= 0 && frac > prev+1e-12 {
 			t.Errorf("depth %d recall %.3f exceeds shallower depth's %.3f", depth, frac, prev)
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
-	"repro/internal/metrics"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -273,14 +272,14 @@ func TestWithDrSubsetOfEvents(t *testing.T) {
 	ind := explain.Indicators(false)[0]
 
 	tmpl := appt.Evaluate(ev)
-	events := ev.ConnectedRows(ind.Path)
+	events := ev.Prepare(ind.Path).ConnectedRows()
 	for i := range tmpl {
-		if tmpl[i] && !events[i] {
+		if tmpl[i] && !events.Get(i) {
 			t.Fatalf("row %d explained by appt template but has no appointment event", i)
 		}
 	}
 	// And strictly fewer (nurses!).
-	if metrics.Fraction(tmpl) >= metrics.Fraction(events) {
+	if fraction(templateMask(ev, appt)) >= fraction(events) {
 		t.Error("template recall not below event recall")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/ehr"
 	"repro/internal/explain"
@@ -149,17 +150,18 @@ func TestRepeatAccessOrderDifferential(t *testing.T) {
 						for i := 0; i+1 < len(cuts); i++ {
 							lo, hi := cuts[i], cuts[i+1]
 							before := calls.Value()
-							lowered := tpl.EvaluateRange(ev, lo, hi)
+							lowered := rangeBools(tpl, ev, lo, hi)
 							if walks := calls.Value() - before; walks != 0 {
 								t.Fatalf("range [%d,%d): the lowered mask walked %d rows", lo, hi, walks)
 							}
-							dfs := ev.ExplainedRowsDecoratedRange(walked, lo, hi)
+							dfs := bitset.New(hi)
+							ev.ExplainedRowsDecoratedRange(walked, lo, hi, dfs)
 							if walks := calls.Value() - before; walks != int64(hi-lo) {
 								t.Fatalf("range [%d,%d): the forced walk walked %d of %d rows", lo, hi, walks, hi-lo)
 							}
 							for j := range lowered {
-								if lowered[j] != want[lo+j] || dfs[j] != want[lo+j] {
-									t.Fatalf("row %d: lowered %v, walked %v, reference %v", lo+j, lowered[j], dfs[j], want[lo+j])
+								if lowered[j] != want[lo+j] || dfs.Get(lo+j) != want[lo+j] {
+									t.Fatalf("row %d: lowered %v, walked %v, reference %v", lo+j, lowered[j], dfs.Get(lo+j), want[lo+j])
 								}
 							}
 						}

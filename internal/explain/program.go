@@ -24,10 +24,8 @@ import (
 // call's workers share the set read-only, each rendering on its own cursor
 // over the same database and audited log.
 type Program struct {
-	t      Template
-	opaque bool // a template type this package does not know: Template.Render
-	form   *textForm
-	n      Namer
+	form *textForm
+	n    Namer
 
 	slots []slot
 	path  pathmodel.Path         // the walk's path, and a generic text's hops
@@ -72,12 +70,8 @@ func Compile(ev *query.Evaluator, n Namer, ts []Template) []Program {
 // (which several programs may share as one backing array) and returning
 // the extended slice.
 func (p *Program) compile(t Template, ev *query.Evaluator, n Namer, slots []slot) []slot {
-	*p = Program{t: t, n: n}
-	tpl, ok := t.(*PathTemplate)
-	if !ok {
-		p.opaque, p.form = true, newTextForm(t.Name(), t.Length(), "", pathmodel.Path{})
-		return slots
-	}
+	tpl := t.pathTemplate()
+	*p = Program{n: n}
 	p.path, p.decs, p.form = tpl.Path, tpl.Decorations, tpl.prepared()
 	insts := tpl.Path.Instances()
 	_, null := n.(NullNamer)
@@ -143,9 +137,6 @@ func (p *Program) bindings(ev *query.Evaluator, logRow, limit int) []query.Insta
 // Template.Render returns for a row the template explains — an empty slice
 // when a path program finds no binding.
 func (p *Program) Render(ev *query.Evaluator, logRow, limit int) []string {
-	if p.opaque {
-		return p.t.Render(ev, logRow, limit, p.n)
-	}
 	bs := p.bindings(ev, logRow, limit)
 	out := make([]string, 0, len(bs))
 	var buf [256]byte
@@ -170,9 +161,9 @@ func (p *Program) Render(ev *query.Evaluator, logRow, limit int) []string {
 // Namer outputs are escaped. If a piece is not valid UTF-8 the text is
 // rendered through the string sink and escaped whole instead, since an
 // invalid tail byte can combine with the next piece into a different
-// character. Generic and unknown templates always take that path.
+// character. Generic templates always take that path.
 func (p *Program) AppendNDJSON(dst []byte, ev *query.Evaluator, logRow, limit int, sep bool) ([]byte, int) {
-	if p.opaque || p.form.generic {
+	if p.form.generic {
 		texts := p.Render(ev, logRow, limit)
 		for _, text := range texts {
 			dst = p.openObject(dst, sep)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/ehr"
 	"repro/internal/explain"
@@ -137,7 +138,7 @@ func TestRepeatAccessMatchesReference(t *testing.T) {
 					cuts := repeatCuts(rng, n)
 					for i := 0; i+1 < len(cuts); i++ {
 						lo, hi := cuts[i], cuts[i+1]
-						got := tpl.EvaluateRange(ev, lo, hi)
+						got := rangeBools(tpl, ev, lo, hi)
 						for j, b := range got {
 							if b != want[lo+j] {
 								t.Fatalf("range [%d,%d): row %d = %v, reference %v", lo, hi, lo+j, b, want[lo+j])
@@ -156,14 +157,16 @@ func TestRepeatAccessMatchesReference(t *testing.T) {
 }
 
 // TestRepeatAccessRangeAllocs pins "no per-call history structure": once
-// the log's pair column is interned, classifying a 64-row range allocates
-// the result slice and nothing that grows with the history.
+// the log's pair column is interned, classifying a 64-row range into the
+// caller's mask allocates nothing, let alone anything that grows with the
+// history.
 func TestRepeatAccessRangeAllocs(t *testing.T) {
 	ev := query.NewEvaluator(ehr.Generate(ehr.Tiny()).DB)
 	tpl := explain.RepeatAccess()
-	tpl.EvaluateRange(ev, 0, 64) // intern the pair column
-	if allocs := testing.AllocsPerRun(50, func() { tpl.EvaluateRange(ev, 64, 128) }); allocs > 2 {
-		t.Errorf("64-row EvaluateRange allocates %.0f objects, want <= 2", allocs)
+	dst := bitset.New(128)
+	tpl.EvaluateRange(ev, 0, 64, dst) // intern the pair column
+	if allocs := testing.AllocsPerRun(50, func() { tpl.EvaluateRange(ev, 64, 128, dst) }); allocs > 0 {
+		t.Errorf("64-row EvaluateRange allocates %.0f objects, want 0", allocs)
 	}
 }
 
@@ -201,7 +204,7 @@ func TestRepeatAccessUnderAppends(t *testing.T) {
 				check := func(stage string) {
 					t.Helper()
 					want := explain.RepeatAccessReference(ev, 0, log.NumRows())
-					for r, b := range tpl.EvaluateRange(ev, 0, log.NumRows()) {
+					for r, b := range rangeBools(tpl, ev, 0, log.NumRows()) {
 						if b != want[r] {
 							t.Fatalf("%s: row %d = %v, reference %v", stage, r, b, want[r])
 						}
@@ -264,7 +267,7 @@ func TestRepeatAccessGrowingHistory(t *testing.T) {
 		next[side] = hi
 		for k := 0; k < 2; k++ {
 			want := explain.RepeatAccessReference(ev, 0, audited.NumRows())
-			for r, b := range tpl.EvaluateRange(ev, 0, audited.NumRows()) {
+			for r, b := range rangeBools(tpl, ev, 0, audited.NumRows()) {
 				if b != want[r] {
 					t.Fatalf("step %d: audited row %d = %v, reference %v", step, r, b, want[r])
 				}

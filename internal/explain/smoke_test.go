@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
-	"repro/internal/metrics"
 	"repro/internal/query"
 )
 
@@ -30,17 +30,17 @@ func TestEndToEndTinyHospital(t *testing.T) {
 	cat := explain.Handcrafted(true, true)
 
 	// Repeat accesses must explain a substantial share of all accesses.
-	repeat := metrics.Fraction(cat.RepeatAccess.Evaluate(ev))
+	repeat := fraction(templateMask(ev, cat.RepeatAccess))
 	if repeat < 0.3 {
 		t.Errorf("repeat-access fraction = %.3f, want >= 0.3", repeat)
 	}
 
 	// Events must cover most accesses (paper: ~97%).
-	var eventMasks [][]bool
+	var eventMasks []*bitset.Bits
 	for _, ind := range explain.Indicators(true) {
-		eventMasks = append(eventMasks, ev.ConnectedRows(ind.Path))
+		eventMasks = append(eventMasks, ev.Prepare(ind.Path).ConnectedRows())
 	}
-	eventAll := metrics.Fraction(metrics.Union(eventMasks...))
+	eventAll := fraction(bitset.Union(eventMasks...))
 	if eventAll < 0.85 {
 		t.Errorf("event coverage = %.3f, want >= 0.85", eventAll)
 	}
@@ -50,17 +50,17 @@ func TestEndToEndTinyHospital(t *testing.T) {
 	firstDB := accesslog.WithLog(ds.DB, accesslog.FirstAccesses(log))
 	fev := query.NewEvaluator(firstDB)
 
-	var withDr [][]bool
+	var withDr []*bitset.Bits
 	for _, tm := range cat.SetAWithDr {
-		withDr = append(withDr, tm.Evaluate(fev))
+		withDr = append(withDr, templateMask(fev, tm))
 	}
-	drRecall := metrics.Fraction(metrics.Union(withDr...))
+	drRecall := fraction(bitset.Union(withDr...))
 
-	var all [][]bool
+	var all []*bitset.Bits
 	for _, tm := range cat.All() {
-		all = append(all, tm.Evaluate(fev))
+		all = append(all, templateMask(fev, tm))
 	}
-	allRecall := metrics.Fraction(metrics.Union(all...))
+	allRecall := fraction(bitset.Union(all...))
 
 	if drRecall >= allRecall {
 		t.Errorf("w/Dr recall %.3f >= all-template recall %.3f; groups add nothing", drRecall, allRecall)

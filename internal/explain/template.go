@@ -9,9 +9,11 @@ package explain
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -19,17 +21,21 @@ import (
 
 // Template is one explanation template: it classifies every access in the
 // evaluator's log as explained or not, and renders natural-language
-// explanation instances for individual accesses.
+// explanation instances for individual accesses. *PathTemplate is its only
+// implementation; the interface is sealed by an unexported method, and
+// stays an interface so catalogs can be held as []Template.
 //
-// Classification is range-based: EvaluateRange is the primitive, and
-// Evaluate is the full-range convenience every implementation must keep
-// consistent with it — concatenating EvaluateRange over a partition of
-// [0, NumRows) must be byte-identical to Evaluate (the range-stitching
-// differential tests enforce this for the whole catalog). Range evaluation
-// is what lets the batch auditing engine shard a single template's mask
-// across a worker pool: disjoint ranges may be evaluated concurrently, each
-// on its own evaluator cursor (query.Evaluator.Clone), with path-backed
-// templates sharing one compiled plan through the engine's plan cache.
+// Classification is range-based: EvaluateRange is the primitive. It sets,
+// in the mask the caller passes in, the bit of every row of [lo, hi) the
+// template explains, and touches no other bit, so evaluating the ranges of
+// a partition of [0, NumRows) into one mask sets exactly the bits Evaluate
+// reports (the range-stitching differential tests enforce this for the
+// whole catalog). Range evaluation is what lets the batch auditing engine
+// shard a single template's mask across a worker pool: each range is
+// evaluated on its own evaluator cursor (query.Evaluator.Clone), with
+// path-backed templates sharing one compiled plan through the engine's
+// plan cache. The mask is not synchronized, so concurrent ranges may share
+// one only when every boundary between them is a multiple of 64.
 type Template interface {
 	// Name is a short stable identifier such as "appt-with-dr".
 	Name() string
@@ -39,15 +45,19 @@ type Template interface {
 	// SQL renders the template as its support-counting query.
 	SQL() string
 	// Evaluate returns one boolean per log row: whether this template
-	// explains that access. It is equivalent to
-	// EvaluateRange(ev, 0, NumRows).
+	// explains that access. It is EvaluateRange over [0, NumRows) into a
+	// fresh mask, unpacked.
 	Evaluate(ev *query.Evaluator) []bool
-	// EvaluateRange classifies the half-open log-row range [lo, hi),
-	// returning hi-lo booleans: element i is Evaluate(ev)[lo+i].
-	EvaluateRange(ev *query.Evaluator, lo, hi int) []bool
+	// EvaluateRange sets bit r of dst for each row r of the half-open
+	// log-row range [lo, hi) the template explains. dst must hold at least
+	// hi bits.
+	EvaluateRange(ev *query.Evaluator, lo, hi int, dst *bitset.Bits)
 	// Render returns up to limit natural-language explanation instances for
 	// the given log row, or nil when the template does not explain it.
 	Render(ev *query.Evaluator, logRow, limit int, n Namer) []string
+
+	// pathTemplate returns the template itself; it seals the interface.
+	pathTemplate() *PathTemplate
 }
 
 // Namer maps identifiers to display names so explanations read like the
@@ -137,21 +147,41 @@ func (t *PathTemplate) Length() int { return t.Path.Length() }
 // per decoration.
 func (t *PathTemplate) SQL() string { return t.decorated().SQL() }
 
+// pathTemplate implements Template.
+func (t *PathTemplate) pathTemplate() *PathTemplate { return t }
+
 // Evaluate implements Template.
-func (t *PathTemplate) Evaluate(ev *query.Evaluator) []bool {
-	return t.EvaluateRange(ev, 0, ev.Log().NumRows())
+func (t *PathTemplate) Evaluate(ev *query.Evaluator) (out []bool) {
+	n := ev.Log().NumRows()
+	mask := bitset.New(n)
+	t.EvaluateRange(ev, 0, n, mask)
+	out = slices.Grow(out, n)
+	for r := range n {
+		out = append(out, mask.Get(r))
+	}
+	return out
 }
 
 // EvaluateRange implements Template. An undecorated path is prepared
 // through the engine's shared plan cache, so repeated evaluation (or
 // concurrent range shards) compile it only once; a decorated one is
-// searched row by row, so disjoint ranges concatenate to exactly the full
-// Evaluate result either way.
-func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
+// classified row by row. Either way disjoint ranges set exactly the bits
+// of the full-range result.
+func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int, dst *bitset.Bits) {
 	if len(t.Decorations) > 0 {
-		return ev.ExplainedRowsDecoratedRange(t.decorated(), lo, hi)
+		ev.ExplainedRowsDecoratedRange(t.decorated(), lo, hi, dst)
+		return
 	}
-	return ev.Prepare(t.Path).ExplainedRange(lo, hi)
+	ev.Prepare(t.Path).ExplainedRange(lo, hi, dst)
+}
+
+// explains reports whether the template explains audited row r, counting
+// the one-row range rather than writing a mask.
+func (t *PathTemplate) explains(ev *query.Evaluator, r int) bool {
+	if len(t.Decorations) > 0 {
+		return ev.SupportDecoratedRange(t.decorated(), r, r+1) > 0
+	}
+	return ev.Prepare(t.Path).SupportRange(r, r+1) > 0
 }
 
 // Render implements Template. A template whose description reads only the
@@ -159,7 +189,7 @@ func (t *PathTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
 // row is classified first: an unexplained row renders nil.
 func (t *PathTemplate) Render(ev *query.Evaluator, logRow, limit int, n Namer) []string {
 	if t.prepared().rowOnly {
-		if logRow < 0 || logRow >= ev.Log().NumRows() || !t.EvaluateRange(ev, logRow, logRow+1)[0] {
+		if logRow < 0 || logRow >= ev.Log().NumRows() || !t.explains(ev, logRow) {
 			return nil
 		}
 	}

@@ -14,40 +14,25 @@ import (
 	"repro/internal/fault"
 	"repro/internal/federate"
 	"repro/internal/pathmodel"
-	"repro/internal/query"
 	"repro/internal/relation"
 )
 
-// historyCountTemplate is deliberately NOT append-monotone (and not
-// introspectable, so explain.AppendMonotone reports false): a row is
-// explained when its user appears an even number of times in the full
-// history log. Appending one access flips every old row of that user, so a
-// shard serving a stale mask is guaranteed to diverge — the
-// mined-unguarded-self-join shape that must be rebuilt, never extended.
-type historyCountTemplate struct{}
-
-func (historyCountTemplate) Name() string { return "even-user" }
-func (historyCountTemplate) Length() int  { return 1 }
-func (historyCountTemplate) SQL() string  { return "-- user appears an even number of times in history" }
-func (t historyCountTemplate) Evaluate(ev *query.Evaluator) []bool {
-	return t.EvaluateRange(ev, 0, ev.Log().NumRows())
+// accessedAgainLater is deliberately NOT append-monotone: repeat access's
+// Log self-join decorated the other way, Log2.LogOrder > L.LogOrder, so a
+// row is explained when its (patient, user) pair is accessed again later
+// in the history log. Appending an access of an existing pair flips that
+// pair's older rows that had no later access, so a shard serving a stale
+// mask is guaranteed to diverge — the history-reading shape that must be
+// rebuilt, never extended.
+func accessedAgainLater() *explain.PathTemplate {
+	return explain.NewPathTemplate("accessed-again-later", explain.RepeatAccess().Path,
+		"[L.User|user] accessed [L.Patient|patient]'s record again later.",
+		pathmodel.Decoration{
+			Left:  pathmodel.Ref{Inst: 1, Col: pathmodel.LogOrder},
+			Op:    pathmodel.OpGT,
+			Right: pathmodel.Ref{Inst: 0, Col: pathmodel.LogOrder},
+		})
 }
-func (historyCountTemplate) EvaluateRange(ev *query.Evaluator, lo, hi int) []bool {
-	history := ev.Database().MustTable(pathmodel.LogTable)
-	ui, _ := history.ColumnIndex(pathmodel.LogUserColumn)
-	counts := make(map[relation.Value]int)
-	for r := 0; r < history.NumRows(); r++ {
-		counts[history.Row(r)[ui]]++
-	}
-	audited := ev.Log()
-	aui, _ := audited.ColumnIndex(pathmodel.LogUserColumn)
-	out := make([]bool, hi-lo)
-	for r := lo; r < hi; r++ {
-		out[r-lo] = counts[audited.Row(r)[aui]]%2 == 0
-	}
-	return out
-}
-func (historyCountTemplate) Render(*query.Evaluator, int, int, explain.Namer) []string { return nil }
 
 // TestFederationRefreshMatchesSingleEngine appends a chronological suffix to
 // a Split federation's merged log, Refreshes (the last shard's run grows,
@@ -157,7 +142,7 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.AddTemplates(historyCountTemplate{})
+	fed.AddTemplates(accessedAgainLater())
 	warmFraction := mustFraction(t, fed, 2)
 
 	log := db.MustTable(pathmodel.LogTable)
@@ -169,14 +154,14 @@ func TestRefreshNonMonotoneHistoryGrowth(t *testing.T) {
 	}
 
 	single := core.NewAuditor(db, graph())
-	single.AddTemplates(historyCountTemplate{})
+	single.AddTemplates(accessedAgainLater())
 	assertSameNDJSON(t, "refreshed non-monotone stream (shard-0 stale mask?)", mustNDJSON(t, fed, 2), mustNDJSON(t, single, 2))
 	gf, wf := mustFraction(t, fed, 2), mustFraction(t, single, 2)
 	if gf != wf {
 		t.Errorf("refreshed non-monotone fraction = %v, want %v", gf, wf)
 	}
-	// Sanity: the appended history must actually flip old rows (parity
-	// guarantees it whenever any appended user has prior accesses), so the
+	// Sanity: the appended history must actually flip old rows (it does
+	// whenever an appended access repeats a pair of the old log), so the
 	// test cannot pass vacuously against a stale shard-0 mask.
 	if gf == warmFraction {
 		t.Errorf("appended rows flipped no old rows (fraction still %v); test is vacuous", gf)

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/accesslog"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/ehr"
 	"repro/internal/explain"
-	"repro/internal/metrics"
 	"repro/internal/mine"
 	"repro/internal/query"
 )
@@ -55,14 +55,17 @@ func ExampleRun() {
 	// Adopt every mined template (a real deployment would filter here) and
 	// audit day 7 against the historical database; repeat access
 	// complements the mined set (day-7 repeats of training-window pairs).
+	// Each template sets the bits of the rows it explains in one mask, so
+	// the mask ends up the union.
 	tev := query.NewEvaluatorWithLog(accesslog.WithLog(ds.DB, trainLog), testLog)
-	var masks [][]bool
+	n := testLog.NumRows()
+	explained := bitset.New(n)
 	for i, p := range res.Templates {
-		masks = append(masks, explain.NewPathTemplate(fmt.Sprintf("mined-%d", i), p, "").Evaluate(tev))
+		explain.NewPathTemplate(fmt.Sprintf("mined-%d", i), p, "").EvaluateRange(tev, 0, n, explained)
 	}
-	masks = append(masks, explain.RepeatAccess().Evaluate(tev))
+	explain.RepeatAccess().EvaluateRange(tev, 0, n, explained)
 	fmt.Printf("mined templates + repeat access explain %.1f%% of day-7 accesses\n",
-		100*metrics.Fraction(metrics.Union(masks...)))
+		100*float64(explained.Count())/float64(n))
 	// Output:
 	// mined 168 templates from 1838 training accesses (339 support queries, 11 cache hits, 282 skipped)
 	// administrator review — the length-2 candidates:

@@ -19,8 +19,8 @@ func TestPlanCacheSurvivesLogAppend(t *testing.T) {
 	closed, open := preparedPaths(t)
 	ev := query.NewEvaluator(db)
 
-	beforeClosed := ev.Prepare(closed).ExplainedRows()
-	beforeOpen := ev.Prepare(open).ConnectedRows()
+	beforeClosed := ev.Prepare(closed).ExplainedBools()
+	beforeOpen := ev.Prepare(open).ConnectedBools()
 	misses := ev.PlanCacheStats().Misses
 
 	log := db.MustTable("Log")
@@ -29,8 +29,8 @@ func TestPlanCacheSurvivesLogAppend(t *testing.T) {
 	// with Dave explains it, so the appended row must classify true.
 	log.Append(relation.Int(6), relation.Date(4), relation.Int(dave), relation.Int(alice))
 
-	afterClosed := ev.Prepare(closed).ExplainedRows()
-	afterOpen := ev.Prepare(open).ConnectedRows()
+	afterClosed := ev.Prepare(closed).ExplainedBools()
+	afterOpen := ev.Prepare(open).ConnectedBools()
 	if got := ev.PlanCacheStats().Misses; got != misses {
 		t.Errorf("log append recompiled plans: misses %d -> %d", misses, got)
 	}
@@ -47,10 +47,10 @@ func TestPlanCacheSurvivesLogAppend(t *testing.T) {
 
 	// A from-scratch evaluator over the grown database is the oracle.
 	fresh := query.NewEvaluator(db)
-	if want := fresh.Prepare(closed).ExplainedRows(); !reflect.DeepEqual(afterClosed, want) {
+	if want := fresh.Prepare(closed).ExplainedBools(); !reflect.DeepEqual(afterClosed, want) {
 		t.Errorf("incremental closed rows = %v, want %v", afterClosed, want)
 	}
-	if want := fresh.Prepare(open).ConnectedRows(); !reflect.DeepEqual(afterOpen, want) {
+	if want := fresh.Prepare(open).ConnectedBools(); !reflect.DeepEqual(afterOpen, want) {
 		t.Errorf("incremental open rows = %v, want %v", afterOpen, want)
 	}
 	if !afterClosed[n0] {
@@ -67,14 +67,14 @@ func TestPlanCacheEventTableAppendInvalidatesOnlyReaders(t *testing.T) {
 	closed, open := preparedPaths(t) // closed reads Appointments+UserMapping; open reads Appointments
 	ev := query.NewEvaluator(db)
 
-	ev.Prepare(closed).ExplainedRows()
-	ev.Prepare(open).ConnectedRows()
+	ev.Prepare(closed).ExplainedBools()
+	ev.Prepare(open).ConnectedBools()
 	misses := ev.PlanCacheStats().Misses
 
 	// Groups is read by neither path; appending to it must not recompile.
 	db.MustTable("Groups").Append(relation.Int(1), relation.Int(3), relation.Int(mike))
-	ev.Prepare(closed).ExplainedRows()
-	ev.Prepare(open).ConnectedRows()
+	ev.Prepare(closed).ExplainedBools()
+	ev.Prepare(open).ConnectedBools()
 	if got := ev.PlanCacheStats().Misses; got != misses {
 		t.Errorf("append to unread table recompiled plans: misses %d -> %d", misses, got)
 	}
@@ -82,8 +82,8 @@ func TestPlanCacheEventTableAppendInvalidatesOnlyReaders(t *testing.T) {
 	// Appointments is read by both paths; each must recompile exactly once,
 	// and the recompiled plans must see the new row.
 	db.MustTable("Appointments").Append(relation.Int(carol), relation.Date(2), relation.Int(mike+100))
-	afterClosed := ev.Prepare(closed).ExplainedRows()
-	ev.Prepare(open).ConnectedRows()
+	afterClosed := ev.Prepare(closed).ExplainedBools()
+	ev.Prepare(open).ConnectedBools()
 	if got := ev.PlanCacheStats().Misses; got != misses+2 {
 		t.Errorf("append to read table: misses %d -> %d, want +2", misses, got)
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // TestSupportEqualsMaskPopcount: for closed paths, Support must equal the
-// number of true entries in ExplainedRows; for open paths, the number of
+// number of true entries in ExplainedBools; for open paths, the number of
 // true entries in ConnectedRows.
 func TestSupportEqualsMaskPopcount(t *testing.T) {
 	ev := query.NewEvaluator(figure3DB())
@@ -24,7 +24,7 @@ func TestSupportEqualsMaskPopcount(t *testing.T) {
 		"appt": apptTemplate(t), "dept": deptTemplate(t), "group": groupTemplate(t),
 	}
 	for name, p := range closedPaths {
-		mask := ev.ExplainedRows(p)
+		mask := ev.ExplainedBools(p)
 		n := 0
 		for _, b := range mask {
 			if b {
@@ -38,7 +38,7 @@ func TestSupportEqualsMaskPopcount(t *testing.T) {
 
 	open := mustPath(t,
 		schemagraph.Edge{From: pathmodel.StartAttr(), To: attr("Appointments", "Patient"), Kind: schemagraph.KeyFK})
-	mask := ev.ConnectedRows(open)
+	mask := ev.ConnectedBools(open)
 	n := 0
 	for _, b := range mask {
 		if b {
@@ -179,7 +179,7 @@ func TestEmptyLogEvaluation(t *testing.T) {
 	if got := ev.Support(p); got != 0 {
 		t.Errorf("Support over empty log = %d", got)
 	}
-	if mask := ev.ExplainedRows(p); len(mask) != 0 {
+	if mask := ev.ExplainedBools(p); len(mask) != 0 {
 		t.Errorf("mask length = %d", len(mask))
 	}
 	dp := pathmodel.NewDecoratedPath(p)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 )
@@ -85,34 +86,60 @@ func (e *instEnum) holds(inst int) bool {
 	return true
 }
 
-// ExplainedRowsDecoratedRange returns one boolean per audited row of the
-// half-open range [lo, hi): whether some instance binding of the decorated
-// path explains it. Per Definition 3 the result is always a subset of what
-// the base path explains. Decorated evaluation is per-row, so disjoint
-// ranges concatenate to exactly the full-log result; this is the range
-// primitive behind sharding a decorated template's mask across workers.
+// ExplainedRowsDecoratedRange sets bit r of dst for each audited row r of
+// the half-open range [lo, hi) that some instance binding of the decorated
+// path explains, and touches no other bit. Per Definition 3 the rows it
+// sets are always a subset of what the base path explains. Decorated
+// evaluation is per-row, so disjoint ranges evaluated into one dst set
+// exactly the bits of the full-log result; this is the range primitive
+// behind sharding a decorated template's mask across workers. As with
+// Prepared.ExplainedRange, several goroutines may share one dst only when
+// every boundary between their ranges is a multiple of 64.
 //
 // Repeat access (isRepeatAccess) is answered by the engine's per-pair
 // first-access state, one comparison per row; every other decorated path
 // is walked row by row.
-func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int) []bool {
+func (ev *Evaluator) ExplainedRowsDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int, dst *bitset.Bits) {
+	ev.decoratedRows(dp, lo, hi, dst)
+}
+
+// SupportDecoratedRange returns how many audited rows of [lo, hi) the
+// decorated path explains: the count of the bits ExplainedRowsDecoratedRange
+// would set, with no mask to write.
+func (ev *Evaluator) SupportDecoratedRange(dp pathmodel.DecoratedPath, lo, hi int) int {
+	return ev.decoratedRows(dp, lo, hi, nil)
+}
+
+// decoratedRows classifies the rows [lo, hi) as one evaluated query, sets
+// the bit of each explained row in dst when dst is non-nil, and returns
+// how many it explained.
+func (ev *Evaluator) decoratedRows(dp pathmodel.DecoratedPath, lo, hi int, dst *bitset.Bits) int {
 	ev.checkRange(lo, hi)
 	ev.queriesEvaluated++
-	out := make([]bool, hi-lo)
+	n := 0
+	hit := func(r int) {
+		n++
+		if dst != nil {
+			dst.Set(r)
+		}
+	}
 	if isRepeatAccess(dp) {
 		rp := ev.repeats()
 		for r := lo; r < hi; r++ {
-			out[r-lo] = rp.explains(r)
+			if rp.explains(r) {
+				hit(r)
+			}
 		}
-		return out
+		return n
 	}
 	e := ev.decorated(dp)
 	for r := lo; r < hi; r++ {
-		n, _ := e.run(ev, r, 1) // first witness suffices
-		out[r-lo] = n > 0
+		if k, _ := e.run(ev, r, 1); k > 0 { // first witness suffices
+			hit(r)
+		}
 	}
 	ev.endCall()
-	return out
+	return n
 }
 
 // isRepeatAccess reports whether dp is the repeat access of §2.1: a second

@@ -9,13 +9,13 @@ import (
 )
 
 // TestUndecoratedPathMatchesPlainEvaluation: wrapping a path with zero
-// decorations must reproduce ExplainedRows exactly.
+// decorations must reproduce ExplainedBools exactly.
 func TestUndecoratedPathMatchesPlainEvaluation(t *testing.T) {
 	ev := query.NewEvaluator(figure3DB())
 	for name, p := range map[string]pathmodel.Path{
 		"appt": apptTemplate(t), "dept": deptTemplate(t), "group": groupTemplate(t),
 	} {
-		plain := ev.ExplainedRows(p)
+		plain := ev.ExplainedBools(p)
 		dec := ev.ExplainedRowsDecorated(pathmodel.NewDecoratedPath(p))
 		for i := range plain {
 			if plain[i] != dec[i] {
@@ -70,7 +70,7 @@ func TestDecorationOnConstant(t *testing.T) {
 func TestDecoratedSubsetProperty(t *testing.T) {
 	ev := query.NewEvaluator(figure3DB())
 	base := apptTemplate(t)
-	plain := ev.ExplainedRows(base)
+	plain := ev.ExplainedBools(base)
 	for _, op := range []pathmodel.CompareOp{pathmodel.OpLT, pathmodel.OpLE, pathmodel.OpEQ, pathmodel.OpGE, pathmodel.OpGT} {
 		dp := pathmodel.NewDecoratedPath(base, pathmodel.Decoration{
 			Left: pathmodel.Ref{Inst: 1, Col: "Date"}, Op: op,

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
@@ -90,19 +91,20 @@ func goldenTallies(t *testing.T, golden string, expand func(pathmodel.Path) []pa
 
 				var full []bool
 				for _, shards := range []int{1, 3, 17} {
-					var rows []bool
+					mask := bitset.New(n)
 					for w := 0; w < shards; w++ {
 						lo, hi := n*w/shards, n*(w+1)/shards
 						if p.Closed() {
-							rows = append(rows, pp.ExplainedRange(lo, hi)...)
+							pp.ExplainedRange(lo, hi, mask)
 						} else {
-							rows = append(rows, pp.ConnectedRange(lo, hi)...)
+							pp.ConnectedRange(lo, hi, mask)
 						}
 					}
+					rows := query.Bools(mask)
 					if full == nil {
 						full = rows
 					} else if !reflect.DeepEqual(rows, full) {
-						t.Errorf("seed %d, %s: %d shards do not concatenate to the full mask", seed, name, shards)
+						t.Errorf("seed %d, %s: %d shards do not stitch to the full mask", seed, name, shards)
 					}
 				}
 				if pop := popcount(full); pop != support {

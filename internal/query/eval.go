@@ -16,12 +16,13 @@
 // individual access) so that templates can be rendered in natural language.
 //
 // Evaluation is organized around prepared plans: Evaluator.Prepare compiles
-// a path once into a *Prepared handle whose Support, ExplainedRows /
-// ExplainedRange and ConnectedRows methods evaluate it without recompiling.
-// The legacy one-shot methods (Support, ExplainedRows, ConnectedRows) are
-// conveniences that prepare and evaluate in one call — because compiled
-// plans are cached, even they stop paying compilation cost after the first
-// evaluation of a condition set.
+// a path once into a *Prepared handle whose Support, ExplainedRange and
+// ConnectedRows methods evaluate it without recompiling. Row masks are
+// bitset.Bits: ExplainedRange (and ExplainedRowsDecoratedRange for a
+// decorated path) sets the bits of the rows it explains in a mask the
+// caller passes in. Evaluator.Support is the one one-shot method, and
+// because compiled plans are cached it too stops paying compilation cost
+// after the first evaluation of a condition set.
 //
 // There is one execution path, and it reads dictionary IDs only. compile
 // turns a path into its hops in declared order; a plan's first evaluation
@@ -57,8 +58,8 @@
 // single cursor is NOT safe for concurrent use. The supported concurrent
 // pattern is one cursor per goroutine: each worker clones the evaluator,
 // prepares (cheaply, through the shared cache) the paths it needs, and
-// evaluates — typically a disjoint log-row range via ExplainedRange or
-// SupportRange. Cursors cloned with one InstanceMemo (CloneWithMemo) also
+// evaluates — typically a disjoint log-row range via SupportRange, or via
+// ExplainedRange into one shared mask cut at multiples of 64. Cursors cloned with one InstanceMemo (CloneWithMemo) also
 // share instance bindings, lock-free, for the life of one call over an
 // unchanging log. The only additional requirement is the table contract: no
 // table reachable from the database may be Appended while queries run (see
@@ -496,17 +497,6 @@ func (ev *Evaluator) Support(p pathmodel.Path) int {
 	return ev.Prepare(p).Support()
 }
 
-// ExplainedRows returns, for a closed path, a boolean per log row indicating
-// whether that access is explained by the path. It panics on open paths. It
-// is the one-shot convenience for Prepare(p).ExplainedRows(); use the
-// prepared handle's ExplainedRange to shard the evaluation across workers.
-func (ev *Evaluator) ExplainedRows(p pathmodel.Path) []bool {
-	if !p.Closed() {
-		panic("query: ExplainedRows requires a closed path")
-	}
-	return ev.Prepare(p).ExplainedRows()
-}
-
 // EstimateSupport returns a cheap optimizer-style estimate of the support
 // query's COUNT(DISTINCT Log.Lid). It applies the textbook equi-join
 // selectivity 1/max(ndv(a), ndv(b)) hop by hop and clamps to the log size.
@@ -566,16 +556,4 @@ func clampEstimate(rows float64, n int) int {
 		return n
 	}
 	return int(rows)
-}
-
-// ConnectedRows returns, for an open path, a boolean per log row indicating
-// whether the row's start value (its patient, for forward paths) can begin a
-// satisfiable chain. This scores "event" indicators such as the paper's
-// Figure 6 bars (the patient had an appointment with anyone). It panics on
-// closed paths; use ExplainedRows for those.
-func (ev *Evaluator) ConnectedRows(p pathmodel.Path) []bool {
-	if p.Closed() {
-		panic("query: ConnectedRows requires an open path")
-	}
-	return ev.Prepare(p).ConnectedRows()
 }

@@ -122,11 +122,11 @@ func TestSupportApptTemplate(t *testing.T) {
 	if got := ev.Support(p); got != 2 {
 		t.Errorf("Support = %d, want 2", got)
 	}
-	mask := ev.ExplainedRows(p)
+	mask := ev.ExplainedBools(p)
 	want := []bool{true, false, false, false, true}
 	for i := range want {
 		if mask[i] != want[i] {
-			t.Errorf("ExplainedRows[%d] = %v, want %v", i, mask[i], want[i])
+			t.Errorf("ExplainedBools[%d] = %v, want %v", i, mask[i], want[i])
 		}
 	}
 }
@@ -158,7 +158,7 @@ func TestSupportOpenPath(t *testing.T) {
 	if got := ev.Support(open); got != 4 {
 		t.Errorf("open Support = %d, want 4", got)
 	}
-	conn := ev.ConnectedRows(open)
+	conn := ev.ConnectedBools(open)
 	want := []bool{true, true, true, false, true}
 	for i := range want {
 		if conn[i] != want[i] {
@@ -174,7 +174,7 @@ func TestConnectedRowsPanicsOnClosed(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	ev.ConnectedRows(apptTemplate(t))
+	ev.ConnectedBools(apptTemplate(t))
 }
 
 func TestExplainedRowsPanicsOnOpen(t *testing.T) {
@@ -186,7 +186,7 @@ func TestExplainedRowsPanicsOnOpen(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	ev.ExplainedRows(open)
+	ev.ExplainedBools(open)
 }
 
 func TestSupportMatchesNaiveOnExamples(t *testing.T) {
@@ -285,7 +285,7 @@ func TestEvaluatorWithSeparateAuditedLog(t *testing.T) {
 	audited.Append(relation.Int(101), relation.Date(6), relation.Int(dave), relation.Int(alice))
 
 	ev := query.NewEvaluatorWithLog(db, audited)
-	mask := ev.ExplainedRows(apptTemplate(t))
+	mask := ev.ExplainedBools(apptTemplate(t))
 	if mask[0] || !mask[1] {
 		t.Errorf("audited mask = %v, want [false true]", mask)
 	}

@@ -32,7 +32,7 @@ func TestExecTracePostingsMatchScanned(t *testing.T) {
 		}
 		pp := ev.Prepare(pt.Path)
 		before := ev.PostingsScanned()
-		if n := len(pp.ExplainedRows()); n == 0 {
+		if n := len(pp.ExplainedBools()); n == 0 {
 			t.Fatalf("%s: empty mask", pt.Name())
 		}
 		delta := int64(ev.PostingsScanned() - before)
@@ -66,7 +66,7 @@ func TestExecTraceDisabledStaysZero(t *testing.T) {
 
 	tpl := explain.DeptTemplate("appt-same-dept", "Appointments", "an appointment")
 	pp := ev.Prepare(tpl.Path)
-	if n := len(pp.ExplainedRows()); n == 0 {
+	if n := len(pp.ExplainedBools()); n == 0 {
 		t.Fatal("empty mask")
 	}
 	for i, o := range pp.ExecTrace().Ops {
@@ -89,13 +89,13 @@ func TestExecTraceAccumulatesAcrossCursors(t *testing.T) {
 	ev := query.NewEvaluator(ds.DB)
 	ev.SetExecStats(true)
 	pp := ev.Prepare(tpl.Path)
-	if len(pp.ExplainedRows()) == 0 {
+	if len(pp.ExplainedBools()) == 0 {
 		t.Fatal("empty mask")
 	}
 	once := pp.ExecTrace().Ops
 
 	cur := ev.Clone().Prepare(tpl.Path)
-	if len(cur.ExplainedRows()) == 0 {
+	if len(cur.ExplainedBools()) == 0 {
 		t.Fatal("empty mask on clone")
 	}
 	twice := pp.ExecTrace().Ops

@@ -3,8 +3,10 @@ package query
 import (
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
+	"repro/internal/schemagraph"
 )
 
 // QueriesEvaluated returns the number of exact support evaluations performed.
@@ -18,15 +20,44 @@ func (ev *Evaluator) EstimatesIssued() int { return ev.estimatesIssued }
 // consumed. Like QueriesEvaluated it is per-cursor.
 func (ev *Evaluator) PostingsScanned() int { return ev.postingsScanned }
 
-// ConnectedRange is ConnectedRows over the log rows [lo, hi): element i is
-// ConnectedRows()[lo+i]. The product classifies open paths over the whole
-// log only; the range tests stitch open plans through the same rangeRows
-// ExplainedRange uses.
-func (pp *Prepared) ConnectedRange(lo, hi int) []bool {
+// Bools unpacks a mask into one boolean per bit, the form the tests compare
+// with ScanRows and the other per-row references.
+func Bools(m *bitset.Bits) []bool {
+	out := make([]bool, m.Len())
+	for r := range out {
+		out[r] = m.Get(r)
+	}
+	return out
+}
+
+// ExplainedBools is the closed path's whole-log ExplainedRange, unpacked.
+func (pp *Prepared) ExplainedBools() []bool {
+	n := pp.ev.log.NumRows()
+	m := bitset.New(n)
+	pp.ExplainedRange(0, n, m)
+	return Bools(m)
+}
+
+// ConnectedBools is the open path's ConnectedRows, unpacked.
+func (pp *Prepared) ConnectedBools() []bool { return Bools(pp.ConnectedRows()) }
+
+// ExplainedBools prepares the closed path p and returns its unpacked
+// whole-log mask.
+func (ev *Evaluator) ExplainedBools(p pathmodel.Path) []bool { return ev.Prepare(p).ExplainedBools() }
+
+// ConnectedBools prepares the open path p and returns its unpacked
+// ConnectedRows mask.
+func (ev *Evaluator) ConnectedBools(p pathmodel.Path) []bool { return ev.Prepare(p).ConnectedBools() }
+
+// ConnectedRange is ConnectedRows over the log rows [lo, hi), written into
+// dst as ExplainedRange writes. The product classifies open paths over the
+// whole log only; the range tests stitch open plans through the same
+// rangeRows ExplainedRange uses.
+func (pp *Prepared) ConnectedRange(lo, hi int, dst *bitset.Bits) {
 	if pp.ent.pl.closed {
 		panic("query: ConnectedRange requires an open path")
 	}
-	return pp.rangeRows(lo, hi)
+	pp.rangeRows(lo, hi, dst)
 }
 
 // DistinctPairs is the DISTINCT projection of t's (from, to) columns, the
@@ -37,9 +68,9 @@ func DistinctPairs(t *relation.Table, from, to string) map[relation.Value][]rela
 	ti, _ := t.ColumnIndex(to)
 	out := make(map[relation.Value][]relation.Value)
 	for r := 0; r < t.NumRows(); r++ {
-		row := t.Row(r)
-		if vs := out[row[fi]]; !slices.Contains(vs, row[ti]) {
-			out[row[fi]] = append(vs, row[ti])
+		f, v := t.Cell(r, fi), t.Cell(r, ti)
+		if vs := out[f]; !slices.Contains(vs, v) {
+			out[f] = append(vs, v)
 		}
 	}
 	for _, vs := range out {
@@ -58,9 +89,12 @@ func DistinctPairs(t *relation.Table, from, to string) map[relation.Value][]rela
 func (ev *Evaluator) SupportNaive(p pathmodel.Path) int { return countTrue(ev.nestedRows(p, true)) }
 
 // ExplainedRowsDecorated is ExplainedRowsDecoratedRange over the whole
-// audited log.
+// audited log, unpacked.
 func (ev *Evaluator) ExplainedRowsDecorated(dp pathmodel.DecoratedPath) []bool {
-	return ev.ExplainedRowsDecoratedRange(dp, 0, ev.log.NumRows())
+	n := ev.log.NumRows()
+	m := bitset.New(n)
+	ev.ExplainedRowsDecoratedRange(dp, 0, n, m)
+	return Bools(m)
 }
 
 // Repeats is the engine's repeat-access view (repeats).
@@ -111,18 +145,28 @@ func (ev *Evaluator) SupportScan(p pathmodel.Path) int { return countTrue(ev.nes
 // nestedRows is the nested join behind SupportNaive (indexed) and
 // SupportScan: one verdict per audited row, true when some tuple chain from
 // the row's start value satisfies every condition of p (closing at the
-// row's end value).
+// row's end value). The indexed mode builds each (table, column) index it
+// needs once per call; the scan mode compares the column's cells in place.
 func (ev *Evaluator) nestedRows(p pathmodel.Path, indexed bool) []bool {
 	insts := p.Instances()
 	conds := p.Conds()
 	starts, ends := ev.orient(p)
+	type tableColumn struct {
+		t   *relation.Table
+		col string
+	}
+	indexes := make(map[tableColumn]map[relation.Value][]int)
 
 	// match visits the rows of t whose column col holds v until visit
 	// accepts one, and reports whether one was accepted.
-	match := func(t *relation.Table, col string, v relation.Value, visit func(row []relation.Value) bool) bool {
+	match := func(t *relation.Table, col string, v relation.Value, visit func(r int) bool) bool {
 		if indexed {
-			for _, r := range t.Index(col)[v] {
-				if visit(t.Row(r)) {
+			k := tableColumn{t, col}
+			if indexes[k] == nil {
+				indexes[k] = t.Index(col)
+			}
+			for _, r := range indexes[k][v] {
+				if visit(r) {
 					return true
 				}
 			}
@@ -130,7 +174,7 @@ func (ev *Evaluator) nestedRows(p pathmodel.Path, indexed bool) []bool {
 		}
 		ci, _ := t.ColumnIndex(col)
 		for r := 0; r < t.NumRows(); r++ {
-			if row := t.Row(r); row[ci] == v && visit(row) {
+			if t.Cell(r, ci) == v && visit(r) {
 				return true
 			}
 		}
@@ -152,10 +196,10 @@ func (ev *Evaluator) nestedRows(p pathmodel.Path, indexed bool) []bool {
 			}
 			in := insts[c.RightInst]
 			t := ev.db.MustTable(in.Table)
-			return match(t, in.Entry, v, func(row []relation.Value) bool {
+			return match(t, in.Entry, v, func(r int) bool {
 				next := relation.Null()
 				if xi, ok := t.ColumnIndex(in.Exit); ok {
-					next = row[xi]
+					next = t.Cell(r, xi)
 				}
 				return exists(ci+1, next, end)
 			})
@@ -165,7 +209,7 @@ func (ev *Evaluator) nestedRows(p pathmodel.Path, indexed bool) []bool {
 		}
 		bt := ev.db.MustTable(c.Via.Table)
 		ti, _ := bt.ColumnIndex(c.Via.ToColumn)
-		return match(bt, c.Via.FromColumn, current, func(row []relation.Value) bool { return step(row[ti]) })
+		return match(bt, c.Via.FromColumn, current, func(r int) bool { return step(bt.Cell(r, ti)) })
 	}
 
 	out := make([]bool, len(starts))
@@ -189,9 +233,8 @@ func (ev *Evaluator) orient(p pathmodel.Path) (starts, ends []relation.Value) {
 // logColumns returns the audited log's Patient and User columns.
 func (ev *Evaluator) logColumns() (patients, users []relation.Value) {
 	for r := range ev.log.NumRows() {
-		row := ev.log.Row(r)
-		patients = append(patients, row[ev.logPatientIdx])
-		users = append(users, row[ev.logUserIdx])
+		patients = append(patients, ev.log.Cell(r, ev.logPatientIdx))
+		users = append(users, ev.log.Cell(r, ev.logUserIdx))
 	}
 	return patients, users
 }
@@ -202,10 +245,12 @@ func (ev *Evaluator) logColumns() (patients, users []relation.Value) {
 func (ev *Evaluator) ScanRows(p pathmodel.Path) []bool { return ev.nestedRows(p, false) }
 
 // InstancesReference is the blind depth-first search Instances ran before
-// the compiled enumerator replaced it, kept verbatim as the differential
-// oracle: it walks forward from Log.Patient resolving every table, index
-// and column by name at every node and never uses the row's user before the
-// closing condition. It returns the bindings and the number of search nodes
+// the compiled enumerator replaced it, kept as the differential oracle: it
+// walks forward from Log.Patient resolving every table and column by name
+// at every node and never uses the row's user before the closing
+// condition. Within one call it finds each (table, column, value) posting
+// list by one scan of the column (relation.Table.Find) and builds each
+// bridge projection once. It returns the bindings and the number of search nodes
 // (dfs calls) it made, and counts the postings it consumed on the cursor.
 func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]InstanceBinding, int) {
 	if !p.Closed() {
@@ -219,8 +264,15 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 	}
 	insts := p.Instances()
 	conds := p.Conds()
-	patient := ev.log.Row(logRow)[ev.logPatientIdx]
-	user := ev.log.Row(logRow)[ev.logUserIdx]
+	patient := ev.log.Cell(logRow, ev.logPatientIdx)
+	user := ev.log.Cell(logRow, ev.logUserIdx)
+	type posting struct {
+		t   *relation.Table
+		col string
+		v   relation.Value
+	}
+	postings := make(map[posting][]int)
+	bridges := make(map[schemagraph.Bridge]map[relation.Value][]relation.Value)
 
 	var out []InstanceBinding
 	rows := make([]int, 0, len(insts)-1)
@@ -239,8 +291,12 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 		// pair-value postings.
 		candidates := func(yield func(relation.Value) bool) { yield(current) }
 		if c.Via != nil {
-			bt := ev.db.MustTable(c.Via.Table)
-			bridged := DistinctPairs(bt, c.Via.FromColumn, c.Via.ToColumn)[current]
+			pairs, ok := bridges[*c.Via]
+			if !ok {
+				pairs = DistinctPairs(ev.db.MustTable(c.Via.Table), c.Via.FromColumn, c.Via.ToColumn)
+				bridges[*c.Via] = pairs
+			}
+			bridged := pairs[current]
 			candidates = func(yield func(relation.Value) bool) {
 				for _, v := range bridged {
 					ev.postingsScanned++
@@ -268,7 +324,14 @@ func (ev *Evaluator) InstancesReference(p pathmodel.Path, logRow, limit int) ([]
 		t := ev.db.MustTable(in.Table)
 		done := false
 		for v := range candidates {
-			for _, r := range t.Index(in.Entry)[v] {
+			k := posting{t, in.Entry, v}
+			list, ok := postings[k]
+			if !ok {
+				ci, _ := t.ColumnIndex(in.Entry)
+				list = t.Find(ci, v)
+				postings[k] = list
+			}
+			for _, r := range list {
 				ev.postingsScanned++
 				rows = append(rows, r)
 				next := relation.Null()

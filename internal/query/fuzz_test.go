@@ -1,6 +1,8 @@
 package query_test
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -108,9 +110,11 @@ func fuzzPath(f *fuzzBytes) (pathmodel.Path, bool) {
 //   - db2 holds identical data but evaluates in the opposite order, so
 //     Support runs against caches populated (or not) differently.
 //
-// All five counts must agree, the full ExplainedRows (ConnectedRows) mask of
-// a closed (open) path must equal the nested join's per-row verdicts
-// (ScanRows), and Support must equal its popcount. This is the index-on ==
+// All five counts must agree, the full ExplainedRange (ConnectedRows) mask
+// of a closed (open) path must equal the nested join's per-row verdicts
+// (ScanRows), Support must equal its popcount, and a random [lo, hi)
+// evaluated into a patterned mask must set exactly that range of the full
+// mask and leave every other bit as it was. This is the index-on ==
 // index-off oracle: SupportScan never touches the index caches at all. On
 // closed paths the same random schemas also pin Instances to the blind
 // reference search (see assertInstancesMatchReference).
@@ -156,6 +160,19 @@ func FuzzSupportAgreement(f *testing.F) {
 		if pop := popcount(mask); pop != s1 {
 			t.Fatalf("path %q: Support=%d but mask popcount=%d", p.String(), s1, pop)
 		}
+		// The in-place law on a random [lo, hi) of a mask that runs past
+		// the log and is patterned outside the range.
+		n := len(mask)
+		lo := int(r1.next()) % (n + 1)
+		hi := lo + int(r1.next())%(n-lo+1)
+		dst := patterned(rand.New(rand.NewSource(int64(len(data)))), n+int(r1.next()), lo, hi)
+		before := dst.Clone()
+		if pp := ev1.Prepare(p); p.Closed() {
+			pp.ExplainedRange(lo, hi, dst)
+		} else {
+			pp.ConnectedRange(lo, hi, dst)
+		}
+		checkInPlace(t, fmt.Sprintf("path %q, range [%d, %d)", p.String(), lo, hi), dst, before, lo, mask[lo:hi])
 		if p.Closed() {
 			// The compiled instance enumerator against the blind search, and
 			// against the mask: a row is explained iff it has an instance.

@@ -134,8 +134,8 @@ type instTally struct{ calls, nodes, bindings, memoHits, memoMisses int64 }
 
 // FlushStats adds the cursor's pending query.instances.* counts to the
 // engine's counters. A cursor without an InstanceMemo flushes at the end of
-// each Instances, InstancesDecorated and ExplainedRowsDecoratedRange call
-// itself. A cursor made by CloneWithMemo renders many rows for one owner
+// each Instances, InstancesDecorated, ExplainedRowsDecoratedRange and
+// SupportDecoratedRange call itself. A cursor made by CloneWithMemo renders many rows for one owner
 // and holds its counts until the owner calls FlushStats: the whole-log
 // stream does so once per chunk of rows.
 func (ev *Evaluator) FlushStats() {

@@ -212,7 +212,7 @@ func TestInstancesNodesPerBinding(t *testing.T) {
 	bindingCounter := ev.Metrics().Counter("query.instances.bindings")
 	var allNodes, allBindings int64
 	for name, p := range paths {
-		mask := ev.ExplainedRows(p)
+		mask := ev.ExplainedBools(p)
 		nodes, bindings := nodeCounter.Value(), bindingCounter.Value()
 		for row, explained := range mask {
 			if explained && len(ev.Instances(p, row, 3)) == 0 {
@@ -392,7 +392,7 @@ func TestInstancesFreshAfterMutations(t *testing.T) {
 	db := ev.Database()
 	cur, ref := ev.Clone(), ev.Clone()
 	for _, p := range paths {
-		ev.ExplainedRows(p)
+		ev.ExplainedBools(p)
 		break
 	}
 	check := func(when string) {

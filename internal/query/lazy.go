@@ -17,6 +17,8 @@ package query
 // (export_test.go) is the independent reference the differential tests pin
 // this walk to, row by row.
 
+import "repro/internal/bitset"
+
 // blockSize is the most targets one memo generation numbers: a closed
 // call's rows are walked in blocks of at most this many distinct targets,
 // so a memoized set is at most blockWords words.
@@ -184,15 +186,15 @@ func (s *scratch) layOut(u units, closed bool, n int) units {
 }
 
 // eval classifies a call's units, which it lays out unless they come laid
-// out (see units), stores the verdicts in out when it is non-nil and
-// returns the weighted count of units that qualified. A unit qualifies iff its
+// out (see units), sets bit lo+v of dst for each unit v that qualified when
+// dst is non-nil, and returns the weighted count of units that qualified. A unit qualifies iff its
 // target's bit is set in the set its start value reaches from boundary 0.
 // An open plan's units share one one-bit target under a single memo
 // generation, so a repeated start is a memo hit; a closed plan's blocks
 // each have a generation. Consecutive visits to one start ask its
 // sub-question once: the whole log's pairs are laid out sorted by start
 // within each block (logProj.wholeLog), so each start asks once per block.
-func (pp *Prepared) eval(u units, out []bool) int {
+func (pp *Prepared) eval(u units, dst *bitset.Bits, lo int) int {
 	pp.ent.lower(pp.ev.engine)
 	ops, closed := pp.ent.pl.ops, pp.ent.pl.closed
 	n := len(pp.ev.engine.dict.values())
@@ -237,8 +239,8 @@ func (pp *Prepared) eval(u units, out []bool) int {
 			} else {
 				count += int(u.weight[v])
 			}
-			if out != nil {
-				out[v] = true
+			if dst != nil {
+				dst.Set(lo + int(v))
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/ehr"
 	"repro/internal/explain"
 	"repro/internal/groups"
@@ -26,32 +27,37 @@ func popcount(mask []bool) int {
 	return n
 }
 
-// engineRows evaluates p's full row mask through the engine: ExplainedRows
-// for a closed path, ConnectedRows for an open one.
+// engineRows evaluates p's full row mask through the engine: ExplainedRange
+// over the whole log for a closed path, ConnectedRows for an open one.
 func engineRows(ev *query.Evaluator, p pathmodel.Path) []bool {
 	if p.Closed() {
-		return ev.ExplainedRows(p)
+		return ev.ExplainedBools(p)
 	}
-	return ev.ConnectedRows(p)
+	return ev.ConnectedBools(p)
 }
 
 // shardedRows evaluates closed path p's full row mask as j disjoint ranges
-// on concurrently running cloned cursors and concatenates them.
+// on concurrently running cloned cursors, all writing one mask: the
+// boundaries between the ranges are multiples of 64, as the contract of
+// ExplainedRange requires of concurrent writers.
 func shardedRows(t *testing.T, ev *query.Evaluator, p pathmodel.Path, j int) []bool {
 	t.Helper()
 	n := ev.Log().NumRows()
-	out := make([]bool, n)
+	mask := bitset.New(n)
 	var wg sync.WaitGroup
 	for w := 0; w < j; w++ {
-		lo, hi := n*w/j, n*(w+1)/j
+		lo, hi := n*w/j&^63, n*(w+1)/j&^63
+		if w == j-1 {
+			hi = n
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			copy(out[lo:hi], ev.Clone().Prepare(p).ExplainedRange(lo, hi))
+			ev.Clone().Prepare(p).ExplainedRange(lo, hi, mask)
 		}()
 	}
 	wg.Wait()
-	return out
+	return query.Bools(mask)
 }
 
 // TestLazyDifferentialCatalog pins the engine row by row against a second

@@ -41,8 +41,8 @@ func TestPrepareLowersOnFirstEvaluation(t *testing.T) {
 	// Nick (row 2 accesses Alice) now maps to Dave's caregiver id, so
 	// Alice's appointment with Dave explains Nick's access too.
 	db.MustTable("UserMapping").Append(relation.Int(nick), relation.Int(dave+100))
-	got := pp.ExplainedRows()
-	want := query.NewEvaluator(db).Prepare(closed).ExplainedRows()
+	got := pp.ExplainedBools()
+	want := query.NewEvaluator(db).Prepare(closed).ExplainedBools()
 	if !reflect.DeepEqual(got, want) || !got[2] {
 		t.Errorf("first evaluation after a bridge append = %v, cold evaluator %v (row 2 must be explained)", got, want)
 	}
@@ -60,7 +60,7 @@ func TestPrepareLowersOnFirstEvaluation(t *testing.T) {
 		t.Errorf("after evaluation: resident %d B, %d values; want both > 0", resident.Value(), values.Value())
 	}
 	pp.Support()
-	ev.Prepare(closed).ExplainedRows()
+	ev.Prepare(closed).ExplainedBools()
 	if st := ev.PlanCacheStats(); st.PlansPlanned != 1 || st.PlanNanos <= 0 {
 		t.Errorf("one plan evaluated three times: %d plans counted, %d ns", st.PlansPlanned, st.PlanNanos)
 	}
@@ -92,7 +92,7 @@ func TestFirstEvaluationRace(t *testing.T) {
 	lone := query.NewEvaluator(ds.DB)
 	want := make([][]bool, len(paths))
 	for i, pt := range paths {
-		want[i] = lone.Prepare(pt.Path).ExplainedRows()
+		want[i] = lone.Prepare(pt.Path).ExplainedBools()
 	}
 
 	ev := query.NewEvaluator(ds.DB)
@@ -110,7 +110,7 @@ func TestFirstEvaluationRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, pp := range handles[c] {
-				if got := pp.ExplainedRows(); !reflect.DeepEqual(got, want[i]) {
+				if got := pp.ExplainedBools(); !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("cursor %d, %s: mask differs from a lone evaluator's", c, paths[i].Name())
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/pathmodel"
 	"repro/internal/relation"
 	"repro/internal/schemagraph"
@@ -68,9 +69,9 @@ func memoClosedPath(t *testing.T) pathmodel.Path {
 func TestMemoGenerationWrap(t *testing.T) {
 	ev := NewEvaluator(memoDB())
 	pp := ev.Prepare(memoClosedPath(t))
-	want := pp.ExplainedRows()
+	want := pp.ExplainedBools()
 	if !reflect.DeepEqual(want, []bool{true, true, true, false, false}) {
-		t.Fatalf("ExplainedRows = %v before the wrap", want)
+		t.Fatalf("ExplainedBools = %v before the wrap", want)
 	}
 	forged := 0
 	for _, m := range ev.scratch.memo {
@@ -86,8 +87,8 @@ func TestMemoGenerationWrap(t *testing.T) {
 		t.Fatal("no memo slot to forge")
 	}
 	ev.scratch.gen = genLimit - 1
-	if got := pp.ExplainedRows(); !reflect.DeepEqual(got, want) {
-		t.Errorf("ExplainedRows across the generation wrap = %v, want %v", got, want)
+	if got := pp.ExplainedBools(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExplainedBools across the generation wrap = %v, want %v", got, want)
 	}
 	if g := ev.scratch.gen; g == 0 || g >= genLimit-1 {
 		t.Errorf("generation = %d after the wrap, want a small restart", g)
@@ -184,11 +185,11 @@ func TestMultiBlockDifferential(t *testing.T) {
 		}
 		pp := ev.Prepare(p)
 		for _, shards := range []int{1, 3, 17} {
-			var got []bool
+			mask := bitset.New(n)
 			for w := 0; w < shards; w++ {
-				got = append(got, pp.ExplainedRange(n*w/shards, n*(w+1)/shards)...)
+				pp.ExplainedRange(n*w/shards, n*(w+1)/shards, mask)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if got := Bools(mask); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, %d shards: mask differs from the nested join", p, shards)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/pathmodel"
 )
 
@@ -20,8 +21,8 @@ import (
 // counts queries on its owning cursor, so use one handle (from one cloned
 // cursor) per goroutine. The range methods are the primitive for sharding
 // one whole-log evaluation across workers: disjoint [lo, hi) ranges
-// evaluated on per-worker cursors concatenate to exactly the full-range
-// result.
+// evaluated on per-worker cursors into one mask set exactly the bits of the
+// full-range result.
 type Prepared struct {
 	ev  *Evaluator
 	ent *cachedPlan
@@ -111,48 +112,48 @@ func (pp *Prepared) SupportRange(lo, hi int) int {
 	pp.ev.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
 	if pr := pp.ev.idProjections(); lo == 0 && hi == len(pr.pairID) {
-		return pp.eval(pr.wholeLog(pp.ent.forward, pp.ent.pl.closed, &pp.ev.scratch, len(pp.ev.engine.dict.values())), nil)
+		return pp.eval(pr.wholeLog(pp.ent.forward, pp.ent.pl.closed, &pp.ev.scratch, len(pp.ev.engine.dict.values())), nil, 0)
 	}
 	from, target := pp.rowUnits(lo, hi)
-	return pp.eval(units{from: from, target: target}, nil)
-}
-
-// ExplainedRows returns one boolean per log row: whether the closed path
-// explains that access. It panics on open paths.
-func (pp *Prepared) ExplainedRows() []bool {
-	return pp.ExplainedRange(0, pp.ev.log.NumRows())
+	return pp.eval(units{from: from, target: target}, nil, 0)
 }
 
 // ExplainedRange evaluates the closed path over the half-open log-row range
-// [lo, hi) and returns hi-lo booleans: element i is ExplainedRows()[lo+i].
-// Disjoint ranges concatenate to exactly the full-range result, which is
-// what lets one template mask be sharded across a worker pool. It panics on
-// open paths and out-of-bounds ranges. Each call counts as one evaluated
-// query on the owning cursor.
-func (pp *Prepared) ExplainedRange(lo, hi int) []bool {
+// [lo, hi) and sets bit r of dst for each row r in it the path explains. It
+// touches no other bit of dst, so disjoint ranges evaluated into one dst set
+// exactly the bits of the full-range result, which is what lets one
+// template mask be sharded across a worker pool. Several goroutines may
+// share one dst only when every boundary between their ranges is a multiple
+// of 64: dst is not synchronized, and aligned ranges write disjoint words.
+// It panics on open paths, on out-of-bounds ranges and when dst is shorter
+// than hi. Each call counts as one evaluated query on the owning cursor.
+func (pp *Prepared) ExplainedRange(lo, hi int, dst *bitset.Bits) {
 	if !pp.ent.pl.closed {
 		panic("query: ExplainedRange requires a closed path")
 	}
-	return pp.rangeRows(lo, hi)
+	pp.rangeRows(lo, hi, dst)
 }
 
-// rangeRows classifies the rows [lo, hi) as one evaluated query.
-func (pp *Prepared) rangeRows(lo, hi int) []bool {
+// rangeRows classifies the rows [lo, hi) into dst as one evaluated query.
+func (pp *Prepared) rangeRows(lo, hi int, dst *bitset.Bits) {
 	pp.ev.checkRange(lo, hi)
 	pp.ev.queriesEvaluated++
-	out := make([]bool, hi-lo)
 	from, target := pp.rowUnits(lo, hi)
-	pp.eval(units{from: from, target: target}, out)
-	return out
+	pp.eval(units{from: from, target: target}, dst, lo)
 }
 
-// ConnectedRows returns one boolean per log row: whether the open path's
-// start value can begin a satisfiable chain. It panics on closed paths.
-func (pp *Prepared) ConnectedRows() []bool {
+// ConnectedRows returns a mask over the log rows whose bit r is set when
+// the open path's start value at row r can begin a satisfiable chain. This
+// scores "event" indicators such as the paper's Figure 6 bars (the patient
+// had an appointment with anyone). It panics on closed paths.
+func (pp *Prepared) ConnectedRows() *bitset.Bits {
 	if pp.ent.pl.closed {
 		panic("query: ConnectedRows requires an open path")
 	}
-	return pp.rangeRows(0, pp.ev.log.NumRows())
+	n := pp.ev.log.NumRows()
+	out := bitset.New(n)
+	pp.rangeRows(0, n, out)
+	return out
 }
 
 // cachedPlan is one entry of the engine-level plan cache: the compiled plan

@@ -1,10 +1,13 @@
 package query_test
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/pathmodel"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -25,8 +28,9 @@ func preparedPaths(t *testing.T) (closed, open pathmodel.Path) {
 	return closed, open
 }
 
-// TestPreparedMatchesOneShot pins the prepared handle to the legacy one-shot
-// methods: Support, ExplainedRows, and ConnectedRows must agree exactly.
+// TestPreparedMatchesOneShot pins the prepared handle to the one-shot
+// Support and to the indexed nested join: its Support and its unpacked
+// ExplainedRange and ConnectedRows masks must agree exactly.
 func TestPreparedMatchesOneShot(t *testing.T) {
 	db := figure3DB()
 	closed, open := preparedPaths(t)
@@ -41,22 +45,55 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	if got, want := po.Support(), ev.SupportNaive(open); got != want {
 		t.Errorf("Prepared.Support(open) = %d, want %d", got, want)
 	}
-	if got, want := pc.ExplainedRows(), ev.ExplainedRows(closed); !reflect.DeepEqual(got, want) {
-		t.Errorf("Prepared.ExplainedRows = %v, want %v", got, want)
+	if got, want := pc.ExplainedBools(), ev.ExplainedBools(closed); !reflect.DeepEqual(got, want) {
+		t.Errorf("Prepared.ExplainedBools = %v, want %v", got, want)
 	}
-	if got, want := po.ConnectedRows(), ev.ConnectedRows(open); !reflect.DeepEqual(got, want) {
+	if got, want := po.ConnectedBools(), ev.ConnectedBools(open); !reflect.DeepEqual(got, want) {
 		t.Errorf("Prepared.ConnectedRows = %v, want %v", got, want)
 	}
 }
 
-// TestPreparedRangeStitching verifies the range contract: concatenating
-// ExplainedRange / ConnectedRange over any partition of the log reproduces
-// the full-range result exactly, including empty and single-row ranges.
+// patterned returns a mask of size bits whose bits outside [lo, hi) follow
+// a random pattern and whose bits inside are clear: the destination for
+// checking that a range method writes inside its range only.
+func patterned(rng *rand.Rand, size, lo, hi int) *bitset.Bits {
+	m := bitset.New(size)
+	for i := range size {
+		if (i < lo || i >= hi) && rng.Intn(2) == 0 {
+			m.Set(i)
+		}
+	}
+	return m
+}
+
+// checkInPlace checks the in-place law of the range methods: got holds
+// want at [lo, lo+len(want)) and, everywhere else, the bits of before, the
+// mask as it was before the writes.
+func checkInPlace(t *testing.T, name string, got, before *bitset.Bits, lo int, want []bool) {
+	t.Helper()
+	for i := range got.Len() {
+		exp := before.Get(i)
+		if i >= lo && i < lo+len(want) {
+			exp = want[i-lo]
+		}
+		if got.Get(i) != exp {
+			t.Errorf("%s: bit %d = %v, want %v", name, i, got.Get(i), exp)
+			return
+		}
+	}
+}
+
+// TestPreparedRangeStitching verifies the range contract: evaluating
+// ExplainedRange / ConnectedRange over the pieces of a partition of [lo, hi)
+// into one mask sets exactly the full-range result's bits of [lo, hi),
+// including empty and single-row pieces, and leaves every other bit of the
+// mask, which starts patterned and runs past the log, as it was.
 func TestPreparedRangeStitching(t *testing.T) {
 	db := figure3DB()
 	closed, open := preparedPaths(t)
 	ev := query.NewEvaluator(db)
 	n := ev.Log().NumRows()
+	rng := rand.New(rand.NewSource(1))
 
 	partitions := [][]int{
 		{0, n},
@@ -65,21 +102,22 @@ func TestPreparedRangeStitching(t *testing.T) {
 		{0, n - 1, n},
 		{0, 1, 2, 3, 4, n},
 		{0, 2, 2, 5},
+		{1, 3, n},
+		{2, 4},
 	}
-	full := ev.Prepare(closed).ExplainedRows()
-	conn := ev.Prepare(open).ConnectedRows()
+	full := ev.Prepare(closed).ExplainedBools()
+	conn := ev.Prepare(open).ConnectedBools()
 	for _, cuts := range partitions {
-		var gotC, gotO []bool
+		lo, hi := cuts[0], cuts[len(cuts)-1]
+		dstC := patterned(rng, n+67, lo, hi)
+		dstO := patterned(rng, n+67, lo, hi)
+		beforeC, beforeO := dstC.Clone(), dstO.Clone()
 		for i := 0; i+1 < len(cuts); i++ {
-			gotC = append(gotC, ev.Prepare(closed).ExplainedRange(cuts[i], cuts[i+1])...)
-			gotO = append(gotO, ev.Prepare(open).ConnectedRange(cuts[i], cuts[i+1])...)
+			ev.Prepare(closed).ExplainedRange(cuts[i], cuts[i+1], dstC)
+			ev.Prepare(open).ConnectedRange(cuts[i], cuts[i+1], dstO)
 		}
-		if !reflect.DeepEqual(gotC, full) {
-			t.Errorf("stitched ExplainedRange %v = %v, want %v", cuts, gotC, full)
-		}
-		if !reflect.DeepEqual(gotO, conn) {
-			t.Errorf("stitched ConnectedRange %v = %v, want %v", cuts, gotO, conn)
-		}
+		checkInPlace(t, fmt.Sprintf("stitched ExplainedRange %v", cuts), dstC, beforeC, lo, full[lo:hi])
+		checkInPlace(t, fmt.Sprintf("stitched ConnectedRange %v", cuts), dstO, beforeO, lo, conn[lo:hi])
 	}
 }
 
@@ -99,11 +137,14 @@ func TestPreparedRangePanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("ExplainedRange on open path", func() { ev.Prepare(open).ExplainedRange(0, 1) })
-	expectPanic("ConnectedRange on closed path", func() { ev.Prepare(closed).ConnectedRange(0, 1) })
-	expectPanic("negative lo", func() { ev.Prepare(closed).ExplainedRange(-1, 1) })
-	expectPanic("hi past end", func() { ev.Prepare(closed).ExplainedRange(0, ev.Log().NumRows()+1) })
-	expectPanic("hi < lo", func() { ev.Prepare(open).ConnectedRange(2, 1) })
+	n := ev.Log().NumRows()
+	dst := bitset.New(n + 1)
+	expectPanic("ExplainedRange on open path", func() { ev.Prepare(open).ExplainedRange(0, 1, dst) })
+	expectPanic("ConnectedRange on closed path", func() { ev.Prepare(closed).ConnectedRange(0, 1, dst) })
+	expectPanic("negative lo", func() { ev.Prepare(closed).ExplainedRange(-1, 1, dst) })
+	expectPanic("hi past end", func() { ev.Prepare(closed).ExplainedRange(0, n+1, dst) })
+	expectPanic("hi < lo", func() { ev.Prepare(open).ConnectedRange(2, 1, dst) })
+	expectPanic("mask shorter than hi", func() { ev.Prepare(closed).ExplainedRange(0, n, bitset.New(n-1)) })
 }
 
 // TestPlanCacheSharedAcrossCursors verifies the engine-level cache: the
@@ -145,9 +186,9 @@ func TestPlanCacheCanonicalSharing(t *testing.T) {
 	}
 
 	ev := query.NewEvaluator(db)
-	want := ev.Prepare(closed).ExplainedRows()
+	want := ev.Prepare(closed).ExplainedBools()
 	misses := ev.PlanCacheStats().Misses
-	got := ev.Prepare(rev).ExplainedRows()
+	got := ev.Prepare(rev).ExplainedBools()
 	if misses2 := ev.PlanCacheStats().Misses; misses2 != misses {
 		t.Errorf("reverse path recompiled: misses %d -> %d", misses, misses2)
 	}
@@ -167,7 +208,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	closed, _ := preparedPaths(t)
 	ev := query.NewEvaluator(db)
 
-	before := ev.Prepare(closed).ExplainedRows()
+	before := ev.Prepare(closed).ExplainedBools()
 	if before[3] {
 		t.Fatal("row 3 (mike->carol) should be unexplained before mutation")
 	}
@@ -176,7 +217,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	// allows this only with exclusive access, which a sequential test has.
 	db.MustTable("Appointments").Append(relation.Int(carol), relation.Date(2), relation.Int(mike+100))
 	missesBefore := ev.PlanCacheStats().Misses
-	after := ev.Prepare(closed).ExplainedRows()
+	after := ev.Prepare(closed).ExplainedBools()
 	if misses := ev.PlanCacheStats().Misses; misses != missesBefore+1 {
 		t.Errorf("Append did not invalidate plan cache: misses %d -> %d", missesBefore, misses)
 	}
@@ -204,22 +245,32 @@ func TestPlanCacheInvalidation(t *testing.T) {
 
 // TestPreparedConcurrentShards runs many goroutines, each with its own
 // cloned cursor, evaluating disjoint shards of the same prepared paths, and
-// checks the assembled masks against the sequential result. Run under -race
-// this exercises the plan cache's RWMutex, the per-entry compile sync.Once,
-// and the shared dictionary and log projections.
+// checks the assembled masks against the sequential result. The log has
+// fewer than 64 rows, so the shards share one word of any mask: each
+// worker writes its own mask, patterned outside its shard, and the in-place
+// law is checked on it. Run under -race this exercises the plan cache's
+// RWMutex, the per-entry compile sync.Once, and the shared dictionary and
+// log projections.
 func TestPreparedConcurrentShards(t *testing.T) {
 	db := figure3DB()
 	closed, open := preparedPaths(t)
 	ev := query.NewEvaluator(db)
 	n := ev.Log().NumRows()
 
-	wantClosed := ev.Prepare(closed).ExplainedRows()
-	wantOpen := ev.Prepare(open).ConnectedRows()
+	wantClosed := ev.Prepare(closed).ExplainedBools()
+	wantOpen := ev.Prepare(open).ConnectedBools()
 	ev.InvalidatePlans() // make the workers race on compilation too
 
 	const workers = 8
-	gotClosed := make([]bool, n)
-	gotOpen := make([]bool, n)
+	type shard struct{ dstC, beforeC, dstO, beforeO *bitset.Bits }
+	shards := make([]shard, workers)
+	for w := range shards {
+		rng := rand.New(rand.NewSource(int64(w)))
+		lo, hi := w*n/workers, (w+1)*n/workers
+		s := &shards[w]
+		s.dstC, s.dstO = patterned(rng, n, lo, hi), patterned(rng, n, lo, hi)
+		s.beforeC, s.beforeO = s.dstC.Clone(), s.dstO.Clone()
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -227,17 +278,16 @@ func TestPreparedConcurrentShards(t *testing.T) {
 			defer wg.Done()
 			cur := ev.Clone()
 			lo, hi := w*n/workers, (w+1)*n/workers
-			copy(gotClosed[lo:hi], cur.Prepare(closed).ExplainedRange(lo, hi))
-			copy(gotOpen[lo:hi], cur.Prepare(open).ConnectedRange(lo, hi))
+			cur.Prepare(closed).ExplainedRange(lo, hi, shards[w].dstC)
+			cur.Prepare(open).ConnectedRange(lo, hi, shards[w].dstO)
 		}(w)
 	}
 	wg.Wait()
 
-	if !reflect.DeepEqual(gotClosed, wantClosed) {
-		t.Errorf("concurrent sharded ExplainedRange = %v, want %v", gotClosed, wantClosed)
-	}
-	if !reflect.DeepEqual(gotOpen, wantOpen) {
-		t.Errorf("concurrent sharded ConnectedRange = %v, want %v", gotOpen, wantOpen)
+	for w, s := range shards {
+		lo, hi := w*n/workers, (w+1)*n/workers
+		checkInPlace(t, fmt.Sprintf("concurrent ExplainedRange shard [%d, %d)", lo, hi), s.dstC, s.beforeC, lo, wantClosed[lo:hi])
+		checkInPlace(t, fmt.Sprintf("concurrent ConnectedRange shard [%d, %d)", lo, hi), s.dstO, s.beforeO, lo, wantOpen[lo:hi])
 	}
 	if st := ev.PlanCacheStats(); st.Misses == 0 || st.Hits == 0 {
 		t.Errorf("expected both hits and misses after concurrent prepare, got %d hits, %d misses", st.Hits, st.Misses)
@@ -245,7 +295,9 @@ func TestPreparedConcurrentShards(t *testing.T) {
 }
 
 // TestDecoratedRangeStitching pins ExplainedRowsDecoratedRange to its
-// full-range counterpart.
+// full-range counterpart under the in-place law of
+// TestPreparedRangeStitching, and SupportDecoratedRange to the number of
+// bits each piece sets.
 func TestDecoratedRangeStitching(t *testing.T) {
 	db := figure3DB()
 	ev := query.NewEvaluator(db)
@@ -256,14 +308,18 @@ func TestDecoratedRangeStitching(t *testing.T) {
 	})
 	full := ev.ExplainedRowsDecorated(dp)
 	n := ev.Log().NumRows()
-	for _, cuts := range [][]int{{0, n}, {0, 1, n}, {0, 2, 2, n}} {
-		var got []bool
+	rng := rand.New(rand.NewSource(1))
+	for _, cuts := range [][]int{{0, n}, {0, 1, n}, {0, 2, 2, n}, {1, 3, 4}} {
+		lo, hi := cuts[0], cuts[len(cuts)-1]
+		dst := patterned(rng, n+67, lo, hi)
+		before := dst.Clone()
 		for i := 0; i+1 < len(cuts); i++ {
-			got = append(got, ev.ExplainedRowsDecoratedRange(dp, cuts[i], cuts[i+1])...)
+			ev.ExplainedRowsDecoratedRange(dp, cuts[i], cuts[i+1], dst)
+			if got, want := ev.SupportDecoratedRange(dp, cuts[i], cuts[i+1]), popcount(full[cuts[i]:cuts[i+1]]); got != want {
+				t.Errorf("SupportDecoratedRange(%d, %d) = %d, want %d", cuts[i], cuts[i+1], got, want)
+			}
 		}
-		if !reflect.DeepEqual(got, full) {
-			t.Errorf("stitched decorated range %v = %v, want %v", cuts, got, full)
-		}
+		checkInPlace(t, fmt.Sprintf("stitched decorated range %v", cuts), dst, before, lo, full[lo:hi])
 	}
 }
 
